@@ -179,56 +179,16 @@ func BenchmarkRunnerReplications(b *testing.B) {
 	}
 }
 
-// BenchmarkClusterDispatch measures the cluster coordinator end to end
-// against one loopback shardd worker: per op it dials, handshakes, ships
-// the job descriptor, dispatches ranges and merges the gob-decoded result
-// stream — the same 8-replication Setting 1 batch as
-// BenchmarkRunnerReplications/workers=1, so the difference between the two
-// rows is the per-batch cost of going through the cluster layer instead of
-// the in-process pool.
-func BenchmarkClusterDispatch(b *testing.B) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer ln.Close()
-	go cluster.Serve(ln, cluster.WorkerOptions{Workers: 1})
-	addr := ln.Addr().String()
-
-	cfg := sim.Config{
-		Topology: netmodel.Setting1(),
-		Devices:  sim.UniformDevices(5, core.AlgSmartEXP3),
-		Slots:    120,
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		batch := runner.Replications{Runs: 8, Seed: int64(i + 1), Stream: []int64{42}}
-		job, err := cluster.NewJob(batch, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var downloads float64
-		err = cluster.Run(job, []string{addr}, cluster.Options{}, func(_ int, res *sim.Result) error {
-			for d := range res.Devices {
-				downloads += res.Devices[d].DownloadMb
-			}
-			return nil
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkClusterSession measures the per-batch cost on a warm persistent
 // session: the worker was dialed, handshaken and connected once before the
 // timer started, so each op pays only the session-multiplexed dispatch — a
 // job descriptor, its range frames and the gob-decoded result stream for
-// the same 8-replication Setting 1 batch as BenchmarkClusterDispatch. The
-// delta between the two rows is the dial + handshake + teardown the session
-// amortizes away, which is the whole point of the layer: the experiment
-// suite's many small batches pay it once instead of per batch.
+// the same 8-replication Setting 1 batch as
+// BenchmarkRunnerReplications/workers=1, so the difference between the two
+// rows is the per-batch cost of going through the cluster layer instead of
+// the in-process pool. The dial + handshake happen once per session, which
+// is the whole point of the layer: the experiment suite's many small
+// batches pay them once instead of per batch.
 func BenchmarkClusterSession(b *testing.B) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -498,11 +458,11 @@ func BenchmarkServeWire(b *testing.B) {
 	arms := []int{0, 1, 2, 3}
 	gains := []float64{0.2, 0.4, 0.9, 0.5}
 	for i := 0; i < 300; i++ { // warm device, codec type descriptors, buffers
-		arm, err := c.Select(7, arms)
+		arm, slot, err := c.SelectSlot(7, arms)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := c.Feedback(7, arm, gains[arm]); err != nil {
+		if err := c.FeedbackSlot(7, arm, slot, gains[arm]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -511,11 +471,11 @@ func BenchmarkServeWire(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		start := time.Now()
-		arm, err := c.Select(7, arms)
+		arm, slot, err := c.SelectSlot(7, arms)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := c.Feedback(7, arm, gains[arm]); err != nil {
+		if err := c.FeedbackSlot(7, arm, slot, gains[arm]); err != nil {
 			b.Fatal(err)
 		}
 		lat = append(lat, time.Since(start))

@@ -100,11 +100,11 @@ func run(args []string) error {
 	if *workers > 0 {
 		opts.Workers = *workers
 	}
-	opts.Cluster = cluster.ParseShards(*clstr)
-	if len(opts.Cluster) > 0 {
+	shards := cluster.ParseShards(*clstr)
+	if len(shards) > 0 {
 		// One persistent session for the whole run: every worker is dialed
 		// once, and all experiments' batches pipeline over it.
-		sess := cluster.NewSession(opts.Cluster, cluster.Options{
+		sess := cluster.NewSession(shards, cluster.Options{
 			LocalWorkers: opts.Workers,
 			Logf: func(format string, args ...any) {
 				fmt.Fprintf(os.Stderr, "reproduce: "+format+"\n", args...)
@@ -135,7 +135,7 @@ func run(args []string) error {
 	if *parexp {
 		total := runner.Workers(opts.Workers)
 		expWorkers = total
-		if n := len(opts.Cluster); n > 0 {
+		if n := len(shards); n > 0 {
 			// Shard-aware split: with a cluster, the heavy lifting is
 			// remote, so size experiment-level concurrency to cover the
 			// workers (each concurrent experiment's batches carry an
@@ -148,7 +148,7 @@ func run(args []string) error {
 		if expWorkers > len(selected) {
 			expWorkers = len(selected)
 		}
-		if len(opts.Cluster) == 0 {
+		if len(shards) == 0 {
 			// Split the worker budget between the experiment level and each
 			// experiment's replication pool so the two levels multiplied
 			// never oversubscribe the machine.

@@ -63,12 +63,12 @@ func driveDaemon(t *testing.T, addr string, from, to int) []int {
 	var out []int
 	for slot := from; slot < to; slot++ {
 		for _, dev := range []uint64{1, 2} {
-			arm, err := c.Select(dev, arms)
+			arm, sl, err := c.SelectSlot(dev, arms)
 			if err != nil {
 				t.Fatal(err)
 			}
 			out = append(out, arm)
-			if err := c.Feedback(dev, arm, float64(arm%7)/7); err != nil {
+			if err := c.FeedbackSlot(dev, arm, sl, float64(arm%7)/7); err != nil {
 				t.Fatal(err)
 			}
 		}

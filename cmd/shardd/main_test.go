@@ -68,7 +68,9 @@ func TestRunServesCoordinator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cluster.Run(job, []string{addr}, cluster.Options{}, func(_ int, res *sim.Result) error {
+	sess := cluster.NewSession([]string{addr}, cluster.Options{})
+	defer sess.Close()
+	if err := sess.Run(job, func(_ int, res *sim.Result) error {
 		for d := range res.Devices {
 			remote = append(remote, res.Devices[d].DownloadMb)
 		}
@@ -140,7 +142,9 @@ func TestRunDebugEndpointServesMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cluster.Run(job, []string{addr}, cluster.Options{}, func(int, *sim.Result) error { return nil }); err != nil {
+	sess := cluster.NewSession([]string{addr}, cluster.Options{})
+	defer sess.Close()
+	if err := sess.Run(job, func(int, *sim.Result) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 

@@ -169,10 +169,10 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		return runSweep(cfg, seeds, *runs, *workers, shardAddrs, reg)
+		return runReplicated(cfg, seeds, true, *runs, *workers, shardAddrs, reg)
 	}
 	if *runs > 1 || len(shardAddrs) > 0 {
-		return runReplicated(cfg, *runs, *workers, shardAddrs, reg)
+		return runReplicated(cfg, []int64{cfg.Seed}, false, *runs, *workers, shardAddrs, reg)
 	}
 
 	res, err := smartexp3.Simulate(cfg)
@@ -218,53 +218,6 @@ func run(args []string) error {
 		fmt.Printf("late distance to NE  %.2f%%\n", stats.Mean(late))
 	}
 	return nil
-}
-
-// runReplicated executes the scenario runs times — across the in-process
-// worker pool, or across remote shardd workers when shards are given — each
-// replication on its own RNG stream, and prints run-order-deterministic
-// aggregate statistics. Only the header line mentions the execution shape;
-// every aggregate line below it is byte-identical across worker and shard
-// counts.
-func runReplicated(cfg smartexp3.SimConfig, runs, workers int, shards []string, reg *obsv.Registry) error {
-	agg := &replicateStats{}
-	merge := agg.merge
-	batch := runner.Replications{Runs: runs, Workers: workers, Seed: cfg.Seed}
-	if len(shards) > 0 {
-		job, err := cluster.NewJob(batch, cfg)
-		if err != nil {
-			return err
-		}
-		opts := cluster.Options{
-			LocalWorkers: workers,
-			Logf: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, "simulate: "+format+"\n", args...)
-			},
-		}
-		if reg != nil {
-			opts.Metrics = cluster.NewSessionMetrics(reg)
-		}
-		if err := cluster.Run(job, shards, opts, merge); err != nil {
-			return err
-		}
-		fmt.Printf("replications         %d (shards %d)\n", runs, len(shards))
-		return agg.print(cfg, runs)
-	}
-	eng, err := smartexp3.NewSimEngine(cfg)
-	if err != nil {
-		return err
-	}
-	err = runner.MergePooled(batch,
-		eng.NewWorkspace,
-		func(ws *smartexp3.SimWorkspace, run int, seed int64) (*smartexp3.SimResult, error) {
-			return eng.Run(ws, seed)
-		},
-		merge)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("replications         %d (workers %d)\n", runs, runner.Workers(workers))
-	return agg.print(cfg, runs)
 }
 
 // replicateStats accumulates one replication batch's aggregates; merge is
@@ -322,15 +275,18 @@ func parseSeeds(s string) ([]int64, error) {
 	return seeds, nil
 }
 
-// runSweep replicates the scenario -runs times per seed, one aggregate
-// block per seed. The sharded path is the reason this exists as its own
-// loop rather than repeated runReplicated calls: every batch in the sweep
-// rides ONE persistent cluster session, so each shardd daemon sees exactly
-// one connection for the whole sweep — no per-seed redial, and a worker
-// lost mid-sweep is redialed by the session, not abandoned between
-// batches. Each seed's block is byte-identical to runReplicated of that
-// seed below the header line.
-func runSweep(cfg smartexp3.SimConfig, seeds []int64, runs, workers int, shards []string, reg *obsv.Registry) error {
+// runReplicated executes the scenario runs times per seed — across the
+// in-process worker pool, or across remote shardd workers when shards are
+// given — each replication on its own RNG stream, and prints one
+// run-order-deterministic aggregate block per seed. Only each block's
+// header line mentions the execution shape; every aggregate line below it
+// is byte-identical across worker and shard counts. A sharded run rides ONE
+// persistent cluster session for every seed, so each shardd daemon sees
+// exactly one connection for the whole sweep — no per-seed redial, and a
+// worker lost mid-sweep is redialed by the session, not abandoned between
+// batches. sweep selects the per-seed header of -seeds over the plain
+// single-batch one.
+func runReplicated(cfg smartexp3.SimConfig, seeds []int64, sweep bool, runs, workers int, shards []string, reg *obsv.Registry) error {
 	var sess *cluster.Session
 	if len(shards) > 0 {
 		opts := cluster.Options{
@@ -349,6 +305,7 @@ func runSweep(cfg smartexp3.SimConfig, seeds []int64, runs, workers int, shards 
 		cfg.Seed = seed
 		agg := &replicateStats{}
 		batch := runner.Replications{Runs: runs, Workers: workers, Seed: seed}
+		var shape string
 		if sess != nil {
 			job, err := cluster.NewJob(batch, cfg)
 			if err != nil {
@@ -357,7 +314,7 @@ func runSweep(cfg smartexp3.SimConfig, seeds []int64, runs, workers int, shards 
 			if err := sess.Run(job, agg.merge); err != nil {
 				return err
 			}
-			fmt.Printf("seed %d: replications %d (shards %d)\n", seed, runs, len(shards))
+			shape = fmt.Sprintf("shards %d", len(shards))
 		} else {
 			eng, err := smartexp3.NewSimEngine(cfg)
 			if err != nil {
@@ -372,7 +329,12 @@ func runSweep(cfg smartexp3.SimConfig, seeds []int64, runs, workers int, shards 
 			if err != nil {
 				return err
 			}
-			fmt.Printf("seed %d: replications %d (workers %d)\n", seed, runs, runner.Workers(workers))
+			shape = fmt.Sprintf("workers %d", runner.Workers(workers))
+		}
+		if sweep {
+			fmt.Printf("seed %d: replications %d (%s)\n", seed, runs, shape)
+		} else {
+			fmt.Printf("replications         %d (%s)\n", runs, shape)
 		}
 		if err := agg.print(cfg, runs); err != nil {
 			return err

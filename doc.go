@@ -58,7 +58,7 @@
 //
 // Large generated topologies (hundreds of networks across tens of service
 // areas) come from GenerateTopology / LargeTopology with SpreadDevices;
-// see examples/largetopology.
+// ExampleNewSimEngine runs one through a reused workspace.
 //
 // # Architecture
 //
@@ -109,7 +109,7 @@
 //     self-healing end to end: selections carry slot ids so the store
 //     deduplicates replayed requests, the client redials with capped
 //     exponential backoff and resends unconfirmed feedback (transparent to
-//     callers, optionally degrading to a local fallback store), and the
+//     callers; a daemon gone for good surfaces as an error), and the
 //     daemon evicts idle device sessions on a TTL without bending
 //     determinism — an evicted device re-joins from its per-device seed.
 //     internal/chaos pins all of it: a deterministic, seeded
@@ -179,7 +179,4 @@
 // (`simulate -shards`; `reproduce -cluster` holds one session for the
 // whole suite, and with -parexp assigns whole experiments to workers via
 // placement affinity); CI holds the equality as an invariant.
-//
-// The examples directory contains runnable programs exercising the public
-// API end to end.
 package smartexp3

@@ -21,7 +21,7 @@ import (
 func TestRunSurvivesChaosProxiedWorker(t *testing.T) {
 	job := testJob(t, 24)
 	merge, want := fingerprint()
-	if err := Run(job, nil, Options{LocalWorkers: 1}, merge); err != nil {
+	if err := runBatch(job, nil, Options{LocalWorkers: 1}, merge); err != nil {
 		t.Fatal(err)
 	}
 
@@ -38,7 +38,7 @@ func TestRunSurvivesChaosProxiedWorker(t *testing.T) {
 	defer proxy.Close()
 
 	merge2, got := fingerprint()
-	err = Run(job, []string{proxy.Addr(), addrs[1]},
+	err = runBatch(job, []string{proxy.Addr(), addrs[1]},
 		Options{ChunkSize: 2, LocalWorkers: 2, Logf: t.Logf}, merge2)
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +83,7 @@ func chaosFrameStream(tb testing.TB) (stream []byte, frameEnds []int) {
 		{Pong: &pongMsg{Seq: 7}},
 	}
 	var buf bytes.Buffer
-	fw := newFrameWriter(&buf)
+	fw := NewFrameWriter(&buf)
 	for _, env := range frames {
 		if err := fw.write(env); err != nil {
 			tb.Fatal(err)
@@ -117,7 +117,7 @@ func FuzzChaosFrame(f *testing.F) {
 	}
 	clean, frameEnds := chaosFrameStream(f)
 	want := make([]*envelope, 0, len(frameEnds))
-	ref := newFrameReader(bytes.NewReader(clean))
+	ref := NewFrameReader(bytes.NewReader(clean))
 	for range frameEnds {
 		env, err := ref.read()
 		if err != nil {
@@ -140,7 +140,7 @@ func FuzzChaosFrame(f *testing.F) {
 			}
 			intact++
 		}
-		fr := newFrameReader(bytes.NewReader(mangled))
+		fr := NewFrameReader(bytes.NewReader(mangled))
 		for i := 0; i < intact; i++ {
 			got, err := fr.read()
 			if err != nil {

@@ -65,6 +65,15 @@ func fingerprint() (merge func(run int, res *sim.Result) error, out *strings.Bui
 	}, &sb
 }
 
+// runBatch runs one job over a fresh session and closes it — the shape of a
+// caller with a single batch. With no shards the whole batch runs
+// in-process.
+func runBatch(job JobSpec, shards []string, opts Options, merge func(run int, res *sim.Result) error) error {
+	s := NewSession(shards, opts)
+	defer s.Close()
+	return s.Run(job, merge)
+}
+
 // startWorkers launches n in-process worker daemons on loopback listeners
 // and returns their addresses.
 func startWorkers(t *testing.T, n int, opts WorkerOptions) []string {
@@ -90,7 +99,7 @@ func TestRunDeterministicAcrossShardCounts(t *testing.T) {
 	job := testJob(t, 24)
 
 	merge, want := fingerprint()
-	if err := Run(job, nil, Options{LocalWorkers: 1}, merge); err != nil {
+	if err := runBatch(job, nil, Options{LocalWorkers: 1}, merge); err != nil {
 		t.Fatal(err)
 	}
 	if want.Len() == 0 {
@@ -102,7 +111,7 @@ func TestRunDeterministicAcrossShardCounts(t *testing.T) {
 			t.Run(fmt.Sprintf("shards=%d/chunk=%d", shards, chunk), func(t *testing.T) {
 				addrs := startWorkers(t, shards, WorkerOptions{Workers: 2})
 				merge, got := fingerprint()
-				if err := Run(job, addrs, Options{ChunkSize: chunk, Logf: t.Logf}, merge); err != nil {
+				if err := runBatch(job, addrs, Options{ChunkSize: chunk, Logf: t.Logf}, merge); err != nil {
 					t.Fatal(err)
 				}
 				if got.String() != want.String() {
@@ -115,9 +124,12 @@ func TestRunDeterministicAcrossShardCounts(t *testing.T) {
 
 // cutProxy forwards one TCP connection to backend and kills it after
 // forwarding cutAfter bytes of worker→coordinator traffic — a worker dying
-// mid result stream, as far as the coordinator can tell.
-func cutProxy(t *testing.T, backend string, cutAfter int) string {
+// mid result stream, as far as the coordinator can tell. The returned
+// channel closes at the first cut.
+func cutProxy(t *testing.T, backend string, cutAfter int) (string, <-chan struct{}) {
 	t.Helper()
+	cut := make(chan struct{})
+	var once sync.Once
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -143,6 +155,49 @@ func cutProxy(t *testing.T, backend string, cutAfter int) string {
 				defer up.Close()
 				defer down.Close()
 				io.CopyN(up, down, int64(cutAfter)) // then both sides close: mid-stream death
+				once.Do(func() { close(cut) })
+			}()
+		}
+	}()
+	return ln.Addr().String(), cut
+}
+
+// heldProxy forwards TCP connections to backend, but only once release
+// closes: until then an accepted connection goes unanswered, so the
+// coordinator's handshake with this worker cannot finish and the worker
+// claims no ranges.
+func heldProxy(t *testing.T, backend string, release <-chan struct{}) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	t.Cleanup(func() { close(done); ln.Close() })
+	go func() {
+		for {
+			up, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer up.Close()
+				select {
+				case <-release:
+				case <-done:
+					return
+				}
+				down, err := net.Dial("tcp", backend)
+				if err != nil {
+					return
+				}
+				defer down.Close()
+				go func() {
+					defer up.Close()
+					defer down.Close()
+					io.Copy(down, up)
+				}()
+				io.Copy(up, down)
 			}()
 		}
 	}()
@@ -152,21 +207,24 @@ func cutProxy(t *testing.T, backend string, cutAfter int) string {
 // TestRunSurvivesWorkerKilledMidBatch kills one of two workers partway
 // through its result stream and asserts the aggregate still matches the
 // in-process run bit for bit: the unacknowledged ranges are reassigned to
-// the surviving worker.
+// the surviving worker. The surviving worker is held off until the cut has
+// landed; otherwise it could take every range before the flaky worker's
+// stream reached the cut point, and no failure would happen at all.
 func TestRunSurvivesWorkerKilledMidBatch(t *testing.T) {
 	job := testJob(t, 24)
 	merge, want := fingerprint()
-	if err := Run(job, nil, Options{LocalWorkers: 1}, merge); err != nil {
+	if err := runBatch(job, nil, Options{LocalWorkers: 1}, merge); err != nil {
 		t.Fatal(err)
 	}
 
 	// Cut points from mid-handshake to deep into the result stream (the
-	// flaky worker's share of the 24-run batch is ~12 KB on the persistent
-	// codec, so the deepest cut still lands before its stream ends).
+	// whole 24-run batch is ~24 KB on the persistent codec, so the deepest
+	// cut still lands before a lone worker's stream ends).
 	for _, cutAfter := range []int{64, 2048, 6144} {
 		t.Run(fmt.Sprintf("cutAfter=%d", cutAfter), func(t *testing.T) {
 			addrs := startWorkers(t, 2, WorkerOptions{Workers: 1})
-			flaky := cutProxy(t, addrs[0], cutAfter)
+			flaky, cut := cutProxy(t, addrs[0], cutAfter)
+			healthy := heldProxy(t, addrs[1], cut)
 			var logMu sync.Mutex
 			var logs []string
 			logf := func(format string, args ...any) {
@@ -175,7 +233,7 @@ func TestRunSurvivesWorkerKilledMidBatch(t *testing.T) {
 				logMu.Unlock()
 			}
 			merge, got := fingerprint()
-			err := Run(job, []string{flaky, addrs[1]}, Options{ChunkSize: 2, Logf: logf}, merge)
+			err := runBatch(job, []string{flaky, healthy}, Options{ChunkSize: 2, Logf: logf}, merge)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -229,14 +287,14 @@ func stallProxy(t *testing.T, backend string, stallAfter int) string {
 func TestRunSurvivesStalledWorker(t *testing.T) {
 	job := testJob(t, 16)
 	merge, want := fingerprint()
-	if err := Run(job, nil, Options{LocalWorkers: 1}, merge); err != nil {
+	if err := runBatch(job, nil, Options{LocalWorkers: 1}, merge); err != nil {
 		t.Fatal(err)
 	}
 
 	addrs := startWorkers(t, 2, WorkerOptions{Workers: 1})
 	stalled := stallProxy(t, addrs[0], 4096)
 	merge2, got := fingerprint()
-	err := Run(job, []string{stalled, addrs[1]},
+	err := runBatch(job, []string{stalled, addrs[1]},
 		Options{ChunkSize: 2, FrameTimeout: 300 * time.Millisecond, Logf: t.Logf}, merge2)
 	if err != nil {
 		t.Fatal(err)
@@ -252,15 +310,15 @@ func TestRunSurvivesStalledWorker(t *testing.T) {
 func TestRunFallsBackWhenAllWorkersDie(t *testing.T) {
 	job := testJob(t, 16)
 	merge, want := fingerprint()
-	if err := Run(job, nil, Options{LocalWorkers: 1}, merge); err != nil {
+	if err := runBatch(job, nil, Options{LocalWorkers: 1}, merge); err != nil {
 		t.Fatal(err)
 	}
 
 	addrs := startWorkers(t, 1, WorkerOptions{Workers: 1})
-	flaky := cutProxy(t, addrs[0], 4096)
+	flaky, _ := cutProxy(t, addrs[0], 4096)
 	dead := reservedClosedPort(t)
 	merge2, got := fingerprint()
-	err := Run(job, []string{flaky, dead}, Options{ChunkSize: 2, LocalWorkers: 2, Logf: t.Logf}, merge2)
+	err := runBatch(job, []string{flaky, dead}, Options{ChunkSize: 2, LocalWorkers: 2, Logf: t.Logf}, merge2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +341,7 @@ func reservedClosedPort(t *testing.T) string {
 }
 
 // TestRunMatchesSimReplicate pins the cluster path against the established
-// in-process API: cluster.Run with no shards must equal sim.Replicate for
+// in-process API: a session with no shards must equal sim.Replicate for
 // the same batch.
 func TestRunMatchesSimReplicate(t *testing.T) {
 	cfg := testConfig()
@@ -297,7 +355,7 @@ func TestRunMatchesSimReplicate(t *testing.T) {
 		t.Fatal(err)
 	}
 	mergeB, got := fingerprint()
-	if err := Run(job, nil, Options{LocalWorkers: 3}, mergeB); err != nil {
+	if err := runBatch(job, nil, Options{LocalWorkers: 3}, mergeB); err != nil {
 		t.Fatal(err)
 	}
 	if got.String() != want.String() {
@@ -354,7 +412,7 @@ func TestWorkerRejectsBadJob(t *testing.T) {
 	job.Config.Slots = 0
 	addrs := startWorkers(t, 1, WorkerOptions{})
 	merge, _ := fingerprint()
-	err := Run(job, addrs, Options{}, merge)
+	err := runBatch(job, addrs, Options{}, merge)
 	if err == nil || !strings.Contains(err.Error(), "job rejected") {
 		t.Fatalf("want a job rejection error, got %v", err)
 	}
@@ -369,7 +427,7 @@ func dialRaw(t *testing.T, addr string) (net.Conn, *FrameWriter, *FrameReader) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { conn.Close() })
-	return conn, newFrameWriter(conn), newFrameReader(conn)
+	return conn, NewFrameWriter(conn), NewFrameReader(conn)
 }
 
 // TestWorkerRejectsVersionMismatch speaks a wrong protocol version and
@@ -443,7 +501,7 @@ func TestFrameLengthGuards(t *testing.T) {
 		{0xff, 0xff, 0xff, 0xff}, // ~4 GiB claim
 		{0x00, 0x00, 0x00, 0x00}, // zero-length frame
 	} {
-		if _, err := newFrameReader(strings.NewReader(string(raw))).read(); err == nil {
+		if _, err := NewFrameReader(strings.NewReader(string(raw))).read(); err == nil {
 			t.Fatalf("frame header % x must be rejected", raw)
 		}
 	}
@@ -471,7 +529,7 @@ func TestRunEmptyBatch(t *testing.T) {
 	job := testJob(t, 24)
 	job.Runs = 0
 	merge, out := fingerprint()
-	if err := Run(job, []string{"127.0.0.1:1"}, Options{}, merge); err != nil {
+	if err := runBatch(job, []string{"127.0.0.1:1"}, Options{}, merge); err != nil {
 		t.Fatal(err)
 	}
 	if out.Len() != 0 {

@@ -6,8 +6,7 @@ import (
 	"smartexp3/internal/sim"
 )
 
-// Options configures a coordinator — the one-shot Run and the persistent
-// Session alike.
+// Options configures a coordinator Session.
 type Options struct {
 	// ChunkSize is the number of runs per dispatched range; 0 picks a size
 	// that gives every shard several ranges (dynamic load balancing and a
@@ -31,9 +30,9 @@ type Options struct {
 	// suppressed while ranges are in flight (results are the liveness
 	// signal there).
 	Keepalive time.Duration
-	// LocalWorkers bounds the parallelism of in-process execution — the
-	// shards-free fallback and the all-workers-dead rescue path; 0 or less
-	// means GOMAXPROCS.
+	// LocalWorkers bounds the parallelism of in-process execution — a
+	// session with no shards and the all-workers-dead rescue path; 0 or
+	// less means GOMAXPROCS.
 	LocalWorkers int
 	// Logf, when non-nil, receives shard-failure, reconnect and
 	// reassignment lines. Failures are expected operational events (that is
@@ -72,38 +71,6 @@ func (o Options) keepalive() time.Duration {
 		return o.Keepalive
 	}
 	return o.frameTimeout() / 4
-}
-
-// Run executes the job's replications across the given shard addresses and
-// folds every result through merge in ascending global run order, from a
-// single goroutine. With no shards it runs the whole batch in-process —
-// byte-identical to the sharded paths, which is the property the cluster
-// tests pin.
-//
-// Run is the one-shot convenience over Session: it dials, runs the single
-// job and tears the session down. Callers with many batches (the experiment
-// suite) should hold a Session instead and pay the dial and handshake once.
-//
-// Worker failure (dial error, handshake refusal, connection loss) is not
-// fatal: ranges not yet fully received are reassigned — to the same worker
-// after a reconnect, to surviving workers, or in-process when every worker
-// is gone. Only two things abort a run: a merge error, and a deterministic
-// job error reported by a worker (a spec that cannot compile, a simulation
-// failure — both would fail identically everywhere).
-func Run(job JobSpec, shards []string, opts Options, merge func(run int, res *sim.Result) error) error {
-	if job.Runs <= 0 {
-		return nil
-	}
-	if len(shards) == 0 {
-		exec, err := newRangeExec(job, opts.LocalWorkers, nil)
-		if err != nil {
-			return err
-		}
-		return exec.run(0, job.Runs, merge)
-	}
-	s := NewSession(shards, opts)
-	defer s.Close()
-	return s.Run(job, merge)
 }
 
 // chunkSize picks the dispatch granularity: roughly four ranges per shard,

@@ -35,8 +35,8 @@ func TestCoordinatorWriteDeadlineUnsticksStalledWorker(t *testing.T) {
 		connErr <- err
 	}()
 
-	fw := newFrameWriter(worker)
-	fr := newFrameReader(worker)
+	fw := NewFrameWriter(worker)
+	fr := NewFrameReader(worker)
 	if env, err := fr.read(); err != nil || env.Hello == nil {
 		t.Fatalf("want the coordinator hello, got %+v, %v", env, err)
 	}

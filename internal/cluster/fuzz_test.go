@@ -18,7 +18,7 @@ import (
 func encodeFrames(tb testing.TB, envs ...*envelope) []byte {
 	tb.Helper()
 	var buf bytes.Buffer
-	fw := newFrameWriter(&buf)
+	fw := NewFrameWriter(&buf)
 	for _, env := range envs {
 		if err := fw.write(env); err != nil {
 			tb.Fatal(err)
@@ -78,7 +78,7 @@ func FuzzFrameDecode(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fr := newFrameReader(bytes.NewReader(data))
+		fr := NewFrameReader(bytes.NewReader(data))
 		sawErr := false
 		for i := 0; i < 64; i++ {
 			_, err := fr.read()
@@ -108,7 +108,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 			{Ping: &pingMsg{Seq: uint64(seq)}},
 			{RangeDone: &rangeDoneMsg{Job: job, First: first, Err: fmt.Sprint(seq)}},
 		}
-		fr := newFrameReader(bytes.NewReader(encodeFrames(t, in...)))
+		fr := NewFrameReader(bytes.NewReader(encodeFrames(t, in...)))
 		for i, want := range in {
 			got, err := fr.read()
 			if err != nil {

@@ -18,7 +18,8 @@
 // reassigns ranges whose connection failed before delivering them
 // (reconnecting to the worker where possible), and folds every result
 // through a per-job single-goroutine ordered merge in ascending global run
-// order. Run is the one-shot convenience: one session, one job.
+// order. A caller with a single batch opens a session, runs it and closes
+// it; a session with no workers runs its jobs in-process.
 //
 // # Determinism contract
 //

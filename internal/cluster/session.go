@@ -32,19 +32,25 @@ const (
 // errSessionClosed fails jobs still active when Close is called.
 var errSessionClosed = errors.New("cluster: session closed")
 
-// Session is a persistent coordinator: it dials each shard once, keeps the
-// gob streams alive across batches (keepalive pings under the frame-timeout
+// Session is the coordinator: it dials each shard once, keeps the gob
+// streams alive across batches (keepalive pings under the frame-timeout
 // discipline), and multiplexes any number of jobs over them with
 // session-unique job ids. Run may be called concurrently — pipelined jobs
-// interleave on the same connections without redials — and each Run merges
-// its own job in ascending global run order from the calling goroutine, so
-// the per-job determinism contract is exactly cluster.Run's.
+// interleave on the same connections without redials — and each Run folds
+// its own job's results through merge in ascending global run order from
+// the calling goroutine. A session with no shards runs every job
+// in-process, byte-identical to the sharded paths, which is the property
+// the cluster tests pin; a caller with one batch simply opens a session,
+// runs it and closes it.
 //
-// Worker failure is handled as in the one-shot coordinator, plus recovery:
-// in-flight chunks of a lost connection are requeued, the shard is redialed
-// (bounded by consecutive no-progress strikes), and if every shard retires
-// the remaining chunks of every active job run in-process. Aggregates are
-// byte-identical through all of it.
+// Worker failure (dial error, handshake refusal, connection loss) is not
+// fatal: in-flight chunks of a lost connection are requeued, the shard is
+// redialed (bounded by consecutive no-progress strikes), surviving shards
+// take over its ranges, and if every shard retires the remaining chunks of
+// every active job run in-process. Only a merge error or a deterministic
+// job error reported by a worker (a spec that cannot compile, a simulation
+// failure — both would fail identically everywhere) aborts a job.
+// Aggregates are byte-identical through all of it.
 type Session struct {
 	opts Options
 
@@ -462,8 +468,8 @@ func (s *Session) claimLocal(j *jobRun) (int, bool) {
 // a delivered chunk retire the shard; any progress resets the count. A
 // shard that never answered a dial at all retires on the first failure —
 // redialing an address that was unreachable from the start mostly delays
-// the fallback (the one-shot Run's in-process rescue in particular), while
-// an established worker that drops out earns the reconnect attempts.
+// the in-process rescue, while an established worker that drops out earns
+// the reconnect attempts.
 func (s *Session) shardLoop(sh *shard) {
 	strikes := 0
 	everConnected := false
@@ -610,10 +616,10 @@ func (s *Session) runConn(sh *shard, conn net.Conn) (progressed, permanent bool,
 		sh:      sh,
 		conn:    conn,
 		bw:      bufio.NewWriter(conn),
-		fr:      newFrameReader(bufio.NewReader(conn)),
+		fr:      NewFrameReader(bufio.NewReader(conn)),
 		shipped: make(map[uint64]*jobRun),
 	}
-	e.fw = newFrameWriter(e.bw)
+	e.fw = NewFrameWriter(e.bw)
 	if m := s.opts.Metrics; m != nil {
 		e.fr.Instrument(m.FramesRead, m.BytesRead)
 		e.fw.Instrument(m.FramesWritten, m.BytesWritten)

@@ -57,7 +57,7 @@ func sessionJob(t *testing.T, runs int, stream int64) JobSpec {
 func inProcessWant(t *testing.T, job JobSpec) string {
 	t.Helper()
 	merge, want := fingerprint()
-	if err := Run(job, nil, Options{LocalWorkers: 1}, merge); err != nil {
+	if err := runBatch(job, nil, Options{LocalWorkers: 1}, merge); err != nil {
 		t.Fatal(err)
 	}
 	if want.Len() == 0 {
@@ -228,7 +228,7 @@ func TestSessionReconnectsAfterWorkerKilledBetweenJobs(t *testing.T) {
 // byte-identical.
 func TestSessionSurvivesWorkerKilledDuringPipelinedJobs(t *testing.T) {
 	addrs := startWorkers(t, 2, WorkerOptions{Workers: 1})
-	flaky := cutProxy(t, addrs[0], 16384)
+	flaky, _ := cutProxy(t, addrs[0], 16384)
 	s := NewSession([]string{flaky, addrs[1]}, Options{ChunkSize: 2, Logf: t.Logf})
 	defer s.Close()
 
@@ -308,7 +308,7 @@ func TestSessionKeepalivePings(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		fw, fr := newFrameWriter(conn), newFrameReader(conn)
+		fw, fr := NewFrameWriter(conn), NewFrameReader(conn)
 		env, err := fr.read()
 		if err != nil || env.Hello == nil {
 			return
@@ -363,7 +363,7 @@ func TestHandshakeRejectionClosesConnection(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		fw, fr := newFrameWriter(conn), newFrameReader(conn)
+		fw, fr := NewFrameWriter(conn), NewFrameReader(conn)
 		if _, err := fr.read(); err != nil {
 			sawClose <- err
 			return
@@ -382,7 +382,7 @@ func TestHandshakeRejectionClosesConnection(t *testing.T) {
 	job := testJob(t, 6)
 	merge, got := fingerprint()
 	// The rejected shard retires; the batch completes in-process.
-	if err := Run(job, []string{ln.Addr().String()}, Options{LocalWorkers: 1, Logf: t.Logf}, merge); err != nil {
+	if err := runBatch(job, []string{ln.Addr().String()}, Options{LocalWorkers: 1, Logf: t.Logf}, merge); err != nil {
 		t.Fatal(err)
 	}
 	if got.Len() == 0 {

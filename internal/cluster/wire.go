@@ -194,9 +194,6 @@ func NewFrameWriter(w io.Writer) *FrameWriter {
 	return fw
 }
 
-// newFrameWriter is the package-internal spelling.
-func newFrameWriter(w io.Writer) *FrameWriter { return NewFrameWriter(w) }
-
 // Encode writes msg as one frame: a 4-byte big-endian length prefix, the
 // payload's CRC-32C, and the gob bytes of exactly one Encode call (which may
 // bundle type descriptors ahead of the value — the matching Decode consumes
@@ -269,9 +266,6 @@ func NewFrameReader(r io.Reader) *FrameReader {
 	fr.dec = gob.NewDecoder(&fr.cur)
 	return fr
 }
-
-// newFrameReader is the package-internal spelling.
-func newFrameReader(r io.Reader) *FrameReader { return NewFrameReader(r) }
 
 // Decode reads one frame and decodes it into msg (a pointer, as for
 // gob.Decoder.Decode). A clean connection close between frames surfaces as

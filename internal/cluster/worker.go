@@ -186,8 +186,8 @@ func configKey(wc WireConfig) (string, error) {
 // executing the coordinator sees progress through the result stream instead.
 func serveConn(conn net.Conn, opts WorkerOptions) error {
 	bw := bufio.NewWriter(conn)
-	fw := newFrameWriter(bw)
-	fr := newFrameReader(bufio.NewReader(conn))
+	fw := NewFrameWriter(bw)
+	fr := NewFrameReader(bufio.NewReader(conn))
 	m := opts.Metrics
 	if m != nil {
 		m.Sessions.Inc()

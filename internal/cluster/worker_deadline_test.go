@@ -25,8 +25,8 @@ func TestWorkerWriteDeadlineUnsticksStalledCoordinator(t *testing.T) {
 		errCh <- serveConn(worker, WorkerOptions{WriteTimeout: 200 * time.Millisecond})
 	}()
 
-	fw := newFrameWriter(coord)
-	fr := newFrameReader(coord)
+	fw := NewFrameWriter(coord)
+	fr := NewFrameReader(coord)
 	if err := fw.write(&envelope{Hello: &helloMsg{Version: protocolVersion}}); err != nil {
 		t.Fatal(err)
 	}

@@ -11,8 +11,6 @@
 package experiment
 
 import (
-	"fmt"
-	"os"
 	"sort"
 	"time"
 
@@ -37,18 +35,14 @@ type Options struct {
 	Seed int64
 	// Workers bounds parallelism; 0 means GOMAXPROCS.
 	Workers int
-	// Cluster lists shardd worker addresses; when set, replication batches
-	// whose configuration is serializable run across the cluster layer
-	// (internal/cluster) instead of the in-process pool. Results are
-	// byte-identical either way; configurations that cannot cross the wire
-	// (the ablation's PolicyFactory) silently stay in-process.
-	Cluster []string
-	// Session, when non-nil, carries Cluster batches over a persistent
-	// worker session instead of dialing per batch: the experiment suite is
-	// hundreds of small batches, and a warm session turns each one into a
-	// couple of frames on an open stream. cmd/reproduce opens one session
-	// for the whole run. Cluster must still list the addresses (it gates
-	// the shardable check and the fallback).
+	// Session, when non-nil, runs replication batches whose configuration
+	// is serializable across the cluster layer (internal/cluster) instead
+	// of the in-process pool. The experiment suite is hundreds of small
+	// batches, and a warm session turns each one into a couple of frames
+	// on an open stream; cmd/reproduce opens one session for the whole
+	// run. Results are byte-identical either way; configurations that
+	// cannot cross the wire (the ablation's PolicyFactory) silently stay
+	// in-process.
 	Session *cluster.Session
 	// ClusterAffinity tags this experiment's batches with a 1-based
 	// placement hint: a session offers chunks of experiment a to shard
@@ -129,35 +123,22 @@ func (o Options) replications(n int, stream ...int64) runner.Replications {
 	}
 }
 
-// replicate runs one replication batch: across the configured cluster when
+// replicate runs one replication batch: across the session's cluster when
 // possible, in-process otherwise. Every experiment's simulation sweeps go
 // through here, so `reproduce -cluster host:port,...` shards the whole
 // suite without any per-experiment wiring. The merge order — ascending run
 // index from a single goroutine — is identical on both paths, which keeps
 // the emitted artifacts byte-identical with and without a cluster.
 func (o Options) replicate(batch runner.Replications, cfg sim.Config, merge func(run int, res *sim.Result) error) error {
-	if len(o.Cluster) > 0 && cluster.Shardable(cfg) == nil {
+	if o.Session != nil && cluster.Shardable(cfg) == nil {
 		job, err := cluster.NewJob(batch, cfg)
 		if err != nil {
 			return err
 		}
 		job.Affinity = o.ClusterAffinity
-		if o.Session != nil {
-			// The persistent session: no dial, no handshake — the job's
-			// descriptor and ranges pipeline onto the already-open worker
-			// streams.
-			return o.Session.Run(job, merge)
-		}
-		opts := cluster.Options{
-			LocalWorkers: batch.Workers,
-			// Shard failures and the all-workers-dead in-process rescue are
-			// survivable by design, but never silent: a typo'd -cluster
-			// address must not masquerade as a distributed run.
-			Logf: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, "reproduce: "+format+"\n", args...)
-			},
-		}
-		return cluster.Run(job, o.Cluster, opts, merge)
+		// No dial, no handshake — the job's descriptor and ranges pipeline
+		// onto the session's already-open worker streams.
+		return o.Session.Run(job, merge)
 	}
 	// No cluster, or a config that cannot cross the wire (custom
 	// factory/sampler): run in-process.

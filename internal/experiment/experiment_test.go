@@ -205,10 +205,10 @@ func TestScalabilityExperimentSmoke(t *testing.T) {
 }
 
 // TestReplicateClusterMatchesInProcess pins the experiment suite's cluster
-// hook: o.replicate with shardd workers configured must merge the exact
-// result stream the in-process path merges. (Experiment-level caches key on
-// scenario parameters, not on Cluster, precisely because the two paths are
-// interchangeable.)
+// hook: o.replicate with a session over a shardd worker must merge the
+// exact result stream the in-process path merges. (Experiment-level caches
+// key on scenario parameters, not on Session, precisely because the two
+// paths are interchangeable.)
 func TestReplicateClusterMatchesInProcess(t *testing.T) {
 	cfg := sim.Config{
 		Topology: netmodel.Setting1(),
@@ -239,7 +239,9 @@ func TestReplicateClusterMatchesInProcess(t *testing.T) {
 	}
 	t.Cleanup(func() { ln.Close() })
 	go cluster.Serve(ln, cluster.WorkerOptions{})
-	o.Cluster = []string{ln.Addr().String()}
+	sess := cluster.NewSession([]string{ln.Addr().String()}, cluster.Options{})
+	defer sess.Close()
+	o.Session = sess
 	if got := fp(o); got != want {
 		t.Fatal("cluster replicate stream differs from in-process")
 	}
@@ -279,8 +281,7 @@ func TestReplicateSessionMatchesInProcess(t *testing.T) {
 	}
 	t.Cleanup(func() { ln.Close() })
 	go cluster.Serve(ln, cluster.WorkerOptions{})
-	o.Cluster = []string{ln.Addr().String()}
-	sess := cluster.NewSession(o.Cluster, cluster.Options{})
+	sess := cluster.NewSession([]string{ln.Addr().String()}, cluster.Options{})
 	defer sess.Close()
 	o.Session = sess
 	o.ClusterAffinity = 1
@@ -292,13 +293,16 @@ func TestReplicateSessionMatchesInProcess(t *testing.T) {
 }
 
 // TestAblationRunsWithClusterConfigured pins the fallback: the ablation's
-// PolicyFactory cannot cross the wire, so a configured cluster must not
-// break it — it silently runs in-process.
+// PolicyFactory cannot cross the wire, so a configured cluster session must
+// not break it — it silently runs in-process.
 func TestAblationRunsWithClusterConfigured(t *testing.T) {
 	o := tinyOptions()
 	o.Runs = 2
-	o.Seed = 424242                     // unique cell: never cached by other tests
-	o.Cluster = []string{"127.0.0.1:1"} // nothing listens here; must not matter
+	o.Seed = 424242 // unique cell: never cached by other tests
+	// Nothing listens here; must not matter.
+	sess := cluster.NewSession([]string{"127.0.0.1:1"}, cluster.Options{})
+	defer sess.Close()
+	o.Session = sess
 	if _, err := runAblation(o); err != nil {
 		t.Fatal(err)
 	}

@@ -45,18 +45,6 @@ type ClientOptions struct {
 	// and counted in DroppedFeedback. Zero means 4096.
 	MaxBufferedFeedback int
 
-	// Fallback, when set, is a local Store the client degrades to when
-	// the daemon stays unreachable past MaxAttempts: Select answers from
-	// in-process policy state instead of erroring. While degraded, the
-	// daemon is re-probed at most once per FallbackProbe; decisions made
-	// locally stay local (their feedback applies to the Fallback store,
-	// not the daemon), so a degraded episode is a deliberate fork of that
-	// device's learning, traded for availability.
-	Fallback *Store
-	// FallbackProbe is how long a degraded client waits between probes of
-	// the daemon; zero means 1 second.
-	FallbackProbe time.Duration
-
 	// OnRejected, when set, receives feedback items the daemon bounced in
 	// a Rejected frame because it no longer owns their devices (a fleet
 	// migration moved them), along with the table epoch the rejection
@@ -126,27 +114,12 @@ func (o ClientOptions) maxBufferedFeedback() int {
 	return o.MaxBufferedFeedback
 }
 
-func (o ClientOptions) fallbackProbe() time.Duration {
-	if o.FallbackProbe <= 0 {
-		return time.Second
-	}
-	return o.FallbackProbe
-}
-
 // RequestError is a request-level rejection (a malformed arm set, say):
 // the daemon answered, the session remains usable, and nothing is retried.
 // Every other error a client method returns is transport trouble.
 type RequestError struct{ Msg string }
 
 func (e *RequestError) Error() string { return e.Msg }
-
-// selection is the client's record of a device's outstanding Select: the
-// slot the store named for it (quoted back in feedback so resends cannot
-// double-count) and whether it was answered by the local Fallback store.
-type selection struct {
-	slot  uint64
-	local bool
-}
 
 // Client is one synchronous session against a serve daemon. It buffers
 // feedback and flushes it as one frame before anything that must observe
@@ -176,7 +149,6 @@ type Client struct {
 
 	batch []FeedbackItem // buffered reports not yet written
 	sent  []FeedbackItem // written but unconfirmed by a response barrier
-	slots map[uint64]selection
 
 	seq     uint64
 	pingSeq uint64
@@ -184,9 +156,6 @@ type Client struct {
 	connected bool
 	closed    bool
 	permErr   error // handshake-level failure; the client is dead after one
-
-	degraded      bool      // serving from opts.Fallback
-	degradedUntil time.Time // next daemon probe not before this instant
 
 	rng *rand.Rand     // backoff jitter
 	m   *ClientMetrics // never nil; from opts.Metrics or a private set
@@ -221,7 +190,7 @@ func Dial(addr string, opts ClientOptions) (*Client, error) {
 // end of a pipe). The client owns conn afterwards. Without opts.Redial the
 // client cannot recover from transport failures and fails fast instead.
 func NewClient(conn net.Conn, opts ClientOptions) (*Client, error) {
-	c := &Client{opts: opts, slots: make(map[uint64]selection), m: opts.Metrics}
+	c := &Client{opts: opts, m: opts.Metrics}
 	if c.m == nil {
 		c.m = newClientMetrics()
 	}
@@ -242,10 +211,6 @@ func (c *Client) Reconnects() uint64 { return c.m.Reconnects.Value() }
 // DroppedFeedback returns how many buffered reports the overload guard
 // discarded because the daemon stayed unreachable past the buffer bound.
 func (c *Client) DroppedFeedback() uint64 { return c.m.DroppedFeedback.Value() }
-
-// Degraded reports whether the client is currently serving selections from
-// its local Fallback store instead of the daemon.
-func (c *Client) Degraded() bool { return c.degraded }
 
 // handshake installs conn as the client's transport and runs the hello
 // exchange over it. Rejections are permanent: a daemon from the wrong
@@ -444,59 +409,21 @@ func (c *Client) trimFeedback() {
 	c.m.DroppedFeedback.Add(uint64(over))
 }
 
-// Select flushes buffered feedback, then asks which arm device should use
-// next. arms must be strictly ascending. A request-level rejection (bad
-// arm set) returns a *RequestError and leaves the session usable;
-// transport failures reconnect and retry transparently — the store's
-// slot-idempotent Select makes the retry return the same arm — and only
-// after MaxAttempts does the client give up (or degrade to the Fallback
-// store when one is configured).
-func (c *Client) Select(device uint64, arms []int) (int, error) {
-	if err := c.usable(); err != nil {
-		return -1, err
-	}
-	if c.degraded {
-		if arm, served, err := c.fallbackSelect(device, arms); served {
-			return arm, err
-		}
-	}
-	arm, slot, err := c.doSelect(device, arms)
-	if err == nil {
-		c.slots[device] = selection{slot: slot}
-		return arm, nil
-	}
-	var req *RequestError
-	var no *NotOwnerError
-	if errors.As(err, &req) || errors.As(err, &no) || c.permErr != nil {
-		return -1, err
-	}
-	return c.enterFallback(device, arms, err)
-}
-
-// SelectSlot is Select for callers that route feedback themselves (the
-// fleet client): it returns the slot the store named for this selection
-// alongside the arm, so the reward can later be delivered explicitly —
-// possibly through a different peer's connection after a migration — via
-// FeedbackSlot or EnqueueFeedback. A daemon that no longer owns the
-// device answers with *NotOwnerError, returned without burning transport
-// retries; Fallback degradation does not apply (the fleet routes around
-// a dead peer instead).
+// SelectSlot flushes buffered feedback, then asks which arm device should
+// use next. It returns the slot the store named for this selection
+// alongside the arm; the caller quotes that slot back through FeedbackSlot
+// or EnqueueFeedback (possibly through a different peer's connection after
+// a fleet migration), so a resent report cannot double-count. arms must be
+// strictly ascending. A request-level rejection (bad arm set) returns a
+// *RequestError and a daemon that no longer owns the device answers with
+// *NotOwnerError; both leave the session usable and burn no transport
+// retries. Transport failures reconnect and retry transparently — the
+// store's slot-idempotent Select makes the retry return the same arm and
+// slot — and only after MaxAttempts does the client give up.
 func (c *Client) SelectSlot(device uint64, arms []int) (int, uint64, error) {
 	if err := c.usable(); err != nil {
 		return -1, 0, err
 	}
-	arm, slot, err := c.doSelect(device, arms)
-	if err != nil {
-		return -1, 0, err
-	}
-	c.slots[device] = selection{slot: slot}
-	return arm, slot, nil
-}
-
-// doSelect runs one Select round trip (flush, request, response) under
-// the retry loop, returning the chosen arm and its slot. Shared by
-// Select and SelectSlot.
-func (c *Client) doSelect(device uint64, arms []int) (int, uint64, error) {
 	var arm int
 	var slot uint64
 	err := c.attempt(func() error {
@@ -537,7 +464,10 @@ func (c *Client) doSelect(device uint64, arms []int) (int, uint64, error) {
 			}
 		}
 	})
-	return arm, slot, err
+	if err != nil {
+		return -1, 0, err
+	}
+	return arm, slot, nil
 }
 
 // handleRejected forwards a bounced-feedback frame to the OnRejected
@@ -550,64 +480,12 @@ func (c *Client) handleRejected(msg *feedbackRejectedMsg) {
 	}
 }
 
-// enterFallback switches to degraded local serving after the transport is
-// exhausted, when a Fallback store is configured.
-func (c *Client) enterFallback(device uint64, arms []int, cause error) (int, error) {
-	if c.opts.Fallback == nil {
-		return -1, cause
-	}
-	c.degraded = true
-	c.m.FallbackActivations.Inc()
-	c.degradedUntil = time.Now().Add(c.opts.fallbackProbe())
-	arm, _, err := c.fallbackSelect(device, arms)
-	return arm, err
-}
-
-// fallbackSelect serves one selection from the local Fallback store while
-// degraded, probing the daemon at most once per FallbackProbe interval.
-// served=false means a probe just revived the connection and the caller
-// should use the live path instead.
-func (c *Client) fallbackSelect(device uint64, arms []int) (arm int, served bool, err error) {
-	if time.Now().After(c.degradedUntil) {
-		if c.ensureConn() == nil {
-			c.degraded = false
-			return 0, false, nil
-		}
-		c.degradedUntil = time.Now().Add(c.opts.fallbackProbe())
-	}
-	a, slot, err := c.opts.Fallback.Select(device, arms)
-	if err != nil {
-		return -1, true, &RequestError{Msg: err.Error()}
-	}
-	c.slots[device] = selection{slot: slot, local: true}
-	return a, true, nil
-}
-
-// Feedback buffers one reward report; the wire sees it at the next flush
-// (at latest, before the next Select on this connection, which is what
-// makes select-after-feedback ordering hold without a round trip per
-// report). Feedback never blocks on a broken transport: reports queue
-// (bounded by MaxBufferedFeedback) and resend after the reconnect. A
-// report for a selection the Fallback store answered applies there
-// directly.
-func (c *Client) Feedback(device uint64, arm int, reward float64) error {
-	if err := c.usable(); err != nil {
-		return err
-	}
-	sel := c.slots[device]
-	if sel.local {
-		c.opts.Fallback.Feedback(device, arm, sel.slot, reward)
-		return nil
-	}
-	c.batch = append(c.batch, FeedbackItem{Device: device, Arm: arm, Slot: sel.slot, Reward: reward})
-	c.trimFeedback()
-	return c.maybeFlushFeedback()
-}
-
-// FeedbackSlot buffers one reward report quoting an explicit slot,
-// bypassing the client's per-device slot memory — the fleet client's
-// path, where the selection may have been answered through another
-// peer's connection than the one delivering its reward.
+// FeedbackSlot buffers one reward report quoting the slot SelectSlot
+// returned for it; the wire sees it at the next flush (at latest, before
+// the next select on this connection, which is what makes
+// select-after-feedback ordering hold without a round trip per report).
+// FeedbackSlot never blocks on a broken transport: reports queue (bounded by
+// MaxBufferedFeedback) and resend after the reconnect.
 func (c *Client) FeedbackSlot(device uint64, arm int, slot uint64, reward float64) error {
 	if err := c.usable(); err != nil {
 		return err
@@ -635,7 +513,7 @@ func (c *Client) EnqueueFeedback(items []FeedbackItem) error {
 // feedback entry points. Best-effort: a transport failure just drops the
 // connection and the reports ride along on the next operation.
 func (c *Client) maybeFlushFeedback() error {
-	if len(c.batch)+len(c.sent) >= c.opts.feedbackBatch() && c.connected && !c.degraded {
+	if len(c.batch)+len(c.sent) >= c.opts.feedbackBatch() && c.connected {
 		if err := c.writeFeedback(); err != nil {
 			c.dropConn(err)
 			if c.permErr != nil {
@@ -647,33 +525,22 @@ func (c *Client) maybeFlushFeedback() error {
 }
 
 // Flush writes buffered feedback to the daemon, reconnecting as needed.
-// Delivery is confirmed only by the next response barrier (Select or
-// Ping); a degraded client keeps the reports queued for the next probe.
+// Delivery is confirmed only by the next response barrier (a select or a
+// Ping).
 func (c *Client) Flush() error {
 	if err := c.usable(); err != nil {
 		return err
 	}
-	if len(c.batch) == 0 || c.degraded {
+	if len(c.batch) == 0 {
 		return nil
 	}
 	return c.attempt(c.writeFeedback)
 }
 
-// Release flushes feedback, then retires the given device sessions (on the
-// Fallback store too, when one is configured). A degraded client releases
-// only locally: the daemon-side sessions age out through idle eviction.
+// Release flushes feedback, then retires the given device sessions.
 func (c *Client) Release(devices ...uint64) error {
 	if err := c.usable(); err != nil {
 		return err
-	}
-	for _, id := range devices {
-		delete(c.slots, id)
-		if c.opts.Fallback != nil {
-			c.opts.Fallback.Release(id)
-		}
-	}
-	if c.degraded {
-		return nil
 	}
 	return c.attempt(func() error {
 		if err := c.writeFeedback(); err != nil {
@@ -684,13 +551,12 @@ func (c *Client) Release(devices ...uint64) error {
 }
 
 // Ping flushes feedback and round-trips a keepalive, proving the daemon is
-// alive and resetting its idle timer. A successful ping also ends a
-// degraded episode.
+// alive and resetting its idle timer.
 func (c *Client) Ping() error {
 	if err := c.usable(); err != nil {
 		return err
 	}
-	err := c.attempt(func() error {
+	return c.attempt(func() error {
 		if err := c.writeFeedback(); err != nil {
 			return err
 		}
@@ -710,14 +576,10 @@ func (c *Client) Ping() error {
 			if env.Pong == nil || env.Pong.Seq != c.pingSeq {
 				return errors.New("unexpected frame awaiting pong")
 			}
-			c.sent = c.sent[:0] // barrier, as for Select
+			c.sent = c.sent[:0] // barrier, as for SelectSlot
 			return nil
 		}
 	})
-	if err == nil {
-		c.degraded = false
-	}
-	return err
 }
 
 // Close makes a best-effort final feedback flush and closes the
@@ -729,7 +591,7 @@ func (c *Client) Close() error {
 	}
 	c.closed = true
 	var flushErr error
-	if c.permErr == nil && c.connected && !c.degraded {
+	if c.permErr == nil && c.connected {
 		flushErr = c.writeFeedback()
 	}
 	var closeErr error

@@ -94,33 +94,30 @@ func (s *Store) Instrument(reg *obsv.Registry) {
 // makes one whose counters are exported, to share across the redials of
 // one logical client.
 type ClientMetrics struct {
-	Reconnects          *obsv.Counter // connections established after the first
-	Redials             *obsv.Counter // dial attempts after a connection was lost
-	FallbackActivations *obsv.Counter // degradations to the local fallback store
-	FeedbackResent      *obsv.Counter // unconfirmed feedback items queued again after a drop
-	DroppedFeedback     *obsv.Counter // feedback items discarded at the buffer cap
+	Reconnects      *obsv.Counter // connections established after the first
+	Redials         *obsv.Counter // dial attempts after a connection was lost
+	FeedbackResent  *obsv.Counter // unconfirmed feedback items queued again after a drop
+	DroppedFeedback *obsv.Counter // feedback items discarded at the buffer cap
 }
 
 // newClientMetrics returns an unregistered set — the default when
 // ClientOptions.Metrics is nil, keeping accessor reads valid at zero cost.
 func newClientMetrics() *ClientMetrics {
 	return &ClientMetrics{
-		Reconnects:          new(obsv.Counter),
-		Redials:             new(obsv.Counter),
-		FallbackActivations: new(obsv.Counter),
-		FeedbackResent:      new(obsv.Counter),
-		DroppedFeedback:     new(obsv.Counter),
+		Reconnects:      new(obsv.Counter),
+		Redials:         new(obsv.Counter),
+		FeedbackResent:  new(obsv.Counter),
+		DroppedFeedback: new(obsv.Counter),
 	}
 }
 
 // NewClientMetrics registers the client counter set on reg.
 func NewClientMetrics(reg *obsv.Registry) *ClientMetrics {
 	return &ClientMetrics{
-		Reconnects:          reg.Counter("serve_client_reconnects_total", "Connections established after the first"),
-		Redials:             reg.Counter("serve_client_redials_total", "Dial attempts made after losing a connection"),
-		FallbackActivations: reg.Counter("serve_client_fallback_activations_total", "Degradations to the local fallback store"),
-		FeedbackResent:      reg.Counter("serve_client_feedback_resent_total", "Unconfirmed feedback items requeued after a connection drop"),
-		DroppedFeedback:     reg.Counter("serve_client_feedback_dropped_total", "Feedback items discarded at the client buffer cap"),
+		Reconnects:      reg.Counter("serve_client_reconnects_total", "Connections established after the first"),
+		Redials:         reg.Counter("serve_client_redials_total", "Dial attempts made after losing a connection"),
+		FeedbackResent:  reg.Counter("serve_client_feedback_resent_total", "Unconfirmed feedback items requeued after a connection drop"),
+		DroppedFeedback: reg.Counter("serve_client_feedback_dropped_total", "Feedback items discarded at the client buffer cap"),
 	}
 }
 

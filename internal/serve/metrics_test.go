@@ -149,11 +149,11 @@ func TestServerMetricsCountTraffic(t *testing.T) {
 	c := dialTest(t, addr)
 	arms := []int{1, 2, 3}
 	for i := 0; i < 10; i++ {
-		arm, err := c.Select(5, arms)
+		arm, slot, err := c.SelectSlot(5, arms)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := c.Feedback(5, arm, 0.5); err != nil {
+		if err := c.FeedbackSlot(5, arm, slot, 0.5); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -225,11 +225,11 @@ func TestClientMetricsSurfaceReconnects(t *testing.T) {
 
 	arms := []int{1, 2}
 	step := func() {
-		arm, err := c.Select(3, arms)
+		arm, slot, err := c.SelectSlot(3, arms)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := c.Feedback(3, arm, 0.5); err != nil {
+		if err := c.FeedbackSlot(3, arm, slot, 0.5); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -257,14 +257,18 @@ func TestClientMetricsSurfaceReconnects(t *testing.T) {
 
 // TestStoreMetricsScrapeDuringSoak scrapes an instrumented store while
 // eight goroutines hammer it — the race test behind the CI serve soak's
-// mid-soak scrape. Every scrape must validate.
+// mid-soak scrape. Every scrape must validate, and the counters must show
+// every write the soak made. Each writer has a fixed op budget: unbounded
+// writers on a small machine starve the scraper and spend the run
+// re-seeding released devices.
 func TestStoreMetricsScrapeDuringSoak(t *testing.T) {
 	s := newTestStore(t, Config{Shards: 4})
 	reg := obsv.NewRegistry()
 	s.Instrument(reg)
 
-	const clients = 8
-	stop := make(chan struct{})
+	const clients, ops = 8, 20000
+	first := scrape(t, reg)["serve_select_total"].(float64)
+	done := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := 0; g < clients; g++ {
 		wg.Add(1)
@@ -272,12 +276,7 @@ func TestStoreMetricsScrapeDuringSoak(t *testing.T) {
 			defer wg.Done()
 			arms := []int{1, 2, 3}
 			dev := uint64(g + 1)
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
+			for i := 0; i < ops; i++ {
 				arm, sl, err := s.Select(dev, arms)
 				if err != nil {
 					t.Error(err)
@@ -290,15 +289,17 @@ func TestStoreMetricsScrapeDuringSoak(t *testing.T) {
 			}
 		}(g)
 	}
-	for i := 0; i < 30; i++ {
-		var b strings.Builder
-		if err := reg.WritePrometheus(&b); err != nil {
-			t.Fatal(err)
+	go func() { wg.Wait(); close(done) }()
+	var last map[string]any
+	for i, soaking := 0, true; i < 30 || soaking; i++ {
+		select {
+		case <-done:
+			soaking = false
+		default:
 		}
-		if err := obsv.CheckPrometheusText(strings.NewReader(b.String())); err != nil {
-			t.Fatalf("scrape %d malformed under load: %v", i, err)
-		}
+		last = scrape(t, reg)
 	}
-	close(stop)
-	wg.Wait()
+	if got, want := last["serve_select_total"].(float64)-first, float64(clients*ops); got != want {
+		t.Fatalf("writers made %v selects between the first and last scrape, want %v", got, want)
+	}
 }

@@ -38,12 +38,12 @@
 // frame timeout — is invisible to the caller. The Client redials with
 // capped exponential backoff, replays the handshake, resends
 // written-but-unconfirmed feedback (slot-deduplicated by the store), and
-// re-issues the in-flight Select (answered idempotently). Only handshake
-// rejections are permanent. A session run through an adversarial network
-// is therefore decision-identical to a clean one — the property
-// chaos_test.go drives with internal/chaos. Clients that must answer even
-// with the daemon gone can set ClientOptions.Fallback to degrade to a
-// local in-process store between probes.
+// re-issues the in-flight select (answered idempotently). Only handshake
+// rejections are permanent; a daemon still unreachable after MaxAttempts
+// surfaces as an error, never as a locally made decision, so a device's
+// learning history lives in exactly one store. A session run through an
+// adversarial network is therefore decision-identical to a clean one — the
+// property chaos_test.go drives with internal/chaos.
 //
 // Eviction: with Config.EvictAfter set, EvictIdle retires device sessions
 // whose last Select or applied Feedback is older than the TTL — the

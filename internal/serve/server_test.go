@@ -63,7 +63,7 @@ func TestServerEndToEndMatchesDirectStore(t *testing.T) {
 	arms := []int{10, 20, 30}
 	for slot := 0; slot < 120; slot++ {
 		for _, dev := range devices {
-			got, err := c.Select(dev, arms)
+			got, gotSlot, err := c.SelectSlot(dev, arms)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -74,7 +74,7 @@ func TestServerEndToEndMatchesDirectStore(t *testing.T) {
 			if got != want {
 				t.Fatalf("slot %d device %d: wire selected %d, direct store %d", slot, dev, got, want)
 			}
-			if err := c.Feedback(dev, got, reward(dev, got, slot)); err != nil {
+			if err := c.FeedbackSlot(dev, got, gotSlot, reward(dev, got, slot)); err != nil {
 				t.Fatal(err)
 			}
 			direct.Feedback(dev, want, wantSlot, reward(dev, want, slot))
@@ -103,10 +103,10 @@ func TestServerEndToEndMatchesDirectStore(t *testing.T) {
 func TestServerRequestErrorKeepsSessionUsable(t *testing.T) {
 	_, addr := startServer(t, Config{})
 	c := dialTest(t, addr)
-	if _, err := c.Select(1, []int{3, 1}); err == nil || !strings.Contains(err.Error(), "ascending") {
+	if _, _, err := c.SelectSlot(1, []int{3, 1}); err == nil || !strings.Contains(err.Error(), "ascending") {
 		t.Fatalf("unsorted arms: got %v, want an ascending-arms rejection", err)
 	}
-	arm, err := c.Select(1, []int{1, 3})
+	arm, _, err := c.SelectSlot(1, []int{1, 3})
 	if err != nil {
 		t.Fatalf("session unusable after a request error: %v", err)
 	}
@@ -151,7 +151,7 @@ func TestServerSurvivesMalformedClient(t *testing.T) {
 	}
 	conn.Close()
 	c := dialTest(t, addr)
-	if _, err := c.Select(1, []int{1, 2}); err != nil {
+	if _, _, err := c.SelectSlot(1, []int{1, 2}); err != nil {
 		t.Fatalf("server unusable after a malformed client: %v", err)
 	}
 }
