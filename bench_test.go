@@ -431,11 +431,10 @@ func BenchmarkServeSelectParallel(b *testing.B) {
 }
 
 // BenchmarkServeWire measures one Select+Feedback decision round trip
-// through the full stack — client batching, framed gob both ways, the
-// server's connection loop, the store — over loopback TCP, and reports the
-// p99 per-decision latency alongside the mean. Like the cluster wire rows,
-// allocs/op is recorded ungated (gob internals dominate); the row's
-// presence is still enforced.
+// through the full stack — client batching, the serve codec in checksummed
+// frames both ways, the server's connection loop, the store — over
+// loopback TCP, and reports the p99 per-decision latency alongside the
+// mean. Warm, the whole round trip allocates nothing; allocs/op is gated.
 func BenchmarkServeWire(b *testing.B) {
 	store, err := serve.NewStore(serve.Config{Seed: 1})
 	if err != nil {
@@ -457,7 +456,7 @@ func BenchmarkServeWire(b *testing.B) {
 
 	arms := []int{0, 1, 2, 3}
 	gains := []float64{0.2, 0.4, 0.9, 0.5}
-	for i := 0; i < 300; i++ { // warm device, codec type descriptors, buffers
+	for i := 0; i < 300; i++ { // warm device, codec and connection buffers
 		arm, slot, err := c.SelectSlot(7, arms)
 		if err != nil {
 			b.Fatal(err)

@@ -97,9 +97,12 @@
 //     (GOMAXPROCS-scaled shards, one mutex each) holds one Smart EXP3
 //     instance plus one seeded RNG stream per device, pooled and
 //     reinitialized in place so device churn is allocation-free warm.
-//     Requests travel over the cluster layer's framed-gob transport
-//     (cluster.FrameWriter/FrameReader) with batched fire-and-forget
-//     feedback. The store is a pure function of (algorithm, config, seed)
+//     Requests travel as fixed-layout binary payloads (a tag byte, then
+//     varints, length-prefixed strings and lists, reward bits) inside the
+//     cluster layer's checksummed frames (cluster.FrameWriter.WriteFrame /
+//     FrameReader.ReadFrame), with batched fire-and-forget feedback sent
+//     in the same write as the next request; warm, a decision round trip
+//     allocates nothing on either side. The store is a pure function of (algorithm, config, seed)
 //     and the request history: devices draw from independent
 //     rngutil.ChildSeed streams, snapshots serialize devices in sorted id
 //     order with exact policy and RNG-cursor state, and a

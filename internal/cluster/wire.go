@@ -154,17 +154,19 @@ const retainFrameBytes = 1 << 20
 // A reconnect builds a fresh writer on both sides, so reassigned ranges
 // still replay cleanly with no shared state to reconstruct.
 //
-// The codec is message-type agnostic (Encode takes any value gob accepts),
-// so other framed-gob daemons — internal/serve's decision service — reuse
-// it with their own envelope types instead of reimplementing the framing
-// and its length/trailing-bytes hygiene.
+// The framing is message-type agnostic. Encode takes any value gob
+// accepts, so internal/fleet's control wire reuses it with its own
+// envelope; WriteFrame carries a payload the caller encoded itself, so
+// internal/serve's decision wire shares the framing and its length and
+// checksum hygiene without paying for gob.
 //
 // Not safe for concurrent use; callers serialize writes per connection.
 type FrameWriter struct {
 	w      io.Writer
 	buf    frameBuf // one frame under construction: 4-byte prefix + gob bytes
 	enc    *gob.Encoder
-	frames *obsv.Counter // optional; see Instrument
+	hdr    [frameHeaderSize]byte // WriteFrame's header scratch
+	frames *obsv.Counter         // optional; see Instrument
 	bytes  *obsv.Counter
 }
 
@@ -204,44 +206,79 @@ func (fw *FrameWriter) Encode(msg any) error {
 		return fmt.Errorf("cluster: encode frame: %w", err)
 	}
 	b := fw.buf.b
-	payload := len(b) - frameHeaderSize
-	if payload > maxFrameBytes {
-		return fmt.Errorf("cluster: frame of %d bytes exceeds the %d byte cap", payload, maxFrameBytes)
+	if err := putFrameHeader(b[:frameHeaderSize], b[frameHeaderSize:]); err != nil {
+		return err
 	}
-	binary.BigEndian.PutUint32(b[:4], uint32(payload))
-	binary.BigEndian.PutUint32(b[4:8], crc32.Checksum(b[frameHeaderSize:], castagnoli))
 	if cap(fw.buf.b) > retainFrameBytes {
 		fw.buf.b = nil // release the outsized backing array after this frame
 	}
 	if _, err := fw.w.Write(b); err != nil {
 		return fmt.Errorf("cluster: write frame: %w", err)
 	}
+	fw.count(len(b))
+	return nil
+}
+
+// WriteFrame writes payload as one frame under the same header, cap and
+// checksum as Encode, bypassing gob: it is the carrier for daemons with
+// their own fixed-layout codec (internal/serve). The payload is copied
+// into the underlying writer before WriteFrame returns, so the caller may
+// reuse it at once. Like Encode it does not flush: a caller writing into a
+// bufio.Writer can queue several frames and send them in one write.
+func (fw *FrameWriter) WriteFrame(payload []byte) error {
+	if err := putFrameHeader(fw.hdr[:], payload); err != nil {
+		return err
+	}
+	if _, err := fw.w.Write(fw.hdr[:]); err != nil {
+		return fmt.Errorf("cluster: write frame: %w", err)
+	}
+	if _, err := fw.w.Write(payload); err != nil {
+		return fmt.Errorf("cluster: write frame: %w", err)
+	}
+	fw.count(frameHeaderSize + len(payload))
+	return nil
+}
+
+// putFrameHeader fills hdr with payload's length and CRC-32C, refusing a
+// payload the reader's bounds check would reject.
+func putFrameHeader(hdr, payload []byte) error {
+	if len(payload) == 0 || len(payload) > maxFrameBytes {
+		return fmt.Errorf("cluster: frame of %d bytes outside (0, %d]", len(payload), maxFrameBytes)
+	}
+	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)))
+	binary.BigEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
+	return nil
+}
+
+func (fw *FrameWriter) count(n int) {
 	if fw.frames != nil {
 		fw.frames.Inc()
-		fw.bytes.Add(uint64(len(b)))
+		fw.bytes.Add(uint64(n))
 	}
-	return nil
 }
 
 // write encodes one cluster envelope (the package's own protocol).
 //
-//repolint:ignore wiredeadline transport-agnostic codec: every caller arms a per-frame deadline (epoch.write, the worker flush closure, serve writeFrame), pinned by the coordinator/worker deadline regression tests
+//repolint:ignore wiredeadline transport-agnostic codec: every caller arms a per-frame deadline (epoch.write, the worker flush closure, the fleet send closures), pinned by the coordinator/worker deadline regression tests
 func (fw *FrameWriter) write(env *envelope) error { return fw.Encode(env) }
 
-// FrameReader reads length-prefixed, checksummed frames through one
-// persistent gob decoder (the receive half of FrameWriter's contract). The
-// length prefix is read and bounds-checked before any allocation, preserving
-// the maxFrameBytes guarantee; the payload's CRC-32C is verified before the
-// decoder sees a byte; the payload buffer is reused across frames (gob
-// copies decoded values out, nothing aliases it).
+// FrameReader reads length-prefixed, checksummed frames, either through one
+// persistent gob decoder (Decode) or as raw payloads (ReadFrame) — the
+// receive half of FrameWriter's contract. The length prefix is read and
+// bounds-checked before any allocation, preserving the maxFrameBytes
+// guarantee; the payload's CRC-32C is verified before the decoder sees a
+// byte; the payload buffer is reused across frames (gob copies decoded
+// values out; a ReadFrame payload is valid until the next read).
 //
-// Errors latch: a framed gob stream has no resynchronization point, so once
-// any Decode fails — framing, checksum or gob — every later Decode returns
-// the same error rather than risking misattributed frames.
+// Errors latch: a framed stream has no resynchronization point, so once
+// any read fails — framing, checksum or gob — every later Decode or
+// ReadFrame returns the same error rather than risking misattributed
+// frames.
 //
 // Not safe for concurrent use; one goroutine reads per connection.
 type FrameReader struct {
 	r       io.Reader
+	hdr     [frameHeaderSize]byte // a field, not a local: io.ReadFull would move it to the heap per frame
 	payload []byte
 	cur     bytes.Reader
 	dec     *gob.Decoder
@@ -282,33 +319,11 @@ func (fr *FrameReader) Decode(msg any) error {
 }
 
 func (fr *FrameReader) decode(msg any) error {
-	var hdr [frameHeaderSize]byte
-	if _, err := io.ReadFull(fr.r, hdr[:]); err != nil {
-		return err // io.EOF signals a clean close between frames
+	payload, err := fr.readPayload()
+	if err != nil {
+		return err
 	}
-	n := binary.BigEndian.Uint32(hdr[:4])
-	sum := binary.BigEndian.Uint32(hdr[4:8])
-	if n == 0 || n > maxFrameBytes {
-		return fmt.Errorf("cluster: frame length %d outside (0, %d]", n, maxFrameBytes)
-	}
-	if uint32(cap(fr.payload)) < n {
-		fr.payload = make([]byte, n)
-	}
-	fr.payload = fr.payload[:n]
-	if _, err := io.ReadFull(fr.r, fr.payload); err != nil {
-		return fmt.Errorf("cluster: read frame body: %w", err)
-	}
-	if fr.frames != nil {
-		fr.frames.Inc()
-		fr.nbytes.Add(uint64(frameHeaderSize) + uint64(n))
-	}
-	if got := crc32.Checksum(fr.payload, castagnoli); got != sum {
-		return fmt.Errorf("cluster: frame checksum %08x, want %08x (corrupt stream)", got, sum)
-	}
-	fr.cur.Reset(fr.payload)
-	if cap(fr.payload) > retainFrameBytes {
-		fr.payload = nil // release the outsized backing array after this frame
-	}
+	fr.cur.Reset(payload)
 	if err := fr.dec.Decode(msg); err != nil {
 		return fmt.Errorf("cluster: decode frame: %w", err)
 	}
@@ -319,6 +334,57 @@ func (fr *FrameReader) decode(msg any) error {
 		fr.cur.Reset(nil) // drop the last reference to the outsized array now
 	}
 	return nil
+}
+
+// ReadFrame reads one frame and returns its checksum-verified payload,
+// bypassing gob: the receive half of WriteFrame. The payload aliases the
+// reader's buffer and is valid only until the next ReadFrame or Decode.
+// Framing, bounds, checksum and error latching are exactly Decode's.
+func (fr *FrameReader) ReadFrame() ([]byte, error) {
+	if fr.err != nil {
+		return nil, fr.err
+	}
+	payload, err := fr.readPayload()
+	if err != nil {
+		fr.err = err
+		return nil, err
+	}
+	return payload, nil
+}
+
+// readPayload is the one framing routine under Decode and ReadFrame: read
+// the header, bounds-check the length before sizing any buffer, read the
+// body and verify its CRC-32C. An outsized buffer is unpinned from the
+// reader here; the returned slice keeps it alive only as long as the
+// caller holds it.
+func (fr *FrameReader) readPayload() ([]byte, error) {
+	hdr := fr.hdr[:]
+	if _, err := io.ReadFull(fr.r, hdr); err != nil {
+		return nil, err // io.EOF signals a clean close between frames
+	}
+	n := binary.BigEndian.Uint32(hdr[:4])
+	sum := binary.BigEndian.Uint32(hdr[4:8])
+	if n == 0 || n > maxFrameBytes {
+		return nil, fmt.Errorf("cluster: frame length %d outside (0, %d]", n, maxFrameBytes)
+	}
+	if uint32(cap(fr.payload)) < n {
+		fr.payload = make([]byte, n)
+	}
+	payload := fr.payload[:n]
+	if _, err := io.ReadFull(fr.r, payload); err != nil {
+		return nil, fmt.Errorf("cluster: read frame body: %w", err)
+	}
+	if fr.frames != nil {
+		fr.frames.Inc()
+		fr.nbytes.Add(uint64(frameHeaderSize) + uint64(n))
+	}
+	if got := crc32.Checksum(payload, castagnoli); got != sum {
+		return nil, fmt.Errorf("cluster: frame checksum %08x, want %08x (corrupt stream)", got, sum)
+	}
+	if cap(fr.payload) > retainFrameBytes {
+		fr.payload = nil // release the outsized backing array after this frame
+	}
+	return payload, nil
 }
 
 // read reads and decodes one cluster envelope (the package's own protocol).

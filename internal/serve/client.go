@@ -19,9 +19,9 @@ type ClientOptions struct {
 	// minutes, negative disables (synchronous in-memory pipes in tests).
 	FrameTimeout time.Duration
 	// FeedbackBatch is the buffered-report count that triggers an eager
-	// flush; zero means 256. Feedback is also flushed before every
-	// Select, Release, Ping and Close, so the buffer never outlives the
-	// traffic that should observe it.
+	// flush; zero means 256. Feedback is also sent ahead of every
+	// Select, Release, Ping and Close, in the same write, so the buffer
+	// never outlives the traffic that should observe it.
 	FeedbackBatch int
 
 	// Redial re-establishes the transport after a transient failure. Dial
@@ -122,9 +122,9 @@ type RequestError struct{ Msg string }
 func (e *RequestError) Error() string { return e.Msg }
 
 // Client is one synchronous session against a serve daemon. It buffers
-// feedback and flushes it as one frame before anything that must observe
-// it, so the hot loop costs one round trip per Select and none per
-// Feedback.
+// feedback and sends it as one frame queued ahead of the next request, in
+// the same write, so the hot loop costs one write and one round trip per
+// Select and nothing per Feedback.
 //
 // The client self-heals: a transport failure (cut, stall past the frame
 // timeout, corrupted frame) tears the connection down and the operation
@@ -146,6 +146,9 @@ type Client struct {
 	fw        *cluster.FrameWriter
 	fr        *cluster.FrameReader
 	algorithm string
+
+	in   message // every reply decodes here; list storage is reused
+	wbuf []byte  // encode scratch, reused for every frame
 
 	batch []FeedbackItem // buffered reports not yet written
 	sent  []FeedbackItem // written but unconfirmed by a response barrier
@@ -221,24 +224,24 @@ func (c *Client) handshake(conn net.Conn) error {
 	c.fw = cluster.NewFrameWriter(c.bw)
 	c.fr = cluster.NewFrameReader(bufio.NewReaderSize(conn, 32<<10))
 	c.connected = true
-	if err := c.send(&serveEnvelope{Hello: &serveHelloMsg{Version: serveProtocolVersion}}); err != nil {
+	hello := message{tag: tagHello, hello: serveHelloMsg{Version: serveProtocolVersion}}
+	if err := c.send(false, &hello); err != nil {
 		c.connected = false
 		return err
 	}
-	var env serveEnvelope
-	if err := c.recv(&env); err != nil {
-		c.connected = false
-		return err
-	}
+	err := c.recv()
 	switch {
-	case env.HelloAck == nil:
+	case errors.Is(err, errNotServeFrame) || (err == nil && c.in.tag != tagHelloAck):
 		c.connected = false
-		return c.permanent(errors.New("serve: handshake reply is not a hello ack"))
-	case env.HelloAck.Err != "":
+		return c.permanent(fmt.Errorf("serve: protocol mismatch: handshake reply is not a protocol %d hello ack (a daemon from another protocol era?)", serveProtocolVersion))
+	case err != nil:
 		c.connected = false
-		return c.permanent(fmt.Errorf("serve: handshake rejected: %s", env.HelloAck.Err))
+		return err
+	case c.in.helloAck.Err != "":
+		c.connected = false
+		return c.permanent(fmt.Errorf("serve: handshake rejected: %s", c.in.helloAck.Err))
 	}
-	c.algorithm = env.HelloAck.Algorithm
+	c.algorithm = c.in.helloAck.Algorithm
 	return nil
 }
 
@@ -249,25 +252,60 @@ func (c *Client) permanent(err error) error {
 	return c.permErr
 }
 
-func (c *Client) send(env *serveEnvelope) error {
+// send queues one operation's frames into the buffered writer under a
+// single write deadline — the unwritten feedback batch first when
+// withFeedback is set, then m unless nil — and flushes them in one write.
+// Feedback frames move their items to the unconfirmed queue as they are
+// queued; a failure anywhere before the next response barrier requeues
+// them (dropConn).
+func (c *Client) send(withFeedback bool, m *message) error {
+	withFeedback = withFeedback && len(c.batch) > 0
+	if !withFeedback && m == nil {
+		return nil
+	}
 	if wt := c.opts.frameTimeout(); wt > 0 {
 		if err := c.conn.SetWriteDeadline(time.Now().Add(wt)); err != nil {
 			return err
 		}
 	}
-	if err := c.fw.Encode(env); err != nil {
-		return err
+	if withFeedback {
+		n := len(c.sent)
+		c.sent = append(c.sent, c.batch...)
+		c.batch = c.batch[:0]
+		fb := message{tag: tagFeedback, feedback: feedbackBatchMsg{Items: c.sent[n:]}}
+		c.wbuf = fb.appendTo(c.wbuf[:0])
+		if err := c.fw.WriteFrame(c.wbuf); err != nil {
+			return err
+		}
+	}
+	if m != nil {
+		c.wbuf = m.appendTo(c.wbuf[:0])
+		if err := c.fw.WriteFrame(c.wbuf); err != nil {
+			return err
+		}
 	}
 	return c.bw.Flush()
 }
 
-func (c *Client) recv(env *serveEnvelope) error {
+// errNotServeFrame marks a frame that arrived intact (its checksum held)
+// but is not a serve payload: a peer speaking another protocol era.
+var errNotServeFrame = errors.New("serve: frame is not a protocol payload")
+
+// recv reads the next frame into c.in.
+func (c *Client) recv() error {
 	if wt := c.opts.frameTimeout(); wt > 0 {
 		if err := c.conn.SetReadDeadline(time.Now().Add(wt)); err != nil {
 			return err
 		}
 	}
-	return c.fr.Decode(env)
+	p, err := c.fr.ReadFrame()
+	if err != nil {
+		return err
+	}
+	if err := c.in.decode(p); err != nil {
+		return fmt.Errorf("%w: %w", errNotServeFrame, err)
+	}
+	return nil
 }
 
 func (c *Client) usable() error {
@@ -380,19 +418,11 @@ func (c *Client) attempt(op func() error) error {
 	return fmt.Errorf("serve: daemon unreachable after %d attempts: %w", attempts, lastErr)
 }
 
-// writeFeedback moves the unwritten batch to the unconfirmed queue and
-// writes it as one frame. The items stay in sent until a response barrier
-// (a Selected or Pong on the same connection) proves the daemon consumed
-// the stream up to them; a disconnect before that requeues them.
-func (c *Client) writeFeedback() error {
-	if len(c.batch) == 0 {
-		return nil
-	}
-	n := len(c.sent)
-	c.sent = append(c.sent, c.batch...)
-	c.batch = c.batch[:0]
-	return c.send(&serveEnvelope{Feedback: &feedbackBatchMsg{Items: c.sent[n:]}})
-}
+// writeFeedback writes the unwritten batch as one frame on its own. The
+// items stay in sent until a response barrier (a Selected or Pong on the
+// same connection) proves the daemon consumed the stream up to them; a
+// disconnect before that requeues them.
+func (c *Client) writeFeedback() error { return c.send(true, nil) }
 
 // trimFeedback enforces the overload guard: when the queued reports exceed
 // the bound, the oldest unwritten ones are dropped and counted.
@@ -409,12 +439,12 @@ func (c *Client) trimFeedback() {
 	c.m.DroppedFeedback.Add(uint64(over))
 }
 
-// SelectSlot flushes buffered feedback, then asks which arm device should
-// use next. It returns the slot the store named for this selection
-// alongside the arm; the caller quotes that slot back through FeedbackSlot
-// or EnqueueFeedback (possibly through a different peer's connection after
-// a fleet migration), so a resent report cannot double-count. arms must be
-// strictly ascending. A request-level rejection (bad arm set) returns a
+// SelectSlot asks which arm device should use next, sending buffered
+// feedback ahead of the request in the same write. It returns the slot the
+// store named for this selection alongside the arm; the caller quotes that
+// slot back through FeedbackSlot or EnqueueFeedback (possibly through a
+// different peer's connection after a fleet migration), so a resent report
+// cannot double-count. arms must be strictly ascending. A request-level rejection (bad arm set) returns a
 // *RequestError and a daemon that no longer owns the device answers with
 // *NotOwnerError; both leave the session usable and burn no transport
 // retries. Transport failures reconnect and retry transparently — the
@@ -427,37 +457,35 @@ func (c *Client) SelectSlot(device uint64, arms []int) (int, uint64, error) {
 	var arm int
 	var slot uint64
 	err := c.attempt(func() error {
-		if err := c.writeFeedback(); err != nil {
-			return err
-		}
 		c.seq++
-		if err := c.send(&serveEnvelope{Select: &selectMsg{Seq: c.seq, Device: device, Arms: arms}}); err != nil {
+		req := message{tag: tagSelect, sel: selectMsg{Seq: c.seq, Device: device, Arms: arms}}
+		if err := c.send(true, &req); err != nil {
 			return err
 		}
 		for {
-			var env serveEnvelope
-			if err := c.recv(&env); err != nil {
+			if err := c.recv(); err != nil {
 				return err
 			}
-			switch {
-			case env.Selected != nil:
-				if env.Selected.Seq != c.seq {
-					return fmt.Errorf("response seq %d, want %d", env.Selected.Seq, c.seq)
+			switch c.in.tag {
+			case tagSelected:
+				sel := &c.in.selected
+				if sel.Seq != c.seq {
+					return fmt.Errorf("response seq %d, want %d", sel.Seq, c.seq)
 				}
 				c.sent = c.sent[:0] // barrier: the daemon consumed everything before this reply
-				if no := env.Selected.NotOwner; no != nil {
-					return &NotOwnerError{Epoch: no.Epoch, Owner: no.Owner}
+				if sel.Redirect {
+					return &NotOwnerError{Epoch: sel.NotOwner.Epoch, Owner: sel.NotOwner.Owner}
 				}
-				if env.Selected.Err != "" {
-					return &RequestError{Msg: "serve: " + env.Selected.Err}
+				if sel.Err != "" {
+					return &RequestError{Msg: "serve: " + sel.Err}
 				}
-				arm = env.Selected.Arm
-				slot = env.Selected.Slot
+				arm = sel.Arm
+				slot = sel.Slot
 				return nil
-			case env.Rejected != nil:
-				c.handleRejected(env.Rejected)
+			case tagRejected:
+				c.handleRejected(&c.in.rejected)
 				continue // bounced feedback; the select response follows
-			case env.Pong != nil:
+			case tagPong:
 				continue // late keepalive answer; the select response follows
 			default:
 				return errors.New("unexpected frame awaiting selection")
@@ -537,43 +565,39 @@ func (c *Client) Flush() error {
 	return c.attempt(c.writeFeedback)
 }
 
-// Release flushes feedback, then retires the given device sessions.
+// Release retires the given device sessions, sending buffered feedback
+// ahead of the request in the same write.
 func (c *Client) Release(devices ...uint64) error {
 	if err := c.usable(); err != nil {
 		return err
 	}
 	return c.attempt(func() error {
-		if err := c.writeFeedback(); err != nil {
-			return err
-		}
-		return c.send(&serveEnvelope{Release: &releaseMsg{Devices: devices}})
+		req := message{tag: tagRelease, release: releaseMsg{Devices: devices}}
+		return c.send(true, &req)
 	})
 }
 
-// Ping flushes feedback and round-trips a keepalive, proving the daemon is
-// alive and resetting its idle timer.
+// Ping sends buffered feedback and a keepalive in one write and awaits the
+// pong, proving the daemon is alive and resetting its idle timer.
 func (c *Client) Ping() error {
 	if err := c.usable(); err != nil {
 		return err
 	}
 	return c.attempt(func() error {
-		if err := c.writeFeedback(); err != nil {
-			return err
-		}
 		c.pingSeq++
-		if err := c.send(&serveEnvelope{Ping: &servePingMsg{Seq: c.pingSeq}}); err != nil {
+		req := message{tag: tagPing, ping: servePingMsg{Seq: c.pingSeq}}
+		if err := c.send(true, &req); err != nil {
 			return err
 		}
 		for {
-			var env serveEnvelope
-			if err := c.recv(&env); err != nil {
+			if err := c.recv(); err != nil {
 				return err
 			}
-			if env.Rejected != nil {
-				c.handleRejected(env.Rejected)
+			if c.in.tag == tagRejected {
+				c.handleRejected(&c.in.rejected)
 				continue // bounced feedback; the pong follows
 			}
-			if env.Pong == nil || env.Pong.Seq != c.pingSeq {
+			if c.in.tag != tagPong || c.in.pong.Seq != c.pingSeq {
 				return errors.New("unexpected frame awaiting pong")
 			}
 			c.sent = c.sent[:0] // barrier, as for SelectSlot

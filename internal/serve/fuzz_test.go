@@ -35,13 +35,16 @@ func (fuzzAddr) Network() string { return "fuzz" }
 func (fuzzAddr) String() string  { return "fuzz" }
 
 // encodeServeFrames renders a client request sequence exactly as a real
-// client would: one persistent encoder per connection.
-func encodeServeFrames(tb testing.TB, envs ...*serveEnvelope) []byte {
+// client would: each message encoded by the serve codec and framed by
+// cluster.FrameWriter.WriteFrame.
+func encodeServeFrames(tb testing.TB, msgs ...*message) []byte {
 	tb.Helper()
 	var buf bytes.Buffer
 	fw := cluster.NewFrameWriter(&buf)
-	for _, env := range envs {
-		if err := fw.Encode(env); err != nil {
+	var scratch []byte
+	for _, m := range msgs {
+		scratch = m.appendTo(scratch[:0])
+		if err := fw.WriteFrame(scratch); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -53,24 +56,27 @@ func encodeServeFrames(tb testing.TB, envs ...*serveEnvelope) []byte {
 // framing corruptions.
 func fuzzServeSeeds(tb testing.TB) [][]byte {
 	tb.Helper()
-	hello := &serveEnvelope{Hello: &serveHelloMsg{Version: serveProtocolVersion}}
-	sel := &serveEnvelope{Select: &selectMsg{Seq: 1, Device: 7, Arms: []int{1, 2, 3}}}
-	fb := &serveEnvelope{Feedback: &feedbackBatchMsg{Items: []FeedbackItem{
+	hello := &message{tag: tagHello, hello: serveHelloMsg{Version: serveProtocolVersion}}
+	sel := &message{tag: tagSelect, sel: selectMsg{Seq: 1, Device: 7, Arms: []int{1, 2, 3}}}
+	fb := &message{tag: tagFeedback, feedback: feedbackBatchMsg{Items: []FeedbackItem{
 		{Device: 7, Arm: 2, Reward: 0.5},
 		{Device: 9, Arm: 1, Reward: 2},
 	}}}
+	selectArms := func(arms []int) *message {
+		return &message{tag: tagSelect, sel: selectMsg{Seq: 1, Device: 1, Arms: arms}}
+	}
 	seeds := [][]byte{
 		encodeServeFrames(tb, hello),
 		encodeServeFrames(tb, hello, sel, fb,
-			&serveEnvelope{Ping: &servePingMsg{Seq: 1}},
-			&serveEnvelope{Release: &releaseMsg{Devices: []uint64{7}}}),
-		encodeServeFrames(tb, &serveEnvelope{Hello: &serveHelloMsg{Version: 99}}),
+			&message{tag: tagPing, ping: servePingMsg{Seq: 1}},
+			&message{tag: tagRelease, release: releaseMsg{Devices: []uint64{7}}}),
+		encodeServeFrames(tb, &message{tag: tagHello, hello: serveHelloMsg{Version: 99}}),
 		// Hostile requests a conforming codec can still deliver.
-		encodeServeFrames(tb, hello, &serveEnvelope{Select: &selectMsg{Seq: 1, Device: 1, Arms: []int{}}}),
-		encodeServeFrames(tb, hello, &serveEnvelope{Select: &selectMsg{Seq: 1, Device: 1, Arms: []int{5, 5, 1}}}),
-		encodeServeFrames(tb, hello, &serveEnvelope{Select: &selectMsg{Seq: 1, Device: 1, Arms: make([]int, 5000)}}),
-		encodeServeFrames(tb, hello, &serveEnvelope{}), // empty union
-		encodeServeFrames(tb, hello, &serveEnvelope{Pong: &servePongMsg{Seq: 1}}),
+		encodeServeFrames(tb, hello, selectArms([]int{})),
+		encodeServeFrames(tb, hello, selectArms([]int{5, 5, 1})),
+		encodeServeFrames(tb, hello, selectArms(make([]int, 5000))),
+		encodeServeFrames(tb, hello, &message{tag: 0}),                                   // no such message
+		encodeServeFrames(tb, hello, &message{tag: tagPong, pong: servePongMsg{Seq: 1}}), // a reply the server must refuse
 		// Framing corruptions.
 		{0, 0, 0, 0},
 		{0xff, 0xff, 0xff, 0xff, 0},
@@ -111,21 +117,81 @@ func FuzzServeRequest(f *testing.F) {
 	})
 }
 
-// TestWriteFuzzServeRequestCorpus regenerates the checked-in seed corpus
-// under testdata/fuzz/FuzzServeRequest when UPDATE_FUZZ_CORPUS=1.
+// fuzzCodecSeeds is the checked-in seed corpus for FuzzServeCodec: every
+// codecSamples payload, and the malformed shapes the decoder must refuse — an unknown tag, an
+// overlong varint, a count larger than the bytes left, a bad presence
+// byte, trailing bytes and truncation.
+func fuzzCodecSeeds() [][]byte {
+	var seeds [][]byte
+	for _, m := range codecSamples() {
+		seeds = append(seeds, m.appendTo(nil))
+	}
+	return append(seeds,
+		[]byte{0},                      // unknown tag
+		[]byte{byte(tagPing), 0x80, 0}, // overlong varint
+		[]byte{byte(tagSelect), 1, 7, 0xff, 0xff, 0x03, 2},               // count beyond the payload
+		[]byte{byte(tagSelected), 1, 4, 9, 0, 2},                         // presence byte 2
+		[]byte{byte(tagPong), 1, 0},                                      // trailing byte
+		[]byte{byte(tagFeedback), 1, 0x80, 1, 4, 3, 0, 0, 0, 0, 0, 0, 0}, // truncated reward
+	)
+}
+
+// FuzzServeCodec throws arbitrary payloads at the serve decoder. The
+// invariants: no panic; every payload that decodes re-encodes to exactly
+// the same bytes (the layout is canonical, so nothing is silently
+// normalized); and no decoded list is longer than the payload, so a
+// hostile count can never size storage beyond the bytes that arrived.
+func FuzzServeCodec(f *testing.F) {
+	for _, seed := range fuzzCodecSeeds() {
+		f.Add(seed)
+	}
+	var m message // reused across inputs, as a connection reuses it
+	f.Fuzz(func(t *testing.T, p []byte) {
+		err := m.decode(p)
+		var n int // the decoded message's list length, if it has one
+		switch m.tag {
+		case tagSelect:
+			n = len(m.sel.Arms)
+		case tagFeedback:
+			n = len(m.feedback.Items)
+		case tagRejected:
+			n = len(m.rejected.Items)
+		case tagRelease:
+			n = len(m.release.Devices)
+		}
+		if n > len(p) {
+			t.Fatalf("decoded a %d-element list from a %d-byte payload", n, len(p))
+		}
+		if err != nil {
+			return
+		}
+		if got := m.appendTo(nil); !bytes.Equal(got, p) {
+			t.Fatalf("payload %x decodes (tag %d) but re-encodes as %x", p, m.tag, got)
+		}
+	})
+}
+
+// TestWriteFuzzServeRequestCorpus regenerates the checked-in seed corpora under
+// testdata/fuzz/FuzzServeRequest and testdata/fuzz/FuzzServeCodec when
+// UPDATE_FUZZ_CORPUS=1.
 func TestWriteFuzzServeRequestCorpus(t *testing.T) {
 	if os.Getenv("UPDATE_FUZZ_CORPUS") == "" {
-		t.Skip("set UPDATE_FUZZ_CORPUS=1 to regenerate the seed corpus")
+		t.Skip("set UPDATE_FUZZ_CORPUS=1 to regenerate the seed corpora")
 	}
-	dir := filepath.Join("testdata", "fuzz", "FuzzServeRequest")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	for i, seed := range fuzzServeSeeds(t) {
-		body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", seed)
-		name := filepath.Join(dir, fmt.Sprintf("seed-%02d", i))
-		if err := os.WriteFile(name, []byte(body), 0o644); err != nil {
+	for target, seeds := range map[string][][]byte{
+		"FuzzServeRequest": fuzzServeSeeds(t),
+		"FuzzServeCodec":   fuzzCodecSeeds(),
+	} {
+		dir := filepath.Join("testdata", "fuzz", target)
+		if err := os.MkdirAll(dir, 0o755); err != nil {
 			t.Fatal(err)
+		}
+		for i, seed := range seeds {
+			body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", seed)
+			name := filepath.Join(dir, fmt.Sprintf("seed-%02d", i))
+			if err := os.WriteFile(name, []byte(body), 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }

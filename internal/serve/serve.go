@@ -7,9 +7,10 @@
 // Engine/Workspace: the Store owns the hot per-device policy state (sharded
 // across GOMAXPROCS-scaled shards, each under its own mutex, with retired
 // policies pooled through core.Reinitializer so device churn is
-// allocation-free warm), while Server/Client own the framed-gob transport,
-// reusing internal/cluster's frame codec so the two daemons share one wire
-// discipline.
+// allocation-free warm), while Server/Client own the transport: the
+// fixed-layout payloads of codec.go (see wire.go for the layout) carried
+// in internal/cluster's checksummed frames, so the two daemons share one
+// framing discipline while the decision path pays for no reflection.
 //
 // Determinism contract: a Store is a pure function of (Algorithm, Policy
 // config, Seed) and the sequence of requests applied to it. Each device

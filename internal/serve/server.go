@@ -99,6 +99,8 @@ func (s *Server) track(conn net.Conn, add bool) {
 
 // serveConn runs one connection's request loop: handshake, then frames
 // until the peer closes, errors, or goes silent past the frame timeout.
+// Inbound frames decode into one reused message and replies encode into
+// one reused buffer, so the warm loop allocates nothing per frame.
 func (s *Server) serveConn(conn net.Conn) error {
 	wt := s.opts.frameTimeout()
 	fr := cluster.NewFrameReader(bufio.NewReaderSize(conn, 32<<10))
@@ -111,41 +113,44 @@ func (s *Server) serveConn(conn net.Conn) error {
 		fr.Instrument(m.FramesRead, m.BytesRead)
 		fw.Instrument(m.FramesWritten, m.BytesWritten)
 	}
-	send := func(env *serveEnvelope) error {
+	var in, out message // reused: decode storage and reply under construction
+	var wbuf []byte
+	send := func(m *message) error {
 		if wt > 0 {
 			if err := conn.SetWriteDeadline(time.Now().Add(wt)); err != nil {
 				return err
 			}
 		}
-		if err := fw.Encode(env); err != nil {
+		wbuf = m.appendTo(wbuf[:0])
+		if err := fw.WriteFrame(wbuf); err != nil {
 			return err
 		}
 		return bw.Flush()
 	}
-	recv := func(env *serveEnvelope) error {
+	read := func() ([]byte, error) {
 		if wt > 0 {
 			if err := conn.SetReadDeadline(time.Now().Add(wt)); err != nil {
-				return err
+				return nil, err
 			}
 		}
-		return fr.Decode(env)
+		return fr.ReadFrame()
 	}
 
-	var env serveEnvelope
-	if err := recv(&env); err != nil {
+	p, err := read()
+	if err != nil {
 		return err
 	}
-	if env.Hello == nil {
-		return fmt.Errorf("serve: first frame is not a hello")
+	refuse := func(msg string) error {
+		_ = send(&message{tag: tagHelloAck, helloAck: serveHelloAckMsg{Version: serveProtocolVersion, Err: msg}})
+		return fmt.Errorf("serve: %s", msg)
 	}
-	if env.Hello.Version != serveProtocolVersion {
-		_ = send(&serveEnvelope{HelloAck: &serveHelloAckMsg{
-			Version: serveProtocolVersion,
-			Err:     fmt.Sprintf("protocol version %d, want %d", env.Hello.Version, serveProtocolVersion),
-		}})
-		return fmt.Errorf("serve: client speaks protocol %d, want %d", env.Hello.Version, serveProtocolVersion)
+	if err := in.decode(p); err != nil || in.tag != tagHello {
+		return refuse(fmt.Sprintf("protocol mismatch: first frame is not a protocol %d hello (a client from another protocol era?)", serveProtocolVersion))
 	}
-	if err := send(&serveEnvelope{HelloAck: &serveHelloAckMsg{
+	if v := in.hello.Version; v != serveProtocolVersion {
+		return refuse(fmt.Sprintf("protocol mismatch: client speaks version %d, want %d", v, serveProtocolVersion))
+	}
+	if err := send(&message{tag: tagHelloAck, helloAck: serveHelloAckMsg{
 		Version:   serveProtocolVersion,
 		Algorithm: s.store.cfg.Algorithm.String(),
 	}}); err != nil {
@@ -154,49 +159,58 @@ func (s *Server) serveConn(conn net.Conn) error {
 
 	var rejects []FeedbackItem // retained across batches; rejections are the cold migration path
 	for {
-		env = serveEnvelope{}
-		if err := recv(&env); err != nil {
+		p, err := read()
+		if err != nil {
 			if errors.Is(err, io.EOF) {
 				return nil // clean close between frames
 			}
 			return err
 		}
-		switch {
-		case env.Select != nil:
-			req := env.Select
+		if err := in.decode(p); err != nil {
+			return fmt.Errorf("serve: decode frame: %w", err)
+		}
+		switch in.tag {
+		case tagSelect:
+			// req.Arms is decode storage the next frame overwrites; Select
+			// copies whatever it keeps (TestStoreSelectDoesNotRetainArms).
+			req := &in.sel
 			arm, slot, err := s.store.Select(req.Device, req.Arms)
-			resp := &selectedMsg{Seq: req.Seq, Arm: arm, Slot: slot}
+			out.tag = tagSelected
+			out.selected = selectedMsg{Seq: req.Seq, Arm: arm, Slot: slot}
 			if err != nil {
 				var no *NotOwnerError
 				if errors.As(err, &no) {
-					resp.NotOwner = &notOwnerMsg{Epoch: no.Epoch, Owner: no.Owner}
+					out.selected.Redirect = true
+					out.selected.NotOwner = notOwnerMsg{Epoch: no.Epoch, Owner: no.Owner}
 				} else {
-					resp.Err = err.Error()
+					out.selected.Err = err.Error()
 				}
 			}
-			if err := send(&serveEnvelope{Selected: resp}); err != nil {
+			if err := send(&out); err != nil {
 				return err
 			}
-		case env.Feedback != nil:
+		case tagFeedback:
 			var epoch uint64
-			_, rejects, epoch = s.store.ApplyBatchOwned(env.Feedback.Items, rejects)
+			_, rejects, epoch = s.store.ApplyBatchOwned(in.feedback.Items, rejects)
 			if len(rejects) > 0 {
-				if err := send(&serveEnvelope{Rejected: &feedbackRejectedMsg{Epoch: epoch, Items: rejects}}); err != nil {
+				out.tag = tagRejected
+				out.rejected = feedbackRejectedMsg{Epoch: epoch, Items: rejects}
+				if err := send(&out); err != nil {
 					return err
 				}
 			}
-		case env.Release != nil:
-			for _, id := range env.Release.Devices {
+		case tagRelease:
+			for _, id := range in.release.Devices {
 				s.store.Release(id)
 			}
-		case env.Ping != nil:
-			if err := send(&serveEnvelope{Pong: &servePongMsg{Seq: env.Ping.Seq}}); err != nil {
+		case tagPing:
+			out.tag = tagPong
+			out.pong.Seq = in.ping.Seq
+			if err := send(&out); err != nil {
 				return err
 			}
-		case env.Pong != nil, env.Hello != nil, env.HelloAck != nil, env.Selected != nil, env.Rejected != nil:
-			return fmt.Errorf("serve: unexpected frame from client")
 		default:
-			return fmt.Errorf("serve: empty frame")
+			return fmt.Errorf("serve: unexpected frame (tag %d) from client", in.tag)
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"errors"
+	"io"
 	"net"
 	"strings"
 	"testing"
@@ -115,27 +117,147 @@ func TestServerRequestErrorKeepsSessionUsable(t *testing.T) {
 	}
 }
 
-// TestServerRejectsVersionMismatch pins the handshake: a client from the
-// wrong protocol era fails loudly at dial time.
+// v3HelloMsg and v3Envelope reproduce the protocol-3 handshake's gob shape:
+// a client from that era opened with a gob-encoded envelope whose Hello
+// field carried its version.
+type v3HelloMsg struct{ Version int }
+type v3HelloAckMsg struct {
+	Version   int
+	Algorithm string
+	Err       string
+}
+type v3Envelope struct {
+	Hello    *v3HelloMsg
+	HelloAck *v3HelloAckMsg
+}
+
+// TestServerRejectsVersionMismatch pins the handshake across protocol
+// eras: a client speaking another version of the v4 codec, and a client
+// from the gob era (protocol 3), are both answered with a hello ack that
+// names the protocol mismatch, and the connection is then closed — no
+// panic, no hang.
 func TestServerRejectsVersionMismatch(t *testing.T) {
 	_, addr := startServer(t, Config{})
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name  string
+		hello func(*testing.T, *cluster.FrameWriter)
+	}{
+		{"v4-codec-next-version", func(t *testing.T, fw *cluster.FrameWriter) {
+			hello := message{tag: tagHello, hello: serveHelloMsg{Version: serveProtocolVersion + 1}}
+			if err := fw.WriteFrame(hello.appendTo(nil)); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"gob-v3-hello", func(t *testing.T, fw *cluster.FrameWriter) {
+			if err := fw.Encode(&v3Envelope{Hello: &v3HelloMsg{Version: 3}}); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if err := conn.SetDeadline(time.Now().Add(10 * time.Second)); err != nil {
+				t.Fatal(err)
+			}
+			tc.hello(t, cluster.NewFrameWriter(conn))
+			fr := cluster.NewFrameReader(conn)
+			p, err := fr.ReadFrame()
+			if err != nil {
+				t.Fatalf("no handshake reply: %v", err)
+			}
+			var reply message
+			if err := reply.decode(p); err != nil {
+				t.Fatalf("handshake reply does not decode: %v", err)
+			}
+			if reply.tag != tagHelloAck || !strings.Contains(reply.helloAck.Err, "protocol mismatch") {
+				t.Fatalf("mismatched hello not refused by name: tag %d, err %q", reply.tag, reply.helloAck.Err)
+			}
+			if _, err := fr.ReadFrame(); !errors.Is(err, io.EOF) {
+				t.Fatalf("server kept the mismatched connection open: %v", err)
+			}
+		})
 	}
-	defer conn.Close()
-	fw := cluster.NewFrameWriter(conn)
-	fr := cluster.NewFrameReader(conn)
-	if err := fw.Encode(&serveEnvelope{Hello: &serveHelloMsg{Version: serveProtocolVersion + 1}}); err != nil {
-		t.Fatal(err)
+}
+
+// TestClientRefusesNonHelloAckReply pins the client half of the era
+// check: a daemon that answers the hello with anything but a v4 hello ack
+// — a gob-era ack, or a well-formed frame of the wrong kind — fails the
+// client permanently with a message naming the mismatch, both at dial and
+// when the mismatch appears behind a redial mid-session; the client does
+// not keep redialing a daemon that will never accept it.
+func TestClientRefusesNonHelloAckReply(t *testing.T) {
+	// fakeDaemon answers the first frame it reads with reply, then hangs up.
+	fakeDaemon := func(reply func(*cluster.FrameWriter) error) net.Conn {
+		cli, srv := net.Pipe()
+		go func() {
+			defer srv.Close()
+			if _, err := cluster.NewFrameReader(srv).ReadFrame(); err != nil {
+				return
+			}
+			_ = reply(cluster.NewFrameWriter(srv))
+		}()
+		return cli
 	}
-	var env serveEnvelope
-	if err := fr.Decode(&env); err != nil {
-		t.Fatal(err)
+	gobAck := func(fw *cluster.FrameWriter) error {
+		return fw.Encode(&v3Envelope{HelloAck: &v3HelloAckMsg{Version: 3, Algorithm: "Smart EXP3"}})
 	}
-	if env.HelloAck == nil || env.HelloAck.Err == "" {
-		t.Fatalf("version mismatch was not rejected: %+v", env)
+	pong := func(fw *cluster.FrameWriter) error {
+		return fw.WriteFrame((&message{tag: tagPong, pong: servePongMsg{Seq: 1}}).appendTo(nil))
 	}
+	opts := ClientOptions{FrameTimeout: 10 * time.Second, BackoffBase: time.Millisecond}
+
+	t.Run("gob-v3-ack-at-dial", func(t *testing.T) {
+		dials := 0
+		opts := opts
+		opts.Redial = func() (net.Conn, error) {
+			dials++
+			return fakeDaemon(gobAck), nil
+		}
+		_, err := Dial("unused", opts)
+		if err == nil || !strings.Contains(err.Error(), "protocol mismatch") {
+			t.Fatalf("gob-era daemon accepted or refused without naming the mismatch: %v", err)
+		}
+		if dials != 1 {
+			t.Fatalf("dialed %d times; a protocol mismatch must not be retried", dials)
+		}
+	})
+
+	t.Run("pong-after-redial", func(t *testing.T) {
+		_, addr := startServer(t, Config{})
+		dials := 0
+		opts := opts
+		opts.Redial = func() (net.Conn, error) {
+			dials++
+			if dials == 1 {
+				return net.Dial("tcp", addr)
+			}
+			return fakeDaemon(pong), nil
+		}
+		c, err := Dial("unused", opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if _, _, err := c.SelectSlot(1, []int{1, 2}); err != nil {
+			t.Fatal(err)
+		}
+		c.conn.Close() // cut: the next operation redials into the fake daemon
+		_, _, err = c.SelectSlot(1, []int{1, 2})
+		if err == nil || !strings.Contains(err.Error(), "protocol mismatch") {
+			t.Fatalf("non-hello-ack reply after redial: got %v, want a protocol mismatch", err)
+		}
+		before := dials
+		if _, _, again := c.SelectSlot(1, []int{1, 2}); again != err {
+			t.Fatalf("failure is not permanent: second select returned %v", again)
+		}
+		if dials != before {
+			t.Fatalf("client redialed %d more times after a permanent failure", dials-before)
+		}
+	})
 }
 
 // TestServerSurvivesMalformedClient pins robustness: garbage after the

@@ -163,6 +163,45 @@ func TestStoreSelectIsIdempotentUntilFeedback(t *testing.T) {
 	}
 }
 
+// TestStoreSelectDoesNotRetainArms pins what the serve connection loop
+// relies on when it decodes every request's arm set into one reused
+// slice: Select copies the arm set on every path that keeps it — a fresh
+// join, a pooled re-join (Reinit) and an arm-set change (SetAvailable) —
+// so a caller scribbling over its buffer after each call decides exactly
+// like one that passes fresh slices.
+func TestStoreSelectDoesNotRetainArms(t *testing.T) {
+	fresh := newTestStore(t, Config{})
+	reused := newTestStore(t, Config{})
+	buf := make([]int, 0, 4)
+	sets := [][]int{{1, 2, 3}, {1, 2, 3}, {2, 3, 7}, {2, 3, 7}, {4, 5}, {1, 2, 3}}
+	for round := 0; round < 3; round++ {
+		for i, set := range sets {
+			want, wantSlot, err := fresh.Select(6, append([]int(nil), set...))
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf = append(buf[:0], set...)
+			got, gotSlot, err := reused.Select(6, buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j := range buf {
+				buf[j] = -1 - j // the next request overwrites the storage
+			}
+			if got != want || gotSlot != wantSlot {
+				t.Fatalf("round %d request %d: reused buffer selected %d slot %d, fresh slices %d slot %d",
+					round, i, got, gotSlot, want, wantSlot)
+			}
+			if i%2 == 1 {
+				fresh.Feedback(6, want, wantSlot, 0.5)
+				reused.Feedback(6, got, gotSlot, 0.5)
+			}
+		}
+		fresh.Release(6) // the next round re-joins from the pool
+		reused.Release(6)
+	}
+}
+
 func TestStoreSelectSettlesAbandonedSlotOnArmChange(t *testing.T) {
 	s := newTestStore(t, Config{})
 	if _, _, err := s.Select(4, []int{1, 2, 3}); err != nil {

@@ -1,32 +1,62 @@
 package serve
 
-// The serve wire protocol rides internal/cluster's frame codec (4-byte
-// big-endian length prefix, one persistent gob codec per connection
-// direction) with its own envelope union. One synchronous client drives one
-// connection: selects are request/response, feedback is fire-and-forget in
-// batches, and the single stream's ordering makes every Select a natural
-// barrier for the feedback sent before it.
+// The serve wire protocol rides internal/cluster's frame codec (8-byte
+// header: big-endian payload length and the payload's CRC-32C, 64 MiB
+// cap, errors that latch) with its own fixed-layout payloads, encoded and
+// decoded by codec.go without reflection. One synchronous client drives
+// one connection: selects are request/response, feedback is
+// fire-and-forget in batches queued ahead of the next request, and the
+// single stream's ordering makes every Select a natural barrier for the
+// feedback sent before it.
+//
+// A payload is one tag byte naming the message, then its fields in
+// declaration order: unsigned integers as canonical uvarints, signed ones
+// (arms, versions) as canonical zigzag varints, rewards as the 8
+// little-endian bytes of their IEEE-754 bits, strings and lists as a
+// uvarint count followed by the bytes or elements, and optional parts
+// behind a 0/1 presence byte. The layout is canonical: a payload decodes
+// only if re-encoding the result reproduces it byte for byte.
 
-// serveProtocolVersion is bumped whenever the serve message set changes
-// incompatibly. Handshake refuses mismatches. Version 2 added the
-// selection slot to selectedMsg and FeedbackItem — the dedup cursor that
-// makes feedback resent across a reconnect safe to apply at most once.
-// Version 3 added the fleet redirect surface: selectedMsg.NotOwner and
-// the unsolicited Rejected frame for feedback bounced off a peer that no
-// longer owns the device.
-const serveProtocolVersion = 3
+// serveProtocolVersion is bumped whenever the serve message set or its
+// encoding changes incompatibly. Handshake refuses mismatches. Version 2
+// added the selection slot to selectedMsg and FeedbackItem — the dedup
+// cursor that makes feedback resent across a reconnect safe to apply at
+// most once. Version 3 added the fleet redirect surface: selectedMsg's
+// NotOwner and the unsolicited Rejected frame for feedback bounced off a
+// peer that no longer owns the device. Version 4 replaced gob with the
+// fixed-layout payloads above; the messages are unchanged.
+const serveProtocolVersion = 4
 
-// serveEnvelope is the one-of union every serve frame carries.
-type serveEnvelope struct {
-	Hello    *serveHelloMsg
-	HelloAck *serveHelloAckMsg
-	Select   *selectMsg
-	Selected *selectedMsg
-	Feedback *feedbackBatchMsg
-	Rejected *feedbackRejectedMsg
-	Release  *releaseMsg
-	Ping     *servePingMsg
-	Pong     *servePongMsg
+// msgTag is a payload's first byte: which message the rest encodes.
+type msgTag byte
+
+const (
+	tagHello msgTag = 1 + iota
+	tagHelloAck
+	tagSelect
+	tagSelected
+	tagFeedback
+	tagRejected
+	tagRelease
+	tagPing
+	tagPong
+)
+
+// message is one serve payload, decoded or about to be encoded: tag names
+// the live field. A connection decodes every inbound frame into the same
+// message, so list storage (arms, feedback items, devices) is reused
+// across frames and warm traffic allocates nothing.
+type message struct {
+	tag      msgTag
+	hello    serveHelloMsg
+	helloAck serveHelloAckMsg
+	sel      selectMsg
+	selected selectedMsg
+	feedback feedbackBatchMsg
+	rejected feedbackRejectedMsg
+	release  releaseMsg
+	ping     servePingMsg
+	pong     servePongMsg
 }
 
 // serveHelloMsg opens a client session.
@@ -54,16 +84,17 @@ type selectMsg struct {
 // selectedMsg answers a selectMsg. A non-empty Err is a property of the
 // request (bad arm set), not the connection: the session continues. Slot
 // is the store's id for this selection; the client quotes it back in the
-// matching FeedbackItem so resent feedback cannot double-count. A non-nil
-// NotOwner is the fleet redirect — also request-level: this peer no
-// longer owns the device, ask the named owner (refreshing any partition
-// table to at least the quoted epoch first).
+// matching FeedbackItem so resent feedback cannot double-count. Redirect
+// marks the fleet redirect — also request-level: this peer no longer owns
+// the device, ask the owner NotOwner names (refreshing any partition table
+// to at least the quoted epoch first). NotOwner is meaningful only then.
 type selectedMsg struct {
 	Seq      uint64
 	Arm      int
 	Slot     uint64
 	Err      string
-	NotOwner *notOwnerMsg
+	Redirect bool
+	NotOwner notOwnerMsg
 }
 
 // notOwnerMsg is the wire shape of serve.NotOwnerError: the partition
