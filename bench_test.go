@@ -308,6 +308,44 @@ func BenchmarkServeSelect(b *testing.B) {
 	}
 }
 
+// BenchmarkServeSelectChurn is BenchmarkServeSelect under mobility: one
+// Select+Feedback per op over 8,192 warm devices, each moving to the next
+// of the four arm sets bench/'s serve-churn workload draws from, so every
+// decision re-indexes the device's policy (SetAvailable) before the draw.
+// The device state outgrows the CPU caches, as it does in a daemon. The
+// BENCH_runner.json gate holds it to 0 allocs/op.
+func BenchmarkServeSelectChurn(b *testing.B) {
+	store, err := serve.NewStore(serve.Config{Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	const devices = 8192
+	sets := [][]int{{0, 1, 2}, {0, 2, 4, 6, 8}, {1, 3, 5, 7, 9, 11}, {0, 1, 2, 3, 4, 5, 6, 7}}
+	i := 0
+	op := func() {
+		dev := uint64(i % devices)
+		arms := sets[(i/devices+int(dev))%len(sets)]
+		arm, slot, err := store.Select(dev, arms)
+		if err != nil {
+			b.Fatal(err)
+		}
+		store.Feedback(dev, arm, slot, float64(arm%5+1)/6)
+		i++
+	}
+	for i < 3*len(sets)*devices { // warm: every device past explore-first, buffers at the largest set
+		op()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		op()
+	}
+	b.StopTimer()
+	if secs := b.Elapsed().Seconds(); secs > 0 {
+		b.ReportMetric(float64(b.N)/secs, "decisions/s")
+	}
+}
+
 // BenchmarkServeSelectInstrumented is BenchmarkServeSelect with the obsv
 // registry attached — the observability layer's perf contract: the warm
 // path must stay at 0 allocs/op and within a few percent of the bare rate

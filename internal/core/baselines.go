@@ -12,7 +12,6 @@ type Greedy struct {
 	rng        *rand.Rand
 	available  []int
 	availSpare []int // retired availability slice, recycled by SetAvailable
-	index      map[int]int
 	explore    []int // local indices pending exploration
 	sumGain    []float64
 	cntGain    []int
@@ -40,7 +39,7 @@ func (g *Greedy) Reinit(available []int, rng *rand.Rand) {
 	g.cur, g.last = -1, -1
 	g.switches = 0
 	g.explore = g.explore[:0]
-	g.rebuild(sortedInto(g.available, available), nil, nil)
+	g.rebuild(sortedInto(g.available, available), false)
 }
 
 // Name implements Policy.
@@ -85,43 +84,51 @@ func (g *Greedy) SetAvailable(networks []int) {
 	if len(next) == 0 || equalInts(next, g.available) {
 		return
 	}
-	sums := make(map[int]float64, len(g.available))
-	cnts := make(map[int]int, len(g.available))
-	for li, id := range g.available {
-		sums[id] = g.sumGain[li]
-		cnts[id] = g.cntGain[li]
-	}
 	spare := g.available
-	g.rebuild(next, sums, cnts)
+	g.rebuild(next, true)
 	g.availSpare = spare
 }
 
-func (g *Greedy) rebuild(next []int, sums map[int]float64, cnts map[int]int) {
-	pending := make(map[int]bool)
-	for _, li := range g.explore {
-		if li < len(g.available) {
-			pending[g.available[li]] = true
+// greedyArm carries one network's gain statistics across an availability
+// change.
+type greedyArm struct {
+	sumGain float64
+	cntGain int
+	explore bool
+}
+
+// rebuild re-indexes the gain statistics for a new availability set,
+// matching retained networks by a merge walk (see SmartEXP3.rebuild).
+// retain is false on construction, when every network is new.
+func (g *Greedy) rebuild(next []int, retain bool) {
+	var buf [stackArms]greedyArm
+	prior := buf[:0]
+	if retain {
+		prior = carryBuf(buf[:], len(g.available))
+		for li := range prior {
+			prior[li].sumGain, prior[li].cntGain = g.sumGain[li], g.cntGain[li]
+		}
+		for _, li := range g.explore {
+			prior[li].explore = true
 		}
 	}
+	var c idCursor
+	c.ids = g.available[:len(prior)]
 	g.available = next
-	if g.index == nil {
-		g.index = make(map[int]int, len(next))
-	} else {
-		clear(g.index)
-	}
 	g.sumGain = resizeFloats(g.sumGain, len(next))
 	g.cntGain = resizeInts(g.cntGain, len(next))
 	g.explore = g.explore[:0]
 	for li, id := range next {
-		g.index[id] = li
-		if c, ok := cnts[id]; ok {
-			g.sumGain[li] = sums[id]
-			g.cntGain[li] = c
-			if pending[id] {
-				g.explore = append(g.explore, li)
+		lo, hi := c.find(id)
+		explore := lo == hi // unseen network: explore it once
+		if lo < hi {
+			g.sumGain[li] = prior[hi-1].sumGain
+			g.cntGain[li] = prior[hi-1].cntGain
+			for _, o := range prior[lo:hi] {
+				explore = explore || o.explore
 			}
-		} else {
-			// Unseen network: explore it once.
+		}
+		if explore {
 			g.explore = append(g.explore, li)
 		}
 	}
@@ -157,7 +164,6 @@ type FullInformation struct {
 	rng        *rand.Rand
 	available  []int
 	availSpare []int // retired availability slice, recycled by SetAvailable
-	index      map[int]int
 	logW       []float64
 	probs      []float64
 	slot       int
@@ -186,7 +192,7 @@ func (f *FullInformation) Reinit(available []int, rng *rand.Rand) {
 	f.rng = rng
 	f.cur, f.last = -1, -1
 	f.slot, f.switches = 0, 0
-	f.rebuildFull(sortedInto(f.available, available), nil)
+	f.rebuildFull(sortedInto(f.available, available), false)
 }
 
 // Name implements Policy.
@@ -255,28 +261,29 @@ func (f *FullInformation) SetAvailable(networks []int) {
 	if len(next) == 0 || equalInts(next, f.available) {
 		return
 	}
-	prior := make(map[int]float64, len(f.available))
-	for li, id := range f.available {
-		prior[id] = f.logW[li]
-	}
 	spare := f.available
-	f.rebuildFull(next, prior)
+	f.rebuildFull(next, true)
 	f.availSpare = spare
 }
 
-func (f *FullInformation) rebuildFull(next []int, prior map[int]float64) {
-	f.available = next
-	if f.index == nil {
-		f.index = make(map[int]int, len(next))
-	} else {
-		clear(f.index)
+// rebuildFull re-indexes the log-weights for a new availability set,
+// matching retained networks by a merge walk (see SmartEXP3.rebuild); new
+// networks start at log-weight 0. retain is false on construction.
+func (f *FullInformation) rebuildFull(next []int, retain bool) {
+	var buf [stackArms]float64
+	prior := buf[:0]
+	if retain {
+		prior = carryBuf(buf[:], len(f.available))
+		copy(prior, f.logW)
 	}
+	var c idCursor
+	c.ids = f.available[:len(prior)]
+	f.available = next
 	f.logW = resizeFloats(f.logW, len(next))
 	f.probs = resizeFloats(f.probs, len(next))
 	for li, id := range next {
-		f.index[id] = li
-		if lw, ok := prior[id]; ok {
-			f.logW[li] = lw
+		if lo, hi := c.find(id); lo < hi {
+			f.logW[li] = prior[hi-1]
 		}
 		f.probs[li] = 1 / float64(len(next))
 	}

@@ -23,6 +23,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 )
 
 // Policy is a per-device network-selection strategy.
@@ -313,6 +314,38 @@ func BlockLength(beta float64, x int) int {
 	return int(math.Ceil(math.Pow(1+beta, float64(x))))
 }
 
+// blockTableLen is the length of a shared block-length table. At the
+// paper's β = 0.1 its last entry is a block of ~3.6e10 slots, so runs never
+// leave it; lengths past it are computed directly.
+const blockTableLen = 256
+
+var blockTables struct {
+	sync.Mutex
+	byBeta map[uint64][]int // keyed by the bits of β
+}
+
+// blockTable returns the read-only table of BlockLength(beta, x) for
+// x < blockTableLen. It is built once per β (2 KB each) and shared by every
+// policy constructed with that β, since the schedule depends on nothing
+// else.
+func blockTable(beta float64) []int {
+	key := math.Float64bits(beta)
+	blockTables.Lock()
+	defer blockTables.Unlock()
+	if t, ok := blockTables.byBeta[key]; ok {
+		return t
+	}
+	t := make([]int, blockTableLen)
+	for x := range t {
+		t[x] = BlockLength(beta, x)
+	}
+	if blockTables.byBeta == nil {
+		blockTables.byBeta = make(map[uint64][]int)
+	}
+	blockTables.byBeta[key] = t
+	return t
+}
+
 func clamp01(g float64) float64 {
 	if g < 0 {
 		return 0
@@ -330,6 +363,46 @@ func sortedInto(dst, xs []int) []int {
 	dst = append(dst[:0], xs...)
 	sort.Ints(dst)
 	return dst
+}
+
+// stackArms is how many arms an availability change carries in call-local
+// arrays; larger sets carry their outgoing state on the heap.
+const stackArms = 16
+
+// carryBuf returns a zeroed length-n view of buf, or a fresh slice when n
+// exceeds it. Callers pass a slice of a local array, so up to stackArms
+// arms the outgoing per-arm state of an availability change lives on the
+// stack.
+func carryBuf[T any](buf []T, n int) []T {
+	if n <= len(buf) {
+		return buf[:n]
+	}
+	return make([]T, n)
+}
+
+// idCursor matches the ids of an outgoing availability set against the
+// incoming one: calling find for ascending ids walks both lists once, so
+// re-indexing per-arm state across a change needs no map.
+type idCursor struct {
+	ids []int // outgoing set, ascending
+	i   int
+}
+
+// find returns the positions [lo, hi) of id in the outgoing set; lo == hi
+// when it is absent. A repeated id has several positions, and the last
+// one is the one whose state carries over. ids must be passed in
+// ascending order; passing the same id again finds the same positions.
+//
+//repolint:allocfree via TestSmartEXP3SetAvailableWarmAllocs
+func (c *idCursor) find(id int) (lo, hi int) {
+	for c.i < len(c.ids) && c.ids[c.i] < id {
+		c.i++
+	}
+	hi = c.i
+	for hi < len(c.ids) && c.ids[hi] == id {
+		hi++
+	}
+	return c.i, hi
 }
 
 func equalInts(a, b []int) bool {

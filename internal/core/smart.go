@@ -21,9 +21,8 @@ type SmartEXP3 struct {
 	cfg  Config
 	rng  *rand.Rand
 
-	available  []int       // global network ids, ascending
-	availSpare []int       // retired availability slice, recycled as the next SetAvailable sort buffer
-	index      map[int]int // global id → local index
+	available  []int // global network ids, ascending
+	availSpare []int // retired availability slice, recycled as the next SetAvailable sort buffer
 	k          int
 
 	w     weightSet // arm weights with O(log k) update and draw
@@ -74,8 +73,9 @@ type SmartEXP3 struct {
 	dropRef   float64
 	dropCount int
 
-	// blockLens memoizes BlockLength(cfg.Beta, x) by x: the schedule is a
-	// pure function of β, consulted several times per block (start, greedy
+	// blockLens is the read-only table of BlockLength(cfg.Beta, x) for
+	// small x, shared by every policy with the same β (see blockTable):
+	// the schedule is consulted several times per block (start, greedy
 	// eligibility, periodic reset), and math.Pow is the hot loop's most
 	// expensive call. It survives Reinit.
 	blockLens []int
@@ -100,7 +100,7 @@ var (
 // callers should use New with one of the named algorithms instead; this
 // constructor exists for ablation studies.
 func NewSmartEXP3(name string, feat Features, available []int, cfg Config, rng *rand.Rand) *SmartEXP3 {
-	p := &SmartEXP3{name: name, feat: feat, cfg: cfg}
+	p := &SmartEXP3{name: name, feat: feat, cfg: cfg, blockLens: blockTable(cfg.Beta)}
 	p.Reinit(available, rng)
 	return p
 }
@@ -114,14 +114,13 @@ func (p *SmartEXP3) Reinit(available []int, rng *rand.Rand) {
 	p.needBlock = true
 	p.blockIdx, p.blockLen, p.slotIn = 0, 0, 0
 	p.gamma, p.selProb, p.blockGain = 0, 0, 0
-	// Pre-size the trailing windows and the block-length memo so pooled
-	// reuse reaches its steady state immediately instead of growing
-	// capacity whenever one run's randomness explores a new maximum.
+	// Pre-size the trailing windows so pooled reuse reaches its steady
+	// state immediately instead of growing capacity whenever one run's
+	// randomness explores a new maximum.
 	if cap(p.window) < p.cfg.SwitchBackWindow {
 		p.window = make([]float64, 0, p.cfg.SwitchBackWindow)
 		p.prevWindow = make([]float64, 0, p.cfg.SwitchBackWindow)
 	}
-	p.blockLength(64)
 	p.window = p.window[:0]
 	p.prevWindow = p.prevWindow[:0]
 	p.curIsSB, p.prevWasSB = false, false
@@ -130,7 +129,7 @@ func (p *SmartEXP3) Reinit(available []int, rng *rand.Rand) {
 	p.yThreshold = 0
 	p.dropRef, p.dropCount = 0, 0
 	p.resets, p.switches, p.switchBacks, p.totalSlots = 0, 0, 0, 0
-	p.rebuild(sortedInto(p.available, available), nil)
+	p.rebuild(sortedInto(p.available, available), false)
 }
 
 // Name implements Policy.
@@ -244,7 +243,14 @@ func (p *SmartEXP3) Observe(gain float64) {
 	}
 }
 
-// SetAvailable implements Policy.
+// SetAvailable implements Policy. Retained networks keep their learned
+// state. With NetworkChange, discovering a network or losing one the
+// policy selects with probability ≥ ResetProbability resets the policy, as
+// Section V prescribes. The change is classified and re-indexed by merge
+// walks over the two ascending id lists, so it builds no map and, up to
+// stackArms arms, allocates nothing.
+//
+//repolint:allocfree via TestSmartEXP3SetAvailableWarmAllocs
 func (p *SmartEXP3) SetAvailable(networks []int) {
 	// Sort into the retired availability buffer instead of allocating: a
 	// device that changes service area every slot (mobility churn) calls
@@ -255,30 +261,33 @@ func (p *SmartEXP3) SetAvailable(networks []int) {
 		return
 	}
 
-	removed := make(map[int]bool)
-	for _, id := range p.available {
-		removed[id] = true
-	}
-	added := false
-	for _, id := range next {
-		if removed[id] {
-			delete(removed, id)
-		} else {
-			added = true
-		}
-	}
-
 	// Does a high-probability network disappear? (Smart EXP3 resets then.)
+	// A repeated id is judged by its last position, whose state is the one
+	// that would have carried over.
 	p.ensureProbs()
-	highProbRemoved := false
-	//repolint:ignore determinism order cannot reach results: the loop folds a commutative boolean OR over the removed set
-	for id := range removed {
-		if li, ok := p.index[id]; ok && li < len(p.probs) &&
-			p.probs[li] >= p.cfg.ResetProbability {
+	highProbRemoved, curGone := false, false
+	var kept idCursor
+	kept.ids = next
+	for li, id := range p.available {
+		if lo, hi := kept.find(id); lo < hi {
+			continue
+		}
+		curGone = curGone || li == p.cur
+		if (li+1 == p.k || p.available[li+1] != id) && p.probs[li] >= p.cfg.ResetProbability {
 			highProbRemoved = true
 		}
 	}
-	curGone := p.cur >= 0 && removed[p.available[p.cur]]
+	// A network is added when an incoming id is new. A repeated incoming id
+	// counts as added too, as it always has.
+	added := false
+	var had idCursor
+	had.ids = p.available
+	for j, id := range next {
+		if lo, hi := had.find(id); lo == hi || j > 0 && next[j-1] == id {
+			added = true
+			break
+		}
+	}
 	needReset := p.feat.NetworkChange && (added || highProbRemoved)
 
 	// Close the running block before re-indexing when it cannot continue:
@@ -295,7 +304,7 @@ func (p *SmartEXP3) SetAvailable(networks []int) {
 	}
 
 	spare := p.available
-	p.rebuild(next, p.snapshot())
+	p.rebuild(next, true)
 	p.availSpare = spare
 
 	if needReset {
@@ -304,56 +313,51 @@ func (p *SmartEXP3) SetAvailable(networks []int) {
 	}
 }
 
-// netState carries per-network learning state across availability changes.
+// netState carries one network's learning state across an availability
+// change.
 type netState struct {
 	logW    float64
 	x       int
 	sumGain float64
 	cntGain int
 	slotsOn int
+	explore bool // pending initial or post-reset exploration
 }
 
-func (p *SmartEXP3) snapshot() map[int]netState {
-	states := make(map[int]netState, p.k)
-	for li, id := range p.available {
-		states[id] = netState{
-			logW:    p.w.logW[li],
-			x:       p.x[li],
-			sumGain: p.sumGain[li],
-			cntGain: p.cntGain[li],
-			slotsOn: p.slotsOn[li],
-		}
-	}
-	return states
-}
-
-// rebuild re-indexes all per-network state for a new availability set. prior
-// is nil on construction. Newly discovered networks are seeded with the
-// maximum retained weight (weight 1, i.e. log 0, if nothing is retained), as
+// rebuild re-indexes all per-network state for a new availability set.
+// retain is false on construction, when nothing carries over. Otherwise
+// the outgoing state is copied into a call-local array (on the stack up to
+// stackArms arms) and matched to next by a merge walk, so retained networks
+// keep their state. Newly discovered networks are seeded with the maximum
+// retained weight (weight 1, i.e. log 0, if nothing is retained), as
 // Section III prescribes, so they are likely to be explored.
-func (p *SmartEXP3) rebuild(next []int, prior map[int]netState) {
-	// Remember identities that must survive re-indexing.
-	curID, prevID, pendID := -1, -1, -1
-	if p.cur >= 0 && p.cur < len(p.available) {
-		curID = p.available[p.cur]
-	}
-	if p.prevNet >= 0 && p.prevNet < len(p.available) {
-		prevID = p.available[p.prevNet]
-	}
-	if p.pendingSB >= 0 && p.pendingSB < len(p.available) {
-		pendID = p.available[p.pendingSB]
-	}
-	explorePending := make(map[int]bool)
-	for _, li := range p.explore {
-		if li < len(p.available) {
-			explorePending[p.available[li]] = true
+//
+//repolint:allocfree via TestSmartEXP3SetAvailableWarmAllocs
+func (p *SmartEXP3) rebuild(next []int, retain bool) {
+	// On construction next may share the outgoing slice's array (and cur,
+	// prevNet and pendingSB are -1), so the outgoing ids are read only when
+	// state is retained.
+	old := p.available
+	curID, prevID, pendID := idAt(old, p.cur), idAt(old, p.prevNet), idAt(old, p.pendingSB)
+	var buf [stackArms]netState
+	prior := buf[:0]
+	if retain {
+		prior = carryBuf(buf[:], len(old))
+		for li := range old {
+			s := &prior[li]
+			s.logW, s.x = p.w.logW[li], p.x[li]
+			s.sumGain, s.cntGain, s.slotsOn = p.sumGain[li], p.cntGain[li], p.slotsOn[li]
+		}
+		for _, li := range p.explore {
+			prior[li].explore = true
 		}
 	}
-
+	var c idCursor
+	c.ids = old[:len(prior)]
 	maxRetained := math.Inf(-1)
 	for _, id := range next {
-		if s, ok := prior[id]; ok && s.logW > maxRetained {
-			maxRetained = s.logW
+		if lo, hi := c.find(id); lo < hi && prior[hi-1].logW > maxRetained {
+			maxRetained = prior[hi-1].logW
 		}
 	}
 	if math.IsInf(maxRetained, -1) {
@@ -363,11 +367,6 @@ func (p *SmartEXP3) rebuild(next []int, prior map[int]netState) {
 	k := len(next)
 	p.available = next
 	p.k = k
-	if p.index == nil {
-		p.index = make(map[int]int, k)
-	} else {
-		clear(p.index)
-	}
 	logW := p.w.reset(k)
 	p.probs = resizeFloats(p.probs, k)
 	p.x = resizeInts(p.x, k)
@@ -376,23 +375,27 @@ func (p *SmartEXP3) rebuild(next []int, prior map[int]netState) {
 	p.slotsOn = resizeInts(p.slotsOn, k)
 	p.explore = p.explore[:0]
 
+	c.i = 0 // second walk over the same outgoing ids
 	for li, id := range next {
-		p.index[id] = li
 		p.probs[li] = 1 / float64(k)
-		if s, ok := prior[id]; ok {
+		lo, hi := c.find(id)
+		explore := lo == hi // a new network; on construction, every one
+		if lo < hi {
+			s := &prior[hi-1]
 			logW[li] = s.logW
 			p.x[li] = s.x
 			p.sumGain[li] = s.sumGain
 			p.cntGain[li] = s.cntGain
 			p.slotsOn[li] = s.slotsOn
+			for _, o := range prior[lo:hi] {
+				explore = explore || o.explore
+			}
 		} else {
 			logW[li] = maxRetained
-			if p.feat.ExploreFirst && prior != nil {
-				// New network after construction: schedule it for
-				// exploration (before construction the explore list below
-				// covers everything).
-				explorePending[id] = true
-			}
+		}
+		if p.feat.ExploreFirst && explore {
+			//repolint:ignore allocfree explore holds at most one entry per arm and keeps its capacity, so it grows only when the arm count reaches a new maximum
+			p.explore = append(p.explore, li)
 		}
 	}
 	p.w.reshift()
@@ -400,35 +403,45 @@ func (p *SmartEXP3) rebuild(next []int, prior map[int]netState) {
 	p.iPlus, p.maxP, p.minP = 0, 1/float64(k), 1/float64(k)
 	p.probsValid = true
 
-	if p.feat.ExploreFirst {
-		if prior == nil {
-			for li := range next {
-				p.explore = append(p.explore, li)
-			}
-		} else {
-			for li, id := range next {
-				if explorePending[id] {
-					p.explore = append(p.explore, li)
-				}
-			}
-		}
-	}
-
-	remap := func(id int) int {
-		if id < 0 {
-			return -1
-		}
-		if li, ok := p.index[id]; ok {
-			return li
-		}
-		return -1
-	}
-	p.cur = remap(curID)
-	p.prevNet = remap(prevID)
-	p.pendingSB = remap(pendID)
+	p.cur = p.local(curID)
+	p.prevNet = p.local(prevID)
+	p.pendingSB = p.local(pendID)
 	if p.cur < 0 {
 		p.needBlock = true
 	}
+}
+
+// idAt returns the global id at local index li, or -1 when li is outside
+// ids (-1 marks "no network").
+func idAt(ids []int, li int) int {
+	if li < 0 || li >= len(ids) {
+		return -1
+	}
+	return ids[li]
+}
+
+// local returns the local index of global id by binary search on the
+// ascending availability set (the last position should the set repeat
+// the id), or -1 when it is absent. Negative ids are never found: -1
+// marks "no network" in cur, prevNet and pendingSB, and re-indexing has
+// always treated every negative id that way.
+func (p *SmartEXP3) local(id int) int {
+	if id < 0 {
+		return -1
+	}
+	lo, hi := 0, len(p.available)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if p.available[m] <= id {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo > 0 && p.available[lo-1] == id {
+		return lo - 1
+	}
+	return -1
 }
 
 // startBlock begins block b: update the distribution, apply the periodic
@@ -596,13 +609,13 @@ func (p *SmartEXP3) checkQualityDrop(gain float64) bool {
 	return false
 }
 
-// blockLength memoizes BlockLength over the block counter x, which only
-// grows by one per block per network.
+// blockLength returns BlockLength(cfg.Beta, x), from the shared table while
+// x is inside it.
 func (p *SmartEXP3) blockLength(x int) int {
-	for len(p.blockLens) <= x {
-		p.blockLens = append(p.blockLens, BlockLength(p.cfg.Beta, len(p.blockLens)))
+	if x < len(p.blockLens) {
+		return p.blockLens[x]
 	}
-	return p.blockLens[x]
+	return BlockLength(p.cfg.Beta, x)
 }
 
 // iMax returns the network the device has been connected to for the most

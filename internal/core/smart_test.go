@@ -265,9 +265,9 @@ func TestSetAvailableAddsNetworkWithMaxWeightAndResets(t *testing.T) {
 	if p.Resets() != resetsBefore+1 {
 		t.Fatalf("discovering a network must reset (resets %d → %d)", resetsBefore, p.Resets())
 	}
-	li, ok := p.index[2]
-	if !ok {
-		t.Fatal("new network missing from index")
+	li := p.local(2)
+	if li < 0 {
+		t.Fatal("new network missing from the availability set")
 	}
 	if p.w.logW[li] != maxOf(p.w.logW) {
 		t.Fatalf("new network weight %v, want the max %v", p.w.logW[li], maxOf(p.w.logW))
@@ -483,7 +483,7 @@ func TestSelectionProbabilityBookkeeping(t *testing.T) {
 // //repolint:allocfree markers on the engine's slot loop: Select, Observe,
 // ensureProbs, armProb and every weightSet primitive they drive (bump, fill,
 // prob, sample, treeAdd, search) must not allocate once the policy is past
-// its initial exploration and the window/memo buffers have reached capacity.
+// its initial exploration and the window buffers have reached capacity.
 func TestSmartEXP3WarmPathAllocs(t *testing.T) {
 	p := newSmart(t, AlgSmartEXP3, []int{0, 1, 2, 3}, 17)
 	slot := 0
@@ -502,5 +502,55 @@ func TestSmartEXP3WarmPathAllocs(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Fatalf("warm Select/Observe/ensureProbs path allocates %.2f objects per slot, want 0", allocs)
+	}
+}
+
+// TestSmartEXP3SetAvailableWarmAllocs is the AllocsPerRun gate behind the
+// //repolint:allocfree markers on the arm-set change (SetAvailable, rebuild
+// and the idCursor merge walk): once the policy's buffers have seen the
+// largest set, a change that adds, removes or swaps arms — up to stackArms
+// of them — must not allocate.
+func TestSmartEXP3SetAvailableWarmAllocs(t *testing.T) {
+	sets := [][]int{
+		{0, 1, 2}, {0, 2, 4, 6, 8}, {1, 3, 5, 7, 9, 11}, {0, 1, 2, 3, 4, 5, 6, 7},
+		{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}, {15, 3},
+	}
+	for _, alg := range []Algorithm{AlgEXP3, AlgSmartEXP3} {
+		p := newSmart(t, alg, sets[0], 23)
+		slot := 0
+		step := func() {
+			p.SetAvailable(sets[slot%len(sets)])
+			for i := 0; i < 3; i++ {
+				net := p.Select()
+				p.Observe(envGain(net, slot))
+			}
+			slot++
+		}
+		for i := 0; i < 4*len(sets); i++ { // warm: every buffer has seen the largest set
+			step()
+		}
+		if allocs := testing.AllocsPerRun(300, step); allocs > 0 {
+			t.Fatalf("%v: warm arm-set change allocates %.2f objects per change, want 0", alg, allocs)
+		}
+	}
+}
+
+// TestBlockScheduleIsSharedAndExact pins the shared block-length table:
+// policies with the same β read one table, and every length, inside the
+// table or past it, equals BlockLength.
+func TestBlockScheduleIsSharedAndExact(t *testing.T) {
+	for _, beta := range []float64{0.1, 0.01, 1} {
+		cfg := DefaultConfig()
+		cfg.Beta = beta
+		p := NewSmartEXP3("a", FeaturesFor(AlgSmartEXP3), []int{0, 1}, cfg, rngutil.New(1))
+		q := NewSmartEXP3("b", FeaturesFor(AlgBlockEXP3), []int{2}, cfg, rngutil.New(2))
+		if &p.blockLens[0] != &q.blockLens[0] {
+			t.Fatalf("β=%v: policies hold separate block-length tables", beta)
+		}
+		for x := 0; x < blockTableLen+50; x++ {
+			if got, want := p.blockLength(x), BlockLength(beta, x); got != want {
+				t.Fatalf("β=%v: blockLength(%d) = %d, want %d", beta, x, got, want)
+			}
+		}
 	}
 }

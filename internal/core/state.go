@@ -183,14 +183,6 @@ func (p *SmartEXP3) ImportState(s *PolicyState, rng *rand.Rand) error {
 	k := len(s.Available)
 	p.available = append(p.available[:0], s.Available...)
 	p.k = k
-	if p.index == nil {
-		p.index = make(map[int]int, k)
-	} else {
-		clear(p.index)
-	}
-	for li, id := range p.available {
-		p.index[id] = li
-	}
 
 	logW := p.w.reset(k)
 	copy(logW, s.LogW)

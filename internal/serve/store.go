@@ -200,7 +200,7 @@ func (s *Store) shardIndex(deviceID uint64) uint64 { return mix64(deviceID) & s.
 // Feedback must quote it back, so a report duplicated across a reconnect
 // cannot credit a later selection that happens to pick the same arm.
 //
-//repolint:allocfree via TestStoreWarmSelectDoesNotAllocate
+//repolint:allocfree via TestStoreArmSetChangeDoesNotAllocate
 func (s *Store) Select(deviceID uint64, arms []int) (int, uint64, error) {
 	if err := s.validateArms(deviceID, arms); err != nil {
 		return -1, 0, err

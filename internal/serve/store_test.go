@@ -319,6 +319,42 @@ func TestStoreWarmSelectDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// TestStoreArmSetChangeDoesNotAllocate is the AllocsPerRun gate behind
+// Select's //repolint:allocfree marker. A warm device cycles the
+// serve-churn arm sets (plus a 16-arm one), so each op covers both Select
+// branches: an arm-set change re-indexes the policy, an unchanged set
+// draws directly, and a change under an unanswered selection settles it
+// first. None of them may allocate.
+func TestStoreArmSetChangeDoesNotAllocate(t *testing.T) {
+	s := newTestStore(t, Config{Shards: 2})
+	sets := [][]int{
+		{0, 1, 2}, {0, 2, 4, 6, 8}, {1, 3, 5, 7, 9, 11}, {0, 1, 2, 3, 4, 5, 6, 7},
+		{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15},
+	}
+	slot := 0
+	op := func() {
+		arms := sets[slot%len(sets)]
+		if _, _, err := s.Select(6, arms); err != nil { // left unanswered
+			t.Fatal(err)
+		}
+		arms = sets[(slot+2)%len(sets)]
+		for i := 0; i < 2; i++ { // a change, then the same set again
+			arm, sl, err := s.Select(6, arms)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Feedback(6, arm, sl, reward(6, arm, slot))
+		}
+		slot++
+	}
+	for i := 0; i < 300; i++ { // warm: past explore-first, buffers at the largest set
+		op()
+	}
+	if allocs := testing.AllocsPerRun(200, op); allocs > 0 {
+		t.Fatalf("warm arm-set change allocates %.1f times per op, want 0", allocs)
+	}
+}
+
 // TestStoreChurnIsAllocationFreeWarm pins the Reinitializer pooling: once a
 // shard's pool has a retiree, a join-leave cycle allocates nothing.
 func TestStoreChurnIsAllocationFreeWarm(t *testing.T) {
