@@ -61,6 +61,11 @@ type SmartEXP3 struct {
 	sumGain []float64 // Σ slot gains (greedy statistics)
 	cntGain []int     // number of slot observations
 	slotsOn []int     // slots spent connected (identifies i_max)
+	// iMaxLi is i_max, the lowest local index among the arms with the most
+	// slotsOn. It is derived state and not exported: Observe keeps it
+	// current, performReset zeroes it with slotsOn, and rebuild and
+	// ImportState, which replace slotsOn, rescan it.
+	iMaxLi int
 
 	// Greedy eligibility state.
 	condAFailed bool
@@ -146,23 +151,16 @@ func (p *SmartEXP3) Probabilities() []float64 {
 }
 
 // ensureProbs refreshes the cached distribution — and its argmax/extrema —
-// if weights or γ moved since it was last computed.
+// if weights or γ moved since it was last computed. The periodic reset
+// check reads the extrema at every block start, so this runs once per
+// block; fill computes the distribution and its extrema in one pass.
 //
 //repolint:allocfree via TestSmartEXP3WarmPathAllocs
 func (p *SmartEXP3) ensureProbs() {
 	if p.probsValid {
 		return
 	}
-	p.w.fill(p.probs, p.gamma)
-	p.iPlus, p.maxP, p.minP = 0, p.probs[0], p.probs[0]
-	for li := 1; li < p.k; li++ {
-		if p.probs[li] > p.maxP {
-			p.maxP, p.iPlus = p.probs[li], li
-		}
-		if p.probs[li] < p.minP {
-			p.minP = p.probs[li]
-		}
-	}
+	p.iPlus, p.maxP, p.minP = p.w.fill(p.probs, p.gamma)
 	p.probsValid = true
 }
 
@@ -208,6 +206,9 @@ func (p *SmartEXP3) Observe(gain float64) {
 	gain = clamp01(gain)
 	p.totalSlots++
 	p.slotsOn[p.cur]++
+	if on, top := p.slotsOn[p.cur], p.slotsOn[p.iMaxLi]; on > top || on == top && p.cur < p.iMaxLi {
+		p.iMaxLi = p.cur
+	}
 	p.sumGain[p.cur] += gain
 	p.cntGain[p.cur]++
 	p.blockGain += gain
@@ -399,6 +400,7 @@ func (p *SmartEXP3) rebuild(next []int, retain bool) {
 		}
 	}
 	p.w.reshift()
+	p.iMaxLi = p.scanIMax()
 	// probs holds the uniform placeholder until the next block start.
 	p.iPlus, p.maxP, p.minP = 0, 1/float64(k), 1/float64(k)
 	p.probsValid = true
@@ -586,10 +588,8 @@ func (p *SmartEXP3) switchBackTriggers(gain float64) bool {
 // slots. The reference average is frozen when the drop starts so that the
 // drop itself cannot mask the decline.
 func (p *SmartEXP3) checkQualityDrop(gain float64) bool {
-	// Cheap observation-count guards run before the O(k) i_max scan; the
-	// disjunction is side-effect free, so the order only affects cost.
 	if p.cntGain[p.cur] < 2 || p.cntGain[p.cur] <= p.cfg.MinDropObservations ||
-		p.cur != p.iMax() {
+		p.cur != p.iMaxLi {
 		p.dropCount = 0
 		return false
 	}
@@ -618,9 +618,10 @@ func (p *SmartEXP3) blockLength(x int) int {
 	return BlockLength(p.cfg.Beta, x)
 }
 
-// iMax returns the network the device has been connected to for the most
-// slots (i_max in Section V).
-func (p *SmartEXP3) iMax() int {
+// scanIMax returns the network the device has been connected to for the
+// most slots (i_max in Section V; the lowest index on ties) by a scan of
+// slotsOn. Observe maintains the same answer incrementally in iMaxLi.
+func (p *SmartEXP3) scanIMax() int {
 	best, bestSlots := 0, p.slotsOn[0]
 	for li := 1; li < p.k; li++ {
 		if p.slotsOn[li] > bestSlots {
@@ -649,6 +650,7 @@ func (p *SmartEXP3) performReset() {
 		p.cntGain[li] = 0
 		p.slotsOn[li] = 0
 	}
+	p.iMaxLi = 0
 	p.dropCount = 0
 	p.pendingSB = -1
 	p.prevNet = -1

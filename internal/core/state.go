@@ -217,6 +217,7 @@ func (p *SmartEXP3) ImportState(s *PolicyState, rng *rand.Rand) error {
 	copy(p.cntGain, s.CntGain)
 	p.slotsOn = resizeInts(p.slotsOn, k)
 	copy(p.slotsOn, s.SlotsOn)
+	p.iMaxLi = p.scanIMax()
 
 	p.condAFailed, p.yThreshold = s.CondAFailed, s.YThreshold
 	p.greedyWasEligible = s.GreedyWasEligible

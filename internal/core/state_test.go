@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/gob"
 	"math"
 	"math/rand"
 	"reflect"
@@ -172,4 +174,93 @@ func TestPolicyStateValidateRejectsCorruptStates(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestIMaxTracksScanAcrossChurnResetsAndImport pins the incrementally kept
+// i_max. After every Observe, SetAvailable and reset it must equal a fresh
+// scan of slotsOn. The environment degrades each phase's best network, so
+// quality-drop resets fire, and the arm set churns, so network-change
+// resets fire too. Mid-run, at a point where i_max is not arm 0, the state
+// is exported and imported into a fresh policy, which must then make the
+// same selections and end with the same ExportState bytes as the
+// uninterrupted policy. i_max is not part of PolicyState, so this is what
+// shows that ImportState rebuilds it.
+func TestIMaxTracksScanAcrossChurnResetsAndImport(t *testing.T) {
+	sets := [][]int{{1, 2, 3, 4}, {1, 2, 3, 4, 6}, {2, 3, 6}, {1, 2, 3, 4, 5, 6}}
+	gain := func(arm, slot int) float64 {
+		g := envGain(arm, slot/7)
+		if arm == 2+(slot/300)%3 {
+			g = 0.95 // this phase's clear winner, until the phase ends
+		}
+		return g
+	}
+	check := func(p *SmartEXP3, what string, slot int) {
+		t.Helper()
+		if got, want := p.iMaxLi, p.scanIMax(); got != want {
+			t.Fatalf("slot %d, after %s: i_max %d, scan of slotsOn %v gives %d", slot, what, got, p.slotsOn, want)
+		}
+	}
+	step := func(p *SmartEXP3, slot int) int {
+		if slot%97 == 96 {
+			p.SetAvailable(sets[(slot/97)%len(sets)])
+			check(p, "SetAvailable", slot)
+		}
+		arm := p.Select()
+		check(p, "Select", slot)
+		p.Observe(gain(arm, slot))
+		check(p, "Observe", slot)
+		return arm
+	}
+
+	const total, cutAfter = 3000, 1500
+	src := rngutil.NewSource(2024)
+	p := NewSmartEXP3("Smart EXP3", FeaturesFor(AlgSmartEXP3), sets[0], DefaultConfig(), rand.New(src))
+	cut := -1
+	var st PolicyState
+	var rngSt rngutil.SourceState
+	var want []int
+	for slot := 0; slot < total; slot++ {
+		arm := step(p, slot)
+		if cut >= 0 {
+			want = append(want, arm)
+		} else if slot >= cutAfter && p.iMaxLi != 0 {
+			cut = slot + 1
+			p.ExportState(&st)
+			rngSt = src.State()
+		}
+	}
+	if cut < 0 {
+		t.Fatal("i_max never left arm 0 after the cut point; the import is not exercised")
+	}
+	if p.Resets() < 3 {
+		t.Fatalf("only %d resets fired; the reset paths are not exercised", p.Resets())
+	}
+
+	src2 := &rngutil.Source{}
+	src2.SetState(rngSt)
+	q := NewSmartEXP3("Smart EXP3", FeaturesFor(AlgSmartEXP3), []int{7}, DefaultConfig(), rand.New(rngutil.NewSource(1)))
+	if err := q.ImportState(&st, rand.New(src2)); err != nil {
+		t.Fatal(err)
+	}
+	check(q, "ImportState", cut)
+	for slot := cut; slot < total; slot++ {
+		if got := step(q, slot); got != want[slot-cut] {
+			t.Fatalf("slot %d: imported policy selects %d, uninterrupted %d", slot, got, want[slot-cut])
+		}
+	}
+	var a, b PolicyState
+	p.ExportState(&a)
+	q.ExportState(&b)
+	if !bytes.Equal(gobBytes(t, &a), gobBytes(t, &b)) {
+		t.Fatal("imported and uninterrupted policies end in different states")
+	}
+}
+
+func gobBytes(t *testing.T, v any) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }

@@ -3,6 +3,7 @@ package game
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -102,9 +103,10 @@ func TestNashAssignmentFromScratchMatches(t *testing.T) {
 }
 
 // TestDistanceEvalWarmAllocations is the AllocsPerRun gate behind the
-// //repolint:allocfree marker on DistanceEval.Distance: once the per-group
-// scratch has grown to the instance's group sizes, evaluating Definition 3 —
-// over all devices or a member subset — allocates nothing.
+// //repolint:allocfree markers on DistanceEval.Distance and Within: once
+// the per-group scratch has grown to the instance's group sizes, evaluating
+// Definition 3 — over all devices or a member subset — or the ε verdict
+// allocates nothing.
 func TestDistanceEvalWarmAllocations(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	in := heterogeneousInstance(24, rng)
@@ -118,13 +120,14 @@ func TestDistanceEvalWarmAllocations(t *testing.T) {
 		gains[d] = rng.Float64() * 5
 	}
 	members := []int{0, 3, 5, 7, 11, 13}
-	e.Distance(gains, nil) // warm: scratch reaches full group sizes
+	e.Distance(gains, members) // warm: subset scratch reaches its group sizes
 	avg := testing.AllocsPerRun(100, func() {
 		e.Distance(gains, nil)
 		e.Distance(gains, members)
+		e.Within(gains, 50)
 	})
 	if avg != 0 {
-		t.Fatalf("warm Distance allocates %.1f objects, want 0", avg)
+		t.Fatalf("warm Distance/Within allocates %.1f objects, want 0", avg)
 	}
 }
 
@@ -153,5 +156,129 @@ func TestDistanceToNashGroupedIsOrderIndependent(t *testing.T) {
 	}
 	if got := p.Distance(gains, nil); math.Abs(got-want) > 1e-9 {
 		t.Fatalf("prepared Distance %v, grouped %v", got, want)
+	}
+}
+
+// referenceDistance is Definition 3 with no epoch-scoped state: every call
+// buckets the members' gains and NE shares by group in member order and
+// sorts both before rank-matching.
+func referenceDistance(p *PreparedNE, gains []float64, members []int) float64 {
+	if members == nil {
+		members = make([]int, len(p.shares))
+		for d := range members {
+			members[d] = d
+		}
+	}
+	cur := make([][]float64, p.nGroups)
+	ne := make([][]float64, p.nGroups)
+	for _, d := range members {
+		g := p.groupOf[d]
+		cur[g] = append(cur[g], gains[d])
+		ne[g] = append(ne[g], p.shares[d])
+	}
+	var worst float64
+	for g := range cur {
+		slices.Sort(cur[g])
+		slices.Sort(ne[g])
+		for i := range cur[g] {
+			worst = math.Max(worst, percentGainIncrease(cur[g][i], ne[g][i]))
+		}
+	}
+	return worst
+}
+
+// TestDistanceEvalWithinAndRanksMatchReference is the property test for the
+// evaluator's epoch-scoped NE ranks and early-exit ε check. One evaluator
+// is carried across many epochs, as the simulator carries it. In every
+// epoch, for random gains drawn with ties, zeros, values under the 1e-9
+// floor, exact NE shares and the odd NaN, Distance over all devices and
+// over member subsets returns the reference's bits, and Within(g, eps)
+// equals Distance(g, nil) <= eps — with eps exactly at the worst pair, one
+// ulp below it, random, zero, negative, NaN and infinite.
+func TestDistanceEvalWithinAndRanksMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	var p PreparedNE
+	var e DistanceEval
+	pool := []float64{0, 1e-12, 5e-10, 1e-9, 0.5, 1, 2, 3.5, 4, 7, 8, 11, 14, 16, 22}
+	// An empty instance first: Distance is 0, so Within holds exactly for
+	// eps >= 0.
+	if err := p.PrepareInto(Instance{Bandwidths: []float64{1}}); err != nil {
+		t.Fatal(err)
+	}
+	e.Reset(&p)
+	for _, eps := range []float64{0, 1, -1, math.NaN()} {
+		if got, want := e.Within(nil, eps), e.Distance(nil, nil) <= eps; got != want {
+			t.Fatalf("empty instance: Within(eps=%v) = %v, want %v", eps, got, want)
+		}
+	}
+	for epoch := 0; epoch < 60; epoch++ {
+		in := heterogeneousInstance(1+rng.Intn(30), rng)
+		// Some epochs shuffle one group's availability order: the same set
+		// must still form one group.
+		if epoch%3 == 0 {
+			in.Devices[0].Available = []int{2, 0, 1}
+		}
+		if err := p.PrepareInto(in); err != nil {
+			t.Fatal(err)
+		}
+		e.Reset(&p)
+		n := len(in.Devices)
+		checkGrouping(t, in, &p)
+		gains := make([]float64, n)
+		for trial := 0; trial < 25; trial++ {
+			for d := range gains {
+				switch rng.Intn(4) {
+				case 0:
+					gains[d] = pool[rng.Intn(len(pool))]
+				case 1:
+					gains[d] = p.ShareOf(d)
+				default:
+					gains[d] = rng.Float64() * 22
+				}
+			}
+			if trial%10 == 9 { // a NaN gain makes Distance NaN: never within ε
+				gains[rng.Intn(n)] = math.NaN()
+			}
+			dist := e.Distance(gains, nil)
+			if want := referenceDistance(&p, gains, nil); math.Float64bits(dist) != math.Float64bits(want) {
+				t.Fatalf("epoch %d trial %d: Distance %v, reference %v", epoch, trial, dist, want)
+			}
+			members := rng.Perm(n)[:1+rng.Intn(n)]
+			slices.Sort(members)
+			got, want := e.Distance(gains, members), referenceDistance(&p, gains, members)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("epoch %d trial %d: member Distance %v, reference %v", epoch, trial, got, want)
+			}
+			for _, eps := range []float64{dist, math.Nextafter(dist, math.Inf(-1)), rng.Float64() * 2 * dist,
+				rng.Float64() * 100, 0, -1, math.NaN(), math.Inf(1)} {
+				if got, want := e.Within(gains, eps), dist <= eps; got != want {
+					t.Fatalf("epoch %d trial %d: Within(eps=%v) = %v, Distance %v <= eps is %v",
+						epoch, trial, eps, got, dist, want)
+				}
+			}
+		}
+	}
+}
+
+// checkGrouping asserts PrepareInto's grouping: two devices share a group
+// exactly when their availability sets are equal as multisets, and group
+// ids are numbered in first-occurrence order.
+func checkGrouping(t *testing.T, in Instance, p *PreparedNE) {
+	t.Helper()
+	sorted := func(a []int) []int { return slices.Sorted(slices.Values(a)) }
+	next := 0
+	for d, dev := range in.Devices {
+		if g := p.groupOf[d]; g == next {
+			next++
+		} else if g > next {
+			t.Fatalf("device %d opens group %d before group %d", d, g, next)
+		}
+		for c := 0; c < d; c++ {
+			same := slices.Equal(sorted(dev.Available), sorted(in.Devices[c].Available))
+			if same != (p.groupOf[d] == p.groupOf[c]) {
+				t.Fatalf("devices %d %v and %d %v: same set %v, groups %d and %d",
+					c, in.Devices[c].Available, d, dev.Available, same, p.groupOf[c], p.groupOf[d])
+			}
+		}
 	}
 }

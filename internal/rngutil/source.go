@@ -27,16 +27,20 @@ const (
 	int32max = 1<<31 - 1
 )
 
-// seedrand is the Lehmer step x ← 48271·x mod 2³¹−1 in Schrage form, the
-// seed-expansion recurrence of the stdlib generator.
+// seedrand is the Lehmer step x ← 48271·x mod 2³¹−1, the seed-expansion
+// recurrence of the stdlib generator. The stdlib computes it in Schrage
+// form, with a division and a remainder; here the modulus being the
+// Mersenne number 2³¹−1 lets the 47-bit product fold as hi·2³¹ + lo ≡
+// hi + lo, and one conditional subtract finishes the reduction. Both give
+// the same value for every x in [1, 2³¹−2], the only states seedInit and
+// the recurrence produce.
 func seedrand(x int32) int32 {
-	hi := x / 44488
-	lo := x % 44488
-	x = 48271*lo - 3399*hi
-	if x < 0 {
-		x += int32max
+	p := 48271 * uint64(x)
+	r := p&int32max + p>>31
+	if r >= int32max {
+		r -= int32max
 	}
-	return x
+	return int32(r)
 }
 
 // seedInit conditions a 64-bit seed into the Lehmer state domain exactly as

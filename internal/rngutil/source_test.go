@@ -114,3 +114,35 @@ func TestSeedAllLengthMismatchPanics(t *testing.T) {
 	}()
 	SeedAll(make([]*Source, 2), make([]int64, 3))
 }
+
+// seedrandSchrage is the stdlib's form of the Lehmer step, kept here as
+// the reference for seedrand's Mersenne reduction.
+func seedrandSchrage(x int32) int32 {
+	hi := x / 44488
+	lo := x % 44488
+	x = 48271*lo - 3399*hi
+	if x < 0 {
+		x += int32max
+	}
+	return x
+}
+
+// TestSeedrandMatchesSchrage pins seedrand against the Schrage form on the
+// edges of its domain [1, 2³¹−2] — the Schrage quotient boundaries 44487
+// and 44488 among them — and on a million seeded random states.
+func TestSeedrandMatchesSchrage(t *testing.T) {
+	xs := []int32{1, 2, 3, 44487, 44488, 44489, 48271, 3399, 89482311,
+		int32max / 48271, int32max/48271 + 1, 1 << 30, int32max - 2, int32max - 1}
+	for _, x := range xs {
+		if got, want := seedrand(x), seedrandSchrage(x); got != want {
+			t.Fatalf("seedrand(%d) = %d, Schrage form %d", x, got, want)
+		}
+	}
+	rng := rand.New(rand.NewSource(31))
+	for i := 0; i < 1_000_000; i++ {
+		x := 1 + rng.Int31n(int32max-1) // [1, 2³¹−2]
+		if got, want := seedrand(x), seedrandSchrage(x); got != want {
+			t.Fatalf("seedrand(%d) = %d, Schrage form %d", x, got, want)
+		}
+	}
+}

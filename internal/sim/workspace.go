@@ -550,10 +550,13 @@ func (ws *Workspace) gainOf(bitrate float64, net int) float64 {
 // recordDistance evaluates the Definition 3 metric for the slot, overall and
 // per configured device group, and the at-NE / at-ε accounting — all through
 // workspace scratch and the epoch's reusable DistanceEval, so the per-slot
-// metric costs no allocation. When the assignment is identical to the
-// previous slot of the same epoch and bit rates are noise-free, every input
-// of the metric is unchanged and the cached slot verdicts are replayed —
-// converged populations spend most of their slots on this path.
+// metric costs no allocation. The evaluator sorted the epoch's NE shares
+// when the epoch began; a slot sorts only the current gains. Without
+// Collect.Distance only the ε verdict is needed, and DistanceEval.Within
+// stops at the first device short of ε. When the assignment is identical to
+// the previous slot of the same epoch and bit rates are noise-free, every
+// input of the metric is unchanged and the cached slot verdicts are
+// replayed — converged populations spend most of their slots on this path.
 func (ws *Workspace) recordDistance(t int) {
 	e := ws.eng
 	if ws.prepared == nil || len(ws.activeList) == 0 {
@@ -613,8 +616,9 @@ func (ws *Workspace) recordDistance(t int) {
 		}
 		epsHit = d <= e.cfg.EpsilonPercent
 	} else {
-		// ε accounting still needs the overall distance.
-		epsHit = ws.distEval.Distance(ws.gains, nil) <= e.cfg.EpsilonPercent
+		// ε accounting needs only the verdict, which stops at the first
+		// device short of ε.
+		epsHit = ws.distEval.Within(ws.gains, e.cfg.EpsilonPercent)
 	}
 	if epsHit {
 		ws.atEpsSlots++
