@@ -14,12 +14,15 @@ import (
 // availability churn. They were recorded from the map-based SetAvailable
 // this package used before the merge walk, so any re-indexing change that
 // moves a selection, a weight bit or an exploration order shows up here.
+// The five EXP3-family digests hash the exported PolicyState and were
+// re-recorded once, when the cached distribution left it; that code
+// reproduced the earlier trajectories with the cache fields blanked.
 var churnDigests = map[Algorithm]string{
-	AlgEXP3:             "130d8ef4f648f100bb73f0225d0815bef1436c39478906b0c1c468d4eddc604d",
-	AlgBlockEXP3:        "4487133d827d4df6b09540b893a8533beef8b4a631b222ace93b46f99fe8bec5",
-	AlgHybridBlockEXP3:  "684319bb48033e4ab9ce1c351affacef735e0c226c79343999732b1448e97eaa",
-	AlgSmartEXP3NoReset: "47c10138b779e8b849e793f0ea34b168cc62909ec657995b7cae369e01bfef9c",
-	AlgSmartEXP3:        "e5e7090fd8d4f8436e75e88a17184996fb21ebc5f47487ad943944e39872fcc6",
+	AlgEXP3:             "cf32ab3681e6f1658a13e55277b2a1df8ece6f604177ad4ba9afe6eb62d2afae",
+	AlgBlockEXP3:        "b1cde5a6eeb5b6b23588744df18e58a22d99f7cb66d475d8f1f9e7d3d93b245b",
+	AlgHybridBlockEXP3:  "86755c134e0e82e0c7b4bd7b952dede189f4ae697e973c9cac35d6ddb0a09a1d",
+	AlgSmartEXP3NoReset: "830bd86e4c584c326e4288b975575e0c05681c6212f6bb50d4d266921b832497",
+	AlgSmartEXP3:        "de0ae19d7ec40312bf4ffdb7cce953152cd2f643a56153e71c08aa9bb4da3fb4",
 	AlgGreedy:           "043de93b0bec3ff8a29c1bc448dbc3f5d2f8700954697b45b2f6886e8416632d",
 	AlgFullInformation:  "df6ac91982092e6d43e96bf2f9cca6eebbf98bc63bd3af1f7b7db34acba932ea",
 }

@@ -346,6 +346,19 @@ func blockTable(beta float64) []int {
 	return t
 }
 
+// firstAtLeast returns the first x whose entry in a block-length table is
+// at least n, or len(lens) when there is none. Every x below the result has
+// a shorter block, whether or not the table is monotone, so a policy whose
+// every x is below it cannot meet the periodic reset's length condition.
+func firstAtLeast(lens []int, n int) int {
+	for x, l := range lens {
+		if l >= n {
+			return x
+		}
+	}
+	return len(lens)
+}
+
 func clamp01(g float64) float64 {
 	if g < 0 {
 		return 0

@@ -25,18 +25,25 @@ type SmartEXP3 struct {
 	availSpare []int // retired availability slice, recycled as the next SetAvailable sort buffer
 	k          int
 
-	w     weightSet // arm weights with O(log k) update and draw
-	probs []float64 // selection distribution, filled lazily (ensureProbs)
-	// probsValid records whether probs reflects the current (weights, γ);
-	// the full O(k) fill only happens when something reads the whole
-	// distribution, so policies without reset/greedy features (classic
-	// EXP3) never pay it on the draw path. The fill also records the
-	// distribution's argmax (first index), max and min, which the periodic
-	// reset and greedy-eligibility checks consult every block start.
+	w weightSet // arm weights with O(log k) update and draw
+	// probs caches the selection distribution. It is derived state and
+	// not exported: ensureProbs fills it only when something reads the
+	// whole distribution (the greedy-eligibility check, a periodic reset
+	// check that can fire, Probabilities), so a draw never pays the O(k)
+	// fill. probsValid records whether probs reflects the current
+	// (weights, γ). The fill also records the distribution's argmax
+	// (first index), max and min.
+	probs      []float64
 	probsValid bool
 	iPlus      int     // argmax of probs (lowest index on ties)
 	maxP, minP float64 // max and min of probs
-	explore    []int   // local indices pending initial exploration
+	// uniform is rebuild's placeholder: from an availability change until
+	// the next block start or weight update the distribution reads as
+	// uniform 1/k. It is decision-relevant, since a further SetAvailable
+	// in that window judges removed arms against 1/k, so PolicyState
+	// carries it.
+	uniform bool
+	explore []int // local indices pending initial exploration
 
 	// Current block.
 	blockIdx  int     // b, counts blocks started (1-based)
@@ -66,6 +73,11 @@ type SmartEXP3 struct {
 	// current, performReset zeroes it with slotsOn, and rebuild and
 	// ImportState, which replace slotsOn, rescan it.
 	iMaxLi int
+	// maxX is the largest x[i], derived and unexported like iMaxLi:
+	// startBlock bumps it, performReset zeroes it, and rebuild and
+	// ImportState rescan it. While it is below resetX, the first x whose
+	// block reaches ResetBlockLength, the periodic reset cannot fire.
+	maxX, resetX int
 
 	// Greedy eligibility state.
 	condAFailed bool
@@ -106,6 +118,7 @@ var (
 // constructor exists for ablation studies.
 func NewSmartEXP3(name string, feat Features, available []int, cfg Config, rng *rand.Rand) *SmartEXP3 {
 	p := &SmartEXP3{name: name, feat: feat, cfg: cfg, blockLens: blockTable(cfg.Beta)}
+	p.resetX = firstAtLeast(p.blockLens, cfg.ResetBlockLength)
 	p.Reinit(available, rng)
 	return p
 }
@@ -151,8 +164,9 @@ func (p *SmartEXP3) Probabilities() []float64 {
 }
 
 // ensureProbs refreshes the cached distribution — and its argmax/extrema —
-// if weights or γ moved since it was last computed. The periodic reset
-// check reads the extrema at every block start, so this runs once per
+// if weights or γ moved since it was last computed, or materializes
+// rebuild's uniform placeholder. The greedy-eligibility check reads the
+// extrema at every main block start, so this runs about once per main
 // block; fill computes the distribution and its extrema in one pass.
 //
 //repolint:allocfree via TestSmartEXP3WarmPathAllocs
@@ -160,17 +174,32 @@ func (p *SmartEXP3) ensureProbs() {
 	if p.probsValid {
 		return
 	}
-	p.iPlus, p.maxP, p.minP = p.w.fill(p.probs, p.gamma)
+	if p.uniform {
+		u := 1 / float64(p.k)
+		for li := range p.probs {
+			p.probs[li] = u
+		}
+		p.iPlus, p.maxP, p.minP = 0, u, u
+	} else {
+		p.iPlus, p.maxP, p.minP = p.w.fill(p.probs, p.gamma)
+	}
 	p.probsValid = true
 }
 
+// staleProbs marks the cached distribution stale after γ or the weights
+// moved, which also ends rebuild's uniform placeholder.
+func (p *SmartEXP3) staleProbs() {
+	p.probsValid, p.uniform = false, false
+}
+
 // armProb returns the selection probability of one arm in O(1), without
-// materializing the whole distribution.
+// materializing the whole distribution: 1/k under rebuild's placeholder,
+// otherwise the bits fill would write for the arm.
 //
 //repolint:allocfree via TestSmartEXP3WarmPathAllocs
 func (p *SmartEXP3) armProb(li int) float64 {
-	if p.probsValid {
-		return p.probs[li]
+	if p.uniform {
+		return 1 / float64(p.k)
 	}
 	return p.w.prob(li, p.gamma)
 }
@@ -265,7 +294,6 @@ func (p *SmartEXP3) SetAvailable(networks []int) {
 	// Does a high-probability network disappear? (Smart EXP3 resets then.)
 	// A repeated id is judged by its last position, whose state is the one
 	// that would have carried over.
-	p.ensureProbs()
 	highProbRemoved, curGone := false, false
 	var kept idCursor
 	kept.ids = next
@@ -274,7 +302,7 @@ func (p *SmartEXP3) SetAvailable(networks []int) {
 			continue
 		}
 		curGone = curGone || li == p.cur
-		if (li+1 == p.k || p.available[li+1] != id) && p.probs[li] >= p.cfg.ResetProbability {
+		if (li+1 == p.k || p.available[li+1] != id) && p.armProb(li) >= p.cfg.ResetProbability {
 			highProbRemoved = true
 		}
 	}
@@ -378,7 +406,6 @@ func (p *SmartEXP3) rebuild(next []int, retain bool) {
 
 	c.i = 0 // second walk over the same outgoing ids
 	for li, id := range next {
-		p.probs[li] = 1 / float64(k)
 		lo, hi := c.find(id)
 		explore := lo == hi // a new network; on construction, every one
 		if lo < hi {
@@ -401,9 +428,9 @@ func (p *SmartEXP3) rebuild(next []int, retain bool) {
 	}
 	p.w.reshift()
 	p.iMaxLi = p.scanIMax()
-	// probs holds the uniform placeholder until the next block start.
-	p.iPlus, p.maxP, p.minP = 0, 1/float64(k), 1/float64(k)
-	p.probsValid = true
+	p.maxX = p.scanMaxX()
+	// The distribution reads as uniform until the next block start.
+	p.probsValid, p.uniform = false, true
 
 	p.cur = p.local(curID)
 	p.prevNet = p.local(prevID)
@@ -452,7 +479,7 @@ func (p *SmartEXP3) local(id int) int {
 func (p *SmartEXP3) startBlock() {
 	p.blockIdx++
 	p.gamma = clampGamma(p.cfg.Gamma(p.blockIdx))
-	p.probsValid = false // γ moved; refill only if something reads probs
+	p.staleProbs() // γ moved; refill only if something reads probs
 
 	if p.feat.Reset && p.periodicResetDue() {
 		p.performReset()
@@ -485,6 +512,9 @@ func (p *SmartEXP3) startBlock() {
 		p.blockLen = p.blockLength(p.x[p.cur])
 	}
 	p.x[p.cur]++
+	if p.x[p.cur] > p.maxX {
+		p.maxX = p.x[p.cur]
+	}
 	p.blockGain = 0
 	p.slotIn = 0
 	p.window = p.window[:0]
@@ -610,9 +640,10 @@ func (p *SmartEXP3) checkQualityDrop(gain float64) bool {
 }
 
 // blockLength returns BlockLength(cfg.Beta, x), from the shared table while
-// x is inside it.
+// x is inside it. Validate refuses negative counts, but an imported count
+// near MaxInt can still overflow, so a negative x is computed, not indexed.
 func (p *SmartEXP3) blockLength(x int) int {
-	if x < len(p.blockLens) {
+	if uint(x) < uint(len(p.blockLens)) {
 		return p.blockLens[x]
 	}
 	return BlockLength(p.cfg.Beta, x)
@@ -631,9 +662,27 @@ func (p *SmartEXP3) scanIMax() int {
 	return best
 }
 
+// scanMaxX returns the largest x[i] by a scan; startBlock maintains the
+// same answer incrementally in maxX.
+func (p *SmartEXP3) scanMaxX() int {
+	m := 0
+	for _, x := range p.x {
+		if x > m {
+			m = x
+		}
+	}
+	return m
+}
+
 // periodicResetDue reports whether the periodic reset condition holds:
-// p_{i+} ≥ ResetProbability and l_{i+} ≥ ResetBlockLength.
+// p_{i+} ≥ ResetProbability and l_{i+} ≥ ResetBlockLength. While every
+// x[i] is below resetX no arm's block reaches ResetBlockLength, whatever
+// the distribution, so the answer is false without the O(k) fill. At the
+// paper's β = 0.1 a 200-slot run never gets that far.
 func (p *SmartEXP3) periodicResetDue() bool {
+	if p.maxX < p.resetX {
+		return false
+	}
 	p.ensureProbs()
 	return p.maxP >= p.cfg.ResetProbability &&
 		p.blockLength(p.x[p.iPlus]) >= p.cfg.ResetBlockLength
@@ -650,7 +699,7 @@ func (p *SmartEXP3) performReset() {
 		p.cntGain[li] = 0
 		p.slotsOn[li] = 0
 	}
-	p.iMaxLi = 0
+	p.iMaxLi, p.maxX = 0, 0
 	p.dropCount = 0
 	p.pendingSB = -1
 	p.prevNet = -1
@@ -671,7 +720,7 @@ func (p *SmartEXP3) endBlock() {
 	if p.selProb > 0 {
 		ghat := p.blockGain / p.selProb
 		p.w.bump(p.cur, p.gamma*ghat/float64(p.k))
-		p.probsValid = false
+		p.staleProbs()
 	}
 	p.prevNet = p.cur
 	p.prevWindow = append(p.prevWindow[:0], p.window...)

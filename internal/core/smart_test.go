@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"smartexp3/internal/rngutil"
@@ -551,6 +552,61 @@ func TestBlockScheduleIsSharedAndExact(t *testing.T) {
 			if got, want := p.blockLength(x), BlockLength(beta, x); got != want {
 				t.Fatalf("β=%v: blockLength(%d) = %d, want %d", beta, x, got, want)
 			}
+		}
+	}
+}
+
+// TestResetCheckSkipIsExact runs each configuration twice from one seed:
+// once as built, and once with the skip of the periodic reset check turned
+// off (resetX = 0, so every block start fills the distribution and asks).
+// The two must make the same selections, the same resets and end in the
+// same exported state, through stable stretches where periodic resets
+// fire and through arm-set churn. resetX must also be the first x whose
+// block reaches ResetBlockLength.
+func TestResetCheckSkipIsExact(t *testing.T) {
+	for _, tc := range []struct {
+		beta float64
+		rbl  int
+	}{{0.1, 40}, {0.5, 5}, {1, 2}, {0.01, 3}, {0.1, 1}, {0.1, 1 << 40}} {
+		cfg := DefaultConfig()
+		cfg.Beta, cfg.ResetBlockLength = tc.beta, tc.rbl
+		p := NewSmartEXP3("skip", FeaturesFor(AlgSmartEXP3), []int{0, 1, 2}, cfg, rngutil.New(17))
+		q := NewSmartEXP3("full", FeaturesFor(AlgSmartEXP3), []int{0, 1, 2}, cfg, rngutil.New(17))
+		for x := 0; x < p.resetX; x++ {
+			if p.blockLength(x) >= tc.rbl {
+				t.Fatalf("β=%v, l=%d: resetX %d, but x=%d already reaches it", tc.beta, tc.rbl, p.resetX, x)
+			}
+		}
+		if p.resetX < len(p.blockLens) && p.blockLength(p.resetX) < tc.rbl {
+			t.Fatalf("β=%v, l=%d: block at resetX %d is shorter than the reset length", tc.beta, tc.rbl, p.resetX)
+		}
+		q.resetX = 0
+		sets := [][]int{{0, 1, 2}, {0, 2, 3}, {0, 1, 2, 3}}
+		for slot := 0; slot < 6000; slot++ {
+			if slot%1500 == 1499 {
+				next := sets[(slot/1500)%len(sets)]
+				p.SetAvailable(next)
+				q.SetAvailable(next)
+			}
+			a, b := p.Select(), q.Select()
+			if a != b {
+				t.Fatalf("β=%v, l=%d, slot %d: selects %d with the skip, %d without", tc.beta, tc.rbl, slot, a, b)
+			}
+			g := 0.05
+			if a == 2 {
+				g = 0.95
+			}
+			p.Observe(g)
+			q.Observe(g)
+		}
+		var sp, sq PolicyState
+		p.ExportState(&sp)
+		q.ExportState(&sq)
+		if !reflect.DeepEqual(sp, sq) {
+			t.Fatalf("β=%v, l=%d: the states differ at the end", tc.beta, tc.rbl)
+		}
+		if tc.rbl == 40 && p.Resets() == 0 {
+			t.Fatalf("β=%v, l=%d: no reset fired; the full check is not exercised", tc.beta, tc.rbl)
 		}
 	}
 }

@@ -23,6 +23,13 @@ import (
 // are captured as-is rather than recomputed on import: recomputing them
 // would produce values that differ in the last ulp from the incrementally
 // maintained ones, and the sampling descent compares against those bits.
+//
+// The selection distribution is not part of the state. The policy caches
+// it, but every cached bit is recomputable from the weights and γ, so
+// ImportState leaves the cache stale and it is refilled when read. The one
+// exception is rebuild's uniform placeholder (UniformProbs), which no
+// weight determines; it decides whether an arm removed before the next
+// block start triggers a reset.
 type PolicyState struct {
 	// Available is the availability set (global network ids, ascending).
 	Available []int
@@ -35,11 +42,10 @@ type PolicyState struct {
 	SumW  float64
 	Shift float64
 
-	// Cached selection distribution and its extrema.
-	Probs      []float64
-	ProbsValid bool
-	IPlus      int
-	MaxP, MinP float64
+	// UniformProbs records that the distribution still reads as uniform
+	// 1/k after an availability change, until the next block start or
+	// weight update.
+	UniformProbs bool
 
 	// Pending initial/post-reset exploration (local indices).
 	Explore []int
@@ -94,9 +100,7 @@ func (p *SmartEXP3) ExportState(dst *PolicyState) {
 	dst.WExp = append(dst.WExp[:0], p.w.wExp...)
 	dst.Tree = append(dst.Tree[:0], p.w.tree...)
 	dst.SumW, dst.Shift = p.w.sumW, p.w.shift
-	dst.Probs = append(dst.Probs[:0], p.probs...)
-	dst.ProbsValid = p.probsValid
-	dst.IPlus, dst.MaxP, dst.MinP = p.iPlus, p.maxP, p.minP
+	dst.UniformProbs = p.uniform
 	dst.Explore = append(dst.Explore[:0], p.explore...)
 	dst.BlockIdx, dst.Gamma = p.blockIdx, p.gamma
 	dst.Cur, dst.SelProb = p.cur, p.selProb
@@ -119,9 +123,10 @@ func (p *SmartEXP3) ExportState(dst *PolicyState) {
 
 // Validate reports whether the state is internally consistent: every
 // per-network slice matches the availability set's length, local indices
-// point inside it, and the availability set is strictly ascending. A state
-// from a corrupt or hand-edited snapshot fails here instead of panicking
-// inside the policy later.
+// point inside it, a running block has a network, block counts are not
+// negative, and the availability set is strictly ascending. A state from a
+// corrupt or hand-edited snapshot fails here instead of panicking inside
+// the policy later.
 func (s *PolicyState) Validate() error {
 	k := len(s.Available)
 	if k == 0 {
@@ -136,7 +141,7 @@ func (s *PolicyState) Validate() error {
 		name string
 		got  int
 	}{
-		{"LogW", len(s.LogW)}, {"WExp", len(s.WExp)}, {"Probs", len(s.Probs)},
+		{"LogW", len(s.LogW)}, {"WExp", len(s.WExp)},
 		{"X", len(s.X)}, {"SumGain", len(s.SumGain)},
 		{"CntGain", len(s.CntGain)}, {"SlotsOn", len(s.SlotsOn)},
 	} {
@@ -153,10 +158,18 @@ func (s *PolicyState) Validate() error {
 		min  int
 	}{
 		{"Cur", s.Cur, -1}, {"PrevNet", s.PrevNet, -1},
-		{"PendingSB", s.PendingSB, -1}, {"IPlus", s.IPlus, 0},
+		{"PendingSB", s.PendingSB, -1},
 	} {
 		if idx.got < idx.min || idx.got >= k {
 			return fmt.Errorf("core: policy state %s = %d outside [%d, %d)", idx.name, idx.got, idx.min, k)
+		}
+	}
+	if !s.NeedBlock && s.Cur < 0 {
+		return fmt.Errorf("core: policy state has a running block but no current network")
+	}
+	for li, x := range s.X {
+		if x < 0 {
+			return fmt.Errorf("core: policy state X[%d] = %d is negative", li, x)
 		}
 	}
 	for _, li := range s.Explore {
@@ -170,8 +183,10 @@ func (s *PolicyState) Validate() error {
 // ImportState restores a previously exported state, reusing the policy's
 // buffers. The policy keeps its identity (name, features, config) and draws
 // all future randomness from rng; everything else — weights, block
-// position, learning statistics, counters — is overwritten. It fails
-// without modifying the policy if the state does not validate.
+// position, learning statistics, counters — is overwritten. The cached
+// distribution is left stale, or set to the uniform placeholder when the
+// state records one. It fails without modifying the policy if the state
+// does not validate.
 func (p *SmartEXP3) ImportState(s *PolicyState, rng *rand.Rand) error {
 	if err := s.Validate(); err != nil {
 		return err
@@ -191,9 +206,7 @@ func (p *SmartEXP3) ImportState(s *PolicyState, rng *rand.Rand) error {
 	p.w.sumW, p.w.shift = s.SumW, s.Shift
 
 	p.probs = resizeFloats(p.probs, k)
-	copy(p.probs, s.Probs)
-	p.probsValid = s.ProbsValid
-	p.iPlus, p.maxP, p.minP = s.IPlus, s.MaxP, s.MinP
+	p.probsValid, p.uniform = false, s.UniformProbs
 	p.explore = append(p.explore[:0], s.Explore...)
 
 	p.blockIdx, p.gamma = s.BlockIdx, s.Gamma
@@ -218,6 +231,7 @@ func (p *SmartEXP3) ImportState(s *PolicyState, rng *rand.Rand) error {
 	p.slotsOn = resizeInts(p.slotsOn, k)
 	copy(p.slotsOn, s.SlotsOn)
 	p.iMaxLi = p.scanIMax()
+	p.maxX = p.scanMaxX()
 
 	p.condAFailed, p.yThreshold = s.CondAFailed, s.YThreshold
 	p.greedyWasEligible = s.GreedyWasEligible

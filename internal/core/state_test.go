@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"math"
 	"math/rand"
@@ -149,7 +150,9 @@ func TestPolicyStateValidateRejectsCorruptStates(t *testing.T) {
 		{"short Tree", func(s *PolicyState) { s.Tree = s.Tree[:2] }},
 		{"Cur out of range", func(s *PolicyState) { s.Cur = 99 }},
 		{"PendingSB below -1", func(s *PolicyState) { s.PendingSB = -2 }},
-		{"IPlus negative", func(s *PolicyState) { s.IPlus = -1 }},
+		{"X negative", func(s *PolicyState) { s.X[1] = -5 }},
+		{"X negative on the current network", func(s *PolicyState) { s.X[s.Cur] = -1 }},
+		{"running block without a network", func(s *PolicyState) { s.Cur, s.NeedBlock = -1, false }},
 		{"Explore out of range", func(s *PolicyState) { s.Explore = append(s.Explore, 42) }},
 		{"short SlotsOn", func(s *PolicyState) { s.SlotsOn = nil }},
 	}
@@ -184,7 +187,8 @@ func TestPolicyStateValidateRejectsCorruptStates(t *testing.T) {
 // is exported and imported into a fresh policy, which must then make the
 // same selections and end with the same ExportState bytes as the
 // uninterrupted policy. i_max is not part of PolicyState, so this is what
-// shows that ImportState rebuilds it.
+// shows that ImportState rebuilds it. The largest block count, kept the
+// same way for the periodic reset check, is checked alongside.
 func TestIMaxTracksScanAcrossChurnResetsAndImport(t *testing.T) {
 	sets := [][]int{{1, 2, 3, 4}, {1, 2, 3, 4, 6}, {2, 3, 6}, {1, 2, 3, 4, 5, 6}}
 	gain := func(arm, slot int) float64 {
@@ -198,6 +202,9 @@ func TestIMaxTracksScanAcrossChurnResetsAndImport(t *testing.T) {
 		t.Helper()
 		if got, want := p.iMaxLi, p.scanIMax(); got != want {
 			t.Fatalf("slot %d, after %s: i_max %d, scan of slotsOn %v gives %d", slot, what, got, p.slotsOn, want)
+		}
+		if got, want := p.maxX, p.scanMaxX(); got != want {
+			t.Fatalf("slot %d, after %s: max x %d, scan of x %v gives %d", slot, what, got, p.x, want)
 		}
 	}
 	step := func(p *SmartEXP3, slot int) int {
@@ -263,4 +270,99 @@ func gobBytes(t *testing.T, v any) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// mutateState applies the edits encoded in data to st, one field per
+// 9-byte record: a selector byte picks a field of PolicyState (and, with
+// its high bit, a small rather than a raw value), and 8 bytes give the
+// value. A slice field takes the value as an index and an element, or as
+// a new length when the selector's bit 6 is set.
+func mutateState(st *PolicyState, data []byte) {
+	v := reflect.ValueOf(st).Elem()
+	for ; len(data) >= 9; data = data[9:] {
+		sel, raw := data[0], binary.LittleEndian.Uint64(data[1:9])
+		small := sel&0x80 != 0
+		f := v.Field(int(sel&0x3f) % v.NumField())
+		asInt := int64(raw)
+		asFloat := math.Float64frombits(raw)
+		if small {
+			asInt = int64(int8(raw))
+			asFloat = float64(int8(raw)) / 8
+		}
+		switch f.Kind() {
+		case reflect.Int:
+			f.SetInt(asInt)
+		case reflect.Float64:
+			f.SetFloat(asFloat)
+		case reflect.Bool:
+			f.SetBool(raw&1 == 1)
+		case reflect.Slice:
+			if sel&0x40 != 0 {
+				n := int(raw % 12)
+				grown := reflect.MakeSlice(f.Type(), n, n)
+				reflect.Copy(grown, f)
+				f.Set(grown)
+				continue
+			}
+			if f.Len() == 0 {
+				continue
+			}
+			e := f.Index(int((raw >> 56) % uint64(f.Len())))
+			if e.Kind() == reflect.Int {
+				e.SetInt(int64(int8(raw)))
+			} else {
+				e.SetFloat(asFloat)
+			}
+		}
+	}
+}
+
+// FuzzImportState mutates the fields of a real exported state and imports
+// it. The import must either fail, or leave a policy that survives 200
+// seeded Select/Observe slots with arm-set churn without panicking.
+func FuzzImportState(f *testing.F) {
+	src := NewSmartEXP3("Smart EXP3", FeaturesFor(AlgSmartEXP3), []int{0, 1, 2, 5}, DefaultConfig(), rand.New(rngutil.NewSource(31)))
+	driveSlots(src, 0, 120)
+	src.SetAvailable([]int{0, 2, 5, 7})
+	driveSlots(src, 120, 3)
+	rec := func(field int, small bool, v uint64) []byte {
+		b := make([]byte, 9)
+		b[0] = byte(field)
+		if small {
+			b[0] |= 0x80
+		}
+		binary.LittleEndian.PutUint64(b[1:], v)
+		return b
+	}
+	field := func(name string) int {
+		sf, ok := reflect.TypeOf(PolicyState{}).FieldByName(name)
+		if !ok {
+			f.Fatalf("PolicyState has no field %s", name)
+		}
+		return sf.Index[0]
+	}
+	f.Add([]byte{})
+	f.Add(rec(field("X"), false, 1<<56|0xfb))                                                    // X[1] = -5
+	f.Add(append(rec(field("Cur"), true, 0xff), rec(field("NeedBlock"), false, 0)...))           // running block, no network
+	f.Add(append(rec(field("X"), false, 0x7f), rec(field("BlockIdx"), false, math.MaxInt64)...)) // counters near overflow
+	f.Add(rec(field("Gamma"), false, math.Float64bits(math.NaN())))
+	f.Add(rec(field("Window")|0x40, false, 11))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var st PolicyState
+		src.ExportState(&st)
+		mutateState(&st, data)
+		p := NewSmartEXP3("Smart EXP3", FeaturesFor(AlgSmartEXP3), []int{0}, DefaultConfig(), rand.New(rngutil.NewSource(1)))
+		if err := p.ImportState(&st, rand.New(rngutil.NewSource(2))); err != nil {
+			return
+		}
+		env := rngutil.New(3)
+		last := -1
+		for slot := 0; slot < 200; slot++ {
+			if env.Intn(8) == 0 {
+				p.SetAvailable(churnSet(env, p.Available(), last, last))
+			}
+			last = p.Select()
+			p.Observe(envGain(last, slot))
+		}
+	})
 }

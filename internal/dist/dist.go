@@ -93,8 +93,40 @@ type JohnsonSU struct {
 
 // Sample implements Sampler.
 func (j JohnsonSU) Sample(rng *rand.Rand) float64 {
-	z := rng.NormFloat64()
+	return j.at(rng.NormFloat64())
+}
+
+// at maps a standard normal draw z to X.
+func (j JohnsonSU) at(z float64) float64 {
 	return j.Loc + j.Scale*math.Sinh((z-j.Gamma)/j.Delta)
+}
+
+// minRejectScale is the smallest Scale and Delta for which zBelow offers a
+// bound. From there up, the margin's gap in X (at least Scale·m/2) dwarfs
+// the absolute rounding error of a subnormal intermediate, which a margin
+// relative to the parameters would not cover.
+const minRejectScale = 1e-100
+
+// zBelow returns a zLo such that every standard normal draw z < zLo maps
+// to X < low however the map's operations round, or −Inf when there is
+// none to offer. Exactly, X < low ⇔ z < γ + δ·asinh((low−Loc)/Scale) for
+// Scale, δ > 0. The returned zLo lies below that point by a margin of δ·m
+// with m = 1e-6·(1 + |asinh(·)| + |γ|/δ + (|low|+|Loc|)/Scale), about ten
+// orders of magnitude above the rounding of each term, so a z in the
+// margin is simply not rejected early. It returns −Inf when Scale or δ is
+// below minRejectScale (or NaN), and when zLo is not finite, which covers
+// NaN parameters and an infinite low.
+func (j JohnsonSU) zBelow(low float64) float64 {
+	if !(j.Scale >= minRejectScale && j.Delta >= minRejectScale) {
+		return math.Inf(-1)
+	}
+	t := math.Asinh((low - j.Loc) / j.Scale)
+	m := 1e-6 * (1 + math.Abs(t) + math.Abs(j.Gamma)/j.Delta + (math.Abs(low)+math.Abs(j.Loc))/j.Scale)
+	zLo := j.Gamma + j.Delta*(t-m)
+	if math.IsNaN(zLo) || math.IsInf(zLo, 0) {
+		return math.Inf(-1)
+	}
+	return zLo
 }
 
 // Mean implements Meaner (the S_U mean is analytic:
@@ -137,6 +169,9 @@ const maxTruncAttempts = 64
 
 // Sample implements Sampler.
 func (t Truncated) Sample(rng *rand.Rand) float64 {
+	if j, ok := t.S.(JohnsonSU); ok {
+		return truncatedJohnsonSU(j, j.zBelow(t.Low), t.Low, t.High, rng)
+	}
 	return truncated(t.S.Sample, t.Low, t.High, rng)
 }
 
@@ -147,6 +182,27 @@ func truncated(draw func(*rand.Rand) float64, low, high float64, rng *rand.Rand)
 	var x float64
 	for i := 0; i < maxTruncAttempts; i++ {
 		x = draw(rng)
+		if x >= low && x <= high {
+			return x
+		}
+	}
+	return math.Min(math.Max(x, low), high)
+}
+
+// truncatedJohnsonSU is truncated for a Johnson S_U draw, shared by
+// Truncated.Sample and SampleInto. An attempt whose z is below zLo (see
+// JohnsonSU.zBelow) would land below low, so it is rejected before the
+// sinh. The last attempt always computes x, which the clamp needs. Every
+// attempt draws the same z as JohnsonSU.Sample, and every accepted x has
+// the same bits, so the stream and the result match truncated exactly.
+func truncatedJohnsonSU(j JohnsonSU, zLo, low, high float64, rng *rand.Rand) float64 {
+	var x float64
+	for i := 0; i < maxTruncAttempts; i++ {
+		z := rng.NormFloat64()
+		if z < zLo && i < maxTruncAttempts-1 {
+			continue
+		}
+		x = j.at(z)
 		if x >= low && x <= high {
 			return x
 		}
@@ -169,8 +225,9 @@ func SampleInto(s Sampler, rngs []*rand.Rand, dst []float64) {
 		// second dispatch layer from the rejection loop.
 		switch inner := c.S.(type) {
 		case JohnsonSU:
+			zLo := inner.zBelow(c.Low)
 			for i, rng := range rngs {
-				dst[i] = truncated(inner.Sample, c.Low, c.High, rng)
+				dst[i] = truncatedJohnsonSU(inner, zLo, c.Low, c.High, rng)
 			}
 		case StudentT:
 			for i, rng := range rngs {

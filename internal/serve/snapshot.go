@@ -18,7 +18,11 @@ import (
 // per-device selection slot (the feedback-dedup cursor): restoring it
 // wrongly-zeroed would let pre-snapshot feedback replayed after a restart
 // double-count, so version 1 files are refused rather than guessed at.
-const snapshotVersion = 2
+// Version 3 dropped the cached selection distribution from the policy
+// state (Probs, ProbsValid, IPlus, MaxP, MinP) and added UniformProbs, the
+// one cached fact the weights cannot reproduce. A version 2 file decoded
+// into this layout would lose that fact, so it is refused too.
+const snapshotVersion = 3
 
 // SnapshotVersion is the current snapshot layout version — what Snapshot
 // stamps and every restore path demands. Exported so the fleet layer can
@@ -27,9 +31,10 @@ const snapshotVersion = 2
 const SnapshotVersion = snapshotVersion
 
 // DeviceSnapshot is one active device session at rest: its policy state
-// verbatim (core.PolicyState preserves every derived view bit for bit, see
-// that type's doc) plus its generator cursor, the unanswered selection, and
-// the selection slot. Exported so Config.OnEvict can hand the caller an
+// (core.PolicyState preserves every weight view bit for bit and leaves out
+// the selection distribution, which the policy recomputes; see that type's
+// doc) plus its generator cursor, the unanswered selection, and the
+// selection slot. Exported so Config.OnEvict can hand the caller an
 // evicted device's final state in the same shape snapshots use.
 type DeviceSnapshot struct {
 	Device  uint64

@@ -155,6 +155,10 @@ func TestRestoreRejectsMismatchedIdentity(t *testing.T) {
 	if err := s.Restore(&badVersion); err == nil {
 		t.Fatal("restore accepted a future snapshot version")
 	}
+	badVersion.Version = 2 // the layout that still carried the cached distribution
+	if err := s.Restore(&badVersion); err == nil {
+		t.Fatal("restore accepted a version 2 snapshot")
+	}
 
 	// A corrupt device record must fail ReadSnapshot before Restore can
 	// half-apply it.
@@ -167,5 +171,109 @@ func TestRestoreRejectsMismatchedIdentity(t *testing.T) {
 	}
 	if _, err := ReadSnapshot(&buf); err == nil {
 		t.Fatal("ReadSnapshot accepted a corrupt device record")
+	}
+}
+
+// deviceState returns the exported state of one device of s.
+func deviceState(t *testing.T, s *Store, dev uint64) *DeviceSnapshot {
+	t.Helper()
+	for _, ds := range s.Snapshot().Devices {
+		if ds.Device == dev {
+			return &ds
+		}
+	}
+	t.Fatalf("device %d not in the snapshot", dev)
+	return nil
+}
+
+// TestRestoreKeepsUniformPlaceholder restores a snapshot cut while an arm
+// set change's uniform placeholder is in force: the device has just lost a
+// weak arm mid-block, so until its next block start it reads its
+// distribution as uniform. It then loses the arm it really plays with
+// probability ≥ 0.75. Judged against the placeholder's 1/2 that is no
+// high-probability loss, so neither the uninterrupted store nor the
+// restored one resets, and both go on identically. A restore that dropped
+// the placeholder would judge the arm by its weights and reset, which the
+// last part shows by restoring the snapshot with the placeholder cleared.
+func TestRestoreKeepsUniformPlaceholder(t *testing.T) {
+	const dev = 5
+	gain := func(arm int) float64 {
+		if arm == 3 {
+			return 0.95
+		}
+		return 0.05
+	}
+	step := func(s *Store, arms []int) int {
+		t.Helper()
+		arm, slot, err := s.Select(dev, arms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Feedback(dev, arm, slot, gain(arm))
+		return arm
+	}
+	trueProb := func(st *DeviceSnapshot, arm int) float64 {
+		ps := &st.State
+		for li, id := range ps.Available {
+			if id == arm {
+				k := float64(len(ps.Available))
+				return (1-ps.Gamma)*ps.WExp[li]/ps.SumW + ps.Gamma/k
+			}
+		}
+		return 0
+	}
+
+	live := newTestStore(t, Config{})
+	ready := false
+	for i := 0; i < 5000 && !ready; i++ {
+		step(live, []int{1, 2, 3})
+		st := deviceState(t, live, dev)
+		ps := &st.State
+		ready = !ps.NeedBlock && ps.Available[ps.Cur] == 3 && ps.BlockLen-ps.SlotIn >= 2 && trueProb(st, 3) >= 0.75
+	}
+	if !ready {
+		t.Fatal("the device never settled into a long block on its dominant arm")
+	}
+	if arm := step(live, []int{2, 3}); arm != 3 {
+		t.Fatalf("losing a weak arm moved the running block to arm %d", arm)
+	}
+	cut := deviceState(t, live, dev)
+	if !cut.State.UniformProbs {
+		t.Fatal("the snapshot does not carry the uniform placeholder")
+	}
+	if p := trueProb(cut, 3); p < 0.75 {
+		t.Fatalf("arm 3 has probability %v at the cut, want ≥ 0.75", p)
+	}
+	sn, err := ReadSnapshot(bytes.NewReader(encodeSnapshot(t, live)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := newTestStore(t, Config{Shards: 4})
+	if err := restored.Restore(sn); err != nil {
+		t.Fatal(err)
+	}
+
+	for i := 0; i < 30; i++ {
+		if got, want := step(restored, []int{2}), step(live, []int{2}); got != want {
+			t.Fatalf("slot %d after the cut: restored store chose %d, uninterrupted %d", i, got, want)
+		}
+	}
+	if got := deviceState(t, live, dev).State.Resets; got != cut.State.Resets {
+		t.Fatalf("uninterrupted store reset on losing arm 3 (%d resets, %d at the cut)", got, cut.State.Resets)
+	}
+	if !bytes.Equal(encodeSnapshot(t, restored), encodeSnapshot(t, live)) {
+		t.Fatal("restored and uninterrupted stores end in different states")
+	}
+
+	for i := range sn.Devices {
+		sn.Devices[i].State.UniformProbs = false
+	}
+	wrong := newTestStore(t, Config{})
+	if err := wrong.Restore(sn); err != nil {
+		t.Fatal(err)
+	}
+	step(wrong, []int{2})
+	if got := deviceState(t, wrong, dev).State.Resets; got != cut.State.Resets+1 {
+		t.Fatalf("without the placeholder, losing arm 3 gave %d resets, want %d", got, cut.State.Resets+1)
 	}
 }
