@@ -1,7 +1,11 @@
 // Command served is the bandit-as-a-service decision daemon: it holds one
 // Smart EXP3 policy per device session and answers Select / Feedback over
-// the serve wire (internal/serve), so fleets of clients outsource
-// their per-slot network choice to a process that survives them.
+// the serve wire (internal/serve, framed by internal/frame), so fleets of
+// clients outsource their per-slot network choice to a process that
+// survives them. The daemon links only the decision service and its
+// transport — not the simulator — and refuses by name a client of
+// another protocol (a cluster coordinator or fleet coordinator dialed at
+// the wrong port) at the first frame.
 //
 // State is per-device and seeded per-device (rngutil.ChildSeed of -seed and
 // the device id), so the daemon's decisions are a deterministic function of

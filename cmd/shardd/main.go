@@ -26,7 +26,8 @@
 // additionally) logs a structured delta line at that interval. Metrics are
 // observation-only: results are bit-identical with or without them.
 //
-// The protocol is unauthenticated and unencrypted (stdlib gob over TCP):
+// The protocol is unauthenticated and unencrypted (stdlib gob in
+// internal/frame's checksummed frames over TCP):
 // run shardd only on networks where every peer is trusted, exactly like a
 // memcached or a work-queue worker.
 package main

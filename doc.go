@@ -79,7 +79,8 @@
 //     ascending run order from a single goroutine, so aggregates are
 //     bit-identical for every worker count.
 //   - Cluster (internal/cluster, cmd/shardd): shards a batch's run-index
-//     space across processes and machines over TCP/gob. The coordinator
+//     space across processes and machines over gob messages in the
+//     shared frame layer (see below). The coordinator
 //     side is a persistent Session: each worker is dialed once, the stream
 //     stays alive across batches (keepalive pings under the frame-timeout
 //     discipline, with deadlines cleared while nothing is owed), and any
@@ -99,10 +100,10 @@
 //     reinitialized in place so device churn is allocation-free warm.
 //     Requests travel as fixed-layout binary payloads (a tag byte, then
 //     varints, length-prefixed strings and lists, reward bits) inside the
-//     cluster layer's checksummed frames (cluster.FrameWriter.WriteFrame /
-//     FrameReader.ReadFrame), with batched fire-and-forget feedback sent
-//     in the same write as the next request; warm, a decision round trip
-//     allocates nothing on either side. The store is a pure function of (algorithm, config, seed)
+//     shared frame layer's checksummed frames, with batched
+//     fire-and-forget feedback sent in the same write as the next
+//     request; warm, a decision round trip allocates nothing on either
+//     side. The store is a pure function of (algorithm, config, seed)
 //     and the request history: devices draw from independent
 //     rngutil.ChildSeed streams, snapshots serialize devices in sorted id
 //     order with exact policy and RNG-cursor state, and a
@@ -143,6 +144,16 @@
 //     three-peer fleet through a mid-run rebalance and a chaos-killed
 //     peer is decision- and merged-snapshot-identical to one
 //     uninterrupted store.
+//
+// The three wires — cluster sessions, serve decisions, fleet control —
+// share one transport, internal/frame: frames with a checked 12-byte
+// header (payload length, payload CRC-32C and the header's own CRC-32C,
+// so corruption anywhere is a connection error at once, never a stall or
+// a silently different value), one frame.Conn type that owns the
+// buffering, the frame counters and the per-frame write deadline, one
+// timeout rule, and one versioned hello exchange naming the protocol, so a
+// client dialing the wrong daemon is refused by name. Each protocol brings
+// only its message set.
 //
 // Every layer is observable through internal/obsv, a stdlib-only metrics
 // layer built for the hot paths above: atomic counters and gauges, fixed

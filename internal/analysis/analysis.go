@@ -56,8 +56,8 @@ func DefaultConfig(module string) Config {
 	pure := []string{"core", "sim", "game", "dist", "stats", "rngutil", "netmodel"}
 	cfg := Config{
 		RNGPackage:   module + "/internal/rngutil",
-		WirePackages: []string{module + "/internal/cluster", module + "/internal/serve", module + "/internal/fleet"},
-		FrameWriters: []string{module + "/internal/cluster.FrameWriter"},
+		WirePackages: []string{module + "/internal/frame", module + "/internal/cluster", module + "/internal/serve", module + "/internal/fleet"},
+		FrameWriters: []string{module + "/internal/frame.Writer"},
 	}
 	for _, p := range pure {
 		cfg.PurePackages = append(cfg.PurePackages, module+"/internal/"+p)

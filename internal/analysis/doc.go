@@ -43,11 +43,11 @@
 // function declarations; an orphaned marker is itself a diagnostic.
 //
 // wiredeadline — in the wire packages (Config.WirePackages; by default
-// cluster, serve and fleet) flags any connection or frame write occurring in a
-// function that never arms a write deadline. A "connection write" is a
-// Write call on a value whose type also has SetWriteDeadline (net.Conn
-// and friends); a "frame write" is a call to a FrameWriter write method
-// (Config.FrameWriters). Arming means calling SetWriteDeadline or
+// frame, cluster, serve and fleet) flags any connection or frame write
+// occurring in a function that never arms a write deadline. A "connection
+// write" is a Write call on a value whose type also has SetWriteDeadline
+// (net.Conn and friends); a "frame write" is a call to a frame.Writer
+// write method (Config.FrameWriters). Arming means calling SetWriteDeadline or
 // SetDeadline anywhere in the same function (function literals are
 // separate functions). Transport-agnostic helpers whose callers arm the
 // deadline carry waivers saying so.

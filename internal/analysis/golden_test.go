@@ -29,7 +29,7 @@ func fixtureConfig() analysis.Config {
 		PurePackages: []string{"fixture/determinism_bad", "fixture/determinism_clean"},
 		WirePackages: []string{"fixture/wiredeadline_bad", "fixture/wiredeadline_clean"},
 		RNGPackage:   "smartexp3/internal/rngutil",
-		FrameWriters: []string{"smartexp3/internal/cluster.FrameWriter"},
+		FrameWriters: []string{"smartexp3/internal/frame.Writer"},
 	}
 }
 

@@ -6,7 +6,7 @@ package wiredeadline_bad
 import (
 	"net"
 
-	"smartexp3/internal/cluster"
+	"smartexp3/internal/frame"
 )
 
 // Send writes a frame with no deadline anywhere in the function.
@@ -25,8 +25,8 @@ func Broadcast(conns []net.Conn, p []byte) {
 	}
 }
 
-// Flush pushes an envelope through the cluster frame writer, again with
-// no deadline.
-func Flush(fw *cluster.FrameWriter) error {
+// Flush pushes a message through the frame writer, again with no
+// deadline.
+func Flush(fw *frame.Writer) error {
 	return fw.Encode(nil)
 }

@@ -7,10 +7,10 @@ import (
 
 // runWireDeadline flags, in the wire packages, any connection or frame
 // write inside a function that never arms a write deadline. The repo's
-// discipline (cluster epoch.write, the worker's flush closure, the
-// serve client/server writeFrame paths) is per-frame deadlines in the
-// same function as the write; a helper that deliberately leaves arming
-// to its callers carries a waiver saying which caller arms.
+// discipline (frame.Conn's one write path, which every wire goes through)
+// is per-frame deadlines in the same function as the write; a helper that
+// deliberately leaves arming to its callers carries a waiver saying which
+// caller arms.
 func runWireDeadline(p *Package, cfg *Config) []Diagnostic {
 	if !containsPath(cfg.WirePackages, p.Path) {
 		return nil

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"smartexp3/internal/chaos"
+	"smartexp3/internal/frame"
 	"smartexp3/internal/sim"
 )
 
@@ -74,8 +75,8 @@ func chaosFrameStream(tb testing.TB) (stream []byte, frameEnds []int) {
 		Distance: bulkDistance,
 	}}}
 	frames := []*envelope{
-		{Hello: &helloMsg{Version: protocolVersion}},
-		{HelloAck: &helloAckMsg{Version: protocolVersion}},
+		{JobAck: &jobAckMsg{ID: 1}},
+		{JobRelease: &jobReleaseMsg{ID: 9}},
 		{Range: &rangeMsg{Job: 1, First: 0, Count: 8}},
 		res, res, bulk, res,
 		{RangeDone: &rangeDoneMsg{Job: 1, First: 0}},
@@ -83,9 +84,9 @@ func chaosFrameStream(tb testing.TB) (stream []byte, frameEnds []int) {
 		{Pong: &pongMsg{Seq: 7}},
 	}
 	var buf bytes.Buffer
-	fw := NewFrameWriter(&buf)
+	fw := frame.NewWriter(&buf)
 	for _, env := range frames {
-		if err := fw.write(env); err != nil {
+		if err := fw.Encode(env); err != nil {
 			tb.Fatal(err)
 		}
 		frameEnds = append(frameEnds, buf.Len())
@@ -117,9 +118,9 @@ func FuzzChaosFrame(f *testing.F) {
 	}
 	clean, frameEnds := chaosFrameStream(f)
 	want := make([]*envelope, 0, len(frameEnds))
-	ref := NewFrameReader(bytes.NewReader(clean))
+	ref := frame.NewReader(bytes.NewReader(clean))
 	for range frameEnds {
-		env, err := ref.read()
+		env, err := nextEnvelope(ref)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -140,9 +141,9 @@ func FuzzChaosFrame(f *testing.F) {
 			}
 			intact++
 		}
-		fr := NewFrameReader(bytes.NewReader(mangled))
+		fr := frame.NewReader(bytes.NewReader(mangled))
 		for i := 0; i < intact; i++ {
-			got, err := fr.read()
+			got, err := nextEnvelope(fr)
 			if err != nil {
 				t.Fatalf("frame %d ends before the first fault at %d but failed: %v", i, first, err)
 			}
@@ -154,7 +155,7 @@ func FuzzChaosFrame(f *testing.F) {
 		// (CRC mismatch, truncation) or at end of stream — and the reader
 		// must stay latched rather than resynchronize on garbage.
 		for i := 0; i < 32; i++ {
-			if _, err := fr.read(); err == nil {
+			if _, err := nextEnvelope(fr); err == nil {
 				t.Fatalf("read %d past the first fault at %d succeeded", intact+i, first)
 			}
 		}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -12,6 +13,7 @@ import (
 
 	"smartexp3/internal/core"
 	"smartexp3/internal/criteria"
+	"smartexp3/internal/frame"
 	"smartexp3/internal/netmodel"
 	"smartexp3/internal/runner"
 	"smartexp3/internal/sim"
@@ -418,32 +420,26 @@ func TestWorkerRejectsBadJob(t *testing.T) {
 	}
 }
 
-// dialRaw opens a hand-driven protocol connection with its per-connection
-// codec pair (the persistent-gob framing every peer speaks).
-func dialRaw(t *testing.T, addr string) (net.Conn, *FrameWriter, *FrameReader) {
+// dialRaw opens a hand-driven protocol connection: a frame.Conn with no
+// deadlines, through which the test plays the coordinator.
+func dialRaw(t *testing.T, addr string) *frame.Conn {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { conn.Close() })
-	return conn, NewFrameWriter(conn), NewFrameReader(conn)
+	return frame.NewConn(conn, 0, 0, false)
 }
 
 // TestWorkerRejectsVersionMismatch speaks a wrong protocol version and
 // expects a refusal at hello.
 func TestWorkerRejectsVersionMismatch(t *testing.T) {
 	addrs := startWorkers(t, 1, WorkerOptions{})
-	_, fw, fr := dialRaw(t, addrs[0])
-	if err := fw.write(&envelope{Hello: &helloMsg{Version: protocolVersion + 1}}); err != nil {
-		t.Fatal(err)
-	}
-	env, err := fr.read()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if env.HelloAck == nil || env.HelloAck.Err == "" {
-		t.Fatalf("want a version refusal, got %+v", env)
+	fc := dialRaw(t, addrs[0])
+	ack, err := fc.Greet(frame.Hello{Proto: hello.Proto, Version: protocolVersion + 1})
+	if !errors.Is(err, frame.ErrHandshake) || ack.Err == "" {
+		t.Fatalf("want a version refusal, got %+v, %v", ack, err)
 	}
 }
 
@@ -452,25 +448,22 @@ func TestWorkerRejectsVersionMismatch(t *testing.T) {
 // instead of executing out-of-batch run indices.
 func TestWorkerRejectsCorruptRange(t *testing.T) {
 	addrs := startWorkers(t, 1, WorkerOptions{})
-	_, fw, fr := dialRaw(t, addrs[0])
-	if err := fw.write(&envelope{Hello: &helloMsg{Version: protocolVersion}}); err != nil {
+	fc := dialRaw(t, addrs[0])
+	if _, err := fc.Greet(hello); err != nil {
+		t.Fatalf("handshake failed: %v", err)
+	}
+	if err := fc.Encode(&envelope{Job: &jobMsg{ID: 1, Spec: testJob(t, 8)}}); err != nil {
 		t.Fatal(err)
 	}
-	if env, err := fr.read(); err != nil || env.HelloAck == nil || env.HelloAck.Err != "" {
-		t.Fatalf("handshake failed: %+v, %v", env, err)
-	}
-	if err := fw.write(&envelope{Job: &jobMsg{ID: 1, Spec: testJob(t, 8)}}); err != nil {
-		t.Fatal(err)
-	}
-	if env, err := fr.read(); err != nil || env.JobAck == nil || env.JobAck.ID != 1 || env.JobAck.Err != "" {
+	if env, err := readEnvelope(fc); err != nil || env.JobAck == nil || env.JobAck.ID != 1 || env.JobAck.Err != "" {
 		t.Fatalf("job rejected: %+v, %v", env, err)
 	}
 	const maxInt = int(^uint(0) >> 1)
-	if err := fw.write(&envelope{Range: &rangeMsg{Job: 1, First: maxInt, Count: 1}}); err != nil {
+	if err := fc.Encode(&envelope{Range: &rangeMsg{Job: 1, First: maxInt, Count: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	// The worker must close the connection without emitting a result.
-	if env, err := fr.read(); err == nil {
+	if env, err := readEnvelope(fc); err == nil {
 		t.Fatalf("worker answered a corrupt range with %+v", env)
 	}
 }
@@ -479,31 +472,15 @@ func TestWorkerRejectsCorruptRange(t *testing.T) {
 // never shipped: the worker must drop the connection rather than guess.
 func TestWorkerRejectsUnknownJobRange(t *testing.T) {
 	addrs := startWorkers(t, 1, WorkerOptions{})
-	_, fw, fr := dialRaw(t, addrs[0])
-	if err := fw.write(&envelope{Hello: &helloMsg{Version: protocolVersion}}); err != nil {
+	fc := dialRaw(t, addrs[0])
+	if _, err := fc.Greet(hello); err != nil {
+		t.Fatalf("handshake failed: %v", err)
+	}
+	if err := fc.Encode(&envelope{Range: &rangeMsg{Job: 42, First: 0, Count: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	if env, err := fr.read(); err != nil || env.HelloAck == nil || env.HelloAck.Err != "" {
-		t.Fatalf("handshake failed: %+v, %v", env, err)
-	}
-	if err := fw.write(&envelope{Range: &rangeMsg{Job: 42, First: 0, Count: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	if env, err := fr.read(); err == nil {
+	if env, err := readEnvelope(fc); err == nil {
 		t.Fatalf("worker answered a range for an unknown job with %+v", env)
-	}
-}
-
-// TestFrameLengthGuards pins the framing hygiene: an oversized or zero
-// length prefix must be rejected before any allocation happens.
-func TestFrameLengthGuards(t *testing.T) {
-	for _, raw := range [][]byte{
-		{0xff, 0xff, 0xff, 0xff}, // ~4 GiB claim
-		{0x00, 0x00, 0x00, 0x00}, // zero-length frame
-	} {
-		if _, err := NewFrameReader(strings.NewReader(string(raw))).read(); err == nil {
-			t.Fatalf("frame header % x must be rejected", raw)
-		}
 	}
 }
 

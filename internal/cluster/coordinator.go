@@ -3,6 +3,7 @@ package cluster
 import (
 	"time"
 
+	"smartexp3/internal/frame"
 	"smartexp3/internal/sim"
 )
 
@@ -16,13 +17,15 @@ type Options struct {
 	DialTimeout time.Duration
 	// FrameTimeout bounds how long a worker may go without producing the
 	// next protocol frame while one is owed (handshake reply, result, range
-	// ack, keepalive pong); 0 means 2 minutes. It is a progress timeout, not
-	// a whole-chunk budget: a chunk may take arbitrarily long as long as
-	// results keep flowing. A worker that stalls without closing its
-	// connection (SIGSTOP, half-open partition) trips it and takes the
-	// reassignment path instead of hanging the batch. While nothing is owed
-	// — a session idling between batches — no deadline is armed at all, so
-	// an idle gap of any length never counts as a stall.
+	// ack, keepalive pong); 0 means frame.DefaultTimeout (2 minutes),
+	// negative disables it (and with it the default keepalive). It is a
+	// progress timeout, not a whole-chunk budget: a chunk may take
+	// arbitrarily long as long as results keep flowing. A worker that
+	// stalls without closing its connection (SIGSTOP, half-open partition)
+	// trips it and takes the reassignment path instead of hanging the
+	// batch. While nothing is owed — a session idling between batches — no
+	// deadline is armed at all, so an idle gap of any length never counts
+	// as a stall.
 	FrameTimeout time.Duration
 	// Keepalive is how often an idle session connection is pinged; 0 means
 	// a quarter of the frame timeout. Pings elicit pongs under FrameTimeout,
@@ -59,18 +62,11 @@ func (o Options) dialTimeout() time.Duration {
 	return o.DialTimeout
 }
 
-func (o Options) frameTimeout() time.Duration {
-	if o.FrameTimeout <= 0 {
-		return 2 * time.Minute
-	}
-	return o.FrameTimeout
-}
-
 func (o Options) keepalive() time.Duration {
 	if o.Keepalive > 0 {
 		return o.Keepalive
 	}
-	return o.frameTimeout() / 4
+	return frame.Timeout(o.FrameTimeout) / 4
 }
 
 // chunkSize picks the dispatch granularity: roughly four ranges per shard,

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"smartexp3/internal/frame"
 )
 
 // TestCoordinatorWriteDeadlineUnsticksStalledWorker is the mirror image of
@@ -35,13 +37,9 @@ func TestCoordinatorWriteDeadlineUnsticksStalledWorker(t *testing.T) {
 		connErr <- err
 	}()
 
-	fw := NewFrameWriter(worker)
-	fr := NewFrameReader(worker)
-	if env, err := fr.read(); err != nil || env.Hello == nil {
-		t.Fatalf("want the coordinator hello, got %+v, %v", env, err)
-	}
-	if err := fw.write(&envelope{HelloAck: &helloAckMsg{Version: protocolVersion}}); err != nil {
-		t.Fatal(err)
+	fc := frame.NewConn(worker, 0, 0, false)
+	if _, err := fc.Accept(hello); err != nil {
+		t.Fatalf("want the coordinator hello, got %v", err)
 	}
 
 	// The stall: from here the worker reads nothing, but pongs keep the
@@ -59,7 +57,7 @@ func TestCoordinatorWriteDeadlineUnsticksStalledWorker(t *testing.T) {
 				return
 			case <-tick.C:
 			}
-			if err := fw.write(&envelope{Pong: &pongMsg{Seq: seq}}); err != nil {
+			if err := fc.Encode(&envelope{Pong: &pongMsg{Seq: seq}}); err != nil {
 				return
 			}
 		}

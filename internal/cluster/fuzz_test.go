@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"smartexp3/internal/frame"
 	"smartexp3/internal/sim"
 )
 
@@ -18,13 +19,34 @@ import (
 func encodeFrames(tb testing.TB, envs ...*envelope) []byte {
 	tb.Helper()
 	var buf bytes.Buffer
-	fw := NewFrameWriter(&buf)
+	fw := frame.NewWriter(&buf)
 	for _, env := range envs {
-		if err := fw.write(env); err != nil {
+		if err := fw.Encode(env); err != nil {
 			tb.Fatal(err)
 		}
 	}
 	return buf.Bytes()
+}
+
+// nextEnvelope decodes one envelope from a raw frame reader, into a fresh
+// envelope as readEnvelope does.
+func nextEnvelope(fr *frame.Reader) (*envelope, error) {
+	var env envelope
+	if err := fr.Decode(&env); err != nil {
+		return nil, err
+	}
+	return &env, nil
+}
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// frameHeader renders the frame layer's 12-byte header for a payload of
+// length n and checksum sum, with its own header checksum valid, so a seed
+// can carry exactly the framing fault it names.
+func frameHeader(n, sum uint32) []byte {
+	h := binary.BigEndian.AppendUint32(nil, n)
+	h = binary.BigEndian.AppendUint32(h, sum)
+	return binary.BigEndian.AppendUint32(h, crc32.Checksum(h, castagnoli))
 }
 
 // fuzzSeedFrames returns the checked-in seed corpus for FuzzFrameDecode: one
@@ -33,55 +55,54 @@ func encodeFrames(tb testing.TB, envs ...*envelope) []byte {
 // body, trailing garbage inside a frame).
 func fuzzSeedFrames(tb testing.TB) [][]byte {
 	tb.Helper()
-	hello := &envelope{Hello: &helloMsg{Version: protocolVersion}}
+	ack := &envelope{JobAck: &jobAckMsg{ID: 1}}
 	rng := &envelope{Range: &rangeMsg{Job: 1, First: 0, Count: 8}}
 	res := &envelope{RunResult: &runResultMsg{Job: 1, Run: 3, Res: &sim.Result{
 		Slots:    4,
 		Distance: []float64{0.5, 0.25, 0.125, 0},
 	}}}
 	seeds := [][]byte{
-		encodeFrames(tb, hello),
-		encodeFrames(tb, &envelope{HelloAck: &helloAckMsg{Version: protocolVersion}}),
+		encodeFrames(tb, ack),
+		encodeFrames(tb, &envelope{JobAck: &jobAckMsg{ID: 2, Err: "no slots"}}),
 		encodeFrames(tb, rng),
 		encodeFrames(tb, res),
 		encodeFrames(tb, &envelope{RangeDone: &rangeDoneMsg{Job: 1, First: 0}}),
 		encodeFrames(tb, &envelope{Ping: &pingMsg{Seq: 7}}, &envelope{Pong: &pongMsg{Seq: 7}}),
 		encodeFrames(tb, &envelope{JobRelease: &jobReleaseMsg{ID: 1}}),
 		// A realistic session prefix: several frames sharing one gob stream.
-		encodeFrames(tb, hello, rng, res, res),
+		encodeFrames(tb, ack, rng, res, res),
 		// Framing corruptions.
-		{0, 0, 0, 0, 0, 0, 0, 0},                         // zero-length frame
-		{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0},             // length far beyond maxFrameBytes
-		{0, 0, 0, 5, 0, 0, 0, 0, 1, 2},                   // body shorter than its prefix
-		{0, 0, 0, 4, 0, 0, 0, 0, 0xde, 0xad, 0xbe, 0xef}, // checksum mismatch
+		make([]byte, 12),                                  // zero-length frame, header checksum wrong too
+		frameHeader(0xffffffff, 0),                        // length far beyond the frame cap
+		append(frameHeader(5, 0), 1, 2),                   // body shorter than its prefix
+		append(frameHeader(4, 0), 0xde, 0xad, 0xbe, 0xef), // checksum mismatch
 	}
-	truncated := encodeFrames(tb, hello)
+	truncated := encodeFrames(tb, ack)
 	seeds = append(seeds, truncated[:len(truncated)-3])
-	flipped := encodeFrames(tb, hello)
+	flipped := encodeFrames(tb, ack)
 	flipped[len(flipped)-1] ^= 0x01 // payload damaged in flight: CRC must catch it
 	seeds = append(seeds, flipped)
-	padded := encodeFrames(tb, hello)
-	padded = append(padded, 0xde, 0xad)
-	padded[3] += 2 // trailing bytes inside the declared frame
-	binary.BigEndian.PutUint32(padded[4:8], crc32.Checksum(padded[frameHeaderSize:], castagnoli))
-	seeds = append(seeds, padded)
+	padded := encodeFrames(tb, ack)
+	body := append(padded[12:], 0xde, 0xad) // trailing bytes inside the declared frame
+	seeds = append(seeds, append(frameHeader(uint32(len(body)), crc32.Checksum(body, castagnoli)), body...))
 	return seeds
 }
 
-// FuzzFrameDecode throws arbitrary byte streams at the frame reader. The
-// invariant under test is that a hostile or corrupt peer can produce only an
-// error: no panic, no unbounded allocation (the length prefix is checked
-// before any buffer is sized), and once a stream errors it keeps erroring
-// rather than resynchronizing on garbage.
+// FuzzFrameDecode throws arbitrary byte streams at the cluster envelope
+// decoder over the frame layer. The invariant under test is that a hostile
+// or corrupt peer can produce only an error: no panic, no unbounded
+// allocation, no gob decode of a damaged envelope, and once a stream
+// errors it keeps erroring rather than resynchronizing on garbage.
+// internal/frame's FuzzFrameDecode fuzzes the framing itself.
 func FuzzFrameDecode(f *testing.F) {
 	for _, seed := range fuzzSeedFrames(f) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fr := NewFrameReader(bytes.NewReader(data))
+		fr := frame.NewReader(bytes.NewReader(data))
 		sawErr := false
 		for i := 0; i < 64; i++ {
-			_, err := fr.read()
+			_, err := nextEnvelope(fr)
 			if err != nil {
 				if sawErr {
 					return // stream stays dead once it errors — done
@@ -96,9 +117,9 @@ func FuzzFrameDecode(f *testing.F) {
 	})
 }
 
-// FuzzFrameRoundTrip checks the codec against itself: any envelope we can
-// encode must decode back to equal field values, frame by frame, through the
-// persistent per-connection codec pair.
+// FuzzFrameRoundTrip checks the cluster envelopes against the frame codec:
+// any envelope we can encode must decode back to equal field values, frame
+// by frame, through the persistent per-connection codec pair.
 func FuzzFrameRoundTrip(f *testing.F) {
 	f.Add(uint64(1), 0, 8, int64(42))
 	f.Add(uint64(1<<63), -1, 0, int64(-1))
@@ -108,9 +129,9 @@ func FuzzFrameRoundTrip(f *testing.F) {
 			{Ping: &pingMsg{Seq: uint64(seq)}},
 			{RangeDone: &rangeDoneMsg{Job: job, First: first, Err: fmt.Sprint(seq)}},
 		}
-		fr := NewFrameReader(bytes.NewReader(encodeFrames(t, in...)))
+		fr := frame.NewReader(bytes.NewReader(encodeFrames(t, in...)))
 		for i, want := range in {
-			got, err := fr.read()
+			got, err := nextEnvelope(fr)
 			if err != nil {
 				t.Fatalf("frame %d: %v", i, err)
 			}

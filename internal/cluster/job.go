@@ -12,7 +12,7 @@
 // id, then seed ranges carrying that id execute against it, streaming
 // per-run results back, until the coordinator releases the id or the
 // connection closes. The coordinator side is the Session: it dials each
-// worker once, keeps the gob stream alive across batches (keepalive pings
+// worker once, keeps the connection alive across batches (keepalive pings
 // under the frame-timeout discipline), multiplexes pipelined jobs over it,
 // partitions each job's global run index space into contiguous ranges,
 // reassigns ranges whose connection failed before delivering them
@@ -43,8 +43,9 @@
 //
 // # Transport
 //
-// The wire protocol is deliberately boring: length-prefixed frames of
-// stdlib gob over stdlib TCP (see wire.go). There is no discovery and no
+// The wire protocol is deliberately boring: stdlib gob messages in the
+// checksummed frames of internal/frame over stdlib TCP, opened by the
+// frame layer's shared hello (see wire.go). There is no discovery and no
 // TLS — shardd is meant to run inside a trusted cluster network behind the
 // operator's own orchestration, and a dead or unreachable worker is handled
 // by the two mechanisms that matter for correctness: range reassignment and

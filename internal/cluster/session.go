@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -9,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"smartexp3/internal/frame"
 	"smartexp3/internal/sim"
 )
 
@@ -32,8 +32,8 @@ const (
 // errSessionClosed fails jobs still active when Close is called.
 var errSessionClosed = errors.New("cluster: session closed")
 
-// Session is the coordinator: it dials each shard once, keeps the gob
-// streams alive across batches (keepalive pings under the frame-timeout
+// Session is the coordinator: it dials each shard once, keeps the framed
+// connections alive across batches (keepalive pings under the frame-timeout
 // discipline), and multiplexes any number of jobs over them with
 // session-unique job ids. Run may be called concurrently — pipelined jobs
 // interleave on the same connections without redials — and each Run folds
@@ -539,11 +539,8 @@ type epoch struct {
 	s  *Session
 	sh *shard
 
-	conn net.Conn
-	bw   *bufio.Writer
-	fw   *FrameWriter // persistent gob state; guarded by wmu with bw
-	fr   *FrameReader // reader goroutine only (handshake happens before it starts)
-	wmu  sync.Mutex   // serializes writer-loop and keepalive writes
+	fc  *frame.Conn // writes guarded by wmu; reads by the reader goroutine only
+	wmu sync.Mutex  // serializes writer-loop and keepalive writes
 
 	dead atomic.Bool
 
@@ -556,19 +553,13 @@ type epoch struct {
 	progressed bool // at least one chunk delivered this epoch
 }
 
-// write sends one frame under a fresh write deadline. Deadlines are per
-// frame: a stalled peer surfaces within the frame timeout instead of
-// blocking the session on a full TCP buffer.
+// write sends one frame under the connection's per-frame write deadline: a
+// stalled peer surfaces within the frame timeout instead of blocking the
+// session on a full TCP buffer.
 func (e *epoch) write(env *envelope) error {
 	e.wmu.Lock()
 	defer e.wmu.Unlock()
-	if err := e.conn.SetWriteDeadline(time.Now().Add(e.s.opts.frameTimeout())); err != nil {
-		return err
-	}
-	if err := e.fw.write(env); err != nil {
-		return err
-	}
-	if err := e.bw.Flush(); err != nil {
+	if err := e.fc.Encode(env); err != nil {
 		return err
 	}
 	e.mu.Lock()
@@ -586,11 +577,7 @@ func (e *epoch) write(env *envelope) error {
 // hold e.mu, so the expectation check and the deadline write are atomic
 // against concurrent dispatch.
 func (e *epoch) refreshReadDeadlineLocked() {
-	if len(e.inflight) > 0 || e.pings > 0 {
-		e.conn.SetReadDeadline(time.Now().Add(e.s.opts.frameTimeout()))
-	} else {
-		e.conn.SetReadDeadline(time.Time{})
-	}
+	e.fc.ArmRead(len(e.inflight) > 0 || e.pings > 0)
 }
 
 // kill marks the epoch dead, closes the connection (unblocking both loops)
@@ -602,7 +589,7 @@ func (e *epoch) kill(err error) {
 	}
 	e.mu.Unlock()
 	e.dead.Store(true)
-	e.conn.Close()
+	e.fc.Close()
 	e.s.wake()
 }
 
@@ -614,35 +601,20 @@ func (s *Session) runConn(sh *shard, conn net.Conn) (progressed, permanent bool,
 	e := &epoch{
 		s:       s,
 		sh:      sh,
-		conn:    conn,
-		bw:      bufio.NewWriter(conn),
-		fr:      NewFrameReader(bufio.NewReader(conn)),
+		fc:      frame.NewConn(conn, 0, frame.Timeout(s.opts.FrameTimeout), false),
 		shipped: make(map[uint64]*jobRun),
 	}
-	e.fw = NewFrameWriter(e.bw)
 	if m := s.opts.Metrics; m != nil {
-		e.fr.Instrument(m.FramesRead, m.BytesRead)
-		e.fw.Instrument(m.FramesWritten, m.BytesWritten)
+		e.fc.Instrument(m.FramesRead, m.BytesRead, m.FramesWritten, m.BytesWritten)
 	}
-
-	// Handshake under the frame timeout.
-	if err := e.write(&envelope{Hello: &helloMsg{Version: protocolVersion}}); err != nil {
-		return false, false, err
-	}
-	conn.SetReadDeadline(time.Now().Add(s.opts.frameTimeout()))
-	env, err := e.fr.read()
-	if err != nil {
-		return false, false, err
-	}
-	if env.HelloAck == nil {
-		return false, true, errors.New("protocol: expected hello ack")
-	}
-	if env.HelloAck.Err != "" {
-		return false, true, fmt.Errorf("rejected: %s", env.HelloAck.Err)
-	}
-	// Idle until the first dispatch or ping arms the deadline again — the
+	// Greet awaits the reply under the frame timeout, then leaves the read
+	// deadline clear until the first dispatch or ping arms it again — the
 	// session may sit between batches far longer than the frame timeout.
-	conn.SetReadDeadline(time.Time{})
+	if _, err := e.fc.Greet(hello); err != nil {
+		// A refusal (version mismatch, another protocol) is deterministic:
+		// redialing the same binary cannot end differently.
+		return false, errors.Is(err, frame.ErrHandshake), err
+	}
 
 	done := make(chan struct{})
 	var wg sync.WaitGroup
@@ -820,6 +792,9 @@ func (e *epoch) waitInflightBelow(n int) bool {
 // during a range the result stream itself is the liveness signal.
 func (e *epoch) keepaliveLoop(done chan struct{}) {
 	interval := e.s.opts.keepalive()
+	if interval <= 0 {
+		return // deadlines disabled: a ping could never time out
+	}
 	t := time.NewTicker(interval)
 	defer t.Stop()
 	var seq uint64
@@ -858,7 +833,7 @@ func (e *epoch) keepaliveLoop(done chan struct{}) {
 func (e *epoch) readerLoop() {
 	var cur []*sim.Result // results of the FIFO-head range
 	for {
-		env, err := e.fr.read()
+		env, err := readEnvelope(e.fc)
 		if err != nil {
 			e.kill(err)
 			return

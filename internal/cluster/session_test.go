@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"smartexp3/internal/frame"
 	"smartexp3/internal/runner"
 )
 
@@ -308,22 +309,18 @@ func TestSessionKeepalivePings(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		fw, fr := NewFrameWriter(conn), NewFrameReader(conn)
-		env, err := fr.read()
-		if err != nil || env.Hello == nil {
-			return
-		}
-		if err := fw.write(&envelope{HelloAck: &helloAckMsg{Version: protocolVersion}}); err != nil {
+		fc := frame.NewConn(conn, 0, 0, false)
+		if _, err := fc.Accept(hello); err != nil {
 			return
 		}
 		for {
-			env, err := fr.read()
+			env, err := readEnvelope(fc)
 			if err != nil {
 				return
 			}
 			if env.Ping != nil {
 				pings.Add(1)
-				if err := fw.write(&envelope{Pong: &pongMsg{Seq: env.Ping.Seq}}); err != nil {
+				if err := fc.Encode(&envelope{Pong: &pongMsg{Seq: env.Ping.Seq}}); err != nil {
 					return
 				}
 			}
@@ -363,19 +360,17 @@ func TestHandshakeRejectionClosesConnection(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		fw, fr := NewFrameWriter(conn), NewFrameReader(conn)
-		if _, err := fr.read(); err != nil {
-			sawClose <- err
-			return
-		}
-		if err := fw.write(&envelope{HelloAck: &helloAckMsg{Version: protocolVersion, Err: "no capacity"}}); err != nil {
+		fc := frame.NewConn(conn, 0, 0, false)
+		refusal := hello
+		refusal.Err = "no capacity"
+		if _, err := fc.Accept(refusal); !errors.Is(err, frame.ErrHandshake) {
 			sawClose <- err
 			return
 		}
 		// A leaked coordinator conn blocks this read until the deadline; the
 		// fixed path closes promptly and it returns io.EOF.
 		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-		_, err = fr.read()
+		_, err = readEnvelope(fc)
 		sawClose <- err
 	}()
 

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/gob"
 	"errors"
@@ -11,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"smartexp3/internal/frame"
 	"smartexp3/internal/runner"
 	"smartexp3/internal/sim"
 )
@@ -22,13 +22,13 @@ type WorkerOptions struct {
 	// choice and never affects results (runner's determinism contract).
 	Workers int
 	// WriteTimeout bounds each outbound frame write (result streaming,
-	// acks, pongs); 0 means 2 minutes (the coordinator's frame-timeout
-	// default), negative disables. It is the worker-side mirror of the
-	// coordinator's per-frame write deadline: a coordinator that dies — or
-	// stalls — without closing the connection stops draining, the TCP
-	// buffer fills, and without a deadline the serving goroutine would park
-	// on that write forever, pinning the session's compiled engines and
-	// workspace pools with it.
+	// acks, pongs); 0 means frame.DefaultTimeout (2 minutes, the
+	// coordinator's frame-timeout default), negative disables. It is the
+	// worker-side mirror of the coordinator's per-frame write deadline: a
+	// coordinator that dies — or stalls — without closing the connection
+	// stops draining, the TCP buffer fills, and without a deadline the
+	// serving goroutine would park on that write forever, pinning the
+	// session's compiled engines and workspace pools with it.
 	WriteTimeout time.Duration
 	// Logf, when non-nil, receives connection-level progress and failure
 	// lines.
@@ -43,16 +43,6 @@ func (o WorkerOptions) logf(format string, args ...any) {
 	if o.Logf != nil {
 		o.Logf(format, args...)
 	}
-}
-
-func (o WorkerOptions) writeTimeout() time.Duration {
-	if o.WriteTimeout < 0 {
-		return 0
-	}
-	if o.WriteTimeout == 0 {
-		return 2 * time.Minute
-	}
-	return o.WriteTimeout
 }
 
 // maxIdleEngines bounds how many compiled engines with no live job a worker
@@ -185,47 +175,18 @@ func configKey(wc WireConfig) (string, error) {
 // relies on. Keepalive pings are answered in the same loop: while a range is
 // executing the coordinator sees progress through the result stream instead.
 func serveConn(conn net.Conn, opts WorkerOptions) error {
-	bw := bufio.NewWriter(conn)
-	fw := NewFrameWriter(bw)
-	fr := NewFrameReader(bufio.NewReader(conn))
+	// Writes carry a per-frame deadline: a coordinator that stopped
+	// draining surfaces within the timeout instead of parking this
+	// goroutine on a full TCP buffer for good. Reads never time out — the
+	// coordinator may idle between batches for any length of time.
+	fc := frame.NewConn(conn, 0, frame.Timeout(opts.WriteTimeout), false)
 	m := opts.Metrics
 	if m != nil {
 		m.Sessions.Inc()
-		fr.Instrument(m.FramesRead, m.BytesRead)
-		fw.Instrument(m.FramesWritten, m.BytesWritten)
+		fc.Instrument(m.FramesRead, m.BytesRead, m.FramesWritten, m.BytesWritten)
 	}
-	wt := opts.writeTimeout()
-	flush := func(env *envelope) error {
-		// Per-frame write deadline, like the coordinator's epoch.write: a
-		// peer that stopped draining surfaces within the timeout instead of
-		// parking this goroutine on a full TCP buffer for good.
-		if wt > 0 {
-			if err := conn.SetWriteDeadline(time.Now().Add(wt)); err != nil {
-				return err
-			}
-		}
-		if err := fw.write(env); err != nil {
-			return err
-		}
-		return bw.Flush()
-	}
-
-	env, err := fr.read()
-	if err != nil {
-		return fmt.Errorf("reading hello: %w", err)
-	}
-	if env.Hello == nil {
-		return errors.New("protocol: expected hello")
-	}
-	ack := helloAckMsg{Version: protocolVersion}
-	if env.Hello.Version != protocolVersion {
-		ack.Err = fmt.Sprintf("protocol version %d, worker speaks %d", env.Hello.Version, protocolVersion)
-	}
-	if err := flush(&envelope{HelloAck: &ack}); err != nil {
+	if _, err := fc.Accept(hello); err != nil {
 		return err
-	}
-	if ack.Err != "" {
-		return errors.New(ack.Err)
 	}
 
 	ws := &workerSession{
@@ -235,7 +196,7 @@ func serveConn(conn net.Conn, opts WorkerOptions) error {
 		jobKeys: make(map[uint64]string),
 	}
 	for {
-		env, err := fr.read()
+		env, err := readEnvelope(fc)
 		if err != nil {
 			if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) {
 				return nil // coordinator finished and closed the session
@@ -244,7 +205,7 @@ func serveConn(conn net.Conn, opts WorkerOptions) error {
 		}
 		switch {
 		case env.Ping != nil:
-			if err := flush(&envelope{Pong: &pongMsg{Seq: env.Ping.Seq}}); err != nil {
+			if err := fc.Encode(&envelope{Pong: &pongMsg{Seq: env.Ping.Seq}}); err != nil {
 				return err
 			}
 			if m != nil {
@@ -264,7 +225,7 @@ func serveConn(conn net.Conn, opts WorkerOptions) error {
 					m.JobsRejected.Inc()
 				}
 			}
-			if err := flush(&envelope{JobAck: &jobAckMsg{ID: id, Err: compileErr}}); err != nil {
+			if err := fc.Encode(&envelope{JobAck: &jobAckMsg{ID: id, Err: compileErr}}); err != nil {
 				return err
 			}
 			if compileErr == "" {
@@ -285,7 +246,7 @@ func serveConn(conn net.Conn, opts WorkerOptions) error {
 				// The job never compiled; the coordinator learned that from
 				// the job ack, but ranges pipelined before the ack arrived
 				// still deserve a deterministic answer.
-				if err := flush(&envelope{RangeDone: &rangeDoneMsg{Job: r.Job, First: r.First, Err: wj.compileErr}}); err != nil {
+				if err := fc.Encode(&envelope{RangeDone: &rangeDoneMsg{Job: r.Job, First: r.First, Err: wj.compileErr}}); err != nil {
 					return err
 				}
 				continue
@@ -309,7 +270,7 @@ func serveConn(conn net.Conn, opts WorkerOptions) error {
 				// FrameTimeout is a progress timeout, so every finished run
 				// must reach the wire promptly — a slow chunk buffered until
 				// RangeDone would look like a stalled worker.
-				return flush(&envelope{RunResult: &runResultMsg{Job: r.Job, Run: run, Res: res}})
+				return fc.Encode(&envelope{RunResult: &runResultMsg{Job: r.Job, Run: run, Res: res}})
 			})
 			if m != nil {
 				m.RangeLatency.Observe(time.Since(rangeStart).Nanoseconds())
@@ -324,7 +285,7 @@ func serveConn(conn net.Conn, opts WorkerOptions) error {
 				}
 				done.Err = runErr.Error()
 			}
-			if err := flush(&envelope{RangeDone: &done}); err != nil {
+			if err := fc.Encode(&envelope{RangeDone: &done}); err != nil {
 				return err
 			}
 

@@ -6,6 +6,8 @@ import (
 	"os"
 	"testing"
 	"time"
+
+	"smartexp3/internal/frame"
 )
 
 // TestWorkerWriteDeadlineUnsticksStalledCoordinator pins the PR-4 follow-on:
@@ -25,26 +27,22 @@ func TestWorkerWriteDeadlineUnsticksStalledCoordinator(t *testing.T) {
 		errCh <- serveConn(worker, WorkerOptions{WriteTimeout: 200 * time.Millisecond})
 	}()
 
-	fw := NewFrameWriter(coord)
-	fr := NewFrameReader(coord)
-	if err := fw.write(&envelope{Hello: &helloMsg{Version: protocolVersion}}); err != nil {
+	fc := frame.NewConn(coord, 0, 0, false)
+	if _, err := fc.Greet(hello); err != nil {
+		t.Fatalf("handshake failed: %v", err)
+	}
+	if err := fc.Encode(&envelope{Job: &jobMsg{ID: 1, Spec: testJob(t, 8)}}); err != nil {
 		t.Fatal(err)
 	}
-	if env, err := fr.read(); err != nil || env.HelloAck == nil || env.HelloAck.Err != "" {
-		t.Fatalf("handshake failed: %+v, %v", env, err)
-	}
-	if err := fw.write(&envelope{Job: &jobMsg{ID: 1, Spec: testJob(t, 8)}}); err != nil {
-		t.Fatal(err)
-	}
-	if env, err := fr.read(); err != nil || env.JobAck == nil || env.JobAck.Err != "" {
+	if env, err := readEnvelope(fc); err != nil || env.JobAck == nil || env.JobAck.Err != "" {
 		t.Fatalf("job rejected: %+v, %v", env, err)
 	}
-	if err := fw.write(&envelope{Range: &rangeMsg{Job: 1, First: 0, Count: 8}}); err != nil {
+	if err := fc.Encode(&envelope{Range: &rangeMsg{Job: 1, First: 0, Count: 8}}); err != nil {
 		t.Fatal(err)
 	}
 	// Prove the range is executing, then stall: no more reads, connection
 	// deliberately left open.
-	if env, err := fr.read(); err != nil || env.RunResult == nil {
+	if env, err := readEnvelope(fc); err != nil || env.RunResult == nil {
 		t.Fatalf("want the first streamed result, got %+v, %v", env, err)
 	}
 
@@ -67,16 +65,17 @@ func TestWorkerWriteDeadlineUnsticksStalledCoordinator(t *testing.T) {
 	}
 }
 
-// TestWorkerWriteTimeoutDefaultsAndDisable pins the option semantics: zero
-// means the 2-minute default, negative disables.
+// TestWorkerWriteTimeoutDefaultsAndDisable pins the option semantics, which
+// the worker resolves through the shared frame.Timeout: zero means the
+// 2-minute default, negative disables.
 func TestWorkerWriteTimeoutDefaultsAndDisable(t *testing.T) {
-	if got := (WorkerOptions{}).writeTimeout(); got != 2*time.Minute {
+	if got := frame.Timeout(WorkerOptions{}.WriteTimeout); got != 2*time.Minute {
 		t.Fatalf("zero WriteTimeout resolves to %v, want 2m", got)
 	}
-	if got := (WorkerOptions{WriteTimeout: -1}).writeTimeout(); got != 0 {
+	if got := frame.Timeout(WorkerOptions{WriteTimeout: -1}.WriteTimeout); got != 0 {
 		t.Fatalf("negative WriteTimeout resolves to %v, want disabled", got)
 	}
-	if got := (WorkerOptions{WriteTimeout: time.Second}).writeTimeout(); got != time.Second {
+	if got := frame.Timeout(WorkerOptions{WriteTimeout: time.Second}.WriteTimeout); got != time.Second {
 		t.Fatalf("explicit WriteTimeout resolves to %v", got)
 	}
 }

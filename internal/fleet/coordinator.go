@@ -1,110 +1,66 @@
 package fleet
 
 import (
-	"bufio"
 	"fmt"
 	"net"
 	"time"
 
-	"smartexp3/internal/cluster"
+	"smartexp3/internal/frame"
 	"smartexp3/internal/obsv"
 )
 
 // controlConn is one synchronous fleet-control session: dial, hello,
-// then strict request/response round trips with per-frame deadlines.
+// then strict request/response round trips under per-frame deadlines.
 type controlConn struct {
-	conn    net.Conn
-	bw      *bufio.Writer
-	fw      *cluster.FrameWriter
-	fr      *cluster.FrameReader
-	timeout time.Duration
-	peer    PeerInfo
-	// epoch is what the peer's hello advertised — its installed table's
-	// epoch at connect time.
+	fc   *frame.Conn
+	peer PeerInfo
+	// epoch is the peer's installed table epoch as the rebalance probe
+	// read it (0 when it has none).
 	epoch uint64
 }
 
-// dialControl opens a control session to peer. frames/bytes, when
-// non-nil, instrument the connection's reader and writer (the
-// coordinator points these at its migrated-bytes counter).
+// dialControl opens a control session to peer, naming this side from in
+// the hello. frames/bytes, when non-nil, count the connection's traffic in
+// both directions (the coordinator points these at its migrated-bytes
+// counter).
 func dialControl(peer PeerInfo, from string, dialTimeout, frameTimeout time.Duration, frames, bytes *obsv.Counter) (*controlConn, error) {
 	conn, err := net.DialTimeout("tcp", peer.Control, dialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: dial control %s: %w", peer.Control, err)
 	}
-	cc := &controlConn{
-		conn:    conn,
-		bw:      bufio.NewWriterSize(conn, 64<<10),
-		fr:      cluster.NewFrameReader(bufio.NewReaderSize(conn, 64<<10)),
-		timeout: frameTimeout,
-		peer:    peer,
-	}
-	cc.fw = cluster.NewFrameWriter(cc.bw)
+	cc := &controlConn{fc: frame.NewConn(conn, 64<<10, frameTimeout, true), peer: peer}
 	if frames != nil && bytes != nil {
-		cc.fr.Instrument(frames, bytes)
-		cc.fw.Instrument(frames, bytes)
+		cc.fc.Instrument(frames, bytes, frames, bytes)
 	}
-	if err := cc.send(&fleetEnvelope{Hello: &fleetHelloMsg{Version: fleetProtocolVersion, From: from}}); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	var env fleetEnvelope
-	if err := cc.recv(&env); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	ack := env.HelloAck
+	h := hello
+	h.Info = from
+	ack, err := cc.fc.Greet(h)
 	switch {
-	case ack == nil:
+	case err != nil:
 		conn.Close()
-		return nil, fmt.Errorf("fleet: %s answered the hello with a non-hello frame", peer.Control)
-	case ack.Err != "":
+		return nil, fmt.Errorf("fleet: %s: %w", peer.Control, err)
+	case peer.ID != "" && ack.Info != peer.ID:
 		conn.Close()
-		return nil, fmt.Errorf("fleet: %s refused the hello: %s", peer.Control, ack.Err)
-	case peer.ID != "" && ack.ID != peer.ID:
-		conn.Close()
-		return nil, fmt.Errorf("fleet: %s identifies as %q, roster says %q", peer.Control, ack.ID, peer.ID)
+		return nil, fmt.Errorf("fleet: %s identifies as %q, roster says %q", peer.Control, ack.Info, peer.ID)
 	}
 	if peer.ID == "" {
-		cc.peer.ID = ack.ID
+		cc.peer.ID = ack.Info
 	}
-	cc.epoch = ack.Epoch
 	return cc, nil
 }
 
-func (cc *controlConn) send(env *fleetEnvelope) error {
-	if cc.timeout > 0 {
-		if err := cc.conn.SetWriteDeadline(time.Now().Add(cc.timeout)); err != nil {
-			return err
-		}
-	}
-	if err := cc.fw.Encode(env); err != nil {
-		return err
-	}
-	return cc.bw.Flush()
-}
-
-func (cc *controlConn) recv(env *fleetEnvelope) error {
-	if cc.timeout > 0 {
-		if err := cc.conn.SetReadDeadline(time.Now().Add(cc.timeout)); err != nil {
-			return err
-		}
-	}
-	return cc.fr.Decode(env)
-}
-
 func (cc *controlConn) roundTrip(req *fleetEnvelope) (*fleetEnvelope, error) {
-	if err := cc.send(req); err != nil {
+	if err := cc.fc.Encode(req); err != nil {
 		return nil, err
 	}
 	var env fleetEnvelope
-	if err := cc.recv(&env); err != nil {
+	if err := cc.fc.Decode(&env); err != nil {
 		return nil, err
 	}
 	return &env, nil
 }
 
-func (cc *controlConn) close() { cc.conn.Close() }
+func (cc *controlConn) close() { cc.fc.Close() }
 
 // FetchTable asks the peer at controlAddr for its installed partition
 // table (nil when it has none yet). This is how a booting peer joins a
@@ -157,8 +113,9 @@ type Coordinator struct {
 	Self string
 	// DialTimeout bounds each control dial; zero means 5s.
 	DialTimeout time.Duration
-	// FrameTimeout bounds each control frame; zero means 2 minutes
-	// (snapshot frames for a big stripe take real time).
+	// FrameTimeout bounds each control frame; zero means
+	// frame.DefaultTimeout (2 minutes: snapshot frames for a big stripe
+	// take real time), negative disables.
 	FrameTimeout time.Duration
 	// Metrics, when set, receives the coordinator-side migration
 	// counters. Nil means a private unregistered set.
@@ -170,13 +127,6 @@ func (c *Coordinator) dialTimeout() time.Duration {
 		return 5 * time.Second
 	}
 	return c.DialTimeout
-}
-
-func (c *Coordinator) frameTimeout() time.Duration {
-	if c.FrameTimeout <= 0 {
-		return 2 * time.Minute
-	}
-	return c.FrameTimeout
 }
 
 func (c *Coordinator) metrics() *Metrics {
@@ -222,7 +172,7 @@ func (c *Coordinator) Rebalance(roster []PeerInfo) (*Table, error) {
 	var live []PeerInfo
 	frames := new(obsv.Counter) // frame counts stay private; bytes feed the exported counter
 	for _, p := range roster {
-		cc, err := dialControl(p, c.Self, c.dialTimeout(), c.frameTimeout(), frames, m.MigratedBytes)
+		cc, err := dialControl(p, c.Self, c.dialTimeout(), frame.Timeout(c.FrameTimeout), frames, m.MigratedBytes)
 		if err != nil {
 			continue
 		}
@@ -243,8 +193,11 @@ func (c *Coordinator) Rebalance(roster []PeerInfo) (*Table, error) {
 		if env.TableRes == nil {
 			return nil, fmt.Errorf("fleet: %s answered TableGet with a non-table frame", cc.peer.ID)
 		}
-		if t := env.TableRes.Table; t != nil && (cur == nil || t.Epoch > cur.Epoch) {
-			cur = t
+		if t := env.TableRes.Table; t != nil {
+			cc.epoch = t.Epoch
+			if cur == nil || t.Epoch > cur.Epoch {
+				cur = t
+			}
 		}
 	}
 	if cur == nil {
@@ -273,7 +226,7 @@ func (c *Coordinator) Rebalance(roster []PeerInfo) (*Table, error) {
 	}
 	if len(moves) == 0 && samePeers(cur, desired) {
 		// Converged already; push the current table to any peer whose
-		// hello trailed it (a rejoiner holding an old epoch).
+		// probed table trailed it (a rejoiner holding an old epoch).
 		for _, cc := range conns {
 			if cc.epoch < cur.Epoch {
 				if _, err := cc.roundTrip(&fleetEnvelope{Commit: &commitMsg{Table: cur}}); err != nil {

@@ -10,7 +10,7 @@ import (
 	"testing"
 	"time"
 
-	"smartexp3/internal/cluster"
+	"smartexp3/internal/frame"
 	"smartexp3/internal/serve"
 )
 
@@ -37,11 +37,17 @@ func (fuzzAddr) Network() string { return "fuzz" }
 func (fuzzAddr) String() string  { return "fuzz" }
 
 // encodeFleetFrames renders a control request sequence exactly as a real
-// coordinator would: one persistent encoder per connection.
-func encodeFleetFrames(tb testing.TB, envs ...*fleetEnvelope) []byte {
+// coordinator would: the hello h unless nil, then the envelopes through
+// one persistent encoder per connection.
+func encodeFleetFrames(tb testing.TB, h *frame.Hello, envs ...*fleetEnvelope) []byte {
 	tb.Helper()
 	var buf bytes.Buffer
-	fw := cluster.NewFrameWriter(&buf)
+	fw := frame.NewWriter(&buf)
+	if h != nil {
+		if err := fw.WriteFrame(h.Payload()); err != nil {
+			tb.Fatal(err)
+		}
+	}
 	for _, env := range envs {
 		if err := fw.Encode(env); err != nil {
 			tb.Fatal(err)
@@ -55,7 +61,8 @@ func encodeFleetFrames(tb testing.TB, envs ...*fleetEnvelope) []byte {
 // handlers must answer rather than die on, and framing corruption.
 func fuzzFleetSeeds(tb testing.TB) [][]byte {
 	tb.Helper()
-	hello := &fleetEnvelope{Hello: &fleetHelloMsg{Version: fleetProtocolVersion, From: "fuzz"}}
+	h := hello
+	h.Info = "fuzz"
 	tab, err := NewTable(2, []PeerInfo{
 		{ID: "fz", Addr: "fz:1", Control: "fz:2"},
 		{ID: "other", Addr: "other:1", Control: "other:2"},
@@ -86,34 +93,34 @@ func fuzzFleetSeeds(tb testing.TB) [][]byte {
 	// hang a fuzz iteration in name resolution.
 	cut := &fleetEnvelope{Cut: &cutMsg{Stripe: ownStripe, Lo: lo, Hi: hi, To: "127.0.0.1:1", ToControl: "127.0.0.1:1", NewEpoch: 2}}
 	seeds := [][]byte{
-		encodeFleetFrames(tb, hello),
-		encodeFleetFrames(tb, hello, &fleetEnvelope{TableGet: &tableGetMsg{}}),
+		encodeFleetFrames(tb, &h),
+		encodeFleetFrames(tb, &h, &fleetEnvelope{TableGet: &tableGetMsg{}}),
 		// The full migration session: cut an owned stripe, stage a
-		// stripe, commit the bumped table, checkpoint, ping.
-		encodeFleetFrames(tb, hello,
+		// stripe, commit the bumped table, checkpoint, fetch the table.
+		encodeFleetFrames(tb, &h,
 			cut,
 			&fleetEnvelope{Offer: &offerMsg{Stripe: 0, Lo: 0, Hi: ^uint64(0) >> 2, NewEpoch: 2, Snap: snap}},
 			&fleetEnvelope{Commit: &commitMsg{Table: tab2}},
 			&fleetEnvelope{Checkpoint: &checkpointMsg{}},
-			&fleetEnvelope{Ping: &fleetPingMsg{Seq: 9}}),
+			&fleetEnvelope{TableGet: &tableGetMsg{}}),
 		// Cut then abort: the drain must lift.
-		encodeFleetFrames(tb, hello, cut, &fleetEnvelope{Abort: &abortMsg{}}),
+		encodeFleetFrames(tb, &h, cut, &fleetEnvelope{Abort: &abortMsg{}}),
 		// Refusals a conforming codec can still deliver.
-		encodeFleetFrames(tb, &fleetEnvelope{Hello: &fleetHelloMsg{Version: 99}}),
-		encodeFleetFrames(tb, &fleetEnvelope{Ping: &fleetPingMsg{Seq: 1}}), // ping before hello
-		encodeFleetFrames(tb, hello, &fleetEnvelope{}),                     // empty union
-		encodeFleetFrames(tb, hello, &fleetEnvelope{Cut: &cutMsg{Stripe: 999, NewEpoch: 2}}),
-		encodeFleetFrames(tb, hello, &fleetEnvelope{Cut: &cutMsg{Stripe: ownStripe, Lo: lo + 1, Hi: hi, NewEpoch: 2}}),
-		encodeFleetFrames(tb, hello, &fleetEnvelope{Offer: &offerMsg{Stripe: 0, Snap: &serve.Snapshot{Version: 99}}}),
-		encodeFleetFrames(tb, hello, &fleetEnvelope{Offer: &offerMsg{Stripe: 0}}), // no snapshot
-		encodeFleetFrames(tb, hello, &fleetEnvelope{Commit: &commitMsg{}}),        // no table
-		encodeFleetFrames(tb, hello, &fleetEnvelope{Commit: &commitMsg{Table: &Table{Epoch: 0}}}),
-		encodeFleetFrames(tb, hello, &fleetEnvelope{Pong: &fleetPongMsg{Seq: 1}}),
+		encodeFleetFrames(tb, &frame.Hello{Proto: "fleet", Version: 99}),
+		encodeFleetFrames(tb, nil, &fleetEnvelope{TableGet: &tableGetMsg{}}), // request before hello
+		encodeFleetFrames(tb, &h, &fleetEnvelope{}),                          // empty union
+		encodeFleetFrames(tb, &h, &fleetEnvelope{Cut: &cutMsg{Stripe: 999, NewEpoch: 2}}),
+		encodeFleetFrames(tb, &h, &fleetEnvelope{Cut: &cutMsg{Stripe: ownStripe, Lo: lo + 1, Hi: hi, NewEpoch: 2}}),
+		encodeFleetFrames(tb, &h, &fleetEnvelope{Offer: &offerMsg{Stripe: 0, Snap: &serve.Snapshot{Version: 99}}}),
+		encodeFleetFrames(tb, &h, &fleetEnvelope{Offer: &offerMsg{Stripe: 0}}), // no snapshot
+		encodeFleetFrames(tb, &h, &fleetEnvelope{Commit: &commitMsg{}}),        // no table
+		encodeFleetFrames(tb, &h, &fleetEnvelope{Commit: &commitMsg{Table: &Table{Epoch: 0}}}),
+		encodeFleetFrames(tb, &h, &fleetEnvelope{Done: &doneMsg{}}), // a reply the peer must refuse
 		// Framing corruptions.
 		{0, 0, 0, 0},
 		{0xff, 0xff, 0xff, 0xff, 0},
 	}
-	trunc := encodeFleetFrames(tb, hello, cut)
+	trunc := encodeFleetFrames(tb, &h, cut)
 	seeds = append(seeds, trunc[:len(trunc)-4])
 	return seeds
 }

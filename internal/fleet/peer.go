@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -10,7 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"smartexp3/internal/cluster"
+	"smartexp3/internal/frame"
 	"smartexp3/internal/serve"
 )
 
@@ -23,7 +22,8 @@ type PeerOptions struct {
 	// refuses checkpoints.
 	SnapshotPath string
 	// FrameTimeout bounds each control frame read and write; zero means
-	// 2 minutes, negative disables (synchronous pipes in tests).
+	// frame.DefaultTimeout (2 minutes), negative disables (synchronous
+	// pipes in tests).
 	FrameTimeout time.Duration
 	// ResolveAttempts and ResolveDelay shape the drain resolver: how
 	// many times, and how far apart, an orphaned drain probes the
@@ -34,17 +34,6 @@ type PeerOptions struct {
 	// Metrics, when set, receives the peer-side fleet counters
 	// (Redirects, TableEpoch). Nil means a private unregistered set.
 	Metrics *Metrics
-}
-
-func (o PeerOptions) frameTimeout() time.Duration {
-	switch {
-	case o.FrameTimeout < 0:
-		return 0
-	case o.FrameTimeout == 0:
-		return 2 * time.Minute
-	default:
-		return o.FrameTimeout
-	}
 }
 
 func (o PeerOptions) resolveAttempts() int {
@@ -217,55 +206,18 @@ type connState struct {
 
 // serveControl runs one control connection's request loop.
 func (p *Peer) serveControl(conn net.Conn) error {
-	wt := p.opts.frameTimeout()
-	fr := cluster.NewFrameReader(bufio.NewReaderSize(conn, 64<<10))
-	bw := bufio.NewWriterSize(conn, 64<<10)
-	fw := cluster.NewFrameWriter(bw)
-	send := func(env *fleetEnvelope) error {
-		if wt > 0 {
-			if err := conn.SetWriteDeadline(time.Now().Add(wt)); err != nil {
-				return err
-			}
-		}
-		if err := fw.Encode(env); err != nil {
-			return err
-		}
-		return bw.Flush()
-	}
-	recv := func(env *fleetEnvelope) error {
-		if wt > 0 {
-			if err := conn.SetReadDeadline(time.Now().Add(wt)); err != nil {
-				return err
-			}
-		}
-		return fr.Decode(env)
-	}
-
-	var env fleetEnvelope
-	if err := recv(&env); err != nil {
-		return err
-	}
-	if env.Hello == nil {
-		return fmt.Errorf("fleet: first control frame is not a hello")
-	}
-	if env.Hello.Version != fleetProtocolVersion {
-		_ = send(&fleetEnvelope{HelloAck: &fleetHelloAckMsg{
-			Version: fleetProtocolVersion, ID: p.opts.ID,
-			Err: fmt.Sprintf("fleet protocol version %d, want %d", env.Hello.Version, fleetProtocolVersion),
-		}})
-		return fmt.Errorf("fleet: control peer speaks protocol %d, want %d", env.Hello.Version, fleetProtocolVersion)
-	}
-	if err := send(&fleetEnvelope{HelloAck: &fleetHelloAckMsg{
-		Version: fleetProtocolVersion, ID: p.opts.ID, Epoch: p.Epoch(),
-	}}); err != nil {
+	fc := frame.NewConn(conn, 64<<10, frame.Timeout(p.opts.FrameTimeout), true)
+	ack := hello
+	ack.Info = p.opts.ID
+	if _, err := fc.Accept(ack); err != nil {
 		return err
 	}
 
 	st := &connState{staged: make(map[int]*offerMsg), drains: make(map[int]*drain)}
 	defer p.connClosed(st)
 	for {
-		env = fleetEnvelope{}
-		if err := recv(&env); err != nil {
+		var env fleetEnvelope
+		if err := fc.Decode(&env); err != nil {
 			if errors.Is(err, io.EOF) {
 				return nil
 			}
@@ -273,32 +225,28 @@ func (p *Peer) serveControl(conn net.Conn) error {
 		}
 		switch {
 		case env.TableGet != nil:
-			if err := send(&fleetEnvelope{TableRes: &tableResMsg{Table: p.Table()}}); err != nil {
+			if err := fc.Encode(&fleetEnvelope{TableRes: &tableResMsg{Table: p.Table()}}); err != nil {
 				return err
 			}
 		case env.Cut != nil:
-			if err := send(&fleetEnvelope{State: p.handleCut(st, env.Cut)}); err != nil {
+			if err := fc.Encode(&fleetEnvelope{State: p.handleCut(st, env.Cut)}); err != nil {
 				return err
 			}
 		case env.Offer != nil:
-			if err := send(&fleetEnvelope{OfferAck: p.handleOffer(st, env.Offer)}); err != nil {
+			if err := fc.Encode(&fleetEnvelope{OfferAck: p.handleOffer(st, env.Offer)}); err != nil {
 				return err
 			}
 		case env.Commit != nil:
-			if err := send(&fleetEnvelope{Done: p.handleCommit(st, env.Commit.Table)}); err != nil {
+			if err := fc.Encode(&fleetEnvelope{Done: p.handleCommit(st, env.Commit.Table)}); err != nil {
 				return err
 			}
 		case env.Abort != nil:
 			p.handleAbort(st)
-			if err := send(&fleetEnvelope{Done: &doneMsg{}}); err != nil {
+			if err := fc.Encode(&fleetEnvelope{Done: &doneMsg{}}); err != nil {
 				return err
 			}
 		case env.Checkpoint != nil:
-			if err := send(&fleetEnvelope{Done: p.handleCheckpoint()}); err != nil {
-				return err
-			}
-		case env.Ping != nil:
-			if err := send(&fleetEnvelope{Pong: &fleetPongMsg{Seq: env.Ping.Seq}}); err != nil {
+			if err := fc.Encode(&fleetEnvelope{Done: p.handleCheckpoint()}); err != nil {
 				return err
 			}
 		default:
@@ -456,7 +404,7 @@ func (p *Peer) connClosed(st *connState) {
 // still processing its own commit is covered by the retry spacing.
 func (p *Peer) resolveDrain(d *drain) {
 	attempts, delay := p.opts.resolveAttempts(), p.opts.resolveDelay()
-	timeout := p.opts.frameTimeout()
+	timeout := frame.Timeout(p.opts.FrameTimeout)
 	if timeout <= 0 {
 		timeout = 5 * time.Second
 	}

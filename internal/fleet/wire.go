@@ -1,23 +1,32 @@
 package fleet
 
-import "smartexp3/internal/serve"
+import (
+	"smartexp3/internal/frame"
+	"smartexp3/internal/serve"
+)
 
-// The fleet control protocol rides internal/cluster's frame codec (CRC'd
-// length-prefixed gob), like the cluster wire; the serve wire shares the
-// framing but carries fixed-layout payloads instead of gob. One
-// synchronous caller drives one connection: a coordinator holds one
-// control connection per peer for the lifetime of a rebalance, and
+// The fleet control protocol rides internal/frame, like the cluster wire:
+// a frame.Conn per connection, the shared hello exchange (each side's Info
+// names it: the coordinator's name in the hello, the peer's id in the
+// reply), and gob-encoded envelopes through the frame layer's persistent
+// codec. One synchronous caller drives one connection: a coordinator holds
+// one control connection per peer for the lifetime of a rebalance, and
 // everything staged over a connection dies with it — which is what makes
 // a dead coordinator free (see the package doc's migration contract).
+// Like the serve and shardd wires, the control plane trusts its network:
+// the names in the hello are informational, not authenticated.
 
 // fleetProtocolVersion is bumped whenever the control message set
-// changes incompatibly; the handshake refuses mismatches.
-const fleetProtocolVersion = 1
+// changes incompatibly; the handshake refuses mismatches. Version 2 moved
+// the handshake to the frame layer's shared hello, added the frame
+// header's own checksum, and dropped the unused control ping.
+const fleetProtocolVersion = 2
+
+// hello is this protocol's side of the shared handshake.
+var hello = frame.Hello{Proto: "fleet", Version: fleetProtocolVersion}
 
 // fleetEnvelope is the one-of union every control frame carries.
 type fleetEnvelope struct {
-	Hello      *fleetHelloMsg
-	HelloAck   *fleetHelloAckMsg
 	TableGet   *tableGetMsg
 	TableRes   *tableResMsg
 	Cut        *cutMsg
@@ -28,25 +37,6 @@ type fleetEnvelope struct {
 	Abort      *abortMsg
 	Checkpoint *checkpointMsg
 	Done       *doneMsg
-	Ping       *fleetPingMsg
-	Pong       *fleetPongMsg
-}
-
-// fleetHelloMsg opens a control session. From is informational (log
-// lines and diagnostics), not authenticated — like the serve and shardd
-// wires, the control plane trusts its network.
-type fleetHelloMsg struct {
-	Version int
-	From    string
-}
-
-// fleetHelloAckMsg accepts or rejects the session, naming the answering
-// peer and the epoch of its installed table (0 when it has none).
-type fleetHelloAckMsg struct {
-	Version int
-	ID      string
-	Epoch   uint64
-	Err     string
 }
 
 // tableGetMsg asks for the peer's installed table. It doubles as the
@@ -120,15 +110,4 @@ type checkpointMsg struct{}
 // failure without closing the session.
 type doneMsg struct {
 	Err string
-}
-
-// fleetPingMsg keeps an idle control connection alive under the frame
-// timeout.
-type fleetPingMsg struct {
-	Seq uint64
-}
-
-// fleetPongMsg answers a ping.
-type fleetPongMsg struct {
-	Seq uint64
 }

@@ -1,0 +1,261 @@
+package frame
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
+	"testing"
+
+	"smartexp3/internal/chaos"
+)
+
+// encodeRaw frames each payload exactly as a connection would.
+func encodeRaw(tb testing.TB, payloads ...[]byte) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	fw := NewWriter(&buf)
+	for _, p := range payloads {
+		if err := fw.WriteFrame(p); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return buf.Bytes()
+}
+
+// fuzzSeedFrames returns the checked-in seed corpus for FuzzFrameDecode:
+// well-formed streams (a hello, raw payloads, a multi-frame run) and the
+// classic framing corruptions — a damaged header, zero and oversized
+// lengths, a short body, a bad payload checksum, truncation.
+func fuzzSeedFrames(tb testing.TB) [][]byte {
+	tb.Helper()
+	helloFrame := encodeRaw(tb, Hello{Proto: "cluster", Version: 4}.Payload())
+	seeds := [][]byte{
+		helloFrame,
+		encodeRaw(tb, []byte{1}),
+		encodeRaw(tb, []byte("select"), []byte("feedback"), bytes.Repeat([]byte{7}, 300)),
+		make([]byte, headerSize),                         // zero header: its own checksum fails
+		header(0xffffffff, 0),                            // length far beyond the cap
+		append(header(5, 0), 1, 2),                       // body shorter than its length
+		append(header(4, 0), 0xde, 0xad, 0xbe, 0xef),     // payload checksum mismatch
+		append(header(4, 0)[:headerSize-1], 0, 1, 2, 3),  // header checksum mismatch
+		helloFrame[:len(helloFrame)-3],                   // truncated body
+		append(append([]byte(nil), helloFrame...), 0xff), // a stray byte after a frame
+	}
+	lengthFlip := append([]byte(nil), helloFrame...)
+	lengthFlip[3] ^= 0x10 // a length that still fits the cap: the header check must catch it
+	return append(seeds, lengthFlip)
+}
+
+// FuzzFrameDecode throws arbitrary byte streams at the frame reader. The
+// invariant under test is that a hostile or corrupt peer can produce only
+// an error: no panic, no unbounded allocation (the header is checked and
+// the length bounded before any buffer is sized), every payload delivered
+// matches its checksum, and once a stream errors it keeps erroring rather
+// than resynchronizing on garbage.
+func FuzzFrameDecode(f *testing.F) {
+	for _, seed := range fuzzSeedFrames(f) {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fr := NewReader(bytes.NewReader(data))
+		var firstErr error
+		for i := 0; i < 64; i++ {
+			p, err := fr.ReadFrame()
+			if err != nil {
+				if firstErr != nil {
+					if err != firstErr {
+						t.Fatalf("latched error changed from %v to %v", firstErr, err)
+					}
+					return
+				}
+				firstErr = err
+				continue // one more read to confirm the stream stays dead
+			}
+			if firstErr != nil {
+				t.Fatal("frame reader resynchronized after an error")
+			}
+			if len(p) == 0 || len(p) > maxFrameBytes {
+				t.Fatalf("delivered a %d-byte payload", len(p))
+			}
+		}
+	})
+}
+
+// roundTripMsg is a small gob message for FuzzFrameRoundTrip.
+type roundTripMsg struct {
+	Seq  uint64
+	Name string
+	Vals []float64
+}
+
+// FuzzFrameRoundTrip checks the codec against itself: any payload we can
+// frame reads back byte for byte, and any gob message we can encode
+// decodes back equal, frame by frame, through the persistent
+// per-connection codec pair — raw and gob frames interleaved on one
+// stream.
+func FuzzFrameRoundTrip(f *testing.F) {
+	f.Add([]byte("select"), uint64(42), "peer", 0.5)
+	f.Add([]byte{0}, uint64(1<<63), "", -1.0)
+	f.Fuzz(func(t *testing.T, payload []byte, seq uint64, name string, val float64) {
+		if len(payload) == 0 {
+			payload = []byte{0}
+		}
+		msgs := []roundTripMsg{{Seq: seq, Name: name}, {Seq: seq + 1, Vals: []float64{val, -val}}}
+		var buf bytes.Buffer
+		fw := NewWriter(&buf)
+		for _, m := range msgs {
+			if err := fw.WriteFrame(payload); err != nil {
+				t.Fatal(err)
+			}
+			if err := fw.Encode(&m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fr := NewReader(&buf)
+		for i, want := range msgs {
+			p, err := fr.ReadFrame()
+			if err != nil || !bytes.Equal(p, payload) {
+				t.Fatalf("raw frame %d: got %x, %v; want %x", i, p, err, payload)
+			}
+			var got roundTripMsg
+			if err := fr.Decode(&got); err != nil {
+				t.Fatalf("gob frame %d: %v", i, err)
+			}
+			// gob decodes a zero-length slice as nil; NaN never equals itself.
+			if got.Seq != want.Seq || got.Name != want.Name || len(got.Vals) != len(want.Vals) {
+				t.Fatalf("gob frame %d: got %+v want %+v", i, got, want)
+			}
+			for j := range want.Vals {
+				if fmt.Sprint(got.Vals[j]) != fmt.Sprint(want.Vals[j]) {
+					t.Fatalf("gob frame %d: got %+v want %+v", i, got, want)
+				}
+			}
+		}
+	})
+}
+
+// chaosFrameStream renders the canonical stream FuzzChaosFrame mangles —
+// a hello, small chatty frames and one large frame standing in for a
+// migration snapshot, long enough for tight schedules to land many
+// faults — and the byte offset where each frame ends.
+func chaosFrameStream(tb testing.TB) (stream []byte, payloads [][]byte, frameEnds []int) {
+	tb.Helper()
+	bulk := make([]byte, 16<<10)
+	for i := range bulk {
+		bulk[i] = byte(i * 31)
+	}
+	payloads = [][]byte{
+		Hello{Proto: "serve", Version: 5}.Payload(),
+		Hello{Proto: "serve", Version: 5, Info: "Smart EXP3"}.Payload(),
+		[]byte("select 1"), []byte("selected 1"), bulk, []byte("feedback"),
+		binary.BigEndian.AppendUint64(nil, 7),
+	}
+	var buf bytes.Buffer
+	fw := NewWriter(&buf)
+	for _, p := range payloads {
+		if err := fw.WriteFrame(p); err != nil {
+			tb.Fatal(err)
+		}
+		frameEnds = append(frameEnds, buf.Len())
+	}
+	return buf.Bytes(), payloads, frameEnds
+}
+
+// chaosFrameSeeds is the checked-in corpus for FuzzChaosFrame: chaos
+// parameters from "no fault lands" through "a fault on every byte".
+func chaosFrameSeeds() [][5]uint64 {
+	return [][5]uint64{
+		// seed, minGap, maxGap, corrupt, cut
+		{7, 64, 512, 3, 1},
+		{1, 0, 0, 1, 0},       // default gaps, corruption only
+		{2, 16, 64, 0, 1},     // early cuts
+		{3, 1, 1, 1, 1},       // a fault on every byte past the first
+		{4, 4096, 8192, 7, 7}, // gaps wider than most frames
+	}
+}
+
+// FuzzChaosFrame feeds chaos-mangled frame streams to the frame reader.
+// The invariant is the checksums' contract: every frame wholly before the
+// first fault reads back exactly as it was written, the frame containing
+// the fault surfaces an error (a damaged header or body must never be
+// delivered), and the stream stays dead after it.
+func FuzzChaosFrame(f *testing.F) {
+	for _, s := range chaosFrameSeeds() {
+		f.Add(int64(s[0]), s[1], s[2], s[3], s[4])
+	}
+	clean, want, frameEnds := chaosFrameStream(f)
+	f.Fuzz(func(t *testing.T, seed int64, minGap, maxGap, corrupt, cut uint64) {
+		faults := chaos.Faults{
+			Seed:   seed,
+			MinGap: int(minGap % 4096), MaxGap: int(maxGap % 8192),
+			Corrupt: int(corrupt % 8), Cut: int(cut % 8),
+		}
+		mangled, first := chaos.Mangle(clean, faults)
+		intact := 0
+		for _, end := range frameEnds {
+			if end > first {
+				break
+			}
+			intact++
+		}
+		fr := NewReader(bytes.NewReader(mangled))
+		for i := 0; i < intact; i++ {
+			got, err := fr.ReadFrame()
+			if err != nil {
+				t.Fatalf("frame %d ends before the first fault at %d but failed: %v", i, first, err)
+			}
+			if !reflect.DeepEqual(got, want[i]) {
+				t.Fatalf("frame %d ends before the first fault at %d but reads differently", i, first)
+			}
+		}
+		for i := 0; i < 32; i++ {
+			if _, err := fr.ReadFrame(); err == nil {
+				t.Fatalf("read %d past the first fault at %d succeeded", intact+i, first)
+			}
+		}
+	})
+}
+
+// TestWriteFuzzFrameDecodeCorpus regenerates the checked-in seed corpus
+// under testdata/fuzz/FuzzFrameDecode when UPDATE_FUZZ_CORPUS=1. The files
+// are the native go-fuzz corpus encoding, so `go test -fuzz` and plain
+// `go test` both replay them.
+func TestWriteFuzzFrameDecodeCorpus(t *testing.T) {
+	if os.Getenv("UPDATE_FUZZ_CORPUS") == "" {
+		t.Skip("set UPDATE_FUZZ_CORPUS=1 to regenerate the seed corpus")
+	}
+	var bodies []string
+	for _, seed := range fuzzSeedFrames(t) {
+		bodies = append(bodies, fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", seed))
+	}
+	writeCorpus(t, "FuzzFrameDecode", bodies)
+}
+
+// TestWriteFuzzChaosFrameCorpus regenerates the checked-in seed corpus
+// under testdata/fuzz/FuzzChaosFrame when UPDATE_FUZZ_CORPUS=1.
+func TestWriteFuzzChaosFrameCorpus(t *testing.T) {
+	if os.Getenv("UPDATE_FUZZ_CORPUS") == "" {
+		t.Skip("set UPDATE_FUZZ_CORPUS=1 to regenerate the seed corpus")
+	}
+	var bodies []string
+	for _, s := range chaosFrameSeeds() {
+		bodies = append(bodies, fmt.Sprintf("go test fuzz v1\nint64(%d)\nuint64(%d)\nuint64(%d)\nuint64(%d)\nuint64(%d)\n",
+			int64(s[0]), s[1], s[2], s[3], s[4]))
+	}
+	writeCorpus(t, "FuzzChaosFrame", bodies)
+}
+
+func writeCorpus(t *testing.T, target string, bodies []string) {
+	dir := filepath.Join("testdata", "fuzz", target)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for i, body := range bodies {
+		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("seed-%02d", i)), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

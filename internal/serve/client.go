@@ -1,22 +1,22 @@
 package serve
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"math/rand"
 	"net"
 	"time"
 
-	"smartexp3/internal/cluster"
+	"smartexp3/internal/frame"
 )
 
 // ClientOptions tunes a client connection and its recovery behavior.
 type ClientOptions struct {
 	// DialTimeout bounds connection establishment; zero means 5 seconds.
 	DialTimeout time.Duration
-	// FrameTimeout bounds each frame read and write; zero means 2
-	// minutes, negative disables (synchronous in-memory pipes in tests).
+	// FrameTimeout bounds each frame read and write; zero means
+	// frame.DefaultTimeout (2 minutes), negative disables (synchronous
+	// in-memory pipes in tests).
 	FrameTimeout time.Duration
 	// FeedbackBatch is the buffered-report count that triggers an eager
 	// flush; zero means 256. Feedback is also sent ahead of every
@@ -66,17 +66,6 @@ func (o ClientOptions) dialTimeout() time.Duration {
 		return 5 * time.Second
 	}
 	return o.DialTimeout
-}
-
-func (o ClientOptions) frameTimeout() time.Duration {
-	switch {
-	case o.FrameTimeout < 0:
-		return 0
-	case o.FrameTimeout == 0:
-		return 2 * time.Minute
-	default:
-		return o.FrameTimeout
-	}
 }
 
 func (o ClientOptions) feedbackBatch() int {
@@ -141,14 +130,12 @@ func (e *RequestError) Error() string { return e.Msg }
 // discipline as the cluster session layer.
 type Client struct {
 	opts      ClientOptions
-	conn      net.Conn
-	bw        *bufio.Writer
-	fw        *cluster.FrameWriter
-	fr        *cluster.FrameReader
+	conn      *frame.Conn
 	algorithm string
 
 	in   message // every reply decodes here; list storage is reused
-	wbuf []byte  // encode scratch, reused for every frame
+	fbuf []byte  // feedback-frame encode scratch, reused
+	wbuf []byte  // request-frame encode scratch, reused
 
 	batch []FeedbackItem // buffered reports not yet written
 	sent  []FeedbackItem // written but unconfirmed by a response barrier
@@ -219,29 +206,16 @@ func (c *Client) DroppedFeedback() uint64 { return c.m.DroppedFeedback.Value() }
 // exchange over it. Rejections are permanent: a daemon from the wrong
 // protocol era will reject every future attempt too.
 func (c *Client) handshake(conn net.Conn) error {
-	c.conn = conn
-	c.bw = bufio.NewWriterSize(conn, 32<<10)
-	c.fw = cluster.NewFrameWriter(c.bw)
-	c.fr = cluster.NewFrameReader(bufio.NewReaderSize(conn, 32<<10))
-	c.connected = true
-	hello := message{tag: tagHello, hello: serveHelloMsg{Version: serveProtocolVersion}}
-	if err := c.send(false, &hello); err != nil {
-		c.connected = false
-		return err
-	}
-	err := c.recv()
+	c.conn = frame.NewConn(conn, 32<<10, frame.Timeout(c.opts.FrameTimeout), true)
+	ack, err := c.conn.Greet(hello)
 	switch {
-	case errors.Is(err, errNotServeFrame) || (err == nil && c.in.tag != tagHelloAck):
-		c.connected = false
-		return c.permanent(fmt.Errorf("serve: protocol mismatch: handshake reply is not a protocol %d hello ack (a daemon from another protocol era?)", serveProtocolVersion))
+	case errors.Is(err, frame.ErrHandshake):
+		return c.permanent(fmt.Errorf("serve: %w", err))
 	case err != nil:
-		c.connected = false
 		return err
-	case c.in.helloAck.Err != "":
-		c.connected = false
-		return c.permanent(fmt.Errorf("serve: handshake rejected: %s", c.in.helloAck.Err))
 	}
-	c.algorithm = c.in.helloAck.Algorithm
+	c.connected = true
+	c.algorithm = ack.Info
 	return nil
 }
 
@@ -252,58 +226,37 @@ func (c *Client) permanent(err error) error {
 	return c.permErr
 }
 
-// send queues one operation's frames into the buffered writer under a
-// single write deadline — the unwritten feedback batch first when
-// withFeedback is set, then m unless nil — and flushes them in one write.
-// Feedback frames move their items to the unconfirmed queue as they are
-// queued; a failure anywhere before the next response barrier requeues
-// them (dropConn).
+// send writes one operation's frames under a single write deadline and in
+// one flush — the unwritten feedback batch first when withFeedback is set,
+// then m unless nil. Feedback items move to the unconfirmed queue as they
+// are written; a failure anywhere before the next response barrier
+// requeues them (dropConn).
 func (c *Client) send(withFeedback bool, m *message) error {
-	withFeedback = withFeedback && len(c.batch) > 0
-	if !withFeedback && m == nil {
-		return nil
-	}
-	if wt := c.opts.frameTimeout(); wt > 0 {
-		if err := c.conn.SetWriteDeadline(time.Now().Add(wt)); err != nil {
-			return err
-		}
-	}
-	if withFeedback {
+	c.fbuf, c.wbuf = c.fbuf[:0], c.wbuf[:0]
+	if withFeedback && len(c.batch) > 0 {
 		n := len(c.sent)
 		c.sent = append(c.sent, c.batch...)
 		c.batch = c.batch[:0]
 		fb := message{tag: tagFeedback, feedback: feedbackBatchMsg{Items: c.sent[n:]}}
-		c.wbuf = fb.appendTo(c.wbuf[:0])
-		if err := c.fw.WriteFrame(c.wbuf); err != nil {
-			return err
-		}
+		c.fbuf = fb.appendTo(c.fbuf)
 	}
 	if m != nil {
-		c.wbuf = m.appendTo(c.wbuf[:0])
-		if err := c.fw.WriteFrame(c.wbuf); err != nil {
-			return err
-		}
+		c.wbuf = m.appendTo(c.wbuf)
 	}
-	return c.bw.Flush()
+	if len(c.fbuf) == 0 && len(c.wbuf) == 0 {
+		return nil
+	}
+	return c.conn.WriteFrames(c.fbuf, c.wbuf)
 }
-
-// errNotServeFrame marks a frame that arrived intact (its checksum held)
-// but is not a serve payload: a peer speaking another protocol era.
-var errNotServeFrame = errors.New("serve: frame is not a protocol payload")
 
 // recv reads the next frame into c.in.
 func (c *Client) recv() error {
-	if wt := c.opts.frameTimeout(); wt > 0 {
-		if err := c.conn.SetReadDeadline(time.Now().Add(wt)); err != nil {
-			return err
-		}
-	}
-	p, err := c.fr.ReadFrame()
+	p, err := c.conn.ReadFrame()
 	if err != nil {
 		return err
 	}
 	if err := c.in.decode(p); err != nil {
-		return fmt.Errorf("%w: %w", errNotServeFrame, err)
+		return fmt.Errorf("serve: decode reply: %w", err)
 	}
 	return nil
 }

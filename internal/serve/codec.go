@@ -34,12 +34,6 @@ func (m *message) appendTo(b []byte) []byte {
 	//repolint:ignore allocfree appends into the connection's encode scratch, whose capacity is retained across frames
 	b = append(b, byte(m.tag))
 	switch m.tag {
-	case tagHello:
-		b = binary.AppendVarint(b, int64(m.hello.Version))
-	case tagHelloAck:
-		b = binary.AppendVarint(b, int64(m.helloAck.Version))
-		b = appendString(b, m.helloAck.Algorithm)
-		b = appendString(b, m.helloAck.Err)
 	case tagSelect:
 		b = binary.AppendUvarint(b, m.sel.Seq)
 		b = binary.AppendUvarint(b, m.sel.Device)
@@ -119,12 +113,6 @@ func (m *message) decode(p []byte) error {
 	var r payloadReader
 	r.b = p[1:]
 	switch m.tag {
-	case tagHello:
-		m.hello.Version = r.int()
-	case tagHelloAck:
-		m.helloAck.Version = r.int()
-		m.helloAck.Algorithm = r.string()
-		m.helloAck.Err = r.string()
 	case tagSelect:
 		m.sel.Seq = r.uvarint()
 		m.sel.Device = r.uvarint()

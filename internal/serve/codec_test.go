@@ -17,8 +17,8 @@ func codecSamples() []message {
 		{Device: 0, Arm: math.MaxInt, Slot: 0, Reward: math.Float64frombits(0x7ff8_0000_dead_beef)}, // NaN payload
 	}
 	return []message{
-		{tag: tagHello, hello: serveHelloMsg{Version: serveProtocolVersion}},
-		{tag: tagHelloAck, helloAck: serveHelloAckMsg{Version: -1, Algorithm: "Smart EXP3", Err: "no"}},
+		{tag: tagSelect, sel: selectMsg{}}, // empty arm list
+		{tag: tagRejected, rejected: feedbackRejectedMsg{}},
 		{tag: tagSelect, sel: selectMsg{Seq: 1, Device: 1 << 62, Arms: []int{-3, 0, 5, math.MaxInt}}},
 		{tag: tagSelected, selected: selectedMsg{Seq: 2, Arm: 5, Slot: 300}},
 		{tag: tagSelected, selected: selectedMsg{Seq: 3, Arm: -1, Err: "bad arms"}},

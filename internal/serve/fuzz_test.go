@@ -10,7 +10,7 @@ import (
 	"testing"
 	"time"
 
-	"smartexp3/internal/cluster"
+	"smartexp3/internal/frame"
 )
 
 // fuzzConn replays a fixed byte stream as a net.Conn: reads come from the
@@ -35,12 +35,17 @@ func (fuzzAddr) Network() string { return "fuzz" }
 func (fuzzAddr) String() string  { return "fuzz" }
 
 // encodeServeFrames renders a client request sequence exactly as a real
-// client would: each message encoded by the serve codec and framed by
-// cluster.FrameWriter.WriteFrame.
-func encodeServeFrames(tb testing.TB, msgs ...*message) []byte {
+// client would: the hello h unless nil, then each message encoded by the
+// serve codec, all framed by frame.Writer.WriteFrame.
+func encodeServeFrames(tb testing.TB, h *frame.Hello, msgs ...*message) []byte {
 	tb.Helper()
 	var buf bytes.Buffer
-	fw := cluster.NewFrameWriter(&buf)
+	fw := frame.NewWriter(&buf)
+	if h != nil {
+		if err := fw.WriteFrame(h.Payload()); err != nil {
+			tb.Fatal(err)
+		}
+	}
 	var scratch []byte
 	for _, m := range msgs {
 		scratch = m.appendTo(scratch[:0])
@@ -56,7 +61,6 @@ func encodeServeFrames(tb testing.TB, msgs ...*message) []byte {
 // framing corruptions.
 func fuzzServeSeeds(tb testing.TB) [][]byte {
 	tb.Helper()
-	hello := &message{tag: tagHello, hello: serveHelloMsg{Version: serveProtocolVersion}}
 	sel := &message{tag: tagSelect, sel: selectMsg{Seq: 1, Device: 7, Arms: []int{1, 2, 3}}}
 	fb := &message{tag: tagFeedback, feedback: feedbackBatchMsg{Items: []FeedbackItem{
 		{Device: 7, Arm: 2, Reward: 0.5},
@@ -66,22 +70,22 @@ func fuzzServeSeeds(tb testing.TB) [][]byte {
 		return &message{tag: tagSelect, sel: selectMsg{Seq: 1, Device: 1, Arms: arms}}
 	}
 	seeds := [][]byte{
-		encodeServeFrames(tb, hello),
-		encodeServeFrames(tb, hello, sel, fb,
+		encodeServeFrames(tb, &hello),
+		encodeServeFrames(tb, &hello, sel, fb,
 			&message{tag: tagPing, ping: servePingMsg{Seq: 1}},
 			&message{tag: tagRelease, release: releaseMsg{Devices: []uint64{7}}}),
-		encodeServeFrames(tb, &message{tag: tagHello, hello: serveHelloMsg{Version: 99}}),
+		encodeServeFrames(tb, &frame.Hello{Proto: "serve", Version: 99}),
 		// Hostile requests a conforming codec can still deliver.
-		encodeServeFrames(tb, hello, selectArms([]int{})),
-		encodeServeFrames(tb, hello, selectArms([]int{5, 5, 1})),
-		encodeServeFrames(tb, hello, selectArms(make([]int, 5000))),
-		encodeServeFrames(tb, hello, &message{tag: 0}),                                   // no such message
-		encodeServeFrames(tb, hello, &message{tag: tagPong, pong: servePongMsg{Seq: 1}}), // a reply the server must refuse
+		encodeServeFrames(tb, &hello, selectArms([]int{})),
+		encodeServeFrames(tb, &hello, selectArms([]int{5, 5, 1})),
+		encodeServeFrames(tb, &hello, selectArms(make([]int, 5000))),
+		encodeServeFrames(tb, &hello, &message{tag: 0}),                                   // no such message
+		encodeServeFrames(tb, &hello, &message{tag: tagPong, pong: servePongMsg{Seq: 1}}), // a reply the server must refuse
 		// Framing corruptions.
 		{0, 0, 0, 0},
 		{0xff, 0xff, 0xff, 0xff, 0},
 	}
-	trunc := encodeServeFrames(tb, hello, sel)
+	trunc := encodeServeFrames(tb, &hello, sel)
 	seeds = append(seeds, trunc[:len(trunc)-4])
 	return seeds
 }

@@ -9,8 +9,9 @@
 // policies pooled through core.Reinitializer so device churn is
 // allocation-free warm), while Server/Client own the transport: the
 // fixed-layout payloads of codec.go (see wire.go for the layout) carried
-// in internal/cluster's checksummed frames, so the two daemons share one
-// framing discipline while the decision path pays for no reflection.
+// in internal/frame's checksummed frames, so every daemon in the
+// repository shares one framing, deadline and handshake discipline while
+// the decision path pays for no reflection.
 //
 // Determinism contract: a Store is a pure function of (Algorithm, Policy
 // config, Seed) and the sequence of requests applied to it. Each device
@@ -35,7 +36,7 @@
 // was re-chosen in between.
 //
 // Recovery contract (client side): a transport failure — connection cut,
-// frame corrupted (surfaced by the CRC in the frame codec), stall past the
+// frame corrupted (surfaced by the frame layer's checksums), stall past the
 // frame timeout — is invisible to the caller. The Client redials with
 // capped exponential backoff, replays the handshake, resends
 // written-but-unconfirmed feedback (slot-deduplicated by the store), and

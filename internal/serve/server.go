@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -9,7 +8,7 @@ import (
 	"sync"
 	"time"
 
-	"smartexp3/internal/cluster"
+	"smartexp3/internal/frame"
 )
 
 // ServerOptions tunes the transport, not the decisions.
@@ -17,24 +16,13 @@ type ServerOptions struct {
 	// FrameTimeout bounds both waiting for a client frame and writing a
 	// response. A client must send something (a ping suffices) within it,
 	// and a stalled reader cannot park a connection goroutine past it.
-	// Zero means 2 minutes, mirroring the cluster layer; negative
-	// disables deadlines (tests with synchronous pipes).
+	// Zero means frame.DefaultTimeout (2 minutes), as on every wire;
+	// negative disables deadlines (tests with synchronous pipes).
 	FrameTimeout time.Duration
 	// Metrics, when set, counts accepted connections and per-frame wire
 	// traffic (a NewServerMetrics set registered on an obsv.Registry).
 	// Nil disables connection-level instrumentation entirely.
 	Metrics *ServerMetrics
-}
-
-func (o ServerOptions) frameTimeout() time.Duration {
-	switch {
-	case o.FrameTimeout < 0:
-		return 0
-	case o.FrameTimeout == 0:
-		return 2 * time.Minute
-	default:
-		return o.FrameTimeout
-	}
 }
 
 // Server answers the serve wire protocol against one Store. One goroutine
@@ -102,64 +90,28 @@ func (s *Server) track(conn net.Conn, add bool) {
 // Inbound frames decode into one reused message and replies encode into
 // one reused buffer, so the warm loop allocates nothing per frame.
 func (s *Server) serveConn(conn net.Conn) error {
-	wt := s.opts.frameTimeout()
-	fr := cluster.NewFrameReader(bufio.NewReaderSize(conn, 32<<10))
-	bw := bufio.NewWriterSize(conn, 32<<10)
-	fw := cluster.NewFrameWriter(bw)
+	fc := frame.NewConn(conn, 32<<10, frame.Timeout(s.opts.FrameTimeout), true)
 	if m := s.opts.Metrics; m != nil {
 		m.Connections.Inc()
 		m.Active.Add(1)
 		defer m.Active.Add(-1)
-		fr.Instrument(m.FramesRead, m.BytesRead)
-		fw.Instrument(m.FramesWritten, m.BytesWritten)
+		fc.Instrument(m.FramesRead, m.BytesRead, m.FramesWritten, m.BytesWritten)
 	}
+	ack := hello
+	ack.Info = s.store.cfg.Algorithm.String()
+	if _, err := fc.Accept(ack); err != nil {
+		return err
+	}
+
 	var in, out message // reused: decode storage and reply under construction
 	var wbuf []byte
 	send := func(m *message) error {
-		if wt > 0 {
-			if err := conn.SetWriteDeadline(time.Now().Add(wt)); err != nil {
-				return err
-			}
-		}
 		wbuf = m.appendTo(wbuf[:0])
-		if err := fw.WriteFrame(wbuf); err != nil {
-			return err
-		}
-		return bw.Flush()
+		return fc.WriteFrames(wbuf)
 	}
-	read := func() ([]byte, error) {
-		if wt > 0 {
-			if err := conn.SetReadDeadline(time.Now().Add(wt)); err != nil {
-				return nil, err
-			}
-		}
-		return fr.ReadFrame()
-	}
-
-	p, err := read()
-	if err != nil {
-		return err
-	}
-	refuse := func(msg string) error {
-		_ = send(&message{tag: tagHelloAck, helloAck: serveHelloAckMsg{Version: serveProtocolVersion, Err: msg}})
-		return fmt.Errorf("serve: %s", msg)
-	}
-	if err := in.decode(p); err != nil || in.tag != tagHello {
-		return refuse(fmt.Sprintf("protocol mismatch: first frame is not a protocol %d hello (a client from another protocol era?)", serveProtocolVersion))
-	}
-	if v := in.hello.Version; v != serveProtocolVersion {
-		return refuse(fmt.Sprintf("protocol mismatch: client speaks version %d, want %d", v, serveProtocolVersion))
-	}
-	if err := send(&message{tag: tagHelloAck, helloAck: serveHelloAckMsg{
-		Version:   serveProtocolVersion,
-		Algorithm: s.store.cfg.Algorithm.String(),
-	}}); err != nil {
-		return err
-	}
-
 	var rejects []FeedbackItem // retained across batches; rejections are the cold migration path
 	for {
-		p, err := read()
+		p, err := fc.ReadFrame()
 		if err != nil {
 			if errors.Is(err, io.EOF) {
 				return nil // clean close between frames

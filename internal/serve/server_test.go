@@ -8,7 +8,7 @@ import (
 	"testing"
 	"time"
 
-	"smartexp3/internal/cluster"
+	"smartexp3/internal/frame"
 )
 
 // startServer serves a fresh store on loopback and returns its address.
@@ -132,23 +132,25 @@ type v3Envelope struct {
 }
 
 // TestServerRejectsVersionMismatch pins the handshake across protocol
-// eras: a client speaking another version of the v4 codec, and a client
-// from the gob era (protocol 3), are both answered with a hello ack that
-// names the protocol mismatch, and the connection is then closed — no
-// panic, no hang.
+// eras: a client greeting with the next serve version, and a client whose
+// first frame is a gob-era (protocol 3) hello envelope instead of the
+// frame layer's hello, are both answered with a hello reply that names the
+// protocol mismatch, and the connection is then closed — no panic, no
+// hang.
 func TestServerRejectsVersionMismatch(t *testing.T) {
 	_, addr := startServer(t, Config{})
 	for _, tc := range []struct {
 		name  string
-		hello func(*testing.T, *cluster.FrameWriter)
+		first func(*testing.T, *frame.Writer)
 	}{
-		{"v4-codec-next-version", func(t *testing.T, fw *cluster.FrameWriter) {
-			hello := message{tag: tagHello, hello: serveHelloMsg{Version: serveProtocolVersion + 1}}
-			if err := fw.WriteFrame(hello.appendTo(nil)); err != nil {
+		{"v4-codec-next-version", func(t *testing.T, fw *frame.Writer) {
+			next := hello
+			next.Version++
+			if err := fw.WriteFrame(next.Payload()); err != nil {
 				t.Fatal(err)
 			}
 		}},
-		{"gob-v3-hello", func(t *testing.T, fw *cluster.FrameWriter) {
+		{"gob-v3-hello", func(t *testing.T, fw *frame.Writer) {
 			if err := fw.Encode(&v3Envelope{Hello: &v3HelloMsg{Version: 3}}); err != nil {
 				t.Fatal(err)
 			}
@@ -163,18 +165,18 @@ func TestServerRejectsVersionMismatch(t *testing.T) {
 			if err := conn.SetDeadline(time.Now().Add(10 * time.Second)); err != nil {
 				t.Fatal(err)
 			}
-			tc.hello(t, cluster.NewFrameWriter(conn))
-			fr := cluster.NewFrameReader(conn)
+			tc.first(t, frame.NewWriter(conn))
+			fr := frame.NewReader(conn)
 			p, err := fr.ReadFrame()
 			if err != nil {
 				t.Fatalf("no handshake reply: %v", err)
 			}
-			var reply message
-			if err := reply.decode(p); err != nil {
-				t.Fatalf("handshake reply does not decode: %v", err)
+			reply, err := frame.ParseHello(p)
+			if err != nil {
+				t.Fatalf("handshake reply is not a hello: %v", err)
 			}
-			if reply.tag != tagHelloAck || !strings.Contains(reply.helloAck.Err, "protocol mismatch") {
-				t.Fatalf("mismatched hello not refused by name: tag %d, err %q", reply.tag, reply.helloAck.Err)
+			if !strings.Contains(reply.Err, "protocol mismatch") {
+				t.Fatalf("mismatched hello not refused by name: %+v", reply)
 			}
 			if _, err := fr.ReadFrame(); !errors.Is(err, io.EOF) {
 				t.Fatalf("server kept the mismatched connection open: %v", err)
@@ -184,28 +186,29 @@ func TestServerRejectsVersionMismatch(t *testing.T) {
 }
 
 // TestClientRefusesNonHelloAckReply pins the client half of the era
-// check: a daemon that answers the hello with anything but a v4 hello ack
-// — a gob-era ack, or a well-formed frame of the wrong kind — fails the
+// check: a daemon that answers the hello with anything but the frame
+// layer's hello — a gob-era ack, or a well-formed serve frame of the wrong
+// kind — fails the
 // client permanently with a message naming the mismatch, both at dial and
 // when the mismatch appears behind a redial mid-session; the client does
 // not keep redialing a daemon that will never accept it.
 func TestClientRefusesNonHelloAckReply(t *testing.T) {
 	// fakeDaemon answers the first frame it reads with reply, then hangs up.
-	fakeDaemon := func(reply func(*cluster.FrameWriter) error) net.Conn {
+	fakeDaemon := func(reply func(*frame.Writer) error) net.Conn {
 		cli, srv := net.Pipe()
 		go func() {
 			defer srv.Close()
-			if _, err := cluster.NewFrameReader(srv).ReadFrame(); err != nil {
+			if _, err := frame.NewReader(srv).ReadFrame(); err != nil {
 				return
 			}
-			_ = reply(cluster.NewFrameWriter(srv))
+			_ = reply(frame.NewWriter(srv))
 		}()
 		return cli
 	}
-	gobAck := func(fw *cluster.FrameWriter) error {
+	gobAck := func(fw *frame.Writer) error {
 		return fw.Encode(&v3Envelope{HelloAck: &v3HelloAckMsg{Version: 3, Algorithm: "Smart EXP3"}})
 	}
-	pong := func(fw *cluster.FrameWriter) error {
+	pong := func(fw *frame.Writer) error {
 		return fw.WriteFrame((&message{tag: tagPong, pong: servePongMsg{Seq: 1}}).appendTo(nil))
 	}
 	opts := ClientOptions{FrameTimeout: 10 * time.Second, BackoffBase: time.Millisecond}

@@ -1,17 +1,20 @@
 package serve
 
-// The serve wire protocol rides internal/cluster's frame codec (8-byte
-// header: big-endian payload length and the payload's CRC-32C, 64 MiB
-// cap, errors that latch) with its own fixed-layout payloads, encoded and
-// decoded by codec.go without reflection. One synchronous client drives
-// one connection: selects are request/response, feedback is
-// fire-and-forget in batches queued ahead of the next request, and the
-// single stream's ordering makes every Select a natural barrier for the
-// feedback sent before it.
+import "smartexp3/internal/frame"
+
+// The serve wire protocol rides internal/frame: a frame.Conn per
+// connection (12-byte checked header, 64 MiB cap, errors that latch, one
+// write deadline and one flush per client operation), opened by the shared
+// hello exchange, whose reply names the algorithm the daemon serves. Its
+// payloads are fixed-layout, encoded and decoded by codec.go without
+// reflection. One synchronous client drives one connection: selects are
+// request/response, feedback is fire-and-forget in batches queued ahead of
+// the next request, and the single stream's ordering makes every Select a
+// natural barrier for the feedback sent before it.
 //
 // A payload is one tag byte naming the message, then its fields in
 // declaration order: unsigned integers as canonical uvarints, signed ones
-// (arms, versions) as canonical zigzag varints, rewards as the 8
+// (arms) as canonical zigzag varints, rewards as the 8
 // little-endian bytes of their IEEE-754 bits, strings and lists as a
 // uvarint count followed by the bytes or elements, and optional parts
 // behind a 0/1 presence byte. The layout is canonical: a payload decodes
@@ -24,16 +27,20 @@ package serve
 // most once. Version 3 added the fleet redirect surface: selectedMsg's
 // NotOwner and the unsolicited Rejected frame for feedback bounced off a
 // peer that no longer owns the device. Version 4 replaced gob with the
-// fixed-layout payloads above; the messages are unchanged.
-const serveProtocolVersion = 4
+// fixed-layout payloads above. Version 5 moved the handshake to the frame
+// layer's shared hello and added the frame header's own checksum.
+const serveProtocolVersion = 5
+
+// hello is this protocol's side of the shared handshake; a daemon's reply
+// carries its algorithm in Info.
+var hello = frame.Hello{Proto: "serve", Version: serveProtocolVersion}
 
 // msgTag is a payload's first byte: which message the rest encodes.
 type msgTag byte
 
+// Tags 1 and 2 carried the hello pair before version 5 and stay unused.
 const (
-	tagHello msgTag = 1 + iota
-	tagHelloAck
-	tagSelect
+	tagSelect msgTag = 3 + iota
 	tagSelected
 	tagFeedback
 	tagRejected
@@ -48,8 +55,6 @@ const (
 // across frames and warm traffic allocates nothing.
 type message struct {
 	tag      msgTag
-	hello    serveHelloMsg
-	helloAck serveHelloAckMsg
 	sel      selectMsg
 	selected selectedMsg
 	feedback feedbackBatchMsg
@@ -57,20 +62,6 @@ type message struct {
 	release  releaseMsg
 	ping     servePingMsg
 	pong     servePongMsg
-}
-
-// serveHelloMsg opens a client session.
-type serveHelloMsg struct {
-	Version int
-}
-
-// serveHelloAckMsg accepts or rejects the session and names the algorithm
-// the daemon serves, so a client pointed at the wrong daemon fails loudly
-// at dial time.
-type serveHelloAckMsg struct {
-	Version   int
-	Algorithm string
-	Err       string
 }
 
 // selectMsg asks which arm device Device should use next, given its
