@@ -9,6 +9,7 @@ package smartexp3_test
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"runtime"
@@ -468,12 +469,11 @@ func BenchmarkServeSelectParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkServeWire measures one Select+Feedback decision round trip
-// through the full stack — client batching, the serve codec in checksummed
-// frames both ways, the server's connection loop, the store — over
-// loopback TCP, and reports the p99 per-decision latency alongside the
-// mean. Warm, the whole round trip allocates nothing; allocs/op is gated.
-func BenchmarkServeWire(b *testing.B) {
+// serveWireClient serves a fresh store on loopback TCP from an in-process
+// Server, dials it, warms one device (and with it the codec and the
+// connection buffers) and returns that device's Select+Feedback.
+func serveWireClient(b *testing.B) (decide func()) {
+	b.Helper()
 	store, err := serve.NewStore(serve.Config{Seed: 1})
 	if err != nil {
 		b.Fatal(err)
@@ -482,19 +482,20 @@ func BenchmarkServeWire(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer ln.Close()
 	srv := serve.NewServer(store, serve.ServerOptions{})
 	go srv.Serve(ln)
-	defer srv.Close()
 	c, err := serve.Dial(ln.Addr().String(), serve.ClientOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer c.Close()
-
+	b.Cleanup(func() {
+		c.Close()
+		ln.Close()
+		srv.Close()
+	})
 	arms := []int{0, 1, 2, 3}
 	gains := []float64{0.2, 0.4, 0.9, 0.5}
-	for i := 0; i < 300; i++ { // warm device, codec and connection buffers
+	decide = func() {
 		arm, slot, err := c.SelectSlot(7, arms)
 		if err != nil {
 			b.Fatal(err)
@@ -503,24 +504,79 @@ func BenchmarkServeWire(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	for i := 0; i < 300; i++ {
+		decide()
+	}
+	return decide
+}
+
+// BenchmarkServeWire measures one Select+Feedback decision round trip
+// through the full stack — client batching, the serve codec in checksummed
+// frames both ways, the server's connection loop, the store — over
+// loopback TCP, and reports the p99 per-decision latency alongside the
+// mean. Warm, the whole round trip allocates nothing; allocs/op is gated.
+func BenchmarkServeWire(b *testing.B) {
+	decide := serveWireClient(b)
 	lat := make([]time.Duration, 0, b.N)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		start := time.Now()
-		arm, slot, err := c.SelectSlot(7, arms)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := c.FeedbackSlot(7, arm, slot, gains[arm]); err != nil {
-			b.Fatal(err)
-		}
+		decide()
 		lat = append(lat, time.Since(start))
 	}
 	b.StopTimer()
 	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
 	if len(lat) > 0 {
 		b.ReportMetric(float64(lat[len(lat)*99/100]), "p99-ns/op")
+	}
+}
+
+// BenchmarkServeRoundTrip is BenchmarkServeWire without the per-decision
+// clock reads: one warm Select+Feedback over loopback TCP to an in-process
+// Server, the row to set against BenchmarkLoopbackEcho when attributing a
+// wire decision's cost. It allocates nothing; allocs/op is gated.
+func BenchmarkServeRoundTrip(b *testing.B) {
+	decide := serveWireClient(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		decide()
+	}
+}
+
+// BenchmarkLoopbackEcho is the floor under BenchmarkServeRoundTrip: one
+// 32-byte write and its echo read back over loopback TCP, with no framing,
+// codec, deadline or store.
+func BenchmarkLoopbackEcho(b *testing.B) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		io.Copy(conn, conn)
+	}()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer conn.Close()
+	buf := make([]byte, 32)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := conn.Write(buf); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := io.ReadFull(conn, buf); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -150,10 +150,12 @@
 // header (payload length, payload CRC-32C and the header's own CRC-32C,
 // so corruption anywhere is a connection error at once, never a stall or
 // a silently different value), one frame.Conn type that owns the
-// buffering, the frame counters and the per-frame write deadline, one
-// timeout rule, and one versioned hello exchange naming the protocol, so a
-// client dialing the wrong daemon is refused by name. Each protocol brings
-// only its message set.
+// buffering, the frame counters and the per-frame deadlines (armed
+// lazily: no frame times out sooner than the timeout or more than 1/16
+// later, and a busy connection sets one deadline per direction every
+// timeout/16), one timeout rule, and one versioned hello exchange naming
+// the protocol, so a client dialing the wrong daemon is refused by name.
+// Each protocol brings only its message set.
 //
 // Every layer is observable through internal/obsv, a stdlib-only metrics
 // layer built for the hot paths above: atomic counters and gauges, fixed

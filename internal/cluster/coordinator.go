@@ -23,9 +23,10 @@ type Options struct {
 	// arbitrarily long as long as results keep flowing. A worker that
 	// stalls without closing its connection (SIGSTOP, half-open partition)
 	// trips it and takes the reassignment path instead of hanging the
-	// batch. While nothing is owed — a session idling between batches — no
-	// deadline is armed at all, so an idle gap of any length never counts
-	// as a stall.
+	// batch. It fires no sooner than FrameTimeout after the frame became
+	// owed or the last one arrived, and at most 1/16 later. While nothing
+	// is owed — a session idling between batches — no deadline is armed
+	// at all, so an idle gap of any length never counts as a stall.
 	FrameTimeout time.Duration
 	// Keepalive is how often an idle session connection is pinged; 0 means
 	// a quarter of the frame timeout. Pings elicit pongs under FrameTimeout,

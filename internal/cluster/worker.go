@@ -22,8 +22,10 @@ type WorkerOptions struct {
 	// choice and never affects results (runner's determinism contract).
 	Workers int
 	// WriteTimeout bounds each outbound frame write (result streaming,
-	// acks, pongs); 0 means frame.DefaultTimeout (2 minutes, the
-	// coordinator's frame-timeout default), negative disables. It is the
+	// acks, pongs): one times out no sooner than WriteTimeout after it
+	// starts, and at most 1/16 later. 0 means frame.DefaultTimeout (2
+	// minutes, the coordinator's frame-timeout default), negative
+	// disables. It is the
 	// worker-side mirror of the coordinator's per-frame write deadline: a
 	// coordinator that dies — or stalls — without closing the connection
 	// stops draining, the TCP buffer fills, and without a deadline the

@@ -113,9 +113,10 @@ type Coordinator struct {
 	Self string
 	// DialTimeout bounds each control dial; zero means 5s.
 	DialTimeout time.Duration
-	// FrameTimeout bounds each control frame; zero means
-	// frame.DefaultTimeout (2 minutes: snapshot frames for a big stripe
-	// take real time), negative disables.
+	// FrameTimeout bounds each control frame: one times out no sooner
+	// than FrameTimeout after it starts, and at most 1/16 later. Zero
+	// means frame.DefaultTimeout (2 minutes: snapshot frames for a big
+	// stripe take real time), negative disables.
 	FrameTimeout time.Duration
 	// Metrics, when set, receives the coordinator-side migration
 	// counters. Nil means a private unregistered set.

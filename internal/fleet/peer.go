@@ -21,9 +21,10 @@ type PeerOptions struct {
 	// SnapshotPath is where a Checkpoint request saves the store; empty
 	// refuses checkpoints.
 	SnapshotPath string
-	// FrameTimeout bounds each control frame read and write; zero means
-	// frame.DefaultTimeout (2 minutes), negative disables (synchronous
-	// pipes in tests).
+	// FrameTimeout bounds each control frame read and write: one times
+	// out no sooner than FrameTimeout after it starts, and at most 1/16
+	// later. Zero means frame.DefaultTimeout (2 minutes), negative
+	// disables (synchronous pipes in tests).
 	FrameTimeout time.Duration
 	// ResolveAttempts and ResolveDelay shape the drain resolver: how
 	// many times, and how far apart, an orphaned drain probes the

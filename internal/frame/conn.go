@@ -21,7 +21,8 @@ const DefaultTimeout = 2 * time.Minute
 // Timeout resolves a transport timeout option the one way every option
 // struct in the repository documents it: zero means DefaultTimeout,
 // negative disables deadlines (returned as 0), anything else is used as
-// given.
+// given. A Conn enforces the result lazily: a frame operation times out
+// no sooner than the timeout after it starts, and at most 1/16 later.
 func Timeout(opt time.Duration) time.Duration {
 	switch {
 	case opt < 0:
@@ -46,8 +47,18 @@ func Timeout(opt time.Duration) time.Duration {
 // owed (the cluster coordinator), or never (the cluster worker, whose
 // coordinator may idle between batches for any length of time).
 //
+// Arming is lazy. A Conn remembers the deadline it last set in each
+// direction and sets a new one only when the old one is less than one
+// timeout away, and then to 17/16 of the timeout from now. Every frame
+// operation therefore times out no sooner than the timeout after it
+// starts, and at most 1/16 later, while a busy connection makes one
+// deadline call per direction every timeout/16 instead of one per frame.
+//
 // Writes are not safe for concurrent use, and neither are reads; one
-// writer and one reader may run at once.
+// writer and one reader may run at once. The write deadline belongs to
+// the writer. The read deadline belongs to the reader with readEach, and
+// otherwise to ArmRead's callers, who must not call it concurrently (the
+// cluster coordinator calls it only under its epoch lock).
 type Conn struct {
 	nc       net.Conn
 	bw       *bufio.Writer
@@ -55,6 +66,9 @@ type Conn struct {
 	r        *Reader
 	timeout  time.Duration // per-frame deadline; 0 disables
 	readEach bool          // arm the read deadline before every frame read
+
+	writeDeadline time.Time // set on nc; zero when none
+	readDeadline  time.Time // set on nc; zero when none
 }
 
 // NewConn frames nc. bufSize sizes the buffered reader and writer (0 means
@@ -85,13 +99,27 @@ func (c *Conn) Instrument(framesRead, bytesRead, framesWritten, bytesWritten *ob
 // write.
 func (c *Conn) Close() error { return c.nc.Close() }
 
-// write is the one path a frame takes to the wire: arm the write deadline,
-// queue msg (as gob, when non-nil) and then every non-empty payload, and
-// flush them in one write.
+// rearm returns the deadline to set before an operation that starts now,
+// or the zero time when armed, the deadline already set (zero, long past,
+// when none is), is still at least one timeout away.
+func (c *Conn) rearm(armed time.Time) time.Time {
+	now := time.Now()
+	if armed.Sub(now) >= c.timeout {
+		return time.Time{}
+	}
+	return now.Add(c.timeout + c.timeout/16)
+}
+
+// write is the one path a frame takes to the wire: arm the write deadline
+// (lazily, see Conn), queue msg (as gob, when non-nil) and then every
+// non-empty payload, and flush them in one write.
 func (c *Conn) write(msg any, payloads [][]byte) error {
 	if c.timeout > 0 {
-		if err := c.nc.SetWriteDeadline(time.Now().Add(c.timeout)); err != nil {
-			return err
+		if d := c.rearm(c.writeDeadline); !d.IsZero() {
+			if err := c.nc.SetWriteDeadline(d); err != nil {
+				return err
+			}
+			c.writeDeadline = d
 		}
 	}
 	if msg != nil {
@@ -117,17 +145,26 @@ func (c *Conn) Encode(msg any) error { return c.write(msg, nil) }
 func (c *Conn) WriteFrames(payloads ...[]byte) error { return c.write(nil, payloads) }
 
 // ArmRead arms the read deadline (owed: a reply is due within the
-// timeout) or clears it. Connections built with readEach call it before
-// every read on their own.
+// timeout, lazily as Conn describes) or clears it, with a call only when
+// one is set. Connections built with readEach arm it before every read on
+// their own.
 func (c *Conn) ArmRead(owed bool) error {
 	if c.timeout <= 0 {
 		return nil
 	}
 	var d time.Time
 	if owed {
-		d = time.Now().Add(c.timeout)
+		if d = c.rearm(c.readDeadline); d.IsZero() {
+			return nil
+		}
+	} else if c.readDeadline.IsZero() {
+		return nil
 	}
-	return c.nc.SetReadDeadline(d)
+	if err := c.nc.SetReadDeadline(d); err != nil {
+		return err
+	}
+	c.readDeadline = d
+	return nil
 }
 
 // Decode reads one gob frame into msg. A clean close between frames is

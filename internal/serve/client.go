@@ -14,11 +14,12 @@ import (
 type ClientOptions struct {
 	// DialTimeout bounds connection establishment; zero means 5 seconds.
 	DialTimeout time.Duration
-	// FrameTimeout bounds each frame read and write; zero means
-	// frame.DefaultTimeout (2 minutes), negative disables (synchronous
-	// in-memory pipes in tests).
+	// FrameTimeout bounds each frame read and write: one times out no
+	// sooner than FrameTimeout after it starts, and at most 1/16 later.
+	// Zero means frame.DefaultTimeout (2 minutes), negative disables
+	// (synchronous in-memory pipes in tests).
 	FrameTimeout time.Duration
-	// FeedbackBatch is the buffered-report count that triggers an eager
+	// FeedbackBatch is the unwritten-report count that triggers an eager
 	// flush; zero means 256. Feedback is also sent ahead of every
 	// Select, Release, Ping and Close, in the same write, so the buffer
 	// never outlives the traffic that should observe it.
@@ -42,7 +43,9 @@ type ClientOptions struct {
 
 	// MaxBufferedFeedback bounds the reports held while the daemon is
 	// unreachable (the overload guard); beyond it the oldest are dropped
-	// and counted in DroppedFeedback. Zero means 4096.
+	// and counted in DroppedFeedback. On a live connection nothing is
+	// dropped: when this many reports are queued, written or not, the
+	// client confirms them with a Ping. Zero means 4096.
 	MaxBufferedFeedback int
 
 	// OnRejected, when set, receives feedback items the daemon bounced in
@@ -377,15 +380,13 @@ func (c *Client) attempt(op func() error) error {
 // disconnect before that requeues them.
 func (c *Client) writeFeedback() error { return c.send(true, nil) }
 
-// trimFeedback enforces the overload guard: when the queued reports exceed
-// the bound, the oldest unwritten ones are dropped and counted.
+// trimFeedback enforces the overload guard on a disconnected client, whose
+// reports all sit in batch (dropConn requeued the unconfirmed ones): past
+// the bound, the oldest are dropped and counted.
 func (c *Client) trimFeedback() {
-	over := len(c.batch) + len(c.sent) - c.opts.maxBufferedFeedback()
+	over := len(c.batch) - c.opts.maxBufferedFeedback()
 	if over <= 0 {
 		return
-	}
-	if over > len(c.batch) {
-		over = len(c.batch)
 	}
 	kept := copy(c.batch, c.batch[over:])
 	c.batch = c.batch[:kept]
@@ -472,7 +473,6 @@ func (c *Client) FeedbackSlot(device uint64, arm int, slot uint64, reward float6
 		return err
 	}
 	c.batch = append(c.batch, FeedbackItem{Device: device, Arm: arm, Slot: slot, Reward: reward})
-	c.trimFeedback()
 	return c.maybeFlushFeedback()
 }
 
@@ -486,20 +486,32 @@ func (c *Client) EnqueueFeedback(items []FeedbackItem) error {
 		return err
 	}
 	c.batch = append(c.batch, items...)
-	c.trimFeedback()
 	return c.maybeFlushFeedback()
 }
 
-// maybeFlushFeedback is the eager batch-size flush shared by the
-// feedback entry points. Best-effort: a transport failure just drops the
-// connection and the reports ride along on the next operation.
+// maybeFlushFeedback is the eager flush shared by the feedback entry
+// points. On a live connection it writes the unwritten batch once it
+// reaches FeedbackBatch, or, once MaxBufferedFeedback reports are queued
+// written or not, writes it under a Ping barrier that empties the
+// unconfirmed queue. Disconnected, it applies the overload guard.
+// Best-effort: a transport failure just drops the connection and the
+// reports ride along on the next operation.
 func (c *Client) maybeFlushFeedback() error {
-	if len(c.batch)+len(c.sent) >= c.opts.feedbackBatch() && c.connected {
-		if err := c.writeFeedback(); err != nil {
-			c.dropConn(err)
-			if c.permErr != nil {
-				return c.permErr
-			}
+	if !c.connected {
+		c.trimFeedback()
+		return nil
+	}
+	var err error
+	switch {
+	case len(c.batch)+len(c.sent) >= c.opts.maxBufferedFeedback():
+		err = c.ping()
+	case len(c.batch) >= c.opts.feedbackBatch():
+		err = c.writeFeedback()
+	}
+	if err != nil {
+		c.dropConn(err)
+		if c.permErr != nil {
+			return c.permErr
 		}
 	}
 	return nil
@@ -536,27 +548,30 @@ func (c *Client) Ping() error {
 	if err := c.usable(); err != nil {
 		return err
 	}
-	return c.attempt(func() error {
-		c.pingSeq++
-		req := message{tag: tagPing, ping: servePingMsg{Seq: c.pingSeq}}
-		if err := c.send(true, &req); err != nil {
+	return c.attempt(c.ping)
+}
+
+// ping is one Ping attempt on the current connection.
+func (c *Client) ping() error {
+	c.pingSeq++
+	req := message{tag: tagPing, ping: servePingMsg{Seq: c.pingSeq}}
+	if err := c.send(true, &req); err != nil {
+		return err
+	}
+	for {
+		if err := c.recv(); err != nil {
 			return err
 		}
-		for {
-			if err := c.recv(); err != nil {
-				return err
-			}
-			if c.in.tag == tagRejected {
-				c.handleRejected(&c.in.rejected)
-				continue // bounced feedback; the pong follows
-			}
-			if c.in.tag != tagPong || c.in.pong.Seq != c.pingSeq {
-				return errors.New("unexpected frame awaiting pong")
-			}
-			c.sent = c.sent[:0] // barrier, as for SelectSlot
-			return nil
+		if c.in.tag == tagRejected {
+			c.handleRejected(&c.in.rejected)
+			continue // bounced feedback; the pong follows
 		}
-	})
+		if c.in.tag != tagPong || c.in.pong.Seq != c.pingSeq {
+			return errors.New("unexpected frame awaiting pong")
+		}
+		c.sent = c.sent[:0] // barrier, as for SelectSlot
+		return nil
+	}
 }
 
 // Close makes a best-effort final feedback flush and closes the

@@ -2,10 +2,13 @@ package serve
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"net"
 	"testing"
 	"time"
+
+	"smartexp3/internal/frame"
 )
 
 // codecSamples is one representative of every message, optional parts
@@ -87,10 +90,12 @@ func TestWireCodecWarmAllocs(t *testing.T) {
 	}
 }
 
-// writeCountingConn counts the writes that reach the socket.
+// writeCountingConn counts the writes that reach the socket and the
+// deadlines set on it.
 type writeCountingConn struct {
 	net.Conn
-	writes int
+	writes                        int
+	readDeadlines, writeDeadlines int
 }
 
 func (c *writeCountingConn) Write(p []byte) (int, error) {
@@ -98,21 +103,38 @@ func (c *writeCountingConn) Write(p []byte) (int, error) {
 	return c.Conn.Write(p)
 }
 
-// TestClientOneWritePerOperation pins the single flush: a Select, Ping or
-// Release carrying buffered feedback reaches the socket as one write, the
-// feedback frame and the request frame together.
-func TestClientOneWritePerOperation(t *testing.T) {
-	_, addr := startServer(t, Config{})
+func (c *writeCountingConn) SetReadDeadline(t time.Time) error {
+	c.readDeadlines++
+	return c.Conn.SetReadDeadline(t)
+}
+
+func (c *writeCountingConn) SetWriteDeadline(t time.Time) error {
+	c.writeDeadlines++
+	return c.Conn.SetWriteDeadline(t)
+}
+
+// dialCounting connects a client to addr through a writeCountingConn.
+func dialCounting(t *testing.T, addr string, opts ClientOptions) (*Client, *writeCountingConn) {
+	t.Helper()
 	raw, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	conn := &writeCountingConn{Conn: raw}
-	c, err := NewClient(conn, ClientOptions{FrameTimeout: 30 * time.Second})
+	c, err := NewClient(conn, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
+	t.Cleanup(func() { c.Close() })
+	return c, conn
+}
+
+// TestClientOneWritePerOperation pins the single flush: a Select, Ping or
+// Release carrying buffered feedback reaches the socket as one write, the
+// feedback frame and the request frame together.
+func TestClientOneWritePerOperation(t *testing.T) {
+	_, addr := startServer(t, Config{})
+	c, conn := dialCounting(t, addr, ClientOptions{FrameTimeout: 30 * time.Second})
 	arms := []int{1, 2, 3}
 	arm, slot, err := c.SelectSlot(5, arms)
 	if err != nil {
@@ -140,5 +162,104 @@ func TestClientOneWritePerOperation(t *testing.T) {
 		if n := conn.writes - before; n != 1 {
 			t.Fatalf("%s with buffered feedback made %d writes, want 1", op.name, n)
 		}
+	}
+}
+
+// TestClientArmsDeadlinesPerConnection pins lazy deadline arming end to
+// end: 10,000 warm Select+Feedback operations, handshake included, set at
+// most two deadlines per direction on the client's socket, where arming
+// per frame would set over 10,000 of each.
+func TestClientArmsDeadlinesPerConnection(t *testing.T) {
+	_, addr := startServer(t, Config{})
+	c, conn := dialCounting(t, addr, ClientOptions{FrameTimeout: 30 * time.Second})
+	arms := []int{1, 2, 3}
+	for i := 0; i < 10000; i++ {
+		device := uint64(i % 64)
+		arm, slot, err := c.SelectSlot(device, arms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.FeedbackSlot(device, arm, slot, 0.5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if conn.readDeadlines > 2 || conn.writeDeadlines > 2 {
+		t.Fatalf("10,000 operations set %d read and %d write deadlines, want at most 2 each", conn.readDeadlines, conn.writeDeadlines)
+	}
+}
+
+// TestClientFeedbackFlushesPerBatchAndDropsNothing pins the eager flush
+// on a live connection with no response barrier in sight: n reports are
+// written once per FeedbackBatch (256) reports, none is dropped (past
+// MaxBufferedFeedback, 4096, a Ping confirms the unconfirmed queue
+// instead), and the store applies every one.
+func TestClientFeedbackFlushesPerBatchAndDropsNothing(t *testing.T) {
+	for _, n := range []int{1000, 5000} {
+		store, addr := startServer(t, Config{})
+		c, conn := dialCounting(t, addr, ClientOptions{FrameTimeout: 30 * time.Second})
+		arms := []int{1, 2, 3}
+		picks := make([][2]uint64, n) // arm, slot per device
+		for d := range picks {
+			arm, slot, err := c.SelectSlot(uint64(d), arms)
+			if err != nil {
+				t.Fatal(err)
+			}
+			picks[d] = [2]uint64{uint64(arm), slot}
+		}
+		before := conn.writes
+		for d, p := range picks {
+			if err := c.FeedbackSlot(uint64(d), int(p[0]), p[1], 0.5); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if w, max := conn.writes-before, (n+255)/256+1; w > max {
+			t.Fatalf("n=%d: %d reports took %d writes, want at most %d", n, n, w, max)
+		}
+		if d, r := c.DroppedFeedback(), c.Reconnects(); d != 0 || r != 0 {
+			t.Fatalf("n=%d: a connected client dropped %d reports (%d reconnects)", n, d, r)
+		}
+		if err := c.Ping(); err != nil {
+			t.Fatal(err)
+		}
+		for d, p := range picks {
+			if _, slot, err := store.Select(uint64(d), arms); err != nil || slot != p[1]+1 {
+				t.Fatalf("n=%d: device %d's report was not applied: next slot %d, %v; want %d", n, d, slot, err, p[1]+1)
+			}
+		}
+		if d := store.Dropped(); d != 0 {
+			t.Fatalf("n=%d: store dropped %d reports", n, d)
+		}
+	}
+}
+
+// TestClientOverloadGuardDropsOldestWhileUnreachable pins the overload
+// guard's documented job: with the daemon unreachable, the client holds
+// the newest MaxBufferedFeedback reports and drops and counts the older
+// ones.
+func TestClientOverloadGuardDropsOldestWhileUnreachable(t *testing.T) {
+	a, b := net.Pipe()
+	defer a.Close()
+	go func() {
+		frame.NewConn(b, 0, 0, false).Accept(hello)
+		b.Close() // the daemon goes away right after the handshake
+	}()
+	c, err := NewClient(a, ClientOptions{
+		FrameTimeout:        -1,
+		MaxBufferedFeedback: 100,
+		Redial:              func() (net.Conn, error) { return nil, errors.New("daemon unreachable") },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 250; i++ {
+		if err := c.FeedbackSlot(7, 0, uint64(i), 0.5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if d := c.DroppedFeedback(); d != 150 {
+		t.Fatalf("dropped %d reports, want 150", d)
+	}
+	if len(c.batch) != 100 || c.batch[0].Slot != 150 || c.batch[99].Slot != 249 {
+		t.Fatalf("kept %d reports, slots %d..%d; want the newest 100 (150..249)", len(c.batch), c.batch[0].Slot, c.batch[len(c.batch)-1].Slot)
 	}
 }

@@ -14,10 +14,12 @@ import (
 // ServerOptions tunes the transport, not the decisions.
 type ServerOptions struct {
 	// FrameTimeout bounds both waiting for a client frame and writing a
-	// response. A client must send something (a ping suffices) within it,
-	// and a stalled reader cannot park a connection goroutine past it.
-	// Zero means frame.DefaultTimeout (2 minutes), as on every wire;
-	// negative disables deadlines (tests with synchronous pipes).
+	// response: each times out no sooner than FrameTimeout after it
+	// starts, and at most 1/16 later. A client must send something (a
+	// ping suffices) within it, and a stalled reader cannot park a
+	// connection goroutine past it. Zero means frame.DefaultTimeout (2
+	// minutes), as on every wire; negative disables deadlines (tests with
+	// synchronous pipes).
 	FrameTimeout time.Duration
 	// Metrics, when set, counts accepted connections and per-frame wire
 	// traffic (a NewServerMetrics set registered on an obsv.Registry).

@@ -14,6 +14,12 @@ import (
 // startServer serves a fresh store on loopback and returns its address.
 func startServer(t *testing.T, cfg Config) (*Store, string) {
 	t.Helper()
+	return startServerOpts(t, cfg, ServerOptions{FrameTimeout: 30 * time.Second})
+}
+
+// startServerOpts is startServer with the server's transport options.
+func startServerOpts(t *testing.T, cfg Config, opts ServerOptions) (*Store, string) {
+	t.Helper()
 	if cfg.Seed == 0 {
 		cfg.Seed = 42
 	}
@@ -25,7 +31,7 @@ func startServer(t *testing.T, cfg Config) (*Store, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(store, ServerOptions{FrameTimeout: 30 * time.Second})
+	srv := NewServer(store, opts)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -278,5 +284,41 @@ func TestServerSurvivesMalformedClient(t *testing.T) {
 	c := dialTest(t, addr)
 	if _, _, err := c.SelectSlot(1, []int{1, 2}); err != nil {
 		t.Fatalf("server unusable after a malformed client: %v", err)
+	}
+}
+
+// TestServerDropsSilentClient pins that the server's read deadline still
+// fires under lazy arming: a client that handshakes, makes 50 Selects and
+// falls silent is disconnected no sooner than FrameTimeout after its last
+// frame, and well within a few seconds.
+func TestServerDropsSilentClient(t *testing.T) {
+	const timeout = 200 * time.Millisecond
+	_, addr := startServerOpts(t, Config{}, ServerOptions{FrameTimeout: timeout})
+	raw, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewClient(raw, ClientOptions{FrameTimeout: 30 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var last time.Time
+	for i := 0; i < 50; i++ {
+		last = time.Now()
+		if _, _, err := c.SelectSlot(uint64(i), []int{1, 2}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := raw.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	_, err = raw.Read(make([]byte, 1))
+	silent := time.Since(last)
+	if !errors.Is(err, io.EOF) {
+		t.Fatalf("silent client's connection: read returned %v after %v, want the server's close (EOF)", err, silent)
+	}
+	if silent < timeout {
+		t.Fatalf("server dropped a client %v after its last frame, sooner than FrameTimeout %v", silent, timeout)
 	}
 }
