@@ -25,6 +25,7 @@ import (
 	"smartexp3/internal/fleet"
 	"smartexp3/internal/netmodel"
 	"smartexp3/internal/obsv"
+	"smartexp3/internal/rngutil"
 	"smartexp3/internal/runner"
 	"smartexp3/internal/serve"
 	"smartexp3/internal/sim"
@@ -269,6 +270,18 @@ func BenchmarkSimReplication(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkSourceSeed reseeds one warm per-device generator: the fixed
+// cost every device pays at the start of every replication and on every
+// serve join. Each iteration seeds with a fresh ChildSeed, as the
+// simulator does; the gate holds it at 0 allocs/op.
+func BenchmarkSourceSeed(b *testing.B) {
+	src := rngutil.NewSource(1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		src.Seed(rngutil.ChildSeed(7, int64(i)))
 	}
 }
 

@@ -25,12 +25,12 @@ type WorkerOptions struct {
 	// acks, pongs): one times out no sooner than WriteTimeout after it
 	// starts, and at most 1/16 later. 0 means frame.DefaultTimeout (2
 	// minutes, the coordinator's frame-timeout default), negative
-	// disables. It is the
-	// worker-side mirror of the coordinator's per-frame write deadline: a
-	// coordinator that dies — or stalls — without closing the connection
-	// stops draining, the TCP buffer fills, and without a deadline the
-	// serving goroutine would park on that write forever, pinning the
-	// session's compiled engines and workspace pools with it.
+	// disables. It is the worker-side mirror of the coordinator's
+	// per-frame write deadline: a coordinator that dies — or stalls —
+	// without closing the connection stops draining, the TCP buffer
+	// fills, and without a deadline the connection's writer, and the
+	// frame loop waiting on it, would park forever, pinning the session's
+	// compiled engines and workspace pools with them.
 	WriteTimeout time.Duration
 	// Logf, when non-nil, receives connection-level progress and failure
 	// lines.
@@ -170,16 +170,94 @@ func configKey(wc WireConfig) (string, error) {
 	return buf.String(), nil
 }
 
+// writerQueue bounds how many frames serveConn may hand a connection's
+// writer before it blocks: enough that a range's results stream while the
+// next run computes, small enough that a coordinator which stopped
+// draining stalls the computation within a few runs.
+const writerQueue = 16
+
+// connWriter owns the write half of one worker connection. serveConn hands
+// it every outbound frame (results, range-dones, job acks, pongs) in order;
+// it sends whatever is already queued in one frame.Conn call — one
+// deadline check, one flush — so run i's encode and syscall overlap run
+// i+1's compute. Its first error closes the connection, which also ends
+// serveConn's read, and is what serveConn returns.
+type connWriter struct {
+	fc   *frame.Conn
+	q    chan *envelope
+	done chan struct{} // closed when the writer has exited
+	err  error         // the write error it exited on; read after done
+}
+
+func startWriter(fc *frame.Conn) *connWriter {
+	w := &connWriter{fc: fc, q: make(chan *envelope, writerQueue), done: make(chan struct{})}
+	go w.loop()
+	return w
+}
+
+func (w *connWriter) loop() {
+	defer close(w.done)
+	batch := make([]any, 0, writerQueue)
+	for env := range w.q {
+		batch = append(batch[:0], env)
+	drain:
+		for len(batch) < cap(batch) {
+			select {
+			case env, ok := <-w.q:
+				if !ok {
+					break drain
+				}
+				batch = append(batch, env)
+			default:
+				break drain
+			}
+		}
+		if err := w.fc.EncodeAll(batch); err != nil {
+			w.err = err
+			w.fc.Close()
+			return
+		}
+		clear(batch) // drop the sent results before waiting on the next
+	}
+}
+
+// send queues env for the wire, or returns the writer's error once it has
+// failed.
+func (w *connWriter) send(env *envelope) error {
+	select {
+	case <-w.done:
+		return w.err
+	default:
+	}
+	select {
+	case w.q <- env:
+		return nil
+	case <-w.done:
+		return w.err
+	}
+}
+
+// stop lets the writer send what is queued, waits for it to exit and
+// returns its error. Only serveConn calls it, once.
+func (w *connWriter) stop() error {
+	close(w.q)
+	<-w.done
+	return w.err
+}
+
 // serveConn speaks one coordinator session: handshake, then a frame loop
 // multiplexing any number of jobs (by id) and their ranges until the
 // coordinator closes the connection. Ranges execute strictly in arrival
 // order — the ordering contract the coordinator's in-flight attribution
 // relies on. Keepalive pings are answered in the same loop: while a range is
 // executing the coordinator sees progress through the result stream instead.
+// Every reply goes through the connection's writer, so replies reach the
+// wire in the order this loop produced them; serveConn returns once the
+// writer has exited, preferring the writer's error to its own.
 func serveConn(conn net.Conn, opts WorkerOptions) error {
 	// Writes carry a per-frame deadline: a coordinator that stopped
-	// draining surfaces within the timeout instead of parking this
-	// goroutine on a full TCP buffer for good. Reads never time out — the
+	// draining surfaces within the timeout instead of parking the writer
+	// on a full TCP buffer for good. Reads never time out — the
 	// coordinator may idle between batches for any length of time.
 	fc := frame.NewConn(conn, 0, frame.Timeout(opts.WriteTimeout), false)
 	m := opts.Metrics
@@ -190,7 +268,17 @@ func serveConn(conn net.Conn, opts WorkerOptions) error {
 	if _, err := fc.Accept(hello); err != nil {
 		return err
 	}
+	w := startWriter(fc)
+	err := serveFrames(conn, fc, w, opts)
+	if werr := w.stop(); werr != nil {
+		return werr
+	}
+	return err
+}
 
+// serveFrames is serveConn's frame loop; replies go to w.
+func serveFrames(conn net.Conn, fc *frame.Conn, w *connWriter, opts WorkerOptions) error {
+	m := opts.Metrics
 	ws := &workerSession{
 		workers: opts.Workers,
 		jobs:    make(map[uint64]*workerJob),
@@ -207,7 +295,7 @@ func serveConn(conn net.Conn, opts WorkerOptions) error {
 		}
 		switch {
 		case env.Ping != nil:
-			if err := fc.Encode(&envelope{Pong: &pongMsg{Seq: env.Ping.Seq}}); err != nil {
+			if err := w.send(&envelope{Pong: &pongMsg{Seq: env.Ping.Seq}}); err != nil {
 				return err
 			}
 			if m != nil {
@@ -227,7 +315,7 @@ func serveConn(conn net.Conn, opts WorkerOptions) error {
 					m.JobsRejected.Inc()
 				}
 			}
-			if err := fc.Encode(&envelope{JobAck: &jobAckMsg{ID: id, Err: compileErr}}); err != nil {
+			if err := w.send(&envelope{JobAck: &jobAckMsg{ID: id, Err: compileErr}}); err != nil {
 				return err
 			}
 			if compileErr == "" {
@@ -248,7 +336,7 @@ func serveConn(conn net.Conn, opts WorkerOptions) error {
 				// The job never compiled; the coordinator learned that from
 				// the job ack, but ranges pipelined before the ack arrived
 				// still deserve a deterministic answer.
-				if err := fc.Encode(&envelope{RangeDone: &rangeDoneMsg{Job: r.Job, First: r.First, Err: wj.compileErr}}); err != nil {
+				if err := w.send(&envelope{RangeDone: &rangeDoneMsg{Job: r.Job, First: r.First, Err: wj.compileErr}}); err != nil {
 					return err
 				}
 				continue
@@ -268,11 +356,13 @@ func serveConn(conn net.Conn, opts WorkerOptions) error {
 				if m != nil {
 					m.Runs.Inc()
 				}
-				// Flush per result, not per range: the coordinator's
+				// Each result is handed over as soon as it is merged, and
+				// the writer sends every frame as soon as it drains, never
+				// holding one back for the range's end: the coordinator's
 				// FrameTimeout is a progress timeout, so every finished run
 				// must reach the wire promptly — a slow chunk buffered until
 				// RangeDone would look like a stalled worker.
-				return fc.Encode(&envelope{RunResult: &runResultMsg{Job: r.Job, Run: run, Res: res}})
+				return w.send(&envelope{RunResult: &runResultMsg{Job: r.Job, Run: run, Res: res}})
 			})
 			if m != nil {
 				m.RangeLatency.Observe(time.Since(rangeStart).Nanoseconds())
@@ -287,7 +377,7 @@ func serveConn(conn net.Conn, opts WorkerOptions) error {
 				}
 				done.Err = runErr.Error()
 			}
-			if err := fc.Encode(&envelope{RangeDone: &done}); err != nil {
+			if err := w.send(&envelope{RangeDone: &done}); err != nil {
 				return err
 			}
 

@@ -1,0 +1,106 @@
+package cluster
+
+import (
+	"runtime"
+	"testing"
+	"time"
+)
+
+// TestWorkerStreamsRangesInOrder plays the coordinator over a raw frame
+// connection and pipelines three ranges and a ping without waiting: the
+// worker's writer must deliver each range's results in run order, then
+// its RangeDone, then the next range's, with the pong in the place the
+// ping took among them, and the results must be the in-process ones.
+func TestWorkerStreamsRangesInOrder(t *testing.T) {
+	addrs := startWorkers(t, 1, WorkerOptions{Workers: 2})
+	fc := dialRaw(t, addrs[0])
+	if _, err := fc.Greet(hello); err != nil {
+		t.Fatalf("handshake failed: %v", err)
+	}
+	job := testJob(t, 12)
+	ranges := []rangeMsg{{Job: 1, First: 0, Count: 4}, {Job: 1, First: 4, Count: 1}, {Job: 1, First: 5, Count: 7}}
+	if err := fc.EncodeAll([]any{
+		&envelope{Job: &jobMsg{ID: 1, Spec: job}},
+		&envelope{Range: &ranges[0]},
+		&envelope{Range: &ranges[1]},
+		&envelope{Ping: &pingMsg{Seq: 9}},
+		&envelope{Range: &ranges[2]},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	next := func() *envelope {
+		t.Helper()
+		env, err := readEnvelope(fc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return env
+	}
+	if env := next(); env.JobAck == nil || env.JobAck.Err != "" {
+		t.Fatalf("want the job ack first, got %+v", env)
+	}
+	merge, got := fingerprint()
+	for i, r := range ranges {
+		for run := r.First; run < r.First+r.Count; run++ {
+			env := next()
+			if env.RunResult == nil || env.RunResult.Run != run {
+				t.Fatalf("range %d: want the result of run %d, got %+v", i, run, env)
+			}
+			merge(run, env.RunResult.Res)
+		}
+		if env := next(); env.RangeDone == nil || env.RangeDone.First != r.First || env.RangeDone.Err != "" {
+			t.Fatalf("range %d: want its RangeDone after its last result, got %+v", i, env)
+		}
+		if i == 1 {
+			if env := next(); env.Pong == nil || env.Pong.Seq != 9 {
+				t.Fatalf("want the pong between the second and third ranges, got %+v", env)
+			}
+		}
+	}
+	if want := inProcessWant(t, job); got.String() != want {
+		t.Fatal("streamed results differ from the in-process run")
+	}
+}
+
+// TestWorkerSessionsEndingMidRangeLeaveNoGoroutines drops 50 sessions
+// while their range is still streaming, and 10 more once it has finished,
+// when the writer has nothing left to fail on and must be stopped: every
+// session's frame loop, its writer and its runner goroutines must exit,
+// so the worker's goroutine count returns to where it was before the
+// first dial.
+func TestWorkerSessionsEndingMidRangeLeaveNoGoroutines(t *testing.T) {
+	addrs := startWorkers(t, 1, WorkerOptions{Workers: 2})
+	baseline := runtime.NumGoroutine()
+	job := testJob(t, 64)
+	for i := 0; i < 60; i++ {
+		fc := dialRaw(t, addrs[0])
+		if _, err := fc.Greet(hello); err != nil {
+			t.Fatalf("session %d: handshake failed: %v", i, err)
+		}
+		if err := fc.EncodeAll([]any{
+			&envelope{Job: &jobMsg{ID: 1, Spec: job}},
+			&envelope{Range: &rangeMsg{Job: 1, First: 0, Count: job.Runs}},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		frames := 2 // mid-range: the job ack and the first result
+		if i >= 50 {
+			frames = 2 + job.Runs // idle: every result and the RangeDone
+		}
+		for f := 0; f < frames; f++ {
+			if _, err := readEnvelope(fc); err != nil {
+				t.Fatalf("session %d: %v", i, err)
+			}
+		}
+		fc.Close()
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines alive, want %d; stacks:\n%s",
+				runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}

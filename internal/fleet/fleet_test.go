@@ -7,6 +7,7 @@ import (
 	"math"
 	"net"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -490,6 +491,16 @@ func TestCoordinatorDeathMidHandoff(t *testing.T) {
 		fc := newFakeCoordinator(t, a.info, b.info)
 		state := cut(t, fc, tab2, stripe)
 		lo, hi := tab2.StripeRange(stripe)
+		// Staging vets every record, the generator cursors included, so
+		// the commit below cannot half-fail on a corrupt one.
+		corrupt := *state.Snap
+		corrupt.Devices = append([]serve.DeviceSnapshot(nil), state.Snap.Devices...)
+		corrupt.Devices[0].Rng.Tap = (corrupt.Devices[0].Rng.Tap + 1) % 607
+		if resp := fc.roundTrip("b", &fleetEnvelope{Offer: &offerMsg{
+			Stripe: stripe, Lo: lo, Hi: hi, NewEpoch: tab2.Epoch, Snap: &corrupt,
+		}}); resp.OfferAck == nil || !strings.Contains(resp.OfferAck.Err, fmt.Sprintf("device %d", corrupt.Devices[0].Device)) {
+			t.Fatalf("offer with a corrupt generator cursor: %+v", resp.OfferAck)
+		}
 		if resp := fc.roundTrip("b", &fleetEnvelope{Offer: &offerMsg{
 			Stripe: stripe, Lo: lo, Hi: hi, NewEpoch: tab2.Epoch, Snap: state.Snap,
 		}}); resp.OfferAck == nil || resp.OfferAck.Err != "" {

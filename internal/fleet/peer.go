@@ -307,8 +307,8 @@ func (p *Peer) handleOffer(st *connState, off *offerMsg) *offerAckMsg {
 		if k := serve.RouteKey(ds.Device); k < off.Lo || k > off.Hi {
 			return &offerAckMsg{Stripe: off.Stripe, Err: fmt.Sprintf("device %d outside the offered range", ds.Device)}
 		}
-		if err := ds.State.Validate(); err != nil {
-			return &offerAckMsg{Stripe: off.Stripe, Err: err.Error()}
+		if err := ds.Validate(); err != nil {
+			return &offerAckMsg{Stripe: off.Stripe, Err: fmt.Sprintf("device %d: %v", ds.Device, err)}
 		}
 	}
 	p.mu.Lock()

@@ -4,13 +4,13 @@ import "math/rand"
 
 // This file reimplements math/rand's default generator — the additive
 // lagged-Fibonacci source behind rand.NewSource — with one capability the
-// standard library lacks: seeding many sources at once. Seeding is the
-// dominant cost of a short Monte Carlo replication (each Seed walks a
-// ~1800-step sequential Lehmer chain, ~10µs), and a simulation needs one
-// independent stream per device per replication. The chains of different
-// streams are independent, so seeding k sources in lockstep lets the CPU
-// overlap k dependency chains and retires several seeds in the time one
-// takes (see SeedAll).
+// standard library lacks: cheap reseeding. Seeding is a fixed cost of
+// every Monte Carlo replication, which needs one independent stream per
+// device per replication. The stdlib walks a 1,841-step sequential
+// Lehmer chain per seed; Seed instead jumps to each of the 1,821 chain
+// states it keeps with one multiplication by a precomputed power of the
+// multiplier, independent products the CPU overlaps (BenchmarkSourceSeed:
+// 6.8 µs for the chain, 3.6 µs for Seed on a 2-vCPU Xeon).
 //
 // The streams are bit-identical to math/rand's: Source reproduces the
 // generator state exactly, which the test suite verifies draw-for-draw
@@ -108,8 +108,8 @@ func recoverAdditiveTable() [rngLen]uint64 {
 }
 
 // Source is a drop-in, stream-identical replacement for rand.NewSource
-// that additionally supports batched reseeding (SeedAll). It implements
-// rand.Source64. Like the stdlib source, it is not safe for concurrent use.
+// with cheaper reseeding (Seed). It implements rand.Source64. Like the
+// stdlib source, it is not safe for concurrent use.
 type Source struct {
 	vec       [rngLen]int64
 	tap, feed int
@@ -125,21 +125,55 @@ func NewSource(seed int64) *Source {
 	return s
 }
 
-// Seed implements rand.Source.
+// Seed implements rand.Source. The stdlib walks the Lehmer chain
+// x_k = x_0·48271^k mod 2³¹−1 step by step and fills vec[i] from x_{21+3i},
+// x_{22+3i} and x_{23+3i}; here each of those is x_0 times a precomputed
+// power (seedPow), so the 1,821 products are independent of one another and
+// the CPU overlaps them instead of waiting out one long dependency chain.
 func (s *Source) Seed(seed int64) {
 	s.tap = 0
 	s.feed = rngLen - rngTap
-	x := seedInit(seed)
-	for i := -20; i < 0; i++ {
+	x := uint64(seedInit(seed))
+	for i := range s.vec {
+		p := &seedPow[i]
+		x1 := mulmod(x, uint64(p[0]))
+		x2 := mulmod(x, uint64(p[1]))
+		x3 := mulmod(x, uint64(p[2]))
+		s.vec[i] = int64(x1<<40 ^ x2<<20 ^ x3 ^ additiveTab[i])
+	}
+}
+
+// seedPow[i][j] is 48271^(21+3i+j) mod 2³¹−1: the multiplier that takes a
+// conditioned seed to the (21+3i+j)th state of its Lehmer chain, the first
+// twenty states being discarded by the stdlib.
+var seedPow = seedPowers()
+
+func seedPowers() [rngLen][3]uint32 {
+	var pow [rngLen][3]uint32
+	x := int32(1)
+	for i := 0; i < 20; i++ {
 		x = seedrand(x)
 	}
-	for i := 0; i < rngLen; i++ {
-		x1 := seedrand(x)
-		x2 := seedrand(x1)
-		x3 := seedrand(x2)
-		x = x3
-		s.vec[i] = int64(uint64(x1)<<40 ^ uint64(x2)<<20 ^ uint64(x3) ^ additiveTab[i])
+	for i := range pow {
+		for j := range pow[i] {
+			x = seedrand(x)
+			pow[i][j] = uint32(x)
+		}
 	}
+	return pow
+}
+
+// mulmod returns a·b mod 2³¹−1 for a, b in [1, 2³¹−2], with seedrand's
+// Mersenne folding and no final subtract. Each fold keeps the residue.
+// The first takes the product, below 2⁶², to at most 2³²−2, the second
+// that to at most 2³¹−1, and the only values reaching those bounds
+// (2⁶²−1, and 2³¹−1 or 2³²−2 after the first fold) are multiples of the
+// prime 2³¹−1, which no product of a and b is. So the result is already in
+// [1, 2³¹−2].
+func mulmod(a, b uint64) uint64 {
+	p := a * b
+	r := p&int32max + p>>31
+	return r&int32max + r>>31
 }
 
 // Uint64 implements rand.Source64.
@@ -162,57 +196,13 @@ func (s *Source) Int63() int64 {
 	return int64(s.Uint64() & rngMask)
 }
 
-// SeedAll reseeds srcs[i] with seeds[i], running four seed chains in
-// lockstep. Each chain is a strictly sequential integer recurrence, so a
-// single Seed is latency-bound; interleaving independent chains keeps the
-// CPU's ALUs fed and retires a batch of seeds in a fraction of the serial
-// time. The per-source state is identical to calling Seed individually.
+// SeedAll reseeds srcs[i] with seeds[i]: the per-source state is identical
+// to calling Seed individually.
 func SeedAll(srcs []*Source, seeds []int64) {
 	if len(srcs) != len(seeds) {
 		panic("rngutil: SeedAll length mismatch")
 	}
-	i := 0
-	for ; i+4 <= len(srcs); i += 4 {
-		seed4(srcs[i:i+4:i+4], seeds[i:i+4:i+4])
-	}
-	for ; i < len(srcs); i++ {
-		srcs[i].Seed(seeds[i])
-	}
-}
-
-// seed4 seeds four sources in lockstep (see SeedAll).
-func seed4(srcs []*Source, seeds []int64) {
-	var x [4]int32
-	for j, s := range srcs {
-		s.tap = 0
-		s.feed = rngLen - rngTap
-		x[j] = seedInit(seeds[j])
-	}
-	for i := -20; i < 0; i++ {
-		x[0] = seedrand(x[0])
-		x[1] = seedrand(x[1])
-		x[2] = seedrand(x[2])
-		x[3] = seedrand(x[3])
-	}
-	s0, s1, s2, s3 := srcs[0], srcs[1], srcs[2], srcs[3]
-	for i := 0; i < rngLen; i++ {
-		tab := additiveTab[i]
-		a1 := seedrand(x[0])
-		b1 := seedrand(x[1])
-		c1 := seedrand(x[2])
-		d1 := seedrand(x[3])
-		a2 := seedrand(a1)
-		b2 := seedrand(b1)
-		c2 := seedrand(c1)
-		d2 := seedrand(d1)
-		a3 := seedrand(a2)
-		b3 := seedrand(b2)
-		c3 := seedrand(c2)
-		d3 := seedrand(d2)
-		x[0], x[1], x[2], x[3] = a3, b3, c3, d3
-		s0.vec[i] = int64(uint64(a1)<<40 ^ uint64(a2)<<20 ^ uint64(a3) ^ tab)
-		s1.vec[i] = int64(uint64(b1)<<40 ^ uint64(b2)<<20 ^ uint64(b3) ^ tab)
-		s2.vec[i] = int64(uint64(c1)<<40 ^ uint64(c2)<<20 ^ uint64(c3) ^ tab)
-		s3.vec[i] = int64(uint64(d1)<<40 ^ uint64(d2)<<20 ^ uint64(d3) ^ tab)
+	for i, s := range srcs {
+		s.Seed(seeds[i])
 	}
 }

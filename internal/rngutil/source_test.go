@@ -1,7 +1,11 @@
 package rngutil
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
 )
 
@@ -145,4 +149,113 @@ func TestSeedrandMatchesSchrage(t *testing.T) {
 			t.Fatalf("seedrand(%d) = %d, Schrage form %d", x, got, want)
 		}
 	}
+}
+
+// TestMulmodMatchesRemainder pins mulmod's fold-only reduction against
+// the % operator on every pair of domain edges, the largest products
+// among them, and on a million seeded random pairs.
+func TestMulmodMatchesRemainder(t *testing.T) {
+	xs := []uint64{1, 2, 3, 48271, 1 << 30, 1<<30 + 1, 1 << 31 / 3, int32max / 2,
+		int32max/2 + 1, int32max - 3, int32max - 2, int32max - 1}
+	for _, a := range xs {
+		for _, b := range xs {
+			if got, want := mulmod(a, b), a*b%int32max; got != want {
+				t.Fatalf("mulmod(%d, %d) = %d, want %d", a, b, got, want)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(29))
+	for i := 0; i < 1_000_000; i++ {
+		a, b := 1+uint64(rng.Int63n(int32max-1)), 1+uint64(rng.Int63n(int32max-1))
+		if got, want := mulmod(a, b), a*b%int32max; got != want {
+			t.Fatalf("mulmod(%d, %d) = %d, want %d", a, b, got, want)
+		}
+	}
+}
+
+// seedChain is the stdlib's seeding as a serial Lehmer chain — the form
+// Source.Seed had before jump-ahead — kept here as the reference for it.
+func seedChain(s *Source, seed int64) {
+	s.tap = 0
+	s.feed = rngLen - rngTap
+	x := seedInit(seed)
+	for i := -20; i < 0; i++ {
+		x = seedrand(x)
+	}
+	for i := 0; i < rngLen; i++ {
+		x1 := seedrand(x)
+		x2 := seedrand(x1)
+		x3 := seedrand(x2)
+		x = x3
+		s.vec[i] = int64(uint64(x1)<<40 ^ uint64(x2)<<20 ^ uint64(x3) ^ additiveTab[i])
+	}
+}
+
+// TestJumpAheadSeedMatchesChain pins Seed's jump-ahead against the serial
+// chain, comparing the full generator state: on the edges of seedInit's
+// conditioning (zero, the modulus and its multiples, the int64 extremes,
+// the stdlib's zero substitute), on random 64-bit seeds, and on a million
+// consecutive states of one long chain.
+func TestJumpAheadSeedMatchesChain(t *testing.T) {
+	seeds := []int64{0, 1, -1, int32max - 1, int32max, int32max + 1,
+		2 * int32max, -int32max, 1 << 31 * int32max, -(1 << 31) * int32max,
+		math.MinInt64, math.MaxInt64, 89482311}
+	rng := rand.New(rand.NewSource(17))
+	for i := 0; i < 10_000; i++ {
+		seeds = append(seeds, int64(rng.Uint64()))
+	}
+	var jump, chain Source
+	for _, seed := range seeds {
+		jump.Seed(seed)
+		seedChain(&chain, seed)
+		if jump != chain {
+			t.Fatalf("seed %d: jump-ahead state differs from the chain's", seed)
+		}
+	}
+
+	// A seed in [1, 2³¹−2] is its own conditioned value, so seeding with
+	// the kth state of a chain starts a chain equal to that one from k on:
+	// each seed's reference state is read off the one walk.
+	const n = 1_000_000
+	walk := make([]int32, n+3*rngLen+20)
+	walk[0] = seedInit(rng.Int63())
+	for k := 1; k < len(walk); k++ {
+		walk[k] = seedrand(walk[k-1])
+	}
+	// The seeds are split across GOMAXPROCS goroutines, each with its own
+	// Source, to keep the check cheap under the race detector.
+	parts := runtime.GOMAXPROCS(0)
+	var wg sync.WaitGroup
+	for p := 0; p < parts; p++ {
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			var src Source
+			for k := lo; k < hi; k++ {
+				if err := matchesWalk(&src, walk[k:]); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(p*n/parts, (p+1)*n/parts)
+	}
+	wg.Wait()
+}
+
+// matchesWalk seeds src with walk[0] and compares its state with the one
+// the chain walk[0], walk[1], ... gives.
+func matchesWalk(src *Source, walk []int32) error {
+	src.Seed(int64(walk[0]))
+	if src.tap != 0 || src.feed != rngLen-rngTap {
+		return fmt.Errorf("seed %d: cursors %d, %d", walk[0], src.tap, src.feed)
+	}
+	c := walk[21 : 21+3*rngLen]
+	for i := range src.vec {
+		x := c[3*i : 3*i+3 : 3*i+3]
+		want := int64(uint64(x[0])<<40 ^ uint64(x[1])<<20 ^ uint64(x[2]) ^ additiveTab[i])
+		if src.vec[i] != want {
+			return fmt.Errorf("seed %d: vec[%d] = %d, chain gives %d", walk[0], i, src.vec[i], want)
+		}
+	}
+	return nil
 }

@@ -1,5 +1,7 @@
 package rngutil
 
+import "fmt"
+
 // SourceState is the complete generator state of a Source, in exported form
 // so it can cross serialization boundaries (gob, snapshots). Capturing and
 // restoring it resumes the stream bit-for-bit: a restored source produces
@@ -14,6 +16,22 @@ type SourceState struct {
 // State returns a copy of the source's current generator state.
 func (s *Source) State() SourceState {
 	return SourceState{Vec: s.vec, Tap: s.tap, Feed: s.feed}
+}
+
+// Validate reports whether st is a state the generator can reach: both
+// cursors inside the ring, and Feed exactly rngLen−rngTap slots ahead of
+// Tap (mod rngLen), as seeding sets them and every draw keeps them. A
+// state that fails it came from a corrupt snapshot, not from a Source;
+// SetState would fold its cursors into range and resume a stream math/rand
+// never produces, so restore paths call Validate first.
+func (st *SourceState) Validate() error {
+	if st.Tap < 0 || st.Tap >= rngLen || st.Feed < 0 || st.Feed >= rngLen {
+		return fmt.Errorf("rngutil: generator cursors tap=%d feed=%d outside [0, %d)", st.Tap, st.Feed, rngLen)
+	}
+	if (st.Feed-st.Tap+rngLen)%rngLen != rngLen-rngTap {
+		return fmt.Errorf("rngutil: generator cursors tap=%d feed=%d are not %d slots apart", st.Tap, st.Feed, rngLen-rngTap)
+	}
+	return nil
 }
 
 // SetState overwrites the source's generator state with a previously

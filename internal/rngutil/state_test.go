@@ -85,3 +85,23 @@ func TestSetStateClampsCorruptCursors(t *testing.T) {
 		s.Uint64()
 	}
 }
+
+func TestSourceStateValidate(t *testing.T) {
+	src := NewSource(3)
+	for i := 0; i < 2*rngLen+5; i++ {
+		if st := src.State(); st.Validate() != nil {
+			t.Fatalf("draw %d: reachable state (tap=%d feed=%d) rejected: %v", i, st.Tap, st.Feed, st.Validate())
+		}
+		src.Uint64()
+	}
+	for _, c := range []struct{ tap, feed int }{
+		{-1, rngLen - rngTap - 1}, {rngLen, rngLen - rngTap}, {0, rngLen},
+		{0, -rngTap}, {1, rngLen - rngTap}, {0, 0}, {5, 5 + rngTap},
+	} {
+		st := src.State()
+		st.Tap, st.Feed = c.tap, c.feed
+		if st.Validate() == nil {
+			t.Errorf("cursors tap=%d feed=%d accepted", c.tap, c.feed)
+		}
+	}
+}

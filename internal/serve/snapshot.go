@@ -44,6 +44,16 @@ type DeviceSnapshot struct {
 	State   core.PolicyState
 }
 
+// Validate checks the record's policy state and generator state, so a
+// corrupt record is refused instead of restoring a policy or a stream no
+// store produces. Every restore path calls it, and so does fleet staging.
+func (ds *DeviceSnapshot) Validate() error {
+	if err := ds.State.Validate(); err != nil {
+		return err
+	}
+	return ds.Rng.Validate()
+}
+
 // Snapshot is a Store's portable state. Devices are sorted by id, so the
 // encoded bytes are a deterministic function of the store's logical state —
 // independent of shard count, map iteration order, or which shard was
@@ -170,7 +180,7 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	}
 	for i := range sn.Devices {
 		ds := &sn.Devices[i]
-		if err := ds.State.Validate(); err != nil {
+		if err := ds.Validate(); err != nil {
 			return nil, fmt.Errorf("serve: snapshot device %d: %w", ds.Device, err)
 		}
 		if i > 0 && sn.Devices[i-1].Device >= ds.Device {
@@ -228,7 +238,7 @@ func (s *Store) buildDevices(sn *Snapshot) ([]*device, error) {
 	restored := make([]*device, len(sn.Devices))
 	for i := range sn.Devices {
 		ds := &sn.Devices[i]
-		if err := ds.State.Validate(); err != nil {
+		if err := ds.Validate(); err != nil {
 			return nil, fmt.Errorf("serve: snapshot device %d: %w", ds.Device, err)
 		}
 		src := rngutil.NewSource(0)

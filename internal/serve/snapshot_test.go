@@ -2,7 +2,9 @@ package serve
 
 import (
 	"bytes"
+	"fmt"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -171,6 +173,52 @@ func TestRestoreRejectsMismatchedIdentity(t *testing.T) {
 	}
 	if _, err := ReadSnapshot(&buf); err == nil {
 		t.Fatal("ReadSnapshot accepted a corrupt device record")
+	}
+}
+
+// TestRestoreRejectsCorruptGeneratorCursor shifts one device's Tap by one:
+// SetState would fold it into range and resume a stream no Source
+// produces, so ReadSnapshot and both restore paths must refuse the record
+// and name its device, while the untouched snapshot still restores to
+// identical bytes.
+func TestRestoreRejectsCorruptGeneratorCursor(t *testing.T) {
+	s := newTestStore(t, Config{})
+	runScript(t, s, 0, 60)
+	sn := s.Snapshot()
+	want := encodeSnapshot(t, s)
+
+	corrupt := *sn
+	corrupt.Devices = append([]DeviceSnapshot(nil), sn.Devices...)
+	bad := &corrupt.Devices[1]
+	bad.Rng.Tap = (bad.Rng.Tap + 1) % 607
+	name := fmt.Sprintf("device %d", bad.Device)
+	var buf bytes.Buffer
+	if err := corrupt.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadSnapshot(&buf); err == nil || !strings.Contains(err.Error(), name) {
+		t.Fatalf("ReadSnapshot: got %v, want an error naming %s", err, name)
+	}
+	for _, restore := range []func(*Store, *Snapshot) error{(*Store).Restore, (*Store).RestoreRange} {
+		fresh := newTestStore(t, Config{})
+		if err := restore(fresh, &corrupt); err == nil || !strings.Contains(err.Error(), name) {
+			t.Fatalf("restore: got %v, want an error naming %s", err, name)
+		}
+		if fresh.Devices() != 0 {
+			t.Fatalf("a refused restore left %d devices behind", fresh.Devices())
+		}
+	}
+
+	good, err := ReadSnapshot(bytes.NewReader(want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := newTestStore(t, Config{})
+	if err := restored.Restore(good); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(encodeSnapshot(t, restored), want) {
+		t.Fatal("a valid snapshot no longer restores to identical bytes")
 	}
 }
 
