@@ -360,6 +360,49 @@ func BenchmarkServeSelectChurn(b *testing.B) {
 	}
 }
 
+// BenchmarkStoreSnapshot captures a warm store of 8,192 devices on 8
+// shards, each device churned through the four arm sets bench/'s
+// serve-churn workload draws from: the store and shard count that
+// workload snapshots twice per window. The BENCH_runner.json gate holds
+// allocs/op to a count that grows with the shard count, not the device
+// count. kept-B/op is what one snapshot still holds after a collection,
+// the floor B/op is measured against.
+func BenchmarkStoreSnapshot(b *testing.B) {
+	store, err := serve.NewStore(serve.Config{Seed: 1, Shards: 8})
+	if err != nil {
+		b.Fatal(err)
+	}
+	const devices = 8192
+	sets := [][]int{{0, 1, 2}, {0, 2, 4, 6, 8}, {1, 3, 5, 7, 9, 11}, {0, 1, 2, 3, 4, 5, 6, 7}}
+	for i := 0; i < 3*len(sets)*devices; i++ {
+		dev := uint64(i % devices)
+		arm, slot, err := store.Select(dev, sets[(i/devices+int(dev))%len(sets)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		store.Feedback(dev, arm, slot, float64(arm%5+1)/6)
+	}
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	before := ms.HeapAlloc
+	sn := store.Snapshot()
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	kept := float64(ms.HeapAlloc) - float64(before)
+	runtime.KeepAlive(sn)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sn = store.Snapshot()
+	}
+	b.StopTimer()
+	if len(sn.Devices) != devices {
+		b.Fatalf("snapshot holds %d devices, want %d", len(sn.Devices), devices)
+	}
+	b.ReportMetric(kept, "kept-B/op")
+}
+
 // BenchmarkServeSelectInstrumented is BenchmarkServeSelect with the obsv
 // registry attached — the observability layer's perf contract: the warm
 // path must stay at 0 allocs/op and within a few percent of the bare rate

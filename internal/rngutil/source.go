@@ -110,9 +110,16 @@ func recoverAdditiveTable() [rngLen]uint64 {
 // Source is a drop-in, stream-identical replacement for rand.NewSource
 // with cheaper reseeding (Seed). It implements rand.Source64. Like the
 // stdlib source, it is not safe for concurrent use.
+//
+// The cursors are int32, which holds every ring index, so that the struct
+// is 4,864 B, exactly one of the allocator's size classes. Int cursors
+// would make it 4,872 B, which the allocator rounds up to the 5,376 B
+// class: 512 B more for every device a serve.Store holds and every stream
+// a sim.Workspace pools. SourceState keeps int cursors, so streams and
+// encoded snapshots do not depend on this choice.
 type Source struct {
 	vec       [rngLen]int64
-	tap, feed int
+	tap, feed int32
 }
 
 var _ rand.Source64 = (*Source)(nil)

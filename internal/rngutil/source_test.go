@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 // The entire value of Source is stream identity with math/rand: every test
@@ -129,6 +130,17 @@ func seedrandSchrage(x int32) int32 {
 		x += int32max
 	}
 	return x
+}
+
+// TestSourceFitsItsSizeClass pins Source at 4,864 B, one of the Go
+// allocator's size classes, so a heap-allocated Source wastes nothing to
+// rounding. Widening a cursor to int makes it 4,872 B, which the
+// allocator rounds up to the 5,376 B class: 512 B more for every device a
+// serve.Store holds.
+func TestSourceFitsItsSizeClass(t *testing.T) {
+	if got := unsafe.Sizeof(Source{}); got != 4864 {
+		t.Fatalf("Source is %d B, want 4864 B (the allocator's 4,864 B size class; the next class is 5,376 B)", got)
+	}
 }
 
 // TestSeedrandMatchesSchrage pins seedrand against the Schrage form on the

@@ -15,7 +15,16 @@ type SourceState struct {
 
 // State returns a copy of the source's current generator state.
 func (s *Source) State() SourceState {
-	return SourceState{Vec: s.vec, Tap: s.tap, Feed: s.feed}
+	return SourceState{Vec: s.vec, Tap: int(s.tap), Feed: int(s.feed)}
+}
+
+// ExportState copies the source's current generator state into dst. It is
+// State for a destination that already exists, such as a record in a
+// snapshot's device array: the ring is copied once, straight into dst,
+// instead of through a returned temporary.
+func (s *Source) ExportState(dst *SourceState) {
+	dst.Vec = s.vec
+	dst.Tap, dst.Feed = int(s.tap), int(s.feed)
 }
 
 // Validate reports whether st is a state the generator can reach: both
@@ -47,10 +56,10 @@ func (s *Source) SetState(st SourceState) {
 
 // clampCursor maps an arbitrary int into [0, rngLen), the generator ring's
 // valid cursor range.
-func clampCursor(c int) int {
+func clampCursor(c int) int32 {
 	c %= rngLen
 	if c < 0 {
 		c += rngLen
 	}
-	return c
+	return int32(c)
 }

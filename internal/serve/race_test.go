@@ -86,3 +86,62 @@ func TestStoreConcurrentSoak(t *testing.T) {
 		}
 	}
 }
+
+// TestSnapshotCapUnderChurnSoak snapshots a store while goroutines join
+// and release devices. Snapshot allocates Devices at a first count and
+// grows it only by what a shard needs, so the record array can overshoot
+// the captured count only by the devices that left during the sweep. Here
+// at most clients*live devices come and go, fewer than any shard holds of
+// the resident ones, so cap(Devices) must stay within one shard's device
+// count of len(Devices); append's growth rule alone would overshoot by a
+// quarter of the store.
+func TestSnapshotCapUnderChurnSoak(t *testing.T) {
+	const (
+		resident = 512
+		clients  = 4
+		live     = 4 // joined-but-not-released devices per client at most
+		joins    = 600
+	)
+	s := churnedStore(t, Config{Shards: 4}, resident, 1)
+	shardMin := resident
+	for si := range s.shards {
+		shardMin = min(shardMin, len(s.shards[si].devices))
+	}
+	arms := []int{1, 2, 3}
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for g := 0; g < clients; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			base := uint64(1<<20 + g*joins)
+			for i := 0; i < joins; i++ {
+				dev := base + uint64(i)
+				arm, sl, err := s.Select(dev, arms)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				s.Feedback(dev, arm, sl, reward(dev, arm, i))
+				if i >= live-1 {
+					s.Release(dev - (live - 1))
+				}
+			}
+		}(g)
+	}
+	go func() { wg.Wait(); close(stop) }()
+	for snaps := 0; ; snaps++ {
+		select {
+		case <-stop:
+			if snaps == 0 {
+				t.Fatal("the churn finished before one snapshot ran")
+			}
+			return
+		default:
+		}
+		sn := s.Snapshot()
+		if n := len(sn.Devices); n < resident || cap(sn.Devices)-n > shardMin {
+			t.Fatalf("snapshot %d: len %d cap %d, want len ≥ %d and cap within %d of it", snaps, n, cap(sn.Devices), resident, shardMin)
+		}
+	}
+}

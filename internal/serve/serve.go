@@ -5,7 +5,7 @@
 //
 // The package splits the problem the same way the simulator splits
 // Engine/Workspace: the Store owns the hot per-device policy state (sharded
-// across GOMAXPROCS-scaled shards, each under its own mutex, with retired
+// across GOMAXPROCS-scaled shards, each under its own mutex, with released
 // policies pooled through core.Reinitializer so device churn is
 // allocation-free warm), while Server/Client own the transport: the
 // fixed-layout payloads of codec.go (see wire.go for the layout) carried
@@ -63,8 +63,8 @@ import (
 	"smartexp3/internal/rngutil"
 )
 
-// device is one device session's policy state. Retired devices keep their
-// buffers on the shard free list; acquire re-seeds the generator and
+// device is one device session's policy state. Released devices keep
+// their buffers on the shard free list; acquire re-seeds the generator and
 // Reinits the policy in place, so churn costs no allocation warm.
 type device struct {
 	policy  *core.SmartEXP3

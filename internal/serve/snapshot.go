@@ -4,6 +4,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -77,31 +78,33 @@ type Snapshot struct {
 // yet possibly a few requests skewed across devices, which replay
 // absorbs. For a consistent cut of a key range under traffic, bar writes
 // to the range first (SetOwnership) and use SnapshotRange.
+//
+// The snapshot allocates what it keeps. Devices is allocated once, at the
+// count a first pass over the shards finds, so a quiescent store's
+// snapshot has cap(Devices) == len(Devices); a device that joins between
+// that pass and its shard's copy grows Devices by exactly what that shard
+// needs. Each shard's records take their policy-state slices from two
+// arenas, one []float64 and one []int, sized under the shard lock, so a
+// snapshot makes a few allocations per shard, not a dozen per device.
+// Every record slice's capacity ends where the arena region reserved for
+// it does, so a holder may append to any of them: an append that outgrows
+// the region copies out, and none writes into another slice of its record
+// or into a neighbour's.
 func (s *Store) Snapshot() *Snapshot {
-	sn := &Snapshot{
+	return &Snapshot{
 		Version:   snapshotVersion,
 		Algorithm: s.cfg.Algorithm,
 		Seed:      s.cfg.Seed,
 		Dropped:   s.dropped.Load(),
+		Devices:   s.capture(0, math.MaxUint64),
 	}
-	for si := range s.shards {
-		sh := &s.shards[si]
-		sh.mu.Lock()
-		for id, dev := range sh.devices {
-			ds := DeviceSnapshot{Device: id, Pending: dev.pending, Slot: dev.slot, Rng: dev.src.State()}
-			dev.policy.ExportState(&ds.State)
-			sn.Devices = append(sn.Devices, ds)
-		}
-		sh.mu.Unlock()
-	}
-	sort.Slice(sn.Devices, func(i, j int) bool { return sn.Devices[i].Device < sn.Devices[j].Device })
-	return sn
 }
 
 // SnapshotRange captures the device sessions whose routing key
 // (RouteKey of the device id) lies in [lo, hi], inclusive, in the same
-// sorted portable form as Snapshot. Dropped is zero — the drop counter is
-// store-global and stays with the full store.
+// sorted portable form and with the same allocation as Snapshot. Dropped
+// is zero — the drop counter is store-global and stays with the full
+// store.
 //
 // The cut is globally consistent for the range if and only if writes to
 // the range are barred first: install an ownership filter that disowns
@@ -112,45 +115,111 @@ func (s *Store) Snapshot() *Snapshot {
 // barrier the per-shard locking leaves the same skew window the full
 // Snapshot has.
 func (s *Store) SnapshotRange(lo, hi uint64) *Snapshot {
-	sn := &Snapshot{
+	return &Snapshot{
 		Version:   snapshotVersion,
 		Algorithm: s.cfg.Algorithm,
 		Seed:      s.cfg.Seed,
+		Devices:   s.capture(lo, hi),
 	}
+}
+
+// capture copies the sessions whose routing key lies in [lo, hi] into
+// records sorted by device id. A first pass counts them, one shard lock at
+// a time, and the copy allocates Devices at that count; see Snapshot.
+func (s *Store) capture(lo, hi uint64) []DeviceSnapshot {
+	in := func(id uint64) bool {
+		k := RouteKey(id)
+		return lo <= k && k <= hi
+	}
+	n := 0
 	for si := range s.shards {
 		sh := &s.shards[si]
 		sh.mu.Lock()
-		for id, dev := range sh.devices {
-			if k := RouteKey(id); k < lo || k > hi {
-				continue
+		for id := range sh.devices {
+			if in(id) {
+				n++
 			}
-			ds := DeviceSnapshot{Device: id, Pending: dev.pending, Slot: dev.slot, Rng: dev.src.State()}
-			dev.policy.ExportState(&ds.State)
-			sn.Devices = append(sn.Devices, ds)
 		}
 		sh.mu.Unlock()
 	}
-	sort.Slice(sn.Devices, func(i, j int) bool { return sn.Devices[i].Device < sn.Devices[j].Device })
-	return sn
+	devs := make([]DeviceSnapshot, 0, n)
+	for si := range s.shards {
+		sh := &s.shards[si]
+		sh.mu.Lock()
+		devs = s.captureShard(sh, devs, in)
+		sh.mu.Unlock()
+	}
+	sort.Slice(devs, func(i, j int) bool { return devs[i].Device < devs[j].Device })
+	return devs
+}
+
+// captureShard appends sh's sessions that in admits to devs. Caller holds
+// sh.mu.
+//
+// The arenas are sized from each device's arm count k: LogW, WExp and
+// SumGain hold k floats, Tree k+1 and each switch-back window at most
+// Policy.SwitchBackWindow; Available, X, CntGain and SlotsOn hold k ints
+// and Explore at most k. ExportState appends into each slice's capacity,
+// so handing it arena slices whose capacity is that bound makes it
+// allocate nothing.
+func (s *Store) captureShard(sh *shard, devs []DeviceSnapshot, in func(uint64) bool) []DeviceSnapshot {
+	w := s.cfg.Policy.SwitchBackWindow
+	cnt, nf, ni := 0, 0, 0
+	for id, dev := range sh.devices {
+		if !in(id) {
+			continue
+		}
+		k := len(dev.policy.Available())
+		cnt++
+		nf += 4*k + 1 + 2*w
+		ni += 5 * k
+	}
+	if len(devs)+cnt > cap(devs) { // joined since the count: grow by this shard's need
+		devs = append(make([]DeviceSnapshot, 0, len(devs)+cnt), devs...)
+	}
+	fa, ia := make([]float64, nf), make([]int, ni)
+	for id, dev := range sh.devices {
+		if !in(id) {
+			continue
+		}
+		devs = devs[:len(devs)+1]
+		ds := &devs[len(devs)-1]
+		ds.Device, ds.Pending, ds.Slot = id, dev.pending, dev.slot
+		dev.src.ExportState(&ds.Rng)
+		k := len(dev.policy.Available())
+		st := &ds.State
+		st.Available, ia = ia[:0:k], ia[k:]
+		st.Explore, ia = ia[:0:k], ia[k:]
+		st.X, ia = ia[:0:k], ia[k:]
+		st.CntGain, ia = ia[:0:k], ia[k:]
+		st.SlotsOn, ia = ia[:0:k], ia[k:]
+		st.LogW, fa = fa[:0:k], fa[k:]
+		st.WExp, fa = fa[:0:k], fa[k:]
+		st.Tree, fa = fa[:0:k+1], fa[k+1:]
+		st.SumGain, fa = fa[:0:k], fa[k:]
+		st.Window, fa = fa[:0:w], fa[w:]
+		st.PrevWindow, fa = fa[:0:w], fa[w:]
+		dev.policy.ExportState(st)
+	}
+	return devs
 }
 
 // RemoveRange retires every device session whose routing key lies in
-// [lo, hi], inclusive, returning the sessions to the shard pools without
-// invoking eviction hooks, and reports how many it removed. It is the
-// final step of a committed migration handoff: the range's state now
-// lives on the gaining peer, so the local copies are surplus, not
-// evictions.
+// [lo, hi], inclusive, without invoking eviction hooks, and reports how
+// many it removed. It is the final step of a committed migration handoff:
+// the range's state now lives on the gaining peer, so the local copies are
+// surplus, not evictions, and are left to the garbage collector rather
+// than pooled.
 func (s *Store) RemoveRange(lo, hi uint64) int {
 	removed := 0
 	for si := range s.shards {
 		sh := &s.shards[si]
 		sh.mu.Lock()
-		for id, dev := range sh.devices {
+		for id := range sh.devices {
 			if k := RouteKey(id); k < lo || k > hi {
 				continue
 			}
 			delete(sh.devices, id)
-			sh.free = append(sh.free, dev)
 			s.devices.Add(-1)
 			removed++
 		}
@@ -193,8 +262,9 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 // Restore replaces the store's device sessions with the snapshot's. The
 // snapshot must come from a store with the same algorithm and seed — those
 // are part of the determinism contract, not per-device state. Existing
-// sessions are retired to the pools; restored sessions resume bit-identical
-// to never having stopped.
+// sessions are dropped, not pooled, so the replaced store is garbage once
+// Restore returns; restored sessions resume bit-identical to never having
+// stopped.
 func (s *Store) Restore(sn *Snapshot) error {
 	if sn.Version != snapshotVersion {
 		return fmt.Errorf("serve: snapshot version %d, want %d", sn.Version, snapshotVersion)
@@ -212,11 +282,8 @@ func (s *Store) Restore(sn *Snapshot) error {
 	for si := range s.shards {
 		sh := &s.shards[si]
 		sh.mu.Lock()
-		for id, dev := range sh.devices {
-			delete(sh.devices, id)
-			sh.free = append(sh.free, dev)
-			s.devices.Add(-1)
-		}
+		s.devices.Add(-int64(len(sh.devices)))
+		clear(sh.devices)
 		sh.mu.Unlock()
 	}
 	for i := range sn.Devices {
@@ -277,8 +344,8 @@ func (s *Store) buildDevices(sn *Snapshot) ([]*device, error) {
 // destroy the peer's own devices. The snapshot must match the store's
 // algorithm and seed; its Dropped count is ignored (the counter stays
 // with the draining store). A session that already exists for a restored
-// id is retired to the pool and overwritten: the incoming copy is the
-// newer truth, cut after writes to the range were barred on the old
+// id is overwritten, and left to the garbage collector: the incoming copy
+// is the newer truth, cut after writes to the range were barred on the old
 // owner.
 func (s *Store) RestoreRange(sn *Snapshot) error {
 	if sn.Version != snapshotVersion {
@@ -298,8 +365,7 @@ func (s *Store) RestoreRange(sn *Snapshot) error {
 		id := sn.Devices[i].Device
 		sh := &s.shards[s.shardIndex(id)]
 		sh.mu.Lock()
-		if old := sh.devices[id]; old != nil {
-			sh.free = append(sh.free, old)
+		if sh.devices[id] != nil {
 			s.devices.Add(-1)
 		}
 		sh.devices[id] = restored[i]

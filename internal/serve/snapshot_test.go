@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/gob"
 	"fmt"
 	"path/filepath"
 	"strings"
@@ -323,5 +324,82 @@ func TestRestoreKeepsUniformPlaceholder(t *testing.T) {
 	step(wrong, []int{2})
 	if got := deviceState(t, wrong, dev).State.Resets; got != cut.State.Resets+1 {
 		t.Fatalf("without the placeholder, losing arm 3 gave %d resets, want %d", got, cut.State.Resets+1)
+	}
+}
+
+// churnedStore returns a store of n devices, each selected and answered
+// over rounds rounds while it cycles through arm sets of 3 to 8 arms, so
+// the records differ in arm count and window fill.
+func churnedStore(t *testing.T, cfg Config, n, rounds int) *Store {
+	t.Helper()
+	s := newTestStore(t, cfg)
+	sets := [][]int{{0, 1, 2}, {0, 2, 4, 6, 8}, {1, 3, 5, 7, 9, 11}, {0, 1, 2, 3, 4, 5, 6, 7}}
+	for r := 0; r < rounds; r++ {
+		for d := 0; d < n; d++ {
+			dev := uint64(d)
+			arm, sl, err := s.Select(dev, sets[(r/3+d)%len(sets)])
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Feedback(dev, arm, sl, reward(dev, arm, r))
+		}
+	}
+	return s
+}
+
+// TestSnapshotAllocatesWhatItKeeps pins the snapshot's sizing: on a
+// quiescent store, full and ranged snapshots hold exactly as many records
+// as they have room for.
+func TestSnapshotAllocatesWhatItKeeps(t *testing.T) {
+	s := churnedStore(t, Config{Shards: 4}, 300, 20)
+	sn := s.Snapshot()
+	if len(sn.Devices) != 300 || cap(sn.Devices) != len(sn.Devices) {
+		t.Fatalf("Snapshot: len %d cap %d, want both 300", len(sn.Devices), cap(sn.Devices))
+	}
+	lo, hi := uint64(1)<<62, uint64(3)<<62
+	want := 0
+	for d := uint64(0); d < 300; d++ {
+		if k := RouteKey(d); lo <= k && k <= hi {
+			want++
+		}
+	}
+	sr := s.SnapshotRange(lo, hi)
+	if len(sr.Devices) != want || cap(sr.Devices) != len(sr.Devices) {
+		t.Fatalf("SnapshotRange: len %d cap %d, want both %d", len(sr.Devices), cap(sr.Devices), want)
+	}
+}
+
+// TestSnapshotRecordAppendsStayInTheirRecord appends to one record's
+// State.LogW, State.X and State.Window, which share arenas with every other
+// record of their shard. The appends must not write into any other field
+// of any record: after trimming them back off, every record encodes to the
+// bytes it had before.
+func TestSnapshotRecordAppendsStayInTheirRecord(t *testing.T) {
+	s := churnedStore(t, Config{Shards: 1}, 12, 13)
+	sn := s.Snapshot()
+	encodeAll := func() [][]byte {
+		out := make([][]byte, len(sn.Devices))
+		for i := range sn.Devices {
+			var buf bytes.Buffer
+			if err := gob.NewEncoder(&buf).Encode(&sn.Devices[i]); err != nil {
+				t.Fatal(err)
+			}
+			out[i] = buf.Bytes()
+		}
+		return out
+	}
+	want := encodeAll()
+	for i := range sn.Devices {
+		st := &sn.Devices[i].State
+		nl, nx, nw := len(st.LogW), len(st.X), len(st.Window)
+		st.LogW = append(st.LogW, -1, -2)
+		st.X = append(st.X, -1, -2)
+		st.Window = append(st.Window, -1, -2)
+		st.LogW, st.X, st.Window = st.LogW[:nl], st.X[:nx], st.Window[:nw]
+		for j, b := range encodeAll() {
+			if !bytes.Equal(b, want[j]) {
+				t.Fatalf("appending to device %d's record changed device %d's record", sn.Devices[i].Device, sn.Devices[j].Device)
+			}
+		}
 	}
 }

@@ -83,9 +83,14 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// shard is one lock domain of the device map. The free list pools retired
-// devices: their policies are Reinitialized in place on the next acquire,
-// so a device joining after another left allocates nothing.
+// shard is one lock domain of the device map. The free list pools the
+// devices Release retires: their policies are Reinitialized in place on
+// the next acquire, so a device joining after another left allocates
+// nothing. Only Release pools. The bulk retirements (EvictIdle, Restore,
+// RestoreRange and RemoveRange) leave their sessions to the garbage
+// collector: each can retire most of a shard at once, and pooling that
+// would keep the memory an eviction frees, or keep a Restore's replaced
+// store alive beside the restored one.
 type shard struct {
 	mu      sync.Mutex
 	devices map[uint64]*device
@@ -451,10 +456,11 @@ func (s *Store) Evicted() uint64 { return s.evicted.Load() }
 
 // EvictIdle retires every device whose last Select or applied Feedback is
 // at least Config.EvictAfter in the past, as read from Config.Clock, and
-// returns how many were evicted. Eviction is exactly a Release the client
-// never sent: the session's policy state returns to the shard pool and a
-// later Select for the same id starts fresh from the device's root seed —
-// so a replay that includes the eviction still decides identically. With
+// returns how many were evicted. Eviction decides like a Release the
+// client never sent: a later Select for the same id starts fresh from the
+// device's root seed, so a replay that includes the eviction still decides
+// identically. Unlike Release it leaves the session to the garbage
+// collector instead of the shard pool, so a sweep frees what it evicts. With
 // Config.OnEvict set, each evicted device's final state is delivered there
 // first (captured under the shard lock, delivered after it), preserving
 // the snapshot-before-evict contract. A zero EvictAfter makes the sweep a
@@ -490,7 +496,6 @@ func (s *Store) EvictIdle() int {
 				snaps = append(snaps, ds)
 			}
 			delete(sh.devices, id)
-			sh.free = append(sh.free, dev)
 			s.devices.Add(-1)
 			evicted++
 		}

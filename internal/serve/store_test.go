@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -509,5 +510,59 @@ func TestApplyBatchWarmDoesNotAllocate(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Fatalf("warm ApplyBatch allocates %.2f objects per batch, want 0", allocs)
+	}
+}
+
+// TestBulkRetirementsDoNotPool pins which retirements fill the shard
+// pools: only Release. EvictIdle, RemoveRange and Restore each retire up to
+// a whole store at once and leave those sessions to the garbage collector,
+// so an eviction sweep frees what it evicts and a Restore over a warm store
+// does not keep the replaced sessions alive beside the restored ones.
+func TestBulkRetirementsDoNotPool(t *testing.T) {
+	const n = 4096
+	now := time.Unix(1000, 0)
+	cfg := Config{Shards: 8, EvictAfter: time.Minute, Clock: func() time.Time { return now }}
+	s := newTestStore(t, cfg)
+	join := func() {
+		for d := uint64(0); d < n; d++ {
+			arm, sl, err := s.Select(d, []int{1, 2, 3, 4}[:2+d%3])
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Feedback(d, arm, sl, reward(d, arm, 0))
+		}
+	}
+	pooled := func(step string) {
+		t.Helper()
+		for si := range s.shards {
+			if got := len(s.shards[si].free); got != 0 {
+				t.Fatalf("after %s shard %d pools %d sessions, want 0", step, si, got)
+			}
+		}
+	}
+	join()
+	sn := s.Snapshot()
+	now = now.Add(2 * time.Minute)
+	if got := s.EvictIdle(); got != n {
+		t.Fatalf("EvictIdle retired %d devices, want %d", got, n)
+	}
+	pooled("EvictIdle")
+	join()
+	removed := s.RemoveRange(0, math.MaxUint64/2)
+	if removed == 0 || removed == n {
+		t.Fatalf("RemoveRange retired %d of %d devices, want a part", removed, n)
+	}
+	pooled("RemoveRange")
+	if err := s.Restore(sn); err != nil {
+		t.Fatal(err)
+	}
+	pooled("Restore")
+	if got := s.Devices(); got != n {
+		t.Fatalf("store holds %d devices after Restore, want %d", got, n)
+	}
+	// Release still pools.
+	s.Release(7)
+	if got := len(s.shards[s.shardIndex(7)].free); got != 1 {
+		t.Fatalf("Release pooled %d sessions, want 1", got)
 	}
 }
