@@ -322,37 +322,80 @@ func BenchmarkServeSelect(b *testing.B) {
 	}
 }
 
+// churnSets are the arm sets bench/'s serve-churn workload draws from, and
+// churnDevices its device population.
+var churnSets = [...][]int{{0, 1, 2}, {0, 2, 4, 6, 8}, {1, 3, 5, 7, 9, 11}, {0, 1, 2, 3, 4, 5, 6, 7}}
+
+const churnDevices = 8192
+
+// churnDecide makes one decision for dev over arms: a Select and its
+// Feedback.
+func churnDecide(b *testing.B, store *serve.Store, dev uint64, arms []int) {
+	arm, slot, err := store.Select(dev, arms)
+	if err != nil {
+		b.Fatal(err)
+	}
+	store.Feedback(dev, arm, slot, float64(arm%5+1)/6)
+}
+
+// churnWarmOps is how many ascending-order decisions warmChurnStore makes:
+// three passes over every device per arm set, so every device is past
+// explore-first and has held the largest set.
+const churnWarmOps = 3 * len(churnSets) * churnDevices
+
+// warmChurnStore returns a store built from cfg holding churnDevices warm
+// devices: decision i goes to device i mod churnDevices, which moves to
+// the next of churnSets each pass.
+func warmChurnStore(b *testing.B, cfg serve.Config) *serve.Store {
+	store, err := serve.NewStore(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < churnWarmOps; i++ {
+		churnDecide(b, store, uint64(i%churnDevices), churnArms(i))
+	}
+	return store
+}
+
+// churnArms is the arm set of the ith ascending-order decision.
+func churnArms(i int) []int { return churnSets[(i/churnDevices+i%churnDevices)%len(churnSets)] }
+
 // BenchmarkServeSelectChurn is BenchmarkServeSelect under mobility: one
 // Select+Feedback per op over 8,192 warm devices, each moving to the next
 // of the four arm sets bench/'s serve-churn workload draws from, so every
 // decision re-indexes the device's policy (SetAvailable) before the draw.
-// The device state outgrows the CPU caches, as it does in a daemon. The
-// BENCH_runner.json gate holds it to 0 allocs/op.
+// The device state outgrows the CPU caches, as it does in a daemon, but
+// the devices are visited in ascending id order, so the hardware
+// prefetcher hides part of each miss; BenchmarkServeSelectChurnRandom
+// visits them as the workload does. The BENCH_runner.json gate holds it to
+// 0 allocs/op.
 func BenchmarkServeSelectChurn(b *testing.B) {
-	store, err := serve.NewStore(serve.Config{Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	const devices = 8192
-	sets := [][]int{{0, 1, 2}, {0, 2, 4, 6, 8}, {1, 3, 5, 7, 9, 11}, {0, 1, 2, 3, 4, 5, 6, 7}}
-	i := 0
-	op := func() {
-		dev := uint64(i % devices)
-		arms := sets[(i/devices+int(dev))%len(sets)]
-		arm, slot, err := store.Select(dev, arms)
-		if err != nil {
-			b.Fatal(err)
-		}
-		store.Feedback(dev, arm, slot, float64(arm%5+1)/6)
-		i++
-	}
-	for i < 3*len(sets)*devices { // warm: every device past explore-first, buffers at the largest set
-		op()
-	}
+	store := warmChurnStore(b, serve.Config{Seed: 1})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		op()
+		i := churnWarmOps + n
+		churnDecide(b, store, uint64(i%churnDevices), churnArms(i))
+	}
+	b.StopTimer()
+	if secs := b.Elapsed().Seconds(); secs > 0 {
+		b.ReportMetric(float64(b.N)/secs, "decisions/s")
+	}
+}
+
+// BenchmarkServeSelectChurnRandom is BenchmarkServeSelectChurn in the order
+// bench/'s serve-churn workload decides: each op draws its device and its
+// arm set from a seeded stream, so consecutive decisions land on unrelated
+// device records and no prefetcher can hide the misses. The draws cost a
+// few ns of the op. The BENCH_runner.json gate holds it to 0 allocs/op.
+func BenchmarkServeSelectChurnRandom(b *testing.B) {
+	store := warmChurnStore(b, serve.Config{Seed: 1})
+	draws := rngutil.NewSource(rngutil.ChildSeed(1, 2))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		dev := draws.Uint64() % churnDevices
+		churnDecide(b, store, dev, churnSets[draws.Uint64()%uint64(len(churnSets))])
 	}
 	b.StopTimer()
 	if secs := b.Elapsed().Seconds(); secs > 0 {
@@ -368,20 +411,7 @@ func BenchmarkServeSelectChurn(b *testing.B) {
 // count. kept-B/op is what one snapshot still holds after a collection,
 // the floor B/op is measured against.
 func BenchmarkStoreSnapshot(b *testing.B) {
-	store, err := serve.NewStore(serve.Config{Seed: 1, Shards: 8})
-	if err != nil {
-		b.Fatal(err)
-	}
-	const devices = 8192
-	sets := [][]int{{0, 1, 2}, {0, 2, 4, 6, 8}, {1, 3, 5, 7, 9, 11}, {0, 1, 2, 3, 4, 5, 6, 7}}
-	for i := 0; i < 3*len(sets)*devices; i++ {
-		dev := uint64(i % devices)
-		arm, slot, err := store.Select(dev, sets[(i/devices+int(dev))%len(sets)])
-		if err != nil {
-			b.Fatal(err)
-		}
-		store.Feedback(dev, arm, slot, float64(arm%5+1)/6)
-	}
+	store := warmChurnStore(b, serve.Config{Seed: 1, Shards: 8})
 	var ms runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&ms)
@@ -397,8 +427,8 @@ func BenchmarkStoreSnapshot(b *testing.B) {
 		sn = store.Snapshot()
 	}
 	b.StopTimer()
-	if len(sn.Devices) != devices {
-		b.Fatalf("snapshot holds %d devices, want %d", len(sn.Devices), devices)
+	if len(sn.Devices) != churnDevices {
+		b.Fatalf("snapshot holds %d devices, want %d", len(sn.Devices), churnDevices)
 	}
 	b.ReportMetric(kept, "kept-B/op")
 }

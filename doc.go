@@ -97,8 +97,9 @@
 //     configuration from one replication's mutable state, the serve layer
 //     separates it from per-device policy state: a sharded device store
 //     (GOMAXPROCS-scaled shards, one mutex each) holds one Smart EXP3
-//     instance plus one seeded RNG stream per device, pooled and
-//     reinitialized in place so device churn is allocation-free warm.
+//     instance plus one seeded RNG stream per device, both inline in one
+//     record with the policy's per-arm state, pooled and rebuilt in place
+//     so device churn is allocation-free warm.
 //     Requests travel as fixed-layout binary payloads (a tag byte, then
 //     varints, length-prefixed strings and lists, reward bits) inside the
 //     shared frame layer's checksummed frames, with batched

@@ -115,12 +115,72 @@ var (
 
 // NewSmartEXP3 constructs the engine with an explicit feature set. Most
 // callers should use New with one of the named algorithms instead; this
-// constructor exists for ablation studies.
+// constructor exists for ablation studies. The per-arm state is carved
+// from one float and one int allocation sized exactly to the arm set (see
+// InitSmartEXP3).
 func NewSmartEXP3(name string, feat Features, available []int, cfg Config, rng *rand.Rand) *SmartEXP3 {
-	p := &SmartEXP3{name: name, feat: feat, cfg: cfg, blockLens: blockTable(cfg.Beta)}
-	p.resetX = firstAtLeast(p.blockLens, cfg.ResetBlockLength)
-	p.Reinit(available, rng)
+	nf, ni := SmartEXP3Storage(len(available), cfg)
+	p := new(SmartEXP3)
+	InitSmartEXP3(p, name, feat, available, cfg, rng, make([]float64, nf), make([]int, ni))
 	return p
+}
+
+// SmartEXP3Storage returns how many float64s and ints hold the per-arm
+// state of a policy with room for k arms: three weight views (the
+// Fenwick tree has k+1 entries), the cached distribution, the gain sums
+// and the two switch-back windows; then the availability set, the
+// exploration list and the three per-arm counters. k more ints also hold
+// the buffer SetAvailable sorts into, which is otherwise allocated at the
+// first availability change: a host whose arm sets churn provides them, a
+// simulation whose devices never move need not.
+func SmartEXP3Storage(k int, cfg Config) (floats, ints int) {
+	return 5*k + 1 + 2*cfg.SwitchBackWindow, 5 * k
+}
+
+// InitSmartEXP3 is NewSmartEXP3 over memory the caller owns. It builds the
+// policy at p, discarding whatever p held, and carves the per-arm state
+// from floats and ints with room for the most arms both hold (see
+// SmartEXP3Storage). A host that keeps many policies can embed each one
+// and its storage in a single record, so a policy costs one allocation, or
+// none when the record is reused. An arm set larger than the room grows
+// its slices on the heap, as Reinit does. The policy keeps pointers into
+// floats and ints: they must outlive it, nothing else may write them, and
+// a record that embeds them must not be copied afterwards.
+func InitSmartEXP3(p *SmartEXP3, name string, feat Features, available []int, cfg Config, rng *rand.Rand, floats []float64, ints []int) {
+	*p = SmartEXP3{name: name, feat: feat, cfg: cfg, blockLens: blockTable(cfg.Beta)}
+	p.resetX = firstAtLeast(p.blockLens, cfg.ResetBlockLength)
+	p.carve(floats, ints)
+	p.Reinit(available, rng)
+}
+
+// carve points every per-arm slice at its own region of floats or ints,
+// each with room for n arms, n the most both hold; SetAvailable's sort
+// buffer gets a region only if ints has n more. A region's capacity ends
+// where the next begins, so a slice that outgrows it copies out instead of
+// writing into a neighbour. With no room for one arm nothing is carved,
+// and the slices start on the heap.
+func (p *SmartEXP3) carve(floats []float64, ints []int) {
+	w := p.cfg.SwitchBackWindow
+	n := min(len(ints)/5, (len(floats)-1-2*w)/5)
+	if n < 1 {
+		return
+	}
+	p.w.logW, p.w.wExp, p.w.tree = cut(&floats, n), cut(&floats, n), cut(&floats, n+1)
+	p.probs, p.sumGain = cut(&floats, n), cut(&floats, n)
+	p.window, p.prevWindow = cut(&floats, w), cut(&floats, w)
+	p.available, p.explore = cut(&ints, n), cut(&ints, n)
+	p.x, p.cntGain, p.slotsOn = cut(&ints, n), cut(&ints, n), cut(&ints, n)
+	if len(ints) >= n {
+		p.availSpare = cut(&ints, n)
+	}
+}
+
+// cut returns an empty slice with room for the next n elements of *arena
+// and advances *arena past them.
+func cut[T any](arena *[]T, n int) []T {
+	s := (*arena)[:0:n]
+	*arena = (*arena)[n:]
+	return s
 }
 
 // Reinit implements Reinitializer: every field except the identity (name,

@@ -180,15 +180,30 @@ func (s *PolicyState) Validate() error {
 	return nil
 }
 
+// ValidateFor is Validate plus the bounds a policy built with cfg keeps
+// its state within: neither switch-back window holds more than
+// cfg.SwitchBackWindow gains. A longer window no such policy exports; it
+// would change the switch-back rule's averages and outgrow the window's
+// buffer.
+func (s *PolicyState) ValidateFor(cfg Config) error {
+	if err := s.Validate(); err != nil {
+		return err
+	}
+	if w := max(len(s.Window), len(s.PrevWindow)); w > cfg.SwitchBackWindow {
+		return fmt.Errorf("core: policy state switch-back window has %d gains, the policy keeps at most %d", w, cfg.SwitchBackWindow)
+	}
+	return nil
+}
+
 // ImportState restores a previously exported state, reusing the policy's
 // buffers. The policy keeps its identity (name, features, config) and draws
 // all future randomness from rng; everything else — weights, block
 // position, learning statistics, counters — is overwritten. The cached
 // distribution is left stale, or set to the uniform placeholder when the
 // state records one. It fails without modifying the policy if the state
-// does not validate.
+// does not pass ValidateFor under the policy's config.
 func (p *SmartEXP3) ImportState(s *PolicyState, rng *rand.Rand) error {
-	if err := s.Validate(); err != nil {
+	if err := s.ValidateFor(p.cfg); err != nil {
 		return err
 	}
 	if rng == nil {

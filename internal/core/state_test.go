@@ -45,7 +45,8 @@ func TestExportImportContinuesBitIdentically(t *testing.T) {
 			// Capture (policy state, rng state) at the cut point.
 			var st PolicyState
 			p.ExportState(&st)
-			rngSt := src.State()
+			var rngSt rngutil.SourceState
+			src.ExportState(&rngSt)
 
 			want := driveSlots(p, warm, tail)
 
@@ -85,7 +86,8 @@ func TestExportImportSurvivesAvailabilityChurn(t *testing.T) {
 
 	var st PolicyState
 	p.ExportState(&st)
-	rngSt := src.State()
+	var rngSt rngutil.SourceState
+	src.ExportState(&rngSt)
 	want := driveSlots(p, slot, 200)
 
 	src2 := &rngutil.Source{}
@@ -155,15 +157,17 @@ func TestPolicyStateValidateRejectsCorruptStates(t *testing.T) {
 		{"running block without a network", func(s *PolicyState) { s.Cur, s.NeedBlock = -1, false }},
 		{"Explore out of range", func(s *PolicyState) { s.Explore = append(s.Explore, 42) }},
 		{"short SlotsOn", func(s *PolicyState) { s.SlotsOn = nil }},
+		{"window longer than SwitchBackWindow", func(s *PolicyState) { s.Window = make([]float64, 43) }},
+		{"previous window longer than SwitchBackWindow", func(s *PolicyState) { s.PrevWindow = make([]float64, 9) }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			st := mk()
-			if err := st.Validate(); err != nil {
+			if err := st.ValidateFor(DefaultConfig()); err != nil {
 				t.Fatalf("baseline state invalid: %v", err)
 			}
 			tt.mutate(st)
-			if err := st.Validate(); err == nil {
+			if err := st.ValidateFor(DefaultConfig()); err == nil {
 				t.Fatal("corrupt state validated")
 			}
 			q := NewSmartEXP3("Smart EXP3", FeaturesFor(AlgSmartEXP3), []int{0, 1, 2}, DefaultConfig(), rand.New(rngutil.NewSource(6)))
@@ -233,7 +237,7 @@ func TestIMaxTracksScanAcrossChurnResetsAndImport(t *testing.T) {
 		} else if slot >= cutAfter && p.iMaxLi != 0 {
 			cut = slot + 1
 			p.ExportState(&st)
-			rngSt = src.State()
+			src.ExportState(&rngSt)
 		}
 	}
 	if cut < 0 {

@@ -491,15 +491,27 @@ func TestCoordinatorDeathMidHandoff(t *testing.T) {
 		fc := newFakeCoordinator(t, a.info, b.info)
 		state := cut(t, fc, tab2, stripe)
 		lo, hi := tab2.StripeRange(stripe)
-		// Staging vets every record, the generator cursors included, so
-		// the commit below cannot half-fail on a corrupt one.
-		corrupt := *state.Snap
-		corrupt.Devices = append([]serve.DeviceSnapshot(nil), state.Snap.Devices...)
-		corrupt.Devices[0].Rng.Tap = (corrupt.Devices[0].Rng.Tap + 1) % 607
-		if resp := fc.roundTrip("b", &fleetEnvelope{Offer: &offerMsg{
-			Stripe: stripe, Lo: lo, Hi: hi, NewEpoch: tab2.Epoch, Snap: &corrupt,
-		}}); resp.OfferAck == nil || !strings.Contains(resp.OfferAck.Err, fmt.Sprintf("device %d", corrupt.Devices[0].Device)) {
-			t.Fatalf("offer with a corrupt generator cursor: %+v", resp.OfferAck)
+		// Staging vets every record against the store's bounds, the
+		// generator cursors and the switch-back window included, so the
+		// commit below cannot half-fail on a corrupt one.
+		for _, c := range []struct {
+			name string
+			edit func(*serve.DeviceSnapshot)
+		}{
+			{"a corrupt generator cursor", func(ds *serve.DeviceSnapshot) { ds.Rng.Tap = (ds.Rng.Tap + 1) % 607 }},
+			{"a 43-gain switch-back window", func(ds *serve.DeviceSnapshot) { ds.State.Window = make([]float64, 43) }},
+		} {
+			corrupt := *state.Snap
+			corrupt.Devices = append([]serve.DeviceSnapshot(nil), state.Snap.Devices...)
+			c.edit(&corrupt.Devices[0])
+			if resp := fc.roundTrip("b", &fleetEnvelope{Offer: &offerMsg{
+				Stripe: stripe, Lo: lo, Hi: hi, NewEpoch: tab2.Epoch, Snap: &corrupt,
+			}}); resp.OfferAck == nil || !strings.Contains(resp.OfferAck.Err, fmt.Sprintf("device %d", corrupt.Devices[0].Device)) {
+				t.Fatalf("offer with %s: %+v", c.name, resp.OfferAck)
+			}
+		}
+		if b.store.Devices() != 0 {
+			t.Fatalf("refused offers left %d sessions on peer b", b.store.Devices())
 		}
 		if resp := fc.roundTrip("b", &fleetEnvelope{Offer: &offerMsg{
 			Stripe: stripe, Lo: lo, Hi: hi, NewEpoch: tab2.Epoch, Snap: state.Snap,

@@ -289,8 +289,9 @@ func (p *Peer) handleCut(st *connState, cut *cutMsg) *stateMsg {
 }
 
 // handleOffer stages one incoming stripe against this connection. The
-// snapshot is validated now — version, algorithm, seed, per-device state
-// — so commit, which must not half-fail, applies a vetted payload.
+// snapshot is validated now — version, algorithm, seed, and each record
+// against the store's bounds (serve.Store.CheckRecord) — so commit, which
+// must not half-fail, applies a vetted payload.
 func (p *Peer) handleOffer(st *connState, off *offerMsg) *offerAckMsg {
 	if off.Snap == nil {
 		return &offerAckMsg{Stripe: off.Stripe, Err: "offer carries no snapshot"}
@@ -307,8 +308,8 @@ func (p *Peer) handleOffer(st *connState, off *offerMsg) *offerAckMsg {
 		if k := serve.RouteKey(ds.Device); k < off.Lo || k > off.Hi {
 			return &offerAckMsg{Stripe: off.Stripe, Err: fmt.Sprintf("device %d outside the offered range", ds.Device)}
 		}
-		if err := ds.Validate(); err != nil {
-			return &offerAckMsg{Stripe: off.Stripe, Err: fmt.Sprintf("device %d: %v", ds.Device, err)}
+		if err := p.store.CheckRecord(ds); err != nil {
+			return &offerAckMsg{Stripe: off.Stripe, Err: err.Error()}
 		}
 	}
 	p.mu.Lock()

@@ -114,12 +114,14 @@ func recoverAdditiveTable() [rngLen]uint64 {
 // The cursors are int32, which holds every ring index, so that the struct
 // is 4,864 B, exactly one of the allocator's size classes. Int cursors
 // would make it 4,872 B, which the allocator rounds up to the 5,376 B
-// class: 512 B more for every device a serve.Store holds and every stream
-// a sim.Workspace pools. SourceState keeps int cursors, so streams and
-// encoded snapshots do not depend on this choice.
+// class: 512 B more for every stream a sim.Workspace pools. SourceState
+// keeps int cursors, so streams and encoded snapshots do not depend on
+// this choice. The cursors come first, so a host that embeds a Source
+// after other hot state (a serve.Store device record does) reads them on
+// the cache line next to that state, not 4,856 B away.
 type Source struct {
-	vec       [rngLen]int64
 	tap, feed int32
+	vec       [rngLen]int64
 }
 
 var _ rand.Source64 = (*Source)(nil)

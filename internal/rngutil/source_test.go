@@ -133,10 +133,12 @@ func seedrandSchrage(x int32) int32 {
 }
 
 // TestSourceFitsItsSizeClass pins Source at 4,864 B, one of the Go
-// allocator's size classes, so a heap-allocated Source wastes nothing to
-// rounding. Widening a cursor to int makes it 4,872 B, which the
-// allocator rounds up to the 5,376 B class: 512 B more for every device a
-// serve.Store holds.
+// allocator's size classes, so a heap-allocated Source, such as each of a
+// sim.Workspace's pooled streams, wastes nothing to rounding. Widening a
+// cursor to int makes it 4,872 B, which the allocator rounds up to the
+// 5,376 B class. A serve.Store device embeds its Source in a larger record
+// instead, whose own size class serve's TestDeviceFitsItsSizeClass pins;
+// there the extra 8 B would come out of that record's slack.
 func TestSourceFitsItsSizeClass(t *testing.T) {
 	if got := unsafe.Sizeof(Source{}); got != 4864 {
 		t.Fatalf("Source is %d B, want 4864 B (the allocator's 4,864 B size class; the next class is 5,376 B)", got)

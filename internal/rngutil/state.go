@@ -13,15 +13,10 @@ type SourceState struct {
 	Tap, Feed int
 }
 
-// State returns a copy of the source's current generator state.
-func (s *Source) State() SourceState {
-	return SourceState{Vec: s.vec, Tap: int(s.tap), Feed: int(s.feed)}
-}
-
-// ExportState copies the source's current generator state into dst. It is
-// State for a destination that already exists, such as a record in a
-// snapshot's device array: the ring is copied once, straight into dst,
-// instead of through a returned temporary.
+// ExportState copies the source's current generator state into dst. The
+// ring is copied once, straight into dst, so a destination that already
+// exists, such as a record in a snapshot's device array, costs no
+// temporary.
 func (s *Source) ExportState(dst *SourceState) {
 	dst.Vec = s.vec
 	dst.Tap, dst.Feed = int(s.tap), int(s.feed)

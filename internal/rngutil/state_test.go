@@ -14,7 +14,8 @@ func TestSourceStateResumesBitIdentically(t *testing.T) {
 		for i := 0; i < 1000; i++ {
 			src.Uint64()
 		}
-		st := src.State()
+		var st SourceState
+		src.ExportState(&st)
 		restored := &Source{}
 		restored.SetState(st)
 		for i := 0; i < 2000; i++ {
@@ -35,7 +36,8 @@ func TestSourceStateCapturesRandRandStreams(t *testing.T) {
 		rng.Float64()
 		rng.Intn(17)
 	}
-	st := src.State()
+	var st SourceState
+	src.ExportState(&st)
 
 	restoredSrc := &Source{}
 	restoredSrc.SetState(st)
@@ -55,7 +57,8 @@ func TestSourceStateGobRoundTrip(t *testing.T) {
 	for i := 0; i < 31; i++ {
 		src.Uint64()
 	}
-	st := src.State()
+	var st SourceState
+	src.ExportState(&st)
 
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
@@ -75,7 +78,8 @@ func TestSourceStateGobRoundTrip(t *testing.T) {
 }
 
 func TestSetStateClampsCorruptCursors(t *testing.T) {
-	st := NewSource(1).State()
+	var st SourceState
+	NewSource(1).ExportState(&st)
 	st.Tap = -3
 	st.Feed = rngLen*5 + 2
 	s := &Source{}
@@ -88,8 +92,9 @@ func TestSetStateClampsCorruptCursors(t *testing.T) {
 
 func TestSourceStateValidate(t *testing.T) {
 	src := NewSource(3)
+	var st SourceState
 	for i := 0; i < 2*rngLen+5; i++ {
-		if st := src.State(); st.Validate() != nil {
+		if src.ExportState(&st); st.Validate() != nil {
 			t.Fatalf("draw %d: reachable state (tap=%d feed=%d) rejected: %v", i, st.Tap, st.Feed, st.Validate())
 		}
 		src.Uint64()
@@ -98,7 +103,7 @@ func TestSourceStateValidate(t *testing.T) {
 		{-1, rngLen - rngTap - 1}, {rngLen, rngLen - rngTap}, {0, rngLen},
 		{0, -rngTap}, {1, rngLen - rngTap}, {0, 0}, {5, 5 + rngTap},
 	} {
-		st := src.State()
+		src.ExportState(&st)
 		st.Tap, st.Feed = c.tap, c.feed
 		if st.Validate() == nil {
 			t.Errorf("cursors tap=%d feed=%d accepted", c.tap, c.feed)

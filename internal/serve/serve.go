@@ -5,8 +5,9 @@
 //
 // The package splits the problem the same way the simulator splits
 // Engine/Workspace: the Store owns the hot per-device policy state (sharded
-// across GOMAXPROCS-scaled shards, each under its own mutex, with released
-// policies pooled through core.Reinitializer so device churn is
+// across GOMAXPROCS-scaled shards, each under its own mutex; each device is
+// one record holding its policy, generator and per-arm state, and released
+// records are pooled and rebuilt in place so device churn is
 // allocation-free warm), while Server/Client own the transport: the
 // fixed-layout payloads of codec.go (see wire.go for the layout) carried
 // in internal/frame's checksummed frames, so every daemon in the
@@ -63,13 +64,16 @@ import (
 	"smartexp3/internal/rngutil"
 )
 
-// device is one device session's policy state. Released devices keep
-// their buffers on the shard free list; acquire re-seeds the generator and
-// Reinits the policy in place, so churn costs no allocation warm.
+// device is one device session's policy state, held in one heap object
+// laid out hot-first: the request bookkeeping, then the policy, the
+// rand.Rand it draws through, the inline per-arm storage the policy is
+// carved over, and last the generator, whose cursors lead its 4,856 B
+// ring. A decision for a cold device then misses on one record, not on a
+// chain of a dozen pointers to separately allocated slices. The policy and
+// the rand.Rand point into the record, so a device is never copied once
+// built (see init). Released devices wait on the shard free list; acquire
+// rebuilds them in place, so churn costs no allocation warm.
 type device struct {
-	policy  *core.SmartEXP3
-	src     *rngutil.Source
-	rng     *rand.Rand
 	pending int    // global arm id awaiting Feedback, -1 when none
 	slot    uint64 // id of the pending (or next) selection; advances as slots settle
 	// lastTouch is the Config.Clock reading (UnixNano) of the device's most
@@ -78,6 +82,33 @@ type device struct {
 	// pure function of the request history, and it is only maintained when
 	// eviction is enabled so the disabled warm path pays nothing.
 	lastTouch int64
+	policy    core.SmartEXP3
+	rng       rand.Rand
+	// floats and ints hold the policy's per-arm state for up to deviceArms
+	// arms under the paper's switch-back window (core.SmartEXP3Storage),
+	// SetAvailable's sort buffer included, since every arm-set change
+	// sorts into it; a larger arm set or window grows the policy's slices
+	// on the heap.
+	floats [5*deviceArms + 1 + 2*deviceWindow]float64
+	ints   [6 * deviceArms]int
+	src    rngutil.Source
+}
+
+// deviceArms is how many arms a device record holds inline: the largest
+// arm set bench/'s serve-churn workload draws. It puts the record in the
+// allocator's 6,528 B size class (TestDeviceFitsItsSizeClass), about what
+// the policy, its generator and a dozen per-arm slices cost as separate
+// objects. deviceWindow is core.DefaultConfig's SwitchBackWindow.
+const deviceArms, deviceWindow = 8, 8
+
+// init builds the session in place over arms, ready for its first Select.
+// It leaves the generator's state alone: a join seeds it, a restore
+// overwrites it.
+func (dev *device) init(cfg *Config, arms []int) {
+	dev.pending, dev.slot, dev.lastTouch = -1, 0, 0
+	dev.rng = *rand.New(&dev.src)
+	core.InitSmartEXP3(&dev.policy, cfg.Algorithm.String(), core.FeaturesFor(cfg.Algorithm),
+		arms, cfg.Policy, &dev.rng, dev.floats[:], dev.ints[:])
 }
 
 // RouteKey maps a device id to its position in the routing-key space —

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"sort"
@@ -47,7 +46,8 @@ type DeviceSnapshot struct {
 
 // Validate checks the record's policy state and generator state, so a
 // corrupt record is refused instead of restoring a policy or a stream no
-// store produces. Every restore path calls it, and so does fleet staging.
+// store produces. ReadSnapshot calls it; the restore paths and fleet
+// staging call Store.CheckRecord, which adds the store's own bounds.
 func (ds *DeviceSnapshot) Validate() error {
 	if err := ds.State.Validate(); err != nil {
 		return err
@@ -299,43 +299,54 @@ func (s *Store) Restore(sn *Snapshot) error {
 }
 
 // buildDevices reconstructs every session in the snapshot before any live
-// state is touched, so a corrupt record cannot leave a store
-// half-replaced. Shared by Restore and RestoreRange.
+// state is touched, so a corrupt or out-of-bounds record cannot leave a
+// store half-replaced. Each session is built in place in one new record,
+// its generator state set, not seeded. Shared by Restore and RestoreRange.
 func (s *Store) buildDevices(sn *Snapshot) ([]*device, error) {
-	restored := make([]*device, len(sn.Devices))
-	for i := range sn.Devices {
-		ds := &sn.Devices[i]
-		if err := ds.Validate(); err != nil {
-			return nil, fmt.Errorf("serve: snapshot device %d: %w", ds.Device, err)
-		}
-		src := rngutil.NewSource(0)
-		rng := rand.New(src)
-		pol, err := core.New(s.cfg.Algorithm, ds.State.Available, s.cfg.Policy, rng)
-		// The generator cursor is restored after construction so any draw
-		// the constructor makes cannot advance the resumed stream.
-		src.SetState(ds.Rng)
-		if err != nil {
-			return nil, fmt.Errorf("serve: snapshot device %d: %w", ds.Device, err)
-		}
-		sp, ok := pol.(*core.SmartEXP3)
-		if !ok {
-			return nil, fmt.Errorf("serve: %v has no exportable policy state", s.cfg.Algorithm)
-		}
-		if err := sp.ImportState(&ds.State, rng); err != nil {
-			return nil, fmt.Errorf("serve: snapshot device %d: %w", ds.Device, err)
-		}
-		restored[i] = &device{policy: sp, src: src, rng: rng, pending: ds.Pending, slot: ds.Slot}
-	}
+	var now int64
 	if s.cfg.EvictAfter > 0 {
 		// Idle age does not survive a restart (lastTouch is bookkeeping, not
 		// snapshot state): restored sessions count as just-touched, so a
 		// sweep right after boot cannot mass-evict everything we restored.
-		now := s.cfg.Clock().UnixNano()
-		for _, dev := range restored {
-			dev.lastTouch = now
+		now = s.cfg.Clock().UnixNano()
+	}
+	restored := make([]*device, len(sn.Devices))
+	for i := range sn.Devices {
+		ds := &sn.Devices[i]
+		if err := s.CheckRecord(ds); err != nil {
+			return nil, err
 		}
+		dev := new(device)
+		dev.init(&s.cfg, ds.State.Available)
+		dev.src.SetState(ds.Rng)
+		if err := dev.policy.ImportState(&ds.State, &dev.rng); err != nil {
+			return nil, fmt.Errorf("serve: snapshot device %d: %w", ds.Device, err)
+		}
+		dev.pending, dev.slot, dev.lastTouch = ds.Pending, ds.Slot, now
+		restored[i] = dev
 	}
 	return restored, nil
+}
+
+// CheckRecord reports whether ds can restore into this store: it must
+// pass Validate, keep its switch-back windows within the policy's
+// SwitchBackWindow (core.PolicyState.ValidateFor), and hold no more arms
+// than MaxArms, the bound Select holds live requests to. Both restore
+// paths call it before touching live state, and fleet staging calls it
+// when a stripe is offered, so a commit cannot fail on a record staging
+// accepted. The error names the device.
+func (s *Store) CheckRecord(ds *DeviceSnapshot) error {
+	err := ds.State.ValidateFor(s.cfg.Policy)
+	if err == nil {
+		err = ds.Rng.Validate()
+	}
+	if k := len(ds.State.Available); err == nil && k > s.cfg.MaxArms {
+		err = fmt.Errorf("%d arms exceeds the %d limit", k, s.cfg.MaxArms)
+	}
+	if err != nil {
+		return fmt.Errorf("serve: snapshot device %d: %w", ds.Device, err)
+	}
+	return nil
 }
 
 // RestoreRange merges the snapshot's device sessions into the store

@@ -223,6 +223,62 @@ func TestRestoreRejectsCorruptGeneratorCursor(t *testing.T) {
 	}
 }
 
+// TestRestoreRejectsOutOfBoundsRecords restores records that validate on
+// their own but break a bound of the receiving store: a switch-back
+// window longer than the policy's SwitchBackWindow, and an arm set larger
+// than MaxArms, which Select would refuse for the device's own arms. Both
+// restore paths must refuse the snapshot, name the device, and leave the
+// receiving store's sessions as they were; the unedited snapshot still
+// restores to identical bytes.
+func TestRestoreRejectsOutOfBoundsRecords(t *testing.T) {
+	const wideDev = 77
+	s := newTestStore(t, Config{})
+	runScript(t, s, 0, 60)
+	drive(t, s, []uint64{wideDev}, []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, 30)
+	sn := s.Snapshot()
+	cases := []struct {
+		name    string
+		maxArms int
+		dev     uint64
+		edit    func(*DeviceSnapshot)
+	}{
+		{"a 43-gain window", 0, 8, func(ds *DeviceSnapshot) { ds.State.Window = make([]float64, 43) }},
+		{"a 9-gain previous window", 0, 3, func(ds *DeviceSnapshot) { ds.State.PrevWindow = make([]float64, 9) }},
+		{"10 arms in a MaxArms 4 store", 4, wideDev, func(*DeviceSnapshot) {}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := *sn
+			bad.Devices = append([]DeviceSnapshot(nil), sn.Devices...)
+			for i := range bad.Devices {
+				if bad.Devices[i].Device == tc.dev {
+					tc.edit(&bad.Devices[i])
+				}
+			}
+			name := fmt.Sprintf("device %d", tc.dev)
+			for _, restore := range []func(*Store, *Snapshot) error{(*Store).Restore, (*Store).RestoreRange} {
+				dst := newTestStore(t, Config{MaxArms: tc.maxArms})
+				drive(t, dst, []uint64{500, 8}, []int{1, 2}, 20)
+				before := encodeSnapshot(t, dst)
+				if err := restore(dst, &bad); err == nil || !strings.Contains(err.Error(), name) {
+					t.Fatalf("restore: got %v, want an error naming %s", err, name)
+				}
+				if !bytes.Equal(encodeSnapshot(t, dst), before) {
+					t.Fatal("a refused restore changed the receiving store")
+				}
+			}
+		})
+	}
+
+	dst := newTestStore(t, Config{})
+	if err := dst.Restore(sn); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(encodeSnapshot(t, dst), encodeSnapshot(t, s)) {
+		t.Fatal("a valid snapshot no longer restores to identical bytes")
+	}
+}
+
 // deviceState returns the exported state of one device of s.
 func deviceState(t *testing.T, s *Store, dev uint64) *DeviceSnapshot {
 	t.Helper()

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -84,13 +83,13 @@ func (c Config) withDefaults() Config {
 }
 
 // shard is one lock domain of the device map. The free list pools the
-// devices Release retires: their policies are Reinitialized in place on
-// the next acquire, so a device joining after another left allocates
-// nothing. Only Release pools. The bulk retirements (EvictIdle, Restore,
-// RestoreRange and RemoveRange) leave their sessions to the garbage
-// collector: each can retire most of a shard at once, and pooling that
-// would keep the memory an eviction frees, or keep a Restore's replaced
-// store alive beside the restored one.
+// device records Release retires: the next acquire rebuilds one in place,
+// policy, generator and per-arm storage together, so a device joining
+// after another left allocates nothing. Only Release pools. The bulk
+// retirements (EvictIdle, Restore, RestoreRange and RemoveRange) leave
+// their sessions to the garbage collector: each can retire most of a
+// shard at once, and pooling that would keep the memory an eviction frees,
+// or keep a Restore's replaced store alive beside the restored one.
 type shard struct {
 	mu      sync.Mutex
 	devices map[uint64]*device
@@ -227,10 +226,7 @@ func (s *Store) Select(deviceID uint64, arms []int) (int, uint64, error) {
 	}
 	dev := sh.devices[deviceID]
 	if dev == nil {
-		var err error
-		if dev, err = s.acquire(sh, deviceID, arms); err != nil {
-			return -1, 0, err
-		}
+		dev = s.acquire(sh, deviceID, arms)
 		sh.devices[deviceID] = dev
 		s.devices.Add(1)
 	}
@@ -282,32 +278,21 @@ func (s *Store) validateArms(deviceID uint64, arms []int) error {
 	return nil
 }
 
-// acquire produces a device session for deviceID, reusing a pooled one when
-// the shard has retirees. Caller holds sh.mu.
-func (s *Store) acquire(sh *shard, deviceID uint64, arms []int) (*device, error) {
-	seed := rngutil.ChildSeed(s.cfg.Seed, int64(deviceID))
+// acquire builds a device session for deviceID in place, in a pooled
+// record when the shard has retirees and in one new allocation otherwise.
+// Caller holds sh.mu.
+func (s *Store) acquire(sh *shard, deviceID uint64, arms []int) *device {
+	var dev *device
 	if n := len(sh.free); n > 0 {
-		dev := sh.free[n-1]
+		dev = sh.free[n-1]
 		sh.free[n-1] = nil
 		sh.free = sh.free[:n-1]
-		dev.src.Seed(seed)
-		dev.policy.Reinit(arms, dev.rng)
-		dev.pending = -1
-		dev.slot = 0
-		dev.lastTouch = 0
-		return dev, nil
+	} else {
+		dev = new(device)
 	}
-	src := rngutil.NewSource(seed)
-	rng := rand.New(src)
-	pol, err := core.New(s.cfg.Algorithm, arms, s.cfg.Policy, rng)
-	if err != nil {
-		return nil, fmt.Errorf("serve: device %d: %w", deviceID, err)
-	}
-	sp, ok := pol.(*core.SmartEXP3)
-	if !ok { // NewStore guards this; defend against config mutation anyway
-		return nil, fmt.Errorf("serve: %v has no exportable policy state", s.cfg.Algorithm)
-	}
-	return &device{policy: sp, src: src, rng: rng, pending: -1}, nil
+	dev.src.Seed(rngutil.ChildSeed(s.cfg.Seed, int64(deviceID)))
+	dev.init(&s.cfg, arms)
+	return dev
 }
 
 // Feedback reports the reward of the outstanding selection for deviceID,
@@ -491,9 +476,10 @@ func (s *Store) EvictIdle() int {
 				}
 			}
 			if s.cfg.OnEvict != nil {
-				ds := DeviceSnapshot{Device: id, Pending: dev.pending, Slot: dev.slot, Rng: dev.src.State()}
+				snaps = append(snaps, DeviceSnapshot{Device: id, Pending: dev.pending, Slot: dev.slot})
+				ds := &snaps[len(snaps)-1]
+				dev.src.ExportState(&ds.Rng)
 				dev.policy.ExportState(&ds.State)
-				snaps = append(snaps, ds)
 			}
 			delete(sh.devices, id)
 			s.devices.Add(-1)

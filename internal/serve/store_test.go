@@ -1,12 +1,16 @@
 package serve
 
 import (
+	"bytes"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"smartexp3/internal/core"
+	"smartexp3/internal/rngutil"
 )
 
 // reward is the tests' deterministic environment: a fixed arm-quality
@@ -376,6 +380,119 @@ func TestStoreChurnIsAllocationFreeWarm(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Fatalf("warm churn allocates %.1f times per join-leave cycle, want 0", allocs)
+	}
+}
+
+// TestStoreJoinAllocatesOneRecord pins the device record: with the shard's
+// map already grown and nothing pooled, a new device's join allocates
+// exactly one object, which holds the policy, its generator and its
+// per-arm state.
+func TestStoreJoinAllocatesOneRecord(t *testing.T) {
+	s := newTestStore(t, Config{Shards: 1})
+	arms := []int{0, 2, 4, 6, 8}
+	const joins = 256
+	for id := uint64(0); id < 2*joins; id++ { // grow the map past every join below
+		if _, _, err := s.Select(id, arms); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := s.RemoveRange(0, math.MaxUint64); n != 2*joins { // retires without pooling
+		t.Fatalf("removed %d devices, want %d", n, 2*joins)
+	}
+	id := uint64(0)
+	allocs := testing.AllocsPerRun(joins-1, func() {
+		if _, _, err := s.Select(id, arms); err != nil {
+			t.Fatal(err)
+		}
+		id++
+	})
+	if allocs != 1 {
+		t.Fatalf("a join allocates %.2f objects, want exactly 1", allocs)
+	}
+}
+
+// TestDeviceFitsItsSizeClass pins the device record inside the Go
+// allocator's 6,528 B size class (the one below is 6,144 B), so a join's
+// one allocation rounds up by less than one arm of inline storage. One
+// more inline arm (88 B) would push the record into the 6,784 B class. It
+// also pins the inline arrays to exactly what the policy carves for
+// deviceArms arms under the default config, SetAvailable's sort buffer
+// included.
+func TestDeviceFitsItsSizeClass(t *testing.T) {
+	if got := unsafe.Sizeof(device{}); got <= 6144 || got > 6528 {
+		t.Fatalf("device is %d B, want (6144, 6528] B: the allocator's 6,528 B size class", got)
+	}
+	var dev device
+	floats, ints := core.SmartEXP3Storage(deviceArms, core.DefaultConfig())
+	if ints += deviceArms; floats != len(dev.floats) || ints != len(dev.ints) {
+		t.Fatalf("inline storage holds %d floats and %d ints, %d arms need %d and %d",
+			len(dev.floats), len(dev.ints), deviceArms, floats, ints)
+	}
+}
+
+// TestDeviceOutgrowsItsInlineStorage drives one device from a 4-arm set to
+// a 12-arm one, past its record's inline room, and back. It must decide
+// like a policy built on the heap by core.New from the same seed, snapshot
+// to the bytes that policy exports, and restore into a fresh store that
+// goes on deciding identically.
+func TestDeviceOutgrowsItsInlineStorage(t *testing.T) {
+	const dev, slots = 9, 600
+	s := newTestStore(t, Config{})
+	small := []int{1, 3, 5, 7}
+	wide := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}
+	arms := func(slot int) []int {
+		if slot >= 200 && slot < 400 {
+			return wide
+		}
+		return small
+	}
+	src := rngutil.NewSource(rngutil.ChildSeed(s.Config().Seed, dev))
+	ref, err := core.New(core.AlgSmartEXP3, small, core.DefaultConfig(), rand.New(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	decide := func(s *Store, slot int) int {
+		arm, sl, err := s.Select(dev, arms(slot))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Feedback(dev, arm, sl, reward(dev, arm, slot))
+		return arm
+	}
+	for slot := 0; slot < slots; slot++ {
+		if !equalArms(ref.Available(), arms(slot)) {
+			ref.SetAvailable(arms(slot))
+		}
+		want := ref.Select()
+		ref.Observe(reward(dev, want, slot))
+		if got := decide(s, slot); got != want {
+			t.Fatalf("slot %d: store chose %d, heap-built policy %d", slot, got, want)
+		}
+	}
+
+	want := Snapshot{Version: snapshotVersion, Algorithm: core.AlgSmartEXP3, Seed: s.Config().Seed,
+		Devices: []DeviceSnapshot{{Device: dev, Pending: -1, Slot: slots}}}
+	src.ExportState(&want.Devices[0].Rng)
+	ref.(*core.SmartEXP3).ExportState(&want.Devices[0].State)
+	var buf bytes.Buffer
+	if err := want.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(encodeSnapshot(t, s), buf.Bytes()) {
+		t.Fatal("the grown and shrunk device snapshots to other bytes than the heap-built policy")
+	}
+
+	fresh := newTestStore(t, Config{})
+	if err := fresh.Restore(s.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	for slot := slots; slot < slots+300; slot++ {
+		if got, want := decide(fresh, slot), decide(s, slot); got != want {
+			t.Fatalf("slot %d: restored store chose %d, original %d", slot, got, want)
+		}
+	}
+	if !bytes.Equal(encodeSnapshot(t, fresh), encodeSnapshot(t, s)) {
+		t.Fatal("restored and original stores end in different snapshot bytes")
 	}
 }
 
