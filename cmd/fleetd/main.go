@@ -30,6 +30,10 @@
 // SIGKILL and restart it with -join -snapshot and the fleet's merged
 // state is bit-identical to an uninterrupted run.
 //
+// The lifecycle and the accept loop are served's (cmd/internal/daemon,
+// internal/frame); fleetd adds only its peer, control listener and
+// rebalance ticker.
+//
 // Usage:
 //
 //	fleetd -id a -listen :9700 -control :9701 -bootstrap \
@@ -44,41 +48,18 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
-	"log"
-	"log/slog"
 	"net"
-	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
-	"smartexp3/internal/core"
+	"smartexp3/cmd/internal/daemon"
 	"smartexp3/internal/fleet"
-	"smartexp3/internal/obsv"
 	"smartexp3/internal/serve"
 )
 
-func main() {
-	if err := run(os.Args[1:]); err != nil {
-		fmt.Fprintln(os.Stderr, "fleetd:", err)
-		os.Exit(1)
-	}
-}
-
-// algorithmsByName mirrors served's flag vocabulary: the EXP3 family
-// whose policy state the serve layer can snapshot — a fleet migrates by
-// snapshot, so only snapshot-capable policies can be fleet members.
-var algorithmsByName = map[string]core.Algorithm{
-	"exp3":    core.AlgEXP3,
-	"block":   core.AlgBlockEXP3,
-	"hybrid":  core.AlgHybridBlockEXP3,
-	"smartnr": core.AlgSmartEXP3NoReset,
-	"smart":   core.AlgSmartEXP3,
-}
+func main() { daemon.Main("fleetd", run) }
 
 // parsePeers decodes the -peers roster: comma-separated
 // "id=dataAddr@controlAddr" entries, order-insensitive (the table builder
@@ -123,23 +104,12 @@ func run(args []string) error {
 		stripes   = fs.Int("stripes", fleet.DefaultStripeBits, "partition-table stripe bits (2^bits stripes; -bootstrap only)")
 		rebOnce   = fs.Bool("rebalance-once", false, "run one coordinator rebalance over -peers and exit (no listeners)")
 		rebEvery  = fs.Duration("rebalance-every", 0, "also run a coordinator rebalance over -peers at this interval (0 disables)")
-		algName   = fs.String("alg", "smart", "policy to serve: exp3|block|hybrid|smartnr|smart")
-		seed      = fs.Int64("seed", 1, "root seed; device d draws from ChildSeed(seed, d) — must match fleet-wide")
-		shards    = fs.Int("state-shards", 0, "device-map shard count (default: 4×GOMAXPROCS, rounded to a power of two)")
-		maxArms   = fs.Int("max-arms", 0, "per-request arm-set bound (default 1024)")
-		snapshot  = fs.String("snapshot", "", "state file: restored at boot if present, written on SIGTERM/SIGINT and control-protocol checkpoint")
-		every     = fs.Duration("snapshot-every", 0, "also checkpoint the state file at this interval (requires -snapshot)")
-		debug     = fs.String("debug-addr", "", "serve /metrics, /varz and /debug/pprof/ on this address (empty disables)")
-		logEvery  = fs.Duration("metrics-log-every", 0, "emit a structured metrics-delta log line at this interval (0 disables)")
-		quiet     = fs.Bool("quiet", false, "suppress log lines")
+		flags     = daemon.Register(fs)
 	)
+	fs.Lookup("seed").Usage += " — must match fleet-wide"
+	fs.Lookup("snapshot").Usage += " and control-protocol checkpoint"
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	logger := log.New(os.Stderr, "fleetd: ", log.LstdFlags)
-	logf := logger.Printf
-	if *quiet {
-		logf = func(string, ...any) {}
 	}
 
 	if *rebOnce {
@@ -156,22 +126,15 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		logf("rebalanced to epoch %d over %d peers", tab.Epoch, len(tab.Peers))
+		flags.Logf("rebalanced to epoch %d over %d peers", tab.Epoch, len(tab.Peers))
 		return nil
 	}
 
-	alg, ok := algorithmsByName[*algName]
-	if !ok {
-		return fmt.Errorf("unknown algorithm %q (want exp3|block|hybrid|smartnr|smart)", *algName)
-	}
 	if *id == "" {
 		return fmt.Errorf("-id is required")
 	}
 	if *bootstrap == *join {
 		return fmt.Errorf("exactly one of -bootstrap or -join is required")
-	}
-	if *every > 0 && *snapshot == "" {
-		return fmt.Errorf("-snapshot-every requires -snapshot")
 	}
 	roster, err := parsePeers(*peersFlag)
 	if err != nil {
@@ -187,40 +150,18 @@ func run(args []string) error {
 		}
 	}
 
-	store, err := serve.NewStore(serve.Config{
-		Algorithm: alg,
-		Seed:      *seed,
-		Shards:    *shards,
-		MaxArms:   *maxArms,
-	})
+	d, err := flags.Open(serve.Config{})
 	if err != nil {
 		return err
 	}
-	if *snapshot != "" {
-		switch err := store.LoadFile(*snapshot); {
-		case err == nil:
-			logf("restored %d device sessions from %s", store.Devices(), *snapshot)
-		case errors.Is(err, os.ErrNotExist):
-			logf("no snapshot at %s, starting fresh", *snapshot)
-		default:
-			return err
-		}
-	}
-
-	// Instrumentation is built only when something will consume it; the
-	// fleet counter set rides the same registry as the serve metrics.
-	var reg *obsv.Registry
+	// The fleet counter set rides the daemon's registry, when it has one.
 	var fm *fleet.Metrics
-	srvOpts := serve.ServerOptions{}
-	if *debug != "" || *logEvery > 0 {
-		reg = obsv.NewRegistry()
-		store.Instrument(reg)
-		srvOpts.Metrics = serve.NewServerMetrics(reg)
-		fm = fleet.NewMetrics(reg)
+	if d.Registry != nil {
+		fm = fleet.NewMetrics(d.Registry)
 	}
-	peer, err := fleet.NewPeer(store, fleet.PeerOptions{
+	peer, err := fleet.NewPeer(d.Store, fleet.PeerOptions{
 		ID:           *id,
-		SnapshotPath: *snapshot,
+		SnapshotPath: d.SnapshotPath(),
 		Metrics:      fm,
 	})
 	if err != nil {
@@ -239,7 +180,7 @@ func run(args []string) error {
 		if err := peer.InstallTable(tab); err != nil {
 			return err
 		}
-		logf("bootstrapped epoch %d over %d peers, %d stripes", tab.Epoch, len(tab.Peers), tab.Stripes())
+		d.Logf("bootstrapped epoch %d over %d peers, %d stripes", tab.Epoch, len(tab.Peers), tab.Stripes())
 	case *join:
 		var tab *fleet.Table
 		var lastErr error
@@ -257,18 +198,14 @@ func run(args []string) error {
 		if err := peer.InstallTable(tab); err != nil {
 			return err
 		}
-		logf("joined at epoch %d (%d peers); this peer owns nothing until a rebalance admits it", tab.Epoch, len(tab.Peers))
+		d.Logf("joined at epoch %d (%d peers); this peer owns nothing until a rebalance admits it", tab.Epoch, len(tab.Peers))
 	}
 
-	if *debug != "" {
-		ds, err := obsv.ListenAndServe(*debug, reg)
-		if err != nil {
-			return err
-		}
-		defer ds.Close()
-		logf("debug endpoints on http://%s/ (/metrics, /varz, /debug/pprof/)", ds.Addr())
+	closeDebug, err := d.ServeDebug(d.Registry, d.Logf)
+	if err != nil {
+		return err
 	}
-
+	defer closeDebug()
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
 		return err
@@ -278,75 +215,13 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	defer ctrlLn.Close()
-	srv := serve.NewServer(store, srvOpts)
-
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, syscall.SIGTERM, syscall.SIGINT)
-	defer signal.Stop(sigCh)
-	// shutdown is closed before the listeners, so the Serve error path
-	// below can tell an orderly signal exit from a transport failure
-	// without a race.
-	shutdown := make(chan struct{})
-	if *logEvery > 0 {
-		dl := obsv.NewDeltaLogger(reg, slog.New(slog.NewTextHandler(os.Stderr, nil)))
-		go dl.Run(*logEvery, shutdown)
-	}
-	go func() {
-		var tick <-chan time.Time
-		if *every > 0 {
-			t := time.NewTicker(*every)
-			defer t.Stop()
-			tick = t.C
+	d.Logf("peer %s serving %v on %s, control on %s", *id, d.Store.Config().Algorithm, ln.Addr(), ctrlLn.Addr())
+	return d.Serve(ln, daemon.Chore{Every: *rebEvery, Run: func() {
+		coord := &fleet.Coordinator{Self: *id, Metrics: fm}
+		if tab, err := coord.Rebalance(roster); err != nil {
+			d.Logf("rebalance failed: %v", err)
+		} else {
+			d.Logf("rebalanced to epoch %d over %d peers", tab.Epoch, len(tab.Peers))
 		}
-		var reb <-chan time.Time
-		if *rebEvery > 0 {
-			t := time.NewTicker(*rebEvery)
-			defer t.Stop()
-			reb = t.C
-		}
-		for {
-			select {
-			case sig := <-sigCh:
-				logf("caught %v, flushing state", sig)
-				close(shutdown)
-				ln.Close()     // stop accepting data connections; Serve returns
-				srv.Close()    // tear down live data connections
-				ctrlLn.Close() // stop the control accept loop
-				peer.Close()   // tear down live control connections
-				return
-			case <-tick:
-				if err := store.SaveFile(*snapshot); err != nil {
-					logf("checkpoint failed: %v", err)
-				} else {
-					logf("checkpointed %d device sessions to %s", store.Devices(), *snapshot)
-				}
-			case <-reb:
-				coord := &fleet.Coordinator{Self: *id, Metrics: fm}
-				if tab, err := coord.Rebalance(roster); err != nil {
-					logf("rebalance failed: %v", err)
-				} else {
-					logf("rebalanced to epoch %d over %d peers", tab.Epoch, len(tab.Peers))
-				}
-			}
-		}
-	}()
-	ctrlErr := make(chan error, 1)
-	go func() { ctrlErr <- peer.ServeControl(ctrlLn) }()
-
-	logf("peer %s serving %v on %s, control on %s", *id, alg, ln.Addr(), ctrlLn.Addr())
-	serveErr := srv.Serve(ln)
-	select {
-	case <-shutdown: // orderly exit: the listener close is ours, flush state
-		<-ctrlErr // the control loop exits on its closed listener too
-		if *snapshot != "" {
-			if err := store.SaveFile(*snapshot); err != nil {
-				return err
-			}
-			logf("flushed %d device sessions to %s", store.Devices(), *snapshot)
-		}
-		return nil
-	default:
-		return serveErr
-	}
+	}}, daemon.Plane{Listener: ctrlLn, Serve: peer.ServeControl, Close: peer.Close})
 }

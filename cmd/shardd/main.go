@@ -24,7 +24,8 @@
 // jobs, ranges, runs, wire frames and bytes, per-range latency, pool
 // utilization) on a second HTTP listener; -metrics-log-every instead (or
 // additionally) logs a structured delta line at that interval. Metrics are
-// observation-only: results are bit-identical with or without them.
+// observation-only: results are bit-identical with or without them. shardd
+// shares this wiring, and its accept retry, with served and fleetd.
 //
 // The protocol is unauthenticated and unencrypted (stdlib gob in
 // internal/frame's checksummed frames over TCP):
@@ -34,32 +35,24 @@ package main
 
 import (
 	"flag"
-	"fmt"
 	"log"
-	"log/slog"
 	"net"
 	"os"
 
+	"smartexp3/cmd/internal/daemon"
 	"smartexp3/internal/cluster"
-	"smartexp3/internal/obsv"
 	"smartexp3/internal/runner"
 )
 
-func main() {
-	if err := run(os.Args[1:]); err != nil {
-		fmt.Fprintln(os.Stderr, "shardd:", err)
-		os.Exit(1)
-	}
-}
+func main() { daemon.Main("shardd", run) }
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("shardd", flag.ContinueOnError)
 	var (
-		listen   = fs.String("listen", "127.0.0.1:9631", "address to accept coordinator connections on")
-		workers  = fs.Int("workers", 0, "parallelism per coordinator connection (default: GOMAXPROCS)")
-		debug    = fs.String("debug-addr", "", "serve /metrics, /varz and /debug/pprof/ on this address (empty disables)")
-		logEvery = fs.Duration("metrics-log-every", 0, "emit a structured metrics-delta log line at this interval (0 disables)")
-		quiet    = fs.Bool("quiet", false, "suppress per-connection log lines")
+		listen  = fs.String("listen", "127.0.0.1:9631", "address to accept coordinator connections on")
+		workers = fs.Int("workers", 0, "parallelism per coordinator connection (default: GOMAXPROCS)")
+		obs     = daemon.RegisterObs(fs)
+		quiet   = fs.Bool("quiet", false, "suppress per-connection log lines")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -69,23 +62,17 @@ func run(args []string) error {
 	if !*quiet {
 		opts.Logf = logger.Printf
 	}
-	if *debug != "" || *logEvery > 0 {
-		reg := obsv.NewRegistry()
+	reg := obs.Registry()
+	if reg != nil {
 		runner.Instrument(reg)
 		opts.Metrics = cluster.NewWorkerMetrics(reg)
-		if *debug != "" {
-			ds, err := obsv.ListenAndServe(*debug, reg)
-			if err != nil {
-				return err
-			}
-			defer ds.Close()
-			logger.Printf("debug endpoints on http://%s/ (/metrics, /varz, /debug/pprof/)", ds.Addr())
-		}
-		if *logEvery > 0 {
-			dl := obsv.NewDeltaLogger(reg, slog.New(slog.NewTextHandler(os.Stderr, nil)))
-			go dl.Run(*logEvery, nil)
-		}
 	}
+	closeDebug, err := obs.ServeDebug(reg, logger.Printf)
+	if err != nil {
+		return err
+	}
+	defer closeDebug()
+	obs.LogDeltas(reg, nil)
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
 		return err

@@ -41,9 +41,11 @@ import (
 
 	"smartexp3"
 	"smartexp3/internal/cluster"
+	"smartexp3/internal/core"
 	"smartexp3/internal/obsv"
 	"smartexp3/internal/runner"
 	"smartexp3/internal/scenario"
+	"smartexp3/internal/sim"
 	"smartexp3/internal/stats"
 )
 
@@ -52,18 +54,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "simulate:", err)
 		os.Exit(1)
 	}
-}
-
-var algorithmsByName = map[string]smartexp3.Algorithm{
-	"exp3":        smartexp3.AlgEXP3,
-	"block":       smartexp3.AlgBlockEXP3,
-	"hybrid":      smartexp3.AlgHybridBlockEXP3,
-	"smartnr":     smartexp3.AlgSmartEXP3NoReset,
-	"smart":       smartexp3.AlgSmartEXP3,
-	"greedy":      smartexp3.AlgGreedy,
-	"fullinfo":    smartexp3.AlgFullInformation,
-	"fixed":       smartexp3.AlgFixedRandom,
-	"centralized": smartexp3.AlgCentralized,
 }
 
 func run(args []string) error {
@@ -102,7 +92,7 @@ func run(args []string) error {
 		}
 		fmt.Printf("scenario %q: %s\n", sc.Name, sc.Description)
 	} else {
-		alg, ok := algorithmsByName[strings.ToLower(*algName)]
+		alg, ok := core.ParseAlgorithm(strings.ToLower(*algName))
 		if !ok {
 			return fmt.Errorf("unknown algorithm %q", *algName)
 		}
@@ -251,7 +241,7 @@ func (a *replicateStats) merge(_ int, res *smartexp3.SimResult) error {
 // print emits the aggregate lines shared by the in-process and sharded
 // paths; CI's cluster smoke job diffs exactly these lines between a
 // sharded and a single-process run.
-func (a *replicateStats) print(cfg smartexp3.SimConfig, runs int) error {
+func (a *replicateStats) print(cfg smartexp3.SimConfig, runs int) {
 	fmt.Printf("devices x slots      %d x %d\n", len(cfg.Devices), cfg.Slots)
 	fmt.Printf("switches/device      mean %.1f  sd %.1f\n", stats.Mean(a.switches), stats.StdDev(a.switches))
 	fmt.Printf("median download      mean %.2f GB  sd %.2f GB\n", stats.Mean(a.downloads), stats.StdDev(a.downloads))
@@ -259,7 +249,6 @@ func (a *replicateStats) print(cfg smartexp3.SimConfig, runs int) error {
 	fmt.Printf("time at NE           %.1f%%  (within eps=7.5: %.1f%%)\n",
 		100*stats.Mean(a.atNE), 100*stats.Mean(a.atEps))
 	fmt.Printf("stable runs          %d/%d\n", a.stable, runs)
-	return nil
 }
 
 // parseSeeds decodes the -seeds sweep list.
@@ -316,17 +305,7 @@ func runReplicated(cfg smartexp3.SimConfig, seeds []int64, sweep bool, runs, wor
 			}
 			shape = fmt.Sprintf("shards %d", len(shards))
 		} else {
-			eng, err := smartexp3.NewSimEngine(cfg)
-			if err != nil {
-				return err
-			}
-			err = runner.MergePooled(batch,
-				eng.NewWorkspace,
-				func(ws *smartexp3.SimWorkspace, run int, seed int64) (*smartexp3.SimResult, error) {
-					return eng.Run(ws, seed)
-				},
-				agg.merge)
-			if err != nil {
+			if err := sim.Replicate(batch, cfg, agg.merge); err != nil {
 				return err
 			}
 			shape = fmt.Sprintf("workers %d", runner.Workers(workers))
@@ -336,9 +315,7 @@ func runReplicated(cfg smartexp3.SimConfig, seeds []int64, sweep bool, runs, wor
 		} else {
 			fmt.Printf("replications         %d (%s)\n", runs, shape)
 		}
-		if err := agg.print(cfg, runs); err != nil {
-			return err
-		}
+		agg.print(cfg, runs)
 	}
 	return nil
 }

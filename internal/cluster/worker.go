@@ -55,12 +55,12 @@ func (o WorkerOptions) logf(format string, args ...any) {
 const maxIdleEngines = 8
 
 // Serve accepts coordinator connections on ln until the listener is closed,
-// handling each connection on its own goroutine. It returns nil when ln
-// closes. This is the body of cmd/shardd; tests drive it directly on
-// loopback listeners.
+// handling each connection on its own goroutine and retrying transient
+// accept failures (frame.Accept). It returns nil when ln closes. This is
+// the body of cmd/shardd; tests drive it directly on loopback listeners.
 func Serve(ln net.Listener, opts WorkerOptions) error {
 	for {
-		conn, err := ln.Accept()
+		conn, err := frame.Accept(ln)
 		if err != nil {
 			if errors.Is(err, net.ErrClosed) {
 				return nil

@@ -1,7 +1,10 @@
 package cluster
 
 import (
+	"net"
+	"os"
 	"runtime"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -102,5 +105,53 @@ func TestWorkerSessionsEndingMidRangeLeaveNoGoroutines(t *testing.T) {
 				runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// emfileListener fails its first Accepts the way a listener does when the
+// process is out of file descriptors, then accepts for real.
+type emfileListener struct {
+	net.Listener
+	failures int // accepts left to fail; only the accept loop touches it
+}
+
+func (l *emfileListener) Accept() (net.Conn, error) {
+	if l.failures > 0 {
+		l.failures--
+		return nil, &net.OpError{Op: "accept", Net: "tcp", Err: os.NewSyscallError("accept", syscall.EMFILE)}
+	}
+	return l.Listener.Accept()
+}
+
+// TestServeSurvivesTransientAcceptErrors pins shardd's accept loop to the
+// same classification as the decision daemons': EMFILE accepts are slept
+// through, a coordinator connecting after them is served, and closing the
+// listener still returns nil.
+func TestServeSurvivesTransientAcceptErrors(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- Serve(&emfileListener{Listener: ln, failures: 3}, WorkerOptions{Workers: 1}) }()
+	fc := dialRaw(t, ln.Addr().String())
+	greeted := make(chan error, 1)
+	go func() { _, err := fc.Greet(hello); greeted <- err }()
+	select {
+	case err := <-served:
+		t.Fatalf("Serve returned on a transient accept error: %v", err)
+	case err := <-greeted:
+		if err != nil {
+			t.Fatalf("handshake after transient accept errors: %v", err)
+		}
+	}
+	ln.Close()
+	select {
+	case err := <-served:
+		if err != nil {
+			t.Fatalf("Serve after close = %v, want nil", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Serve did not return after the listener closed")
 	}
 }

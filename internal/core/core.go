@@ -138,6 +138,33 @@ func (a Algorithm) String() string {
 	}
 }
 
+// shortNames is the one vocabulary of the command-line flags and the JSON
+// scenarios, indexed by Algorithm.
+var shortNames = [...]string{
+	AlgEXP3: "exp3", AlgBlockEXP3: "block", AlgHybridBlockEXP3: "hybrid",
+	AlgSmartEXP3NoReset: "smartnr", AlgSmartEXP3: "smart", AlgGreedy: "greedy",
+	AlgFullInformation: "fullinfo", AlgFixedRandom: "fixed", AlgCentralized: "centralized",
+}
+
+// ShortName returns the algorithm's flag and JSON name ("smart" for Smart
+// EXP3), or "" for a value outside the enumeration.
+func (a Algorithm) ShortName() string {
+	if a < AlgEXP3 || a > AlgCentralized {
+		return ""
+	}
+	return shortNames[a]
+}
+
+// ParseAlgorithm returns the algorithm whose ShortName is name.
+func ParseAlgorithm(name string) (Algorithm, bool) {
+	for _, a := range Algorithms() {
+		if shortNames[a] == name {
+			return a, true
+		}
+	}
+	return 0, false
+}
+
 // Algorithms lists every algorithm in presentation order.
 func Algorithms() []Algorithm {
 	return []Algorithm{

@@ -38,6 +38,28 @@ func TestAlgorithmsComplete(t *testing.T) {
 	}
 }
 
+// TestParseAlgorithmRoundTrips pins the flag and JSON vocabulary: every
+// algorithm's short name parses back to it, and nothing else parses.
+func TestParseAlgorithmRoundTrips(t *testing.T) {
+	want := []string{"exp3", "block", "hybrid", "smartnr", "smart", "greedy", "fullinfo", "fixed", "centralized"}
+	for i, a := range Algorithms() {
+		if got := a.ShortName(); got != want[i] {
+			t.Errorf("%v.ShortName() = %q, want %q", a, got, want[i])
+		}
+		if got, ok := ParseAlgorithm(want[i]); !ok || got != a {
+			t.Errorf("ParseAlgorithm(%q) = %v, %v; want %v", want[i], got, ok, a)
+		}
+	}
+	for _, name := range []string{"", "Smart", "smart exp3", "Algorithm(0)"} {
+		if a, ok := ParseAlgorithm(name); ok {
+			t.Errorf("ParseAlgorithm(%q) = %v, want no match", name, a)
+		}
+	}
+	if got := Algorithm(0).ShortName(); got != "" {
+		t.Errorf("Algorithm(0).ShortName() = %q, want empty", got)
+	}
+}
+
 func TestFeaturesFor(t *testing.T) {
 	if f := FeaturesFor(AlgEXP3); f != (Features{}) {
 		t.Fatalf("EXP3 features = %+v, want all off", f)

@@ -69,8 +69,7 @@ type Peer struct {
 	table  *Table
 	drains map[int]*drain
 
-	connMu sync.Mutex
-	conns  map[net.Conn]struct{}
+	conns frame.Listener
 }
 
 // NewPeer wires a fleet view onto store: from here on the store answers
@@ -87,7 +86,6 @@ func NewPeer(store *serve.Store, opts PeerOptions) (*Peer, error) {
 		opts:   opts,
 		m:      opts.Metrics,
 		drains: make(map[int]*drain),
-		conns:  make(map[net.Conn]struct{}),
 	}
 	if p.m == nil {
 		p.m = newMetrics()
@@ -155,45 +153,13 @@ func (p *Peer) installLocked(tab *Table) {
 }
 
 // ServeControl accepts control connections until the listener closes,
-// then drains the connection goroutines, mirroring serve.Server.Serve.
-func (p *Peer) ServeControl(ln net.Listener) error {
-	var wg sync.WaitGroup
-	defer wg.Wait()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return err
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			p.track(conn, true)
-			defer p.track(conn, false)
-			defer conn.Close()
-			_ = p.serveControl(conn)
-		}()
-	}
-}
+// retrying transient accept failures, then drains the connection
+// goroutines, exactly as serve.Server.Serve does.
+func (p *Peer) ServeControl(ln net.Listener) error { return p.conns.Serve(ln, p.serveControl) }
 
 // Close tears down every live control connection; pair with closing the
 // listener.
-func (p *Peer) Close() {
-	p.connMu.Lock()
-	defer p.connMu.Unlock()
-	for conn := range p.conns {
-		conn.Close()
-	}
-}
-
-func (p *Peer) track(conn net.Conn, add bool) {
-	p.connMu.Lock()
-	defer p.connMu.Unlock()
-	if add {
-		p.conns[conn] = struct{}{}
-	} else {
-		delete(p.conns, conn)
-	}
-}
+func (p *Peer) Close() { p.conns.Close() }
 
 // connState is what one control connection has in flight: stripes staged
 // onto this peer and stripes drained off it. Both die with the

@@ -20,6 +20,10 @@
 // connection (the cluster and fleet message sets); Writer.WriteFrame and
 // Reader.ReadFrame carry raw bytes a protocol encoded itself (serve's
 // fixed-layout codec).
+//
+// The accept side is shared too: Listener is the accept loop under
+// serve.Server and the fleet control plane, and Accept, under it and
+// cluster.Serve, sleeps through transient failures.
 package frame
 
 import (

@@ -57,19 +57,14 @@ type Move struct {
 	Area     int `json:"area"`
 }
 
-// AlgorithmNames maps the JSON algorithm names to core algorithms.
+// AlgorithmNames maps the JSON algorithm names (core.ParseAlgorithm's
+// vocabulary) to core algorithms.
 func AlgorithmNames() map[string]core.Algorithm {
-	return map[string]core.Algorithm{
-		"exp3":        core.AlgEXP3,
-		"block":       core.AlgBlockEXP3,
-		"hybrid":      core.AlgHybridBlockEXP3,
-		"smartnr":     core.AlgSmartEXP3NoReset,
-		"smart":       core.AlgSmartEXP3,
-		"greedy":      core.AlgGreedy,
-		"fullinfo":    core.AlgFullInformation,
-		"fixed":       core.AlgFixedRandom,
-		"centralized": core.AlgCentralized,
+	names := make(map[string]core.Algorithm)
+	for _, alg := range core.Algorithms() {
+		names[alg.ShortName()] = alg
 	}
+	return names
 }
 
 // Read parses a scenario from JSON.
@@ -124,10 +119,9 @@ func (sc *Scenario) ToConfig() (sim.Config, error) {
 		top.Areas = [][]int{all}
 	}
 
-	names := AlgorithmNames()
 	var devices []sim.DeviceSpec
 	for i, d := range sc.Devices {
-		alg, ok := names[d.Algorithm]
+		alg, ok := core.ParseAlgorithm(d.Algorithm)
 		if !ok {
 			return cfg, fmt.Errorf("scenario %q: device %d has unknown algorithm %q", sc.Name, i, d.Algorithm)
 		}
@@ -178,13 +172,9 @@ func FromConfig(name string, cfg sim.Config) *Scenario {
 			Bandwidth: n.Bandwidth,
 		})
 	}
-	reverse := make(map[core.Algorithm]string, len(AlgorithmNames()))
-	for name, alg := range AlgorithmNames() {
-		reverse[alg] = name
-	}
 	for _, d := range cfg.Devices {
 		dev := Device{
-			Algorithm: reverse[d.Algorithm],
+			Algorithm: d.Algorithm.ShortName(),
 			Join:      d.Join,
 			Leave:     d.Leave,
 		}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sync"
 	"time"
 
 	"smartexp3/internal/frame"
@@ -34,58 +33,24 @@ type ServerOptions struct {
 type Server struct {
 	store *Store
 	opts  ServerOptions
-
-	mu    sync.Mutex
-	conns map[net.Conn]struct{}
+	conns frame.Listener
 }
 
 // NewServer wraps store in a wire front end.
 func NewServer(store *Store, opts ServerOptions) *Server {
-	return &Server{store: store, opts: opts, conns: make(map[net.Conn]struct{})}
+	return &Server{store: store, opts: opts}
 }
 
-// Serve accepts connections until the listener closes, then waits for the
-// in-flight connection goroutines it spawned to drain. It always returns a
-// non-nil error; after Close/listener close that error is net.ErrClosed.
-func (s *Server) Serve(ln net.Listener) error {
-	var wg sync.WaitGroup
-	defer wg.Wait()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return err
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s.track(conn, true)
-			defer s.track(conn, false)
-			defer conn.Close()
-			_ = s.serveConn(conn)
-		}()
-	}
-}
+// Serve accepts connections until the listener closes, retrying transient
+// accept failures (frame.Accept), then waits for the in-flight connection
+// goroutines it spawned to drain. It always returns a non-nil error; after
+// Close/listener close that error is net.ErrClosed.
+func (s *Server) Serve(ln net.Listener) error { return s.conns.Serve(ln, s.serveConn) }
 
 // Close tears down every live connection. Pair it with closing the
 // listener; Serve's drain then returns promptly instead of waiting out
 // frame timeouts.
-func (s *Server) Close() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for conn := range s.conns {
-		conn.Close()
-	}
-}
-
-func (s *Server) track(conn net.Conn, add bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if add {
-		s.conns[conn] = struct{}{}
-	} else {
-		delete(s.conns, conn)
-	}
-}
+func (s *Server) Close() { s.conns.Close() }
 
 // serveConn runs one connection's request loop: handshake, then frames
 // until the peer closes, errors, or goes silent past the frame timeout.

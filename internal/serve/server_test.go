@@ -4,7 +4,9 @@ import (
 	"errors"
 	"io"
 	"net"
+	"os"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -320,5 +322,64 @@ func TestServerDropsSilentClient(t *testing.T) {
 	}
 	if silent < timeout {
 		t.Fatalf("server dropped a client %v after its last frame, sooner than FrameTimeout %v", silent, timeout)
+	}
+}
+
+// emfileListener fails its first Accepts the way a listener does when the
+// process is out of file descriptors, then accepts for real.
+type emfileListener struct {
+	net.Listener
+	failures int // accepts left to fail; only the accept loop touches it
+}
+
+func (l *emfileListener) Accept() (net.Conn, error) {
+	if l.failures > 0 {
+		l.failures--
+		return nil, &net.OpError{Op: "accept", Net: "tcp", Addr: l.Addr(), Err: os.NewSyscallError("accept", syscall.EMFILE)}
+	}
+	return l.Listener.Accept()
+}
+
+// TestServerSurvivesTransientAcceptErrors pins that running out of file
+// descriptors — which one client holding many sockets can cause — stalls
+// the accept loop instead of ending it: after a run of EMFILE accepts the
+// next client is served, and Serve returns only once the listener closes.
+func TestServerSurvivesTransientAcceptErrors(t *testing.T) {
+	store, err := NewStore(Config{Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(store, ServerOptions{FrameTimeout: 30 * time.Second})
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(&emfileListener{Listener: ln, failures: 3}) }()
+	t.Cleanup(func() { ln.Close(); srv.Close() })
+
+	selected := make(chan error, 1)
+	go func() {
+		c, err := Dial(ln.Addr().String(), ClientOptions{FrameTimeout: 30 * time.Second})
+		if err != nil {
+			selected <- err
+			return
+		}
+		defer c.Close()
+		_, _, err = c.SelectSlot(1, []int{10, 20, 30})
+		selected <- err
+	}()
+	select {
+	case err := <-served:
+		t.Fatalf("Serve returned on a transient accept error: %v", err)
+	case err := <-selected:
+		if err != nil {
+			t.Fatalf("Select after transient accept errors: %v", err)
+		}
+	}
+	ln.Close()
+	srv.Close()
+	if err := <-served; !errors.Is(err, net.ErrClosed) {
+		t.Fatalf("Serve after close = %v, want net.ErrClosed", err)
 	}
 }
