@@ -176,18 +176,23 @@ func run(args []string) error {
 		resets = append(resets, float64(res.Devices[d].Resets))
 		downloads = append(downloads, smartexp3.MbToGB(res.Devices[d].DownloadMb))
 	}
-	algs := make(map[string]int)
+	// Count devices per algorithm in order of first appearance, so a mixed
+	// scenario prints the same line on every run.
+	var algs []string
+	counts := make(map[string]int)
 	for _, d := range cfg.Devices {
-		algs[d.Algorithm.String()]++
+		name := d.Algorithm.String()
+		if counts[name] == 0 {
+			algs = append(algs, name)
+		}
+		counts[name]++
 	}
 	fmt.Printf("algorithms           ")
-	first := true
-	for name, n := range algs {
-		if !first {
+	for i, name := range algs {
+		if i > 0 {
 			fmt.Print(", ")
 		}
-		fmt.Printf("%s x%d", name, n)
-		first = false
+		fmt.Printf("%s x%d", name, counts[name])
 	}
 	fmt.Println()
 	fmt.Printf("devices x slots      %d x %d\n", len(cfg.Devices), cfg.Slots)

@@ -106,6 +106,36 @@ func TestRunRejectsMissingConfig(t *testing.T) {
 	}
 }
 
+// TestSingleRunPrintsAlgorithmsInDeviceOrder pins the single-run summary's
+// algorithms line for a mixed scenario: each algorithm once, in the order
+// it first appears among the devices, with its device count — the same
+// line on every run.
+func TestSingleRunPrintsAlgorithmsInDeviceOrder(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "mixed.json")
+	const mixed = `{"name": "mixed",
+  "networks": [{"name": "w", "type": "wifi", "bandwidthMbps": 4},
+               {"name": "c", "type": "cellular", "bandwidthMbps": 11}],
+  "devices": [{"algorithm": "smart", "count": 2}, {"algorithm": "greedy"},
+              {"algorithm": "exp3", "count": 3}, {"algorithm": "smart"}],
+  "slots": 20, "seed": 3}`
+	if err := os.WriteFile(path, []byte(mixed), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const want = "algorithms           Smart EXP3 x3, Greedy x1, EXP3 x3"
+	for i := 0; i < 8; i++ {
+		out := captureStdout(t, func() error { return run([]string{"-config", path}) })
+		var got string
+		for _, line := range strings.Split(out, "\n") {
+			if strings.HasPrefix(line, "algorithms") {
+				got = line
+			}
+		}
+		if got != want {
+			t.Fatalf("run %d printed %q, want %q", i, got, want)
+		}
+	}
+}
+
 // captureStdout runs fn with os.Stdout redirected and returns what it
 // printed.
 func captureStdout(t *testing.T, fn func() error) string {

@@ -13,8 +13,6 @@ type Options struct {
 	// that gives every shard several ranges (dynamic load balancing and a
 	// small reassignment unit on failure).
 	ChunkSize int
-	// DialTimeout bounds each worker dial; 0 means 5 seconds.
-	DialTimeout time.Duration
 	// FrameTimeout bounds how long a worker may go without producing the
 	// next protocol frame while one is owed (handshake reply, result, range
 	// ack, keepalive pong); 0 means frame.DefaultTimeout (2 minutes),
@@ -54,13 +52,6 @@ func (o Options) logf(format string, args ...any) {
 	if o.Logf != nil {
 		o.Logf(format, args...)
 	}
-}
-
-func (o Options) dialTimeout() time.Duration {
-	if o.DialTimeout <= 0 {
-		return 5 * time.Second
-	}
-	return o.DialTimeout
 }
 
 func (o Options) keepalive() time.Duration {

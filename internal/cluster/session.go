@@ -477,7 +477,7 @@ func (s *Session) shardLoop(sh *shard) {
 		if s.isClosed() {
 			return
 		}
-		conn, err := net.DialTimeout("tcp", sh.addr, s.opts.dialTimeout())
+		conn, err := net.DialTimeout("tcp", sh.addr, frame.DialTimeout)
 		if err != nil {
 			s.opts.logf("cluster: shard %s: dial: %v", sh.addr, err)
 			if !everConnected {

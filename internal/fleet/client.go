@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"smartexp3/internal/frame"
 	"smartexp3/internal/serve"
 )
 
@@ -17,32 +18,17 @@ type ClientOptions struct {
 	// Table seeds the routing table directly (tests, or a caller that
 	// already fetched one). Nil fetches from Controls.
 	Table *Table
-	// MaxRedirects bounds how many NotOwner hops one Select follows
-	// before giving up; zero means 3.
-	MaxRedirects int
 
 	// Per-peer serve.Client knobs, passed through.
-	DialTimeout   time.Duration
-	FrameTimeout  time.Duration
-	FeedbackBatch int
-	MaxAttempts   int
-	BackoffBase   time.Duration
-	BackoffMax    time.Duration
+	FrameTimeout time.Duration
+	MaxAttempts  int
+	BackoffBase  time.Duration
+	BackoffMax   time.Duration
 }
 
-func (o ClientOptions) maxRedirects() int {
-	if o.MaxRedirects <= 0 {
-		return 3
-	}
-	return o.MaxRedirects
-}
-
-func (o ClientOptions) dialTimeout() time.Duration {
-	if o.DialTimeout <= 0 {
-		return 5 * time.Second
-	}
-	return o.DialTimeout
-}
+// maxRedirects bounds how many NotOwner hops one Select follows before
+// giving up.
+const maxRedirects = 3
 
 // Client routes a serve workload across a fleet. It resolves each
 // device's owner locally from its partition table, keeps one serve.Client
@@ -124,7 +110,7 @@ func (c *Client) controlAddrs() []string {
 func (c *Client) refreshTable() {
 	best := c.table
 	for _, addr := range c.controlAddrs() {
-		tab, err := FetchTable(addr, "fleet-client", c.opts.dialTimeout())
+		tab, err := FetchTable(addr, "fleet-client", frame.DialTimeout)
 		if err != nil || tab == nil {
 			continue
 		}
@@ -146,12 +132,10 @@ func (c *Client) peer(addr string) (*serve.Client, error) {
 		return sc, nil
 	}
 	sc, err := serve.Dial(addr, serve.ClientOptions{
-		DialTimeout:   c.opts.DialTimeout,
-		FrameTimeout:  c.opts.FrameTimeout,
-		FeedbackBatch: c.opts.FeedbackBatch,
-		MaxAttempts:   c.opts.MaxAttempts,
-		BackoffBase:   c.opts.BackoffBase,
-		BackoffMax:    c.opts.BackoffMax,
+		FrameTimeout: c.opts.FrameTimeout,
+		MaxAttempts:  c.opts.MaxAttempts,
+		BackoffBase:  c.opts.BackoffBase,
+		BackoffMax:   c.opts.BackoffMax,
 		// Bounced items re-queue for re-delivery to the new owner. The
 		// callback runs synchronously inside this client's own call
 		// stack (one goroutine per Client), so plain appends are safe;
@@ -243,7 +227,7 @@ func (c *Client) Select(device uint64, arms []int) (int, error) {
 		c.refreshTable()
 	}
 	addr := c.ownerAddr(device)
-	for hop := 0; hop <= c.opts.maxRedirects(); hop++ {
+	for hop := 0; hop <= maxRedirects; hop++ {
 		if prev, ok := c.last[device]; ok && prev != addr {
 			if err := c.syncPeer(prev); err != nil {
 				return -1, err
@@ -278,7 +262,7 @@ func (c *Client) Select(device uint64, arms []int) (int, error) {
 		c.refreshTable()
 		addr = c.ownerAddr(device)
 	}
-	return -1, fmt.Errorf("fleet: device %d still redirecting after %d hops", device, c.opts.maxRedirects())
+	return -1, fmt.Errorf("fleet: device %d still redirecting after %d hops", device, maxRedirects)
 }
 
 // Feedback reports the reward for device's most recent Select through
@@ -323,7 +307,7 @@ func (c *Client) Flush() error {
 		if len(c.requeue) == 0 {
 			return nil
 		}
-		if round >= c.opts.maxRedirects()+1 {
+		if round >= maxRedirects+1 {
 			return fmt.Errorf("fleet: %d feedback items still bouncing after %d flush rounds", len(c.requeue), round+1)
 		}
 		if err := c.dispatchRequeued(); err != nil {

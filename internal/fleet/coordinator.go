@@ -22,9 +22,10 @@ type controlConn struct {
 // dialControl opens a control session to peer, naming this side from in
 // the hello. frames/bytes, when non-nil, count the connection's traffic in
 // both directions (the coordinator points these at its migrated-bytes
-// counter).
-func dialControl(peer PeerInfo, from string, dialTimeout, frameTimeout time.Duration, frames, bytes *obsv.Counter) (*controlConn, error) {
-	conn, err := net.DialTimeout("tcp", peer.Control, dialTimeout)
+// counter). The dial is bounded by frame.DialTimeout, each frame by
+// frameTimeout.
+func dialControl(peer PeerInfo, from string, frameTimeout time.Duration, frames, bytes *obsv.Counter) (*controlConn, error) {
+	conn, err := net.DialTimeout("tcp", peer.Control, frame.DialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: dial control %s: %w", peer.Control, err)
 	}
@@ -65,9 +66,10 @@ func (cc *controlConn) close() { cc.fc.Close() }
 // FetchTable asks the peer at controlAddr for its installed partition
 // table (nil when it has none yet). This is how a booting peer joins a
 // running fleet, how a client bootstraps its routing, and how a draining
-// peer's resolver probes a gaining peer's fate.
+// peer's resolver probes a gaining peer's fate. timeout bounds each
+// control frame; the dial is bounded by frame.DialTimeout.
 func FetchTable(controlAddr, from string, timeout time.Duration) (*Table, error) {
-	cc, err := dialControl(PeerInfo{Control: controlAddr}, from, timeout, timeout, nil, nil)
+	cc, err := dialControl(PeerInfo{Control: controlAddr}, from, timeout, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -83,9 +85,10 @@ func FetchTable(controlAddr, from string, timeout time.Duration) (*Table, error)
 }
 
 // Checkpoint asks the peer at controlAddr to save its store snapshot to
-// its configured snapshot path — the operator's pre-kill flush.
+// its configured snapshot path — the operator's pre-kill flush. timeout
+// bounds each control frame, as for FetchTable.
 func Checkpoint(controlAddr, from string, timeout time.Duration) error {
-	cc, err := dialControl(PeerInfo{Control: controlAddr}, from, timeout, timeout, nil, nil)
+	cc, err := dialControl(PeerInfo{Control: controlAddr}, from, timeout, nil, nil)
 	if err != nil {
 		return err
 	}
@@ -111,8 +114,6 @@ func Checkpoint(controlAddr, from string, timeout time.Duration) error {
 type Coordinator struct {
 	// Self names this coordinator in hellos (diagnostics only).
 	Self string
-	// DialTimeout bounds each control dial; zero means 5s.
-	DialTimeout time.Duration
 	// FrameTimeout bounds each control frame: one times out no sooner
 	// than FrameTimeout after it starts, and at most 1/16 later. Zero
 	// means frame.DefaultTimeout (2 minutes: snapshot frames for a big
@@ -121,13 +122,6 @@ type Coordinator struct {
 	// Metrics, when set, receives the coordinator-side migration
 	// counters. Nil means a private unregistered set.
 	Metrics *Metrics
-}
-
-func (c *Coordinator) dialTimeout() time.Duration {
-	if c.DialTimeout <= 0 {
-		return 5 * time.Second
-	}
-	return c.DialTimeout
 }
 
 func (c *Coordinator) metrics() *Metrics {
@@ -173,7 +167,7 @@ func (c *Coordinator) Rebalance(roster []PeerInfo) (*Table, error) {
 	var live []PeerInfo
 	frames := new(obsv.Counter) // frame counts stay private; bytes feed the exported counter
 	for _, p := range roster {
-		cc, err := dialControl(p, c.Self, c.dialTimeout(), frame.Timeout(c.FrameTimeout), frames, m.MigratedBytes)
+		cc, err := dialControl(p, c.Self, frame.Timeout(c.FrameTimeout), frames, m.MigratedBytes)
 		if err != nil {
 			continue
 		}

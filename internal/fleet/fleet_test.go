@@ -357,7 +357,7 @@ func newFakeCoordinator(t *testing.T, peers ...PeerInfo) *fakeCoordinator {
 	t.Helper()
 	fc := &fakeCoordinator{t: t, conns: make(map[string]*controlConn)}
 	for _, p := range peers {
-		cc, err := dialControl(p, "fake-coordinator", 5*time.Second, 5*time.Second, nil, nil)
+		cc, err := dialControl(p, "fake-coordinator", 5*time.Second, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -104,7 +104,7 @@ func TestHandshakeAcrossProtocols(t *testing.T) {
 			return errors.New("cluster shard never retired")
 		},
 		"fleet": func(t *testing.T, addr string) error {
-			cc, err := dialControl(PeerInfo{Control: addr}, "coord", time.Second, time.Second, nil, nil)
+			cc, err := dialControl(PeerInfo{Control: addr}, "coord", time.Second, nil, nil)
 			if err == nil {
 				cc.close()
 				return errors.New("control dial accepted")

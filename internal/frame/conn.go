@@ -18,6 +18,10 @@ import (
 // up on within minutes.
 const DefaultTimeout = 2 * time.Minute
 
+// DialTimeout bounds connection establishment on every wire: the serve
+// client, the cluster session's shard dials and the fleet's control dials.
+const DialTimeout = 5 * time.Second
+
 // Timeout resolves a transport timeout option the one way every option
 // struct in the repository documents it: zero means DefaultTimeout,
 // negative disables deadlines (returned as 0), anything else is used as

@@ -57,16 +57,6 @@ type Move struct {
 	Area     int `json:"area"`
 }
 
-// AlgorithmNames maps the JSON algorithm names (core.ParseAlgorithm's
-// vocabulary) to core algorithms.
-func AlgorithmNames() map[string]core.Algorithm {
-	names := make(map[string]core.Algorithm)
-	for _, alg := range core.Algorithms() {
-		names[alg.ShortName()] = alg
-	}
-	return names
-}
-
 // Read parses a scenario from JSON.
 func Read(r io.Reader) (*Scenario, error) {
 	dec := json.NewDecoder(r)

@@ -156,16 +156,38 @@ func TestToConfigErrors(t *testing.T) {
 	}
 }
 
+// TestAlgorithmNamesComplete pins the algorithm vocabulary scenarios
+// rely on: each of core's 9 algorithms has a short name of its own, and
+// that name round-trips through a one-device Scenario — ToConfig parses it
+// to the same algorithm, FromConfig writes the same name back.
 func TestAlgorithmNamesComplete(t *testing.T) {
-	names := AlgorithmNames()
-	if len(names) != 9 {
-		t.Fatalf("%d algorithm names, want 9", len(names))
+	algs := core.Algorithms()
+	if len(algs) != 9 {
+		t.Fatalf("%d algorithms, want 9", len(algs))
 	}
-	seen := make(map[core.Algorithm]bool)
-	for _, alg := range names {
-		if seen[alg] {
-			t.Fatalf("duplicate mapping for %v", alg)
+	seen := make(map[string]core.Algorithm)
+	for _, alg := range algs {
+		name := alg.ShortName()
+		if prev, dup := seen[name]; dup {
+			t.Fatalf("%v and %v share the name %q", prev, alg, name)
 		}
-		seen[alg] = true
+		seen[name] = alg
+		sc := &Scenario{
+			Name:     name,
+			Networks: []Network{{Name: "wlan", Type: "wifi", Bandwidth: 4}},
+			Devices:  []Device{{Algorithm: name}},
+			Slots:    10,
+		}
+		cfg, err := sc.ToConfig()
+		if err != nil {
+			t.Fatalf("%q: %v", name, err)
+		}
+		if len(cfg.Devices) != 1 || cfg.Devices[0].Algorithm != alg {
+			t.Fatalf("%q parsed to %+v, want one %v device", name, cfg.Devices, alg)
+		}
+		back := FromConfig(name, cfg)
+		if len(back.Devices) != 1 || back.Devices[0].Algorithm != name {
+			t.Fatalf("%v wrote back as %+v, want one %q device", alg, back.Devices, name)
+		}
 	}
 }

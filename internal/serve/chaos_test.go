@@ -2,13 +2,16 @@ package serve
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"net"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"smartexp3/internal/chaos"
+	"smartexp3/internal/obsv"
 )
 
 // learnedState encodes a store's snapshot with the Dropped counter zeroed:
@@ -185,38 +188,76 @@ func TestClientSurvivesManualCut(t *testing.T) {
 	}
 }
 
-// TestClientWithoutRedialerFailsFastAndCloseIsIdempotent pins the legacy
-// error taxonomy the reconnect work must not change: with no redialer the
-// first transport failure permanently poisons the session, every later
-// call returns the same death, and Close stays idempotent (nil) after it.
-func TestClientWithoutRedialerFailsFastAndCloseIsIdempotent(t *testing.T) {
+// TestClientRedialsThroughOutageAndCloseIsIdempotent pins the one
+// recovery path on a daemon that goes away for good: the dialer answers
+// once and fails after that. An operation after the cut spends its
+// MaxAttempts on redials and returns the "daemon unreachable" error, every
+// failed redial is counted, a later call goes through the dialer again
+// instead of latching the failure, the report buffered across the cut
+// survives, and Close stays idempotent (nil) after it all.
+func TestClientRedialsThroughOutageAndCloseIsIdempotent(t *testing.T) {
 	store, err := NewStore(Config{Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv := NewServer(store, ServerOptions{})
-	clientConn, serverConn := net.Pipe()
+	var serverConn net.Conn
 	done := make(chan struct{})
-	go func() { defer close(done); _ = srv.serveConn(serverConn) }()
-	c, err := NewClient(clientConn, ClientOptions{FrameTimeout: -1})
+	dials := 0
+	dial := func() (net.Conn, error) {
+		dials++
+		if dials > 1 {
+			return nil, errors.New("connection refused")
+		}
+		clientConn, sc := net.Pipe()
+		serverConn = sc
+		go func() { defer close(done); _ = srv.serveConn(sc) }()
+		return clientConn, nil
+	}
+	const attempts = 3
+	m := NewClientMetrics(obsv.NewRegistry())
+	c, err := NewClient(dial, ClientOptions{
+		FrameTimeout: -1,
+		MaxAttempts:  attempts,
+		BackoffBase:  time.Millisecond,
+		BackoffMax:   time.Millisecond,
+		Metrics:      m,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.SelectSlot(1, []int{1, 2}); err != nil {
+	arm, slot, err := c.SelectSlot(1, []int{1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.FeedbackSlot(1, arm, slot, 0.5); err != nil {
 		t.Fatal(err)
 	}
 
-	// Kill the transport under the client: the pipe dies, no redialer.
+	// Kill the transport under the client; the daemon never comes back.
 	serverConn.Close()
 	<-done
-	if _, _, err := c.SelectSlot(1, []int{1, 2}); err == nil {
-		t.Fatal("Select succeeded over a dead pipe with no redialer")
+	unreachable := fmt.Sprintf("daemon unreachable after %d attempts", attempts)
+	if _, _, err := c.SelectSlot(1, []int{1, 2}); err == nil || !strings.Contains(err.Error(), unreachable) {
+		t.Fatalf("Select across the outage: got %v, want %q", err, unreachable)
 	}
-	if _, _, err := c.SelectSlot(1, []int{1, 2}); err == nil {
-		t.Fatal("a poisoned session answered a Select")
+	if r, d := m.Redials.Value(), dials; r != attempts-1 || d != attempts {
+		t.Fatalf("after the cut: %d redials counted over %d dials, want %d over %d", r, d, attempts-1, attempts)
+	}
+	if _, _, err := c.SelectSlot(1, []int{1, 2}); err == nil || !strings.Contains(err.Error(), unreachable) {
+		t.Fatalf("second Select across the outage: got %v, want %q", err, unreachable)
+	}
+	if r, d := m.Redials.Value(), dials; r != 2*attempts-1 || d != 2*attempts {
+		t.Fatalf("a later call did not redial: %d redials counted over %d dials, want %d over %d", r, d, 2*attempts-1, 2*attempts)
+	}
+	if len(c.batch) != 1 || c.batch[0] != (FeedbackItem{Device: 1, Arm: arm, Slot: slot, Reward: 0.5}) {
+		t.Fatalf("buffered feedback lost across the outage: %+v", c.batch)
+	}
+	if d := c.DroppedFeedback(); d != 0 {
+		t.Fatalf("dropped %d reports under the buffer bound", d)
 	}
 	if err := c.Close(); err != nil {
-		t.Fatalf("first Close after a session death: %v", err)
+		t.Fatalf("first Close after the outage: %v", err)
 	}
 	if err := c.Close(); err != nil {
 		t.Fatalf("repeated Close must be nil, got %v", err)

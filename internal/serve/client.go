@@ -10,27 +10,29 @@ import (
 	"smartexp3/internal/frame"
 )
 
+// Client tuning that no caller varies.
+const (
+	// feedbackBatch is the unwritten-report count that triggers an eager
+	// flush. Feedback is also sent ahead of every Select, Release, Ping
+	// and Close, in the same write, so the buffer never outlives the
+	// traffic that should observe it.
+	feedbackBatch = 256
+	// maxBufferedFeedback bounds the reports held while the daemon is
+	// unreachable (the overload guard); beyond it the oldest are dropped
+	// and counted in DroppedFeedback. On a live connection nothing is
+	// dropped: when this many reports are queued, written or not, the
+	// client confirms them with a Ping.
+	maxBufferedFeedback = 4096
+)
+
 // ClientOptions tunes a client connection and its recovery behavior.
 type ClientOptions struct {
-	// DialTimeout bounds connection establishment; zero means 5 seconds.
-	DialTimeout time.Duration
 	// FrameTimeout bounds each frame read and write: one times out no
 	// sooner than FrameTimeout after it starts, and at most 1/16 later.
 	// Zero means frame.DefaultTimeout (2 minutes), negative disables
 	// (synchronous in-memory pipes in tests).
 	FrameTimeout time.Duration
-	// FeedbackBatch is the unwritten-report count that triggers an eager
-	// flush; zero means 256. Feedback is also sent ahead of every
-	// Select, Release, Ping and Close, in the same write, so the buffer
-	// never outlives the traffic that should observe it.
-	FeedbackBatch int
 
-	// Redial re-establishes the transport after a transient failure. Dial
-	// installs a TCP redialer for its address automatically; NewClient
-	// callers provide their own (or none). With Redial nil the client is
-	// fail-fast: the first transport error permanently poisons the
-	// session, the pre-reconnect behavior.
-	Redial func() (net.Conn, error)
 	// MaxAttempts bounds the transport tries (initial + redials) one
 	// operation makes before giving up; zero means 8.
 	MaxAttempts int
@@ -40,13 +42,6 @@ type ClientOptions struct {
 	BackoffBase time.Duration
 	// BackoffMax caps the backoff delay; zero means 2 seconds.
 	BackoffMax time.Duration
-
-	// MaxBufferedFeedback bounds the reports held while the daemon is
-	// unreachable (the overload guard); beyond it the oldest are dropped
-	// and counted in DroppedFeedback. On a live connection nothing is
-	// dropped: when this many reports are queued, written or not, the
-	// client confirms them with a Ping. Zero means 4096.
-	MaxBufferedFeedback int
 
 	// OnRejected, when set, receives feedback items the daemon bounced in
 	// a Rejected frame because it no longer owns their devices (a fleet
@@ -62,20 +57,6 @@ type ClientOptions struct {
 	// unregistered set; the Reconnects/DroppedFeedback accessors read
 	// whichever set is in use.
 	Metrics *ClientMetrics
-}
-
-func (o ClientOptions) dialTimeout() time.Duration {
-	if o.DialTimeout <= 0 {
-		return 5 * time.Second
-	}
-	return o.DialTimeout
-}
-
-func (o ClientOptions) feedbackBatch() int {
-	if o.FeedbackBatch <= 0 {
-		return 256
-	}
-	return o.FeedbackBatch
 }
 
 func (o ClientOptions) maxAttempts() int {
@@ -97,13 +78,6 @@ func (o ClientOptions) backoffMax() time.Duration {
 		return 2 * time.Second
 	}
 	return o.BackoffMax
-}
-
-func (o ClientOptions) maxBufferedFeedback() int {
-	if o.MaxBufferedFeedback <= 0 {
-		return 4096
-	}
-	return o.MaxBufferedFeedback
 }
 
 // RequestError is a request-level rejection (a malformed arm set, say):
@@ -133,6 +107,7 @@ func (e *RequestError) Error() string { return e.Msg }
 // discipline as the cluster session layer.
 type Client struct {
 	opts      ClientOptions
+	dial      func() (net.Conn, error) // the first dial and every redial
 	conn      *frame.Conn
 	algorithm string
 
@@ -154,40 +129,32 @@ type Client struct {
 	m   *ClientMetrics // never nil; from opts.Metrics or a private set
 }
 
-// Dial connects and handshakes. Unless ClientOptions.Redial is set, the
-// client re-dials addr automatically after transient transport failures.
+// Dial connects to the daemon at addr over TCP and handshakes; the client
+// redials addr after transient transport failures.
 func Dial(addr string, opts ClientOptions) (*Client, error) {
-	if opts.Redial == nil {
-		timeout := opts.dialTimeout()
-		opts.Redial = func() (net.Conn, error) {
-			conn, err := net.DialTimeout("tcp", addr, timeout)
-			if err != nil {
-				return nil, fmt.Errorf("serve: dial %s: %w", addr, err)
-			}
-			return conn, nil
+	return NewClient(func() (net.Conn, error) {
+		conn, err := net.DialTimeout("tcp", addr, frame.DialTimeout)
+		if err != nil {
+			return nil, fmt.Errorf("serve: dial %s: %w", addr, err)
 		}
-	}
-	conn, err := opts.Redial()
-	if err != nil {
-		return nil, err
-	}
-	c, err := NewClient(conn, opts)
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	return c, nil
+		return conn, nil
+	}, opts)
 }
 
-// NewClient handshakes over an established connection (tests hand it one
-// end of a pipe). The client owns conn afterwards. Without opts.Redial the
-// client cannot recover from transport failures and fails fast instead.
-func NewClient(conn net.Conn, opts ClientOptions) (*Client, error) {
-	c := &Client{opts: opts, m: opts.Metrics}
+// NewClient connects through dial and handshakes; every redial after a
+// transient transport failure goes through dial too (tests hand it one end
+// of a pipe). The client owns each connection dial returns.
+func NewClient(dial func() (net.Conn, error), opts ClientOptions) (*Client, error) {
+	c := &Client{opts: opts, dial: dial, m: opts.Metrics}
 	if c.m == nil {
 		c.m = newClientMetrics()
 	}
+	conn, err := dial()
+	if err != nil {
+		return nil, err
+	}
 	if err := c.handshake(conn); err != nil {
+		conn.Close()
 		return nil, err
 	}
 	return c, nil
@@ -277,9 +244,8 @@ func (c *Client) usable() error {
 // dropConn tears the connection down after a transport failure and
 // requeues written-but-unconfirmed feedback ahead of the unwritten batch:
 // the daemon may or may not have consumed those frames, and the slot each
-// item carries makes resending the safe default. Without a redialer the
-// failure is terminal, matching the historical fail-fast client.
-func (c *Client) dropConn(cause error) {
+// item carries makes resending the safe default.
+func (c *Client) dropConn() {
 	if c.conn != nil {
 		c.conn.Close()
 	}
@@ -290,9 +256,6 @@ func (c *Client) dropConn(cause error) {
 		c.sent = nil
 	}
 	c.trimFeedback()
-	if c.opts.Redial == nil {
-		_ = c.permanent(fmt.Errorf("serve: session dead: %w", cause))
-	}
 }
 
 // ensureConn returns with a live handshaken connection or an error for
@@ -304,11 +267,8 @@ func (c *Client) ensureConn() error {
 	if c.permErr != nil {
 		return c.permErr
 	}
-	if c.opts.Redial == nil {
-		return errors.New("serve: disconnected and no redialer configured")
-	}
 	c.m.Redials.Inc()
-	conn, err := c.opts.Redial()
+	conn, err := c.dial()
 	if err != nil {
 		return err
 	}
@@ -365,10 +325,7 @@ func (c *Client) attempt(op func() error) error {
 		if errors.As(err, &req) || errors.As(err, &no) {
 			return err
 		}
-		c.dropConn(err)
-		if c.permErr != nil {
-			return c.permErr
-		}
+		c.dropConn()
 		lastErr = err
 	}
 	return fmt.Errorf("serve: daemon unreachable after %d attempts: %w", attempts, lastErr)
@@ -384,7 +341,7 @@ func (c *Client) writeFeedback() error { return c.send(true, nil) }
 // reports all sit in batch (dropConn requeued the unconfirmed ones): past
 // the bound, the oldest are dropped and counted.
 func (c *Client) trimFeedback() {
-	over := len(c.batch) - c.opts.maxBufferedFeedback()
+	over := len(c.batch) - maxBufferedFeedback
 	if over <= 0 {
 		return
 	}
@@ -467,13 +424,14 @@ func (c *Client) handleRejected(msg *feedbackRejectedMsg) {
 // the next select on this connection, which is what makes
 // select-after-feedback ordering hold without a round trip per report).
 // FeedbackSlot never blocks on a broken transport: reports queue (bounded by
-// MaxBufferedFeedback) and resend after the reconnect.
+// maxBufferedFeedback) and resend after the reconnect.
 func (c *Client) FeedbackSlot(device uint64, arm int, slot uint64, reward float64) error {
 	if err := c.usable(); err != nil {
 		return err
 	}
 	c.batch = append(c.batch, FeedbackItem{Device: device, Arm: arm, Slot: slot, Reward: reward})
-	return c.maybeFlushFeedback()
+	c.maybeFlushFeedback()
+	return nil
 }
 
 // EnqueueFeedback buffers already-formed reports — the re-delivery path
@@ -486,35 +444,32 @@ func (c *Client) EnqueueFeedback(items []FeedbackItem) error {
 		return err
 	}
 	c.batch = append(c.batch, items...)
-	return c.maybeFlushFeedback()
+	c.maybeFlushFeedback()
+	return nil
 }
 
 // maybeFlushFeedback is the eager flush shared by the feedback entry
 // points. On a live connection it writes the unwritten batch once it
-// reaches FeedbackBatch, or, once MaxBufferedFeedback reports are queued
+// reaches feedbackBatch, or, once maxBufferedFeedback reports are queued
 // written or not, writes it under a Ping barrier that empties the
 // unconfirmed queue. Disconnected, it applies the overload guard.
 // Best-effort: a transport failure just drops the connection and the
 // reports ride along on the next operation.
-func (c *Client) maybeFlushFeedback() error {
+func (c *Client) maybeFlushFeedback() {
 	if !c.connected {
 		c.trimFeedback()
-		return nil
+		return
 	}
 	var err error
 	switch {
-	case len(c.batch)+len(c.sent) >= c.opts.maxBufferedFeedback():
+	case len(c.batch)+len(c.sent) >= maxBufferedFeedback:
 		err = c.ping()
-	case len(c.batch) >= c.opts.feedbackBatch():
+	case len(c.batch) >= feedbackBatch:
 		err = c.writeFeedback()
 	}
 	if err != nil {
-		c.dropConn(err)
-		if c.permErr != nil {
-			return c.permErr
-		}
+		c.dropConn()
 	}
-	return nil
 }
 
 // Flush writes buffered feedback to the daemon, reconnecting as needed.

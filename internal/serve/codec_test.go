@@ -113,6 +113,20 @@ func (c *writeCountingConn) SetWriteDeadline(t time.Time) error {
 	return c.Conn.SetWriteDeadline(t)
 }
 
+// dialOnce returns a dialer that hands out conn once and refuses every
+// redial, for tests that hold the transport themselves: a test that counts
+// one connection's traffic must fail on a redial, not count a fresh one.
+func dialOnce(conn net.Conn) func() (net.Conn, error) {
+	dialed := false
+	return func() (net.Conn, error) {
+		if dialed {
+			return nil, errors.New("daemon unreachable")
+		}
+		dialed = true
+		return conn, nil
+	}
+}
+
 // dialCounting connects a client to addr through a writeCountingConn.
 func dialCounting(t *testing.T, addr string, opts ClientOptions) (*Client, *writeCountingConn) {
 	t.Helper()
@@ -121,7 +135,7 @@ func dialCounting(t *testing.T, addr string, opts ClientOptions) (*Client, *writ
 		t.Fatal(err)
 	}
 	conn := &writeCountingConn{Conn: raw}
-	c, err := NewClient(conn, opts)
+	c, err := NewClient(dialOnce(conn), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,8 +204,8 @@ func TestClientArmsDeadlinesPerConnection(t *testing.T) {
 
 // TestClientFeedbackFlushesPerBatchAndDropsNothing pins the eager flush
 // on a live connection with no response barrier in sight: n reports are
-// written once per FeedbackBatch (256) reports, none is dropped (past
-// MaxBufferedFeedback, 4096, a Ping confirms the unconfirmed queue
+// written once per feedbackBatch (256) reports, none is dropped (past
+// maxBufferedFeedback, 4096, a Ping confirms the unconfirmed queue
 // instead), and the store applies every one.
 func TestClientFeedbackFlushesPerBatchAndDropsNothing(t *testing.T) {
 	for _, n := range []int{1000, 5000} {
@@ -234,8 +248,8 @@ func TestClientFeedbackFlushesPerBatchAndDropsNothing(t *testing.T) {
 
 // TestClientOverloadGuardDropsOldestWhileUnreachable pins the overload
 // guard's documented job: with the daemon unreachable, the client holds
-// the newest MaxBufferedFeedback reports and drops and counts the older
-// ones.
+// the newest maxBufferedFeedback (4096) reports and drops and counts the
+// older ones.
 func TestClientOverloadGuardDropsOldestWhileUnreachable(t *testing.T) {
 	a, b := net.Pipe()
 	defer a.Close()
@@ -243,23 +257,21 @@ func TestClientOverloadGuardDropsOldestWhileUnreachable(t *testing.T) {
 		frame.NewConn(b, 0, 0, false).Accept(hello)
 		b.Close() // the daemon goes away right after the handshake
 	}()
-	c, err := NewClient(a, ClientOptions{
-		FrameTimeout:        -1,
-		MaxBufferedFeedback: 100,
-		Redial:              func() (net.Conn, error) { return nil, errors.New("daemon unreachable") },
-	})
+	c, err := NewClient(dialOnce(a), ClientOptions{FrameTimeout: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 250; i++ {
+	const over = 150
+	for i := 0; i < maxBufferedFeedback+over; i++ {
 		if err := c.FeedbackSlot(7, 0, uint64(i), 0.5); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if d := c.DroppedFeedback(); d != 150 {
-		t.Fatalf("dropped %d reports, want 150", d)
+	if d := c.DroppedFeedback(); d != over {
+		t.Fatalf("dropped %d reports, want %d", d, over)
 	}
-	if len(c.batch) != 100 || c.batch[0].Slot != 150 || c.batch[99].Slot != 249 {
-		t.Fatalf("kept %d reports, slots %d..%d; want the newest 100 (150..249)", len(c.batch), c.batch[0].Slot, c.batch[len(c.batch)-1].Slot)
+	last := maxBufferedFeedback + over - 1
+	if len(c.batch) != maxBufferedFeedback || c.batch[0].Slot != over || c.batch[len(c.batch)-1].Slot != uint64(last) {
+		t.Fatalf("kept %d reports, slots %d..%d; want the newest %d (%d..%d)", len(c.batch), c.batch[0].Slot, c.batch[len(c.batch)-1].Slot, maxBufferedFeedback, over, last)
 	}
 }

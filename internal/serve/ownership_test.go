@@ -124,10 +124,10 @@ func TestApplyBatchOwnedPartitionsRejects(t *testing.T) {
 	// Re-delivering the rejected items after ownership returns applies each
 	// exactly once; a second delivery is slot-dropped.
 	s.SetOwnership(nil)
-	if n := s.ApplyBatch(rej); n != len(rej) {
+	if n, _, _ := s.ApplyBatchOwned(rej, nil); n != len(rej) {
 		t.Fatalf("re-delivery applied %d of %d", n, len(rej))
 	}
-	if n := s.ApplyBatch(rej); n != 0 {
+	if n, _, _ := s.ApplyBatchOwned(rej, nil); n != 0 {
 		t.Fatalf("duplicate delivery applied %d items; slots must dedup", n)
 	}
 }

@@ -42,19 +42,20 @@
 // capped exponential backoff, replays the handshake, resends
 // written-but-unconfirmed feedback (slot-deduplicated by the store), and
 // re-issues the in-flight select (answered idempotently). Only handshake
-// rejections are permanent; a daemon still unreachable after MaxAttempts
-// surfaces as an error, never as a locally made decision, so a device's
-// learning history lives in exactly one store. A session run through an
-// adversarial network is therefore decision-identical to a clean one — the
-// property chaos_test.go drives with internal/chaos.
+// rejections are permanent. Every client redials: Dial through TCP,
+// NewClient through the dialer it was given. A daemon still unreachable
+// after MaxAttempts surfaces as an error, never as a locally made
+// decision, so a device's learning history lives in exactly one store. A
+// session run through an adversarial network is therefore
+// decision-identical to a clean one — the property chaos_test.go drives
+// with internal/chaos.
 //
 // Eviction: with Config.EvictAfter set, EvictIdle retires device sessions
 // whose last Select or applied Feedback is older than the TTL — the
 // sessions of clients that vanished without Release. Eviction is
 // operationally invisible to determinism: an evicted device that returns
 // re-joins from its per-device root seed exactly like a released one, and
-// idle bookkeeping stays out of snapshots. Config.OnEvict receives each
-// evicted session's final state for callers that archive or audit.
+// idle bookkeeping stays out of snapshots.
 package serve
 
 import (

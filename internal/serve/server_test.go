@@ -223,12 +223,10 @@ func TestClientRefusesNonHelloAckReply(t *testing.T) {
 
 	t.Run("gob-v3-ack-at-dial", func(t *testing.T) {
 		dials := 0
-		opts := opts
-		opts.Redial = func() (net.Conn, error) {
+		_, err := NewClient(func() (net.Conn, error) {
 			dials++
 			return fakeDaemon(gobAck), nil
-		}
-		_, err := Dial("unused", opts)
+		}, opts)
 		if err == nil || !strings.Contains(err.Error(), "protocol mismatch") {
 			t.Fatalf("gob-era daemon accepted or refused without naming the mismatch: %v", err)
 		}
@@ -240,15 +238,13 @@ func TestClientRefusesNonHelloAckReply(t *testing.T) {
 	t.Run("pong-after-redial", func(t *testing.T) {
 		_, addr := startServer(t, Config{})
 		dials := 0
-		opts := opts
-		opts.Redial = func() (net.Conn, error) {
+		c, err := NewClient(func() (net.Conn, error) {
 			dials++
 			if dials == 1 {
 				return net.Dial("tcp", addr)
 			}
 			return fakeDaemon(pong), nil
-		}
-		c, err := Dial("unused", opts)
+		}, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -300,7 +296,7 @@ func TestServerDropsSilentClient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewClient(raw, ClientOptions{FrameTimeout: 30 * time.Second})
+	c, err := NewClient(dialOnce(raw), ClientOptions{FrameTimeout: 30 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,8 +34,8 @@ const SnapshotVersion = snapshotVersion
 // (core.PolicyState preserves every weight view bit for bit and leaves out
 // the selection distribution, which the policy recomputes; see that type's
 // doc) plus its generator cursor, the unanswered selection, and the
-// selection slot. Exported so Config.OnEvict can hand the caller an
-// evicted device's final state in the same shape snapshots use.
+// selection slot. It is the element of Snapshot.Devices, the shape in
+// which callers that read, edit or merge snapshots see each device.
 type DeviceSnapshot struct {
 	Device  uint64
 	Pending int

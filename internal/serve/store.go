@@ -46,12 +46,6 @@ type Config struct {
 	// Injected so eviction tests (and replays of them) drive a fake clock
 	// deterministically instead of sleeping.
 	Clock func() time.Time
-	// OnEvict, when set, receives each evicted device's final state before
-	// the session is retired — the snapshot-before-evict hook that lets an
-	// operator archive long-idle learners instead of discarding them. It
-	// is called outside the shard lock, after the device is already gone
-	// from the store; calling back into the store is safe.
-	OnEvict func(DeviceSnapshot)
 }
 
 const defaultMaxArms = 1024
@@ -345,28 +339,19 @@ type FeedbackItem struct {
 	Reward float64
 }
 
-// ApplyBatch applies a feedback batch, locking each shard at most once
-// regardless of how the batch interleaves devices; it returns how many
-// items were applied. This is the server's path for the client's buffered
-// fire-and-forget feedback frames. Items for devices an installed
-// ownership filter disowns are silently skipped; servers that must bounce
-// them back use ApplyBatchOwned directly.
-//
-//repolint:allocfree via TestApplyBatchWarmDoesNotAllocate
-func (s *Store) ApplyBatch(items []FeedbackItem) int {
-	applied, _, _ := s.ApplyBatchOwned(items, nil)
-	return applied
-}
-
-// ApplyBatchOwned is ApplyBatch plus the redirect contract: items for
-// devices the store's ownership filter disowns are not applied (and not
-// counted in Dropped — they are valid reports aimed at the wrong peer)
-// but appended to rejected, which is returned re-sliced from its start so
-// callers can retain one buffer across batches. epoch is the highest
-// table epoch the filter quoted for a rejection, 0 when none; the server
-// ships it with the bounced items so a stale client knows how far to
-// refresh. The ownership pointer is re-read under each shard lock — see
-// SetOwnership for why that makes migration cuts exact.
+// ApplyBatchOwned applies a feedback batch, locking each shard at most
+// once regardless of how the batch interleaves devices, and returns how
+// many items were applied. This is the server's path for the client's
+// buffered fire-and-forget feedback frames. Items for devices the store's
+// ownership filter disowns are not applied (and not counted in Dropped —
+// they are valid reports aimed at the wrong peer) but appended to
+// rejected, which is returned re-sliced from its start so callers can
+// retain one buffer across batches; a nil rejected suffices without a
+// filter. epoch is the highest table epoch the filter quoted for a
+// rejection, 0 when none; the server ships it with the bounced items so a
+// stale client knows how far to refresh. The ownership pointer is re-read
+// under each shard lock — see SetOwnership for why that makes migration
+// cuts exact.
 //
 //repolint:allocfree via TestApplyBatchWarmDoesNotAllocate
 func (s *Store) ApplyBatchOwned(items []FeedbackItem, rejected []FeedbackItem) (applied int, rej []FeedbackItem, epoch uint64) {
@@ -445,11 +430,9 @@ func (s *Store) Evicted() uint64 { return s.evicted.Load() }
 // client never sent: a later Select for the same id starts fresh from the
 // device's root seed, so a replay that includes the eviction still decides
 // identically. Unlike Release it leaves the session to the garbage
-// collector instead of the shard pool, so a sweep frees what it evicts. With
-// Config.OnEvict set, each evicted device's final state is delivered there
-// first (captured under the shard lock, delivered after it), preserving
-// the snapshot-before-evict contract. A zero EvictAfter makes the sweep a
-// no-op, matching the disabled bookkeeping.
+// collector instead of the shard pool, so a sweep frees what it evicts. A
+// zero EvictAfter makes the sweep a no-op, matching the disabled
+// bookkeeping.
 //
 // Shards are swept one at a time, so service continues on the others; a
 // device touched between the sweep's clock reading and its shard's turn is
@@ -460,10 +443,8 @@ func (s *Store) EvictIdle() int {
 	}
 	cutoff := s.cfg.Clock().Add(-s.cfg.EvictAfter).UnixNano()
 	evicted := 0
-	var snaps []DeviceSnapshot
 	for si := range s.shards {
 		sh := &s.shards[si]
-		snaps = snaps[:0]
 		sh.mu.Lock()
 		fn := s.owner.Load()
 		for id, dev := range sh.devices {
@@ -475,20 +456,11 @@ func (s *Store) EvictIdle() int {
 					continue // mid-migration: the cut must keep the session
 				}
 			}
-			if s.cfg.OnEvict != nil {
-				snaps = append(snaps, DeviceSnapshot{Device: id, Pending: dev.pending, Slot: dev.slot})
-				ds := &snaps[len(snaps)-1]
-				dev.src.ExportState(&ds.Rng)
-				dev.policy.ExportState(&ds.State)
-			}
 			delete(sh.devices, id)
 			s.devices.Add(-1)
 			evicted++
 		}
 		sh.mu.Unlock()
-		for i := range snaps {
-			s.cfg.OnEvict(snaps[i])
-		}
 	}
 	if evicted > 0 {
 		s.evicted.Add(uint64(evicted))

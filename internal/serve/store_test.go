@@ -294,7 +294,7 @@ func TestStoreApplyBatchLocksEachShardOnce(t *testing.T) {
 	// One report for a device that never selected: it must be counted
 	// dropped, not applied.
 	items = append(items, FeedbackItem{Device: 999, Arm: 1, Reward: 0.5})
-	if applied := s.ApplyBatch(items); applied != len(devices) {
+	if applied, _, _ := s.ApplyBatchOwned(items, nil); applied != len(devices) {
 		t.Fatalf("batch applied %d items, want %d", applied, len(devices))
 	}
 	if d := s.Dropped(); d != 1 {
@@ -497,17 +497,15 @@ func TestDeviceOutgrowsItsInlineStorage(t *testing.T) {
 }
 
 // TestStoreEvictIdleRetiresStaleDevices pins the TTL sweep: only devices
-// idle past EvictAfter go, OnEvict sees their final state first, and a
-// re-joining evicted device replays deterministically from its root seed —
-// eviction is exactly a Release the client never sent.
+// idle past EvictAfter go, and a re-joining evicted device replays
+// deterministically from its root seed — eviction is exactly a Release
+// the client never sent.
 func TestStoreEvictIdleRetiresStaleDevices(t *testing.T) {
 	now := time.Unix(1000, 0)
-	var evicted []DeviceSnapshot
 	s := newTestStore(t, Config{
 		Shards:     2,
 		EvictAfter: time.Minute,
 		Clock:      func() time.Time { return now },
-		OnEvict:    func(ds DeviceSnapshot) { evicted = append(evicted, ds) },
 	})
 	arms := []int{1, 2, 3}
 	first := drive(t, s, []uint64{10}, arms, 30)
@@ -529,15 +527,6 @@ func TestStoreEvictIdleRetiresStaleDevices(t *testing.T) {
 	}
 	if n := s.Devices(); n != 1 {
 		t.Fatalf("store tracks %d devices after eviction, want 1", n)
-	}
-	if len(evicted) != 1 || evicted[0].Device != 10 {
-		t.Fatalf("OnEvict saw %+v, want device 10", evicted)
-	}
-	if evicted[0].Pending < 0 {
-		t.Fatal("OnEvict lost the unanswered selection")
-	}
-	if err := evicted[0].State.Validate(); err != nil {
-		t.Fatalf("OnEvict delivered invalid policy state: %v", err)
 	}
 	// The evicted id re-joins: same script, same decisions as the first
 	// session — the determinism contract survives the eviction.
@@ -603,7 +592,7 @@ func TestConfigDefaults(t *testing.T) {
 }
 
 // TestApplyBatchWarmDoesNotAllocate is the AllocsPerRun gate behind the
-// //repolint:allocfree marker on ApplyBatch: settling buffered feedback for
+// //repolint:allocfree marker on ApplyBatchOwned: settling buffered feedback for
 // warm devices must not allocate, however the batch interleaves shards.
 func TestApplyBatchWarmDoesNotAllocate(t *testing.T) {
 	s := newTestStore(t, Config{Shards: 4})
@@ -621,12 +610,12 @@ func TestApplyBatchWarmDoesNotAllocate(t *testing.T) {
 			items[i] = FeedbackItem{Device: id, Arm: arm, Slot: sl, Reward: reward(id, arm, slot)}
 		}
 		slot++
-		if n := s.ApplyBatch(items); n != len(items) {
-			t.Fatalf("ApplyBatch applied %d of %d items", n, len(items))
+		if n, _, _ := s.ApplyBatchOwned(items, nil); n != len(items) {
+			t.Fatalf("ApplyBatchOwned applied %d of %d items", n, len(items))
 		}
 	})
 	if allocs > 0 {
-		t.Fatalf("warm ApplyBatch allocates %.2f objects per batch, want 0", allocs)
+		t.Fatalf("warm ApplyBatchOwned allocates %.2f objects per batch, want 0", allocs)
 	}
 }
 
