@@ -27,8 +27,8 @@
 // observation-only: results are bit-identical with or without them. shardd
 // shares this wiring, and its accept retry, with served and fleetd.
 //
-// The protocol is unauthenticated and unencrypted (stdlib gob in
-// internal/frame's checksummed frames over TCP):
+// The protocol is unauthenticated and unencrypted (fixed-layout messages
+// in internal/frame's checksummed frames over TCP):
 // run shardd only on networks where every peer is trusted, exactly like a
 // memcached or a work-queue worker.
 package main

@@ -80,14 +80,15 @@
 //     ascending run order from a single goroutine, so aggregates are
 //     bit-identical for every worker count.
 //   - Cluster (internal/cluster, cmd/shardd): shards a batch's run-index
-//     space across processes and machines over gob messages in the
-//     shared frame layer (see below). The coordinator
+//     space across processes and machines over fixed-layout messages in
+//     the shared frame layer (see below). The coordinator
 //     side is a persistent Session: each worker is dialed once, the stream
 //     stays alive across batches (keepalive pings under the frame-timeout
 //     discipline, with deadlines cleared while nothing is owed), and any
 //     number of jobs multiplex over it with session-unique ids — many
 //     small batches pipeline without a dial or handshake between them.
-//     Workers cache compiled engines by config across a session's jobs;
+//     Workers cache compiled engines by a job's config bytes, as they
+//     arrived, across a session's jobs;
 //     the coordinator reassigns the ranges of failed connections
 //     (reconnecting where possible) and merges each job through the same
 //     single-goroutine ordered merge.
@@ -157,7 +158,12 @@
 // later, and a busy connection sets one deadline per direction every
 // timeout/16), one timeout rule, and one versioned hello exchange naming
 // the protocol, so a client dialing the wrong daemon is refused by name.
-// Each protocol brings only its message set.
+// Each protocol brings only its message set. Cluster (v5) and serve (v5)
+// encode theirs as fixed-layout payloads on the frame layer's shared field
+// encodings (canonical varints, IEEE-754 bits, length-prefixed lists,
+// presence bytes), decoded without reflection; only the fleet control
+// wire still carries gob, and a connection builds gob state only when it
+// carries a gob frame.
 //
 // Every layer is observable through internal/obsv, a stdlib-only metrics
 // layer built for the hot paths above: atomic counters and gauges, fixed

@@ -53,40 +53,46 @@ func TestRunSurvivesChaosProxiedWorker(t *testing.T) {
 }
 
 // chaosFrameStream renders the canonical session prefix FuzzChaosFrame
-// mangles — several frames on one persistent gob codec, long enough for
-// tight schedules to land many faults — and the byte offset where each
-// frame ends, so the harness knows which frames precede the first fault.
+// mangles — a job descriptor and several frames of both directions, long
+// enough for tight schedules to land many faults — and the byte offset
+// where each frame ends, so the harness knows which frames precede the
+// first fault.
 func chaosFrameStream(tb testing.TB) (stream []byte, frameEnds []int) {
 	tb.Helper()
-	res := &envelope{RunResult: &runResultMsg{Job: 1, Run: 3, Res: &sim.Result{
+	wc, err := FromSimConfig(testConfig())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	spec := JobSpec{Config: wc, Runs: 8, Seed: 11, Stream: []int64{3}}
+	res := &message{tag: tagRunResult, result: runResultMsg{Job: 1, Run: 3, Res: &sim.Result{
 		Slots:    4,
 		Distance: []float64{0.5, 0.25, 0.125, 0},
 	}}}
-	// bulk stands in for the fleet migration stream: its snapshot frames
-	// ride this same codec at kilobyte scale, so the firewall must hold
-	// when a fault lands deep inside one large frame, not just between
-	// the small chatty ones.
+	// bulk is a result with a long per-slot series: the firewall must hold
+	// when a fault lands deep inside one large frame, not just between the
+	// small chatty ones.
 	bulkDistance := make([]float64, 2048)
 	for i := range bulkDistance {
 		bulkDistance[i] = 1 / float64(i+1)
 	}
-	bulk := &envelope{RunResult: &runResultMsg{Job: 2, Run: 1, Res: &sim.Result{
+	bulk := &message{tag: tagRunResult, result: runResultMsg{Job: 2, Run: 1, Res: &sim.Result{
 		Slots:    len(bulkDistance),
 		Distance: bulkDistance,
 	}}}
-	frames := []*envelope{
-		{JobAck: &jobAckMsg{ID: 1}},
-		{JobRelease: &jobReleaseMsg{ID: 9}},
-		{Range: &rangeMsg{Job: 1, First: 0, Count: 8}},
+	frames := []*message{
+		{tag: tagJob, job: jobMsg{ID: 1, Spec: &spec}},
+		{tag: tagJobAck, jobAck: jobAckMsg{ID: 1}},
+		{tag: tagJobRelease, jobRelease: jobReleaseMsg{ID: 9}},
+		{tag: tagRange, rng: rangeMsg{Job: 1, First: 0, Count: 8}},
 		res, res, bulk, res,
-		{RangeDone: &rangeDoneMsg{Job: 1, First: 0}},
-		{Ping: &pingMsg{Seq: 7}},
-		{Pong: &pongMsg{Seq: 7}},
+		{tag: tagRangeDone, rangeDone: rangeDoneMsg{Job: 1, First: 0}},
+		{tag: tagPing, ping: pingMsg{Seq: 7}},
+		{tag: tagPong, pong: pongMsg{Seq: 7}},
 	}
 	var buf bytes.Buffer
 	fw := frame.NewWriter(&buf)
-	for _, env := range frames {
-		if err := fw.Encode(env); err != nil {
+	for _, m := range frames {
+		if err := fw.WriteFrame(m.appendTo(nil)); err != nil {
 			tb.Fatal(err)
 		}
 		frameEnds = append(frameEnds, buf.Len())
@@ -110,17 +116,17 @@ func chaosFrameSeeds() [][5]uint64 {
 // FuzzChaosFrame feeds chaos-mangled frame streams to the frame reader.
 // The invariant is the CRC firewall's contract: every frame wholly before
 // the first fault decodes exactly as it did clean, the frame containing
-// the fault surfaces an error (corruption must never gob-decode into
+// the fault surfaces an error (corruption must never decode into
 // different values), and the stream stays dead after it.
 func FuzzChaosFrame(f *testing.F) {
 	for _, s := range chaosFrameSeeds() {
 		f.Add(int64(s[0]), s[1], s[2], s[3], s[4])
 	}
 	clean, frameEnds := chaosFrameStream(f)
-	want := make([]*envelope, 0, len(frameEnds))
-	ref := frame.NewReader(bytes.NewReader(clean))
+	want := make([]*message, 0, len(frameEnds))
+	ref := newMsgStream(clean)
 	for range frameEnds {
-		env, err := nextEnvelope(ref)
+		env, err := ref.next()
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -141,9 +147,9 @@ func FuzzChaosFrame(f *testing.F) {
 			}
 			intact++
 		}
-		fr := frame.NewReader(bytes.NewReader(mangled))
+		stream := newMsgStream(mangled)
 		for i := 0; i < intact; i++ {
-			got, err := nextEnvelope(fr)
+			got, err := stream.next()
 			if err != nil {
 				t.Fatalf("frame %d ends before the first fault at %d but failed: %v", i, first, err)
 			}
@@ -155,7 +161,7 @@ func FuzzChaosFrame(f *testing.F) {
 		// (CRC mismatch, truncation) or at end of stream — and the reader
 		// must stay latched rather than resynchronize on garbage.
 		for i := 0; i < 32; i++ {
-			if _, err := nextEnvelope(fr); err == nil {
+			if _, err := stream.next(); err == nil {
 				t.Fatalf("read %d past the first fault at %d succeeded", intact+i, first)
 			}
 		}

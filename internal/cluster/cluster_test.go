@@ -380,7 +380,7 @@ func TestShardable(t *testing.T) {
 	withSampler.WiFiDelay = constSampler(0.5)
 	withCore := base
 	withCore.Core = core.DefaultConfig()
-	// gob cannot distinguish empty from absent slices, so explicitly empty
+	// The codec decodes an empty list as nil, so explicitly empty
 	// DeviceGroups/NetworkCosts would silently change meaning in flight.
 	withEmptyGroups := base
 	withEmptyGroups.DeviceGroups = [][]int{}
@@ -432,14 +432,17 @@ func dialRaw(t *testing.T, addr string) *frame.Conn {
 	return frame.NewConn(conn, 0, 0, false)
 }
 
-// TestWorkerRejectsVersionMismatch speaks a wrong protocol version and
-// expects a refusal at hello.
+// TestWorkerRejectsVersionMismatch speaks a wrong protocol version — the
+// previous one, a stale gob-speaking coordinator's, and the next one —
+// and expects a refusal at hello.
 func TestWorkerRejectsVersionMismatch(t *testing.T) {
 	addrs := startWorkers(t, 1, WorkerOptions{})
-	fc := dialRaw(t, addrs[0])
-	ack, err := fc.Greet(frame.Hello{Proto: hello.Proto, Version: protocolVersion + 1})
-	if !errors.Is(err, frame.ErrHandshake) || ack.Err == "" {
-		t.Fatalf("want a version refusal, got %+v, %v", ack, err)
+	for _, version := range []int{protocolVersion - 1, protocolVersion + 1} {
+		fc := dialRaw(t, addrs[0])
+		ack, err := fc.Greet(frame.Hello{Proto: hello.Proto, Version: version})
+		if !errors.Is(err, frame.ErrHandshake) || ack.Err == "" {
+			t.Fatalf("v%d: want a version refusal, got %+v, %v", version, ack, err)
+		}
 	}
 }
 
@@ -452,18 +455,19 @@ func TestWorkerRejectsCorruptRange(t *testing.T) {
 	if _, err := fc.Greet(hello); err != nil {
 		t.Fatalf("handshake failed: %v", err)
 	}
-	if err := fc.Encode(&envelope{Job: &jobMsg{ID: 1, Spec: testJob(t, 8)}}); err != nil {
+	job := testJob(t, 8)
+	if err := sendMsgs(fc, &message{tag: tagJob, job: jobMsg{ID: 1, Spec: &job}}); err != nil {
 		t.Fatal(err)
 	}
-	if env, err := readEnvelope(fc); err != nil || env.JobAck == nil || env.JobAck.ID != 1 || env.JobAck.Err != "" {
+	if env, err := nextMsg(fc); err != nil || env.tag != tagJobAck || env.jobAck.ID != 1 || env.jobAck.Err != "" {
 		t.Fatalf("job rejected: %+v, %v", env, err)
 	}
 	const maxInt = int(^uint(0) >> 1)
-	if err := fc.Encode(&envelope{Range: &rangeMsg{Job: 1, First: maxInt, Count: 1}}); err != nil {
+	if err := sendMsgs(fc, &message{tag: tagRange, rng: rangeMsg{Job: 1, First: maxInt, Count: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	// The worker must close the connection without emitting a result.
-	if env, err := readEnvelope(fc); err == nil {
+	if env, err := nextMsg(fc); err == nil {
 		t.Fatalf("worker answered a corrupt range with %+v", env)
 	}
 }
@@ -476,10 +480,10 @@ func TestWorkerRejectsUnknownJobRange(t *testing.T) {
 	if _, err := fc.Greet(hello); err != nil {
 		t.Fatalf("handshake failed: %v", err)
 	}
-	if err := fc.Encode(&envelope{Range: &rangeMsg{Job: 42, First: 0, Count: 1}}); err != nil {
+	if err := sendMsgs(fc, &message{tag: tagRange, rng: rangeMsg{Job: 42, First: 0, Count: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	if env, err := readEnvelope(fc); err == nil {
+	if env, err := nextMsg(fc); err == nil {
 		t.Fatalf("worker answered a range for an unknown job with %+v", env)
 	}
 }

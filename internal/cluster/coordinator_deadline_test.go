@@ -57,7 +57,7 @@ func TestCoordinatorWriteDeadlineUnsticksStalledWorker(t *testing.T) {
 				return
 			case <-tick.C:
 			}
-			if err := fc.Encode(&envelope{Pong: &pongMsg{Seq: seq}}); err != nil {
+			if err := sendMsgs(fc, &message{tag: tagPong, pong: pongMsg{Seq: seq}}); err != nil {
 				return
 			}
 		}

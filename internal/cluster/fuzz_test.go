@@ -7,35 +7,59 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"smartexp3/internal/frame"
 	"smartexp3/internal/sim"
 )
 
-// encodeFrames renders a sequence of envelopes exactly as a peer would emit
-// them on one connection: a single persistent encoder, so later frames omit
-// the type descriptors the first frame introduced.
-func encodeFrames(tb testing.TB, envs ...*envelope) []byte {
+// encodeFrames renders a sequence of messages exactly as a peer would
+// emit them on one connection: each encoded by the codec and framed by
+// frame.Writer.WriteFrame.
+func encodeFrames(tb testing.TB, msgs ...*message) []byte {
 	tb.Helper()
 	var buf bytes.Buffer
 	fw := frame.NewWriter(&buf)
-	for _, env := range envs {
-		if err := fw.Encode(env); err != nil {
+	for _, m := range msgs {
+		if err := fw.WriteFrame(m.appendTo(nil)); err != nil {
 			tb.Fatal(err)
 		}
 	}
 	return buf.Bytes()
 }
 
-// nextEnvelope decodes one envelope from a raw frame reader, into a fresh
-// envelope as readEnvelope does.
-func nextEnvelope(fr *frame.Reader) (*envelope, error) {
-	var env envelope
-	if err := fr.Decode(&env); err != nil {
+// msgStream reads a raw frame stream the way a connection loop does —
+// frame, then codec — and, like the loops, which drop the connection on
+// the first error of either kind, never reads past a failure.
+type msgStream struct {
+	fr  *frame.Reader
+	err error
+}
+
+func newMsgStream(raw []byte) *msgStream {
+	return &msgStream{fr: frame.NewReader(bytes.NewReader(raw))}
+}
+
+// next decodes the next frame into a fresh, self-contained message: a
+// Job's config bytes are copied out of the frame buffer and the spent
+// decode cursor is dropped.
+func (s *msgStream) next() (*message, error) {
+	if s.err != nil {
+		return nil, s.err
+	}
+	var m message
+	p, err := s.fr.ReadFrame()
+	if err == nil {
+		err = m.decode(p)
+	}
+	if err != nil {
+		s.err = err
 		return nil, err
 	}
-	return &env, nil
+	m.job.config = bytes.Clone(m.job.config)
+	m.r = frame.PayloadReader{}
+	return &m, nil
 }
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -55,22 +79,24 @@ func frameHeader(n, sum uint32) []byte {
 // body, trailing garbage inside a frame).
 func fuzzSeedFrames(tb testing.TB) [][]byte {
 	tb.Helper()
-	ack := &envelope{JobAck: &jobAckMsg{ID: 1}}
-	rng := &envelope{Range: &rangeMsg{Job: 1, First: 0, Count: 8}}
-	res := &envelope{RunResult: &runResultMsg{Job: 1, Run: 3, Res: &sim.Result{
+	spec := fullSpec()
+	job := &message{tag: tagJob, job: jobMsg{ID: 1, Spec: &spec}}
+	ack := &message{tag: tagJobAck, jobAck: jobAckMsg{ID: 1}}
+	rng := &message{tag: tagRange, rng: rangeMsg{Job: 1, First: 0, Count: 8}}
+	res := &message{tag: tagRunResult, result: runResultMsg{Job: 1, Run: 3, Res: &sim.Result{
 		Slots:    4,
 		Distance: []float64{0.5, 0.25, 0.125, 0},
 	}}}
 	seeds := [][]byte{
 		encodeFrames(tb, ack),
-		encodeFrames(tb, &envelope{JobAck: &jobAckMsg{ID: 2, Err: "no slots"}}),
+		encodeFrames(tb, &message{tag: tagJobAck, jobAck: jobAckMsg{ID: 2, Err: "no slots"}}),
 		encodeFrames(tb, rng),
 		encodeFrames(tb, res),
-		encodeFrames(tb, &envelope{RangeDone: &rangeDoneMsg{Job: 1, First: 0}}),
-		encodeFrames(tb, &envelope{Ping: &pingMsg{Seq: 7}}, &envelope{Pong: &pongMsg{Seq: 7}}),
-		encodeFrames(tb, &envelope{JobRelease: &jobReleaseMsg{ID: 1}}),
-		// A realistic session prefix: several frames sharing one gob stream.
-		encodeFrames(tb, ack, rng, res, res),
+		encodeFrames(tb, &message{tag: tagRangeDone, rangeDone: rangeDoneMsg{Job: 1, First: 0}}),
+		encodeFrames(tb, &message{tag: tagPing, ping: pingMsg{Seq: 7}}, &message{tag: tagPong, pong: pongMsg{Seq: 7}}),
+		encodeFrames(tb, &message{tag: tagJobRelease, jobRelease: jobReleaseMsg{ID: 1}}),
+		// A realistic session prefix, both directions interleaved.
+		encodeFrames(tb, job, ack, rng, res, res),
 		// Framing corruptions.
 		make([]byte, 12),                                  // zero-length frame, header checksum wrong too
 		frameHeader(0xffffffff, 0),                        // length far beyond the frame cap
@@ -88,21 +114,22 @@ func fuzzSeedFrames(tb testing.TB) [][]byte {
 	return seeds
 }
 
-// FuzzFrameDecode throws arbitrary byte streams at the cluster envelope
+// FuzzFrameDecode throws arbitrary byte streams at the cluster message
 // decoder over the frame layer. The invariant under test is that a hostile
 // or corrupt peer can produce only an error: no panic, no unbounded
-// allocation, no gob decode of a damaged envelope, and once a stream
-// errors it keeps erroring rather than resynchronizing on garbage.
-// internal/frame's FuzzFrameDecode fuzzes the framing itself.
+// allocation, no decode of a damaged payload, and once a stream errors it
+// keeps erroring rather than resynchronizing on garbage.
+// internal/frame's FuzzFrameDecode fuzzes the framing itself, and
+// FuzzClusterCodec the payload decoder alone.
 func FuzzFrameDecode(f *testing.F) {
 	for _, seed := range fuzzSeedFrames(f) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fr := frame.NewReader(bytes.NewReader(data))
+		stream := newMsgStream(data)
 		sawErr := false
 		for i := 0; i < 64; i++ {
-			_, err := nextEnvelope(fr)
+			_, err := stream.next()
 			if err != nil {
 				if sawErr {
 					return // stream stays dead once it errors — done
@@ -117,59 +144,53 @@ func FuzzFrameDecode(f *testing.F) {
 	})
 }
 
-// FuzzFrameRoundTrip checks the cluster envelopes against the frame codec:
-// any envelope we can encode must decode back to equal field values, frame
-// by frame, through the persistent per-connection codec pair.
+// FuzzFrameRoundTrip checks the cluster messages against the frame codec:
+// any message we can encode must decode back to equal field values, frame
+// by frame.
 func FuzzFrameRoundTrip(f *testing.F) {
 	f.Add(uint64(1), 0, 8, int64(42))
 	f.Add(uint64(1<<63), -1, 0, int64(-1))
 	f.Fuzz(func(t *testing.T, job uint64, first, count int, seq int64) {
-		in := []*envelope{
-			{Range: &rangeMsg{Job: job, First: first, Count: count}},
-			{Ping: &pingMsg{Seq: uint64(seq)}},
-			{RangeDone: &rangeDoneMsg{Job: job, First: first, Err: fmt.Sprint(seq)}},
+		in := []*message{
+			{tag: tagRange, rng: rangeMsg{Job: job, First: first, Count: count}},
+			{tag: tagPing, ping: pingMsg{Seq: uint64(seq)}},
+			{tag: tagRangeDone, rangeDone: rangeDoneMsg{Job: job, First: first, Err: fmt.Sprint(seq)}},
 		}
-		fr := frame.NewReader(bytes.NewReader(encodeFrames(t, in...)))
+		stream := newMsgStream(encodeFrames(t, in...))
 		for i, want := range in {
-			got, err := nextEnvelope(fr)
+			got, err := stream.next()
 			if err != nil {
 				t.Fatalf("frame %d: %v", i, err)
 			}
-			switch {
-			case want.Range != nil:
-				if got.Range == nil || *got.Range != *want.Range {
-					t.Fatalf("frame %d: got %+v want %+v", i, got.Range, want.Range)
-				}
-			case want.Ping != nil:
-				if got.Ping == nil || *got.Ping != *want.Ping {
-					t.Fatalf("frame %d: got %+v want %+v", i, got.Ping, want.Ping)
-				}
-			case want.RangeDone != nil:
-				if got.RangeDone == nil || *got.RangeDone != *want.RangeDone {
-					t.Fatalf("frame %d: got %+v want %+v", i, got.RangeDone, want.RangeDone)
-				}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("frame %d: got %+v want %+v", i, got, want)
 			}
 		}
 	})
 }
 
-// TestWriteFuzzFrameDecodeCorpus regenerates the checked-in seed corpus under
-// testdata/fuzz/FuzzFrameDecode when UPDATE_FUZZ_CORPUS=1. The files are the
-// native go-fuzz corpus encoding, so `go test -fuzz` and plain `go test`
-// both replay them.
+// TestWriteFuzzFrameDecodeCorpus regenerates the checked-in seed corpora
+// under testdata/fuzz/FuzzFrameDecode and testdata/fuzz/FuzzClusterCodec
+// when UPDATE_FUZZ_CORPUS=1. The files are the native go-fuzz corpus
+// encoding, so `go test -fuzz` and plain `go test` both replay them.
 func TestWriteFuzzFrameDecodeCorpus(t *testing.T) {
 	if os.Getenv("UPDATE_FUZZ_CORPUS") == "" {
 		t.Skip("set UPDATE_FUZZ_CORPUS=1 to regenerate the seed corpus")
 	}
-	dir := filepath.Join("testdata", "fuzz", "FuzzFrameDecode")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	for i, seed := range fuzzSeedFrames(t) {
-		body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", seed)
-		name := filepath.Join(dir, fmt.Sprintf("seed-%02d", i))
-		if err := os.WriteFile(name, []byte(body), 0o644); err != nil {
+	for target, seeds := range map[string][][]byte{
+		"FuzzFrameDecode":  fuzzSeedFrames(t),
+		"FuzzClusterCodec": fuzzCodecSeeds(),
+	} {
+		dir := filepath.Join("testdata", "fuzz", target)
+		if err := os.MkdirAll(dir, 0o755); err != nil {
 			t.Fatal(err)
+		}
+		for i, seed := range seeds {
+			body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", seed)
+			name := filepath.Join(dir, fmt.Sprintf("seed-%02d", i))
+			if err := os.WriteFile(name, []byte(body), 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }

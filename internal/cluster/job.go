@@ -43,13 +43,17 @@
 //
 // # Transport
 //
-// The wire protocol is deliberately boring: stdlib gob messages in the
-// checksummed frames of internal/frame over stdlib TCP, opened by the
-// frame layer's shared hello (see wire.go). There is no discovery and no
-// TLS — shardd is meant to run inside a trusted cluster network behind the
-// operator's own orchestration, and a dead or unreachable worker is handled
-// by the two mechanisms that matter for correctness: range reassignment and
-// bounded reconnects.
+// The wire protocol is deliberately boring: fixed-layout messages (a tag
+// byte, varint and IEEE-754-bit fields, length-prefixed lists; see wire.go
+// and codec.go) in the checksummed frames of internal/frame over stdlib
+// TCP, opened by the frame layer's shared hello. Every message is encoded
+// into retained per-connection scratch and decoded without reflection;
+// the only per-message allocations are the results and job descriptors
+// the receiver keeps. There is no discovery and no TLS — shardd is meant
+// to run inside a trusted cluster network behind the operator's own
+// orchestration, and a dead or unreachable worker is handled by the two
+// mechanisms that matter for correctness: range reassignment and bounded
+// reconnects.
 package cluster
 
 import (
@@ -96,11 +100,12 @@ func Shardable(cfg sim.Config) error {
 	if cfg.PolicyFactory != nil {
 		return errors.New("cluster: a PolicyFactory is process-local and cannot be serialized")
 	}
-	// gob encodes a zero-length slice field identically to an absent one, so
-	// a worker would decode nil and sim's defaulting would diverge from the
-	// in-process run (an explicitly empty DeviceGroups means "no groups",
-	// nil means "one group of everyone"). Refuse the ambiguous forms rather
-	// than silently changing the configuration in flight.
+	// The codec decodes an empty list as nil (a zero count carries no
+	// capacity), so a worker would see nil and sim's defaulting would
+	// diverge from the in-process run (an explicitly empty DeviceGroups
+	// means "no groups", nil means "one group of everyone"). Refuse the
+	// ambiguous forms rather than silently changing the configuration in
+	// flight.
 	if cfg.DeviceGroups != nil && len(cfg.DeviceGroups) == 0 {
 		return errors.New("cluster: empty non-nil DeviceGroups does not survive serialization; use nil for the default grouping or list explicit groups")
 	}

@@ -541,6 +541,7 @@ type epoch struct {
 
 	fc  *frame.Conn // writes guarded by wmu; reads by the reader goroutine only
 	wmu sync.Mutex  // serializes writer-loop and keepalive writes
+	out outbox      // encode scratch, guarded by wmu
 
 	dead atomic.Bool
 
@@ -553,13 +554,16 @@ type epoch struct {
 	progressed bool // at least one chunk delivered this epoch
 }
 
-// write sends one frame under the connection's per-frame write deadline: a
-// stalled peer surfaces within the frame timeout instead of blocking the
-// session on a full TCP buffer.
-func (e *epoch) write(env *envelope) error {
+// write sends one frame per message in one flushed write under the
+// connection's per-frame write deadline: a stalled peer surfaces within the
+// frame timeout instead of blocking the session on a full TCP buffer.
+func (e *epoch) write(msgs ...*message) error {
 	e.wmu.Lock()
 	defer e.wmu.Unlock()
-	if err := e.fc.Encode(env); err != nil {
+	for _, m := range msgs {
+		e.out.add(m)
+	}
+	if err := e.out.flush(e.fc); err != nil {
 		return err
 	}
 	e.mu.Lock()
@@ -730,7 +734,7 @@ func (e *epoch) writerLoop() {
 				e.mu.Lock()
 				delete(e.shipped, id)
 				e.mu.Unlock()
-				if err := e.write(&envelope{JobRelease: &jobReleaseMsg{ID: id}}); err != nil {
+				if err := e.write(&message{tag: tagJobRelease, jobRelease: jobReleaseMsg{ID: id}}); err != nil {
 					e.kill(err)
 					return
 				}
@@ -751,13 +755,15 @@ func (e *epoch) writerLoop() {
 			e.inflight = append(e.inflight, c)
 			e.refreshReadDeadlineLocked()
 			e.mu.Unlock()
-			if !sent {
-				if err := e.write(&envelope{Job: &jobMsg{ID: j.id, Spec: j.spec}}); err != nil {
-					e.kill(err)
-					return
-				}
+			rng := &message{tag: tagRange, rng: rangeMsg{Job: j.id, First: first, Count: count}}
+			var err error
+			if sent {
+				err = e.write(rng)
+			} else {
+				// A job's descriptor and its first range share one write.
+				err = e.write(&message{tag: tagJob, job: jobMsg{ID: j.id, Spec: &j.spec}}, rng)
 			}
-			if err := e.write(&envelope{Range: &rangeMsg{Job: j.id, First: first, Count: count}}); err != nil {
+			if err != nil {
 				e.kill(err)
 				return
 			}
@@ -815,7 +821,7 @@ func (e *epoch) keepaliveLoop(done chan struct{}) {
 			continue
 		}
 		seq++
-		if err := e.write(&envelope{Ping: &pingMsg{Seq: seq}}); err != nil {
+		if err := e.write(&message{tag: tagPing, ping: pingMsg{Seq: seq}}); err != nil {
 			e.kill(err)
 			return
 		}
@@ -832,14 +838,14 @@ func (e *epoch) keepaliveLoop(done chan struct{}) {
 // rest.
 func (e *epoch) readerLoop() {
 	var cur []*sim.Result // results of the FIFO-head range
+	var in message        // every frame decodes here
 	for {
-		env, err := readEnvelope(e.fc)
-		if err != nil {
+		if err := readMessage(e.fc, &in); err != nil {
 			e.kill(err)
 			return
 		}
-		switch {
-		case env.Pong != nil:
+		switch in.tag {
+		case tagPong:
 			e.mu.Lock()
 			if e.pings > 0 {
 				e.pings--
@@ -847,23 +853,23 @@ func (e *epoch) readerLoop() {
 			e.refreshReadDeadlineLocked()
 			e.mu.Unlock()
 
-		case env.JobAck != nil:
+		case tagJobAck:
 			e.mu.Lock()
-			j := e.shipped[env.JobAck.ID]
+			j := e.shipped[in.jobAck.ID]
 			e.refreshReadDeadlineLocked()
 			e.mu.Unlock()
 			if j == nil {
-				e.kill(fmt.Errorf("protocol: ack for unknown job %d", env.JobAck.ID))
+				e.kill(fmt.Errorf("protocol: ack for unknown job %d", in.jobAck.ID))
 				return
 			}
-			if env.JobAck.Err != "" {
+			if in.jobAck.Err != "" {
 				// The worker validated the same descriptor every other worker
 				// would see; the rejection is a property of the job, not the
 				// connection, so the job fails and the session lives on.
-				e.s.failJob(j, fmt.Errorf("cluster: shard %s: job rejected: %s", e.sh.addr, env.JobAck.Err))
+				e.s.failJob(j, fmt.Errorf("cluster: shard %s: job rejected: %s", e.sh.addr, in.jobAck.Err))
 			}
 
-		case env.RunResult != nil:
+		case tagRunResult:
 			e.mu.Lock()
 			if len(e.inflight) == 0 {
 				e.mu.Unlock()
@@ -874,15 +880,15 @@ func (e *epoch) readerLoop() {
 			e.refreshReadDeadlineLocked()
 			e.mu.Unlock()
 			want := head.first + len(cur)
-			if env.RunResult.Job != head.j.id || env.RunResult.Run != want ||
-				env.RunResult.Res == nil || len(cur) >= head.count {
+			if in.result.Job != head.j.id || in.result.Run != want ||
+				in.result.Res == nil || len(cur) >= head.count {
 				e.kill(fmt.Errorf("protocol: unexpected result for job %d run %d (want job %d run %d of %d)",
-					env.RunResult.Job, env.RunResult.Run, head.j.id, want, head.count))
+					in.result.Job, in.result.Run, head.j.id, want, head.count))
 				return
 			}
-			cur = append(cur, env.RunResult.Res)
+			cur = append(cur, in.result.Res)
 
-		case env.RangeDone != nil:
+		case tagRangeDone:
 			e.mu.Lock()
 			if len(e.inflight) == 0 {
 				e.mu.Unlock()
@@ -890,20 +896,20 @@ func (e *epoch) readerLoop() {
 				return
 			}
 			head := e.inflight[0]
-			if env.RangeDone.Job != head.j.id || env.RangeDone.First != head.first {
+			if in.rangeDone.Job != head.j.id || in.rangeDone.First != head.first {
 				e.mu.Unlock()
 				e.kill(fmt.Errorf("protocol: range done for job %d first %d (want job %d first %d)",
-					env.RangeDone.Job, env.RangeDone.First, head.j.id, head.first))
+					in.rangeDone.Job, in.rangeDone.First, head.j.id, head.first))
 				return
 			}
 			e.inflight = e.inflight[1:]
 			e.refreshReadDeadlineLocked()
 			e.mu.Unlock()
-			if env.RangeDone.Err != "" {
+			if in.rangeDone.Err != "" {
 				// Deterministic simulation failure: retrying elsewhere cannot
 				// help, but the connection is healthy.
 				e.s.failJob(head.j, fmt.Errorf("cluster: shard %s: run range [%d,%d): %s",
-					e.sh.addr, head.first, head.first+head.count, env.RangeDone.Err))
+					e.sh.addr, head.first, head.first+head.count, in.rangeDone.Err))
 				e.s.wake()
 				cur = nil
 				continue

@@ -314,13 +314,13 @@ func TestSessionKeepalivePings(t *testing.T) {
 			return
 		}
 		for {
-			env, err := readEnvelope(fc)
+			env, err := nextMsg(fc)
 			if err != nil {
 				return
 			}
-			if env.Ping != nil {
+			if env.tag == tagPing {
 				pings.Add(1)
-				if err := fc.Encode(&envelope{Pong: &pongMsg{Seq: env.Ping.Seq}}); err != nil {
+				if err := sendMsgs(fc, &message{tag: tagPong, pong: pongMsg{Seq: env.ping.Seq}}); err != nil {
 					return
 				}
 			}
@@ -370,7 +370,7 @@ func TestHandshakeRejectionClosesConnection(t *testing.T) {
 		// A leaked coordinator conn blocks this read until the deadline; the
 		// fixed path closes promptly and it returns io.EOF.
 		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-		_, err = readEnvelope(fc)
+		_, err = nextMsg(fc)
 		sawClose <- err
 	}()
 
@@ -433,13 +433,14 @@ func TestWorkerEngineCacheSurvivesReleaseCycles(t *testing.T) {
 		engines: make(map[string]*enginePool),
 		jobKeys: make(map[uint64]string),
 	}
-	if msg := ws.addJob(1, spec); msg != "" {
+	config := appendWireConfig(nil, &spec.Config) // the key a decoded Job carries
+	if msg := ws.addJob(1, spec, config); msg != "" {
 		t.Fatal(msg)
 	}
 	ep := ws.jobs[1].exec.shared
 	ws.releaseJob(1)
 	for id := uint64(2); id <= 4*maxIdleEngines; id++ {
-		if msg := ws.addJob(id, spec); msg != "" {
+		if msg := ws.addJob(id, spec, config); msg != "" {
 			t.Fatal(msg)
 		}
 		if ws.jobs[id].exec.shared != ep {

@@ -1,13 +1,25 @@
 package cluster
 
 // The cluster session protocol rides internal/frame: a frame.Conn per
-// worker connection, the shared hello exchange, and gob-encoded envelopes
-// through the frame layer's persistent per-connection codec. The frame
-// layer's payload and header checksums are what the chaos determinism
-// guarantee rests on — a faulted session decides exactly like a clean one
-// because corruption always surfaces as a connection error, never as
-// silently different numbers (gob alone would decode a flipped byte inside
-// a float into a different value).
+// worker connection, opened by the shared hello exchange, carrying one
+// fixed-layout payload per frame, encoded and decoded by codec.go without
+// reflection. A payload is one tag byte naming the message, then its
+// fields in declaration order in the frame layer's field encodings
+// (frame.PayloadReader): canonical uvarints for ids and sequence numbers,
+// canonical zigzag varints for run indices and every other signed
+// integer, the 8 little-endian bytes of each float's IEEE-754 bits,
+// length-prefixed strings and lists, and a 0/1 presence byte for every
+// boolean and for the optional *criteria.Profile and *sim.Result. The
+// layout is canonical: a payload decodes only if re-encoding the result
+// reproduces it byte for byte, so the worker keys its engine cache by a
+// job's config bytes as they arrived.
+//
+// The frame layer's payload and header checksums are what the chaos
+// determinism guarantee rests on — a faulted session decides exactly like
+// a clean one because corruption always surfaces as a connection error,
+// never as silently different numbers: a flipped bit inside a float's
+// eight bytes is still a well-formed payload, and only the CRC-32C stops
+// it from decoding into a different value.
 
 import (
 	"smartexp3/internal/frame"
@@ -20,25 +32,46 @@ import (
 // batch. Version 2 introduced persistent sessions: job multiplexing by id,
 // keepalive ping/pong, and job release. Version 3 added the per-frame
 // CRC-32C. Version 4 moved the handshake to the frame layer's shared hello
-// and added the frame header's own checksum.
-const protocolVersion = 4
+// and added the frame header's own checksum. Version 5 replaced gob with
+// the fixed-layout payloads above.
+const protocolVersion = 5
 
 // hello is this protocol's side of the shared handshake.
 var hello = frame.Hello{Proto: "cluster", Version: protocolVersion}
 
-// envelope is the one-of union every frame carries: exactly one field is
-// non-nil. gob encodes nil pointers as absent, so the frame overhead of the
-// union is negligible, and a single stream can carry every message type
-// without out-of-band tagging.
-type envelope struct {
-	Job        *jobMsg
-	JobAck     *jobAckMsg
-	Range      *rangeMsg
-	RunResult  *runResultMsg
-	RangeDone  *rangeDoneMsg
-	Ping       *pingMsg
-	Pong       *pongMsg
-	JobRelease *jobReleaseMsg
+// msgTag is a payload's first byte: which message the rest encodes.
+type msgTag byte
+
+const (
+	tagJob msgTag = 1 + iota
+	tagJobAck
+	tagRange
+	tagRunResult
+	tagRangeDone
+	tagPing
+	tagPong
+	tagJobRelease
+)
+
+// message is one cluster payload, decoded or about to be encoded: tag names
+// the live field. Each connection loop decodes every inbound frame into
+// the same message; only a result's *sim.Result and a job's *JobSpec, which
+// outlive the frame, are allocated per message.
+type message struct {
+	tag        msgTag
+	job        jobMsg
+	jobAck     jobAckMsg
+	rng        rangeMsg
+	result     runResultMsg
+	rangeDone  rangeDoneMsg
+	ping       pingMsg
+	pong       pongMsg
+	jobRelease jobReleaseMsg
+
+	// r is decode's cursor. It lives here, not on decode's stack, because
+	// the list decoders it is handed to are called through function
+	// values, which would move a local cursor to the heap on every frame.
+	r frame.PayloadReader
 }
 
 // jobMsg ships one batch descriptor under a session-unique id: the worker
@@ -47,7 +80,12 @@ type envelope struct {
 // at once — that is what lets pipelined batches interleave on one stream.
 type jobMsg struct {
 	ID   uint64
-	Spec JobSpec
+	Spec *JobSpec
+	// config is, in a decoded message, the payload bytes that encoded
+	// Spec.Config. It aliases the frame buffer and is valid until the next
+	// read. Two configs with the same bytes compile to interchangeable
+	// engines, so the worker keys its engine cache by them.
+	config []byte
 }
 
 // jobAckMsg reports whether the descriptor compiled. A non-empty Err is a
@@ -70,10 +108,9 @@ type rangeMsg struct {
 }
 
 // runResultMsg streams one replication's result back. Workers emit results
-// in ascending run order within a range. sim.Result is plain exported data
-// (no interfaces, no functions), so it crosses the wire as-is; gob encodes
-// float64 bits exactly, which is what keeps remote aggregates byte-identical
-// to in-process ones.
+// in ascending run order within a range. Every float crosses the wire as
+// its exact bits, which is what keeps remote aggregates byte-identical to
+// in-process ones.
 type runResultMsg struct {
 	Job uint64
 	Run int
@@ -107,15 +144,4 @@ type pongMsg struct {
 // reply; ids are session-unique and never reused.
 type jobReleaseMsg struct {
 	ID uint64
-}
-
-// readEnvelope decodes the next envelope from c. Each frame decodes into a
-// fresh envelope: gob leaves fields absent from the stream untouched, so a
-// reused one would carry the previous frame's message along.
-func readEnvelope(c *frame.Conn) (*envelope, error) {
-	var env envelope
-	if err := c.Decode(&env); err != nil {
-		return nil, err
-	}
-	return &env, nil
 }

@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -88,7 +86,7 @@ type workerJob struct {
 
 // workerSession is the per-connection state: the live jobs and the engine
 // cache they draw from. Engines (and their workspace pools) are shared by
-// every job whose wire config gob-encodes identically, and survive brief
+// every job whose wire config arrived as the same bytes, and survive brief
 // idle spells between jobs (maxIdleEngines), so a session streaming batches
 // of the same scenario compiles it exactly once.
 type workerSession struct {
@@ -100,24 +98,20 @@ type workerSession struct {
 }
 
 // addJob compiles (or reuses) the engine for one job descriptor and
-// registers it. It returns the compile error to acknowledge, if any.
-func (ws *workerSession) addJob(id uint64, spec JobSpec) string {
+// registers it. config is the descriptor's wire config as it arrived: the
+// codec is canonical, so equal bytes are equal configs, which compile to
+// interchangeable engines. It returns the compile error to acknowledge,
+// if any.
+func (ws *workerSession) addJob(id uint64, spec JobSpec, config []byte) string {
 	wj := &workerJob{}
-	key, keyErr := configKey(spec.Config)
-	var shared *enginePool
-	if keyErr == nil {
-		shared = ws.engines[key]
-	}
-	exec, err := newRangeExec(spec, ws.workers, shared)
-	switch {
-	case err != nil:
+	exec, err := newRangeExec(spec, ws.workers, ws.engines[string(config)])
+	if err != nil {
 		wj.compileErr = err.Error()
-	case keyErr == nil:
+	} else {
+		key := string(config)
 		ws.engines[key] = exec.shared
 		exec.shared.refs++
 		ws.jobKeys[id] = key
-	}
-	if err == nil {
 		wj.exec = exec
 	}
 	ws.jobs[id] = wj
@@ -158,18 +152,6 @@ func (ws *workerSession) noteIdle(key string) {
 	}
 }
 
-// configKey fingerprints a wire config: two configs with the same key
-// compile to interchangeable engines (the encoding is the same gob the wire
-// uses, so key equality is exactly "the worker would receive identical
-// descriptors").
-func configKey(wc WireConfig) (string, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(wc); err != nil {
-		return "", err
-	}
-	return buf.String(), nil
-}
-
 // writerQueue bounds how many frames serveConn may hand a connection's
 // writer before it blocks: enough that a range's results stream while the
 // next run computes, small enough that a coordinator which stopped
@@ -177,60 +159,60 @@ func configKey(wc WireConfig) (string, error) {
 const writerQueue = 16
 
 // connWriter owns the write half of one worker connection. serveConn hands
-// it every outbound frame (results, range-dones, job acks, pongs) in order;
-// it sends whatever is already queued in one frame.Conn call — one
-// deadline check, one flush — so run i's encode and syscall overlap run
-// i+1's compute. Its first error closes the connection, which also ends
-// serveConn's read, and is what serveConn returns.
+// it every outbound message (results, range-dones, job acks, pongs) in
+// order; it encodes whatever is already queued into its outbox and sends
+// it in one frame.Conn call — one deadline check, one flush — so run i's
+// encode and syscall overlap run i+1's compute. Its first error closes the
+// connection, which also ends serveConn's read, and is what serveConn
+// returns.
 type connWriter struct {
 	fc   *frame.Conn
-	q    chan *envelope
+	q    chan message
 	done chan struct{} // closed when the writer has exited
 	err  error         // the write error it exited on; read after done
 }
 
 func startWriter(fc *frame.Conn) *connWriter {
-	w := &connWriter{fc: fc, q: make(chan *envelope, writerQueue), done: make(chan struct{})}
+	w := &connWriter{fc: fc, q: make(chan message, writerQueue), done: make(chan struct{})}
 	go w.loop()
 	return w
 }
 
 func (w *connWriter) loop() {
 	defer close(w.done)
-	batch := make([]any, 0, writerQueue)
-	for env := range w.q {
-		batch = append(batch[:0], env)
+	var out outbox
+	for m := range w.q {
+		out.add(&m)
 	drain:
-		for len(batch) < cap(batch) {
+		for out.len() < writerQueue {
 			select {
-			case env, ok := <-w.q:
+			case m, ok := <-w.q:
 				if !ok {
 					break drain
 				}
-				batch = append(batch, env)
+				out.add(&m)
 			default:
 				break drain
 			}
 		}
-		if err := w.fc.EncodeAll(batch); err != nil {
+		if err := out.flush(w.fc); err != nil {
 			w.err = err
 			w.fc.Close()
 			return
 		}
-		clear(batch) // drop the sent results before waiting on the next
 	}
 }
 
-// send queues env for the wire, or returns the writer's error once it has
+// send queues m for the wire, or returns the writer's error once it has
 // failed.
-func (w *connWriter) send(env *envelope) error {
+func (w *connWriter) send(m message) error {
 	select {
 	case <-w.done:
 		return w.err
 	default:
 	}
 	select {
-	case w.q <- env:
+	case w.q <- m:
 		return nil
 	case <-w.done:
 		return w.err
@@ -285,29 +267,29 @@ func serveFrames(conn net.Conn, fc *frame.Conn, w *connWriter, opts WorkerOption
 		engines: make(map[string]*enginePool),
 		jobKeys: make(map[uint64]string),
 	}
+	var in message // every frame decodes here
 	for {
-		env, err := readEnvelope(fc)
-		if err != nil {
+		if err := readMessage(fc, &in); err != nil {
 			if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) {
 				return nil // coordinator finished and closed the session
 			}
 			return err
 		}
-		switch {
-		case env.Ping != nil:
-			if err := w.send(&envelope{Pong: &pongMsg{Seq: env.Ping.Seq}}); err != nil {
+		switch in.tag {
+		case tagPing:
+			if err := w.send(message{tag: tagPong, pong: pongMsg{Seq: in.ping.Seq}}); err != nil {
 				return err
 			}
 			if m != nil {
 				m.Pongs.Inc()
 			}
 
-		case env.Job != nil:
-			id := env.Job.ID
+		case tagJob:
+			id, spec := in.job.ID, in.job.Spec
 			if _, dup := ws.jobs[id]; dup {
 				return fmt.Errorf("protocol: duplicate job id %d", id)
 			}
-			compileErr := ws.addJob(id, env.Job.Spec)
+			compileErr := ws.addJob(id, *spec, in.job.config)
 			if m != nil {
 				if compileErr == "" {
 					m.Jobs.Inc()
@@ -315,19 +297,19 @@ func serveFrames(conn net.Conn, fc *frame.Conn, w *connWriter, opts WorkerOption
 					m.JobsRejected.Inc()
 				}
 			}
-			if err := w.send(&envelope{JobAck: &jobAckMsg{ID: id, Err: compileErr}}); err != nil {
+			if err := w.send(message{tag: tagJobAck, jobAck: jobAckMsg{ID: id, Err: compileErr}}); err != nil {
 				return err
 			}
 			if compileErr == "" {
 				opts.logf("cluster: %s: job %d accepted (%d devices, %d slots, %d runs)",
-					conn.RemoteAddr(), id, len(env.Job.Spec.Config.Devices), env.Job.Spec.Config.Slots, env.Job.Spec.Runs)
+					conn.RemoteAddr(), id, len(spec.Config.Devices), spec.Config.Slots, spec.Runs)
 			}
 
-		case env.JobRelease != nil:
-			ws.releaseJob(env.JobRelease.ID)
+		case tagJobRelease:
+			ws.releaseJob(in.jobRelease.ID)
 
-		case env.Range != nil:
-			r := env.Range
+		case tagRange:
+			r := in.rng
 			wj, ok := ws.jobs[r.Job]
 			if !ok {
 				return fmt.Errorf("protocol: range for unknown job %d", r.Job)
@@ -336,7 +318,7 @@ func serveFrames(conn net.Conn, fc *frame.Conn, w *connWriter, opts WorkerOption
 				// The job never compiled; the coordinator learned that from
 				// the job ack, but ranges pipelined before the ack arrived
 				// still deserve a deterministic answer.
-				if err := w.send(&envelope{RangeDone: &rangeDoneMsg{Job: r.Job, First: r.First, Err: wj.compileErr}}); err != nil {
+				if err := w.send(message{tag: tagRangeDone, rangeDone: rangeDoneMsg{Job: r.Job, First: r.First, Err: wj.compileErr}}); err != nil {
 					return err
 				}
 				continue
@@ -362,12 +344,12 @@ func serveFrames(conn net.Conn, fc *frame.Conn, w *connWriter, opts WorkerOption
 				// FrameTimeout is a progress timeout, so every finished run
 				// must reach the wire promptly — a slow chunk buffered until
 				// RangeDone would look like a stalled worker.
-				return w.send(&envelope{RunResult: &runResultMsg{Job: r.Job, Run: run, Res: res}})
+				return w.send(message{tag: tagRunResult, result: runResultMsg{Job: r.Job, Run: run, Res: res}})
 			})
 			if m != nil {
 				m.RangeLatency.Observe(time.Since(rangeStart).Nanoseconds())
 			}
-			done := rangeDoneMsg{Job: r.Job, First: r.First}
+			done := message{tag: tagRangeDone, rangeDone: rangeDoneMsg{Job: r.Job, First: r.First}}
 			if runErr != nil {
 				// Distinguish simulation errors (report to the coordinator, keep
 				// serving) from transport errors (the connection is gone).
@@ -375,9 +357,9 @@ func serveFrames(conn net.Conn, fc *frame.Conn, w *connWriter, opts WorkerOption
 				if errors.As(runErr, &wErr) {
 					return wErr.err
 				}
-				done.Err = runErr.Error()
+				done.rangeDone.Err = runErr.Error()
 			}
-			if err := w.send(&envelope{RangeDone: &done}); err != nil {
+			if err := w.send(done); err != nil {
 				return err
 			}
 

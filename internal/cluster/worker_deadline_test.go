@@ -31,18 +31,19 @@ func TestWorkerWriteDeadlineUnsticksStalledCoordinator(t *testing.T) {
 	if _, err := fc.Greet(hello); err != nil {
 		t.Fatalf("handshake failed: %v", err)
 	}
-	if err := fc.Encode(&envelope{Job: &jobMsg{ID: 1, Spec: testJob(t, 8)}}); err != nil {
+	job := testJob(t, 8)
+	if err := sendMsgs(fc, &message{tag: tagJob, job: jobMsg{ID: 1, Spec: &job}}); err != nil {
 		t.Fatal(err)
 	}
-	if env, err := readEnvelope(fc); err != nil || env.JobAck == nil || env.JobAck.Err != "" {
+	if env, err := nextMsg(fc); err != nil || env.tag != tagJobAck || env.jobAck.Err != "" {
 		t.Fatalf("job rejected: %+v, %v", env, err)
 	}
-	if err := fc.Encode(&envelope{Range: &rangeMsg{Job: 1, First: 0, Count: 8}}); err != nil {
+	if err := sendMsgs(fc, &message{tag: tagRange, rng: rangeMsg{Job: 1, First: 0, Count: 8}}); err != nil {
 		t.Fatal(err)
 	}
 	// Prove the range is executing, then stall: no more reads, connection
 	// deliberately left open.
-	if env, err := readEnvelope(fc); err != nil || env.RunResult == nil {
+	if env, err := nextMsg(fc); err != nil || env.tag != tagRunResult {
 		t.Fatalf("want the first streamed result, got %+v, %v", env, err)
 	}
 

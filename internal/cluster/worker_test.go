@@ -22,40 +22,40 @@ func TestWorkerStreamsRangesInOrder(t *testing.T) {
 	}
 	job := testJob(t, 12)
 	ranges := []rangeMsg{{Job: 1, First: 0, Count: 4}, {Job: 1, First: 4, Count: 1}, {Job: 1, First: 5, Count: 7}}
-	if err := fc.EncodeAll([]any{
-		&envelope{Job: &jobMsg{ID: 1, Spec: job}},
-		&envelope{Range: &ranges[0]},
-		&envelope{Range: &ranges[1]},
-		&envelope{Ping: &pingMsg{Seq: 9}},
-		&envelope{Range: &ranges[2]},
-	}); err != nil {
+	if err := sendMsgs(fc,
+		&message{tag: tagJob, job: jobMsg{ID: 1, Spec: &job}},
+		&message{tag: tagRange, rng: ranges[0]},
+		&message{tag: tagRange, rng: ranges[1]},
+		&message{tag: tagPing, ping: pingMsg{Seq: 9}},
+		&message{tag: tagRange, rng: ranges[2]},
+	); err != nil {
 		t.Fatal(err)
 	}
-	next := func() *envelope {
+	next := func() *message {
 		t.Helper()
-		env, err := readEnvelope(fc)
+		env, err := nextMsg(fc)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return env
 	}
-	if env := next(); env.JobAck == nil || env.JobAck.Err != "" {
+	if env := next(); env.tag != tagJobAck || env.jobAck.Err != "" {
 		t.Fatalf("want the job ack first, got %+v", env)
 	}
 	merge, got := fingerprint()
 	for i, r := range ranges {
 		for run := r.First; run < r.First+r.Count; run++ {
 			env := next()
-			if env.RunResult == nil || env.RunResult.Run != run {
+			if env.tag != tagRunResult || env.result.Run != run {
 				t.Fatalf("range %d: want the result of run %d, got %+v", i, run, env)
 			}
-			merge(run, env.RunResult.Res)
+			merge(run, env.result.Res)
 		}
-		if env := next(); env.RangeDone == nil || env.RangeDone.First != r.First || env.RangeDone.Err != "" {
+		if env := next(); env.tag != tagRangeDone || env.rangeDone.First != r.First || env.rangeDone.Err != "" {
 			t.Fatalf("range %d: want its RangeDone after its last result, got %+v", i, env)
 		}
 		if i == 1 {
-			if env := next(); env.Pong == nil || env.Pong.Seq != 9 {
+			if env := next(); env.tag != tagPong || env.pong.Seq != 9 {
 				t.Fatalf("want the pong between the second and third ranges, got %+v", env)
 			}
 		}
@@ -80,10 +80,10 @@ func TestWorkerSessionsEndingMidRangeLeaveNoGoroutines(t *testing.T) {
 		if _, err := fc.Greet(hello); err != nil {
 			t.Fatalf("session %d: handshake failed: %v", i, err)
 		}
-		if err := fc.EncodeAll([]any{
-			&envelope{Job: &jobMsg{ID: 1, Spec: job}},
-			&envelope{Range: &rangeMsg{Job: 1, First: 0, Count: job.Runs}},
-		}); err != nil {
+		if err := sendMsgs(fc,
+			&message{tag: tagJob, job: jobMsg{ID: 1, Spec: &job}},
+			&message{tag: tagRange, rng: rangeMsg{Job: 1, First: 0, Count: job.Runs}},
+		); err != nil {
 			t.Fatal(err)
 		}
 		frames := 2 // mid-range: the job ack and the first result
@@ -91,7 +91,7 @@ func TestWorkerSessionsEndingMidRangeLeaveNoGoroutines(t *testing.T) {
 			frames = 2 + job.Runs // idle: every result and the RangeDone
 		}
 		for f := 0; f < frames; f++ {
-			if _, err := readEnvelope(fc); err != nil {
+			if _, err := nextMsg(fc); err != nil {
 				t.Fatalf("session %d: %v", i, err)
 			}
 		}

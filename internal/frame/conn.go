@@ -115,9 +115,9 @@ func (c *Conn) rearm(armed time.Time) time.Time {
 }
 
 // write is the one path a frame takes to the wire: arm the write deadline
-// (lazily, see Conn), queue each of msgs as a gob frame and then every
-// non-empty payload, and flush them in one write.
-func (c *Conn) write(msgs []any, payloads [][]byte) error {
+// (lazily, see Conn), queue msg as a gob frame unless it is nil and then
+// every non-empty payload, and flush them in one write.
+func (c *Conn) write(msg any, payloads [][]byte) error {
 	if c.timeout > 0 {
 		if d := c.rearm(c.writeDeadline); !d.IsZero() {
 			if err := c.nc.SetWriteDeadline(d); err != nil {
@@ -126,8 +126,8 @@ func (c *Conn) write(msgs []any, payloads [][]byte) error {
 			c.writeDeadline = d
 		}
 	}
-	for _, m := range msgs {
-		if err := c.w.Encode(m); err != nil {
+	if msg != nil {
+		if err := c.w.Encode(msg); err != nil {
 			return err
 		}
 	}
@@ -142,11 +142,7 @@ func (c *Conn) write(msgs []any, payloads [][]byte) error {
 }
 
 // Encode writes msg as one gob frame and flushes it.
-func (c *Conn) Encode(msg any) error { return c.write([]any{msg}, nil) }
-
-// EncodeAll writes each of msgs as one gob frame and flushes them
-// together: one deadline and one write for the whole batch.
-func (c *Conn) EncodeAll(msgs []any) error { return c.write(msgs, nil) }
+func (c *Conn) Encode(msg any) error { return c.write(msg, nil) }
 
 // WriteFrames writes each non-empty payload as one frame and flushes them
 // together: one deadline and one write for the whole operation.

@@ -15,11 +15,12 @@
 // kind is therefore always a connection error, never a silently different
 // value — the property the chaos identity tests build on.
 //
-// What a payload holds is the protocol's business. Writer.Encode and
-// Reader.Decode carry gob values through one persistent codec per
-// connection (the cluster and fleet message sets); Writer.WriteFrame and
-// Reader.ReadFrame carry raw bytes a protocol encoded itself (serve's
-// fixed-layout codec).
+// What a payload holds is the protocol's business. Writer.WriteFrame and
+// Reader.ReadFrame carry raw bytes a protocol encoded itself: the serve
+// and cluster fixed-layout codecs, built on the field encodings of
+// payload.go. Writer.Encode and Reader.Decode carry gob values through one
+// persistent codec per connection (the fleet control message set), built
+// on first use, so a connection that never carries gob holds no gob state.
 //
 // The accept side is shared too: Listener is the accept loop under
 // serve.Server and the fleet control plane, and Accept, under it and
@@ -60,13 +61,15 @@ const retainFrameBytes = 1 << 20
 // Writer emits frames. Its gob encoder is per connection, not per frame:
 // gob sends each type descriptor once per stream, so a session's
 // thousandth frame carries only values. A reconnect builds a fresh writer
-// on both sides, so nothing is shared across connections.
+// on both sides, so nothing is shared across connections. The encoder is
+// built by the first Encode, so a writer that only carries raw payloads
+// never holds gob state.
 //
 // Not safe for concurrent use; callers serialize writes per connection.
 type Writer struct {
 	w      io.Writer
-	buf    frameBuf // one gob frame under construction: header placeholder + gob bytes
-	enc    *gob.Encoder
+	buf    frameBuf         // one gob frame under construction: header placeholder + gob bytes
+	enc    *gob.Encoder     // built by the first Encode
 	hdr    [headerSize]byte // WriteFrame's header scratch
 	frames *obsv.Counter    // optional; see Instrument
 	bytes  *obsv.Counter
@@ -91,16 +94,15 @@ func (fb *frameBuf) Write(p []byte) (int, error) {
 
 // NewWriter returns a frame writer whose codec state lives for the whole
 // connection. Pair it with a NewReader on the receiving side.
-func NewWriter(w io.Writer) *Writer {
-	fw := &Writer{w: w}
-	fw.enc = gob.NewEncoder(&fw.buf)
-	return fw
-}
+func NewWriter(w io.Writer) *Writer { return &Writer{w: w} }
 
 // Encode writes msg as one frame whose payload is the gob bytes of exactly
 // one Encode call (which may bundle type descriptors ahead of the value —
 // the matching Decode consumes them all).
 func (fw *Writer) Encode(msg any) error {
+	if fw.enc == nil {
+		fw.enc = gob.NewEncoder(&fw.buf)
+	}
 	fw.buf.b = append(fw.buf.b[:0], make([]byte, headerSize)...)
 	if err := fw.enc.Encode(msg); err != nil {
 		return fmt.Errorf("frame: encode: %w", err)
@@ -175,7 +177,7 @@ type Reader struct {
 	hdr     [headerSize]byte // a field, not a local: io.ReadFull would move it to the heap per frame
 	payload []byte
 	cur     bytes.Reader
-	dec     *gob.Decoder
+	dec     *gob.Decoder  // built by the first Decode
 	err     error         // first failure; the stream is dead after one
 	frames  *obsv.Counter // optional; see Instrument
 	nbytes  *obsv.Counter
@@ -189,13 +191,7 @@ func (fr *Reader) Instrument(frames, bytes *obsv.Counter) {
 }
 
 // NewReader returns a frame reader for one connection's inbound stream.
-func NewReader(r io.Reader) *Reader {
-	fr := &Reader{r: r}
-	// bytes.Reader implements io.ByteReader, so gob adds no buffering of
-	// its own and each Decode consumes exactly the bytes we hand it.
-	fr.dec = gob.NewDecoder(&fr.cur)
-	return fr
-}
+func NewReader(r io.Reader) *Reader { return &Reader{r: r} }
 
 // Decode reads one frame and gob-decodes it into msg (a pointer, as for
 // gob.Decoder.Decode). A clean connection close between frames surfaces as
@@ -204,6 +200,11 @@ func (fr *Reader) Decode(msg any) error {
 	payload, err := fr.ReadFrame()
 	if err != nil {
 		return err
+	}
+	if fr.dec == nil {
+		// bytes.Reader implements io.ByteReader, so gob adds no buffering
+		// of its own and each Decode consumes exactly the bytes we hand it.
+		fr.dec = gob.NewDecoder(&fr.cur)
 	}
 	fr.cur.Reset(payload)
 	if err := fr.dec.Decode(msg); err != nil {

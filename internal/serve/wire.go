@@ -13,7 +13,8 @@ import "smartexp3/internal/frame"
 // natural barrier for the feedback sent before it.
 //
 // A payload is one tag byte naming the message, then its fields in
-// declaration order: unsigned integers as canonical uvarints, signed ones
+// declaration order, in the frame layer's shared field encodings
+// (frame.PayloadReader): unsigned integers as canonical uvarints, signed ones
 // (arms) as canonical zigzag varints, rewards as the 8
 // little-endian bytes of their IEEE-754 bits, strings and lists as a
 // uvarint count followed by the bytes or elements, and optional parts
