@@ -8,6 +8,7 @@
 package smartexp3_test
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"math/rand"
@@ -431,6 +432,36 @@ func BenchmarkStoreSnapshot(b *testing.B) {
 		b.Fatalf("snapshot holds %d devices, want %d", len(sn.Devices), churnDevices)
 	}
 	b.ReportMetric(kept, "kept-B/op")
+}
+
+// BenchmarkSnapshotCodec writes BenchmarkStoreSnapshot's snapshot out and
+// reads it back: one op is Encode into a retained buffer plus ReadSnapshot
+// of the bytes, the work of one checkpoint and one boot restore short of
+// the disk. The BENCH_runner.json gate holds allocs/op to what ReadSnapshot
+// keeps: one string per device record, its index, and a few fixed buffers.
+func BenchmarkSnapshotCodec(b *testing.B) {
+	store := warmChurnStore(b, serve.Config{Seed: 1, Shards: 8})
+	sn := store.Snapshot()
+	var buf bytes.Buffer
+	if err := sn.Encode(&buf); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.SetBytes(int64(buf.Len()))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if err := sn.Encode(&buf); err != nil {
+			b.Fatal(err)
+		}
+		back, err := serve.ReadSnapshot(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(back.Devices) != churnDevices {
+			b.Fatalf("read back %d devices, want %d", len(back.Devices), churnDevices)
+		}
+	}
 }
 
 // BenchmarkServeSelectInstrumented is BenchmarkServeSelect with the obsv

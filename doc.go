@@ -161,9 +161,13 @@
 // Each protocol brings only its message set. Cluster (v5) and serve (v5)
 // encode theirs as fixed-layout payloads on the frame layer's shared field
 // encodings (canonical varints, IEEE-754 bits, length-prefixed lists,
-// presence bytes), decoded without reflection; only the fleet control
-// wire still carries gob, and a connection builds gob state only when it
-// carries a gob frame.
+// presence bytes), decoded without reflection. Snapshots use the same
+// encodings: a v4 snapshot is a header and one fixed-layout record per
+// device, which is also the form a captured snapshot holds in memory, so
+// checkpoints, restores and fleet (v3) migrations move records as they
+// are. Only the fleet control frames still carry gob (a migrated
+// snapshot rides inside one as opaque bytes), and a connection builds gob
+// state only when it carries a gob frame.
 //
 // Every layer is observable through internal/obsv, a stdlib-only metrics
 // layer built for the hot paths above: atomic counters and gauges, fixed

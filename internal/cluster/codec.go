@@ -77,23 +77,23 @@ func appendJobSpec(b []byte, s *JobSpec) []byte {
 	b = appendWireConfig(b, &s.Config)
 	b = binary.AppendVarint(b, int64(s.Runs))
 	b = binary.AppendVarint(b, s.Seed)
-	b = appendList(b, s.Stream, binary.AppendVarint)
+	b = frame.AppendList(b, s.Stream, binary.AppendVarint)
 	return binary.AppendVarint(b, int64(s.Affinity))
 }
 
 // appendWireConfig appends every WireConfig field in declaration order.
 func appendWireConfig(b []byte, c *WireConfig) []byte {
-	b = appendList(b, c.Topology.Networks, func(b []byte, n netmodel.Network) []byte {
+	b = frame.AppendList(b, c.Topology.Networks, func(b []byte, n netmodel.Network) []byte {
 		b = frame.AppendString(b, n.Name)
 		b = binary.AppendVarint(b, int64(n.Type))
 		return frame.AppendFloat(b, n.Bandwidth)
 	})
-	b = appendList(b, c.Topology.Areas, appendInts)
-	b = appendList(b, c.Devices, func(b []byte, d sim.DeviceSpec) []byte {
+	b = frame.AppendList(b, c.Topology.Areas, appendInts)
+	b = frame.AppendList(b, c.Devices, func(b []byte, d sim.DeviceSpec) []byte {
 		b = binary.AppendVarint(b, int64(d.Algorithm))
 		b = binary.AppendVarint(b, int64(d.Join))
 		b = binary.AppendVarint(b, int64(d.Leave))
-		return appendList(b, d.Trajectory, func(b []byte, st sim.AreaStay) []byte {
+		return frame.AppendList(b, d.Trajectory, func(b []byte, st sim.AreaStay) []byte {
 			b = binary.AppendVarint(b, int64(st.FromSlot))
 			return binary.AppendVarint(b, int64(st.Area))
 		})
@@ -103,7 +103,7 @@ func appendWireConfig(b []byte, c *WireConfig) []byte {
 	b = frame.AppendFloat(b, c.GainScale)
 	b = frame.AppendFloat(b, c.NoiseStdDev)
 	b = frame.AppendFloat(b, c.EpsilonPercent)
-	b = appendList(b, c.DeviceGroups, appendInts)
+	b = frame.AppendList(b, c.DeviceGroups, appendInts)
 	b = frame.AppendBool(b, c.Collect.Distance)
 	b = frame.AppendBool(b, c.Collect.Probabilities)
 	b = frame.AppendBool(b, c.Collect.Selections)
@@ -114,7 +114,7 @@ func appendWireConfig(b []byte, c *WireConfig) []byte {
 		b = frame.AppendFloat(b, c.Criteria.Energy)
 		b = frame.AppendFloat(b, c.Criteria.Money)
 	}
-	return appendList(b, c.NetworkCosts, func(b []byte, nc criteria.Costs) []byte {
+	return frame.AppendList(b, c.NetworkCosts, func(b []byte, nc criteria.Costs) []byte {
 		return frame.AppendFloat(frame.AppendFloat(b, nc.Energy), nc.PricePerData)
 	})
 }
@@ -138,12 +138,12 @@ func appendResult(b []byte, r *sim.Result) []byte {
 		b = frame.AppendFloat(b, d.DelaySeconds)
 		b = binary.AppendVarint(b, int64(d.StableFrom))
 		b = appendInts(b, d.Selections)
-		b = appendList(b, d.BitrateMbps, frame.AppendFloat)
+		b = frame.AppendList(b, d.BitrateMbps, frame.AppendFloat)
 	}
-	b = appendList(b, r.Distance, frame.AppendFloat)
+	b = frame.AppendList(b, r.Distance, frame.AppendFloat)
 	b = binary.AppendUvarint(b, uint64(len(r.GroupDistance)))
 	for _, g := range r.GroupDistance {
-		b = appendList(b, g, frame.AppendFloat)
+		b = frame.AppendList(b, g, frame.AppendFloat)
 	}
 	b = frame.AppendFloat(b, r.FracAtNE)
 	b = frame.AppendFloat(b, r.FracAtEps)
@@ -153,24 +153,6 @@ func appendResult(b []byte, r *sim.Result) []byte {
 	b = binary.AppendVarint(b, int64(r.Stability.Slot))
 	b = frame.AppendBool(b, r.Stability.AtNash)
 	return frame.AppendBool(b, r.StabilityValid)
-}
-
-// appendList appends a count and each element of vs.
-//
-//repolint:allocfree via TestClusterCodecWarmAllocs
-func appendList[T any](b []byte, vs []T, appendElem func([]byte, T) []byte) []byte {
-	b = binary.AppendUvarint(b, uint64(len(vs)))
-	for _, v := range vs {
-		b = appendElem(b, v)
-	}
-	return b
-}
-
-// appendInts appends a list of ints as zigzag varints.
-//
-//repolint:allocfree via TestClusterCodecWarmAllocs
-func appendInts(b []byte, vs []int) []byte {
-	return appendList(b, vs, func(b []byte, v int) []byte { return binary.AppendVarint(b, int64(v)) })
 }
 
 // decode parses payload p into m and reports whether p is a well-formed
@@ -233,19 +215,19 @@ func (m *message) decode(p []byte) error {
 func readJobSeeding(r *frame.PayloadReader, s *JobSpec) {
 	s.Runs = r.Int()
 	s.Seed = r.Int64()
-	s.Stream = readList(r, intMinBytes, (*frame.PayloadReader).Int64)
+	s.Stream = frame.ReadList(r, nil, intMinBytes, (*frame.PayloadReader).Int64)
 	s.Affinity = r.Int()
 }
 
 // readWireConfig reads appendWireConfig's layout into c.
 func readWireConfig(r *frame.PayloadReader, c *WireConfig) {
-	c.Topology.Networks = readList(r, networkMinBytes, func(r *frame.PayloadReader) netmodel.Network {
+	c.Topology.Networks = frame.ReadList(r, nil, networkMinBytes, func(r *frame.PayloadReader) netmodel.Network {
 		return netmodel.Network{Name: r.Text(), Type: netmodel.Type(r.Int()), Bandwidth: r.Float()}
 	})
-	c.Topology.Areas = readList(r, listMinBytes, readInts)
-	c.Devices = readList(r, deviceSpecMinBytes, func(r *frame.PayloadReader) sim.DeviceSpec {
+	c.Topology.Areas = frame.ReadList(r, nil, listMinBytes, readInts)
+	c.Devices = frame.ReadList(r, nil, deviceSpecMinBytes, func(r *frame.PayloadReader) sim.DeviceSpec {
 		return sim.DeviceSpec{Algorithm: core.Algorithm(r.Int()), Join: r.Int(), Leave: r.Int(),
-			Trajectory: readList(r, areaStayMinBytes, func(r *frame.PayloadReader) sim.AreaStay {
+			Trajectory: frame.ReadList(r, nil, areaStayMinBytes, func(r *frame.PayloadReader) sim.AreaStay {
 				return sim.AreaStay{FromSlot: r.Int(), Area: r.Int()}
 			})}
 	})
@@ -254,7 +236,7 @@ func readWireConfig(r *frame.PayloadReader, c *WireConfig) {
 	c.GainScale = r.Float()
 	c.NoiseStdDev = r.Float()
 	c.EpsilonPercent = r.Float()
-	c.DeviceGroups = readList(r, listMinBytes, readInts)
+	c.DeviceGroups = frame.ReadList(r, nil, listMinBytes, readInts)
 	c.Collect.Distance = r.Bool()
 	c.Collect.Probabilities = r.Bool()
 	c.Collect.Selections = r.Bool()
@@ -262,7 +244,7 @@ func readWireConfig(r *frame.PayloadReader, c *WireConfig) {
 	if r.Bool() {
 		c.Criteria = &criteria.Profile{Throughput: r.Float(), Energy: r.Float(), Money: r.Float()}
 	}
-	c.NetworkCosts = readList(r, costsMinBytes, func(r *frame.PayloadReader) criteria.Costs {
+	c.NetworkCosts = frame.ReadList(r, nil, costsMinBytes, func(r *frame.PayloadReader) criteria.Costs {
 		return criteria.Costs{Energy: r.Float(), PricePerData: r.Float()}
 	})
 }
@@ -271,14 +253,14 @@ func readWireConfig(r *frame.PayloadReader, c *WireConfig) {
 func readResult(r *frame.PayloadReader, res *sim.Result) {
 	res.Slots = r.Int()
 	res.SlotSeconds = r.Float()
-	res.Devices = readList(r, deviceResultMinBytes, func(r *frame.PayloadReader) sim.DeviceResult {
+	res.Devices = frame.ReadList(r, nil, deviceResultMinBytes, func(r *frame.PayloadReader) sim.DeviceResult {
 		return sim.DeviceResult{Algorithm: core.Algorithm(r.Int()), Join: r.Int(), Leave: r.Int(),
 			PresentThroughout: r.Bool(), Switches: r.Int(), Resets: r.Int(),
 			DownloadMb: r.Float(), DelaySeconds: r.Float(), StableFrom: r.Int(),
 			Selections: readInts(r), BitrateMbps: readFloats(r)}
 	})
 	res.Distance = readFloats(r)
-	res.GroupDistance = readList(r, listMinBytes, readFloats)
+	res.GroupDistance = frame.ReadList(r, nil, listMinBytes, readFloats)
 	res.FracAtNE = r.Float()
 	res.FracAtEps = r.Float()
 	res.UnusedMb = r.Float()
@@ -289,26 +271,19 @@ func readResult(r *frame.PayloadReader, res *sim.Result) {
 	res.StabilityValid = r.Bool()
 }
 
-// readList reads a count, bounded by the bytes left at minBytes per
-// element, then each element with readElem. An empty list is nil.
-func readList[T any](r *frame.PayloadReader, minBytes int, readElem func(*frame.PayloadReader) T) []T {
-	n := r.Count(minBytes)
-	if n == 0 {
-		return nil
-	}
-	vs := make([]T, n)
-	for i := range vs {
-		vs[i] = readElem(r)
-	}
-	return vs
+// appendInts appends a list of ints as zigzag varints.
+//
+//repolint:allocfree via TestClusterCodecWarmAllocs
+func appendInts(b []byte, vs []int) []byte {
+	return frame.AppendList(b, vs, frame.AppendInt)
 }
 
 func readInts(r *frame.PayloadReader) []int {
-	return readList(r, intMinBytes, (*frame.PayloadReader).Int)
+	return frame.ReadList(r, nil, intMinBytes, (*frame.PayloadReader).Int)
 }
 
 func readFloats(r *frame.PayloadReader) []float64 {
-	return readList(r, floatBytes, (*frame.PayloadReader).Float)
+	return frame.ReadList(r, nil, floatBytes, (*frame.PayloadReader).Float)
 }
 
 // readMessage reads the next frame from c and decodes it into m. The

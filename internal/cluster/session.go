@@ -886,6 +886,9 @@ func (e *epoch) readerLoop() {
 					in.result.Job, in.result.Run, head.j.id, want, head.count))
 				return
 			}
+			if cur == nil { // the range's first result: size for all of them
+				cur = make([]*sim.Result, 0, head.count)
+			}
 			cur = append(cur, in.result.Res)
 
 		case tagRangeDone:
@@ -902,7 +905,11 @@ func (e *epoch) readerLoop() {
 					in.rangeDone.Job, in.rangeDone.First, head.j.id, head.first))
 				return
 			}
-			e.inflight = e.inflight[1:]
+			// Shift the queue down in place: re-slicing from the front
+			// would leave append to reallocate once the tail reached cap.
+			n := copy(e.inflight, e.inflight[1:])
+			e.inflight[n] = inflightChunk{}
+			e.inflight = e.inflight[:n]
 			e.refreshReadDeadlineLocked()
 			e.mu.Unlock()
 			if in.rangeDone.Err != "" {

@@ -268,6 +268,21 @@ func serveFrames(conn net.Conn, fc *frame.Conn, w *connWriter, opts WorkerOption
 		jobKeys: make(map[uint64]string),
 	}
 	var in message // every frame decodes here
+	// emit streams the running range's results; built once per connection,
+	// it reads the range's job from rangeJob.
+	var rangeJob uint64
+	emit := func(run int, res *sim.Result) error {
+		if m != nil {
+			m.Runs.Inc()
+		}
+		// Each result is handed over as soon as it is merged, and the
+		// writer sends every frame as soon as it drains, never holding one
+		// back for the range's end: the coordinator's FrameTimeout is a
+		// progress timeout, so every finished run must reach the wire
+		// promptly — a slow chunk buffered until RangeDone would look like
+		// a stalled worker.
+		return w.send(message{tag: tagRunResult, result: runResultMsg{Job: rangeJob, Run: run, Res: res}})
+	}
 	for {
 		if err := readMessage(fc, &in); err != nil {
 			if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) {
@@ -334,18 +349,8 @@ func serveFrames(conn net.Conn, fc *frame.Conn, w *connWriter, opts WorkerOption
 				m.Ranges.Inc()
 				rangeStart = time.Now()
 			}
-			runErr := wj.exec.run(r.First, r.Count, func(run int, res *sim.Result) error {
-				if m != nil {
-					m.Runs.Inc()
-				}
-				// Each result is handed over as soon as it is merged, and
-				// the writer sends every frame as soon as it drains, never
-				// holding one back for the range's end: the coordinator's
-				// FrameTimeout is a progress timeout, so every finished run
-				// must reach the wire promptly — a slow chunk buffered until
-				// RangeDone would look like a stalled worker.
-				return w.send(message{tag: tagRunResult, result: runResultMsg{Job: r.Job, Run: run, Res: res}})
-			})
+			rangeJob = r.Job
+			runErr := wj.exec.run(r.First, r.Count, emit)
 			if m != nil {
 				m.RangeLatency.Observe(time.Since(rangeStart).Nanoseconds())
 			}
@@ -389,11 +394,22 @@ type enginePool struct {
 // rangeExec executes contiguous run ranges of one job: per-job seeding
 // (batch) over a possibly shared enginePool. It is the execution core
 // shared by the worker daemon and the coordinator's in-process fallback.
+// It runs one range at a time: the range's bounds and sink live in its
+// fields, where the lender, run and merge functions built once with it
+// read them, so a range allocates none of them.
 type rangeExec struct {
 	job     JobSpec
 	batch   runner.Replications
 	workers int
 	shared  *enginePool
+
+	first int                                  // the running range's first run
+	emit  func(run int, res *sim.Result) error // the running range's sink
+	lent  int                                  // workspaces lent for the running range (under shared.poolMu)
+
+	newState func() *sim.Workspace
+	do       func(ws *sim.Workspace, i int) (*sim.Result, error)
+	merge    func(i int, res *sim.Result) error
 }
 
 // newRangeExec builds the executor for one job, compiling the config only
@@ -406,48 +422,56 @@ func newRangeExec(job JobSpec, workers int, shared *enginePool) (*rangeExec, err
 		}
 		shared = &enginePool{eng: eng}
 	}
-	return &rangeExec{
+	x := &rangeExec{
 		job:     job,
 		batch:   job.batch(),
 		workers: runner.Workers(workers),
 		shared:  shared,
-	}, nil
+	}
+	x.newState, x.do, x.merge = x.lend, x.runOne, x.mergeOne
+	return x, nil
 }
 
 // run executes the global run indices [first, first+count), calling emit in
 // ascending run order from this goroutine (runner.MergeOrderedPooled's
 // single-merger guarantee). Workspaces are drawn from the shared pool and
 // returned afterwards, so steady-state ranges allocate no simulation state.
-// An emit failure is returned wrapped in *writeError.
+// An emit failure is returned wrapped in *writeError. Not safe for
+// concurrent use: one range runs at a time.
 func (x *rangeExec) run(first, count int, emit func(run int, res *sim.Result) error) error {
-	// Lend pooled workspaces to the worker goroutines. MergeOrderedPooled
-	// joins every worker before returning, so the pool is quiescent again
-	// afterwards; lent tracks how many were taken to support concurrent
-	// newState calls without double-handing a workspace.
+	x.first, x.emit, x.lent = first, emit, 0
+	defer func() { x.emit = nil }()
+	return runner.MergeOrderedPooled(x.workers, count, x.newState, x.do, x.merge)
+}
+
+// lend hands a worker goroutine a pooled workspace. MergeOrderedPooled
+// joins every worker before returning, so the pool is quiescent again
+// afterwards; lent counts how many were taken, so concurrent calls never
+// hand out one workspace twice.
+func (x *rangeExec) lend() *sim.Workspace {
 	ep := x.shared
-	var lent int
-	newState := func() *sim.Workspace {
-		ep.poolMu.Lock()
-		defer ep.poolMu.Unlock()
-		if lent < len(ep.pool) {
-			ws := ep.pool[lent]
-			lent++
-			return ws
-		}
-		ws := ep.eng.NewWorkspace()
-		ep.pool = append(ep.pool, ws)
-		lent++
+	ep.poolMu.Lock()
+	defer ep.poolMu.Unlock()
+	if x.lent < len(ep.pool) {
+		ws := ep.pool[x.lent]
+		x.lent++
 		return ws
 	}
-	return runner.MergeOrderedPooled(x.workers, count, newState,
-		func(ws *sim.Workspace, i int) (*sim.Result, error) {
-			run := first + i
-			return ep.eng.Run(ws, x.batch.SeedFor(run))
-		},
-		func(i int, res *sim.Result) error {
-			if err := emit(first+i, res); err != nil {
-				return &writeError{err: err}
-			}
-			return nil
-		})
+	ws := ep.eng.NewWorkspace()
+	ep.pool = append(ep.pool, ws)
+	x.lent++
+	return ws
+}
+
+// runOne simulates the running range's ith run.
+func (x *rangeExec) runOne(ws *sim.Workspace, i int) (*sim.Result, error) {
+	return x.shared.eng.Run(ws, x.batch.SeedFor(x.first+i))
+}
+
+// mergeOne hands the running range's ith result to its sink.
+func (x *rangeExec) mergeOne(i int, res *sim.Result) error {
+	if err := x.emit(x.first+i, res); err != nil {
+		return &writeError{err: err}
+	}
+	return nil
 }

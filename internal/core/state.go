@@ -6,8 +6,9 @@ import (
 )
 
 // PolicyState is the complete dynamic state of a SmartEXP3 policy in
-// exported, serialization-friendly form (every field is plain data, so it
-// crosses gob unchanged — float64 bits exactly). It separates what a
+// exported, serialization-friendly form (every field is plain data, so a
+// codec that writes float64 bits, as serve's snapshot records do, carries
+// it exactly). It separates what a
 // long-lived decision service must persist from what the simulation engine
 // owns: the policy's learned state (weights, block position, greedy and
 // reset statistics) is here; the identity (name, feature set, Config) and

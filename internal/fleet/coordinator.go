@@ -266,9 +266,7 @@ func (c *Coordinator) Rebalance(roster []PeerInfo) (*Table, error) {
 			return nil, fmt.Errorf("fleet: stage stripe %d on %s refused: %s", mv.stripe, mv.to.peer.ID, ackErr(env2.OfferAck))
 		}
 		m.MigrationLatency.Observe(time.Since(start).Nanoseconds())
-		if env.State.Snap != nil {
-			m.MigratedDevices.Add(uint64(len(env.State.Snap.Devices)))
-		}
+		m.MigratedDevices.Add(uint64(max(env.State.Devices, 0)))
 	}
 
 	// Commit: gaining peers first (their staged state must be owned the

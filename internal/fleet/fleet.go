@@ -27,8 +27,9 @@
 // Migration contract: a coordinator moves a stripe by draining it on the
 // old owner — install a rejecting view (barring writes to the range),
 // cut a per-range snapshot (consistent because the view is re-read under
-// each shard lock), ship it over the control wire (gob messages in
-// internal/frame's checksummed frames), stage it on the new owner — and
+// each shard lock), ship its v4 encoding over the control wire (inside gob
+// messages in internal/frame's checksummed frames), stage it on the new
+// owner — and
 // then committing the bumped table to every peer:
 // gaining peers first (restore staged ranges, then own them), draining
 // peers second (disown, then drop the moved sessions), bystanders last.

@@ -466,7 +466,7 @@ func TestCoordinatorDeathMidHandoff(t *testing.T) {
 		a, b, _, tab2, stripe, dev := setup(t)
 		fc := newFakeCoordinator(t, a.info, b.info)
 		state := cut(t, fc, tab2, stripe)
-		if len(state.Snap.Devices) == 0 {
+		if state.Devices == 0 {
 			t.Fatal("cut snapshot carries no devices; the test device never landed in the stripe")
 		}
 		// Mid-drain the device is refused with the migration's epoch.
@@ -501,14 +501,36 @@ func TestCoordinatorDeathMidHandoff(t *testing.T) {
 			{"a corrupt generator cursor", func(ds *serve.DeviceSnapshot) { ds.Rng.Tap = (ds.Rng.Tap + 1) % 607 }},
 			{"a 43-gain switch-back window", func(ds *serve.DeviceSnapshot) { ds.State.Window = make([]float64, 43) }},
 		} {
-			corrupt := *state.Snap
-			corrupt.Devices = append([]serve.DeviceSnapshot(nil), state.Snap.Devices...)
-			c.edit(&corrupt.Devices[0])
+			corrupt, err := serve.ReadSnapshot(bytes.NewReader(state.Snap))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ds serve.DeviceSnapshot
+			if err := corrupt.Devices[0].Decode(&ds); err != nil {
+				t.Fatal(err)
+			}
+			c.edit(&ds)
+			corrupt.Devices[0] = ds.Record()
+			var buf bytes.Buffer
+			if err := corrupt.Encode(&buf); err != nil {
+				t.Fatal(err)
+			}
 			if resp := fc.roundTrip("b", &fleetEnvelope{Offer: &offerMsg{
-				Stripe: stripe, Lo: lo, Hi: hi, NewEpoch: tab2.Epoch, Snap: &corrupt,
-			}}); resp.OfferAck == nil || !strings.Contains(resp.OfferAck.Err, fmt.Sprintf("device %d", corrupt.Devices[0].Device)) {
+				Stripe: stripe, Lo: lo, Hi: hi, NewEpoch: tab2.Epoch, Snap: buf.Bytes(),
+			}}); resp.OfferAck == nil || !strings.Contains(resp.OfferAck.Err, fmt.Sprintf("device %d", ds.Device)) {
 				t.Fatalf("offer with %s: %+v", c.name, resp.OfferAck)
 			}
+		}
+		// A snapshot of another layout version is refused by name.
+		var future bytes.Buffer
+		if err := (&serve.Snapshot{Version: serve.SnapshotVersion + 1}).Encode(&future); err != nil {
+			t.Fatal(err)
+		}
+		wantErr := fmt.Sprintf("snapshot version %d, want %d", serve.SnapshotVersion+1, serve.SnapshotVersion)
+		if resp := fc.roundTrip("b", &fleetEnvelope{Offer: &offerMsg{
+			Stripe: stripe, Lo: lo, Hi: hi, NewEpoch: tab2.Epoch, Snap: future.Bytes(),
+		}}); resp.OfferAck == nil || !strings.Contains(resp.OfferAck.Err, wantErr) {
+			t.Fatalf("offer of a future snapshot version: %+v, want an error naming %q", resp.OfferAck, wantErr)
 		}
 		if b.store.Devices() != 0 {
 			t.Fatalf("refused offers left %d sessions on peer b", b.store.Devices())

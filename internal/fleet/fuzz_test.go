@@ -88,7 +88,15 @@ func fuzzFleetSeeds(tb testing.TB) [][]byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	snap := seedStore.SnapshotRange(1, 0)
+	var snap bytes.Buffer
+	if err := seedStore.SnapshotRange(1, 0).Encode(&snap); err != nil {
+		tb.Fatal(err)
+	}
+	// A snapshot header stamped with a version no peer speaks.
+	var future bytes.Buffer
+	if err := (&serve.Snapshot{Version: 99}).Encode(&future); err != nil {
+		tb.Fatal(err)
+	}
 	// The drain's resolver target must refuse connections instantly, not
 	// hang a fuzz iteration in name resolution.
 	cut := &fleetEnvelope{Cut: &cutMsg{Stripe: ownStripe, Lo: lo, Hi: hi, To: "127.0.0.1:1", ToControl: "127.0.0.1:1", NewEpoch: 2}}
@@ -99,7 +107,7 @@ func fuzzFleetSeeds(tb testing.TB) [][]byte {
 		// stripe, commit the bumped table, checkpoint, fetch the table.
 		encodeFleetFrames(tb, &h,
 			cut,
-			&fleetEnvelope{Offer: &offerMsg{Stripe: 0, Lo: 0, Hi: ^uint64(0) >> 2, NewEpoch: 2, Snap: snap}},
+			&fleetEnvelope{Offer: &offerMsg{Stripe: 0, Lo: 0, Hi: ^uint64(0) >> 2, NewEpoch: 2, Snap: snap.Bytes()}},
 			&fleetEnvelope{Commit: &commitMsg{Table: tab2}},
 			&fleetEnvelope{Checkpoint: &checkpointMsg{}},
 			&fleetEnvelope{TableGet: &tableGetMsg{}}),
@@ -111,7 +119,7 @@ func fuzzFleetSeeds(tb testing.TB) [][]byte {
 		encodeFleetFrames(tb, &h, &fleetEnvelope{}),                          // empty union
 		encodeFleetFrames(tb, &h, &fleetEnvelope{Cut: &cutMsg{Stripe: 999, NewEpoch: 2}}),
 		encodeFleetFrames(tb, &h, &fleetEnvelope{Cut: &cutMsg{Stripe: ownStripe, Lo: lo + 1, Hi: hi, NewEpoch: 2}}),
-		encodeFleetFrames(tb, &h, &fleetEnvelope{Offer: &offerMsg{Stripe: 0, Snap: &serve.Snapshot{Version: 99}}}),
+		encodeFleetFrames(tb, &h, &fleetEnvelope{Offer: &offerMsg{Stripe: 0, Snap: future.Bytes()}}),
 		encodeFleetFrames(tb, &h, &fleetEnvelope{Offer: &offerMsg{Stripe: 0}}), // no snapshot
 		encodeFleetFrames(tb, &h, &fleetEnvelope{Commit: &commitMsg{}}),        // no table
 		encodeFleetFrames(tb, &h, &fleetEnvelope{Commit: &commitMsg{Table: &Table{Epoch: 0}}}),

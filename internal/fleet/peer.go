@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -167,7 +168,7 @@ func (p *Peer) Close() { p.conns.Close() }
 // resolver — which is what bounds the blast radius of a dead
 // coordinator to "nothing happened".
 type connState struct {
-	staged map[int]*offerMsg
+	staged map[int]*serve.Snapshot
 	drains map[int]*drain
 }
 
@@ -180,7 +181,7 @@ func (p *Peer) serveControl(conn net.Conn) error {
 		return err
 	}
 
-	st := &connState{staged: make(map[int]*offerMsg), drains: make(map[int]*drain)}
+	st := &connState{staged: make(map[int]*serve.Snapshot), drains: make(map[int]*drain)}
 	defer p.connClosed(st)
 	for {
 		var env fleetEnvelope
@@ -251,35 +252,35 @@ func (p *Peer) handleCut(st *connState, cut *cutMsg) *stateMsg {
 	p.drains[cut.Stripe] = d
 	st.drains[cut.Stripe] = d
 	p.view.Store(compileView(p.table, p.opts.ID, p.drains))
-	return &stateMsg{Stripe: cut.Stripe, Snap: p.store.SnapshotRange(cut.Lo, cut.Hi)}
+	sn := p.store.SnapshotRange(cut.Lo, cut.Hi)
+	var buf bytes.Buffer
+	sn.Encode(&buf) // writes to a bytes.Buffer cannot fail
+	return &stateMsg{Stripe: cut.Stripe, Devices: len(sn.Devices), Snap: buf.Bytes()}
 }
 
 // handleOffer stages one incoming stripe against this connection. The
-// snapshot is validated now — version, algorithm, seed, and each record
-// against the store's bounds (serve.Store.CheckRecord) — so commit, which
-// must not half-fail, applies a vetted payload.
+// snapshot is read and validated now — its version, each record's layout
+// and state (serve.ReadSnapshot), its range, and its algorithm, seed and
+// every record against the store's bounds (serve.Store.CheckSnapshot) —
+// so commit, which must not half-fail, applies a vetted snapshot.
 func (p *Peer) handleOffer(st *connState, off *offerMsg) *offerAckMsg {
-	if off.Snap == nil {
+	if len(off.Snap) == 0 {
 		return &offerAckMsg{Stripe: off.Stripe, Err: "offer carries no snapshot"}
 	}
-	if off.Snap.Version != serve.SnapshotVersion {
-		return &offerAckMsg{Stripe: off.Stripe, Err: fmt.Sprintf("snapshot version %d, want %d", off.Snap.Version, serve.SnapshotVersion)}
+	sn, err := serve.ReadSnapshot(bytes.NewReader(off.Snap))
+	if err != nil {
+		return &offerAckMsg{Stripe: off.Stripe, Err: err.Error()}
 	}
-	cfg := p.store.Config()
-	if off.Snap.Algorithm != cfg.Algorithm || off.Snap.Seed != cfg.Seed {
-		return &offerAckMsg{Stripe: off.Stripe, Err: "snapshot algorithm/seed does not match this store"}
+	for _, rec := range sn.Devices {
+		if k := serve.RouteKey(rec.Device); k < off.Lo || k > off.Hi {
+			return &offerAckMsg{Stripe: off.Stripe, Err: fmt.Sprintf("device %d outside the offered range", rec.Device)}
+		}
 	}
-	for i := range off.Snap.Devices {
-		ds := &off.Snap.Devices[i]
-		if k := serve.RouteKey(ds.Device); k < off.Lo || k > off.Hi {
-			return &offerAckMsg{Stripe: off.Stripe, Err: fmt.Sprintf("device %d outside the offered range", ds.Device)}
-		}
-		if err := p.store.CheckRecord(ds); err != nil {
-			return &offerAckMsg{Stripe: off.Stripe, Err: err.Error()}
-		}
+	if err := p.store.CheckSnapshot(sn); err != nil {
+		return &offerAckMsg{Stripe: off.Stripe, Err: err.Error()}
 	}
 	p.mu.Lock()
-	st.staged[off.Stripe] = off
+	st.staged[off.Stripe] = sn
 	p.mu.Unlock()
 	return &offerAckMsg{Stripe: off.Stripe}
 }
@@ -298,8 +299,8 @@ func (p *Peer) handleCommit(st *connState, tab *Table) *doneMsg {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for _, off := range st.staged {
-		if err := p.store.RestoreRange(off.Snap); err != nil {
+	for _, sn := range st.staged {
+		if err := p.store.RestoreRange(sn); err != nil {
 			return &doneMsg{Err: err.Error()}
 		}
 	}
@@ -316,7 +317,7 @@ func (p *Peer) handleCommit(st *connState, tab *Table) *doneMsg {
 	for _, d := range st.drains {
 		p.store.RemoveRange(d.lo, d.hi)
 	}
-	st.staged = make(map[int]*offerMsg)
+	st.staged = make(map[int]*serve.Snapshot)
 	st.drains = make(map[int]*drain)
 	return &doneMsg{}
 }
@@ -331,7 +332,7 @@ func (p *Peer) handleAbort(st *connState) {
 			delete(p.drains, s)
 		}
 	}
-	st.staged = make(map[int]*offerMsg)
+	st.staged = make(map[int]*serve.Snapshot)
 	st.drains = make(map[int]*drain)
 	p.view.Store(compileView(p.table, p.opts.ID, p.drains))
 }
@@ -354,7 +355,7 @@ func (p *Peer) handleCheckpoint() *doneMsg {
 func (p *Peer) connClosed(st *connState) {
 	p.mu.Lock()
 	drains := st.drains
-	st.staged = make(map[int]*offerMsg)
+	st.staged = make(map[int]*serve.Snapshot)
 	st.drains = make(map[int]*drain)
 	p.mu.Unlock()
 	for _, d := range drains {

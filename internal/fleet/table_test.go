@@ -162,7 +162,7 @@ func TestMergeSnapshots(t *testing.T) {
 	sn := func(seed int64, devs ...uint64) *serve.Snapshot {
 		out := &serve.Snapshot{Version: 1, Algorithm: 0, Seed: seed, Dropped: 1}
 		for _, d := range devs {
-			out.Devices = append(out.Devices, serve.DeviceSnapshot{Device: d})
+			out.Devices = append(out.Devices, serve.DeviceRecord{Device: d})
 		}
 		return out
 	}

@@ -1,16 +1,15 @@
 package fleet
 
-import (
-	"smartexp3/internal/frame"
-	"smartexp3/internal/serve"
-)
+import "smartexp3/internal/frame"
 
 // The fleet control protocol rides internal/frame, like the cluster wire:
 // a frame.Conn per connection, the shared hello exchange (each side's Info
 // names it: the coordinator's name in the hello, the peer's id in the
 // reply), and gob-encoded envelopes through the frame layer's persistent
-// codec. One synchronous caller drives one connection: a coordinator holds
-// one control connection per peer for the lifetime of a rebalance, and
+// codec. A migrated stripe's snapshot rides inside them as the bytes of
+// its own fixed layout, which gob carries as one opaque byte slice. One
+// synchronous caller drives one connection: a coordinator holds one
+// control connection per peer for the lifetime of a rebalance, and
 // everything staged over a connection dies with it — which is what makes
 // a dead coordinator free (see the package doc's migration contract).
 // Like the serve and shardd wires, the control plane trusts its network:
@@ -19,8 +18,10 @@ import (
 // fleetProtocolVersion is bumped whenever the control message set
 // changes incompatibly; the handshake refuses mismatches. Version 2 moved
 // the handshake to the frame layer's shared hello, added the frame
-// header's own checksum, and dropped the unused control ping.
-const fleetProtocolVersion = 2
+// header's own checksum, and dropped the unused control ping. Version 3
+// carries migrated snapshots as their v4 encoding (serve.Snapshot.Encode)
+// instead of gob-encoded structs, and counts a cut's devices in stateMsg.
+const fleetProtocolVersion = 3
 
 // hello is this protocol's side of the shared handshake.
 var hello = frame.Hello{Proto: "fleet", Version: fleetProtocolVersion}
@@ -63,23 +64,26 @@ type cutMsg struct {
 	NewEpoch  uint64
 }
 
-// stateMsg answers a cutMsg with the drained range's snapshot. A
-// non-empty Err refuses the cut (stripe not owned, bad range) without
-// poisoning the session.
+// stateMsg answers a cutMsg with the drained range's snapshot, encoded
+// (serve.Snapshot.Encode), and how many devices it holds. A non-empty Err
+// refuses the cut (stripe not owned, bad range) without poisoning the
+// session.
 type stateMsg struct {
-	Stripe int
-	Snap   *serve.Snapshot
-	Err    string
+	Stripe  int
+	Devices int
+	Snap    []byte
+	Err     string
 }
 
-// offerMsg stages one drained stripe on its new owner. The state is NOT
-// applied yet: it is held against this connection and restored only by a
+// offerMsg stages one drained stripe on its new owner, carrying the
+// stateMsg's encoded snapshot as it arrived. The state is NOT applied
+// yet: it is held against this connection and restored only by a
 // commitMsg, or discarded by an abortMsg or the connection closing.
 type offerMsg struct {
 	Stripe   int
 	Lo, Hi   uint64
 	NewEpoch uint64
-	Snap     *serve.Snapshot
+	Snap     []byte
 }
 
 // offerAckMsg confirms a stage. A non-empty Err refuses it.

@@ -48,6 +48,24 @@ func AppendFloat(b []byte, v float64) []byte {
 	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 }
 
+// AppendInt appends v as a zigzag varint.
+//
+//repolint:allocfree via TestPayloadWarmAllocs
+func AppendInt(b []byte, v int) []byte {
+	return binary.AppendVarint(b, int64(v))
+}
+
+// AppendList appends a count and each element of vs.
+//
+//repolint:allocfree via TestPayloadWarmAllocs
+func AppendList[T any](b []byte, vs []T, appendElem func([]byte, T) []byte) []byte {
+	b = binary.AppendUvarint(b, uint64(len(vs)))
+	for _, v := range vs {
+		b = appendElem(b, v)
+	}
+	return b
+}
+
 // AppendBool appends v as a presence byte.
 //
 //repolint:allocfree via TestPayloadWarmAllocs
@@ -184,6 +202,42 @@ func (r *PayloadReader) Text() string {
 	s := string(r.b[:n])
 	r.b = r.b[n:]
 	return s
+}
+
+// ReadList reads a count, bounded by the bytes left at minBytes per
+// element, then each element with readElem, into dst's storage when it has
+// room and into an exactly sized new slice otherwise. An empty list is
+// dst[:0], so a nil dst decodes an empty list as nil.
+//
+//repolint:allocfree via TestPayloadWarmAllocs
+func ReadList[T any](r *PayloadReader, dst []T, minBytes int, readElem func(*PayloadReader) T) []T {
+	n := r.Count(minBytes)
+	if cap(dst) < n {
+		//repolint:ignore allocfree a warm decode reuses dst; only a list longer than any before it sizes new storage
+		dst = make([]T, n)
+	}
+	dst = dst[:n]
+	for i := range dst {
+		dst[i] = readElem(r)
+	}
+	return dst
+}
+
+// Rest returns the unread bytes, for a field whose layout another package
+// owns; Skip then consumes what that package decoded.
+//
+//repolint:allocfree via TestPayloadWarmAllocs
+func (r *PayloadReader) Rest() []byte { return r.b }
+
+// Skip consumes n unread bytes.
+//
+//repolint:allocfree via TestPayloadWarmAllocs
+func (r *PayloadReader) Skip(n int) {
+	if n < 0 || n > len(r.b) {
+		r.Fail(ErrTruncated)
+		return
+	}
+	r.b = r.b[n:]
 }
 
 // Float reads the 8 little-endian bytes of an IEEE-754 value.

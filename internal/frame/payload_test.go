@@ -23,6 +23,9 @@ func TestPayloadFieldsRoundTrip(t *testing.T) {
 	b = AppendFloat(b, math.Copysign(0, -1))
 	b = AppendBool(b, true)
 	b = AppendBool(b, false)
+	b = AppendList(b, []int{-1, 1 << 40}, AppendInt)
+	b = AppendList(b, []float64{}, AppendFloat)
+	b = AppendList(b, []float64{nan}, AppendFloat)
 	r := NewPayloadReader(b)
 	if v := r.Uvarint(); v != math.MaxUint64 {
 		t.Fatalf("uvarint %d", v)
@@ -45,6 +48,16 @@ func TestPayloadFieldsRoundTrip(t *testing.T) {
 	if t1, f1 := r.Bool(), r.Bool(); !t1 || f1 {
 		t.Fatalf("bools %v %v", t1, f1)
 	}
+	if v := ReadList(&r, nil, 1, (*PayloadReader).Int); len(v) != 2 || v[0] != -1 || v[1] != 1<<40 {
+		t.Fatalf("int list %v", v)
+	}
+	if v := ReadList(&r, nil, 8, (*PayloadReader).Float); v != nil {
+		t.Fatalf("an empty list into a nil destination decoded as %#v, want nil", v)
+	}
+	reuse := make([]float64, 0, 4)
+	if v := ReadList(&r, reuse, 8, (*PayloadReader).Float); len(v) != 1 || &v[0] != &reuse[:1][0] || math.Float64bits(v[0]) != math.Float64bits(nan) {
+		t.Fatalf("float list %v did not decode into the destination's storage", v)
+	}
 	if err := r.Finish(); err != nil {
 		t.Fatal(err)
 	}
@@ -61,6 +74,8 @@ func TestPayloadFieldsRoundTrip(t *testing.T) {
 		{"presence byte 2", []byte{2}, func(r *PayloadReader) { r.Bool() }, errPresence},
 		{"short float", make([]byte, 7), func(r *PayloadReader) { r.Float() }, ErrTruncated},
 		{"trailing byte", []byte{1, 0}, func(r *PayloadReader) { r.Uvarint() }, errTrailing},
+		{"skip beyond the bytes left", []byte{1, 2}, func(r *PayloadReader) { r.Skip(3) }, ErrTruncated},
+		{"list count beyond the bytes left", []byte{2, 0, 0, 0, 0, 0, 0, 0, 0}, func(r *PayloadReader) { ReadList(r, nil, 8, (*PayloadReader).Float) }, errCount},
 	} {
 		r := NewPayloadReader(tc.p)
 		tc.read(&r)
@@ -76,15 +91,25 @@ func TestPayloadFieldsRoundTrip(t *testing.T) {
 // allocate nothing.
 func TestPayloadWarmAllocs(t *testing.T) {
 	var scratch []byte
+	ints, floats := []int{-1, 0, 300}, []float64{0.25, -2}
+	intsBack, floatsBack := make([]int, 3), make([]float64, 2)
+	var r PayloadReader // a list's element reader escapes it, so warm decoders keep theirs
 	roundTrip := func() {
 		b := binary.AppendUvarint(scratch[:0], 300)
 		b = binary.AppendVarint(b, -300)
 		b = AppendString(b, "")
 		b = AppendFloat(b, 0.5)
 		b = AppendBool(b, true)
+		b = AppendInt(b, -3)
+		b = AppendList(b, ints, AppendInt)
+		b = AppendList(b, floats, AppendFloat)
+		b = append(b, 9)
 		scratch = b
-		r := NewPayloadReader(b)
-		_, _, _, _, _ = r.Uvarint(), r.Int(), r.Text(), r.Float(), r.Bool()
+		r = NewPayloadReader(b)
+		_, _, _, _, _, _ = r.Uvarint(), r.Int(), r.Text(), r.Float(), r.Bool(), r.Int()
+		intsBack = ReadList(&r, intsBack, 1, (*PayloadReader).Int)
+		floatsBack = ReadList(&r, floatsBack, 8, (*PayloadReader).Float)
+		r.Skip(len(r.Rest()))
 		if r.Err() != nil || r.Len() != 0 || r.Finish() != nil {
 			t.Fatal("warm payload did not read back")
 		}

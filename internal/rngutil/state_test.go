@@ -2,6 +2,7 @@ package rngutil
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"math/rand"
 	"testing"
@@ -107,6 +108,58 @@ func TestSourceStateValidate(t *testing.T) {
 		st.Tap, st.Feed = c.tap, c.feed
 		if st.Validate() == nil {
 			t.Errorf("cursors tap=%d feed=%d accepted", c.tap, c.feed)
+		}
+	}
+}
+
+// TestStateLayoutRoundTrip pins AppendState's layout: a mid-stream state
+// reads back (with trailing bytes left alone) to a source that resumes the
+// stream, re-encodes to the same bytes, and every malformed variant — a
+// different word count, a cursor outside the ring, an overlong varint, a
+// missing word — is refused.
+func TestStateLayoutRoundTrip(t *testing.T) {
+	src := NewSource(11)
+	for i := 0; i < 1000; i++ {
+		src.Uint64()
+	}
+	var st SourceState
+	src.ExportState(&st)
+	enc := AppendState(nil, &st)
+	if want := 2 + 2 + 2 + 8*rngLen; len(enc) != want {
+		t.Fatalf("state encodes to %d bytes, want %d", len(enc), want)
+	}
+	var back SourceState
+	n, err := ReadState(append(enc, 0xaa), &back)
+	if err != nil || n != len(enc) {
+		t.Fatalf("ReadState: %d bytes, %v; want %d bytes", n, err, len(enc))
+	}
+	if !bytes.Equal(AppendState(nil, &back), enc) {
+		t.Fatal("a decoded state re-encodes to other bytes")
+	}
+	restored := &Source{}
+	restored.SetState(back)
+	for i := 0; i < 2000; i++ {
+		if a, b := src.Uint64(), restored.Uint64(); a != b {
+			t.Fatalf("decoded state diverges at draw %d", i)
+		}
+	}
+
+	head := func(words, tap, feed uint64) []byte {
+		b := binary.AppendUvarint(nil, words)
+		b = binary.AppendUvarint(b, tap)
+		return binary.AppendUvarint(b, feed)
+	}
+	body := enc[6:]
+	for name, b := range map[string][]byte{
+		"a 16-word state":        append(head(16, uint64(st.Tap), uint64(st.Feed)), body[:8*16]...),
+		"tap outside the ring":   append(head(rngLen, rngLen, uint64(st.Feed)), body...),
+		"overlong word count":    append([]byte{0xdf, 0x84, 0x00}, enc[2:]...),
+		"one word short":         enc[:len(enc)-8],
+		"no bytes at all":        nil,
+		"truncated cursor field": enc[:3],
+	} {
+		if _, err := ReadState(b, &back); err == nil {
+			t.Errorf("%s: accepted", name)
 		}
 	}
 }

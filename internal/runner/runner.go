@@ -251,12 +251,11 @@ type Replications struct {
 	Stream []int64
 }
 
-// SeedFor returns the independent child seed of the given replication.
+// SeedFor returns the independent child seed of the given replication:
+// ChildSeed(r.Seed, r.Stream..., run), computed as two ChildSeed steps,
+// which fold the same ids into the same bits without building their list.
 func (r Replications) SeedFor(run int) int64 {
-	ids := make([]int64, 0, len(r.Stream)+1)
-	ids = append(ids, r.Stream...)
-	ids = append(ids, int64(run))
-	return rngutil.ChildSeed(r.Seed, ids...)
+	return rngutil.ChildSeed(rngutil.ChildSeed(r.Seed, r.Stream...), int64(run))
 }
 
 // Each runs do once per replication, in parallel, handing each run its

@@ -3,6 +3,7 @@ package runner
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -105,6 +106,36 @@ func TestReplicationsSeedsMatchChildSeeds(t *testing.T) {
 		if got := r.SeedFor(run); got != want {
 			t.Fatalf("SeedFor(%d) = %d, want %d", run, got, want)
 		}
+	}
+}
+
+// TestSeedForMatchesListFormula pins SeedFor to the formula it replaced,
+// ChildSeed over the stream ids with the run appended as one list, for
+// empty, nil, short and long streams and extreme seeds and runs, and
+// checks that it no longer allocates.
+func TestSeedForMatchesListFormula(t *testing.T) {
+	listFormula := func(r Replications, run int) int64 {
+		ids := make([]int64, 0, len(r.Stream)+1)
+		ids = append(ids, r.Stream...)
+		ids = append(ids, int64(run))
+		return rngutil.ChildSeed(r.Seed, ids...)
+	}
+	for _, r := range []Replications{
+		{Seed: 99},
+		{Seed: 99, Stream: []int64{}},
+		{Seed: -1, Stream: []int64{7}},
+		{Seed: math.MinInt64, Stream: []int64{1, 2, 3, 4, 5, 6, 7, 8, 9}},
+		{Seed: math.MaxInt64, Stream: []int64{math.MinInt64, 0, math.MaxInt64}},
+	} {
+		for _, run := range []int{0, 1, 17, 1 << 20, math.MaxInt32} {
+			if got, want := r.SeedFor(run), listFormula(r, run); got != want {
+				t.Errorf("seed %d stream %v run %d: SeedFor = %d, the list formula %d", r.Seed, r.Stream, run, got, want)
+			}
+		}
+	}
+	r := Replications{Seed: 3, Stream: []int64{4, 5}}
+	if allocs := testing.AllocsPerRun(100, func() { r.SeedFor(6) }); allocs != 0 {
+		t.Fatalf("SeedFor costs %.0f allocs", allocs)
 	}
 }
 

@@ -1,41 +1,87 @@
 package serve
 
 import (
-	"encoding/gob"
+	"bufio"
+	"cmp"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 
 	"smartexp3/internal/core"
+	"smartexp3/internal/frame"
 	"smartexp3/internal/rngutil"
 )
 
 // snapshotVersion is bumped whenever the snapshot layout changes
-// incompatibly; Restore refuses mismatches loudly. Version 2 added the
-// per-device selection slot (the feedback-dedup cursor): restoring it
-// wrongly-zeroed would let pre-snapshot feedback replayed after a restart
-// double-count, so version 1 files are refused rather than guessed at.
-// Version 3 dropped the cached selection distribution from the policy
-// state (Probs, ProbsValid, IPlus, MaxP, MinP) and added UniformProbs, the
-// one cached fact the weights cannot reproduce. A version 2 file decoded
-// into this layout would lose that fact, so it is refused too.
-const snapshotVersion = 3
+// incompatibly; every read and restore path refuses a mismatch with a
+// *VersionError. Version 2 added the per-device selection slot (the
+// feedback-dedup cursor): restoring it wrongly-zeroed would let
+// pre-snapshot feedback replayed after a restart double-count. Version 3
+// dropped the cached selection distribution from the policy state and
+// added UniformProbs, the one cached fact the weights cannot reproduce.
+// Versions 1 to 3 were one gob-encoded Snapshot value. Version 4 is the
+// fixed layout below, which a snapshot holds as its in-memory form too.
+const snapshotVersion = 4
 
 // SnapshotVersion is the current snapshot layout version — what Snapshot
-// stamps and every restore path demands. Exported so the fleet layer can
-// refuse a mismatched migration payload when it is staged instead of
-// when it is committed.
+// stamps and every restore path demands.
 const SnapshotVersion = snapshotVersion
 
-// DeviceSnapshot is one active device session at rest: its policy state
-// (core.PolicyState preserves every weight view bit for bit and leaves out
-// the selection distribution, which the policy recomputes; see that type's
-// doc) plus its generator cursor, the unanswered selection, and the
-// selection slot. It is the element of Snapshot.Devices, the shape in
-// which callers that read, edit or merge snapshots see each device.
+// The v4 snapshot stream is a magic string, then the header and each
+// device record as a frame of a 4-byte little-endian length and that many
+// bytes:
+//
+//	stream = "SXP3SNAP" · frame(header) · frame(record) × count
+//	header = version · algorithm · seed · dropped · count
+//	record = device · pending · slot · generator · policy
+//
+// Fields use the frame package's field encodings: an unsigned field
+// (device, slot, dropped, count) is a canonical uvarint, a signed one
+// (version, algorithm, seed, pending and every int of the policy state) a
+// canonical zigzag varint, a float the 8 little-endian bytes of its
+// IEEE-754 bits, a bool a 0/1 byte, and a list a uvarint count then its
+// elements, written at its actual length. Records follow in strictly
+// ascending device order, and nothing follows the last one.
+//
+// generator is the device's rngutil.SourceState in the layout rngutil
+// owns (AppendState): its word count, its two cursors, then its words.
+// policy is every core.PolicyState field in declaration order:
+//
+//	Available []int · LogW, WExp, Tree []float64 · SumW, Shift float ·
+//	UniformProbs bool · Explore []int · BlockIdx int · Gamma float ·
+//	Cur int · SelProb float · BlockLen, SlotIn int · BlockGain float ·
+//	Window []float64 · CurIsSB, NeedBlock bool · PrevNet int ·
+//	PrevWindow []float64 · PrevWasSB bool · PendingSB int ·
+//	X []int · SumGain []float64 · CntGain, SlotsOn []int ·
+//	CondAFailed bool · YThreshold int · GreedyWasEligible bool ·
+//	DropRef float · DropCount, Resets, Switches, SwitchBacks,
+//	LastGlobal, TotalSlots int
+//
+// The layout is canonical: a record decodes only if re-encoding the
+// result reproduces it byte for byte, so equal store states encode to
+// equal bytes whatever path produced the records.
+const snapshotMagic = "SXP3SNAP"
+
+// VersionError refuses a snapshot of another layout version, naming both.
+type VersionError struct {
+	Got, Want int
+}
+
+func (e *VersionError) Error() string {
+	return fmt.Sprintf("serve: snapshot version %d, want %d", e.Got, e.Want)
+}
+
+// DeviceSnapshot is one device session at rest, decoded: its policy
+// state (core.PolicyState preserves every weight view bit for bit and
+// leaves out the selection distribution, which the policy recomputes; see
+// that type's doc) plus its generator cursor, the unanswered selection,
+// and the selection slot. It is what a DeviceRecord decodes to, and what
+// a caller that inspects or edits one device works on.
 type DeviceSnapshot struct {
 	Device  uint64
 	Pending int
@@ -47,7 +93,7 @@ type DeviceSnapshot struct {
 // Validate checks the record's policy state and generator state, so a
 // corrupt record is refused instead of restoring a policy or a stream no
 // store produces. ReadSnapshot calls it; the restore paths and fleet
-// staging call Store.CheckRecord, which adds the store's own bounds.
+// staging call Store.CheckSnapshot, which adds the store's own bounds.
 func (ds *DeviceSnapshot) Validate() error {
 	if err := ds.State.Validate(); err != nil {
 		return err
@@ -55,16 +101,145 @@ func (ds *DeviceSnapshot) Validate() error {
 	return ds.Rng.Validate()
 }
 
-// Snapshot is a Store's portable state. Devices are sorted by id, so the
-// encoded bytes are a deterministic function of the store's logical state —
+// Record encodes ds as a v4 record.
+func (ds *DeviceSnapshot) Record() DeviceRecord {
+	return DeviceRecord{Device: ds.Device, Record: string(appendRecord(nil, ds))}
+}
+
+// DeviceRecord is one device's entry in a snapshot: its id and its v4
+// record. The record is a string, so no holder can change a snapshot's
+// records in place; a captured record is a substring of one allocation
+// that holds its whole shard's records, so a snapshot keeps its record
+// bytes plus 24 bytes of index per device.
+type DeviceRecord struct {
+	Device uint64
+	Record string
+}
+
+// Decode decodes the record into ds, reusing ds's slices where their
+// capacity allows.
+func (rec DeviceRecord) Decode(ds *DeviceSnapshot) error {
+	var r frame.PayloadReader
+	return decodeRecord(&r, []byte(rec.Record), ds)
+}
+
+// appendRecord appends ds's v4 record to b.
+func appendRecord(b []byte, ds *DeviceSnapshot) []byte {
+	b = binary.AppendUvarint(b, ds.Device)
+	b = frame.AppendInt(b, ds.Pending)
+	b = binary.AppendUvarint(b, ds.Slot)
+	b = rngutil.AppendState(b, &ds.Rng)
+	s := &ds.State
+	b = frame.AppendList(b, s.Available, frame.AppendInt)
+	b = frame.AppendList(b, s.LogW, frame.AppendFloat)
+	b = frame.AppendList(b, s.WExp, frame.AppendFloat)
+	b = frame.AppendList(b, s.Tree, frame.AppendFloat)
+	b = frame.AppendFloat(b, s.SumW)
+	b = frame.AppendFloat(b, s.Shift)
+	b = frame.AppendBool(b, s.UniformProbs)
+	b = frame.AppendList(b, s.Explore, frame.AppendInt)
+	b = frame.AppendInt(b, s.BlockIdx)
+	b = frame.AppendFloat(b, s.Gamma)
+	b = frame.AppendInt(b, s.Cur)
+	b = frame.AppendFloat(b, s.SelProb)
+	b = frame.AppendInt(b, s.BlockLen)
+	b = frame.AppendInt(b, s.SlotIn)
+	b = frame.AppendFloat(b, s.BlockGain)
+	b = frame.AppendList(b, s.Window, frame.AppendFloat)
+	b = frame.AppendBool(b, s.CurIsSB)
+	b = frame.AppendBool(b, s.NeedBlock)
+	b = frame.AppendInt(b, s.PrevNet)
+	b = frame.AppendList(b, s.PrevWindow, frame.AppendFloat)
+	b = frame.AppendBool(b, s.PrevWasSB)
+	b = frame.AppendInt(b, s.PendingSB)
+	b = frame.AppendList(b, s.X, frame.AppendInt)
+	b = frame.AppendList(b, s.SumGain, frame.AppendFloat)
+	b = frame.AppendList(b, s.CntGain, frame.AppendInt)
+	b = frame.AppendList(b, s.SlotsOn, frame.AppendInt)
+	b = frame.AppendBool(b, s.CondAFailed)
+	b = frame.AppendInt(b, s.YThreshold)
+	b = frame.AppendBool(b, s.GreedyWasEligible)
+	b = frame.AppendFloat(b, s.DropRef)
+	b = frame.AppendInt(b, s.DropCount)
+	b = frame.AppendInt(b, s.Resets)
+	b = frame.AppendInt(b, s.Switches)
+	b = frame.AppendInt(b, s.SwitchBacks)
+	b = frame.AppendInt(b, s.LastGlobal)
+	return frame.AppendInt(b, s.TotalSlots)
+}
+
+// decodeRecord decodes the v4 record p into ds through r, reusing ds's
+// slices. Every varint must be canonical, every list count is bounded by
+// the bytes left before storage is sized, the generator's cursors must lie
+// inside its ring, and nothing may follow the last field; an empty list
+// decodes as nil into a fresh ds. Whether the state is one a store
+// produces is Validate's question. The caller holds r because the list
+// reads make it escape, so a loop of decodes reuses one.
+func decodeRecord(r *frame.PayloadReader, p []byte, ds *DeviceSnapshot) error {
+	*r = frame.NewPayloadReader(p)
+	ds.Device = r.Uvarint()
+	ds.Pending = r.Int()
+	ds.Slot = r.Uvarint()
+	if r.Err() == nil {
+		n, err := rngutil.ReadState(r.Rest(), &ds.Rng)
+		if err != nil {
+			r.Fail(err)
+		}
+		r.Skip(n)
+	}
+	const intBytes, floatBytes = 1, 8 // the least bytes a list element takes
+	readInt, readFloat := (*frame.PayloadReader).Int, (*frame.PayloadReader).Float
+	s := &ds.State
+	s.Available = frame.ReadList(r, s.Available, intBytes, readInt)
+	s.LogW = frame.ReadList(r, s.LogW, floatBytes, readFloat)
+	s.WExp = frame.ReadList(r, s.WExp, floatBytes, readFloat)
+	s.Tree = frame.ReadList(r, s.Tree, floatBytes, readFloat)
+	s.SumW = r.Float()
+	s.Shift = r.Float()
+	s.UniformProbs = r.Bool()
+	s.Explore = frame.ReadList(r, s.Explore, intBytes, readInt)
+	s.BlockIdx = r.Int()
+	s.Gamma = r.Float()
+	s.Cur = r.Int()
+	s.SelProb = r.Float()
+	s.BlockLen = r.Int()
+	s.SlotIn = r.Int()
+	s.BlockGain = r.Float()
+	s.Window = frame.ReadList(r, s.Window, floatBytes, readFloat)
+	s.CurIsSB = r.Bool()
+	s.NeedBlock = r.Bool()
+	s.PrevNet = r.Int()
+	s.PrevWindow = frame.ReadList(r, s.PrevWindow, floatBytes, readFloat)
+	s.PrevWasSB = r.Bool()
+	s.PendingSB = r.Int()
+	s.X = frame.ReadList(r, s.X, intBytes, readInt)
+	s.SumGain = frame.ReadList(r, s.SumGain, floatBytes, readFloat)
+	s.CntGain = frame.ReadList(r, s.CntGain, intBytes, readInt)
+	s.SlotsOn = frame.ReadList(r, s.SlotsOn, intBytes, readInt)
+	s.CondAFailed = r.Bool()
+	s.YThreshold = r.Int()
+	s.GreedyWasEligible = r.Bool()
+	s.DropRef = r.Float()
+	s.DropCount = r.Int()
+	s.Resets = r.Int()
+	s.Switches = r.Int()
+	s.SwitchBacks = r.Int()
+	s.LastGlobal = r.Int()
+	s.TotalSlots = r.Int()
+	return r.Finish()
+}
+
+// Snapshot is a Store's portable state: a header and an index of device
+// records sorted by id. A record is the device's encoding, so the encoded
+// bytes are a deterministic function of the store's logical state —
 // independent of shard count, map iteration order, or which shard was
-// visited first.
+// visited first — and writing a snapshot out is a copy.
 type Snapshot struct {
 	Version   int
 	Algorithm core.Algorithm
 	Seed      int64
 	Dropped   uint64
-	Devices   []DeviceSnapshot
+	Devices   []DeviceRecord
 }
 
 // Snapshot captures every active device session. Shards are locked one at a
@@ -83,13 +258,9 @@ type Snapshot struct {
 // count a first pass over the shards finds, so a quiescent store's
 // snapshot has cap(Devices) == len(Devices); a device that joins between
 // that pass and its shard's copy grows Devices by exactly what that shard
-// needs. Each shard's records take their policy-state slices from two
-// arenas, one []float64 and one []int, sized under the shard lock, so a
-// snapshot makes a few allocations per shard, not a dozen per device.
-// Every record slice's capacity ends where the arena region reserved for
-// it does, so a holder may append to any of them: an append that outgrows
-// the region copies out, and none writes into another slice of its record
-// or into a neighbour's.
+// needs. Each shard's devices are encoded under its lock into a scratch
+// buffer the capture drops when it returns, and their records are then
+// copied into one string of exactly their length.
 func (s *Store) Snapshot() *Snapshot {
 	return &Snapshot{
 		Version:   snapshotVersion,
@@ -123,10 +294,11 @@ func (s *Store) SnapshotRange(lo, hi uint64) *Snapshot {
 	}
 }
 
-// capture copies the sessions whose routing key lies in [lo, hi] into
-// records sorted by device id. A first pass counts them, one shard lock at
-// a time, and the copy allocates Devices at that count; see Snapshot.
-func (s *Store) capture(lo, hi uint64) []DeviceSnapshot {
+// capture encodes the sessions whose routing key lies in [lo, hi] and
+// returns their index sorted by device id. A first pass counts them, one
+// shard lock at a time, and the index is allocated at that count; see
+// Snapshot.
+func (s *Store) capture(lo, hi uint64) []DeviceRecord {
 	in := func(id uint64) bool {
 		k := RouteKey(id)
 		return lo <= k && k <= hi
@@ -142,66 +314,63 @@ func (s *Store) capture(lo, hi uint64) []DeviceSnapshot {
 		}
 		sh.mu.Unlock()
 	}
-	devs := make([]DeviceSnapshot, 0, n)
+	idx := make([]DeviceRecord, 0, n)
+	c := new(captureScratch)
 	for si := range s.shards {
 		sh := &s.shards[si]
 		sh.mu.Lock()
-		devs = s.captureShard(sh, devs, in)
+		idx = c.captureShard(sh, idx, in)
 		sh.mu.Unlock()
 	}
-	sort.Slice(devs, func(i, j int) bool { return devs[i].Device < devs[j].Device })
-	return devs
+	slices.SortFunc(idx, func(a, b DeviceRecord) int { return cmp.Compare(a.Device, b.Device) })
+	return idx
 }
 
-// captureShard appends sh's sessions that in admits to devs. Caller holds
-// sh.mu.
-//
-// The arenas are sized from each device's arm count k: LogW, WExp and
-// SumGain hold k floats, Tree k+1 and each switch-back window at most
-// Policy.SwitchBackWindow; Available, X, CntGain and SlotsOn hold k ints
-// and Explore at most k. ExportState appends into each slice's capacity,
-// so handing it arena slices whose capacity is that bound makes it
-// allocate nothing.
-func (s *Store) captureShard(sh *shard, devs []DeviceSnapshot, in func(uint64) bool) []DeviceSnapshot {
-	w := s.cfg.Policy.SwitchBackWindow
-	cnt, nf, ni := 0, 0, 0
+// captureScratch is one capture's encoding state: the buffer a shard's
+// records are encoded into, where each ends, and the decoded form each
+// device is exported through. It lives only as long as the capture.
+type captureScratch struct {
+	buf  []byte
+	ends []int
+	ds   DeviceSnapshot
+}
+
+// captureShard appends sh's sessions that in admits to idx, their records
+// encoded into the scratch buffer and then copied, together, into one
+// string sized exactly. Caller holds sh.mu.
+func (c *captureScratch) captureShard(sh *shard, idx []DeviceRecord, in func(uint64) bool) []DeviceRecord {
+	cnt := 0
+	for id := range sh.devices {
+		if in(id) {
+			cnt++
+		}
+	}
+	if len(idx)+cnt > cap(idx) { // joined since the count: grow by this shard's need
+		idx = append(make([]DeviceRecord, 0, len(idx)+cnt), idx...)
+	}
+	first := len(idx)
+	c.buf, c.ends = c.buf[:0], slices.Grow(c.ends[:0], cnt)
+	ds := &c.ds
 	for id, dev := range sh.devices {
 		if !in(id) {
 			continue
 		}
-		k := len(dev.policy.Available())
-		cnt++
-		nf += 4*k + 1 + 2*w
-		ni += 5 * k
-	}
-	if len(devs)+cnt > cap(devs) { // joined since the count: grow by this shard's need
-		devs = append(make([]DeviceSnapshot, 0, len(devs)+cnt), devs...)
-	}
-	fa, ia := make([]float64, nf), make([]int, ni)
-	for id, dev := range sh.devices {
-		if !in(id) {
-			continue
-		}
-		devs = devs[:len(devs)+1]
-		ds := &devs[len(devs)-1]
 		ds.Device, ds.Pending, ds.Slot = id, dev.pending, dev.slot
 		dev.src.ExportState(&ds.Rng)
-		k := len(dev.policy.Available())
-		st := &ds.State
-		st.Available, ia = ia[:0:k], ia[k:]
-		st.Explore, ia = ia[:0:k], ia[k:]
-		st.X, ia = ia[:0:k], ia[k:]
-		st.CntGain, ia = ia[:0:k], ia[k:]
-		st.SlotsOn, ia = ia[:0:k], ia[k:]
-		st.LogW, fa = fa[:0:k], fa[k:]
-		st.WExp, fa = fa[:0:k], fa[k:]
-		st.Tree, fa = fa[:0:k+1], fa[k+1:]
-		st.SumGain, fa = fa[:0:k], fa[k:]
-		st.Window, fa = fa[:0:w], fa[w:]
-		st.PrevWindow, fa = fa[:0:w], fa[w:]
-		dev.policy.ExportState(st)
+		dev.policy.ExportState(&ds.State)
+		c.buf = appendRecord(c.buf, ds)
+		if len(c.ends) == 0 { // size the buffer for the shard by its first record
+			c.buf = slices.Grow(c.buf, (cnt-1)*len(c.buf)*9/8)
+		}
+		c.ends = append(c.ends, len(c.buf))
+		idx = append(idx, DeviceRecord{Device: id})
 	}
-	return devs
+	records, start := string(c.buf), 0
+	for i, end := range c.ends {
+		idx[first+i].Record = records[start:end]
+		start = end
+	}
+	return idx
 }
 
 // RemoveRange retires every device session whose routing key lies in
@@ -228,46 +397,202 @@ func (s *Store) RemoveRange(lo, hi uint64) int {
 	return removed
 }
 
-// Encode writes the snapshot as a gob stream.
+// Encode writes the snapshot in the v4 layout: the header, then the
+// records in index order. It makes no allocation per device.
 func (sn *Snapshot) Encode(w io.Writer) error {
-	if err := gob.NewEncoder(w).Encode(sn); err != nil {
+	bw := bufio.NewWriterSize(w, 64<<10)
+	bw.WriteString(snapshotMagic)
+	head := frame.AppendInt(nil, sn.Version)
+	head = frame.AppendInt(head, int(sn.Algorithm))
+	head = binary.AppendVarint(head, sn.Seed)
+	head = binary.AppendUvarint(head, sn.Dropped)
+	head = binary.AppendUvarint(head, uint64(len(sn.Devices)))
+	var size [4]byte
+	binary.LittleEndian.PutUint32(size[:], uint32(len(head)))
+	bw.Write(size[:])
+	bw.Write(head)
+	for i := range sn.Devices {
+		rec := sn.Devices[i].Record
+		binary.LittleEndian.PutUint32(size[:], uint32(len(rec)))
+		bw.Write(size[:])
+		bw.WriteString(rec)
+	}
+	if err := bw.Flush(); err != nil { // bufio.Writer keeps its first error
 		return fmt.Errorf("serve: encode snapshot: %w", err)
 	}
 	return nil
 }
 
-// ReadSnapshot decodes a snapshot and validates its header and every
-// device record, so a corrupt file fails here rather than half-applying in
-// Restore.
+// ReadSnapshot reads a v4 snapshot one record at a time and validates
+// each as it goes: varints canonical, every count bounded by the bytes
+// left, each record's policy and generator state valid (Validate), device
+// ids strictly ascending, and no bytes after the last record. A corrupt
+// stream therefore fails here rather than half-applying in Restore. A
+// snapshot of an earlier version is refused with a *VersionError.
 func ReadSnapshot(r io.Reader) (*Snapshot, error) {
-	var sn Snapshot
-	if err := gob.NewDecoder(r).Decode(&sn); err != nil {
-		return nil, fmt.Errorf("serve: decode snapshot: %w", err)
+	br := bufio.NewReaderSize(r, 64<<10)
+	if magic, err := br.Peek(len(snapshotMagic)); err != nil || string(magic) != snapshotMagic {
+		return nil, notV4(br)
 	}
-	if sn.Version != snapshotVersion {
-		return nil, fmt.Errorf("serve: snapshot version %d, want %d", sn.Version, snapshotVersion)
+	br.Discard(len(snapshotMagic))
+	buf, err := readFrame(br, nil)
+	if err != nil {
+		return nil, fmt.Errorf("serve: decode snapshot header: %w", err)
 	}
-	for i := range sn.Devices {
-		ds := &sn.Devices[i]
-		if err := ds.Validate(); err != nil {
+	h := frame.NewPayloadReader(buf)
+	sn := &Snapshot{Version: h.Int()}
+	if h.Err() == nil && sn.Version != snapshotVersion {
+		return nil, &VersionError{Got: sn.Version, Want: snapshotVersion}
+	}
+	sn.Algorithm = core.Algorithm(h.Int())
+	sn.Seed = h.Int64()
+	sn.Dropped = h.Uvarint()
+	count := h.Uvarint()
+	if err := h.Finish(); err != nil {
+		return nil, fmt.Errorf("serve: decode snapshot header: %w", err)
+	}
+	// count is untrusted until its records arrive, so it only caps the
+	// index's first allocation. Records are read back to back into chunk
+	// and stored a chunk at a time, as one string their index entries share.
+	sn.Devices = make([]DeviceRecord, 0, min(count, 1<<16))
+	var (
+		ds    DeviceSnapshot
+		rd    frame.PayloadReader
+		chunk = make([]byte, 0, readChunk)
+		ends  []int // where each record in chunk ends
+	)
+	store := func() {
+		records, start, first := string(chunk), 0, len(sn.Devices)-len(ends)
+		for i, end := range ends {
+			sn.Devices[first+i].Record = records[start:end]
+			start = end
+		}
+		chunk, ends = chunk[:0], ends[:0]
+	}
+	for i := uint64(0); i < count; i++ {
+		start := len(chunk)
+		if chunk, err = readFrame(br, chunk); err != nil {
+			return nil, fmt.Errorf("serve: snapshot record %d of %d: %w", i, count, err)
+		}
+		err := decodeRecord(&rd, chunk[start:], &ds)
+		if err == nil {
+			err = ds.Validate()
+		}
+		if err != nil {
 			return nil, fmt.Errorf("serve: snapshot device %d: %w", ds.Device, err)
 		}
-		if i > 0 && sn.Devices[i-1].Device >= ds.Device {
+		if n := len(sn.Devices); n > 0 && sn.Devices[n-1].Device >= ds.Device {
 			return nil, fmt.Errorf("serve: snapshot devices not strictly ascending at %d", ds.Device)
 		}
+		sn.Devices = append(sn.Devices, DeviceRecord{Device: ds.Device})
+		if ends = append(ends, len(chunk)); len(chunk) >= readChunk {
+			store()
+		}
 	}
-	return &sn, nil
+	store()
+	if _, err := br.ReadByte(); err == nil {
+		return nil, errors.New("serve: trailing bytes after the snapshot's last record")
+	} else if err != io.EOF {
+		return nil, fmt.Errorf("serve: decode snapshot: %w", err)
+	}
+	return sn, nil
 }
 
-// Restore replaces the store's device sessions with the snapshot's. The
-// snapshot must come from a store with the same algorithm and seed — those
-// are part of the determinism contract, not per-device state. Existing
-// sessions are dropped, not pooled, so the replaced store is garbage once
-// Restore returns; restored sessions resume bit-identical to never having
-// stopped.
-func (s *Store) Restore(sn *Snapshot) error {
+// readChunk is how many record bytes ReadSnapshot gathers before storing
+// them as one string.
+const readChunk = 1 << 20
+
+// readFrame reads one length-prefixed frame of the snapshot stream and
+// appends its bytes to buf. The storage grows as the bytes arrive, so a
+// corrupt length costs no more memory than the stream holds.
+func readFrame(br *bufio.Reader, buf []byte) ([]byte, error) {
+	size, err := br.Peek(4)
+	if err != nil {
+		return buf, io.ErrUnexpectedEOF
+	}
+	end := len(buf) + int(binary.LittleEndian.Uint32(size))
+	br.Discard(4)
+	for len(buf) < end {
+		k := min(end-len(buf), readChunk)
+		buf = slices.Grow(buf, k)
+		if _, err := io.ReadFull(br, buf[len(buf):len(buf)+k]); err != nil {
+			return buf, io.ErrUnexpectedEOF
+		}
+		buf = buf[:len(buf)+k]
+	}
+	return buf, nil
+}
+
+// notV4 explains a stream that does not open with the v4 magic: a
+// snapshot of versions 1 to 3, which were one gob-encoded Snapshot value,
+// is refused with a *VersionError naming its version; anything else is
+// not a snapshot.
+func notV4(br *bufio.Reader) error {
+	b, _ := br.Peek(16 << 10) // the type definitions ahead of the value fit easily
+	if v, ok := gobSnapshotVersion(b); ok {
+		return &VersionError{Got: v, Want: snapshotVersion}
+	}
+	return errors.New("serve: not a snapshot stream")
+}
+
+// gobSnapshotVersion reads the Version field of a gob-encoded Snapshot
+// without a gob decoder. A gob stream is a sequence of messages, each a
+// byte count and a type id; negative ids define types, and the first
+// positive one carries the value, whose fields are (delta, value) pairs.
+// Version is the struct's first field, so its pair leads the value.
+func gobSnapshotVersion(b []byte) (int, bool) {
+	for len(b) > 0 {
+		n, rest, ok := gobUint(b)
+		if !ok || n > uint64(len(rest)) {
+			return 0, false
+		}
+		msg := rest[:n]
+		b = rest[n:]
+		id, msg, ok := gobUint(msg)
+		if !ok {
+			return 0, false
+		}
+		if id&1 == 1 { // a negative id: a type definition
+			continue
+		}
+		delta, msg, ok := gobUint(msg)
+		if !ok || delta != 1 {
+			return 0, false
+		}
+		v, _, ok := gobUint(msg)
+		if !ok || v&1 == 1 || v>>1 > math.MaxInt32 { // a non-negative int
+			return 0, false
+		}
+		return int(v >> 1), true
+	}
+	return 0, false
+}
+
+// gobUint decodes one gob unsigned integer: a byte below 128 is the value;
+// otherwise the byte is the negated count of big-endian bytes that follow.
+func gobUint(b []byte) (uint64, []byte, bool) {
+	if len(b) == 0 {
+		return 0, nil, false
+	}
+	if b[0] < 0x80 {
+		return uint64(b[0]), b[1:], true
+	}
+	n := 256 - int(b[0])
+	if n > 8 || len(b) < 1+n {
+		return 0, nil, false
+	}
+	var v uint64
+	for _, c := range b[1 : 1+n] {
+		v = v<<8 | uint64(c)
+	}
+	return v, b[1+n:], true
+}
+
+// checkIdentity refuses a snapshot of another version, algorithm or seed:
+// those are part of the determinism contract, not per-device state.
+func (s *Store) checkIdentity(sn *Snapshot) error {
 	if sn.Version != snapshotVersion {
-		return fmt.Errorf("serve: snapshot version %d, want %d", sn.Version, snapshotVersion)
+		return &VersionError{Got: sn.Version, Want: snapshotVersion}
 	}
 	if sn.Algorithm != s.cfg.Algorithm {
 		return fmt.Errorf("serve: snapshot is %v state, store serves %v", sn.Algorithm, s.cfg.Algorithm)
@@ -275,6 +600,15 @@ func (s *Store) Restore(sn *Snapshot) error {
 	if sn.Seed != s.cfg.Seed {
 		return fmt.Errorf("serve: snapshot seed %d, store seed %d", sn.Seed, s.cfg.Seed)
 	}
+	return nil
+}
+
+// Restore replaces the store's device sessions with the snapshot's. The
+// snapshot must come from a store with the same algorithm and seed.
+// Existing sessions are dropped, not pooled, so the replaced store is
+// garbage once Restore returns; restored sessions resume bit-identical to
+// never having stopped.
+func (s *Store) Restore(sn *Snapshot) error {
 	restored, err := s.buildDevices(sn)
 	if err != nil {
 		return err
@@ -311,40 +645,70 @@ func (s *Store) buildDevices(sn *Snapshot) ([]*device, error) {
 		now = s.cfg.Clock().UnixNano()
 	}
 	restored := make([]*device, len(sn.Devices))
-	for i := range sn.Devices {
-		ds := &sn.Devices[i]
-		if err := s.CheckRecord(ds); err != nil {
-			return nil, err
-		}
+	err := s.eachRecord(sn, func(i int, ds *DeviceSnapshot) error {
 		dev := new(device)
 		dev.init(&s.cfg, ds.State.Available)
 		dev.src.SetState(ds.Rng)
 		if err := dev.policy.ImportState(&ds.State, &dev.rng); err != nil {
-			return nil, fmt.Errorf("serve: snapshot device %d: %w", ds.Device, err)
+			return err
 		}
 		dev.pending, dev.slot, dev.lastTouch = ds.Pending, ds.Slot, now
 		restored[i] = dev
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return restored, nil
 }
 
-// CheckRecord reports whether ds can restore into this store: it must
-// pass Validate, keep its switch-back windows within the policy's
-// SwitchBackWindow (core.PolicyState.ValidateFor), and hold no more arms
-// than MaxArms, the bound Select holds live requests to. Both restore
-// paths call it before touching live state, and fleet staging calls it
-// when a stripe is offered, so a commit cannot fail on a record staging
-// accepted. The error names the device.
-func (s *Store) CheckRecord(ds *DeviceSnapshot) error {
-	err := ds.State.ValidateFor(s.cfg.Policy)
-	if err == nil {
-		err = ds.Rng.Validate()
+// CheckSnapshot reports whether Restore and RestoreRange would accept sn,
+// without touching the store: its version, algorithm and seed must match,
+// and every record must decode to a state that passes Validate, keeps its
+// switch-back windows within the policy's SwitchBackWindow
+// (core.PolicyState.ValidateFor), and holds no more arms than MaxArms, the
+// bound Select holds live requests to. Fleet staging calls it when a
+// stripe is offered, so a commit cannot fail on a snapshot staging
+// accepted. A record's error names its device.
+func (s *Store) CheckSnapshot(sn *Snapshot) error {
+	return s.eachRecord(sn, func(int, *DeviceSnapshot) error { return nil })
+}
+
+// eachRecord checks sn's identity, then decodes its records in index
+// order through one reused DeviceSnapshot, checks each against the
+// store's bounds (see CheckSnapshot) and hands it to fn, stopping at the
+// first failure.
+func (s *Store) eachRecord(sn *Snapshot, fn func(i int, ds *DeviceSnapshot) error) error {
+	if err := s.checkIdentity(sn); err != nil {
+		return err
 	}
-	if k := len(ds.State.Available); err == nil && k > s.cfg.MaxArms {
-		err = fmt.Errorf("%d arms exceeds the %d limit", k, s.cfg.MaxArms)
-	}
-	if err != nil {
-		return fmt.Errorf("serve: snapshot device %d: %w", ds.Device, err)
+	var (
+		ds  DeviceSnapshot
+		r   frame.PayloadReader
+		buf []byte
+	)
+	for i := range sn.Devices {
+		rec := &sn.Devices[i]
+		buf = append(buf[:0], rec.Record...)
+		err := decodeRecord(&r, buf, &ds)
+		if err == nil && ds.Device != rec.Device {
+			err = fmt.Errorf("record holds device %d", ds.Device)
+		}
+		if err == nil {
+			err = ds.State.ValidateFor(s.cfg.Policy)
+		}
+		if err == nil {
+			err = ds.Rng.Validate()
+		}
+		if k := len(ds.State.Available); err == nil && k > s.cfg.MaxArms {
+			err = fmt.Errorf("%d arms exceeds the %d limit", k, s.cfg.MaxArms)
+		}
+		if err == nil {
+			err = fn(i, &ds)
+		}
+		if err != nil {
+			return fmt.Errorf("serve: snapshot device %d: %w", rec.Device, err)
+		}
 	}
 	return nil
 }
@@ -359,15 +723,6 @@ func (s *Store) CheckRecord(ds *DeviceSnapshot) error {
 // is the newer truth, cut after writes to the range were barred on the old
 // owner.
 func (s *Store) RestoreRange(sn *Snapshot) error {
-	if sn.Version != snapshotVersion {
-		return fmt.Errorf("serve: snapshot version %d, want %d", sn.Version, snapshotVersion)
-	}
-	if sn.Algorithm != s.cfg.Algorithm {
-		return fmt.Errorf("serve: snapshot is %v state, store serves %v", sn.Algorithm, s.cfg.Algorithm)
-	}
-	if sn.Seed != s.cfg.Seed {
-		return fmt.Errorf("serve: snapshot seed %d, store seed %d", sn.Seed, s.cfg.Seed)
-	}
 	restored, err := s.buildDevices(sn)
 	if err != nil {
 		return err

@@ -1,0 +1,421 @@
+package serve
+
+import (
+	"bytes"
+	"encoding/binary"
+	"encoding/gob"
+	"errors"
+	"fmt"
+	"io"
+	"math"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"testing"
+
+	"smartexp3/internal/core"
+	"smartexp3/internal/frame"
+	"smartexp3/internal/rngutil"
+)
+
+// encodeStream returns sn's v4 stream.
+func encodeStream(tb testing.TB, sn *Snapshot) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	if err := sn.Encode(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// gobDevice passes ds through gob, the snapshot encoding before version 4.
+func gobDevice(t *testing.T, ds *DeviceSnapshot) DeviceSnapshot {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(ds); err != nil {
+		t.Fatal(err)
+	}
+	var out DeviceSnapshot
+	if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// sameValue is reflect.DeepEqual except that two NaNs with the same bits
+// are equal and −0 equals +0 (gob drops a −0 struct field as a zero value;
+// the codec keeps its bits, which TestSnapshotCodecMatchesGob checks
+// separately).
+func sameValue(a, b reflect.Value) bool {
+	switch a.Kind() {
+	case reflect.Float64:
+		x, y := a.Float(), b.Float()
+		return x == y || math.Float64bits(x) == math.Float64bits(y)
+	case reflect.Slice:
+		if a.IsNil() != b.IsNil() || a.Len() != b.Len() {
+			return false
+		}
+		fallthrough
+	case reflect.Array:
+		for i := 0; i < a.Len(); i++ {
+			if !sameValue(a.Index(i), b.Index(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Struct:
+		for i := 0; i < a.NumField(); i++ {
+			if !sameValue(a.Field(i), b.Field(i)) {
+				return false
+			}
+		}
+		return true
+	}
+	return a.Equal(b)
+}
+
+// TestSnapshotCodecMatchesGob pins the v4 record to the encoding it
+// replaced: every device decodes to the value a gob round trip of the same
+// device yields — empty lists decode as nil, as gob's did — and re-encodes
+// to the same bytes. Every float keeps its exact bits, −0 and NaN payloads
+// included, and every strict prefix of a record is refused.
+func TestSnapshotCodecMatchesGob(t *testing.T) {
+	live := churnedStore(t, Config{Shards: 2}, 6, 25)
+	captured := live.Snapshot().Devices
+	negZero, nan := math.Copysign(0, -1), math.Float64frombits(0x7ff8_0000_dead_beef)
+
+	var odd DeviceSnapshot
+	if err := captured[0].Decode(&odd); err != nil {
+		t.Fatal(err)
+	}
+	odd.State.SumW, odd.State.Gamma, odd.State.DropRef = negZero, nan, math.Inf(-1)
+	odd.State.LogW[0], odd.State.Window = nan, []float64{negZero, nan}
+	odd.Pending, odd.Slot = -1, math.MaxUint64
+	empty := DeviceSnapshot{State: emptyListState()}
+
+	cases := map[string]*DeviceSnapshot{
+		"zero":         {},
+		"empty lists":  &empty,
+		"−0, NaN, Inf": &odd,
+	}
+	for _, rec := range captured {
+		var ds DeviceSnapshot
+		if err := rec.Decode(&ds); err != nil {
+			t.Fatal(err)
+		}
+		cases[fmt.Sprintf("captured device %d", rec.Device)] = &ds
+	}
+	for name, ds := range cases {
+		p := appendRecord(nil, ds)
+		var got DeviceSnapshot
+		var r frame.PayloadReader
+		if err := decodeRecord(&r, p, &got); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if want := gobDevice(t, ds); !sameValue(reflect.ValueOf(got), reflect.ValueOf(want)) {
+			t.Errorf("%s: codec decoded %+v, gob %+v", name, got.State, want.State)
+		}
+		if q := appendRecord(nil, &got); !bytes.Equal(q, p) {
+			t.Errorf("%s: re-encoding differs", name)
+		}
+		for n := 0; n < len(p); n++ {
+			var short DeviceSnapshot
+			if decodeRecord(&r, p[:n], &short) == nil {
+				t.Fatalf("%s: %d-byte prefix of a %d-byte record decoded", name, n, len(p))
+			}
+		}
+	}
+	// The bits gob normalizes away, kept exactly.
+	var back DeviceSnapshot
+	if err := odd.Record().Decode(&back); err != nil {
+		t.Fatal(err)
+	}
+	if !math.Signbit(back.State.SumW) || math.Float64bits(back.State.Gamma) != math.Float64bits(nan) ||
+		math.Float64bits(back.State.LogW[0]) != math.Float64bits(nan) || !math.Signbit(back.State.Window[0]) {
+		t.Fatal("a record lost a −0 or a NaN payload")
+	}
+}
+
+// emptyListState is a policy state whose every list is empty but not nil.
+func emptyListState() (s core.PolicyState) {
+	s.Available, s.Explore, s.X, s.CntGain, s.SlotsOn = []int{}, []int{}, []int{}, []int{}, []int{}
+	s.LogW, s.WExp, s.Tree, s.SumGain = []float64{}, []float64{}, []float64{}, []float64{}
+	s.Window, s.PrevWindow = []float64{}, []float64{}
+	return s
+}
+
+// leafSetter sets one leaf field, named by path, inside a zero value of
+// the walked type.
+type leafSetter struct {
+	path string
+	set  func(v reflect.Value)
+}
+
+// leafSetters walks typ by reflection and returns one setter per leaf
+// field, reaching into slices (one element) and arrays (the first and
+// last elements). Every value it sets is one the record decodes as it is:
+// 5 for integers, which every cursor bound admits. A field of a kind the
+// record has no encoding for fails the test.
+func leafSetters(t *testing.T, typ reflect.Type, path string) []leafSetter {
+	var out []leafSetter
+	switch typ.Kind() {
+	case reflect.Struct:
+		for i := 0; i < typ.NumField(); i++ {
+			for _, ls := range leafSetters(t, typ.Field(i).Type, path+"."+typ.Field(i).Name) {
+				out = append(out, leafSetter{ls.path, func(v reflect.Value) { ls.set(v.Field(i)) }})
+			}
+		}
+	case reflect.Slice:
+		for _, ls := range leafSetters(t, typ.Elem(), path+"[0]") {
+			out = append(out, leafSetter{ls.path, func(v reflect.Value) {
+				v.Set(reflect.MakeSlice(typ, 1, 1))
+				ls.set(v.Index(0))
+			}})
+		}
+	case reflect.Array:
+		for _, i := range []int{0, typ.Len() - 1} {
+			for _, ls := range leafSetters(t, typ.Elem(), fmt.Sprintf("%s[%d]", path, i)) {
+				out = append(out, leafSetter{ls.path, func(v reflect.Value) { ls.set(v.Index(i)) }})
+			}
+		}
+	case reflect.Int, reflect.Int64:
+		out = append(out, leafSetter{path, func(v reflect.Value) { v.SetInt(5) }})
+	case reflect.Uint64:
+		out = append(out, leafSetter{path, func(v reflect.Value) { v.SetUint(5) }})
+	case reflect.Float64:
+		out = append(out, leafSetter{path, func(v reflect.Value) { v.SetFloat(0.375) }})
+	case reflect.Bool:
+		out = append(out, leafSetter{path, func(v reflect.Value) { v.SetBool(true) }})
+	default:
+		t.Errorf("%s: field of kind %s has no record encoding", path, typ.Kind())
+	}
+	return out
+}
+
+// TestSnapshotCodecCarriesEveryField walks DeviceSnapshot — with it
+// rngutil.SourceState and core.PolicyState — by reflection and round-trips,
+// for each leaf field, a device with only that field set. A field the
+// record does not carry decodes as zero and fails the test by name, so a
+// field added to any of these types can never silently drop out of a
+// snapshot.
+func TestSnapshotCodecCarriesEveryField(t *testing.T) {
+	leaves := leafSetters(t, reflect.TypeOf(DeviceSnapshot{}), "DeviceSnapshot")
+	var r frame.PayloadReader
+	for _, ls := range leaves {
+		var ds DeviceSnapshot
+		ls.set(reflect.ValueOf(&ds).Elem())
+		var got DeviceSnapshot
+		err := decodeRecord(&r, appendRecord(nil, &ds), &got)
+		if err != nil || !reflect.DeepEqual(got, ds) {
+			t.Errorf("%s does not survive the record (%v)", ls.path, err)
+		}
+	}
+	// A floor on the walk itself, so a broken walker cannot pass vacuously.
+	if len(leaves) < 43 {
+		t.Fatalf("walked only %d DeviceSnapshot leaves", len(leaves))
+	}
+}
+
+// TestReadSnapshotRefusesVersion3 reads a snapshot written by the last
+// gob-encoded layout (version 3, checked in as testdata): ReadSnapshot and
+// LoadFile refuse it with a *VersionError naming both versions. A stream
+// that is neither is refused as no snapshot at all.
+func TestReadSnapshotRefusesVersion3(t *testing.T) {
+	path := filepath.Join("testdata", "snapshot-v3.gob")
+	v3, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = ReadSnapshot(bytes.NewReader(v3))
+	var verr *VersionError
+	if !errors.As(err, &verr) || verr.Got != 3 || verr.Want != 4 {
+		t.Fatalf("ReadSnapshot of a v3 file: got %v, want a *VersionError for 3 against 4", err)
+	}
+	if msg := err.Error(); !strings.Contains(msg, "version 3") || !strings.Contains(msg, "want 4") {
+		t.Fatalf("the refusal %q does not name both versions", msg)
+	}
+	s := newTestStore(t, Config{Seed: 42})
+	if err := s.LoadFile(path); !errors.As(err, &verr) {
+		t.Fatalf("LoadFile of a v3 file: got %v, want a *VersionError", err)
+	}
+	for _, b := range [][]byte{nil, []byte("SXP3"), []byte("not a snapshot at all")} {
+		if _, err := ReadSnapshot(bytes.NewReader(b)); err == nil || errors.As(err, &verr) {
+			t.Fatalf("ReadSnapshot(%q): got %v, want a refusal that names no version", b, err)
+		}
+	}
+}
+
+// TestReadSnapshotRefusesMalformedStreams edits a valid stream into each
+// shape ReadSnapshot must refuse: bytes after the last record, a missing
+// record, a truncated record, a record with trailing bytes, devices out of
+// order, an overlong header varint, and a record count the stream does not
+// hold. The unedited stream reads back and re-encodes byte for byte.
+func TestReadSnapshotRefusesMalformedStreams(t *testing.T) {
+	s := churnedStore(t, Config{}, 3, 10)
+	sn := s.Snapshot()
+	stream := encodeStream(t, sn)
+	back, err := ReadSnapshot(bytes.NewReader(stream))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(encodeStream(t, back), stream) {
+		t.Fatal("a read snapshot re-encodes to other bytes")
+	}
+
+	// frames splits a stream after its magic into its length-prefixed frames.
+	frames := func(b []byte) [][]byte {
+		var out [][]byte
+		for b = b[len(snapshotMagic):]; len(b) > 0; {
+			n := 4 + int(binary.LittleEndian.Uint32(b))
+			out = append(out, b[:n])
+			b = b[n:]
+		}
+		return out
+	}
+	join := func(fs ...[]byte) []byte { return append([]byte(snapshotMagic), bytes.Join(fs, nil)...) }
+	reframe := func(p []byte) []byte { return append(binary.LittleEndian.AppendUint32(nil, uint32(len(p))), p...) }
+	f := frames(stream)
+	if len(f) != 4 {
+		t.Fatalf("a 3-device stream split into %d frames", len(f))
+	}
+	header := func(count uint64) []byte {
+		h := frame.AppendInt(nil, snapshotVersion)
+		h = frame.AppendInt(h, int(sn.Algorithm))
+		h = binary.AppendVarint(h, sn.Seed)
+		h = binary.AppendUvarint(h, sn.Dropped)
+		return reframe(binary.AppendUvarint(h, count))
+	}
+	for name, b := range map[string][]byte{
+		"a byte after the last record":   append(append([]byte(nil), stream...), 0),
+		"a missing record":               join(f[0], f[1], f[2]),
+		"a truncated record":             stream[:len(stream)-1],
+		"a record with a trailing byte":  join(f[0], f[1], f[2], reframe(append(append([]byte(nil), f[3][4:]...), 0))),
+		"devices out of order":           join(f[0], f[2], f[1], f[3]),
+		"a repeated device":              join(f[0], f[1], f[1], f[3]),
+		"an overlong header varint":      join(reframe(append([]byte{0x88, 0x00}, f[0][5:]...)), f[1], f[2], f[3]),
+		"a count the stream cannot hold": join(header(1<<40), f[1], f[2], f[3]),
+		"no header":                      []byte(snapshotMagic),
+	} {
+		if _, err := ReadSnapshot(bytes.NewReader(b)); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// TestSnapshotEncodeAllocatesPerSnapshot pins Encode's allocations to a
+// constant: a snapshot of 200 devices costs no more than one of 4.
+func TestSnapshotEncodeAllocatesPerSnapshot(t *testing.T) {
+	small := churnedStore(t, Config{}, 4, 3).Snapshot()
+	large := churnedStore(t, Config{}, 200, 3).Snapshot()
+	encode := func(sn *Snapshot) func() {
+		return func() {
+			if err := sn.Encode(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	a, b := testing.AllocsPerRun(20, encode(small)), testing.AllocsPerRun(20, encode(large))
+	if b > a {
+		t.Fatalf("Encode costs %.0f allocs for 4 devices and %.0f for 200", a, b)
+	}
+}
+
+// fuzzSnapshotSeeds is the checked-in seed corpus for FuzzSnapshotCodec:
+// a stream and a record of a small store, an empty stream, and the shapes
+// the decoders must refuse.
+func fuzzSnapshotSeeds(tb testing.TB) [][]byte {
+	tb.Helper()
+	s, err := NewStore(Config{Seed: 9})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for slot := 0; slot < 12; slot++ {
+		for _, dev := range []uint64{2, 1 << 40} {
+			arm, sl, err := s.Select(dev, []int{1, 4, 6})
+			if err != nil {
+				tb.Fatal(err)
+			}
+			if slot != 11 {
+				s.Feedback(dev, arm, sl, reward(dev, arm, slot))
+			}
+		}
+	}
+	sn := s.Snapshot()
+	stream := encodeStream(tb, sn)
+	rec := []byte(sn.Devices[0].Record)
+	empty := encodeStream(tb, &Snapshot{Version: snapshotVersion, Seed: 9})
+	state := rngutil.AppendState(nil, &rngutil.SourceState{})
+	return [][]byte{
+		stream,
+		rec,
+		empty,
+		stream[:len(stream)-3],                 // a truncated record
+		append(append([]byte(nil), rec...), 0), // a record with a trailing byte
+		append([]byte{0x80, 0x00}, rec[1:]...), // an overlong device id
+		append([]byte{1, 1, 0}, state[:len(state)-8]...),  // a generator one word short
+		append([]byte{1, 1, 0, 0x87, 0x04}, state[2:]...), // a 519-word generator
+		[]byte(snapshotMagic),
+	}
+}
+
+// longestList returns the length of the longest list in st.
+func longestList(v reflect.Value) int {
+	n := 0
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Field(i); f.Kind() == reflect.Slice {
+			n = max(n, f.Len())
+		}
+	}
+	return n
+}
+
+// FuzzSnapshotCodec throws arbitrary bytes at the record decoder and at
+// ReadSnapshot. The invariants: no panic; a record or a stream that
+// decodes re-encodes to exactly the same bytes (the layout is canonical,
+// so nothing is silently normalized); and no decoded list is longer than
+// the input, so a hostile count can never size storage beyond the bytes
+// that arrived.
+func FuzzSnapshotCodec(f *testing.F) {
+	for _, seed := range fuzzSnapshotSeeds(f) {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, p []byte) {
+		var ds DeviceSnapshot
+		var r frame.PayloadReader
+		err := decodeRecord(&r, p, &ds)
+		if n := longestList(reflect.ValueOf(ds.State)); n > len(p) {
+			t.Fatalf("decoded a %d-element list from a %d-byte record", n, len(p))
+		}
+		if err == nil {
+			if got := appendRecord(nil, &ds); !bytes.Equal(got, p) {
+				t.Fatalf("record %x decodes but re-encodes as %x", p, got)
+			}
+		}
+		sn, err := ReadSnapshot(bytes.NewReader(p))
+		if err != nil {
+			return
+		}
+		if got := encodeStream(t, sn); !bytes.Equal(got, p) {
+			t.Fatalf("stream %x reads but re-encodes as %x", p, got)
+		}
+	})
+}
+
+// TestWriteFuzzSnapshotCodecCorpus regenerates the checked-in seed corpus
+// under testdata/fuzz/FuzzSnapshotCodec when UPDATE_FUZZ_CORPUS=1.
+func TestWriteFuzzSnapshotCodecCorpus(t *testing.T) {
+	if os.Getenv("UPDATE_FUZZ_CORPUS") == "" {
+		t.Skip("set UPDATE_FUZZ_CORPUS=1 to regenerate the seed corpus")
+	}
+	dir := filepath.Join("testdata", "fuzz", "FuzzSnapshotCodec")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for i, seed := range fuzzSnapshotSeeds(t) {
+		body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", seed)
+		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("seed-%02d", i)), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -2,9 +2,10 @@ package serve
 
 import (
 	"bytes"
-	"encoding/gob"
+	"errors"
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -46,11 +47,7 @@ func runScript(t *testing.T, s *Store, from, to int) []int {
 
 func encodeSnapshot(t *testing.T, s *Store) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := s.Snapshot().Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return encodeStream(t, s.Snapshot())
 }
 
 // TestSnapshotRestoreIsByteIdentical is the satellite's property test: run
@@ -155,8 +152,9 @@ func TestRestoreRejectsMismatchedIdentity(t *testing.T) {
 	}
 	badVersion := *sn
 	badVersion.Version = snapshotVersion + 1
-	if err := s.Restore(&badVersion); err == nil {
-		t.Fatal("restore accepted a future snapshot version")
+	var verr *VersionError
+	if err := s.Restore(&badVersion); !errors.As(err, &verr) || verr.Got != snapshotVersion+1 {
+		t.Fatalf("restore of a future snapshot version: got %v, want a *VersionError", err)
 	}
 	badVersion.Version = 2 // the layout that still carried the cached distribution
 	if err := s.Restore(&badVersion); err == nil {
@@ -165,9 +163,12 @@ func TestRestoreRejectsMismatchedIdentity(t *testing.T) {
 
 	// A corrupt device record must fail ReadSnapshot before Restore can
 	// half-apply it.
-	corrupt := *sn
-	corrupt.Devices = append([]DeviceSnapshot(nil), sn.Devices...)
-	corrupt.Devices[0].State.Cur = 99
+	first := sn.Devices[0].Device
+	corrupt := editedSnapshot(t, sn, func(ds *DeviceSnapshot) {
+		if ds.Device == first {
+			ds.State.Cur = 99
+		}
+	})
 	var buf bytes.Buffer
 	if err := corrupt.Encode(&buf); err != nil {
 		t.Fatal(err)
@@ -188,11 +189,13 @@ func TestRestoreRejectsCorruptGeneratorCursor(t *testing.T) {
 	sn := s.Snapshot()
 	want := encodeSnapshot(t, s)
 
-	corrupt := *sn
-	corrupt.Devices = append([]DeviceSnapshot(nil), sn.Devices...)
-	bad := &corrupt.Devices[1]
-	bad.Rng.Tap = (bad.Rng.Tap + 1) % 607
-	name := fmt.Sprintf("device %d", bad.Device)
+	bad := sn.Devices[1].Device
+	corrupt := editedSnapshot(t, sn, func(ds *DeviceSnapshot) {
+		if ds.Device == bad {
+			ds.Rng.Tap = (ds.Rng.Tap + 1) % 607
+		}
+	})
+	name := fmt.Sprintf("device %d", bad)
 	var buf bytes.Buffer
 	if err := corrupt.Encode(&buf); err != nil {
 		t.Fatal(err)
@@ -202,7 +205,7 @@ func TestRestoreRejectsCorruptGeneratorCursor(t *testing.T) {
 	}
 	for _, restore := range []func(*Store, *Snapshot) error{(*Store).Restore, (*Store).RestoreRange} {
 		fresh := newTestStore(t, Config{})
-		if err := restore(fresh, &corrupt); err == nil || !strings.Contains(err.Error(), name) {
+		if err := restore(fresh, corrupt); err == nil || !strings.Contains(err.Error(), name) {
 			t.Fatalf("restore: got %v, want an error naming %s", err, name)
 		}
 		if fresh.Devices() != 0 {
@@ -248,19 +251,17 @@ func TestRestoreRejectsOutOfBoundsRecords(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			bad := *sn
-			bad.Devices = append([]DeviceSnapshot(nil), sn.Devices...)
-			for i := range bad.Devices {
-				if bad.Devices[i].Device == tc.dev {
-					tc.edit(&bad.Devices[i])
+			bad := editedSnapshot(t, sn, func(ds *DeviceSnapshot) {
+				if ds.Device == tc.dev {
+					tc.edit(ds)
 				}
-			}
+			})
 			name := fmt.Sprintf("device %d", tc.dev)
 			for _, restore := range []func(*Store, *Snapshot) error{(*Store).Restore, (*Store).RestoreRange} {
 				dst := newTestStore(t, Config{MaxArms: tc.maxArms})
 				drive(t, dst, []uint64{500, 8}, []int{1, 2}, 20)
 				before := encodeSnapshot(t, dst)
-				if err := restore(dst, &bad); err == nil || !strings.Contains(err.Error(), name) {
+				if err := restore(dst, bad); err == nil || !strings.Contains(err.Error(), name) {
 					t.Fatalf("restore: got %v, want an error naming %s", err, name)
 				}
 				if !bytes.Equal(encodeSnapshot(t, dst), before) {
@@ -282,13 +283,34 @@ func TestRestoreRejectsOutOfBoundsRecords(t *testing.T) {
 // deviceState returns the exported state of one device of s.
 func deviceState(t *testing.T, s *Store, dev uint64) *DeviceSnapshot {
 	t.Helper()
-	for _, ds := range s.Snapshot().Devices {
-		if ds.Device == dev {
+	for _, rec := range s.Snapshot().Devices {
+		if rec.Device == dev {
+			var ds DeviceSnapshot
+			if err := rec.Decode(&ds); err != nil {
+				t.Fatal(err)
+			}
 			return &ds
 		}
 	}
 	t.Fatalf("device %d not in the snapshot", dev)
 	return nil
+}
+
+// editedSnapshot returns a copy of sn whose every record has been decoded,
+// passed to edit and encoded again.
+func editedSnapshot(t *testing.T, sn *Snapshot, edit func(*DeviceSnapshot)) *Snapshot {
+	t.Helper()
+	out := *sn
+	out.Devices = make([]DeviceRecord, len(sn.Devices))
+	for i, rec := range sn.Devices {
+		var ds DeviceSnapshot
+		if err := rec.Decode(&ds); err != nil {
+			t.Fatal(err)
+		}
+		edit(&ds)
+		out.Devices[i] = ds.Record()
+	}
+	return &out
 }
 
 // TestRestoreKeepsUniformPlaceholder restores a snapshot cut while an arm
@@ -370,9 +392,7 @@ func TestRestoreKeepsUniformPlaceholder(t *testing.T) {
 		t.Fatal("restored and uninterrupted stores end in different states")
 	}
 
-	for i := range sn.Devices {
-		sn.Devices[i].State.UniformProbs = false
-	}
+	sn = editedSnapshot(t, sn, func(ds *DeviceSnapshot) { ds.State.UniformProbs = false })
 	wrong := newTestStore(t, Config{})
 	if err := wrong.Restore(sn); err != nil {
 		t.Fatal(err)
@@ -404,17 +424,38 @@ func churnedStore(t *testing.T, cfg Config, n, rounds int) *Store {
 }
 
 // TestSnapshotAllocatesWhatItKeeps pins the snapshot's sizing: on a
-// quiescent store, full and ranged snapshots hold exactly as many records
-// as they have room for.
+// quiescent store, full and ranged snapshots index exactly as many records
+// as they have room for, and what a snapshot keeps alive after a
+// collection exceeds its record bytes by at most 32 B per device — the
+// 24 B index entry plus each shard's share of its storage's allocation
+// rounding, with 1,024 devices a shard.
 func TestSnapshotAllocatesWhatItKeeps(t *testing.T) {
-	s := churnedStore(t, Config{Shards: 4}, 300, 20)
+	s := churnedStore(t, Config{Shards: 2}, 2048, 6)
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	before := ms.HeapAlloc
 	sn := s.Snapshot()
-	if len(sn.Devices) != 300 || cap(sn.Devices) != len(sn.Devices) {
-		t.Fatalf("Snapshot: len %d cap %d, want both 300", len(sn.Devices), cap(sn.Devices))
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	kept := int64(ms.HeapAlloc) - int64(before)
+	runtime.KeepAlive(sn)
+	if len(sn.Devices) != 2048 || cap(sn.Devices) != len(sn.Devices) {
+		t.Fatalf("Snapshot: len %d cap %d, want both 2048", len(sn.Devices), cap(sn.Devices))
 	}
+	records := int64(0)
+	for _, rec := range sn.Devices {
+		records += int64(len(rec.Record))
+	}
+	extra := kept - records
+	t.Logf("%d B of records, %d B kept: %.1f B per device over", records, kept, float64(extra)/float64(len(sn.Devices)))
+	if extra > 32*int64(len(sn.Devices)) {
+		t.Fatalf("a snapshot of %d B of records keeps %d B, %d B over: more than 32 B per device", records, kept, extra)
+	}
+
 	lo, hi := uint64(1)<<62, uint64(3)<<62
 	want := 0
-	for d := uint64(0); d < 300; d++ {
+	for d := uint64(0); d < 2048; d++ {
 		if k := RouteKey(d); lo <= k && k <= hi {
 			want++
 		}
@@ -425,37 +466,36 @@ func TestSnapshotAllocatesWhatItKeeps(t *testing.T) {
 	}
 }
 
-// TestSnapshotRecordAppendsStayInTheirRecord appends to one record's
-// State.LogW, State.X and State.Window, which share arenas with every other
-// record of their shard. The appends must not write into any other field
-// of any record: after trimming them back off, every record encodes to the
-// bytes it had before.
+// TestSnapshotRecordAppendsStayInTheirRecord decodes each record of a
+// snapshot and appends to the decoded State.LogW, State.X and
+// State.Window. The decoded form must own its storage: after the appends,
+// every record of the snapshot still holds the bytes it had, and encodes
+// the same stream.
 func TestSnapshotRecordAppendsStayInTheirRecord(t *testing.T) {
 	s := churnedStore(t, Config{Shards: 1}, 12, 13)
 	sn := s.Snapshot()
-	encodeAll := func() [][]byte {
-		out := make([][]byte, len(sn.Devices))
-		for i := range sn.Devices {
-			var buf bytes.Buffer
-			if err := gob.NewEncoder(&buf).Encode(&sn.Devices[i]); err != nil {
-				t.Fatal(err)
-			}
-			out[i] = buf.Bytes()
-		}
-		return out
+	var want bytes.Buffer
+	if err := sn.Encode(&want); err != nil {
+		t.Fatal(err)
 	}
-	want := encodeAll()
-	for i := range sn.Devices {
-		st := &sn.Devices[i].State
-		nl, nx, nw := len(st.LogW), len(st.X), len(st.Window)
+	for _, rec := range sn.Devices {
+		var ds DeviceSnapshot
+		if err := rec.Decode(&ds); err != nil {
+			t.Fatal(err)
+		}
+		st := &ds.State
 		st.LogW = append(st.LogW, -1, -2)
 		st.X = append(st.X, -1, -2)
 		st.Window = append(st.Window, -1, -2)
-		st.LogW, st.X, st.Window = st.LogW[:nl], st.X[:nx], st.Window[:nw]
-		for j, b := range encodeAll() {
-			if !bytes.Equal(b, want[j]) {
-				t.Fatalf("appending to device %d's record changed device %d's record", sn.Devices[i].Device, sn.Devices[j].Device)
-			}
+		if ds.Record() == rec {
+			t.Fatalf("device %d: appended fields did not reach its re-encoding", rec.Device)
 		}
+	}
+	var got bytes.Buffer
+	if err := sn.Encode(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatal("editing decoded records changed the snapshot they came from")
 	}
 }

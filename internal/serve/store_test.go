@@ -470,10 +470,11 @@ func TestDeviceOutgrowsItsInlineStorage(t *testing.T) {
 		}
 	}
 
+	ds := DeviceSnapshot{Device: dev, Pending: -1, Slot: slots}
+	src.ExportState(&ds.Rng)
+	ref.(*core.SmartEXP3).ExportState(&ds.State)
 	want := Snapshot{Version: snapshotVersion, Algorithm: core.AlgSmartEXP3, Seed: s.Config().Seed,
-		Devices: []DeviceSnapshot{{Device: dev, Pending: -1, Slot: slots}}}
-	src.ExportState(&want.Devices[0].Rng)
-	ref.(*core.SmartEXP3).ExportState(&want.Devices[0].State)
+		Devices: []DeviceRecord{ds.Record()}}
 	var buf bytes.Buffer
 	if err := want.Encode(&buf); err != nil {
 		t.Fatal(err)
