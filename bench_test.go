@@ -276,13 +276,47 @@ func BenchmarkSimReplication(b *testing.B) {
 
 // BenchmarkSourceSeed reseeds one warm per-device generator: the fixed
 // cost every device pays at the start of every replication and on every
-// serve join. Each iteration seeds with a fresh ChildSeed, as the
-// simulator does; the gate holds it at 0 allocs/op.
+// serve join. Seed computes no ring word, only the conditioned seed, so
+// this is that O(1) step; the words are computed by the first 334 draws
+// that read them (BenchmarkSourceSeedDraws). Each iteration seeds with a
+// fresh ChildSeed, as the simulator does; the gate holds it at 0
+// allocs/op.
 func BenchmarkSourceSeed(b *testing.B) {
 	src := rngutil.NewSource(1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		src.Seed(rngutil.ChildSeed(7, int64(i)))
+	}
+}
+
+// BenchmarkSourceSeedDraws reseeds one generator and draws 128 Int63 from
+// it, about a Setting 1 device's mean per replication: the whole cost of a fresh
+// stream's use, the ring words those draws read computed on demand among
+// them. The gate holds it at 0 allocs/op.
+func BenchmarkSourceSeedDraws(b *testing.B) {
+	src := rngutil.NewSource(1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		src.Seed(rngutil.ChildSeed(7, int64(i)))
+		for k := 0; k < 128; k++ {
+			src.Int63()
+		}
+	}
+}
+
+// BenchmarkSourceDraw draws Int63 from one warm generator, its ring long
+// since seeded: the fast path every draw after the first 334 takes. It
+// draws through the rand.Source interface, as rand.Rand makes every draw
+// the policies and samplers consume. The gate holds it at 0 allocs/op.
+func BenchmarkSourceDraw(b *testing.B) {
+	var src rand.Source = rngutil.NewSource(1)
+	for k := 0; k < 1000; k++ {
+		src.Int63()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		src.Int63()
 	}
 }
 

@@ -315,8 +315,10 @@ func serveFrames(conn net.Conn, fc *frame.Conn, w *connWriter, opts WorkerOption
 			if err := w.send(message{tag: tagJobAck, jobAck: jobAckMsg{ID: id, Err: compileErr}}); err != nil {
 				return err
 			}
-			if compileErr == "" {
-				opts.logf("cluster: %s: job %d accepted (%d devices, %d slots, %d runs)",
+			// Checked here, not only in logf: boxing the five arguments
+			// would cost an allocation per job with no logger set.
+			if compileErr == "" && opts.Logf != nil {
+				opts.Logf("cluster: %s: job %d accepted (%d devices, %d slots, %d runs)",
 					conn.RemoteAddr(), id, len(spec.Config.Devices), spec.Config.Slots, spec.Runs)
 			}
 

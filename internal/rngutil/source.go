@@ -6,15 +6,21 @@ import "math/rand"
 // lagged-Fibonacci source behind rand.NewSource — with one capability the
 // standard library lacks: cheap reseeding. Seeding is a fixed cost of
 // every Monte Carlo replication, which needs one independent stream per
-// device per replication. The stdlib walks a 1,841-step sequential
-// Lehmer chain per seed; Seed instead jumps to each of the 1,821 chain
-// states it keeps with one multiplication by a precomputed power of the
-// multiplier, independent products the CPU overlaps (BenchmarkSourceSeed:
-// 6.8 µs for the chain, 3.6 µs for Seed on a 2-vCPU Xeon).
+// device per replication, and of every serve join. The stdlib walks a
+// 1,841-step sequential Lehmer chain per seed and fills all 607 ring
+// words. Here each ring word is computed from the seed directly, with
+// three multiplications by precomputed powers of the multiplier, and only
+// when it is first read: Seed records the conditioned seed and nothing
+// else, and each of the first 334 draws computes the one or two words it
+// reads. A device that draws 128 times per replication computes 256 of
+// the 607 words and never pays for the rest (BenchmarkSourceSeed: ~2 ns;
+// the eager jump-ahead took ~3.3 µs and the stdlib chain ~6.8 µs on a
+// 2-vCPU Xeon).
 //
 // The streams are bit-identical to math/rand's: Source reproduces the
 // generator state exactly, which the test suite verifies draw-for-draw
-// against rand.NewSource across seeds, reseeds and every consuming method.
+// against rand.NewSource across seeds, reseeds and every consuming method,
+// and state for state against the serial chain after every draw count.
 // The stdlib's baked-in additive table is not copied here; it is recovered
 // once at process start by running a stdlib source and inverting its
 // additive mixing (see recoverAdditiveTable), so this stays correct by
@@ -119,10 +125,19 @@ func recoverAdditiveTable() [rngLen]uint64 {
 // this choice. The cursors come first, so a host that embeds a Source
 // after other hot state (a serve.Store device record does) reads them on
 // the cache line next to that state, not 4,856 B away.
+//
+// From a Seed until its 334th draw the ring is seeded on demand (drawSlow).
+// The tap cursor is then unseeded, a value no seeded ring has; feed counts
+// those draws down as it always does; and vec[0], the last slot they
+// reach, holds the conditioned seed the missing words are computed from.
 type Source struct {
 	tap, feed int32
 	vec       [rngLen]int64
 }
+
+// unseeded is the tap cursor of a ring that Seed left to be computed on
+// demand.
+const unseeded = -1
 
 var _ rand.Source64 = (*Source)(nil)
 
@@ -134,21 +149,27 @@ func NewSource(seed int64) *Source {
 	return s
 }
 
-// Seed implements rand.Source. The stdlib walks the Lehmer chain
-// x_k = x_0·48271^k mod 2³¹−1 step by step and fills vec[i] from x_{21+3i},
-// x_{22+3i} and x_{23+3i}; here each of those is x_0 times a precomputed
-// power (seedPow), so the 1,821 products are independent of one another and
-// the CPU overlaps them instead of waiting out one long dependency chain.
+// Seed implements rand.Source. It computes no ring word: it records the
+// conditioned seed in vec[0] and marks the ring unseeded, and the first
+// 334 draws compute each word as they first read it. After them every
+// slot has been read or written and the source runs as a seeded one.
 func (s *Source) Seed(seed int64) {
-	s.tap = 0
+	s.tap = unseeded
 	s.feed = rngLen - rngTap
-	x := uint64(seedInit(seed))
-	for i := range s.vec {
+	s.vec[0] = int64(seedInit(seed))
+}
+
+// seedWords sets ring words [lo, hi) as the stdlib's seeding from the
+// conditioned seed x sets them. The stdlib walks the Lehmer chain
+// x_k = x·48271^k mod 2³¹−1 step by step and fills word i from x_{21+3i},
+// x_{22+3i} and x_{23+3i}; here each of those is x times a precomputed
+// power (seedPow), so any one word costs three independent products and
+// no walk.
+func (s *Source) seedWords(x uint64, lo, hi int) {
+	for i := lo; i < hi; i++ {
 		p := &seedPow[i]
-		x1 := mulmod(x, uint64(p[0]))
-		x2 := mulmod(x, uint64(p[1]))
-		x3 := mulmod(x, uint64(p[2]))
-		s.vec[i] = int64(x1<<40 ^ x2<<20 ^ x3 ^ additiveTab[i])
+		s.vec[i] = int64(mulmod(x, uint64(p[0]))<<40 ^ mulmod(x, uint64(p[1]))<<20 ^
+			mulmod(x, uint64(p[2])) ^ additiveTab[i])
 	}
 }
 
@@ -185,24 +206,95 @@ func mulmod(a, b uint64) uint64 {
 	return r&int32max + r>>31
 }
 
-// Uint64 implements rand.Source64.
+// Uint64 implements rand.Source64. The warm draw is inlined; the first 334
+// draws after a Seed and the tap cursor's wrap take drawSlow.
 func (s *Source) Uint64() uint64 {
-	s.tap--
-	if s.tap < 0 {
-		s.tap += rngLen
+	if x, ok := s.draw(); ok {
+		return x
 	}
-	s.feed--
-	if s.feed < 0 {
-		s.feed += rngLen
-	}
-	x := s.vec[s.feed] + s.vec[s.tap]
-	s.vec[s.feed] = x
-	return uint64(x)
+	return s.drawSlow()
 }
 
 // Int63 implements rand.Source.
 func (s *Source) Int63() int64 {
-	return int64(s.Uint64() & rngMask)
+	if x, ok := s.draw(); ok {
+		return int64(x & rngMask)
+	}
+	return int64(s.drawSlow() & rngMask)
+}
+
+// draw is the warm draw: both cursors step down one slot, and the word
+// under feed becomes its sum with the word under tap. It declines, leaving
+// the source as it was, when the tap cursor would step below 0, which it
+// does once every 607 draws and on every draw of an unseeded ring.
+func (s *Source) draw() (uint64, bool) {
+	tap := s.tap - 1
+	if tap < 0 {
+		return 0, false
+	}
+	feed := s.feed - 1
+	if feed < 0 {
+		feed += rngLen
+	}
+	s.tap, s.feed = tap, feed
+	x := s.vec[feed] + s.vec[tap]
+	s.vec[feed] = x
+	return uint64(x), true
+}
+
+// drawSlow takes the draws draw declines. On a seeded ring it wraps the tap
+// cursor and draws. On an unseeded one it makes draw k of the first 334:
+// feed steps to slot 334−k, which no draw has touched yet, and tap stands
+// at slot 607−k, which the draws have not touched for k ≤ 273 and which
+// draw k−273 wrote as its feed slot otherwise. An untouched word is
+// computed before it is read. Draw 334 computes slot 0, reading the seed
+// out of it first, and sets tap where a seeded ring has it after 334
+// draws, which ends the unseeded state.
+func (s *Source) drawSlow() uint64 {
+	if s.tap != unseeded {
+		s.tap = rngLen
+		x, _ := s.draw()
+		return x
+	}
+	seed := uint64(s.vec[0])
+	feed := int(s.feed) - 1
+	tap := feed + rngTap
+	top := feed
+	if tap >= rngLen-rngTap {
+		top = tap
+	}
+	// The feed word, then the tap word if untouched, computed as
+	// seedWords does. The loop is written out here because the compiler
+	// does not inline seedWords, and a call per draw made the first 128
+	// draws ~25% slower.
+	for i := feed; i <= top; i += rngTap {
+		p := &seedPow[i]
+		s.vec[i] = int64(mulmod(seed, uint64(p[0]))<<40 ^ mulmod(seed, uint64(p[1]))<<20 ^
+			mulmod(seed, uint64(p[2])) ^ additiveTab[i])
+	}
+	x := s.vec[feed] + s.vec[tap]
+	s.vec[feed] = x
+	s.feed = int32(feed)
+	if feed == 0 {
+		s.tap = int32(tap)
+	}
+	return uint64(x)
+}
+
+// complete computes every word an unseeded ring still lacks and sets the
+// tap cursor where the draws so far leave it, so the source holds exactly
+// the state the stdlib's eager seeding reaches after as many draws. The
+// lacking words are the feed slots below feed, slot 0 with the seed among
+// them, and the slots from 334 up to the lowest one tap has read.
+func (s *Source) complete() {
+	if s.tap != unseeded {
+		return
+	}
+	seed := uint64(s.vec[0])
+	feed := int(s.feed)
+	s.seedWords(seed, rngLen-rngTap, feed+rngTap)
+	s.seedWords(seed, 0, feed)
+	s.tap = int32((feed + rngTap) % rngLen)
 }
 
 // SeedAll reseeds srcs[i] with seeds[i]: the per-source state is identical

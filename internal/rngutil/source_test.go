@@ -206,7 +206,8 @@ func seedChain(s *Source, seed int64) {
 }
 
 // TestJumpAheadSeedMatchesChain pins Seed's jump-ahead against the serial
-// chain, comparing the full generator state: on the edges of seedInit's
+// chain, comparing the full generator state once complete has computed
+// the words Seed leaves to the draws: on the edges of seedInit's
 // conditioning (zero, the modulus and its multiples, the int64 extremes,
 // the stdlib's zero substitute), on random 64-bit seeds, and on a million
 // consecutive states of one long chain.
@@ -221,6 +222,7 @@ func TestJumpAheadSeedMatchesChain(t *testing.T) {
 	var jump, chain Source
 	for _, seed := range seeds {
 		jump.Seed(seed)
+		jump.complete()
 		seedChain(&chain, seed)
 		if jump != chain {
 			t.Fatalf("seed %d: jump-ahead state differs from the chain's", seed)
@@ -256,10 +258,11 @@ func TestJumpAheadSeedMatchesChain(t *testing.T) {
 	wg.Wait()
 }
 
-// matchesWalk seeds src with walk[0] and compares its state with the one
-// the chain walk[0], walk[1], ... gives.
+// matchesWalk seeds src with walk[0], completes its ring, and compares its
+// state with the one the chain walk[0], walk[1], ... gives.
 func matchesWalk(src *Source, walk []int32) error {
 	src.Seed(int64(walk[0]))
+	src.complete()
 	if src.tap != 0 || src.feed != rngLen-rngTap {
 		return fmt.Errorf("seed %d: cursors %d, %d", walk[0], src.tap, src.feed)
 	}
@@ -272,4 +275,102 @@ func matchesWalk(src *Source, walk []int32) error {
 		}
 	}
 	return nil
+}
+
+// TestOnDemandSeedMatchesChainAtEveryDrawCount pins seeding on demand
+// against eager seeding after every draw count through two ring lengths:
+// a source n draws past Seed exports the state the serial chain's source
+// has n draws past its seeding, and the 607 draws after the export match
+// that source's. The draw counts are split across GOMAXPROCS goroutines,
+// each with its own sources.
+func TestOnDemandSeedMatchesChainAtEveryDrawCount(t *testing.T) {
+	const counts = 2 * rngLen // n in [0, 1,214]
+	for _, seed := range []int64{0, 1, -1, 42, int32max, 1 << 40} {
+		parts := runtime.GOMAXPROCS(0)
+		var wg sync.WaitGroup
+		for p := 0; p < parts; p++ {
+			wg.Add(1)
+			go func(lo, hi int) {
+				defer wg.Done()
+				var lazy, ref Source
+				var got, want SourceState
+				for n := lo; n < hi; n++ {
+					lazy.Seed(seed)
+					seedChain(&ref, seed)
+					for i := 0; i < n; i++ {
+						lazy.Uint64()
+						ref.Uint64()
+					}
+					lazy.ExportState(&got)
+					ref.ExportState(&want)
+					if got != want {
+						t.Errorf("seed %d: state after %d draws differs from the chain's", seed, n)
+						return
+					}
+					for i := 0; i < rngLen; i++ {
+						if g, w := lazy.Uint64(), ref.Uint64(); g != w {
+							t.Errorf("seed %d: draw %d after exporting at %d: %d, chain gives %d", seed, i, n, g, w)
+							return
+						}
+					}
+				}
+			}(p*(counts+1)/parts, (p+1)*(counts+1)/parts)
+		}
+		wg.Wait()
+	}
+}
+
+// TestExportMidSeedingKeepsTheStream exports a source's state before
+// every one of its first two ring lengths of draws, through and past its
+// on-demand seeding, and checks that its stream stays the stdlib's.
+func TestExportMidSeedingKeepsTheStream(t *testing.T) {
+	var st SourceState
+	src, std := NewSource(8), rand.NewSource(8).(rand.Source64)
+	for i := 0; i < 2*rngLen; i++ {
+		src.ExportState(&st)
+		if g, w := src.Uint64(), std.Uint64(); g != w {
+			t.Fatalf("draw %d is %d, stdlib %d", i, g, w)
+		}
+	}
+}
+
+// TestSeedAndSetStateOverPartlySeededRings reseeds a source partway
+// through its on-demand seeding, and restores a state over a source whose
+// ring is still unseeded: each then follows the stream it was given.
+func TestSeedAndSetStateOverPartlySeededRings(t *testing.T) {
+	for _, drawn := range []int{0, 1, 100, 273, 333, 334, 700} {
+		src := NewSource(3)
+		for i := 0; i < drawn; i++ {
+			src.Uint64()
+		}
+		src.Seed(4)
+		std := rand.NewSource(4).(rand.Source64)
+		for i := 0; i < 2*rngLen; i++ {
+			if g, w := src.Uint64(), std.Uint64(); g != w {
+				t.Fatalf("reseeded after %d draws: draw %d is %d, stdlib %d", drawn, i, g, w)
+			}
+		}
+
+		// Capture a source 1,000 draws in, then restore it over one
+		// seeded `drawn` draws ago.
+		want := NewSource(5)
+		for i := 0; i < 1000; i++ {
+			want.Uint64()
+		}
+		var st SourceState
+		want.ExportState(&st)
+		src.Seed(6)
+		for i := 0; i < drawn; i++ {
+			src.Uint64()
+		}
+		src.SetState(st)
+		if src.tap == unseeded {
+			t.Fatalf("restored after %d draws: the ring is still marked unseeded", drawn)
+		}
+		for i := 0; i < 2*rngLen; i++ {
+			if g, w := src.Uint64(), want.Uint64(); g != w {
+				t.Fatalf("restored after %d draws: draw %d is %d, want %d", drawn, i, g, w)
+			}
+		}
+	}
 }

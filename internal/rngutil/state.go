@@ -19,11 +19,14 @@ type SourceState struct {
 	Tap, Feed int
 }
 
-// ExportState copies the source's current generator state into dst. The
-// ring is copied once, straight into dst, so a destination that already
-// exists, such as a record in a snapshot's device array, costs no
-// temporary.
+// ExportState copies the source's current generator state into dst. A
+// source fewer than 334 draws past a Seed first computes the ring words it
+// has not yet read, in place, so ExportState may write the source, and the
+// state it exports is the one eager seeding reaches. The ring is copied
+// once, straight into dst, so a destination that already exists, such as a
+// record in a snapshot's device array, costs no temporary.
 func (s *Source) ExportState(dst *SourceState) {
+	s.complete()
 	dst.Vec = s.vec
 	dst.Tap, dst.Feed = int(s.tap), int(s.feed)
 }

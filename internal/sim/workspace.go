@@ -145,8 +145,9 @@ func (ws *Workspace) reset(seed int64) {
 			ws.rngs[d] = rand.New(ws.srcs[d])
 		}
 	}
-	// Reseed every device stream: a fixed cost each replication pays per
-	// device, 1,821 independent multiplications (rngutil's jump-ahead).
+	// Reseed every device stream. A Seed is O(1); each device's first 334
+	// draws compute the ring words they read (rngutil seeds on demand), so
+	// a replication pays only for the words its devices draw on.
 	for d := 0; d < n; d++ {
 		ws.seeds[d] = rngutil.ChildSeed(seed, int64(d))
 	}
