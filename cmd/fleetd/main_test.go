@@ -77,17 +77,21 @@ func buildFleetd(t *testing.T) string {
 	return bin
 }
 
-// freePort reserves an ephemeral loopback address and releases it for a
-// daemon to bind.
-func freePort(t *testing.T) string {
+// freePorts reserves n distinct ephemeral loopback addresses and releases
+// them together for daemons to bind. Every probe stays open until all n
+// are taken, so no two addresses can coincide.
+func freePorts(t *testing.T, n int) []string {
 	t.Helper()
-	probe, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	addrs := make([]string, n)
+	for i := range addrs {
+		probe, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer probe.Close()
+		addrs[i] = probe.Addr().String()
 	}
-	addr := probe.Addr().String()
-	probe.Close()
-	return addr
+	return addrs
 }
 
 // peerProc is one real fleetd process under test.
@@ -168,14 +172,15 @@ func TestFleetSmokeThreeProcesses(t *testing.T) {
 	dir := t.TempDir()
 
 	type peerAddrs struct{ data, ctrl, snap string }
+	ports := freePorts(t, 7)
 	addrs := map[string]peerAddrs{}
-	for _, id := range []string{"a", "b", "c"} {
-		addrs[id] = peerAddrs{freePort(t), freePort(t), filepath.Join(dir, id+".snap")}
+	for i, id := range []string{"a", "b", "c"} {
+		addrs[id] = peerAddrs{ports[2*i], ports[2*i+1], filepath.Join(dir, id+".snap")}
 	}
 	entry := func(id string) string { return id + "=" + addrs[id].data + "@" + addrs[id].ctrl }
 	roster2 := entry("a") + "," + entry("b")
 	roster3 := roster2 + "," + entry("c")
-	debugAddr := freePort(t)
+	debugAddr := ports[6]
 
 	common := func(id string, extra ...string) []string {
 		return append([]string{

@@ -6,7 +6,9 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"smartexp3/internal/cluster"
 )
@@ -249,16 +251,17 @@ func sweepBlocks(t *testing.T, out string) []string {
 }
 
 // countingListener counts accepted connections, so the sweep test can
-// assert the session shape, not just the results.
+// assert the session shape, not just the results. The count is written on
+// the cluster.Serve goroutine and read by the test.
 type countingListener struct {
 	net.Listener
-	accepted int
+	accepted atomic.Int32
 }
 
 func (cl *countingListener) Accept() (net.Conn, error) {
 	c, err := cl.Listener.Accept()
 	if err == nil {
-		cl.accepted++
+		cl.accepted.Add(1)
 	}
 	return c, err
 }
@@ -307,9 +310,14 @@ func TestSeedSweepMatchesPerSeedRunsOverOneSession(t *testing.T) {
 			t.Fatalf("sharded sweep block for seed %s differs:\n%s\nwant:\n%s", seeds[i], got, want[i])
 		}
 	}
+	// A session's dial can complete before the worker's Accept returns,
+	// so give each count a bounded time to settle before asserting it.
 	for i, cl := range listeners {
-		if cl.accepted != 1 {
-			t.Fatalf("worker %d accepted %d connections over the sweep, want exactly 1", i, cl.accepted)
+		for deadline := time.Now().Add(5 * time.Second); cl.accepted.Load() == 0 && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		if n := cl.accepted.Load(); n != 1 {
+			t.Fatalf("worker %d accepted %d connections over the sweep, want exactly 1", i, n)
 		}
 	}
 

@@ -158,16 +158,16 @@
 // later, and a busy connection sets one deadline per direction every
 // timeout/16), one timeout rule, and one versioned hello exchange naming
 // the protocol, so a client dialing the wrong daemon is refused by name.
-// Each protocol brings only its message set. Cluster (v5) and serve (v5)
-// encode theirs as fixed-layout payloads on the frame layer's shared field
-// encodings (canonical varints, IEEE-754 bits, length-prefixed lists,
-// presence bytes), decoded without reflection. Snapshots use the same
-// encodings: a v4 snapshot is a header and one fixed-layout record per
-// device, which is also the form a captured snapshot holds in memory, so
-// checkpoints, restores and fleet (v3) migrations move records as they
-// are. Only the fleet control frames still carry gob (a migrated
-// snapshot rides inside one as opaque bytes), and a connection builds gob
-// state only when it carries a gob frame.
+// Each protocol brings only its message set. Cluster (v5), serve (v5)
+// and fleet (v4) encode theirs as fixed-layout payloads on the frame
+// layer's shared field encodings (canonical varints, IEEE-754 bits,
+// length-prefixed lists, presence bytes), decoded without reflection.
+// Snapshots use the same encodings: a v4 snapshot is a header and one
+// fixed-layout record per device, which is also the form a captured
+// snapshot holds in memory, so checkpoints, restores and fleet migrations
+// move records as they are (a fleet migration frame carries one as the
+// rest of its payload). No wire carries gob, and a connection holds no
+// codec state beyond its buffers.
 //
 // Every layer is observable through internal/obsv, a stdlib-only metrics
 // layer built for the hot paths above: atomic counters and gauges, fixed

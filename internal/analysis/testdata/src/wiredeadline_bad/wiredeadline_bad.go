@@ -25,8 +25,8 @@ func Broadcast(conns []net.Conn, p []byte) {
 	}
 }
 
-// Flush pushes a message through the frame writer, again with no
+// Flush pushes a frame through the frame writer, again with no
 // deadline.
 func Flush(fw *frame.Writer) error {
-	return fw.Encode(nil)
+	return fw.WriteFrame(nil)
 }

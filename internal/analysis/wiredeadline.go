@@ -125,7 +125,7 @@ func hasMethod(p *Package, t types.Type, name string) bool {
 // is a frame write: t is one of the configured frame-writer types and
 // name is one of its encoding entry points.
 func isFrameWriterMethod(cfg *Config, t types.Type, name string) bool {
-	if name != "Encode" && name != "write" && name != "WriteFrame" {
+	if name != "write" && name != "WriteFrame" {
 		return false
 	}
 	full := namedTypeString(t)

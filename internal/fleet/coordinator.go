@@ -51,14 +51,10 @@ func dialControl(peer PeerInfo, from string, frameTimeout time.Duration, frames,
 }
 
 func (cc *controlConn) roundTrip(req *fleetEnvelope) (*fleetEnvelope, error) {
-	if err := cc.fc.Encode(req); err != nil {
+	if err := cc.fc.WriteFrames(req.appendTo(nil)); err != nil {
 		return nil, err
 	}
-	var env fleetEnvelope
-	if err := cc.fc.Decode(&env); err != nil {
-		return nil, err
-	}
-	return &env, nil
+	return readEnvelope(cc.fc)
 }
 
 func (cc *controlConn) close() { cc.fc.Close() }

@@ -27,10 +27,10 @@
 // Migration contract: a coordinator moves a stripe by draining it on the
 // old owner — install a rejecting view (barring writes to the range),
 // cut a per-range snapshot (consistent because the view is re-read under
-// each shard lock), ship its v4 encoding over the control wire (inside gob
-// messages in internal/frame's checksummed frames), stage it on the new
-// owner — and
-// then committing the bumped table to every peer:
+// each shard lock), ship its v4 encoding over the control wire (as the
+// tail of a fixed-layout message in internal/frame's checksummed frames),
+// stage it on the new owner — and then committing the bumped table to
+// every peer:
 // gaining peers first (restore staged ranges, then own them), draining
 // peers second (disown, then drop the moved sessions), bystanders last.
 // A coordinator that dies mid-handoff costs nothing: staged state is
@@ -152,16 +152,6 @@ func (t *Table) OwnerOf(s int) int {
 // Owner resolves a device id straight to its owning peer.
 func (t *Table) Owner(deviceID uint64) PeerInfo {
 	return t.Peers[t.OwnerOf(t.StripeOf(serve.RouteKey(deviceID)))]
-}
-
-// PeerIndex returns the index of the peer with the given id, or -1.
-func (t *Table) PeerIndex(id string) int {
-	for i := range t.Peers {
-		if t.Peers[i].ID == id {
-			return i
-		}
-	}
-	return -1
 }
 
 // Clone deep-copies the table so a holder can mutate its copy freely.

@@ -440,9 +440,15 @@ func TestCoordinatorDeathMidHandoff(t *testing.T) {
 	cut := func(t *testing.T, fc *fakeCoordinator, tab2 *Table, stripe int) *stateMsg {
 		t.Helper()
 		lo, hi := tab2.StripeRange(stripe)
+		var to PeerInfo
+		for _, p := range tab2.Peers {
+			if p.ID == "b" {
+				to = p
+			}
+		}
 		resp := fc.roundTrip("a", &fleetEnvelope{Cut: &cutMsg{
 			Stripe: stripe, Lo: lo, Hi: hi,
-			To: tab2.Peers[tab2.PeerIndex("b")].Addr, ToControl: tab2.Peers[tab2.PeerIndex("b")].Control,
+			To: to.Addr, ToControl: to.Control,
 			NewEpoch: tab2.Epoch,
 		}})
 		if resp.State == nil || resp.State.Err != "" {

@@ -37,8 +37,7 @@ func (fuzzAddr) Network() string { return "fuzz" }
 func (fuzzAddr) String() string  { return "fuzz" }
 
 // encodeFleetFrames renders a control request sequence exactly as a real
-// coordinator would: the hello h unless nil, then the envelopes through
-// one persistent encoder per connection.
+// coordinator would: the hello h unless nil, then one frame per envelope.
 func encodeFleetFrames(tb testing.TB, h *frame.Hello, envs ...*fleetEnvelope) []byte {
 	tb.Helper()
 	var buf bytes.Buffer
@@ -49,7 +48,7 @@ func encodeFleetFrames(tb testing.TB, h *frame.Hello, envs ...*fleetEnvelope) []
 		}
 	}
 	for _, env := range envs {
-		if err := fw.Encode(env); err != nil {
+		if err := fw.WriteFrame(env.appendTo(nil)); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -116,7 +115,7 @@ func fuzzFleetSeeds(tb testing.TB) [][]byte {
 		// Refusals a conforming codec can still deliver.
 		encodeFleetFrames(tb, &frame.Hello{Proto: "fleet", Version: 99}),
 		encodeFleetFrames(tb, nil, &fleetEnvelope{TableGet: &tableGetMsg{}}), // request before hello
-		encodeFleetFrames(tb, &h, &fleetEnvelope{}),                          // empty union
+		encodeFleetFrames(tb, &h, &fleetEnvelope{}),                          // no message: tag 0, unknown
 		encodeFleetFrames(tb, &h, &fleetEnvelope{Cut: &cutMsg{Stripe: 999, NewEpoch: 2}}),
 		encodeFleetFrames(tb, &h, &fleetEnvelope{Cut: &cutMsg{Stripe: ownStripe, Lo: lo + 1, Hi: hi, NewEpoch: 2}}),
 		encodeFleetFrames(tb, &h, &fleetEnvelope{Offer: &offerMsg{Stripe: 0, Snap: future.Bytes()}}),
@@ -191,21 +190,27 @@ func FuzzFleetWire(f *testing.F) {
 	})
 }
 
-// TestWriteFuzzFleetWireCorpus regenerates the checked-in seed corpus
-// under testdata/fuzz/FuzzFleetWire when UPDATE_FUZZ_CORPUS=1.
+// TestWriteFuzzFleetWireCorpus regenerates the checked-in seed corpora
+// under testdata/fuzz/FuzzFleetWire and testdata/fuzz/FuzzFleetCodec when
+// UPDATE_FUZZ_CORPUS=1.
 func TestWriteFuzzFleetWireCorpus(t *testing.T) {
 	if os.Getenv("UPDATE_FUZZ_CORPUS") == "" {
-		t.Skip("set UPDATE_FUZZ_CORPUS=1 to regenerate the seed corpus")
+		t.Skip("set UPDATE_FUZZ_CORPUS=1 to regenerate the seed corpora")
 	}
-	dir := filepath.Join("testdata", "fuzz", "FuzzFleetWire")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	for i, seed := range fuzzFleetSeeds(t) {
-		body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", seed)
-		name := filepath.Join(dir, fmt.Sprintf("seed-%02d", i))
-		if err := os.WriteFile(name, []byte(body), 0o644); err != nil {
+	for target, seeds := range map[string][][]byte{
+		"FuzzFleetWire":  fuzzFleetSeeds(t),
+		"FuzzFleetCodec": fuzzCodecSeeds(),
+	} {
+		dir := filepath.Join("testdata", "fuzz", target)
+		if err := os.MkdirAll(dir, 0o755); err != nil {
 			t.Fatal(err)
+		}
+		for i, seed := range seeds {
+			body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", seed)
+			name := filepath.Join(dir, fmt.Sprintf("seed-%02d", i))
+			if err := os.WriteFile(name, []byte(body), 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }

@@ -184,41 +184,33 @@ func (p *Peer) serveControl(conn net.Conn) error {
 	st := &connState{staged: make(map[int]*serve.Snapshot), drains: make(map[int]*drain)}
 	defer p.connClosed(st)
 	for {
-		var env fleetEnvelope
-		if err := fc.Decode(&env); err != nil {
+		env, err := readEnvelope(fc)
+		if err != nil {
 			if errors.Is(err, io.EOF) {
 				return nil
 			}
 			return err
 		}
+		var reply *fleetEnvelope
 		switch {
 		case env.TableGet != nil:
-			if err := fc.Encode(&fleetEnvelope{TableRes: &tableResMsg{Table: p.Table()}}); err != nil {
-				return err
-			}
+			reply = &fleetEnvelope{TableRes: &tableResMsg{Table: p.Table()}}
 		case env.Cut != nil:
-			if err := fc.Encode(&fleetEnvelope{State: p.handleCut(st, env.Cut)}); err != nil {
-				return err
-			}
+			reply = &fleetEnvelope{State: p.handleCut(st, env.Cut)}
 		case env.Offer != nil:
-			if err := fc.Encode(&fleetEnvelope{OfferAck: p.handleOffer(st, env.Offer)}); err != nil {
-				return err
-			}
+			reply = &fleetEnvelope{OfferAck: p.handleOffer(st, env.Offer)}
 		case env.Commit != nil:
-			if err := fc.Encode(&fleetEnvelope{Done: p.handleCommit(st, env.Commit.Table)}); err != nil {
-				return err
-			}
+			reply = &fleetEnvelope{Done: p.handleCommit(st, env.Commit.Table)}
 		case env.Abort != nil:
 			p.handleAbort(st)
-			if err := fc.Encode(&fleetEnvelope{Done: &doneMsg{}}); err != nil {
-				return err
-			}
+			reply = &fleetEnvelope{Done: &doneMsg{}}
 		case env.Checkpoint != nil:
-			if err := fc.Encode(&fleetEnvelope{Done: p.handleCheckpoint()}); err != nil {
-				return err
-			}
+			reply = &fleetEnvelope{Done: p.handleCheckpoint()}
 		default:
 			return fmt.Errorf("fleet: unexpected control frame")
+		}
+		if err := fc.WriteFrames(reply.appendTo(nil)); err != nil {
+			return err
 		}
 	}
 }

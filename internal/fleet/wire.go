@@ -2,18 +2,24 @@ package fleet
 
 import "smartexp3/internal/frame"
 
-// The fleet control protocol rides internal/frame, like the cluster wire:
-// a frame.Conn per connection, the shared hello exchange (each side's Info
-// names it: the coordinator's name in the hello, the peer's id in the
-// reply), and gob-encoded envelopes through the frame layer's persistent
-// codec. A migrated stripe's snapshot rides inside them as the bytes of
-// its own fixed layout, which gob carries as one opaque byte slice. One
-// synchronous caller drives one connection: a coordinator holds one
-// control connection per peer for the lifetime of a rebalance, and
-// everything staged over a connection dies with it — which is what makes
-// a dead coordinator free (see the package doc's migration contract).
-// Like the serve and shardd wires, the control plane trusts its network:
-// the names in the hello are informational, not authenticated.
+// The fleet control protocol rides internal/frame, like the cluster and
+// serve wires: a frame.Conn per connection, the shared hello exchange
+// (each side's Info names it: the coordinator's name in the hello, the
+// peer's id in the reply), and one fixed-layout payload per frame
+// (codec.go). A payload is a tag byte naming the envelope's one message,
+// then that message's fields in declaration order in frame's field
+// encodings: ints as zigzag varints, uint64s as uvarints, strings as a
+// length and their bytes. A *Table is a presence byte, then its epoch,
+// its stripe bits (at most 255) and its roster as a list of (ID, Addr,
+// Control) strings. A migrated stripe's snapshot (stateMsg.Snap,
+// offerMsg.Snap) is the rest of the payload: its own v4 encoding, carried
+// as it is. One synchronous caller drives one connection: a coordinator
+// holds one control connection per peer for the lifetime of a rebalance,
+// and everything staged over a connection dies with it — which is what
+// makes a dead coordinator free (see the package doc's migration
+// contract). Like the serve and shardd wires, the control plane trusts
+// its network: the names in the hello are informational, not
+// authenticated.
 
 // fleetProtocolVersion is bumped whenever the control message set
 // changes incompatibly; the handshake refuses mismatches. Version 2 moved
@@ -21,12 +27,15 @@ import "smartexp3/internal/frame"
 // header's own checksum, and dropped the unused control ping. Version 3
 // carries migrated snapshots as their v4 encoding (serve.Snapshot.Encode)
 // instead of gob-encoded structs, and counts a cut's devices in stateMsg.
-const fleetProtocolVersion = 3
+// Version 4 replaces the gob envelopes with the fixed-layout payloads
+// above.
+const fleetProtocolVersion = 4
 
 // hello is this protocol's side of the shared handshake.
 var hello = frame.Hello{Proto: "fleet", Version: fleetProtocolVersion}
 
-// fleetEnvelope is the one-of union every control frame carries.
+// fleetEnvelope is the one-of union every control frame carries; a
+// payload carries its first set field.
 type fleetEnvelope struct {
 	TableGet   *tableGetMsg
 	TableRes   *tableResMsg
@@ -64,15 +73,15 @@ type cutMsg struct {
 	NewEpoch  uint64
 }
 
-// stateMsg answers a cutMsg with the drained range's snapshot, encoded
-// (serve.Snapshot.Encode), and how many devices it holds. A non-empty Err
-// refuses the cut (stripe not owned, bad range) without poisoning the
+// stateMsg answers a cutMsg with how many devices the drained range
+// holds and its snapshot, encoded (serve.Snapshot.Encode). A non-empty
+// Err refuses the cut (stripe not owned, bad range) without poisoning the
 // session.
 type stateMsg struct {
 	Stripe  int
 	Devices int
-	Snap    []byte
 	Err     string
+	Snap    []byte
 }
 
 // offerMsg stages one drained stripe on its new owner, carrying the

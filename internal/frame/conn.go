@@ -38,7 +38,7 @@ func Timeout(opt time.Duration) time.Duration {
 }
 
 // Conn is one framed connection: the net.Conn, its buffered reader and
-// writer, the frame codec pair over them, and the per-frame deadline
+// writer, the frame Writer and Reader over them, and the per-frame deadline
 // discipline. Every write goes through one function that arms the write
 // deadline, queues the operation's frames and flushes them in one write,
 // so a peer that stops draining surfaces within the timeout instead of
@@ -114,21 +114,17 @@ func (c *Conn) rearm(armed time.Time) time.Time {
 	return now.Add(c.timeout + c.timeout/16)
 }
 
-// write is the one path a frame takes to the wire: arm the write deadline
-// (lazily, see Conn), queue msg as a gob frame unless it is nil and then
-// every non-empty payload, and flush them in one write.
-func (c *Conn) write(msg any, payloads [][]byte) error {
+// WriteFrames is the one path a frame takes to the wire: arm the write
+// deadline (lazily, see Conn), queue each non-empty payload as one frame,
+// and flush them together — one deadline and one write for the whole
+// operation.
+func (c *Conn) WriteFrames(payloads ...[]byte) error {
 	if c.timeout > 0 {
 		if d := c.rearm(c.writeDeadline); !d.IsZero() {
 			if err := c.nc.SetWriteDeadline(d); err != nil {
 				return err
 			}
 			c.writeDeadline = d
-		}
-	}
-	if msg != nil {
-		if err := c.w.Encode(msg); err != nil {
-			return err
 		}
 	}
 	for _, p := range payloads {
@@ -140,13 +136,6 @@ func (c *Conn) write(msg any, payloads [][]byte) error {
 	}
 	return c.bw.Flush()
 }
-
-// Encode writes msg as one gob frame and flushes it.
-func (c *Conn) Encode(msg any) error { return c.write(msg, nil) }
-
-// WriteFrames writes each non-empty payload as one frame and flushes them
-// together: one deadline and one write for the whole operation.
-func (c *Conn) WriteFrames(payloads ...[]byte) error { return c.write(nil, payloads) }
 
 // ArmRead arms the read deadline (owed: a reply is due within the
 // timeout, lazily as Conn describes) or clears it, with a call only when
@@ -171,18 +160,9 @@ func (c *Conn) ArmRead(owed bool) error {
 	return nil
 }
 
-// Decode reads one gob frame into msg. A clean close between frames is
-// io.EOF exactly; any failure latches (see Reader).
-func (c *Conn) Decode(msg any) error {
-	if c.readEach {
-		if err := c.ArmRead(true); err != nil {
-			return err
-		}
-	}
-	return c.r.Decode(msg)
-}
-
-// ReadFrame reads one raw frame. The payload is valid until the next read.
+// ReadFrame reads one frame. The payload is valid until the next read; a
+// clean close between frames is io.EOF exactly, and any failure latches
+// (see Reader).
 func (c *Conn) ReadFrame() ([]byte, error) {
 	if c.readEach {
 		if err := c.ArmRead(true); err != nil {

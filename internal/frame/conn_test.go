@@ -158,62 +158,3 @@ func TestConnDisabledTimeoutSetsNoDeadline(t *testing.T) {
 		t.Fatalf("disabled timeout made %d read and %d write deadline calls", len(read), len(write))
 	}
 }
-
-// TestRawConnBuildsNoGobState pins the lazy gob codec: a Conn that carries
-// only raw payloads — the hello exchange, WriteFrames and ReadFrame, as
-// every serve and cluster connection does — never builds a gob encoder or
-// decoder, and the first Encode and Decode build them.
-func TestRawConnBuildsNoGobState(t *testing.T) {
-	dialer, acceptor := pipeConns(t)
-	accepted := make(chan error, 1)
-	go func() {
-		if _, err := acceptor.Accept(Hello{Proto: "raw", Version: 1}); err != nil {
-			accepted <- err
-			return
-		}
-		for i := 0; i < 3; i++ {
-			p, err := acceptor.ReadFrame()
-			if err == nil {
-				err = acceptor.WriteFrames(p, p)
-			}
-			if err != nil {
-				accepted <- err
-				return
-			}
-		}
-		accepted <- nil
-	}()
-	if _, err := dialer.Greet(Hello{Proto: "raw", Version: 1}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if err := dialer.WriteFrames([]byte("payload")); err != nil {
-			t.Fatal(err)
-		}
-		for j := 0; j < 2; j++ {
-			if _, err := dialer.ReadFrame(); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if err := <-accepted; err != nil {
-		t.Fatal(err)
-	}
-	for name, c := range map[string]*Conn{"dialer": dialer, "acceptor": acceptor} {
-		if c.w.enc != nil || c.r.dec != nil {
-			t.Fatalf("%s: a raw-payload connection built gob state", name)
-		}
-	}
-
-	go func() { accepted <- acceptor.Encode(Hello{Proto: "gob"}) }()
-	var got Hello
-	if err := dialer.Decode(&got); err != nil || got.Proto != "gob" {
-		t.Fatalf("gob frame after raw ones: %+v, %v", got, err)
-	}
-	if err := <-accepted; err != nil {
-		t.Fatal(err)
-	}
-	if acceptor.w.enc == nil || dialer.r.dec == nil {
-		t.Fatal("Encode and Decode did not build the gob codec")
-	}
-}

@@ -16,11 +16,10 @@
 // value — the property the chaos identity tests build on.
 //
 // What a payload holds is the protocol's business. Writer.WriteFrame and
-// Reader.ReadFrame carry raw bytes a protocol encoded itself: the serve
-// and cluster fixed-layout codecs, built on the field encodings of
-// payload.go. Writer.Encode and Reader.Decode carry gob values through one
-// persistent codec per connection (the fleet control message set), built
-// on first use, so a connection that never carries gob holds no gob state.
+// Reader.ReadFrame carry the bytes a protocol encoded itself: the serve,
+// cluster and fleet fixed-layout codecs, all built on the field encodings
+// of payload.go. A connection holds no codec state of its own beyond its
+// header scratch and its reusable payload buffer.
 //
 // The accept side is shared too: Listener is the accept loop under
 // serve.Server and the fleet control plane, and Accept, under it and
@@ -28,9 +27,7 @@
 package frame
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -53,23 +50,17 @@ const headerSize = 12
 // prepared table is allocation-free and hardware-accelerated on amd64/arm64.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// retainFrameBytes is the high-water mark above which the persistent codec
-// buffers are released after an outsized frame instead of staying pinned
-// for the connection's (potentially very long) lifetime.
+// retainFrameBytes is the high-water mark above which the reader's
+// payload buffer is released after an outsized frame instead of staying
+// pinned for the connection's (potentially very long) lifetime.
 const retainFrameBytes = 1 << 20
 
-// Writer emits frames. Its gob encoder is per connection, not per frame:
-// gob sends each type descriptor once per stream, so a session's
-// thousandth frame carries only values. A reconnect builds a fresh writer
-// on both sides, so nothing is shared across connections. The encoder is
-// built by the first Encode, so a writer that only carries raw payloads
-// never holds gob state.
+// Writer emits frames: a header, then the payload as the caller encoded
+// it.
 //
 // Not safe for concurrent use; callers serialize writes per connection.
 type Writer struct {
 	w      io.Writer
-	buf    frameBuf         // one gob frame under construction: header placeholder + gob bytes
-	enc    *gob.Encoder     // built by the first Encode
 	hdr    [headerSize]byte // WriteFrame's header scratch
 	frames *obsv.Counter    // optional; see Instrument
 	bytes  *obsv.Counter
@@ -82,102 +73,51 @@ func (fw *Writer) Instrument(frames, bytes *obsv.Counter) {
 	fw.frames, fw.bytes = frames, bytes
 }
 
-// frameBuf is the io.Writer the gob encoder targets: it appends into a
-// reusable slice, so the backing array can be dropped after an outsized
-// frame without disturbing the encoder's stream state.
-type frameBuf struct{ b []byte }
-
-func (fb *frameBuf) Write(p []byte) (int, error) {
-	fb.b = append(fb.b, p...)
-	return len(p), nil
-}
-
-// NewWriter returns a frame writer whose codec state lives for the whole
-// connection. Pair it with a NewReader on the receiving side.
+// NewWriter returns a frame writer for one connection's outbound stream.
+// Pair it with a NewReader on the receiving side.
 func NewWriter(w io.Writer) *Writer { return &Writer{w: w} }
 
-// Encode writes msg as one frame whose payload is the gob bytes of exactly
-// one Encode call (which may bundle type descriptors ahead of the value —
-// the matching Decode consumes them all).
-func (fw *Writer) Encode(msg any) error {
-	if fw.enc == nil {
-		fw.enc = gob.NewEncoder(&fw.buf)
-	}
-	fw.buf.b = append(fw.buf.b[:0], make([]byte, headerSize)...)
-	if err := fw.enc.Encode(msg); err != nil {
-		return fmt.Errorf("frame: encode: %w", err)
-	}
-	b := fw.buf.b
-	if err := putHeader(b[:headerSize], b[headerSize:]); err != nil {
-		return err
-	}
-	if cap(fw.buf.b) > retainFrameBytes {
-		fw.buf.b = nil // release the outsized backing array after this frame
-	}
-	if _, err := fw.w.Write(b); err != nil {
-		return fmt.Errorf("frame: write: %w", err)
-	}
-	fw.count(len(b))
-	return nil
-}
-
-// WriteFrame writes payload as one frame, bypassing gob. The payload is
-// copied into the underlying writer before WriteFrame returns, so the
-// caller may reuse it at once. Like Encode it does not flush: a caller
-// writing into a bufio.Writer can queue several frames and send them in
-// one write.
+// WriteFrame writes payload as one frame: its length, its CRC-32C and the
+// header's own CRC-32C, then the payload, which must fit the reader's
+// bounds. The payload is copied into the underlying writer before
+// WriteFrame returns, so the caller may reuse it at once. It does not
+// flush: a caller writing into a bufio.Writer can queue several frames
+// and send them in one write.
 func (fw *Writer) WriteFrame(payload []byte) error {
-	if err := putHeader(fw.hdr[:], payload); err != nil {
-		return err
+	if len(payload) == 0 || len(payload) > maxFrameBytes {
+		return fmt.Errorf("frame: payload of %d bytes outside (0, %d]", len(payload), maxFrameBytes)
 	}
-	if _, err := fw.w.Write(fw.hdr[:]); err != nil {
+	hdr := fw.hdr[:]
+	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(payload)))
+	binary.BigEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
+	binary.BigEndian.PutUint32(hdr[8:12], crc32.Checksum(hdr[:8], castagnoli))
+	if _, err := fw.w.Write(hdr); err != nil {
 		return fmt.Errorf("frame: write: %w", err)
 	}
 	if _, err := fw.w.Write(payload); err != nil {
 		return fmt.Errorf("frame: write: %w", err)
 	}
-	fw.count(headerSize + len(payload))
-	return nil
-}
-
-// putHeader fills hdr with payload's length, its CRC-32C and the header's
-// own CRC-32C, refusing a payload the reader's bounds check would reject.
-func putHeader(hdr, payload []byte) error {
-	if len(payload) == 0 || len(payload) > maxFrameBytes {
-		return fmt.Errorf("frame: payload of %d bytes outside (0, %d]", len(payload), maxFrameBytes)
-	}
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
-	binary.BigEndian.PutUint32(hdr[8:12], crc32.Checksum(hdr[:8], castagnoli))
-	return nil
-}
-
-func (fw *Writer) count(n int) {
 	if fw.frames != nil {
 		fw.frames.Inc()
-		fw.bytes.Add(uint64(n))
+		fw.bytes.Add(uint64(headerSize + len(payload)))
 	}
+	return nil
 }
 
-// Reader reads frames, either through one persistent gob decoder (Decode)
-// or as raw payloads (ReadFrame) — the receive half of Writer. The header
-// check and the length bound come before any allocation; the payload's
-// CRC-32C is verified before a decoder sees a byte; the payload buffer is
-// reused across frames (gob copies decoded values out; a ReadFrame payload
-// is valid until the next read).
+// Reader reads frames — the receive half of Writer. The header check and
+// the length bound come before any allocation; the payload's CRC-32C is
+// verified before a decoder sees a byte; the payload buffer is reused
+// across frames, so a payload is valid until the next read.
 //
 // Errors latch: a framed stream has no resynchronization point, so once
-// any read fails — header, checksum or gob — every later Decode or
-// ReadFrame returns the same error rather than risking misattributed
-// frames.
+// any read fails — header, length or checksum — every later ReadFrame
+// returns the same error rather than risking misattributed frames.
 //
 // Not safe for concurrent use; one goroutine reads per connection.
 type Reader struct {
 	r       io.Reader
 	hdr     [headerSize]byte // a field, not a local: io.ReadFull would move it to the heap per frame
 	payload []byte
-	cur     bytes.Reader
-	dec     *gob.Decoder  // built by the first Decode
 	err     error         // first failure; the stream is dead after one
 	frames  *obsv.Counter // optional; see Instrument
 	nbytes  *obsv.Counter
@@ -193,34 +133,10 @@ func (fr *Reader) Instrument(frames, bytes *obsv.Counter) {
 // NewReader returns a frame reader for one connection's inbound stream.
 func NewReader(r io.Reader) *Reader { return &Reader{r: r} }
 
-// Decode reads one frame and gob-decodes it into msg (a pointer, as for
-// gob.Decoder.Decode). A clean connection close between frames surfaces as
-// io.EOF exactly.
-func (fr *Reader) Decode(msg any) error {
-	payload, err := fr.ReadFrame()
-	if err != nil {
-		return err
-	}
-	if fr.dec == nil {
-		// bytes.Reader implements io.ByteReader, so gob adds no buffering
-		// of its own and each Decode consumes exactly the bytes we hand it.
-		fr.dec = gob.NewDecoder(&fr.cur)
-	}
-	fr.cur.Reset(payload)
-	if err := fr.dec.Decode(msg); err != nil {
-		fr.err = fmt.Errorf("frame: decode: %w", err)
-	} else if fr.cur.Len() != 0 {
-		fr.err = fmt.Errorf("frame: %d trailing bytes after the message", fr.cur.Len())
-	}
-	if fr.payload == nil {
-		fr.cur.Reset(nil) // drop the last reference to the outsized array now
-	}
-	return fr.err
-}
-
-// ReadFrame reads one frame and returns its checksum-verified payload,
-// bypassing gob. The payload aliases the reader's buffer and is valid only
-// until the next ReadFrame or Decode.
+// ReadFrame reads one frame and returns its checksum-verified payload. A
+// clean connection close between frames surfaces as io.EOF exactly. The
+// payload aliases the reader's buffer and is valid only until the next
+// ReadFrame.
 func (fr *Reader) ReadFrame() ([]byte, error) {
 	if fr.err != nil {
 		return nil, fr.err
@@ -230,7 +146,7 @@ func (fr *Reader) ReadFrame() ([]byte, error) {
 	return payload, err
 }
 
-// readPayload is the one framing routine under Decode and ReadFrame: read
+// readPayload is the framing routine under ReadFrame: read
 // and verify the header, bounds-check the length before sizing any buffer,
 // read the body and verify its CRC-32C. An outsized buffer is unpinned
 // from the reader here; the returned slice keeps it alive only as long as

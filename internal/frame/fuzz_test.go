@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -84,55 +85,36 @@ func FuzzFrameDecode(f *testing.F) {
 	})
 }
 
-// roundTripMsg is a small gob message for FuzzFrameRoundTrip.
-type roundTripMsg struct {
-	Seq  uint64
-	Name string
-	Vals []float64
-}
-
-// FuzzFrameRoundTrip checks the codec against itself: any payload we can
-// frame reads back byte for byte, and any gob message we can encode
-// decodes back equal, frame by frame, through the persistent
-// per-connection codec pair — raw and gob frames interleaved on one
-// stream.
+// FuzzFrameRoundTrip checks the codec against itself: any two payloads
+// we can frame, interleaved on one stream, read back byte for byte and in
+// order, each frame's boundary intact.
 func FuzzFrameRoundTrip(f *testing.F) {
-	f.Add([]byte("select"), uint64(42), "peer", 0.5)
-	f.Add([]byte{0}, uint64(1<<63), "", -1.0)
-	f.Fuzz(func(t *testing.T, payload []byte, seq uint64, name string, val float64) {
-		if len(payload) == 0 {
-			payload = []byte{0}
+	f.Add([]byte("select"), []byte("peer"))
+	f.Add([]byte{0}, []byte{0xff, 0, 0xff, 0})
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		if len(a) == 0 {
+			a = []byte{0}
 		}
-		msgs := []roundTripMsg{{Seq: seq, Name: name}, {Seq: seq + 1, Vals: []float64{val, -val}}}
+		if len(b) == 0 {
+			b = []byte{0}
+		}
+		want := [][]byte{a, b, a, b}
 		var buf bytes.Buffer
 		fw := NewWriter(&buf)
-		for _, m := range msgs {
-			if err := fw.WriteFrame(payload); err != nil {
-				t.Fatal(err)
-			}
-			if err := fw.Encode(&m); err != nil {
+		for _, p := range want {
+			if err := fw.WriteFrame(p); err != nil {
 				t.Fatal(err)
 			}
 		}
 		fr := NewReader(&buf)
-		for i, want := range msgs {
+		for i, w := range want {
 			p, err := fr.ReadFrame()
-			if err != nil || !bytes.Equal(p, payload) {
-				t.Fatalf("raw frame %d: got %x, %v; want %x", i, p, err, payload)
+			if err != nil || !bytes.Equal(p, w) {
+				t.Fatalf("frame %d: got %x, %v; want %x", i, p, err, w)
 			}
-			var got roundTripMsg
-			if err := fr.Decode(&got); err != nil {
-				t.Fatalf("gob frame %d: %v", i, err)
-			}
-			// gob decodes a zero-length slice as nil; NaN never equals itself.
-			if got.Seq != want.Seq || got.Name != want.Name || len(got.Vals) != len(want.Vals) {
-				t.Fatalf("gob frame %d: got %+v want %+v", i, got, want)
-			}
-			for j := range want.Vals {
-				if fmt.Sprint(got.Vals[j]) != fmt.Sprint(want.Vals[j]) {
-					t.Fatalf("gob frame %d: got %+v want %+v", i, got, want)
-				}
-			}
+		}
+		if p, err := fr.ReadFrame(); err != io.EOF {
+			t.Fatalf("after the last frame: got %x, %v; want io.EOF", p, err)
 		}
 	})
 }

@@ -48,18 +48,10 @@ func NashCounts(bandwidths []float64, devices int) []int {
 }
 
 // IsNash reports whether the allocation counts is a pure Nash equilibrium:
-// no device on any occupied network can strictly improve by moving.
+// no device on any occupied network can strictly improve by moving (by
+// more than 1e-12, so rounding never breaks a tie).
 func IsNash(bandwidths []float64, counts []int) bool {
-	return isNashEps(bandwidths, counts, 1e-12)
-}
-
-// IsEpsilonNash reports whether counts is an ε-equilibrium in absolute gain:
-// no device can improve its gain by more than eps by unilaterally moving.
-func IsEpsilonNash(bandwidths []float64, counts []int, eps float64) bool {
-	return isNashEps(bandwidths, counts, eps)
-}
-
-func isNashEps(bandwidths []float64, counts []int, eps float64) bool {
+	const eps = 1e-12
 	for i, ci := range counts {
 		if ci == 0 {
 			continue

@@ -86,17 +86,22 @@ func TestIsNashDetectsDeviation(t *testing.T) {
 	}
 }
 
+// TestIsEpsilonNash pins the ε-equilibrium the simulator counts, the
+// paper's Definition 3: an unbalanced split is not an exact NE, yet it is
+// an ε-equilibrium when no device's gain would rise by more than ε percent
+// at the NE. Here the six devices at 10/6 would rise to 2, by 20%.
 func TestIsEpsilonNash(t *testing.T) {
 	bws := []float64{10, 10}
-	counts := []int{6, 4} // shares 1.67 vs 2.5; moving 6→5 gives 2.0, +0.33
+	counts := []int{6, 4}
 	if IsNash(bws, counts) {
 		t.Fatal("unbalanced split accepted as exact NE")
 	}
-	if !IsEpsilonNash(bws, counts, 0.5) {
-		t.Fatal("allocation should be a 0.5-equilibrium")
+	d := DistanceToNash(NashShares(bws, counts), NashShares(bws, NashCounts(bws, 10)))
+	if d > 25 {
+		t.Fatalf("allocation should be a 25%% equilibrium: distance %v%%", d)
 	}
-	if IsEpsilonNash(bws, counts, 0.1) {
-		t.Fatal("allocation should not be a 0.1-equilibrium")
+	if d <= 10 {
+		t.Fatalf("allocation should not be a 10%% equilibrium: distance %v%%", d)
 	}
 }
 

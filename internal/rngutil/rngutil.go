@@ -55,17 +55,6 @@ func Shuffle[T any](rng *rand.Rand, xs []T) {
 	rng.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
 }
 
-// Pick returns a uniformly random element of xs. It panics only if xs is
-// empty, which indicates a programming error at the call site.
-func Pick[T any](rng *rand.Rand, xs []T) T {
-	return xs[rng.Intn(len(xs))]
-}
-
-// Coin returns true with probability p.
-func Coin(rng *rand.Rand, p float64) bool {
-	return rng.Float64() < p
-}
-
 // Categorical draws an index from the (not necessarily normalized)
 // non-negative weight vector ws. If the total weight is zero it falls back to
 // a uniform draw.

@@ -119,21 +119,27 @@ func TestCategoricalInRangeProperty(t *testing.T) {
 	}
 }
 
+// TestCoinProbability pins the coin flip the policies and environments
+// make on this package's generator, rng.Float64() < p (Smart EXP3's
+// exploration and greedy-phase coins, the wild model's mobility draw): it
+// lands heads with probability p.
 func TestCoinProbability(t *testing.T) {
 	rng := New(5)
 	heads := 0
 	const draws = 20000
 	for i := 0; i < draws; i++ {
-		if Coin(rng, 0.25) {
+		if rng.Float64() < 0.25 {
 			heads++
 		}
 	}
 	frac := float64(heads) / draws
 	if math.Abs(frac-0.25) > 0.02 {
-		t.Fatalf("Coin(0.25) landed heads %.3f of the time", frac)
+		t.Fatalf("a p=0.25 coin landed heads %.3f of the time", frac)
 	}
 }
 
+// TestShuffleAndPickPreserveElements pins that Shuffle only reorders, and
+// that a uniform pick from Perm's order lands on an element of the input.
 func TestShuffleAndPickPreserveElements(t *testing.T) {
 	rng := New(6)
 	xs := []int{1, 2, 3, 4, 5}
@@ -145,7 +151,7 @@ func TestShuffleAndPickPreserveElements(t *testing.T) {
 	if sum != 15 {
 		t.Fatalf("Shuffle lost elements: %v", xs)
 	}
-	got := Pick(rng, xs)
+	got := xs[Perm(rng, len(xs))[0]]
 	found := false
 	for _, x := range xs {
 		if x == got {
@@ -153,7 +159,7 @@ func TestShuffleAndPickPreserveElements(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Fatalf("Pick returned %d, not an element of %v", got, xs)
+		t.Fatalf("picked %d, not an element of %v", got, xs)
 	}
 }
 

@@ -283,15 +283,6 @@ func MergePooled[S, T any](r Replications, newState func() S, do func(s S, run i
 		merge)
 }
 
-// Grid fans a rows×cols scenario grid (for example settings × algorithms)
-// across the pool, row-major. Cell work should itself be serial — nest
-// replications inside cells only via workers=1, or the pool oversubscribes.
-func Grid(workers, rows, cols int, do func(row, col int) error) error {
-	return ForEach(workers, rows*cols, func(i int) error {
-		return do(i/cols, i%cols)
-	})
-}
-
 // Group deduplicates concurrent identical computations and caches their
 // results for the life of the process — the experiment suite's scenario
 // caches. Unlike a plain mutex-guarded map, concurrent callers of the same

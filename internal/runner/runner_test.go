@@ -258,12 +258,16 @@ func TestMergePooledDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestGridCoversAllCells fans a rows×cols grid across the pool the way
+// the experiment suite fans its cells, one ForEach index per cell, and
+// checks every cell runs.
 func TestGridCoversAllCells(t *testing.T) {
+	const cols = 5
 	var mu sync.Mutex
 	seen := make(map[[2]int]bool)
-	err := Grid(4, 3, 5, func(r, c int) error {
+	err := ForEach(4, 3*cols, func(i int) error {
 		mu.Lock()
-		seen[[2]int{r, c}] = true
+		seen[[2]int{i / cols, i % cols}] = true
 		mu.Unlock()
 		return nil
 	})

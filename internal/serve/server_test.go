@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/gob"
 	"errors"
 	"io"
 	"net"
@@ -139,6 +141,16 @@ type v3Envelope struct {
 	HelloAck *v3HelloAckMsg
 }
 
+// v3Frame writes env as a protocol-3 peer did: the bytes of one fresh gob
+// encoder's Encode call (type descriptors, then the value) as one frame.
+func v3Frame(fw *frame.Writer, env *v3Envelope) error {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(env); err != nil {
+		return err
+	}
+	return fw.WriteFrame(buf.Bytes())
+}
+
 // TestServerRejectsVersionMismatch pins the handshake across protocol
 // eras: a client greeting with the next serve version, and a client whose
 // first frame is a gob-era (protocol 3) hello envelope instead of the
@@ -159,7 +171,7 @@ func TestServerRejectsVersionMismatch(t *testing.T) {
 			}
 		}},
 		{"gob-v3-hello", func(t *testing.T, fw *frame.Writer) {
-			if err := fw.Encode(&v3Envelope{Hello: &v3HelloMsg{Version: 3}}); err != nil {
+			if err := v3Frame(fw, &v3Envelope{Hello: &v3HelloMsg{Version: 3}}); err != nil {
 				t.Fatal(err)
 			}
 		}},
@@ -214,7 +226,7 @@ func TestClientRefusesNonHelloAckReply(t *testing.T) {
 		return cli
 	}
 	gobAck := func(fw *frame.Writer) error {
-		return fw.Encode(&v3Envelope{HelloAck: &v3HelloAckMsg{Version: 3, Algorithm: "Smart EXP3"}})
+		return v3Frame(fw, &v3Envelope{HelloAck: &v3HelloAckMsg{Version: 3, Algorithm: "Smart EXP3"}})
 	}
 	pong := func(fw *frame.Writer) error {
 		return fw.WriteFrame((&message{tag: tagPong, pong: servePongMsg{Seq: 1}}).appendTo(nil))

@@ -171,33 +171,3 @@ func (s *Series) Mean() []float64 {
 	}
 	return out
 }
-
-// Downsample returns every step-th element of xs (always including the first
-// element), which is how long per-slot series are rendered as compact tables.
-func Downsample(xs []float64, step int) []float64 {
-	if step <= 1 {
-		out := make([]float64, len(xs))
-		copy(out, xs)
-		return out
-	}
-	var out []float64
-	for i := 0; i < len(xs); i += step {
-		out = append(out, xs[i])
-	}
-	return out
-}
-
-// FractionBelow returns the fraction of xs that is ≤ threshold; used to
-// report time spent at (or within ε of) Nash equilibrium.
-func FractionBelow(xs []float64, threshold float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var n int
-	for _, x := range xs {
-		if x <= threshold {
-			n++
-		}
-	}
-	return float64(n) / float64(len(xs))
-}

@@ -193,34 +193,46 @@ func TestSeriesIgnoresOutOfRange(t *testing.T) {
 	}
 }
 
+// TestDownsample pins that a per-slot series' mean, the form every long
+// series takes before it is rendered, is a copy: rendering code may
+// rewrite it without disturbing the series.
 func TestDownsample(t *testing.T) {
-	xs := []float64{0, 1, 2, 3, 4, 5}
-	got := Downsample(xs, 2)
-	want := []float64{0, 2, 4}
+	s := NewSeries(6)
+	s.AddRun([]float64{0, 1, 2, 3, 4, 5})
+	got := s.Mean()
+	want := []float64{0, 1, 2, 3, 4, 5}
 	if len(got) != len(want) {
-		t.Fatalf("Downsample = %v, want %v", got, want)
+		t.Fatalf("Mean = %v, want %v", got, want)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("Downsample = %v, want %v", got, want)
+			t.Fatalf("Mean = %v, want %v", got, want)
 		}
 	}
-	whole := Downsample(xs, 1)
-	if len(whole) != len(xs) {
-		t.Fatalf("step=1 should copy: %v", whole)
-	}
-	whole[0] = 99
-	if xs[0] == 99 {
-		t.Fatal("Downsample(step=1) must copy, not alias")
+	got[0] = 99
+	if again := s.Mean(); again[0] != 0 {
+		t.Fatal("Series.Mean must copy, not alias")
 	}
 }
 
+// TestFractionBelow pins the order statistic the tables report, the
+// interpolated q-quantile of n values: the ⌊q(n−1)⌋+1 smallest lie at or
+// below it (2 of {1, 5, 10} at or below the median), and an empty sample
+// reads 0.
 func TestFractionBelow(t *testing.T) {
-	xs := []float64{1, 5, 10}
-	if got := FractionBelow(xs, 5); math.Abs(got-2.0/3) > 1e-12 {
-		t.Fatalf("FractionBelow = %v", got)
+	xs := []float64{10, 1, 5}
+	for _, q := range []float64{0, 0.25, 0.5, 0.75, 1} {
+		v, below := Quantile(xs, q), 0
+		for _, x := range xs {
+			if x <= v {
+				below++
+			}
+		}
+		if want := int(math.Floor(q*float64(len(xs)-1))) + 1; below < want {
+			t.Fatalf("%d of %v at or below the %v-quantile %v, want at least %d", below, xs, q, v, want)
+		}
 	}
-	if got := FractionBelow(nil, 5); got != 0 {
-		t.Fatalf("FractionBelow(nil) = %v", got)
+	if got := Quantile(nil, 0.5); got != 0 {
+		t.Fatalf("Quantile(nil) = %v", got)
 	}
 }
