@@ -45,7 +45,7 @@ type Config struct {
 	// Source type whose values are legal rand.New arguments elsewhere.
 	RNGPackage string
 	// FrameWriters lists fully qualified type names
-	// ("path/to/pkg.Type") whose write methods count as wire writes for
+	// ("path/to/pkg.Type") whose WriteFrame calls count as wire writes for
 	// the wiredeadline check.
 	FrameWriters []string
 }

@@ -46,11 +46,12 @@
 // frame, cluster, serve and fleet) flags any connection or frame write
 // occurring in a function that never arms a write deadline. A "connection
 // write" is a Write call on a value whose type also has SetWriteDeadline
-// (net.Conn and friends); a "frame write" is a call to a frame.Writer
-// write method (Config.FrameWriters). Arming means calling SetWriteDeadline or
-// SetDeadline anywhere in the same function (function literals are
-// separate functions). Transport-agnostic helpers whose callers arm the
-// deadline carry waivers saying so.
+// (net.Conn and friends); a "frame write" is a WriteFrame call on a
+// frame-writer type (Config.FrameWriters: by default frame.Writer).
+// Arming means calling SetWriteDeadline or SetDeadline anywhere in the
+// same function (function literals are separate functions).
+// Transport-agnostic helpers whose callers arm the deadline carry waivers
+// saying so.
 //
 // seedpurity — everywhere outside the sanctioned RNG package
 // (Config.RNGPackage, by default rngutil), flags construction of RNG

@@ -123,9 +123,9 @@ func hasMethod(p *Package, t types.Type, name string) bool {
 
 // isFrameWriterMethod reports whether calling name on a value of type t
 // is a frame write: t is one of the configured frame-writer types and
-// name is one of its encoding entry points.
+// name is WriteFrame, its one writing entry point.
 func isFrameWriterMethod(cfg *Config, t types.Type, name string) bool {
-	if name != "write" && name != "WriteFrame" {
+	if name != "WriteFrame" {
 		return false
 	}
 	full := namedTypeString(t)

@@ -59,11 +59,7 @@ func TestRunSurvivesChaosProxiedWorker(t *testing.T) {
 // first fault.
 func chaosFrameStream(tb testing.TB) (stream []byte, frameEnds []int) {
 	tb.Helper()
-	wc, err := FromSimConfig(testConfig())
-	if err != nil {
-		tb.Fatal(err)
-	}
-	spec := JobSpec{Config: wc, Runs: 8, Seed: 11, Stream: []int64{3}}
+	spec := JobSpec{Config: testConfig(), Runs: 8, Seed: 11, Stream: []int64{3}}
 	res := &message{tag: tagRunResult, result: runResultMsg{Job: 1, Run: 3, Res: &sim.Result{
 		Slots:    4,
 		Distance: []float64{0.5, 0.25, 0.125, 0},

@@ -71,18 +71,21 @@ func (m *message) appendTo(b []byte) []byte {
 	return b
 }
 
-// appendJobSpec appends a job descriptor: its wire config, then the
-// seeding parameters.
+// appendJobSpec appends a job descriptor: its config, then the seeding
+// parameters.
 func appendJobSpec(b []byte, s *JobSpec) []byte {
-	b = appendWireConfig(b, &s.Config)
+	b = appendConfig(b, &s.Config)
 	b = binary.AppendVarint(b, int64(s.Runs))
 	b = binary.AppendVarint(b, s.Seed)
 	b = frame.AppendList(b, s.Stream, binary.AppendVarint)
 	return binary.AppendVarint(b, int64(s.Affinity))
 }
 
-// appendWireConfig appends every WireConfig field in declaration order.
-func appendWireConfig(b []byte, c *WireConfig) []byte {
+// appendConfig appends the sim.Config fields that cross the wire (all but
+// the five Shardable names) in the order cluster protocol v5 fixed, which
+// is not sim.Config's declaration order: EpsilonPercent precedes
+// DeviceGroups.
+func appendConfig(b []byte, c *sim.Config) []byte {
 	b = frame.AppendList(b, c.Topology.Networks, func(b []byte, n netmodel.Network) []byte {
 		b = frame.AppendString(b, n.Name)
 		b = binary.AppendVarint(b, int64(n.Type))
@@ -176,7 +179,7 @@ func (m *message) decode(p []byte) error {
 		m.job.ID = r.Uvarint()
 		spec := new(JobSpec)
 		start := len(p) - r.Len()
-		readWireConfig(r, &spec.Config)
+		readConfig(r, &spec.Config)
 		m.job.config = p[start : len(p)-r.Len()]
 		readJobSeeding(r, spec)
 		m.job.Spec = spec
@@ -219,8 +222,8 @@ func readJobSeeding(r *frame.PayloadReader, s *JobSpec) {
 	s.Affinity = r.Int()
 }
 
-// readWireConfig reads appendWireConfig's layout into c.
-func readWireConfig(r *frame.PayloadReader, c *WireConfig) {
+// readConfig reads appendConfig's layout into c.
+func readConfig(r *frame.PayloadReader, c *sim.Config) {
 	c.Topology.Networks = frame.ReadList(r, nil, networkMinBytes, func(r *frame.PayloadReader) netmodel.Network {
 		return netmodel.Network{Name: r.Text(), Type: netmodel.Type(r.Int()), Bandwidth: r.Float()}
 	})

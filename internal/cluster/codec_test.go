@@ -45,7 +45,7 @@ var (
 // and ±Inf.
 func fullSpec() JobSpec {
 	return JobSpec{
-		Config: WireConfig{
+		Config: sim.Config{
 			Topology: netmodel.Topology{
 				Networks: []netmodel.Network{
 					{Name: "wifi-a", Type: netmodel.WiFi, Bandwidth: 11},
@@ -161,10 +161,18 @@ func gobRoundTrip[T any](t *testing.T, v T) T {
 
 // sameValue is reflect.DeepEqual except that two NaNs with the same bits
 // are equal, so a table entry can carry NaN. Like DeepEqual it tells a nil
-// slice or pointer from a non-nil one and holds −0 equal to +0 (gob drops
-// a −0 struct field as a zero value; the codec keeps its bits).
+// slice or pointer from a non-nil one, holds −0 equal to +0 (gob drops a
+// −0 struct field as a zero value; the codec keeps its bits) and holds two
+// funcs equal only when both are nil (sim.Config has func fields).
 func sameValue(a, b reflect.Value) bool {
 	switch a.Kind() {
+	case reflect.Func:
+		return a.IsNil() && b.IsNil()
+	case reflect.Interface:
+		if a.IsNil() || b.IsNil() {
+			return a.IsNil() == b.IsNil()
+		}
+		return a.Elem().Type() == b.Elem().Type() && sameValue(a.Elem(), b.Elem())
 	case reflect.Float64:
 		x, y := a.Float(), b.Float()
 		return x == y || math.Float64bits(x) == math.Float64bits(y)
@@ -200,13 +208,13 @@ func sameValue(a, b reflect.Value) bool {
 // nil, as gob's did, and a non-nil empty criteria profile stays non-nil.
 func TestClusterCodecMatchesGob(t *testing.T) {
 	full := fullSpec()
-	emptyLists := JobSpec{Config: WireConfig{
+	emptyLists := JobSpec{Config: sim.Config{
 		Topology:     netmodel.Topology{Networks: []netmodel.Network{}, Areas: [][]int{}},
 		Devices:      []sim.DeviceSpec{{Trajectory: []sim.AreaStay{}}},
 		DeviceGroups: [][]int{{}, nil},
 		NetworkCosts: []criteria.Costs{},
 	}, Stream: []int64{}}
-	zeroProfile := JobSpec{Config: WireConfig{Criteria: &criteria.Profile{}}}
+	zeroProfile := JobSpec{Config: sim.Config{Criteria: &criteria.Profile{}}}
 	for name, tc := range map[string]struct {
 		spec   JobSpec
 		hasNaN bool
@@ -215,7 +223,7 @@ func TestClusterCodecMatchesGob(t *testing.T) {
 		"zero":          {JobSpec{}, false},
 		"empty lists":   {emptyLists, false},
 		"zero criteria": {zeroProfile, false},
-		"setting 1":     {JobSpec{Config: WireConfig{Topology: netmodel.Setting1(), Devices: sim.UniformDevices(5, core.AlgSmartEXP3), Slots: 120}, Runs: 8, Seed: 1, Stream: []int64{42}}, false},
+		"setting 1":     {JobSpec{Config: sim.Config{Topology: netmodel.Setting1(), Devices: sim.UniformDevices(5, core.AlgSmartEXP3), Slots: 120}, Runs: 8, Seed: 1, Stream: []int64{42}}, false},
 	} {
 		spec := tc.spec
 		var got message
@@ -260,27 +268,44 @@ type leafSetter struct {
 	set  func(v reflect.Value)
 }
 
+// notOnWire names, by their leafSetters path, exactly the five sim.Config
+// fields the codec does not carry — the ones Shardable documents. The walk
+// skips them and must meet each one; every other field must survive.
+var notOnWire = []string{
+	"JobSpec.Config.WiFiDelay",
+	"JobSpec.Config.CellularDelay",
+	"JobSpec.Config.Seed",
+	"JobSpec.Config.Core",
+	"JobSpec.Config.PolicyFactory",
+}
+
 // leafSetters walks t by reflection and returns one setter per leaf
 // field, reaching through pointers (allocated) and slices (one element).
-// A field of a kind the codec has no encoding for fails the test.
-func leafSetters(t *testing.T, typ reflect.Type, path string) []leafSetter {
+// A field whose path is a key of skip is left out, and its value set to
+// true. A field of a kind the codec has no encoding for fails the test.
+func leafSetters(t *testing.T, typ reflect.Type, path string, skip map[string]bool) []leafSetter {
 	var out []leafSetter
 	switch typ.Kind() {
 	case reflect.Struct:
 		for i := 0; i < typ.NumField(); i++ {
-			for _, ls := range leafSetters(t, typ.Field(i).Type, path+"."+typ.Field(i).Name) {
+			p := path + "." + typ.Field(i).Name
+			if _, ok := skip[p]; ok {
+				skip[p] = true
+				continue
+			}
+			for _, ls := range leafSetters(t, typ.Field(i).Type, p, skip) {
 				out = append(out, leafSetter{ls.path, func(v reflect.Value) { ls.set(v.Field(i)) }})
 			}
 		}
 	case reflect.Pointer:
-		for _, ls := range leafSetters(t, typ.Elem(), path) {
+		for _, ls := range leafSetters(t, typ.Elem(), path, skip) {
 			out = append(out, leafSetter{ls.path, func(v reflect.Value) {
 				v.Set(reflect.New(typ.Elem()))
 				ls.set(v.Elem())
 			}})
 		}
 	case reflect.Slice:
-		for _, ls := range leafSetters(t, typ.Elem(), path+"[0]") {
+		for _, ls := range leafSetters(t, typ.Elem(), path+"[0]", skip) {
 			out = append(out, leafSetter{ls.path, func(v reflect.Value) {
 				v.Set(reflect.MakeSlice(typ, 1, 1))
 				ls.set(v.Index(0))
@@ -301,12 +326,22 @@ func leafSetters(t *testing.T, typ reflect.Type, path string) []leafSetter {
 }
 
 // TestClusterCodecCarriesEveryField walks JobSpec (and with it
-// WireConfig) and sim.Result by reflection and round-trips, for each leaf
+// sim.Config) and sim.Result by reflection and round-trips, for each leaf
 // field, a value with only that field set. A field the codec does not
 // carry decodes as zero and fails the test by name, so a field added to
-// any of these types can never silently drop off the wire.
+// any of these types can never silently drop off the wire: the codec
+// carries it, or notOnWire names it.
 func TestClusterCodecCarriesEveryField(t *testing.T) {
-	specFields := leafSetters(t, reflect.TypeOf(JobSpec{}), "JobSpec")
+	met := make(map[string]bool)
+	for _, path := range notOnWire {
+		met[path] = false
+	}
+	specFields := leafSetters(t, reflect.TypeOf(JobSpec{}), "JobSpec", met)
+	for path, ok := range met {
+		if !ok {
+			t.Errorf("notOnWire names %s, which the walk never met", path)
+		}
+	}
 	for _, ls := range specFields {
 		var spec JobSpec
 		ls.set(reflect.ValueOf(&spec).Elem())
@@ -316,7 +351,7 @@ func TestClusterCodecCarriesEveryField(t *testing.T) {
 			t.Errorf("%s does not survive the codec (%v)", ls.path, err)
 		}
 	}
-	resultFields := leafSetters(t, reflect.TypeOf(sim.Result{}), "sim.Result")
+	resultFields := leafSetters(t, reflect.TypeOf(sim.Result{}), "sim.Result", nil)
 	for _, ls := range resultFields {
 		var res sim.Result
 		ls.set(reflect.ValueOf(&res).Elem())

@@ -46,14 +46,17 @@
 // The wire protocol is deliberately boring: fixed-layout messages (a tag
 // byte, varint and IEEE-754-bit fields, length-prefixed lists; see wire.go
 // and codec.go) in the checksummed frames of internal/frame over stdlib
-// TCP, opened by the frame layer's shared hello. Every message is encoded
-// into retained per-connection scratch and decoded without reflection;
-// the only per-message allocations are the results and job descriptors
-// the receiver keeps. There is no discovery and no TLS — shardd is meant
-// to run inside a trusted cluster network behind the operator's own
-// orchestration, and a dead or unreachable worker is handled by the two
-// mechanisms that matter for correctness: range reassignment and bounded
-// reconnects.
+// TCP, opened by the frame layer's shared hello. A job crosses as its
+// sim.Config, less the five fields Shardable names (the two delay
+// samplers, the PolicyFactory, Core and Seed), plus its seeding
+// parameters; a result crosses as every sim.Result field, each float as
+// its exact bits. Every message is encoded into retained per-connection
+// scratch and decoded without reflection; the only per-message
+// allocations are the results and job descriptors the receiver keeps.
+// There is no discovery and no TLS — shardd is meant to run inside a
+// trusted cluster network behind the operator's own orchestration, and a
+// dead or unreachable worker is handled by the two mechanisms that matter
+// for correctness: range reassignment and bounded reconnects.
 package cluster
 
 import (
@@ -61,35 +64,22 @@ import (
 	"fmt"
 	"strings"
 
-	"smartexp3/internal/criteria"
-	"smartexp3/internal/netmodel"
 	"smartexp3/internal/runner"
 	"smartexp3/internal/sim"
 )
 
-// WireConfig is the serializable subset of sim.Config: everything except
-// the process-local fields (delay Samplers, the Gamma schedule and the
-// PolicyFactory are functions or interfaces and cannot cross the wire).
-// Workers apply the same deterministic defaults sim.NewEngine applies, so a
-// WireConfig names the same compiled engine in every process.
-type WireConfig struct {
-	Topology       netmodel.Topology
-	Devices        []sim.DeviceSpec
-	Slots          int
-	SlotSeconds    float64
-	GainScale      float64
-	NoiseStdDev    float64
-	EpsilonPercent float64
-	DeviceGroups   [][]int
-	Collect        sim.CollectOptions
-	Criteria       *criteria.Profile
-	NetworkCosts   []criteria.Costs
-}
-
-// Shardable reports whether cfg can be expressed as a WireConfig: it
-// returns nil exactly when FromSimConfig would succeed. Configurations
-// using custom delay samplers, a custom core schedule or a PolicyFactory
-// are process-local and must run in-process (sim.Replicate).
+// Shardable reports whether cfg can run on a cluster: NewJob accepts cfg
+// exactly when it returns nil. The wire carries every sim.Config field
+// except five:
+//
+//   - WiFiDelay, CellularDelay and PolicyFactory are interfaces and
+//     functions, which cannot cross the wire; Shardable refuses them when
+//     set, and such configs run in-process (sim.Replicate).
+//   - Core is refused when Core.Gamma is set. Otherwise sim's defaulting
+//     replaces the whole Core with core.DefaultConfig, in every process
+//     alike.
+//   - Seed is ignored by sim.NewEngine; the batch seed travels in
+//     JobSpec.Seed.
 func Shardable(cfg sim.Config) error {
 	if cfg.WiFiDelay != nil || cfg.CellularDelay != nil {
 		return errors.New("cluster: custom delay samplers cannot be serialized; workers apply the internal/dist defaults")
@@ -115,52 +105,14 @@ func Shardable(cfg sim.Config) error {
 	return nil
 }
 
-// FromSimConfig converts a shardable sim.Config into its wire form. The
-// config's Seed is deliberately not carried: batch seeding belongs to the
-// JobSpec (see NewJob).
-func FromSimConfig(cfg sim.Config) (WireConfig, error) {
-	if err := Shardable(cfg); err != nil {
-		return WireConfig{}, err
-	}
-	return WireConfig{
-		Topology:       cfg.Topology,
-		Devices:        cfg.Devices,
-		Slots:          cfg.Slots,
-		SlotSeconds:    cfg.SlotSeconds,
-		GainScale:      cfg.GainScale,
-		NoiseStdDev:    cfg.NoiseStdDev,
-		EpsilonPercent: cfg.EpsilonPercent,
-		DeviceGroups:   cfg.DeviceGroups,
-		Collect:        cfg.Collect,
-		Criteria:       cfg.Criteria,
-		NetworkCosts:   cfg.NetworkCosts,
-	}, nil
-}
-
-// SimConfig converts the wire form back into a runnable configuration.
-// Fields absent from the wire (samplers, core schedule) stay zero and take
-// sim.NewEngine's deterministic defaults.
-func (w WireConfig) SimConfig() sim.Config {
-	return sim.Config{
-		Topology:       w.Topology,
-		Devices:        w.Devices,
-		Slots:          w.Slots,
-		SlotSeconds:    w.SlotSeconds,
-		GainScale:      w.GainScale,
-		NoiseStdDev:    w.NoiseStdDev,
-		EpsilonPercent: w.EpsilonPercent,
-		DeviceGroups:   w.DeviceGroups,
-		Collect:        w.Collect,
-		Criteria:       w.Criteria,
-		NetworkCosts:   w.NetworkCosts,
-	}
-}
-
-// JobSpec is the complete description of one replication batch: a wire
-// config plus the runner.Replications seeding parameters. Any process
-// holding a JobSpec derives exactly the same per-run seeds.
+// JobSpec is the complete description of one replication batch: a
+// shardable config plus the runner.Replications seeding parameters. Any
+// process holding a JobSpec derives exactly the same per-run seeds and
+// compiles the same engine.
 type JobSpec struct {
-	Config WireConfig
+	// Config is the batch's scenario. It crosses the wire without the
+	// fields Shardable names; a decoded JobSpec holds them zero.
+	Config sim.Config
 	// Runs is the total number of replications across all shards.
 	Runs int
 	// Seed is the batch's base seed; per-run seeds derive from it exactly
@@ -177,17 +129,16 @@ type JobSpec struct {
 	Affinity int
 }
 
-// NewJob builds the wire descriptor for running batch over cfg on a
-// cluster. It fails when cfg is not shardable (see Shardable).
+// NewJob builds the descriptor for running batch over cfg on a cluster.
+// It fails when cfg is not shardable (see Shardable).
 func NewJob(batch runner.Replications, cfg sim.Config) (JobSpec, error) {
-	wc, err := FromSimConfig(cfg)
-	if err != nil {
+	if err := Shardable(cfg); err != nil {
 		return JobSpec{}, err
 	}
 	if batch.Runs < 0 {
 		return JobSpec{}, fmt.Errorf("cluster: negative run count %d", batch.Runs)
 	}
-	return JobSpec{Config: wc, Runs: batch.Runs, Seed: batch.Seed, Stream: batch.Stream}, nil
+	return JobSpec{Config: cfg, Runs: batch.Runs, Seed: batch.Seed, Stream: batch.Stream}, nil
 }
 
 // batch reconstructs the runner batch the job describes. Workers is left to

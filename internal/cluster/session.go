@@ -464,55 +464,50 @@ func (s *Session) claimLocal(j *jobRun) (int, bool) {
 }
 
 // shardLoop owns one worker address for the session's lifetime: dial, run a
-// connection epoch until it fails, then redial. Consecutive failures without
-// a delivered chunk retire the shard; any progress resets the count. A
-// shard that never answered a dial at all retires on the first failure —
-// redialing an address that was unreachable from the start mostly delays
-// the in-process rescue, while an established worker that drops out earns
-// the reconnect attempts.
+// connection epoch until it fails, then redial. A failed dial and a lost
+// connection are both strikes; consecutive strikes without a delivered
+// chunk retire the shard, and any progress resets the count. A shard that
+// never answered a dial at all retires on the first failure — redialing an
+// address that was unreachable from the start mostly delays the in-process
+// rescue, while an established worker that drops out earns the reconnect
+// attempts.
 func (s *Session) shardLoop(sh *shard) {
 	strikes := 0
 	everConnected := false
-	for {
-		if s.isClosed() {
-			return
-		}
+	for !s.isClosed() {
 		conn, err := net.DialTimeout("tcp", sh.addr, frame.DialTimeout)
 		if err != nil {
 			s.opts.logf("cluster: shard %s: dial: %v", sh.addr, err)
 			if !everConnected {
 				return
 			}
-			if strikes++; strikes >= maxShardStrikes {
+		} else {
+			if everConnected {
+				if m := s.opts.Metrics; m != nil {
+					m.Reconnects.Inc()
+				}
+			}
+			everConnected = true
+			sh.setConn(conn)
+			progressed, permanent, err := s.runConn(sh, conn)
+			// Single close point for every connection this session dials: no
+			// early-return path below runConn can leak the socket.
+			conn.Close()
+			sh.setConn(nil)
+			if s.isClosed() || err == nil {
 				return
 			}
-			time.Sleep(redialBackoff)
-			continue
-		}
-		if everConnected {
-			if m := s.opts.Metrics; m != nil {
-				m.Reconnects.Inc()
+			if permanent {
+				// A deterministic refusal (version mismatch, protocol breach
+				// at handshake): redialing the same binary cannot end
+				// differently.
+				s.opts.logf("cluster: shard %s: retired: %v", sh.addr, err)
+				return
 			}
-		}
-		everConnected = true
-		sh.setConn(conn)
-		progressed, permanent, err := s.runConn(sh, conn)
-		// Single close point for every connection this session dials: no
-		// early-return path below runConn can leak the socket.
-		conn.Close()
-		sh.setConn(nil)
-		if s.isClosed() || err == nil {
-			return
-		}
-		if permanent {
-			// A deterministic refusal (version mismatch, protocol breach at
-			// handshake): redialing the same binary cannot end differently.
-			s.opts.logf("cluster: shard %s: retired: %v", sh.addr, err)
-			return
-		}
-		s.opts.logf("cluster: shard %s: connection lost: %v", sh.addr, err)
-		if progressed {
-			strikes = 0
+			s.opts.logf("cluster: shard %s: connection lost: %v", sh.addr, err)
+			if progressed {
+				strikes = 0
+			}
 		}
 		if strikes++; strikes >= maxShardStrikes {
 			return
@@ -641,14 +636,11 @@ func (s *Session) runConn(sh *shard, conn net.Conn) (progressed, permanent bool,
 	for _, c := range inflight {
 		s.requeue(c.j, c.idx)
 	}
-	if connErr == nil {
-		connErr = errSessionClosed
-		if !s.isClosed() {
-			connErr = errors.New("connection closed")
-		}
-	}
 	if s.isClosed() {
 		return prog, false, nil
+	}
+	if connErr == nil {
+		connErr = errors.New("connection closed")
 	}
 	return prog, false, connErr
 }
@@ -662,8 +654,11 @@ const (
 	actSweep
 )
 
-// writerWait parks the shard until it has something to do: a claimable
-// chunk, a finished job to release, epoch death or session close.
+// writerWait parks the shard until it has something to do: a finished job
+// to release, a claimable chunk while fewer than pipelineDepth ranges are
+// in flight, epoch death or session close. Every pop from the in-flight
+// FIFO is followed by a broadcast of the session cond (deliver, failJob,
+// kill), so a full pipeline never parks the writer for good.
 func (e *epoch) writerWait() (*jobRun, int, writerAction) {
 	s := e.s
 	s.mu.Lock()
@@ -675,8 +670,13 @@ func (e *epoch) writerWait() (*jobRun, int, writerAction) {
 		if len(e.releasable()) > 0 {
 			return nil, 0, actSweep
 		}
-		if j, idx, ok := s.tryClaimShardLocked(e.sh.index); ok {
-			return j, idx, actChunk
+		e.mu.Lock()
+		full := len(e.inflight) >= pipelineDepth
+		e.mu.Unlock()
+		if !full {
+			if j, idx, ok := s.tryClaimShardLocked(e.sh.index); ok {
+				return j, idx, actChunk
+			}
 		}
 		s.cond.Wait()
 	}
@@ -713,15 +713,6 @@ func (e *epoch) releasable() []uint64 {
 // next range queued while streaming the current one.
 func (e *epoch) writerLoop() {
 	for {
-		// Respect the pipeline depth before claiming more work.
-		e.mu.Lock()
-		full := len(e.inflight) >= pipelineDepth
-		e.mu.Unlock()
-		if full {
-			if !e.waitInflightBelow(pipelineDepth) {
-				return
-			}
-		}
 		j, idx, act := e.writerWait()
 		switch act {
 		case actExit:
@@ -768,27 +759,6 @@ func (e *epoch) writerLoop() {
 				return
 			}
 		}
-	}
-}
-
-// waitInflightBelow parks the writer until the in-flight FIFO drops under n,
-// the epoch dies or the session closes. Reader pops broadcast the session
-// cond (via deliver/failJob), so no extra signal is needed.
-func (e *epoch) waitInflightBelow(n int) bool {
-	s := e.s
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		if s.closed || e.dead.Load() {
-			return false
-		}
-		e.mu.Lock()
-		below := len(e.inflight) < n
-		e.mu.Unlock()
-		if below {
-			return true
-		}
-		s.cond.Wait()
 	}
 }
 

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"strings"
@@ -12,6 +13,7 @@ import (
 
 	"smartexp3/internal/frame"
 	"smartexp3/internal/runner"
+	"smartexp3/internal/sim"
 )
 
 // startCountingWorker is startWorkers for one daemon, with an accept
@@ -433,7 +435,7 @@ func TestWorkerEngineCacheSurvivesReleaseCycles(t *testing.T) {
 		engines: make(map[string]*enginePool),
 		jobKeys: make(map[uint64]string),
 	}
-	config := appendWireConfig(nil, &spec.Config) // the key a decoded Job carries
+	config := appendConfig(nil, &spec.Config) // the key a decoded Job carries
 	if msg := ws.addJob(1, spec, config); msg != "" {
 		t.Fatal(msg)
 	}
@@ -469,5 +471,272 @@ func TestSessionRunAfterCloseRunsInProcess(t *testing.T) {
 	}
 	if got.String() != want {
 		t.Fatal("run after close differs from the in-process aggregate")
+	}
+}
+
+// recordLogs returns a Logf that keeps every line, and a counter of the
+// kept lines containing all of the given substrings.
+func recordLogs() (logf func(format string, args ...any), count func(subs ...string) int) {
+	var mu sync.Mutex
+	var lines []string
+	logf = func(format string, args ...any) {
+		mu.Lock()
+		lines = append(lines, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	}
+	count = func(subs ...string) int {
+		mu.Lock()
+		defer mu.Unlock()
+		n := 0
+	lines:
+		for _, l := range lines {
+			for _, sub := range subs {
+				if !strings.Contains(l, sub) {
+					continue lines
+				}
+			}
+			n++
+		}
+		return n
+	}
+	return logf, count
+}
+
+// droppingWorker accepts one coordinator connection, completes the
+// handshake, reads until the first range arrives and then closes its
+// listener and the connection: a worker that dies before delivering a
+// chunk, and whose port refuses every redial afterwards.
+func droppingWorker(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		conn, err := ln.Accept()
+		ln.Close()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		fc := frame.NewConn(conn, 0, 0, false)
+		if _, err := fc.Accept(hello); err != nil {
+			return
+		}
+		var in message
+		for readMessage(fc, &in) == nil && in.tag != tagRange {
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// TestSessionShardStrikeBudget pins the redial rules. A shard that
+// handshook and then lost its connection before delivering a chunk
+// retires after exactly maxShardStrikes consecutive failures — the lost
+// connection plus the refused redials — while a shard that never answered
+// a dial retires on its first. The batch then finishes in-process,
+// identical to sim.Replicate.
+func TestSessionShardStrikeBudget(t *testing.T) {
+	cfg := testConfig()
+	batch := runner.Replications{Runs: 8, Workers: 1, Seed: 11, Stream: []int64{3}}
+	mergeA, want := fingerprint()
+	if err := sim.Replicate(batch, cfg, mergeA); err != nil {
+		t.Fatal(err)
+	}
+	job, err := NewJob(batch, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dropping, dead := droppingWorker(t), reservedClosedPort(t)
+	logf, count := recordLogs()
+	s := NewSession([]string{dropping, dead}, Options{ChunkSize: 2, LocalWorkers: 1, Logf: logf})
+	mergeB, got := fingerprint()
+	err = s.Run(job, mergeB)
+	s.Close() // waits for both shard goroutines: every strike is logged
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Fatal("batch finished after the shards retired differs from sim.Replicate")
+	}
+	lost := count("shard " + dropping + ": connection lost:")
+	dials := count("shard " + dropping + ": dial:")
+	if lost != 1 || lost+dials != maxShardStrikes {
+		t.Fatalf("dropping shard failed %d connections and %d dials before retiring, want 1 and %d",
+			lost, dials, maxShardStrikes-1)
+	}
+	if n := count("shard " + dead + ": dial:"); n != 1 {
+		t.Fatalf("never-connected shard failed %d dials before retiring, want 1", n)
+	}
+	if n := count("retired"); n != 0 {
+		t.Fatalf("%d shards retired as refused; no handshake was refused", n)
+	}
+	if n := count("all shards gone"); n != 1 {
+		t.Fatalf("in-process rescue announced %d times, want 1", n)
+	}
+}
+
+// pipelineProxy forwards frames between one session connection and a
+// worker, decoding each. It delays every RangeDone on its way back, so
+// the session's pipeline fills, and records the most ranges ever
+// outstanding (forwarded to the worker and not yet acknowledged to the
+// session: a lower bound on the session's own count) and when each
+// shipped job id was released.
+type pipelineProxy struct {
+	addr string
+
+	mu          sync.Mutex
+	outstanding int
+	maxOut      int
+	shipped     map[uint64]int64     // job id → the job's stream id
+	released    map[uint64]time.Time // job id → when its JobRelease passed
+}
+
+func newPipelineProxy(t *testing.T, backend string, doneDelay time.Duration) *pipelineProxy {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	p := &pipelineProxy{addr: ln.Addr().String(), shipped: make(map[uint64]int64), released: make(map[uint64]time.Time)}
+	go func() {
+		up, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		down, err := net.Dial("tcp", backend)
+		if err != nil {
+			up.Close()
+			return
+		}
+		t.Cleanup(func() { up.Close(); down.Close() })
+		go p.pump(up, down, p.toWorker)
+		go p.pump(down, up, func(m *message) {
+			if m.tag == tagRangeDone {
+				time.Sleep(doneDelay)
+				p.mu.Lock()
+				p.outstanding-- // before forwarding: the session cannot have seen it yet
+				p.mu.Unlock()
+			}
+		})
+	}()
+	return p
+}
+
+// pump copies frames from src to dst, showing each decoded message (the
+// hellos do not decode and pass unseen) to see before forwarding it.
+func (p *pipelineProxy) pump(src, dst net.Conn, see func(m *message)) {
+	defer src.Close()
+	defer dst.Close()
+	r, w := frame.NewReader(src), frame.NewWriter(dst)
+	var m message
+	for {
+		f, err := r.ReadFrame()
+		if err != nil {
+			return
+		}
+		if m.decode(f) == nil {
+			see(&m)
+		}
+		if err := w.WriteFrame(f); err != nil {
+			return
+		}
+	}
+}
+
+func (p *pipelineProxy) toWorker(m *message) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	switch m.tag {
+	case tagJob:
+		p.shipped[m.job.ID] = m.job.Spec.Stream[0]
+	case tagRange:
+		p.outstanding++
+		p.maxOut = max(p.maxOut, p.outstanding)
+	case tagJobRelease:
+		p.released[m.jobRelease.ID] = time.Now()
+	}
+}
+
+// releasedStream waits up to limit for the JobRelease of the job shipped
+// with the given stream id, reporting whether it passed.
+func (p *pipelineProxy) releasedStream(stream int64, limit time.Duration) bool {
+	for deadline := time.Now().Add(limit); ; time.Sleep(time.Millisecond) {
+		p.mu.Lock()
+		for id, st := range p.shipped {
+			if _, ok := p.released[id]; ok && st == stream {
+				p.mu.Unlock()
+				return true
+			}
+		}
+		p.mu.Unlock()
+		if time.Now().After(deadline) {
+			return false
+		}
+	}
+}
+
+// TestSessionPipelineDepthAndRelease pins the shard writer's two duties
+// over one connection whose range acknowledgements come back slowly. A
+// long job keeps the pipeline full while short jobs with affinity for the
+// shard run one after another beside it. The session never has more than
+// pipelineDepth ranges outstanding, and every shipped job id is released
+// within a bounded wait after its Run returns — the short ones while the
+// long job still fills the pipeline.
+func TestSessionPipelineDepthAndRelease(t *testing.T) {
+	const releaseWait = 2 * time.Second
+	proxy := newPipelineProxy(t, startWorkers(t, 1, WorkerOptions{Workers: 1})[0], 5*time.Millisecond)
+	s := NewSession([]string{proxy.addr}, Options{ChunkSize: 1, Logf: t.Logf})
+	defer s.Close()
+
+	long := sessionJob(t, 64, 200)
+	wantLong := inProcessWant(t, long)
+	longDone := make(chan error, 1)
+	mergeLong, gotLong := fingerprint()
+	go func() { longDone <- s.Run(long, mergeLong) }()
+
+	for i := range 3 {
+		short := sessionJob(t, 2, int64(300+i))
+		short.Affinity = 1
+		want := inProcessWant(t, short)
+		merge, got := fingerprint()
+		if err := s.Run(short, merge); err != nil {
+			t.Fatal(err)
+		}
+		if got.String() != want {
+			t.Fatalf("short job %d differs from its in-process aggregate", i)
+		}
+		if !proxy.releasedStream(short.Stream[0], releaseWait) {
+			t.Fatalf("short job %d was not released within %v of its Run returning", i, releaseWait)
+		}
+		select {
+		case <-longDone:
+			t.Fatalf("the long job ended before short job %d was released; the pipeline was not kept full", i)
+		default:
+		}
+	}
+	if err := <-longDone; err != nil {
+		t.Fatal(err)
+	}
+	if gotLong.String() != wantLong {
+		t.Fatal("long job differs from its in-process aggregate")
+	}
+	if !proxy.releasedStream(long.Stream[0], releaseWait) {
+		t.Fatalf("long job was not released within %v of its Run returning", releaseWait)
+	}
+
+	proxy.mu.Lock()
+	defer proxy.mu.Unlock()
+	if proxy.maxOut > pipelineDepth {
+		t.Fatalf("%d ranges outstanding on one connection, want at most pipelineDepth=%d", proxy.maxOut, pipelineDepth)
+	}
+	if proxy.maxOut < pipelineDepth {
+		t.Fatalf("at most %d ranges outstanding; the pipeline never filled, so the bound went untested", proxy.maxOut)
+	}
+	if len(proxy.shipped) != 4 || len(proxy.released) != len(proxy.shipped) {
+		t.Fatalf("%d jobs shipped, %d released, want 4 and 4", len(proxy.shipped), len(proxy.released))
 	}
 }

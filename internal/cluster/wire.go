@@ -14,6 +14,12 @@ package cluster
 // reproduces it byte for byte, so the worker keys its engine cache by a
 // job's config bytes as they arrived.
 //
+// A Job carries its JobSpec's sim.Config without the five fields
+// Shardable names — WiFiDelay, CellularDelay, PolicyFactory, Core and
+// Seed — which a decoded JobSpec holds zero; the worker's sim.NewEngine
+// fills in the same defaults an in-process run applies. A RunResult
+// carries every sim.Result field.
+//
 // The frame layer's payload and header checksums are what the chaos
 // determinism guarantee rests on — a faulted session decides exactly like
 // a clean one because corruption always surfaces as a connection error,

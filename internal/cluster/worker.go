@@ -86,7 +86,7 @@ type workerJob struct {
 
 // workerSession is the per-connection state: the live jobs and the engine
 // cache they draw from. Engines (and their workspace pools) are shared by
-// every job whose wire config arrived as the same bytes, and survive brief
+// every job whose config arrived as the same bytes, and survive brief
 // idle spells between jobs (maxIdleEngines), so a session streaming batches
 // of the same scenario compiles it exactly once.
 type workerSession struct {
@@ -98,8 +98,8 @@ type workerSession struct {
 }
 
 // addJob compiles (or reuses) the engine for one job descriptor and
-// registers it. config is the descriptor's wire config as it arrived: the
-// codec is canonical, so equal bytes are equal configs, which compile to
+// registers it. config is the descriptor's encoded config as it arrived:
+// the codec is canonical, so equal bytes are equal configs, which compile to
 // interchangeable engines. It returns the compile error to acknowledge,
 // if any.
 func (ws *workerSession) addJob(id uint64, spec JobSpec, config []byte) string {
@@ -384,8 +384,8 @@ func (w *writeError) Error() string { return w.err.Error() }
 func (w *writeError) Unwrap() error { return w.err }
 
 // enginePool is one compiled engine plus its reusable workspaces — the
-// config-dependent, seed-independent state that jobs of the same wire
-// config share.
+// config-dependent, seed-independent state that jobs of the same
+// config bytes share.
 type enginePool struct {
 	eng    *sim.Engine
 	refs   int // live jobs drawing from this pool (session loop only)
@@ -418,7 +418,7 @@ type rangeExec struct {
 // when no shared pool is supplied.
 func newRangeExec(job JobSpec, workers int, shared *enginePool) (*rangeExec, error) {
 	if shared == nil {
-		eng, err := sim.NewEngine(job.Config.SimConfig())
+		eng, err := sim.NewEngine(job.Config)
 		if err != nil {
 			return nil, err
 		}

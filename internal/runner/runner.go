@@ -258,14 +258,6 @@ func (r Replications) SeedFor(run int) int64 {
 	return rngutil.ChildSeed(rngutil.ChildSeed(r.Seed, r.Stream...), int64(run))
 }
 
-// Each runs do once per replication, in parallel, handing each run its
-// child seed.
-func (r Replications) Each(do func(run int, seed int64) error) error {
-	return ForEach(r.Workers, r.Runs, func(run int) error {
-		return do(run, r.SeedFor(run))
-	})
-}
-
 // Merge runs do once per replication in parallel and folds the results into
 // merge in ascending run order (see MergeOrdered).
 func Merge[T any](r Replications, do func(run int, seed int64) (T, error), merge func(run int, v T) error) error {

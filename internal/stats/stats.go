@@ -21,15 +21,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	return sum
-}
-
 // StdDev returns the population standard deviation of xs (the paper's
 // fairness metric is the spread of per-device downloads within one run, a
 // full population, not a sample).
