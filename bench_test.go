@@ -184,9 +184,9 @@ func BenchmarkRunnerReplications(b *testing.B) {
 
 // BenchmarkClusterSession measures the per-batch cost on a warm persistent
 // session: the worker was dialed, handshaken and connected once before the
-// timer started, so each op pays only the session-multiplexed dispatch — a
-// job descriptor, its range frames and the gob-decoded result stream for
-// the same 8-replication Setting 1 batch as
+// timer started, so each op pays only the session-multiplexed dispatch —
+// the range frames, each carrying the job's seeding and config, and the
+// fixed-layout result stream for the same 8-replication Setting 1 batch as
 // BenchmarkRunnerReplications/workers=1, so the difference between the two
 // rows is the per-batch cost of going through the cluster layer instead of
 // the in-process pool. The dial + handshake happen once per session, which

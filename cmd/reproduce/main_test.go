@@ -1,10 +1,11 @@
 package main
 
 import (
+	"fmt"
 	"net"
 	"os"
 	"path/filepath"
-	"strings"
+	"regexp"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -60,8 +61,9 @@ func (l countingListener) Accept() (net.Conn, error) {
 // TestClusterParexpPipelinesOverOneSession drives the real CLI path: two
 // experiments under -parexp -cluster against one in-process worker. The
 // worker must see exactly one connection (the persistent session) carrying
-// several accepted jobs (the experiments' pipelined batches), and the run
-// must produce its artifacts.
+// ranges of several jobs (the experiments' pipelined batches), counted by
+// the distinct job ids of its per-range log lines, and the run must
+// produce its artifacts.
 func TestClusterParexpPipelinesOverOneSession(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -70,12 +72,13 @@ func TestClusterParexpPipelinesOverOneSession(t *testing.T) {
 	t.Cleanup(func() { ln.Close() })
 	var accepts atomic.Int32
 	var mu sync.Mutex
-	var jobs int
+	jobs := make(map[string]bool)
+	rangeLine := regexp.MustCompile(`job ([0-9]+): runs`)
 	go cluster.Serve(countingListener{Listener: ln, accepts: &accepts}, cluster.WorkerOptions{
 		Logf: func(format string, args ...any) {
-			if strings.Contains(format, "accepted") {
+			if m := rangeLine.FindStringSubmatch(fmt.Sprintf(format, args...)); m != nil {
 				mu.Lock()
-				jobs++
+				jobs[m[1]] = true
 				mu.Unlock()
 			}
 		},
@@ -99,7 +102,7 @@ func TestClusterParexpPipelinesOverOneSession(t *testing.T) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if jobs < 2 {
-		t.Fatalf("worker accepted %d jobs, want at least 2 pipelined over the one session", jobs)
+	if len(jobs) < 2 {
+		t.Fatalf("worker ran ranges of %d jobs, want at least 2 pipelined over the one session", len(jobs))
 	}
 }

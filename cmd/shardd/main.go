@@ -1,15 +1,16 @@
 // Command shardd is the replication-shard worker daemon of the cluster
 // layer: it listens for coordinator sessions (cmd/simulate -shards,
-// cmd/reproduce -cluster, or internal/cluster.Session directly), compiles
-// each session's job descriptors into sim.Engines — once per distinct
-// config, shared across the session's pipelined jobs — and executes the
-// seed ranges the coordinator assigns, streaming per-run results back. A
-// session stays connected across any number of jobs, answering keepalive
-// pings while idle, so a suite of many small batches pays the dial and
-// handshake once.
+// cmd/reproduce -cluster, or internal/cluster.Session directly) and
+// executes the seed ranges the coordinator assigns, streaming per-run
+// results back. Every range carries its job's seeding and config; shardd
+// compiles a config into a sim.Engine the first time a session sends it
+// and keeps the session's most recently used engines warm, so pipelined
+// jobs of the same config share one compile. A session stays connected
+// across any number of jobs, answering keepalive pings while idle, so a
+// suite of many small batches pays the dial and handshake once.
 //
 // A shardd holds no batch state of its own: seeds derive deterministically
-// from the job descriptor and the global run index, so any worker (or the
+// from a range's seeding and the global run index, so any worker (or the
 // coordinator itself) can re-run a range that a killed worker never
 // finished, with bit-identical results.
 //
@@ -21,7 +22,7 @@
 //	shardd -debug-addr :9634       # /metrics, /varz, /debug/pprof/
 //
 // With -debug-addr set, the worker serves its instrumentation (sessions,
-// jobs, ranges, runs, wire frames and bytes, per-range latency, pool
+// engine compiles, ranges, runs, wire frames and bytes, per-range latency, pool
 // utilization) on a second HTTP listener; -metrics-log-every instead (or
 // additionally) logs a structured delta line at that interval. Metrics are
 // observation-only: results are bit-identical with or without them. shardd
@@ -52,7 +53,7 @@ func run(args []string) error {
 		listen  = fs.String("listen", "127.0.0.1:9631", "address to accept coordinator connections on")
 		workers = fs.Int("workers", 0, "parallelism per coordinator connection (default: GOMAXPROCS)")
 		obs     = daemon.RegisterObs(fs)
-		quiet   = fs.Bool("quiet", false, "suppress per-connection log lines")
+		quiet   = fs.Bool("quiet", false, "suppress per-connection and per-range log lines")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -85,10 +85,12 @@
 //     side is a persistent Session: each worker is dialed once, the stream
 //     stays alive across batches (keepalive pings under the frame-timeout
 //     discipline, with deadlines cleared while nothing is owed), and any
-//     number of jobs multiplex over it with session-unique ids — many
-//     small batches pipeline without a dial or handshake between them.
-//     Workers cache compiled engines by a job's config bytes, as they
-//     arrived, across a session's jobs;
+//     number of jobs multiplex over it — many small batches pipeline
+//     without a dial or handshake between them. Each range is
+//     self-describing: it carries its session-unique job id, the job's
+//     seeding and the job's config bytes, encoded once per job, so a
+//     worker holds no job state, only a small per-connection cache of
+//     compiled engines keyed by those bytes;
 //     the coordinator reassigns the ranges of failed connections
 //     (reconnecting where possible) and merges each job through the same
 //     single-goroutine ordered merge.
@@ -158,10 +160,11 @@
 // later, and a busy connection sets one deadline per direction every
 // timeout/16), one timeout rule, and one versioned hello exchange naming
 // the protocol, so a client dialing the wrong daemon is refused by name.
-// Each protocol brings only its message set. Cluster (v5), serve (v5)
-// and fleet (v4) encode theirs as fixed-layout payloads on the frame
-// layer's shared field encodings (canonical varints, IEEE-754 bits,
-// length-prefixed lists, presence bytes), decoded without reflection.
+// Each protocol brings only its message set. Cluster (v6, five
+// messages), serve (v5) and fleet (v4) encode theirs as fixed-layout
+// payloads on the frame layer's shared field encodings (canonical
+// varints, IEEE-754 bits, length-prefixed lists, presence bytes), decoded
+// without reflection.
 // Snapshots use the same encodings: a v4 snapshot is a header and one
 // fixed-layout record per device, which is also the form a captured
 // snapshot holds in memory, so checkpoints, restores and fleet migrations

@@ -53,7 +53,7 @@ func TestRunSurvivesChaosProxiedWorker(t *testing.T) {
 }
 
 // chaosFrameStream renders the canonical session prefix FuzzChaosFrame
-// mangles — a job descriptor and several frames of both directions, long
+// mangles — two ranges and several frames of both directions, long
 // enough for tight schedules to land many faults — and the byte offset
 // where each frame ends, so the harness knows which frames precede the
 // first fault.
@@ -75,11 +75,9 @@ func chaosFrameStream(tb testing.TB) (stream []byte, frameEnds []int) {
 		Slots:    len(bulkDistance),
 		Distance: bulkDistance,
 	}}}
+	first, second := rangeOf(1, 0, 4, &spec), rangeOf(1, 4, 4, &spec)
 	frames := []*message{
-		{tag: tagJob, job: jobMsg{ID: 1, Spec: &spec}},
-		{tag: tagJobAck, jobAck: jobAckMsg{ID: 1}},
-		{tag: tagJobRelease, jobRelease: jobReleaseMsg{ID: 9}},
-		{tag: tagRange, rng: rangeMsg{Job: 1, First: 0, Count: 8}},
+		&first, &second,
 		res, res, bulk, res,
 		{tag: tagRangeDone, rangeDone: rangeDoneMsg{Job: 1, First: 0}},
 		{tag: tagPing, ping: pingMsg{Seq: 7}},

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -406,17 +407,22 @@ type constSampler float64
 
 func (c constSampler) Sample(*rand.Rand) float64 { return float64(c) }
 
-// TestWorkerRejectsBadJob ships a descriptor that cannot compile (zero
-// slots); the coordinator must surface the rejection as a fatal error, not
-// retry it around the cluster.
+// TestWorkerRejectsBadJob ships a job whose config cannot compile (zero
+// slots); the worker answers its range with the compile error, and the
+// coordinator must surface it as the job's fatal error, not retry it
+// around the cluster.
 func TestWorkerRejectsBadJob(t *testing.T) {
 	job := testJob(t, 4)
 	job.Config.Slots = 0
+	_, compileErr := sim.NewEngine(job.Config)
+	if compileErr == nil {
+		t.Fatal("a zero-slot config compiled")
+	}
 	addrs := startWorkers(t, 1, WorkerOptions{})
 	merge, _ := fingerprint()
 	err := runBatch(job, addrs, Options{}, merge)
-	if err == nil || !strings.Contains(err.Error(), "job rejected") {
-		t.Fatalf("want a job rejection error, got %v", err)
+	if err == nil || !strings.Contains(err.Error(), ": "+compileErr.Error()) {
+		t.Fatalf("want the worker's compile error for the job's range, got %v", err)
 	}
 }
 
@@ -433,8 +439,8 @@ func dialRaw(t *testing.T, addr string) *frame.Conn {
 }
 
 // TestWorkerRejectsVersionMismatch speaks a wrong protocol version — the
-// previous one, a stale gob-speaking coordinator's, and the next one —
-// and expects a refusal at hello.
+// previous one, a stale coordinator's that registers jobs before their
+// ranges, and the next one — and expects a refusal at hello.
 func TestWorkerRejectsVersionMismatch(t *testing.T) {
 	addrs := startWorkers(t, 1, WorkerOptions{})
 	for _, version := range []int{protocolVersion - 1, protocolVersion + 1} {
@@ -456,14 +462,9 @@ func TestWorkerRejectsCorruptRange(t *testing.T) {
 		t.Fatalf("handshake failed: %v", err)
 	}
 	job := testJob(t, 8)
-	if err := sendMsgs(fc, &message{tag: tagJob, job: jobMsg{ID: 1, Spec: &job}}); err != nil {
-		t.Fatal(err)
-	}
-	if env, err := nextMsg(fc); err != nil || env.tag != tagJobAck || env.jobAck.ID != 1 || env.jobAck.Err != "" {
-		t.Fatalf("job rejected: %+v, %v", env, err)
-	}
 	const maxInt = int(^uint(0) >> 1)
-	if err := sendMsgs(fc, &message{tag: tagRange, rng: rangeMsg{Job: 1, First: maxInt, Count: 1}}); err != nil {
+	corrupt := rangeOf(1, maxInt, 1, &job)
+	if err := sendMsgs(fc, &corrupt); err != nil {
 		t.Fatal(err)
 	}
 	// The worker must close the connection without emitting a result.
@@ -472,19 +473,30 @@ func TestWorkerRejectsCorruptRange(t *testing.T) {
 	}
 }
 
-// TestWorkerRejectsUnknownJobRange sends a range for a job id the session
-// never shipped: the worker must drop the connection rather than guess.
+// TestWorkerRejectsUnknownJobRange sends ranges whose job the worker
+// cannot know — no config at all, a config cut short, a config followed
+// by a stray byte: the worker must drop the connection rather than guess.
 func TestWorkerRejectsUnknownJobRange(t *testing.T) {
 	addrs := startWorkers(t, 1, WorkerOptions{})
-	fc := dialRaw(t, addrs[0])
-	if _, err := fc.Greet(hello); err != nil {
-		t.Fatalf("handshake failed: %v", err)
-	}
-	if err := sendMsgs(fc, &message{tag: tagRange, rng: rangeMsg{Job: 42, First: 0, Count: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	if env, err := nextMsg(fc); err == nil {
-		t.Fatalf("worker answered a range for an unknown job with %+v", env)
+	job := testJob(t, 8)
+	config := appendConfig(nil, &job.Config)
+	for name, bad := range map[string][]byte{
+		"no config":  nil,
+		"cut short":  config[:len(config)-1],
+		"stray byte": append(bytes.Clone(config), 0),
+	} {
+		fc := dialRaw(t, addrs[0])
+		if _, err := fc.Greet(hello); err != nil {
+			t.Fatalf("%s: handshake failed: %v", name, err)
+		}
+		r := rangeOf(1, 0, 1, &job)
+		r.rng.Config = bad
+		if err := sendMsgs(fc, &r); err != nil {
+			t.Fatal(err)
+		}
+		if env, err := nextMsg(fc); err == nil {
+			t.Fatalf("%s: worker answered a range it cannot know the job of with %+v", name, env)
+		}
 	}
 }
 

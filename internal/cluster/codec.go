@@ -40,16 +40,15 @@ func (m *message) appendTo(b []byte) []byte {
 	//repolint:ignore allocfree appends into the connection's encode scratch, whose capacity is retained across frames
 	b = append(b, byte(m.tag))
 	switch m.tag {
-	case tagJob:
-		b = binary.AppendUvarint(b, m.job.ID)
-		b = appendJobSpec(b, m.job.Spec)
-	case tagJobAck:
-		b = binary.AppendUvarint(b, m.jobAck.ID)
-		b = frame.AppendString(b, m.jobAck.Err)
 	case tagRange:
 		b = binary.AppendUvarint(b, m.rng.Job)
 		b = binary.AppendVarint(b, int64(m.rng.First))
 		b = binary.AppendVarint(b, int64(m.rng.Count))
+		b = binary.AppendVarint(b, int64(m.rng.Runs))
+		b = binary.AppendVarint(b, m.rng.Seed)
+		b = frame.AppendList(b, m.rng.Stream, binary.AppendVarint)
+		//repolint:ignore allocfree appends into the connection's encode scratch, whose capacity is retained across frames
+		b = append(b, m.rng.Config...)
 	case tagRunResult:
 		b = binary.AppendUvarint(b, m.result.Job)
 		b = binary.AppendVarint(b, int64(m.result.Run))
@@ -65,26 +64,14 @@ func (m *message) appendTo(b []byte) []byte {
 		b = binary.AppendUvarint(b, m.ping.Seq)
 	case tagPong:
 		b = binary.AppendUvarint(b, m.pong.Seq)
-	case tagJobRelease:
-		b = binary.AppendUvarint(b, m.jobRelease.ID)
 	}
 	return b
-}
-
-// appendJobSpec appends a job descriptor: its config, then the seeding
-// parameters.
-func appendJobSpec(b []byte, s *JobSpec) []byte {
-	b = appendConfig(b, &s.Config)
-	b = binary.AppendVarint(b, int64(s.Runs))
-	b = binary.AppendVarint(b, s.Seed)
-	b = frame.AppendList(b, s.Stream, binary.AppendVarint)
-	return binary.AppendVarint(b, int64(s.Affinity))
 }
 
 // appendConfig appends the sim.Config fields that cross the wire (all but
 // the five Shardable names) in the order cluster protocol v5 fixed, which
 // is not sim.Config's declaration order: EpsilonPercent precedes
-// DeviceGroups.
+// DeviceGroups. A range carries these bytes as the rest of its payload.
 func appendConfig(b []byte, c *sim.Config) []byte {
 	b = frame.AppendList(b, c.Topology.Networks, func(b []byte, n netmodel.Network) []byte {
 		b = frame.AppendString(b, n.Name)
@@ -162,8 +149,10 @@ func appendResult(b []byte, r *sim.Result) []byte {
 // payload. Every count is checked against the bytes left before storage is
 // sized, varints must be canonical, presence bytes 0 or 1, trailing bytes
 // are an error, an empty list decodes as nil, and no input panics — so a
-// payload decodes exactly when re-encoding the result reproduces it. A Job
-// or a present RunResult decodes into a newly allocated JobSpec or
+// payload decodes exactly when re-encoding the result reproduces it byte
+// for byte. A Range's config is the rest of its payload, kept as it
+// arrived (see readConfig); its Stream reuses the storage of the previous
+// range m decoded. A present RunResult decodes into a newly allocated
 // sim.Result; every other message decodes in place. On error m's contents
 // are unspecified (but its lists stay bounded by len(p)).
 func (m *message) decode(p []byte) error {
@@ -175,21 +164,15 @@ func (m *message) decode(p []byte) error {
 	m.r = frame.NewPayloadReader(p[1:])
 	r := &m.r
 	switch m.tag {
-	case tagJob:
-		m.job.ID = r.Uvarint()
-		spec := new(JobSpec)
-		start := len(p) - r.Len()
-		readConfig(r, &spec.Config)
-		m.job.config = p[start : len(p)-r.Len()]
-		readJobSeeding(r, spec)
-		m.job.Spec = spec
-	case tagJobAck:
-		m.jobAck.ID = r.Uvarint()
-		m.jobAck.Err = r.Text()
 	case tagRange:
 		m.rng.Job = r.Uvarint()
 		m.rng.First = r.Int()
 		m.rng.Count = r.Int()
+		m.rng.Runs = r.Int()
+		m.rng.Seed = r.Int64()
+		m.rng.Stream = frame.ReadList(r, m.rng.Stream[:0], intMinBytes, (*frame.PayloadReader).Int64)
+		m.rng.Config = r.Rest()
+		r.Skip(len(m.rng.Config))
 	case tagRunResult:
 		m.result.Job = r.Uvarint()
 		m.result.Run = r.Int()
@@ -206,20 +189,18 @@ func (m *message) decode(p []byte) error {
 		m.ping.Seq = r.Uvarint()
 	case tagPong:
 		m.pong.Seq = r.Uvarint()
-	case tagJobRelease:
-		m.jobRelease.ID = r.Uvarint()
 	default:
 		return frame.ErrTag
 	}
 	return r.Finish()
 }
 
-// readJobSeeding reads the JobSpec fields that follow its config.
-func readJobSeeding(r *frame.PayloadReader, s *JobSpec) {
-	s.Runs = r.Int()
-	s.Seed = r.Int64()
-	s.Stream = frame.ReadList(r, nil, intMinBytes, (*frame.PayloadReader).Int64)
-	s.Affinity = r.Int()
+// decodeConfig decodes a range's config bytes into c and reports whether
+// they are exactly one well-formed config.
+func decodeConfig(config []byte, c *sim.Config) error {
+	r := frame.NewPayloadReader(config)
+	readConfig(&r, c)
+	return r.Finish()
 }
 
 // readConfig reads appendConfig's layout into c.

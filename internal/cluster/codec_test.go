@@ -97,32 +97,62 @@ func fullResult() *sim.Result {
 	}
 }
 
+// rangeOf is the Range a session sends for runs [first, first+count) of
+// job id running spec.
+func rangeOf(id uint64, first, count int, spec *JobSpec) message {
+	return message{tag: tagRange, rng: rangeMsg{Job: id, First: first, Count: count,
+		Runs: spec.Runs, Seed: spec.Seed, Stream: spec.Stream, Config: appendConfig(nil, &spec.Config)}}
+}
+
+// specOf rebuilds, as a worker sees it, the job a decoded Range carries:
+// its seeding and its decoded config. Affinity stays with the coordinator.
+func specOf(t *testing.T, m *message) JobSpec {
+	t.Helper()
+	spec := JobSpec{Runs: m.rng.Runs, Seed: m.rng.Seed, Stream: m.rng.Stream}
+	if err := decodeConfig(m.rng.Config, &spec.Config); err != nil {
+		t.Fatalf("range config: %v", err)
+	}
+	return spec
+}
+
+// setting1Spec is the shape of the experiment suite's batches: a paper
+// topology, uniform devices, one stream id.
+func setting1Spec() JobSpec {
+	return JobSpec{Config: sim.Config{Topology: netmodel.Setting1(), Devices: sim.UniformDevices(5, core.AlgSmartEXP3), Slots: 120},
+		Runs: 8, Seed: 1, Stream: []int64{42}}
+}
+
 // codecSamples is one representative of every message, with the optional
-// parts present and absent and extreme values.
+// parts present and absent and extreme values. Every Range carries a
+// well-formed config.
 func codecSamples() []message {
-	full, empty := fullSpec(), JobSpec{}
+	full, empty, s1 := fullSpec(), JobSpec{}, setting1Spec()
+	criteriaOnly := JobSpec{Config: sim.Config{Criteria: &criteria.Profile{Money: 1}}, Runs: 1, Stream: []int64{}}
 	return []message{
-		{tag: tagJob, job: jobMsg{ID: 1, Spec: &full}},
-		{tag: tagJob, job: jobMsg{ID: math.MaxUint64, Spec: &empty}},
-		{tag: tagJobAck, jobAck: jobAckMsg{ID: 1}},
-		{tag: tagJobAck, jobAck: jobAckMsg{ID: 2, Err: "sim: no slots"}},
-		{tag: tagRange, rng: rangeMsg{Job: 1, First: 0, Count: 8}},
-		{tag: tagRange, rng: rangeMsg{Job: math.MaxUint64, First: math.MinInt, Count: math.MaxInt}},
+		rangeOf(1, 0, 8, &full),
+		rangeOf(math.MaxUint64, math.MinInt, math.MaxInt, &empty),
+		rangeOf(2, 4, 1, &s1),
+		rangeOf(0, 0, 0, &criteriaOnly),
+		{tag: tagRange, rng: rangeMsg{Job: 3, First: 1, Count: 2, Runs: math.MaxInt, Seed: math.MaxInt64,
+			Stream: []int64{math.MinInt64, 0}, Config: appendConfig(nil, &s1.Config)}},
 		{tag: tagRunResult, result: runResultMsg{Job: 1, Run: 3, Res: fullResult()}},
 		{tag: tagRunResult, result: runResultMsg{Job: 1, Run: -1, Res: &sim.Result{}}},
 		{tag: tagRunResult, result: runResultMsg{Job: 1, Run: 4}}, // no result
 		{tag: tagRangeDone, rangeDone: rangeDoneMsg{Job: 1, First: 8}},
 		{tag: tagRangeDone, rangeDone: rangeDoneMsg{Job: 1, First: 0, Err: "sim: bad device"}},
+		{tag: tagRangeDone, rangeDone: rangeDoneMsg{Job: math.MaxUint64, First: math.MaxInt, Err: "sim: no slots"}},
 		{tag: tagPing, ping: pingMsg{Seq: math.MaxUint64}},
+		{tag: tagPing, ping: pingMsg{Seq: 1}},
 		{tag: tagPong, pong: pongMsg{Seq: 0}},
-		{tag: tagJobRelease, jobRelease: jobReleaseMsg{ID: 7}},
 	}
 }
 
 // TestClusterCodecRoundTrip pins the codec's contract on every message:
 // re-encoding the decoded message reproduces the payload (encoding is
 // injective, so every field — float bits included — survived), and any
-// strict prefix of a payload is refused rather than decoded short.
+// strict prefix of a payload is refused rather than decoded short — by
+// the message decoder, or, for a prefix that cuts a Range's config tail,
+// by the config decoder a worker runs on it.
 func TestClusterCodecRoundTrip(t *testing.T) {
 	for _, want := range codecSamples() {
 		p := want.appendTo(nil)
@@ -136,10 +166,19 @@ func TestClusterCodecRoundTrip(t *testing.T) {
 		if q := got.appendTo(nil); !bytes.Equal(q, p) {
 			t.Fatalf("tag %d: re-encoding differs:\n%x\n%x", want.tag, p, q)
 		}
+		if got.tag == tagRange {
+			var cfg sim.Config
+			if err := decodeConfig(got.rng.Config, &cfg); err != nil {
+				t.Fatalf("range config: %v", err)
+			}
+		}
 		for n := 0; n < len(p); n++ {
 			var short message
 			if err := short.decode(p[:n]); err == nil {
-				t.Fatalf("tag %d: %d-byte prefix of a %d-byte payload decoded", want.tag, n, len(p))
+				var cfg sim.Config
+				if short.tag != tagRange || decodeConfig(short.rng.Config, &cfg) == nil {
+					t.Fatalf("tag %d: %d-byte prefix of a %d-byte payload decoded", want.tag, n, len(p))
+				}
 			}
 		}
 	}
@@ -203,9 +242,10 @@ func sameValue(a, b reflect.Value) bool {
 }
 
 // TestClusterCodecMatchesGob pins the codec to the wire it replaced: every
-// job descriptor and result decodes to the value a gob round trip of the
-// same value yields — in particular, empty lists at every depth decode as
-// nil, as gob's did, and a non-nil empty criteria profile stays non-nil.
+// job a range carries and every result decodes to the value a gob round
+// trip of the same value yields (Affinity aside, which no longer crosses)
+// — in particular, empty lists at every depth decode as nil, as gob's
+// did, and a non-nil empty criteria profile stays non-nil.
 func TestClusterCodecMatchesGob(t *testing.T) {
 	full := fullSpec()
 	emptyLists := JobSpec{Config: sim.Config{
@@ -223,16 +263,18 @@ func TestClusterCodecMatchesGob(t *testing.T) {
 		"zero":          {JobSpec{}, false},
 		"empty lists":   {emptyLists, false},
 		"zero criteria": {zeroProfile, false},
-		"setting 1":     {JobSpec{Config: sim.Config{Topology: netmodel.Setting1(), Devices: sim.UniformDevices(5, core.AlgSmartEXP3), Slots: 120}, Runs: 8, Seed: 1, Stream: []int64{42}}, false},
+		"setting 1":     {setting1Spec(), false},
 	} {
 		spec := tc.spec
 		var got message
-		if err := got.decode((&message{tag: tagJob, job: jobMsg{Spec: &spec}}).appendTo(nil)); err != nil {
+		sent := rangeOf(1, 0, 1, &spec)
+		if err := got.decode(sent.appendTo(nil)); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+		spec.Affinity = 0
 		want := gobRoundTrip(t, spec)
-		if !reflect.DeepEqual(*got.job.Spec, want) && !(tc.hasNaN && sameValue(reflect.ValueOf(*got.job.Spec), reflect.ValueOf(want))) {
-			t.Errorf("job spec %s: codec decoded %+v, gob %+v", name, *got.job.Spec, want)
+		if decoded := specOf(t, &got); !reflect.DeepEqual(decoded, want) && !(tc.hasNaN && sameValue(reflect.ValueOf(decoded), reflect.ValueOf(want))) {
+			t.Errorf("job spec %s: codec decoded %+v, gob %+v", name, decoded, want)
 		}
 	}
 
@@ -268,10 +310,12 @@ type leafSetter struct {
 	set  func(v reflect.Value)
 }
 
-// notOnWire names, by their leafSetters path, exactly the five sim.Config
-// fields the codec does not carry — the ones Shardable documents. The walk
+// notOnWire names, by their leafSetters path, exactly the JobSpec fields
+// the codec does not carry: the five sim.Config fields Shardable
+// documents, and Affinity, the coordinator's placement hint. The walk
 // skips them and must meet each one; every other field must survive.
 var notOnWire = []string{
+	"JobSpec.Affinity",
 	"JobSpec.Config.WiFiDelay",
 	"JobSpec.Config.CellularDelay",
 	"JobSpec.Config.Seed",
@@ -327,7 +371,8 @@ func leafSetters(t *testing.T, typ reflect.Type, path string, skip map[string]bo
 
 // TestClusterCodecCarriesEveryField walks JobSpec (and with it
 // sim.Config) and sim.Result by reflection and round-trips, for each leaf
-// field, a value with only that field set. A field the codec does not
+// field, a value with only that field set — a JobSpec in a Range, a
+// result in a RunResult. A field the codec does not
 // carry decodes as zero and fails the test by name, so a field added to
 // any of these types can never silently drop off the wire: the codec
 // carries it, or notOnWire names it.
@@ -346,8 +391,8 @@ func TestClusterCodecCarriesEveryField(t *testing.T) {
 		var spec JobSpec
 		ls.set(reflect.ValueOf(&spec).Elem())
 		var got message
-		err := got.decode((&message{tag: tagJob, job: jobMsg{Spec: &spec}}).appendTo(nil))
-		if err != nil || !reflect.DeepEqual(*got.job.Spec, spec) {
+		sent := rangeOf(1, 0, 1, &spec)
+		if err := got.decode(sent.appendTo(nil)); err != nil || !reflect.DeepEqual(specOf(t, &got), spec) {
 			t.Errorf("%s does not survive the codec (%v)", ls.path, err)
 		}
 	}
@@ -375,16 +420,19 @@ func (discardConn) Write(p []byte) (int, error) { return len(p), nil }
 
 // TestClusterCodecWarmAllocs is the allocation gate behind the encoders'
 // //repolint:allocfree markers: once an outbox has grown, encoding and
-// sending every frame a warm session streams — Range, RunResult,
-// RangeDone, Ping, Pong and JobRelease — allocates nothing.
+// sending every frame a warm session streams — Range (config and all),
+// RunResult, RangeDone, Ping and Pong — allocates nothing. On the worker's
+// side, decoding a Range into the connection's message, once its Stream
+// storage has grown, allocates nothing either.
 func TestClusterCodecWarmAllocs(t *testing.T) {
+	spec := fullSpec()
 	msgs := []message{
-		{tag: tagRange, rng: rangeMsg{Job: 3, First: 16, Count: 8}},
+		rangeOf(3, 16, 8, &spec),
 		{tag: tagRunResult, result: runResultMsg{Job: 3, Run: 17, Res: fullResult()}},
 		{tag: tagRangeDone, rangeDone: rangeDoneMsg{Job: 3, First: 16}},
 		{tag: tagPing, ping: pingMsg{Seq: 4}},
 		{tag: tagPong, pong: pongMsg{Seq: 4}},
-		{tag: tagJobRelease, jobRelease: jobReleaseMsg{ID: 3}},
+		{tag: tagRangeDone, rangeDone: rangeDoneMsg{Job: 3, First: 24}},
 	}
 	fc := frame.NewConn(discardConn{}, 0, 0, false)
 	var out outbox
@@ -401,6 +449,18 @@ func TestClusterCodecWarmAllocs(t *testing.T) {
 	send() // grow the outbox
 	if allocs := testing.AllocsPerRun(200, send); allocs != 0 {
 		t.Fatalf("warm encode+send costs %.1f allocs/op, want 0", allocs)
+	}
+
+	p := msgs[0].appendTo(nil)
+	var in message
+	decode := func() {
+		if err := in.decode(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	decode() // grow the Stream storage
+	if allocs := testing.AllocsPerRun(200, decode); allocs != 0 {
+		t.Fatalf("warm Range decode costs %.1f allocs/op, want 0", allocs)
 	}
 }
 
@@ -426,30 +486,45 @@ func longestList(v reflect.Value) int {
 }
 
 // fuzzCodecSeeds is the checked-in seed corpus for FuzzClusterCodec: every
-// codecSamples payload, and the malformed shapes the decoder must refuse —
+// codecSamples payload, the malformed shapes the decoder must refuse —
 // unknown tags, an overlong varint, a count larger than the bytes left, a
-// bad presence byte, trailing bytes and truncation.
+// bad presence byte, trailing bytes and truncation — and Ranges whose
+// config tail is missing, cut short or followed by a stray byte, which the
+// message decoder keeps and the config decoder must refuse.
 func fuzzCodecSeeds() [][]byte {
 	var seeds [][]byte
 	for _, m := range codecSamples() {
 		seeds = append(seeds, m.appendTo(nil))
 	}
+	spec := setting1Spec()
+	whole := rangeOf(1, 0, 8, &spec)
+	p := whole.appendTo(nil)
+	noConfig := message{tag: tagRange, rng: rangeMsg{Job: 1, First: 0, Count: 8, Runs: 8}}
+	seeds = append(seeds,
+		noConfig.appendTo(nil),    // no config tail
+		p[:len(p)-1],              // config cut short
+		append(bytes.Clone(p), 0), // a stray byte after the config
+	)
 	return append(seeds,
-		[]byte{0},                                       // unknown tag
-		[]byte{byte(tagJobRelease) + 1, 1},              // the first tag past the set
-		[]byte{byte(tagPing), 0x80, 0},                  // overlong varint
-		[]byte{byte(tagJob), 1, 0xff, 0x01},             // network count beyond the payload
-		[]byte{byte(tagRunResult), 1, 0, 2},             // presence byte 2
-		[]byte{byte(tagPong), 1, 0},                     // trailing byte
-		[]byte{byte(tagRunResult), 1, 0, 1, 8, 0, 0, 0}, // truncated float
+		[]byte{0},                                         // unknown tag
+		[]byte{byte(tagPong) + 1, 1},                      // the first tag past the set
+		[]byte{byte(tagPing), 0x80, 0},                    // overlong varint
+		[]byte{byte(tagRange), 1, 0, 2, 2, 0, 0xff, 0x01}, // stream count beyond the payload
+		[]byte{byte(tagRunResult), 1, 0, 2},               // presence byte 2
+		[]byte{byte(tagPong), 1, 0},                       // trailing byte
+		[]byte{byte(tagRunResult), 1, 0, 1, 8, 0, 0, 0},   // truncated float
 	)
 }
 
-// FuzzClusterCodec throws arbitrary payloads at the cluster decoder. The
-// invariants: no panic; every payload that decodes re-encodes to exactly
-// the same bytes (the layout is canonical, so nothing is silently
-// normalized); and no decoded list is longer than the payload, so a
-// hostile count can never size storage beyond the bytes that arrived.
+// FuzzClusterCodec throws arbitrary payloads at the cluster decoder, and
+// a decoded Range's config tail at the config decoder a worker runs on a
+// cache miss. The invariants: no panic; every payload that decodes
+// re-encodes to exactly the same bytes, and so does every config tail
+// that decodes (the layout is canonical, so nothing is silently
+// normalized — equal configs arrive as equal bytes, which is what the
+// worker's engine cache keys by); and no decoded list is longer than the
+// payload, so a hostile count can never size storage beyond the bytes
+// that arrived.
 func FuzzClusterCodec(f *testing.F) {
 	for _, seed := range fuzzCodecSeeds() {
 		f.Add(seed)
@@ -465,6 +540,19 @@ func FuzzClusterCodec(f *testing.F) {
 		}
 		if got := m.appendTo(nil); !bytes.Equal(got, p) {
 			t.Fatalf("payload %x decodes (tag %d) but re-encodes as %x", p, m.tag, got)
+		}
+		if m.tag != tagRange {
+			return
+		}
+		var cfg sim.Config
+		if decodeConfig(m.rng.Config, &cfg) != nil {
+			return
+		}
+		if n := longestList(reflect.ValueOf(&cfg).Elem()); n > len(p) {
+			t.Fatalf("decoded a %d-element config list from a %d-byte payload", n, len(p))
+		}
+		if got := appendConfig(nil, &cfg); !bytes.Equal(got, m.rng.Config) {
+			t.Fatalf("config %x decodes but re-encodes as %x", m.rng.Config, got)
 		}
 	})
 }

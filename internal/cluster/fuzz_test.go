@@ -42,7 +42,7 @@ func newMsgStream(raw []byte) *msgStream {
 }
 
 // next decodes the next frame into a fresh, self-contained message: a
-// Job's config bytes are copied out of the frame buffer and the spent
+// Range's config bytes are copied out of the frame buffer and the spent
 // decode cursor is dropped.
 func (s *msgStream) next() (*message, error) {
 	if s.err != nil {
@@ -57,7 +57,7 @@ func (s *msgStream) next() (*message, error) {
 		s.err = err
 		return nil, err
 	}
-	m.job.config = bytes.Clone(m.job.config)
+	m.rng.Config = bytes.Clone(m.rng.Config)
 	m.r = frame.PayloadReader{}
 	return &m, nil
 }
@@ -79,36 +79,36 @@ func frameHeader(n, sum uint32) []byte {
 // body, trailing garbage inside a frame).
 func fuzzSeedFrames(tb testing.TB) [][]byte {
 	tb.Helper()
-	spec := fullSpec()
-	job := &message{tag: tagJob, job: jobMsg{ID: 1, Spec: &spec}}
-	ack := &message{tag: tagJobAck, jobAck: jobAckMsg{ID: 1}}
-	rng := &message{tag: tagRange, rng: rangeMsg{Job: 1, First: 0, Count: 8}}
-	res := &message{tag: tagRunResult, result: runResultMsg{Job: 1, Run: 3, Res: &sim.Result{
+	spec, s1 := fullSpec(), setting1Spec()
+	full, rng := rangeOf(1, 0, 8, &spec), rangeOf(2, 0, 4, &s1)
+	next := rangeOf(2, 4, 4, &s1)
+	res := &message{tag: tagRunResult, result: runResultMsg{Job: 2, Run: 3, Res: &sim.Result{
 		Slots:    4,
 		Distance: []float64{0.5, 0.25, 0.125, 0},
 	}}}
+	done := &message{tag: tagRangeDone, rangeDone: rangeDoneMsg{Job: 2, First: 0}}
 	seeds := [][]byte{
-		encodeFrames(tb, ack),
-		encodeFrames(tb, &message{tag: tagJobAck, jobAck: jobAckMsg{ID: 2, Err: "no slots"}}),
-		encodeFrames(tb, rng),
+		encodeFrames(tb, &full),
+		encodeFrames(tb, &rng),
 		encodeFrames(tb, res),
-		encodeFrames(tb, &message{tag: tagRangeDone, rangeDone: rangeDoneMsg{Job: 1, First: 0}}),
+		encodeFrames(tb, &message{tag: tagRunResult, result: runResultMsg{Job: 2, Run: 4}}),
+		encodeFrames(tb, done),
+		encodeFrames(tb, &message{tag: tagRangeDone, rangeDone: rangeDoneMsg{Job: 1, First: 0, Err: "sim: no slots"}}),
 		encodeFrames(tb, &message{tag: tagPing, ping: pingMsg{Seq: 7}}, &message{tag: tagPong, pong: pongMsg{Seq: 7}}),
-		encodeFrames(tb, &message{tag: tagJobRelease, jobRelease: jobReleaseMsg{ID: 1}}),
 		// A realistic session prefix, both directions interleaved.
-		encodeFrames(tb, job, ack, rng, res, res),
+		encodeFrames(tb, &rng, &next, res, res, done),
 		// Framing corruptions.
 		make([]byte, 12),                                  // zero-length frame, header checksum wrong too
 		frameHeader(0xffffffff, 0),                        // length far beyond the frame cap
 		append(frameHeader(5, 0), 1, 2),                   // body shorter than its prefix
 		append(frameHeader(4, 0), 0xde, 0xad, 0xbe, 0xef), // checksum mismatch
 	}
-	truncated := encodeFrames(tb, ack)
+	truncated := encodeFrames(tb, &rng)
 	seeds = append(seeds, truncated[:len(truncated)-3])
-	flipped := encodeFrames(tb, ack)
+	flipped := encodeFrames(tb, &rng)
 	flipped[len(flipped)-1] ^= 0x01 // payload damaged in flight: CRC must catch it
 	seeds = append(seeds, flipped)
-	padded := encodeFrames(tb, ack)
+	padded := encodeFrames(tb, done)
 	body := append(padded[12:], 0xde, 0xad) // trailing bytes inside the declared frame
 	seeds = append(seeds, append(frameHeader(uint32(len(body)), crc32.Checksum(body, castagnoli)), body...))
 	return seeds
@@ -150,9 +150,12 @@ func FuzzFrameDecode(f *testing.F) {
 func FuzzFrameRoundTrip(f *testing.F) {
 	f.Add(uint64(1), 0, 8, int64(42))
 	f.Add(uint64(1<<63), -1, 0, int64(-1))
+	s1 := setting1Spec()
+	config := appendConfig(nil, &s1.Config)
 	f.Fuzz(func(t *testing.T, job uint64, first, count int, seq int64) {
 		in := []*message{
-			{tag: tagRange, rng: rangeMsg{Job: job, First: first, Count: count}},
+			{tag: tagRange, rng: rangeMsg{Job: job, First: first, Count: count, Runs: count, Seed: seq,
+				Stream: []int64{seq}, Config: config}},
 			{tag: tagPing, ping: pingMsg{Seq: uint64(seq)}},
 			{tag: tagRangeDone, rangeDone: rangeDoneMsg{Job: job, First: first, Err: fmt.Sprint(seq)}},
 		}

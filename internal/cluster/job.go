@@ -6,14 +6,15 @@
 //
 // # Roles
 //
-// A worker (Serve, wrapped by cmd/shardd) is a daemon holding compiled
-// sim.Engines + pooled Workspaces per coordinator session: each job
-// descriptor (JobSpec) it receives is compiled once under a session-unique
-// id, then seed ranges carrying that id execute against it, streaming
-// per-run results back, until the coordinator releases the id or the
-// connection closes. The coordinator side is the Session: it dials each
-// worker once, keeps the connection alive across batches (keepalive pings
-// under the frame-timeout discipline), multiplexes pipelined jobs over it,
+// A worker (Serve, wrapped by cmd/shardd) is a daemon holding, per
+// coordinator connection, a small cache of compiled sim.Engines + pooled
+// Workspaces keyed by the config bytes they were compiled from. Every seed
+// range it receives carries its job's id, seeding and config, so the
+// worker holds no job state: it looks the range's engine up by those
+// bytes, compiling only on a miss, and streams per-run results back. The
+// coordinator side is the Session: it dials each worker once, keeps the
+// connection alive across batches (keepalive pings under the
+// frame-timeout discipline), multiplexes pipelined jobs over it,
 // partitions each job's global run index space into contiguous ranges,
 // reassigns ranges whose connection failed before delivering them
 // (reconnecting to the worker where possible), and folds every result
@@ -46,13 +47,16 @@
 // The wire protocol is deliberately boring: fixed-layout messages (a tag
 // byte, varint and IEEE-754-bit fields, length-prefixed lists; see wire.go
 // and codec.go) in the checksummed frames of internal/frame over stdlib
-// TCP, opened by the frame layer's shared hello. A job crosses as its
-// sim.Config, less the five fields Shardable names (the two delay
-// samplers, the PolicyFactory, Core and Seed), plus its seeding
-// parameters; a result crosses as every sim.Result field, each float as
-// its exact bits. Every message is encoded into retained per-connection
-// scratch and decoded without reflection; the only per-message
-// allocations are the results and job descriptors the receiver keeps.
+// TCP, opened by the frame layer's shared hello. Five messages make up the
+// protocol: Range, RunResult, RangeDone, Ping and Pong. A range crosses
+// with its job's seeding parameters and its sim.Config, less the five
+// fields Shardable names (the two delay samplers, the PolicyFactory, Core
+// and Seed); the coordinator encodes a job's config once and every range
+// of the job carries those bytes. A result crosses as every sim.Result
+// field, each float as its exact bits. Every message is encoded into
+// retained per-connection scratch and decoded without reflection; the
+// only per-message allocations are the results the coordinator keeps,
+// and a worker decodes a config only when it compiles one.
 // There is no discovery and no TLS — shardd is meant to run inside a
 // trusted cluster network behind the operator's own orchestration, and a
 // dead or unreachable worker is handled by the two mechanisms that matter
@@ -111,7 +115,7 @@ func Shardable(cfg sim.Config) error {
 // compiles the same engine.
 type JobSpec struct {
 	// Config is the batch's scenario. It crosses the wire without the
-	// fields Shardable names; a decoded JobSpec holds them zero.
+	// fields Shardable names; a worker's decoded config holds them zero.
 	Config sim.Config
 	// Runs is the total number of replications across all shards.
 	Runs int
@@ -125,7 +129,8 @@ type JobSpec struct {
 	// offered to shard (a-1) mod nShards first, and stolen by idle shards
 	// otherwise. reproduce -parexp uses it to keep each experiment's
 	// batches on "its" worker. It is a hint only — aggregates are
-	// byte-identical for any placement — and 0 means no preference.
+	// byte-identical for any placement — and 0 means no preference. It
+	// stays with the coordinator and never crosses the wire.
 	Affinity int
 }
 

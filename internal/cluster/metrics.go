@@ -43,7 +43,11 @@ func NewSessionMetrics(reg *obsv.Registry) *SessionMetrics {
 // WorkerMetrics are the worker daemon's counters, shared by every session
 // a shardd process serves.
 type WorkerMetrics struct {
-	Sessions      *obsv.Counter
+	Sessions *obsv.Counter
+	// Jobs counts engines compiled: one per distinct config a connection
+	// receives, plus one per config compiled again after its engine was
+	// evicted from the connection's cache. JobsRejected counts configs
+	// that decoded but did not compile, once per range that carried one.
 	Jobs          *obsv.Counter
 	JobsRejected  *obsv.Counter
 	Ranges        *obsv.Counter
@@ -54,7 +58,7 @@ type WorkerMetrics struct {
 	BytesRead     *obsv.Counter
 	BytesWritten  *obsv.Counter
 	// RangeLatency is one range's execution time in nanoseconds (compile
-	// excluded; engines are cached per job).
+	// excluded; engines are cached by config).
 	RangeLatency *obsv.Histogram
 }
 
@@ -62,8 +66,8 @@ type WorkerMetrics struct {
 func NewWorkerMetrics(reg *obsv.Registry) *WorkerMetrics {
 	return &WorkerMetrics{
 		Sessions:      reg.Counter("cluster_worker_sessions_total", "Coordinator sessions accepted"),
-		Jobs:          reg.Counter("cluster_worker_jobs_total", "Job descriptors compiled"),
-		JobsRejected:  reg.Counter("cluster_worker_jobs_rejected_total", "Job descriptors that failed to compile"),
+		Jobs:          reg.Counter("cluster_worker_jobs_total", "Engines compiled from range configs"),
+		JobsRejected:  reg.Counter("cluster_worker_jobs_rejected_total", "Range configs that failed to compile"),
 		Ranges:        reg.Counter("cluster_worker_ranges_total", "Seed ranges executed"),
 		Runs:          reg.Counter("cluster_worker_runs_total", "Replications executed"),
 		Pongs:         reg.Counter("cluster_worker_pongs_total", "Keepalive pings answered"),

@@ -75,10 +75,9 @@ func TestSessionAndWorkerMetrics(t *testing.T) {
 	if v := m["cluster_worker_ranges_total"].(float64); v != float64(nChunks) {
 		t.Errorf("worker ranges = %v, want %d", v, nChunks)
 	}
-	// Both directions of the wire saw at least the handshake, the job and
-	// every range. (No exact cross-end equality: the job-release frame may
-	// still be in flight when this scrape runs.)
-	floor := float64(2 + nChunks)
+	// Both directions of the wire saw at least the handshake and one frame
+	// per range (the range itself, or its RangeDone).
+	floor := float64(1 + nChunks)
 	for _, name := range []string{
 		"cluster_session_frames_written_total", "cluster_worker_frames_read_total",
 		"cluster_session_frames_read_total", "cluster_worker_frames_written_total",

@@ -27,6 +27,9 @@ const (
 	maxShardStrikes = 3
 	// redialBackoff spaces reconnect attempts to a failed shard.
 	redialBackoff = 100 * time.Millisecond
+	// configSizeHint is the capacity a job's config encoding starts with:
+	// enough for the paper's scenarios to encode in one allocation.
+	configSizeHint = 512
 )
 
 // errSessionClosed fails jobs still active when Close is called.
@@ -34,30 +37,31 @@ var errSessionClosed = errors.New("cluster: session closed")
 
 // Session is the coordinator: it dials each shard once, keeps the framed
 // connections alive across batches (keepalive pings under the frame-timeout
-// discipline), and multiplexes any number of jobs over them with
-// session-unique job ids. Run may be called concurrently — pipelined jobs
-// interleave on the same connections without redials — and each Run folds
-// its own job's results through merge in ascending global run order from
-// the calling goroutine. A session with no shards runs every job
-// in-process, byte-identical to the sharded paths, which is the property
-// the cluster tests pin; a caller with one batch simply opens a session,
-// runs it and closes it.
+// discipline), and multiplexes any number of jobs over them, each range
+// carrying its session-unique job id, the job's seeding and its config.
+// Run may be called concurrently — pipelined jobs interleave on the same
+// connections without redials — and each Run folds its own job's results
+// through merge in ascending global run order from the calling goroutine.
+// A session with no shards runs every job in-process, byte-identical to
+// the sharded paths, which is the property the cluster tests pin; a
+// caller with one batch simply opens a session, runs it and closes it.
 //
 // Worker failure (dial error, handshake refusal, connection loss) is not
 // fatal: in-flight chunks of a lost connection are requeued, the shard is
 // redialed (bounded by consecutive no-progress strikes), surviving shards
 // take over its ranges, and if every shard retires the remaining chunks of
 // every active job run in-process. Only a merge error or a deterministic
-// job error reported by a worker (a spec that cannot compile, a simulation
-// failure — both would fail identically everywhere) aborts a job.
+// job error reported by a worker (a config that cannot compile, a
+// simulation failure — both would fail identically everywhere) aborts a
+// job.
 // Aggregates are byte-identical through all of it.
 type Session struct {
 	opts Options
 
 	// mu guards the job list and all per-job claim/merge bookkeeping; cond
-	// wakes shard writers (new work, reopened windows, requeues, releases)
-	// and local rescuers. Lock order: Session.mu may be taken before an
-	// epoch's mu, never after.
+	// wakes shard writers (new work, reopened windows, requeues, drained
+	// pipelines) and local rescuers. Lock order: Session.mu may be taken
+	// before an epoch's mu, never after.
 	mu     sync.Mutex
 	cond   *sync.Cond
 	jobs   []*jobRun // active jobs in submission order
@@ -155,8 +159,9 @@ func (s *Session) wake() {
 // queue, the claim window and the delivery channel its merger drains. All
 // claim/merge fields are guarded by Session.mu.
 type jobRun struct {
-	id   uint64
-	spec JobSpec
+	id     uint64
+	spec   JobSpec
+	config []byte // spec.Config in appendConfig's layout, which every range carries
 
 	chunk   int
 	nChunks int
@@ -255,6 +260,7 @@ func (s *Session) Run(job JobSpec, merge func(run int, res *sim.Result) error) e
 }
 
 func (s *Session) register(job JobSpec) *jobRun {
+	config := appendConfig(make([]byte, 0, configSizeHint), &job.Config)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.nextID++
@@ -266,6 +272,7 @@ func (s *Session) register(job JobSpec) *jobRun {
 	j := &jobRun{
 		id:      s.nextID,
 		spec:    job,
+		config:  config,
 		chunk:   chunk,
 		nChunks: (job.Runs + chunk - 1) / chunk,
 		window:  4 * nShards,
@@ -292,7 +299,7 @@ func (s *Session) unregister(j *jobRun) {
 			break
 		}
 	}
-	s.cond.Broadcast() // writers: the job's id is now releasable
+	s.cond.Broadcast() // the job's rescuer, if any, may exit
 	s.mu.Unlock()
 }
 
@@ -348,8 +355,8 @@ func (s *Session) requeue(j *jobRun, idx int) {
 func (s *Session) deliver(j *jobRun, cr chunkResult) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// Wake writers regardless of the drop below: popping the last in-flight
-	// range of an ended job is what makes its id releasable.
+	// Wake writers regardless of the drop below: the range just left its
+	// connection's pipeline.
 	s.cond.Broadcast()
 	if j.ended || j.failed {
 		return
@@ -420,11 +427,12 @@ func (s *Session) shardRetired(sh *shard) {
 
 // runLocal drains one job's chunk queue in-process.
 func (s *Session) runLocal(j *jobRun) {
-	exec, err := newRangeExec(j.spec, s.opts.LocalWorkers, nil)
+	ep, err := compile(j.spec.Config)
 	if err != nil {
 		s.failJob(j, err)
 		return
 	}
+	exec, batch := newRangeExec(s.opts.LocalWorkers), j.spec.batch()
 	for {
 		idx, ok := s.claimLocal(j)
 		if !ok {
@@ -432,7 +440,7 @@ func (s *Session) runLocal(j *jobRun) {
 		}
 		first, count := j.bounds(idx)
 		results := make([]*sim.Result, 0, count)
-		err := exec.run(first, count, func(run int, res *sim.Result) error {
+		err := exec.run(ep, batch, first, count, func(run int, res *sim.Result) error {
 			results = append(results, res)
 			return nil
 		})
@@ -543,21 +551,18 @@ type epoch struct {
 	mu         sync.Mutex // guards the fields below; see Session.mu for order
 	err        error
 	inflight   []inflightChunk
-	shipped    map[uint64]*jobRun // job specs shipped on this connection
-	pings      int                // pings awaiting a pong
+	pings      int // pings awaiting a pong
 	lastWrite  time.Time
 	progressed bool // at least one chunk delivered this epoch
 }
 
-// write sends one frame per message in one flushed write under the
-// connection's per-frame write deadline: a stalled peer surfaces within the
-// frame timeout instead of blocking the session on a full TCP buffer.
-func (e *epoch) write(msgs ...*message) error {
+// write sends m in one flushed frame under the connection's per-frame
+// write deadline: a stalled peer surfaces within the frame timeout instead
+// of blocking the session on a full TCP buffer.
+func (e *epoch) write(m *message) error {
 	e.wmu.Lock()
 	defer e.wmu.Unlock()
-	for _, m := range msgs {
-		e.out.add(m)
-	}
+	e.out.add(m)
 	if err := e.out.flush(e.fc); err != nil {
 		return err
 	}
@@ -598,10 +603,9 @@ func (e *epoch) kill(err error) {
 // whether the failure is permanent for this shard.
 func (s *Session) runConn(sh *shard, conn net.Conn) (progressed, permanent bool, err error) {
 	e := &epoch{
-		s:       s,
-		sh:      sh,
-		fc:      frame.NewConn(conn, 0, frame.Timeout(s.opts.FrameTimeout), false),
-		shipped: make(map[uint64]*jobRun),
+		s:  s,
+		sh: sh,
+		fc: frame.NewConn(conn, 0, frame.Timeout(s.opts.FrameTimeout), false),
 	}
 	if m := s.opts.Metrics; m != nil {
 		e.fc.Instrument(m.FramesRead, m.BytesRead, m.FramesWritten, m.BytesWritten)
@@ -645,119 +649,57 @@ func (s *Session) runConn(sh *shard, conn net.Conn) (progressed, permanent bool,
 	return prog, false, connErr
 }
 
-// writerAction is what the shard writer should do next.
-type writerAction int
-
-const (
-	actExit writerAction = iota
-	actChunk
-	actSweep
-)
-
-// writerWait parks the shard until it has something to do: a finished job
-// to release, a claimable chunk while fewer than pipelineDepth ranges are
-// in flight, epoch death or session close. Every pop from the in-flight
-// FIFO is followed by a broadcast of the session cond (deliver, failJob,
-// kill), so a full pipeline never parks the writer for good.
-func (e *epoch) writerWait() (*jobRun, int, writerAction) {
+// writerWait parks the shard until it has something to do: a claimable
+// chunk while fewer than pipelineDepth ranges are in flight, epoch death
+// or session close; it returns false for the last two. Every pop from the
+// in-flight FIFO is followed by a broadcast of the session cond (deliver,
+// failJob, kill), so a full pipeline never parks the writer for good.
+func (e *epoch) writerWait() (*jobRun, int, bool) {
 	s := e.s
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
 		if s.closed || e.dead.Load() {
-			return nil, 0, actExit
-		}
-		if len(e.releasable()) > 0 {
-			return nil, 0, actSweep
+			return nil, 0, false
 		}
 		e.mu.Lock()
 		full := len(e.inflight) >= pipelineDepth
 		e.mu.Unlock()
 		if !full {
 			if j, idx, ok := s.tryClaimShardLocked(e.sh.index); ok {
-				return j, idx, actChunk
+				return j, idx, true
 			}
 		}
 		s.cond.Wait()
 	}
 }
 
-// releasable lists shipped job ids that have ended and have nothing left in
-// flight on this connection — safe to release on the worker. Callers hold
-// Session.mu (for the ended flags); e.mu nests inside.
-func (e *epoch) releasable() []uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	var ids []uint64
-	for id, j := range e.shipped {
-		if !j.ended {
-			continue
-		}
-		busy := false
-		for _, c := range e.inflight {
-			if c.j == j {
-				busy = true
-				break
-			}
-		}
-		if !busy {
-			ids = append(ids, id)
-		}
-	}
-	return ids
-}
-
-// writerLoop claims chunks and dispatches them, shipping each job's spec the
-// first time the connection sees it and releasing ids the session is done
-// with. Ranges are pipelined up to pipelineDepth: the worker always has the
-// next range queued while streaming the current one.
+// writerLoop claims chunks and dispatches each as one self-describing
+// range. Ranges are pipelined up to pipelineDepth: the worker always has
+// the next range queued while streaming the current one.
 func (e *epoch) writerLoop() {
 	for {
-		j, idx, act := e.writerWait()
-		switch act {
-		case actExit:
+		j, idx, ok := e.writerWait()
+		if !ok {
 			return
-		case actSweep:
-			e.s.mu.Lock()
-			ids := e.releasable()
-			e.s.mu.Unlock()
-			for _, id := range ids {
-				e.mu.Lock()
-				delete(e.shipped, id)
-				e.mu.Unlock()
-				if err := e.write(&message{tag: tagJobRelease, jobRelease: jobReleaseMsg{ID: id}}); err != nil {
-					e.kill(err)
-					return
-				}
-			}
-		case actChunk:
-			first, count := j.bounds(idx)
-			e.mu.Lock()
-			_, sent := e.shipped[j.id]
-			if !sent {
-				e.shipped[j.id] = j
-			}
-			// Enter the FIFO before writing: if the write fails the chunk is
-			// requeued by the epoch cleanup like any other in-flight range.
-			c := inflightChunk{j: j, idx: idx, first: first, count: count}
-			if e.s.opts.Metrics != nil {
-				c.sentAt = time.Now()
-			}
-			e.inflight = append(e.inflight, c)
-			e.refreshReadDeadlineLocked()
-			e.mu.Unlock()
-			rng := &message{tag: tagRange, rng: rangeMsg{Job: j.id, First: first, Count: count}}
-			var err error
-			if sent {
-				err = e.write(rng)
-			} else {
-				// A job's descriptor and its first range share one write.
-				err = e.write(&message{tag: tagJob, job: jobMsg{ID: j.id, Spec: &j.spec}}, rng)
-			}
-			if err != nil {
-				e.kill(err)
-				return
-			}
+		}
+		first, count := j.bounds(idx)
+		// Enter the FIFO before writing: if the write fails the chunk is
+		// requeued by the epoch cleanup like any other in-flight range.
+		c := inflightChunk{j: j, idx: idx, first: first, count: count}
+		if e.s.opts.Metrics != nil {
+			c.sentAt = time.Now()
+		}
+		e.mu.Lock()
+		e.inflight = append(e.inflight, c)
+		e.refreshReadDeadlineLocked()
+		e.mu.Unlock()
+		if err := e.write(&message{tag: tagRange, rng: rangeMsg{
+			Job: j.id, First: first, Count: count,
+			Runs: j.spec.Runs, Seed: j.spec.Seed, Stream: j.spec.Stream, Config: j.config,
+		}}); err != nil {
+			e.kill(err)
+			return
 		}
 	}
 }
@@ -803,9 +745,8 @@ func (e *epoch) keepaliveLoop(done chan struct{}) {
 
 // readerLoop attributes the connection's inbound stream: results and range
 // acknowledgements belong to the FIFO head (workers execute ranges in
-// arrival order), job acks resolve through the shipped map, pongs settle
-// keepalives. Any protocol breach kills the epoch — reassignment handles the
-// rest.
+// arrival order), pongs settle keepalives. Any protocol breach kills the
+// epoch — reassignment handles the rest.
 func (e *epoch) readerLoop() {
 	var cur []*sim.Result // results of the FIFO-head range
 	var in message        // every frame decodes here
@@ -822,22 +763,6 @@ func (e *epoch) readerLoop() {
 			}
 			e.refreshReadDeadlineLocked()
 			e.mu.Unlock()
-
-		case tagJobAck:
-			e.mu.Lock()
-			j := e.shipped[in.jobAck.ID]
-			e.refreshReadDeadlineLocked()
-			e.mu.Unlock()
-			if j == nil {
-				e.kill(fmt.Errorf("protocol: ack for unknown job %d", in.jobAck.ID))
-				return
-			}
-			if in.jobAck.Err != "" {
-				// The worker validated the same descriptor every other worker
-				// would see; the rejection is a property of the job, not the
-				// connection, so the job fails and the session lives on.
-				e.s.failJob(j, fmt.Errorf("cluster: shard %s: job rejected: %s", e.sh.addr, in.jobAck.Err))
-			}
 
 		case tagRunResult:
 			e.mu.Lock()
@@ -883,8 +808,9 @@ func (e *epoch) readerLoop() {
 			e.refreshReadDeadlineLocked()
 			e.mu.Unlock()
 			if in.rangeDone.Err != "" {
-				// Deterministic simulation failure: retrying elsewhere cannot
-				// help, but the connection is healthy.
+				// Deterministic job failure (the config does not compile or
+				// the simulation failed): retrying elsewhere cannot help,
+				// but the connection is healthy.
 				e.s.failJob(head.j, fmt.Errorf("cluster: shard %s: run range [%d,%d): %s",
 					e.sh.addr, head.first, head.first+head.count, in.rangeDone.Err))
 				e.s.wake()

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"smartexp3/internal/frame"
+	"smartexp3/internal/obsv"
 	"smartexp3/internal/runner"
 	"smartexp3/internal/sim"
 )
@@ -390,21 +391,34 @@ func TestHandshakeRejectionClosesConnection(t *testing.T) {
 	}
 }
 
-// TestSessionJobRejectionKeepsSessionAlive ships a job that cannot compile
-// and then a healthy one over the same session: the rejection must fail
-// only its own job — the connection (and the ranges pipelined behind the
-// rejection) stay orderly, and no redial happens.
+// TestSessionJobRejectionKeepsSessionAlive ships a shardable job whose
+// config sim.NewEngine rejects, and then a healthy one, over the same
+// session: the worker answers the bad job's ranges with RangeDone errors,
+// which must fail only that job — the connection (and the ranges
+// pipelined behind the first error) stay orderly, and no redial happens.
 func TestSessionJobRejectionKeepsSessionAlive(t *testing.T) {
-	addr, accepts := startCountingWorker(t, WorkerOptions{Workers: 1})
+	reg := obsv.NewRegistry()
+	wm := NewWorkerMetrics(reg)
+	addr, accepts := startCountingWorker(t, WorkerOptions{Workers: 1, Metrics: wm})
 	s := NewSession([]string{addr}, Options{ChunkSize: 2, Logf: t.Logf})
 	defer s.Close()
 
 	bad := sessionJob(t, 6, 1)
 	bad.Config.Slots = 0
+	if err := Shardable(bad.Config); err != nil {
+		t.Fatal(err)
+	}
+	_, compileErr := sim.NewEngine(bad.Config)
+	if compileErr == nil {
+		t.Fatal("a zero-slot config compiled")
+	}
 	merge, _ := fingerprint()
 	err := s.Run(bad, merge)
-	if err == nil || !strings.Contains(err.Error(), "job rejected") {
-		t.Fatalf("want a job rejection error, got %v", err)
+	if err == nil || !strings.Contains(err.Error(), ": "+compileErr.Error()) {
+		t.Fatalf("want the worker's compile error, got %v", err)
+	}
+	if n := wm.JobsRejected.Value(); n == 0 {
+		t.Fatal("the worker counted no failed compile")
 	}
 
 	good := sessionJob(t, 8, 2)
@@ -423,35 +437,115 @@ func TestSessionJobRejectionKeepsSessionAlive(t *testing.T) {
 
 // TestWorkerEngineCacheSurvivesReleaseCycles pins the worker-side engine
 // cache against the suite's dominant pattern: batch after batch of the
-// same config, each job released before the next arrives. The compiled
-// engine must be the same object across every cycle — a regression here
-// (e.g. phantom idle-list entries evicting the one hot engine) silently
-// reintroduces a per-batch compile.
+// same config, with up to maxCachedEngines-1 other configs run between
+// two of them. The hot config's engine must be the same object every time
+// — a regression here silently reintroduces a per-batch compile — and the
+// cache must hold no more than maxCachedEngines engines, dropping the
+// least recently used first.
 func TestWorkerEngineCacheSurvivesReleaseCycles(t *testing.T) {
-	spec := testJob(t, 4)
-	ws := &workerSession{
-		workers: 1,
-		jobs:    make(map[uint64]*workerJob),
-		engines: make(map[string]*enginePool),
-		jobKeys: make(map[uint64]string),
-	}
-	config := appendConfig(nil, &spec.Config) // the key a decoded Job carries
-	if msg := ws.addJob(1, spec, config); msg != "" {
-		t.Fatal(msg)
-	}
-	ep := ws.jobs[1].exec.shared
-	ws.releaseJob(1)
-	for id := uint64(2); id <= 4*maxIdleEngines; id++ {
-		if msg := ws.addJob(id, spec, config); msg != "" {
-			t.Fatal(msg)
+	var c engineCache
+	hotKey, hot := []byte("hot"), &enginePool{}
+	c.add(hotKey, hot)
+	other := 0
+	for cycle := 0; cycle < 4*maxCachedEngines; cycle++ {
+		for i := 0; i < maxCachedEngines-1; i++ {
+			key := []byte(fmt.Sprint("config ", other))
+			other++
+			if c.lookup(key) != nil {
+				t.Fatalf("cycle %d: a config never added was found", cycle)
+			}
+			c.add(key, &enginePool{})
 		}
-		if ws.jobs[id].exec.shared != ep {
-			t.Fatalf("cycle %d recompiled the engine instead of reusing the cache", id)
+		if c.lookup(hotKey) != hot {
+			t.Fatalf("cycle %d evicted the hot engine", cycle)
 		}
-		ws.releaseJob(id)
+		if len(c) != maxCachedEngines {
+			t.Fatalf("cycle %d: the cache holds %d engines, want %d", cycle, len(c), maxCachedEngines)
+		}
 	}
-	if len(ws.idle) != 1 {
-		t.Fatalf("idle list holds %d entries for one engine, want 1", len(ws.idle))
+	// One more distinct config than fits behind the hot one evicts it.
+	for i := 0; i < maxCachedEngines; i++ {
+		c.add([]byte(fmt.Sprint("fresh ", i)), &enginePool{})
+	}
+	if c.lookup(hotKey) != nil || len(c) != maxCachedEngines {
+		t.Fatalf("the cache kept the least recent engine (holding %d)", len(c))
+	}
+}
+
+// TestSessionEngineCacheEvictsLeastRecentConfig streams batches of two
+// more distinct configs than a worker connection caches over one session
+// — one after another, then all resident ones at once, interleaving their
+// ranges on the stream, then the evicted ones again. Every aggregate must
+// equal sim.Replicate, and the worker must compile each config once,
+// plus once more only for the configs the cache evicted.
+func TestSessionEngineCacheEvictsLeastRecentConfig(t *testing.T) {
+	reg := obsv.NewRegistry()
+	wm := NewWorkerMetrics(reg)
+	addr, accepts := startCountingWorker(t, WorkerOptions{Workers: 1, Metrics: wm})
+	s := NewSession([]string{addr}, Options{ChunkSize: 2, Logf: t.Logf})
+	defer s.Close()
+
+	const configs = maxCachedEngines + 2
+	run := func(i int) error {
+		cfg := testConfig()
+		cfg.Slots = 20 + i // distinct config bytes
+		batch := runner.Replications{Runs: 4, Workers: 1, Seed: 11, Stream: []int64{int64(i)}}
+		mergeA, want := fingerprint()
+		if err := sim.Replicate(batch, cfg, mergeA); err != nil {
+			return err
+		}
+		job, err := NewJob(batch, cfg)
+		if err != nil {
+			return err
+		}
+		mergeB, got := fingerprint()
+		if err := s.Run(job, mergeB); err != nil {
+			return err
+		}
+		if got.String() != want.String() {
+			return fmt.Errorf("config %d differs from sim.Replicate", i)
+		}
+		return nil
+	}
+	compiles := func(want uint64, phase string) {
+		t.Helper()
+		if n := wm.Jobs.Value(); n != want {
+			t.Fatalf("%s: the worker compiled %d engines, want %d", phase, n, want)
+		}
+	}
+
+	for i := 0; i < configs; i++ {
+		if err := run(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	compiles(configs, "first pass")
+
+	// Configs 2.. are the cache's contents; running them together misses
+	// nothing, however their ranges interleave.
+	var wg sync.WaitGroup
+	errs := make([]error, configs)
+	for i := 2; i < configs; i++ {
+		wg.Add(1)
+		go func() { defer wg.Done(); errs[i] = run(i) }()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		t.Fatal(err)
+	}
+	compiles(configs, "resident configs")
+
+	for i := 0; i < 2; i++ {
+		if err := run(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	compiles(configs+2, "evicted configs")
+	if n := wm.JobsRejected.Value(); n != 0 {
+		t.Fatalf("%d failed compiles", n)
+	}
+	if n := accepts.Load(); n != 1 {
+		t.Fatalf("%d connections, want 1", n)
 	}
 }
 
@@ -582,16 +676,13 @@ func TestSessionShardStrikeBudget(t *testing.T) {
 // worker, decoding each. It delays every RangeDone on its way back, so
 // the session's pipeline fills, and records the most ranges ever
 // outstanding (forwarded to the worker and not yet acknowledged to the
-// session: a lower bound on the session's own count) and when each
-// shipped job id was released.
+// session: a lower bound on the session's own count).
 type pipelineProxy struct {
 	addr string
 
 	mu          sync.Mutex
 	outstanding int
 	maxOut      int
-	shipped     map[uint64]int64     // job id → the job's stream id
-	released    map[uint64]time.Time // job id → when its JobRelease passed
 }
 
 func newPipelineProxy(t *testing.T, backend string, doneDelay time.Duration) *pipelineProxy {
@@ -601,7 +692,7 @@ func newPipelineProxy(t *testing.T, backend string, doneDelay time.Duration) *pi
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ln.Close() })
-	p := &pipelineProxy{addr: ln.Addr().String(), shipped: make(map[uint64]int64), released: make(map[uint64]time.Time)}
+	p := &pipelineProxy{addr: ln.Addr().String()}
 	go func() {
 		up, err := ln.Accept()
 		if err != nil {
@@ -648,46 +739,21 @@ func (p *pipelineProxy) pump(src, dst net.Conn, see func(m *message)) {
 }
 
 func (p *pipelineProxy) toWorker(m *message) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	switch m.tag {
-	case tagJob:
-		p.shipped[m.job.ID] = m.job.Spec.Stream[0]
-	case tagRange:
+	if m.tag == tagRange {
+		p.mu.Lock()
 		p.outstanding++
 		p.maxOut = max(p.maxOut, p.outstanding)
-	case tagJobRelease:
-		p.released[m.jobRelease.ID] = time.Now()
-	}
-}
-
-// releasedStream waits up to limit for the JobRelease of the job shipped
-// with the given stream id, reporting whether it passed.
-func (p *pipelineProxy) releasedStream(stream int64, limit time.Duration) bool {
-	for deadline := time.Now().Add(limit); ; time.Sleep(time.Millisecond) {
-		p.mu.Lock()
-		for id, st := range p.shipped {
-			if _, ok := p.released[id]; ok && st == stream {
-				p.mu.Unlock()
-				return true
-			}
-		}
 		p.mu.Unlock()
-		if time.Now().After(deadline) {
-			return false
-		}
 	}
 }
 
-// TestSessionPipelineDepthAndRelease pins the shard writer's two duties
+// TestSessionPipelineDepthAndRelease pins the shard writer's pipeline
 // over one connection whose range acknowledgements come back slowly. A
 // long job keeps the pipeline full while short jobs with affinity for the
-// shard run one after another beside it. The session never has more than
-// pipelineDepth ranges outstanding, and every shipped job id is released
-// within a bounded wait after its Run returns — the short ones while the
-// long job still fills the pipeline.
+// shard run one after another beside it, each finishing while the long
+// one still runs. The session never has more than pipelineDepth ranges
+// outstanding, and it does fill the pipeline.
 func TestSessionPipelineDepthAndRelease(t *testing.T) {
-	const releaseWait = 2 * time.Second
 	proxy := newPipelineProxy(t, startWorkers(t, 1, WorkerOptions{Workers: 1})[0], 5*time.Millisecond)
 	s := NewSession([]string{proxy.addr}, Options{ChunkSize: 1, Logf: t.Logf})
 	defer s.Close()
@@ -709,12 +775,9 @@ func TestSessionPipelineDepthAndRelease(t *testing.T) {
 		if got.String() != want {
 			t.Fatalf("short job %d differs from its in-process aggregate", i)
 		}
-		if !proxy.releasedStream(short.Stream[0], releaseWait) {
-			t.Fatalf("short job %d was not released within %v of its Run returning", i, releaseWait)
-		}
 		select {
 		case <-longDone:
-			t.Fatalf("the long job ended before short job %d was released; the pipeline was not kept full", i)
+			t.Fatalf("the long job ended before short job %d did; the pipeline was not kept full", i)
 		default:
 		}
 	}
@@ -724,9 +787,6 @@ func TestSessionPipelineDepthAndRelease(t *testing.T) {
 	if gotLong.String() != wantLong {
 		t.Fatal("long job differs from its in-process aggregate")
 	}
-	if !proxy.releasedStream(long.Stream[0], releaseWait) {
-		t.Fatalf("long job was not released within %v of its Run returning", releaseWait)
-	}
 
 	proxy.mu.Lock()
 	defer proxy.mu.Unlock()
@@ -735,8 +795,5 @@ func TestSessionPipelineDepthAndRelease(t *testing.T) {
 	}
 	if proxy.maxOut < pipelineDepth {
 		t.Fatalf("at most %d ranges outstanding; the pipeline never filled, so the bound went untested", proxy.maxOut)
-	}
-	if len(proxy.shipped) != 4 || len(proxy.released) != len(proxy.shipped) {
-		t.Fatalf("%d jobs shipped, %d released, want 4 and 4", len(proxy.shipped), len(proxy.released))
 	}
 }

@@ -11,14 +11,18 @@ package cluster
 // length-prefixed strings and lists, and a 0/1 presence byte for every
 // boolean and for the optional *criteria.Profile and *sim.Result. The
 // layout is canonical: a payload decodes only if re-encoding the result
-// reproduces it byte for byte, so the worker keys its engine cache by a
-// job's config bytes as they arrived.
+// reproduces it byte for byte.
 //
-// A Job carries its JobSpec's sim.Config without the five fields
-// Shardable names — WiFiDelay, CellularDelay, PolicyFactory, Core and
-// Seed — which a decoded JobSpec holds zero; the worker's sim.NewEngine
-// fills in the same defaults an in-process run applies. A RunResult
-// carries every sim.Result field.
+// A range is self-describing: a Range carries its job id, First and
+// Count, the job's seeding (Runs, Seed, Stream) and, as the rest of the
+// payload, the job's sim.Config in appendConfig's layout. The coordinator
+// encodes a job's config once, when the job registers, and every range of
+// the job carries those bytes; the worker keys its engine cache by them
+// and decodes and compiles a config only on a miss. The config leaves out
+// the five fields Shardable names — WiFiDelay, CellularDelay,
+// PolicyFactory, Core and Seed — which a decoded config holds zero; the
+// worker's sim.NewEngine fills in the same defaults an in-process run
+// applies. A RunResult carries every sim.Result field.
 //
 // The frame layer's payload and header checksums are what the chaos
 // determinism guarantee rests on — a faulted session decides exactly like
@@ -39,8 +43,9 @@ import (
 // keepalive ping/pong, and job release. Version 3 added the per-frame
 // CRC-32C. Version 4 moved the handshake to the frame layer's shared hello
 // and added the frame header's own checksum. Version 5 replaced gob with
-// the fixed-layout payloads above.
-const protocolVersion = 5
+// the fixed-layout payloads above. Version 6 made a range self-describing
+// and dropped job registration, its acknowledgement and its release.
+const protocolVersion = 6
 
 // hello is this protocol's side of the shared handshake.
 var hello = frame.Hello{Proto: "cluster", Version: protocolVersion}
@@ -49,30 +54,24 @@ var hello = frame.Hello{Proto: "cluster", Version: protocolVersion}
 type msgTag byte
 
 const (
-	tagJob msgTag = 1 + iota
-	tagJobAck
-	tagRange
+	tagRange msgTag = 1 + iota
 	tagRunResult
 	tagRangeDone
 	tagPing
 	tagPong
-	tagJobRelease
 )
 
 // message is one cluster payload, decoded or about to be encoded: tag names
 // the live field. Each connection loop decodes every inbound frame into
-// the same message; only a result's *sim.Result and a job's *JobSpec, which
-// outlive the frame, are allocated per message.
+// the same message; only a result's *sim.Result, which outlives the frame,
+// is allocated per message.
 type message struct {
-	tag        msgTag
-	job        jobMsg
-	jobAck     jobAckMsg
-	rng        rangeMsg
-	result     runResultMsg
-	rangeDone  rangeDoneMsg
-	ping       pingMsg
-	pong       pongMsg
-	jobRelease jobReleaseMsg
+	tag       msgTag
+	rng       rangeMsg
+	result    runResultMsg
+	rangeDone rangeDoneMsg
+	ping      pingMsg
+	pong      pongMsg
 
 	// r is decode's cursor. It lives here, not on decode's stack, because
 	// the list decoders it is handed to are called through function
@@ -80,37 +79,26 @@ type message struct {
 	r frame.PayloadReader
 }
 
-// jobMsg ships one batch descriptor under a session-unique id: the worker
-// compiles it into a sim.Engine once and serves every subsequent range
-// carrying the same id against it. A session may hold several compiled jobs
-// at once — that is what lets pipelined batches interleave on one stream.
-type jobMsg struct {
-	ID   uint64
-	Spec *JobSpec
-	// config is, in a decoded message, the payload bytes that encoded
-	// Spec.Config. It aliases the frame buffer and is valid until the next
-	// read. Two configs with the same bytes compile to interchangeable
-	// engines, so the worker keys its engine cache by them.
-	config []byte
-}
-
-// jobAckMsg reports whether the descriptor compiled. A non-empty Err is a
-// property of the job, not the worker (every worker validates the same
-// descriptor), so the coordinator fails the job without retiring the
-// session.
-type jobAckMsg struct {
-	ID  uint64
-	Err string
-}
-
 // rangeMsg assigns the global run indices [First, First+Count) of job Job
-// to the worker. Workers execute ranges strictly in arrival order, which is
-// what lets the coordinator attribute the result stream to its in-flight
-// ranges without per-result routing state.
+// to the worker and carries everything the worker needs to run them: the
+// job's seeding and its encoded config. Workers execute ranges strictly in
+// arrival order, which is what lets the coordinator attribute the result
+// stream to its in-flight ranges without per-result routing state. Several
+// jobs may have ranges on one connection at once — that is what lets
+// pipelined batches interleave on one stream.
 type rangeMsg struct {
-	Job   uint64
-	First int
-	Count int
+	Job    uint64
+	First  int
+	Count  int
+	Runs   int
+	Seed   int64
+	Stream []int64
+	// Config is the job's sim.Config in appendConfig's layout, the rest of
+	// the payload. In a decoded message it aliases the frame buffer and is
+	// valid until the next read. Two configs with the same bytes compile
+	// to interchangeable engines, so the worker keys its engine cache by
+	// them.
+	Config []byte
 }
 
 // runResultMsg streams one replication's result back. Workers emit results
@@ -124,8 +112,9 @@ type runResultMsg struct {
 }
 
 // rangeDoneMsg acknowledges a completed range. A non-empty Err means the
-// simulation itself failed — a deterministic job error the coordinator must
-// surface, not a transport failure it may retry.
+// job itself failed — its config did not compile, or the simulation
+// failed — a deterministic job error the coordinator must surface, not a
+// transport failure it may retry.
 type rangeDoneMsg struct {
 	Job   uint64
 	First int
@@ -143,11 +132,4 @@ type pingMsg struct {
 // pongMsg answers a ping.
 type pongMsg struct {
 	Seq uint64
-}
-
-// jobReleaseMsg retires a job id the coordinator has finished with, freeing
-// the worker's compiled engine and pooled workspaces for it. There is no
-// reply; ids are session-unique and never reused.
-type jobReleaseMsg struct {
-	ID uint64
 }

@@ -14,8 +14,8 @@ import (
 // a coordinator that stops draining its connection without closing it (died
 // under SIGSTOP, half-open partition, wedged reader) must not park the
 // worker's serving goroutine forever on a full send buffer. The stalled
-// reader is played by a synchronous pipe: the test consumes the handshake,
-// the job ack and the first result frame, then stops reading entirely, so
+// reader is played by a synchronous pipe: the test consumes the handshake
+// and the first result frame, then stops reading entirely, so
 // the worker's next result write can only complete via its write deadline.
 func TestWorkerWriteDeadlineUnsticksStalledCoordinator(t *testing.T) {
 	coord, worker := net.Pipe()
@@ -32,13 +32,8 @@ func TestWorkerWriteDeadlineUnsticksStalledCoordinator(t *testing.T) {
 		t.Fatalf("handshake failed: %v", err)
 	}
 	job := testJob(t, 8)
-	if err := sendMsgs(fc, &message{tag: tagJob, job: jobMsg{ID: 1, Spec: &job}}); err != nil {
-		t.Fatal(err)
-	}
-	if env, err := nextMsg(fc); err != nil || env.tag != tagJobAck || env.jobAck.Err != "" {
-		t.Fatalf("job rejected: %+v, %v", env, err)
-	}
-	if err := sendMsgs(fc, &message{tag: tagRange, rng: rangeMsg{Job: 1, First: 0, Count: 8}}); err != nil {
+	whole := rangeOf(1, 0, 8, &job)
+	if err := sendMsgs(fc, &whole); err != nil {
 		t.Fatal(err)
 	}
 	// Prove the range is executing, then stall: no more reads, connection

@@ -21,13 +21,12 @@ func TestWorkerStreamsRangesInOrder(t *testing.T) {
 		t.Fatalf("handshake failed: %v", err)
 	}
 	job := testJob(t, 12)
-	ranges := []rangeMsg{{Job: 1, First: 0, Count: 4}, {Job: 1, First: 4, Count: 1}, {Job: 1, First: 5, Count: 7}}
+	ranges := []message{rangeOf(1, 0, 4, &job), rangeOf(1, 4, 1, &job), rangeOf(1, 5, 7, &job)}
 	if err := sendMsgs(fc,
-		&message{tag: tagJob, job: jobMsg{ID: 1, Spec: &job}},
-		&message{tag: tagRange, rng: ranges[0]},
-		&message{tag: tagRange, rng: ranges[1]},
+		&ranges[0],
+		&ranges[1],
 		&message{tag: tagPing, ping: pingMsg{Seq: 9}},
-		&message{tag: tagRange, rng: ranges[2]},
+		&ranges[2],
 	); err != nil {
 		t.Fatal(err)
 	}
@@ -39,11 +38,9 @@ func TestWorkerStreamsRangesInOrder(t *testing.T) {
 		}
 		return env
 	}
-	if env := next(); env.tag != tagJobAck || env.jobAck.Err != "" {
-		t.Fatalf("want the job ack first, got %+v", env)
-	}
 	merge, got := fingerprint()
-	for i, r := range ranges {
+	for i := range ranges {
+		r := &ranges[i].rng
 		for run := r.First; run < r.First+r.Count; run++ {
 			env := next()
 			if env.tag != tagRunResult || env.result.Run != run {
@@ -80,15 +77,13 @@ func TestWorkerSessionsEndingMidRangeLeaveNoGoroutines(t *testing.T) {
 		if _, err := fc.Greet(hello); err != nil {
 			t.Fatalf("session %d: handshake failed: %v", i, err)
 		}
-		if err := sendMsgs(fc,
-			&message{tag: tagJob, job: jobMsg{ID: 1, Spec: &job}},
-			&message{tag: tagRange, rng: rangeMsg{Job: 1, First: 0, Count: job.Runs}},
-		); err != nil {
+		whole := rangeOf(1, 0, job.Runs, &job)
+		if err := sendMsgs(fc, &whole); err != nil {
 			t.Fatal(err)
 		}
-		frames := 2 // mid-range: the job ack and the first result
+		frames := 1 // mid-range: the first result
 		if i >= 50 {
-			frames = 2 + job.Runs // idle: every result and the RangeDone
+			frames = 1 + job.Runs // idle: every result and the RangeDone
 		}
 		for f := 0; f < frames; f++ {
 			if _, err := nextMsg(fc); err != nil {
