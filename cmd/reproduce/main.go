@@ -15,7 +15,8 @@
 //
 // Replications always fan out across the internal/runner pool (bounded by
 // -workers, default GOMAXPROCS) and merge in run order, so the emitted
-// artifacts are bit-identical for every worker count. -parexp additionally
+// artifacts are bit-identical for every worker count (the testbed
+// experiments aside; see below). -parexp additionally
 // overlaps whole experiments, which pays off when wall-clock-bound testbed
 // experiments can hide behind CPU-bound sweeps; shared scenario caches are
 // deduplicated, so overlapping experiments never repeat a sweep.
@@ -30,11 +31,15 @@
 // whose configurations cannot cross the wire (the ablation's policy
 // factory) run in-process as before.
 //
-// -parexp combined with -cluster is shard-aware: experiment-level
-// concurrency is sized to cover the workers and each experiment's batches
-// carry an affinity for "its" worker, so whole serializable experiments
-// stream to distinct shards instead of interleaving everywhere (idle
-// workers still steal, and results are identical either way).
+// -parexp combined with -cluster runs at least one experiment per worker.
+// The concurrent experiments' batches share the session's connections,
+// which serve their jobs in turn.
+//
+// Byte-identity stops at the testbed. fig13, fig14, fig15 and tab7 run
+// wall-clock slots over real loopback sockets, so their byte counts, and
+// every decision after them, differ from run to run even at one seed. Every
+// other experiment's artifacts are byte-identical with -parexp and -cluster
+// on or off.
 package main
 
 import (
@@ -137,10 +142,10 @@ func run(args []string) error {
 		expWorkers = total
 		if n := len(shards); n > 0 {
 			// Shard-aware split: with a cluster, the heavy lifting is
-			// remote, so size experiment-level concurrency to cover the
-			// workers (each concurrent experiment's batches carry an
-			// affinity for "its" shard below) and keep the local pool for
-			// merging and the in-process experiments.
+			// remote, so run at least one experiment per worker (the
+			// session serves their jobs in turn, which keeps the shards fed
+			// while an experiment merges or computes locally) and keep the
+			// local pool for merging and the in-process experiments.
 			if n > expWorkers {
 				expWorkers = n
 			}
@@ -165,11 +170,7 @@ func run(args []string) error {
 				fmt.Printf(">>> %s: %s\n", def.ID, def.Title)
 			}
 			start := time.Now()
-			eopts := opts
-			// Whole experiments map to workers: experiment i's serializable
-			// batches prefer shard i mod nShards.
-			eopts.ClusterAffinity = i + 1
-			rep, err := def.Run(eopts)
+			rep, err := def.Run(opts)
 			if err != nil {
 				return outcome{}, fmt.Errorf("%s: %w", def.ID, err)
 			}

@@ -208,6 +208,9 @@
 // warm session, and even when a worker dies mid-batch (or mid-session) and
 // its ranges are re-executed elsewhere. Both CLIs expose the cluster layer
 // (`simulate -shards`; `reproduce -cluster` holds one session for the
-// whole suite, and with -parexp assigns whole experiments to workers via
-// placement affinity); CI holds the equality as an invariant.
+// whole suite, over which -parexp's concurrent experiments take turns);
+// CI holds the equality as an invariant. The contract stops at the
+// testbed: fig13, fig14, fig15 and tab7 run wall-clock slots over real
+// loopback sockets, so their artifacts differ from run to run, while every
+// other experiment is byte-identical with -parexp and -cluster on or off.
 package smartexp3

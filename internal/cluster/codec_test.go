@@ -67,10 +67,9 @@ func fullSpec() JobSpec {
 			Criteria:       &criteria.Profile{Throughput: 1, Energy: 0.5, Money: negZero},
 			NetworkCosts:   []criteria.Costs{{Energy: 0.2, PricePerData: 0}, {Energy: 0.6, PricePerData: 0.5}},
 		},
-		Runs:     24,
-		Seed:     math.MinInt64,
-		Stream:   []int64{3, -1, math.MaxInt64},
-		Affinity: -2,
+		Runs:   24,
+		Seed:   math.MinInt64,
+		Stream: []int64{3, -1, math.MaxInt64},
 	}
 }
 
@@ -105,7 +104,7 @@ func rangeOf(id uint64, first, count int, spec *JobSpec) message {
 }
 
 // specOf rebuilds, as a worker sees it, the job a decoded Range carries:
-// its seeding and its decoded config. Affinity stays with the coordinator.
+// its seeding and its decoded config.
 func specOf(t *testing.T, m *message) JobSpec {
 	t.Helper()
 	spec := JobSpec{Runs: m.rng.Runs, Seed: m.rng.Seed, Stream: m.rng.Stream}
@@ -243,9 +242,9 @@ func sameValue(a, b reflect.Value) bool {
 
 // TestClusterCodecMatchesGob pins the codec to the wire it replaced: every
 // job a range carries and every result decodes to the value a gob round
-// trip of the same value yields (Affinity aside, which no longer crosses)
-// — in particular, empty lists at every depth decode as nil, as gob's
-// did, and a non-nil empty criteria profile stays non-nil.
+// trip of the same value yields — in particular, empty lists at every
+// depth decode as nil, as gob's did, and a non-nil empty criteria profile
+// stays non-nil.
 func TestClusterCodecMatchesGob(t *testing.T) {
 	full := fullSpec()
 	emptyLists := JobSpec{Config: sim.Config{
@@ -271,7 +270,6 @@ func TestClusterCodecMatchesGob(t *testing.T) {
 		if err := got.decode(sent.appendTo(nil)); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		spec.Affinity = 0
 		want := gobRoundTrip(t, spec)
 		if decoded := specOf(t, &got); !reflect.DeepEqual(decoded, want) && !(tc.hasNaN && sameValue(reflect.ValueOf(decoded), reflect.ValueOf(want))) {
 			t.Errorf("job spec %s: codec decoded %+v, gob %+v", name, decoded, want)
@@ -312,10 +310,9 @@ type leafSetter struct {
 
 // notOnWire names, by their leafSetters path, exactly the JobSpec fields
 // the codec does not carry: the five sim.Config fields Shardable
-// documents, and Affinity, the coordinator's placement hint. The walk
-// skips them and must meet each one; every other field must survive.
+// documents. The walk skips them and must meet each one; every other field
+// must survive.
 var notOnWire = []string{
-	"JobSpec.Affinity",
 	"JobSpec.Config.WiFiDelay",
 	"JobSpec.Config.CellularDelay",
 	"JobSpec.Config.Seed",

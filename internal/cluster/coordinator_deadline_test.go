@@ -28,7 +28,7 @@ func TestCoordinatorWriteDeadlineUnsticksStalledWorker(t *testing.T) {
 	// directly so the pipe can stand in for the TCP dial.
 	s := &Session{opts: Options{FrameTimeout: 250 * time.Millisecond, ChunkSize: 2}, live: 1}
 	s.cond = sync.NewCond(&s.mu)
-	sh := &shard{addr: "pipe", index: 0}
+	sh := &shard{addr: "pipe"}
 	s.shards = []*shard{sh}
 
 	connErr := make(chan error, 1)

@@ -124,14 +124,6 @@ type JobSpec struct {
 	Seed int64
 	// Stream namespaces the batch (see runner.Replications.Stream).
 	Stream []int64
-	// Affinity optionally biases placement when several jobs are pipelined
-	// over one Session: chunks of a job with Affinity a (1-based) are
-	// offered to shard (a-1) mod nShards first, and stolen by idle shards
-	// otherwise. reproduce -parexp uses it to keep each experiment's
-	// batches on "its" worker. It is a hint only — aggregates are
-	// byte-identical for any placement — and 0 means no preference. It
-	// stays with the coordinator and never crosses the wire.
-	Affinity int
 }
 
 // NewJob builds the descriptor for running batch over cfg on a cluster.

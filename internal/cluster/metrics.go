@@ -47,7 +47,9 @@ type WorkerMetrics struct {
 	// Jobs counts engines compiled: one per distinct config a connection
 	// receives, plus one per config compiled again after its engine was
 	// evicted from the connection's cache. JobsRejected counts configs
-	// that decoded but did not compile, once per range that carried one.
+	// that decoded but did not compile, by the same rule: the refusal is
+	// cached beside the engines, so later ranges of the same config are
+	// answered from it.
 	Jobs          *obsv.Counter
 	JobsRejected  *obsv.Counter
 	Ranges        *obsv.Counter
@@ -67,7 +69,7 @@ func NewWorkerMetrics(reg *obsv.Registry) *WorkerMetrics {
 	return &WorkerMetrics{
 		Sessions:      reg.Counter("cluster_worker_sessions_total", "Coordinator sessions accepted"),
 		Jobs:          reg.Counter("cluster_worker_jobs_total", "Engines compiled from range configs"),
-		JobsRejected:  reg.Counter("cluster_worker_jobs_rejected_total", "Range configs that failed to compile"),
+		JobsRejected:  reg.Counter("cluster_worker_jobs_rejected_total", "Distinct range configs that failed to compile"),
 		Ranges:        reg.Counter("cluster_worker_ranges_total", "Seed ranges executed"),
 		Runs:          reg.Counter("cluster_worker_runs_total", "Replications executed"),
 		Pongs:         reg.Counter("cluster_worker_pongs_total", "Keepalive pings answered"),

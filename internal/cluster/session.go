@@ -64,7 +64,7 @@ type Session struct {
 	// before an epoch's mu, never after.
 	mu     sync.Mutex
 	cond   *sync.Cond
-	jobs   []*jobRun // active jobs in submission order
+	jobs   []*jobRun // active jobs, the one served longest ago first
 	nextID uint64
 	live   int // shards not yet retired
 	closed bool
@@ -75,8 +75,7 @@ type Session struct {
 
 // shard is one worker address and its current connection (if any).
 type shard struct {
-	addr  string
-	index int
+	addr string
 
 	mu   sync.Mutex
 	conn net.Conn // live connection, closed by Session.Close to interrupt
@@ -104,12 +103,9 @@ func (sh *shard) closeConn() {
 func NewSession(shards []string, opts Options) *Session {
 	s := &Session{opts: opts, live: len(shards)}
 	s.cond = sync.NewCond(&s.mu)
-	for i, addr := range shards {
-		s.shards = append(s.shards, &shard{addr: addr, index: i})
-	}
-	// Spawn only after the shard slice is complete: shard writers read it
-	// (affinity arithmetic) without holding any per-slice lock.
-	for _, sh := range s.shards {
+	for _, addr := range shards {
+		sh := &shard{addr: addr}
+		s.shards = append(s.shards, sh)
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
@@ -373,20 +369,16 @@ func (s *Session) deliver(j *jobRun, cr chunkResult) {
 	}
 }
 
-// tryClaimShardLocked finds a chunk for the shard at index, preferring jobs
-// whose Affinity maps to it (whole experiments stick to "their" worker when
-// reproduce -parexp pipelines several at once) and stealing from any other
-// job otherwise, so no shard idles while work exists.
-func (s *Session) tryClaimShardLocked(shardIdx int) (*jobRun, int, bool) {
-	n := len(s.shards)
-	for pass := 0; pass < 2; pass++ {
-		for _, j := range s.jobs {
-			if pass == 0 && (j.spec.Affinity <= 0 || (j.spec.Affinity-1)%n != shardIdx) {
-				continue
-			}
-			if idx, ok := j.tryClaimLocked(); ok {
-				return j, idx, true
-			}
+// tryClaimShardLocked finds a chunk for a shard writer in one pass over
+// the active jobs: the first job with a claimable chunk serves it and moves
+// to the back of the list, so jobs pipelined side by side take turns and a
+// long job cannot starve the ones submitted beside it.
+func (s *Session) tryClaimShardLocked() (*jobRun, int, bool) {
+	for i, j := range s.jobs {
+		if idx, ok := j.tryClaimLocked(); ok {
+			copy(s.jobs[i:], s.jobs[i+1:])
+			s.jobs[len(s.jobs)-1] = j
+			return j, idx, true
 		}
 	}
 	return nil, 0, false
@@ -666,7 +658,7 @@ func (e *epoch) writerWait() (*jobRun, int, bool) {
 		full := len(e.inflight) >= pipelineDepth
 		e.mu.Unlock()
 		if !full {
-			if j, idx, ok := s.tryClaimShardLocked(e.sh.index); ok {
+			if j, idx, ok := s.tryClaimShardLocked(); ok {
 				return j, idx, true
 			}
 		}

@@ -96,9 +96,8 @@ func TestSessionReuseAcrossBatches(t *testing.T) {
 }
 
 // TestSessionPipelinesConcurrentJobs multiplexes three jobs over one
-// two-worker session at once — the reproduce -parexp shape, including the
-// per-job affinity hints — and checks each merged stream against its
-// in-process twin.
+// two-worker session at once — the reproduce -parexp shape — and checks
+// each merged stream against its in-process twin.
 func TestSessionPipelinesConcurrentJobs(t *testing.T) {
 	addrs := startWorkers(t, 2, WorkerOptions{Workers: 1})
 	s := NewSession(addrs, Options{ChunkSize: 2, Logf: t.Logf})
@@ -108,7 +107,6 @@ func TestSessionPipelinesConcurrentJobs(t *testing.T) {
 	wants := make([]string, 3)
 	for i := range jobs {
 		jobs[i] = sessionJob(t, 10, int64(100+i))
-		jobs[i].Affinity = i + 1
 		wants[i] = inProcessWant(t, jobs[i])
 	}
 	var wg sync.WaitGroup
@@ -445,18 +443,18 @@ func TestSessionJobRejectionKeepsSessionAlive(t *testing.T) {
 func TestWorkerEngineCacheSurvivesReleaseCycles(t *testing.T) {
 	var c engineCache
 	hotKey, hot := []byte("hot"), &enginePool{}
-	c.add(hotKey, hot)
+	c.add(hotKey, cachedEngine{pool: hot})
 	other := 0
 	for cycle := 0; cycle < 4*maxCachedEngines; cycle++ {
 		for i := 0; i < maxCachedEngines-1; i++ {
 			key := []byte(fmt.Sprint("config ", other))
 			other++
-			if c.lookup(key) != nil {
+			if _, ok := c.lookup(key); ok {
 				t.Fatalf("cycle %d: a config never added was found", cycle)
 			}
-			c.add(key, &enginePool{})
+			c.add(key, cachedEngine{pool: &enginePool{}})
 		}
-		if c.lookup(hotKey) != hot {
+		if e, _ := c.lookup(hotKey); e.pool != hot {
 			t.Fatalf("cycle %d evicted the hot engine", cycle)
 		}
 		if len(c) != maxCachedEngines {
@@ -465,9 +463,9 @@ func TestWorkerEngineCacheSurvivesReleaseCycles(t *testing.T) {
 	}
 	// One more distinct config than fits behind the hot one evicts it.
 	for i := 0; i < maxCachedEngines; i++ {
-		c.add([]byte(fmt.Sprint("fresh ", i)), &enginePool{})
+		c.add([]byte(fmt.Sprint("fresh ", i)), cachedEngine{pool: &enginePool{}})
 	}
-	if c.lookup(hotKey) != nil || len(c) != maxCachedEngines {
+	if _, ok := c.lookup(hotKey); ok || len(c) != maxCachedEngines {
 		t.Fatalf("the cache kept the least recent engine (holding %d)", len(c))
 	}
 }
@@ -748,11 +746,13 @@ func (p *pipelineProxy) toWorker(m *message) {
 }
 
 // TestSessionPipelineDepthAndRelease pins the shard writer's pipeline
-// over one connection whose range acknowledgements come back slowly. A
-// long job keeps the pipeline full while short jobs with affinity for the
-// shard run one after another beside it, each finishing while the long
-// one still runs. The session never has more than pipelineDepth ranges
-// outstanding, and it does fill the pipeline.
+// over one connection whose range acknowledgements come back slowly, and
+// the turn-taking of the jobs it serves. A long job keeps the pipeline
+// full while short jobs submitted after it run one after another beside
+// it, each finishing while the long one still runs: the claim rotates
+// between jobs, so the long job cannot starve the short ones. The session
+// never has more than pipelineDepth ranges outstanding, and it does fill
+// the pipeline.
 func TestSessionPipelineDepthAndRelease(t *testing.T) {
 	proxy := newPipelineProxy(t, startWorkers(t, 1, WorkerOptions{Workers: 1})[0], 5*time.Millisecond)
 	s := NewSession([]string{proxy.addr}, Options{ChunkSize: 1, Logf: t.Logf})
@@ -766,7 +766,6 @@ func TestSessionPipelineDepthAndRelease(t *testing.T) {
 
 	for i := range 3 {
 		short := sessionJob(t, 2, int64(300+i))
-		short.Affinity = 1
 		want := inProcessWant(t, short)
 		merge, got := fingerprint()
 		if err := s.Run(short, merge); err != nil {

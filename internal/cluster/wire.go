@@ -18,7 +18,8 @@ package cluster
 // payload, the job's sim.Config in appendConfig's layout. The coordinator
 // encodes a job's config once, when the job registers, and every range of
 // the job carries those bytes; the worker keys its engine cache by them
-// and decodes and compiles a config only on a miss. The config leaves out
+// (an entry holds the compiled engine or the compile error) and decodes
+// and compiles a config only on a miss. The config leaves out
 // the five fields Shardable names — WiFiDelay, CellularDelay,
 // PolicyFactory, Core and Seed — which a decoded config holds zero; the
 // worker's sim.NewEngine fills in the same defaults an in-process run

@@ -75,40 +75,42 @@ func Serve(ln net.Listener, opts WorkerOptions) error {
 	}
 }
 
-// cachedEngine is one compiled engine and the config bytes it was
-// compiled from. The codec is canonical, so equal bytes are equal configs,
-// which compile to interchangeable engines.
+// cachedEngine is what compiling one config gave: its engine, or the
+// error that refused it. The codec is canonical, so equal bytes are equal
+// configs, which compile to interchangeable engines or fail alike.
 type cachedEngine struct {
 	config string
-	pool   *enginePool
+	pool   *enginePool // nil when the config was refused
+	refuse string      // the compile error, when pool is nil
 }
 
-// engineCache is one connection's compiled engines, least recently used
+// engineCache is one connection's compile outcomes, least recently used
 // first, at most maxCachedEngines of them. Ranges run one at a time per
 // connection, so the running range's engine is always the most recent
 // entry and is never evicted while it runs.
 type engineCache []cachedEngine
 
-// lookup returns the engine compiled from config and makes it the most
-// recent entry, or returns nil.
-func (c engineCache) lookup(config []byte) *enginePool {
+// lookup returns the entry compiled from config and makes it the most
+// recent, or reports false.
+func (c engineCache) lookup(config []byte) (cachedEngine, bool) {
 	for i := len(c) - 1; i >= 0; i-- {
 		if e := c[i]; e.config == string(config) {
 			copy(c[i:], c[i+1:])
 			c[len(c)-1] = e
-			return e.pool
+			return e, true
 		}
 	}
-	return nil
+	return cachedEngine{}, false
 }
 
-// add records ep, compiled from config, as the most recent entry and
+// add records e, compiled from config, as the most recent entry and
 // evicts the least recent beyond the cap.
-func (c *engineCache) add(config []byte, ep *enginePool) {
+func (c *engineCache) add(config []byte, e cachedEngine) {
 	if len(*c) == maxCachedEngines {
 		*c = append((*c)[:0], (*c)[1:]...)
 	}
-	*c = append(*c, cachedEngine{config: string(config), pool: ep})
+	e.config = string(config)
+	*c = append(*c, e)
 }
 
 // writerQueue bounds how many frames serveConn may hand a connection's
@@ -271,29 +273,31 @@ func serveFrames(conn net.Conn, fc *frame.Conn, w *connWriter, opts WorkerOption
 					conn.RemoteAddr(), r.Job, r.First, r.First+r.Count, r.Runs)
 			}
 			done := message{tag: tagRangeDone, rangeDone: rangeDoneMsg{Job: r.Job, First: r.First}}
-			ep := engines.lookup(r.Config)
-			if ep == nil {
+			e, ok := engines.lookup(r.Config)
+			if !ok {
 				var cfg sim.Config
 				if err := decodeConfig(r.Config, &cfg); err != nil {
 					return fmt.Errorf("protocol: job %d config: %w", r.Job, err)
 				}
 				var err error
-				if ep, err = compile(cfg); err != nil {
-					// The config is well-formed but cannot run; every worker
-					// would say the same, so the job fails, not the session.
+				if e.pool, err = compile(cfg); err != nil {
+					e.refuse = err.Error()
 					if m != nil {
 						m.JobsRejected.Inc()
 					}
-					done.rangeDone.Err = err.Error()
-					if err := w.send(done); err != nil {
-						return err
-					}
-					continue
-				}
-				if m != nil {
+				} else if m != nil {
 					m.Jobs.Inc()
 				}
-				engines.add(r.Config, ep)
+				engines.add(r.Config, e)
+			}
+			if e.pool == nil {
+				// The config is well-formed but cannot run; every worker
+				// would say the same, so the job fails, not the session.
+				done.rangeDone.Err = e.refuse
+				if err := w.send(done); err != nil {
+					return err
+				}
+				continue
 			}
 			var rangeStart time.Time
 			if m != nil {
@@ -301,7 +305,7 @@ func serveFrames(conn net.Conn, fc *frame.Conn, w *connWriter, opts WorkerOption
 				rangeStart = time.Now()
 			}
 			batch := runner.Replications{Runs: r.Runs, Seed: r.Seed, Stream: r.Stream}
-			runErr := exec.run(ep, batch, r.First, r.Count, emit)
+			runErr := exec.run(e.pool, batch, r.First, r.Count, emit)
 			if m != nil {
 				m.RangeLatency.Observe(time.Since(rangeStart).Nanoseconds())
 			}

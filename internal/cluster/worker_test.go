@@ -7,6 +7,9 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"smartexp3/internal/obsv"
+	"smartexp3/internal/sim"
 )
 
 // TestWorkerStreamsRangesInOrder plays the coordinator over a raw frame
@@ -59,6 +62,45 @@ func TestWorkerStreamsRangesInOrder(t *testing.T) {
 	}
 	if want := inProcessWant(t, job); got.String() != want {
 		t.Fatal("streamed results differ from the in-process run")
+	}
+}
+
+// TestWorkerCachesCompileRefusal pipelines two ranges of one config that
+// decodes but does not compile over one connection. Both must come back
+// with the compile error, and the refusal is cached beside the engines
+// under the same config bytes, so the worker rejects the config once, not
+// once per range.
+func TestWorkerCachesCompileRefusal(t *testing.T) {
+	wm := NewWorkerMetrics(obsv.NewRegistry())
+	addrs := startWorkers(t, 1, WorkerOptions{Workers: 1, Metrics: wm})
+	fc := dialRaw(t, addrs[0])
+	if _, err := fc.Greet(hello); err != nil {
+		t.Fatalf("handshake failed: %v", err)
+	}
+	job := testJob(t, 4)
+	job.Config.Slots = 0
+	_, compileErr := sim.NewEngine(job.Config)
+	if compileErr == nil {
+		t.Fatal("a zero-slot config compiled")
+	}
+	ranges := []message{rangeOf(1, 0, 2, &job), rangeOf(1, 2, 2, &job)}
+	if err := sendMsgs(fc, &ranges[0], &ranges[1]); err != nil {
+		t.Fatal(err)
+	}
+	for i := range ranges {
+		env, err := nextMsg(fc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if env.tag != tagRangeDone || env.rangeDone.First != ranges[i].rng.First || env.rangeDone.Err != compileErr.Error() {
+			t.Fatalf("range %d: want a RangeDone carrying %q, got %+v", i, compileErr, env)
+		}
+	}
+	if n := wm.JobsRejected.Value(); n != 1 {
+		t.Fatalf("cluster_worker_jobs_rejected_total = %d for one bad config, want 1", n)
+	}
+	if n := wm.Jobs.Value(); n != 0 {
+		t.Fatalf("cluster_worker_jobs_total = %d, want 0 engines compiled", n)
 	}
 }
 

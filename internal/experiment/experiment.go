@@ -44,13 +44,6 @@ type Options struct {
 	// cannot cross the wire (the ablation's PolicyFactory) silently stay
 	// in-process.
 	Session *cluster.Session
-	// ClusterAffinity tags this experiment's batches with a 1-based
-	// placement hint: a session offers chunks of experiment a to shard
-	// (a-1) mod nShards first, so concurrently running experiments
-	// (-parexp) each stream to "their" worker instead of interleaving
-	// everywhere. Zero means no preference; results are byte-identical
-	// regardless.
-	ClusterAffinity int
 
 	// ScaleRuns and ScaleSlots control the Figure 6 scalability sweep
 	// (paper: 500 runs of 8640 slots).
@@ -135,9 +128,8 @@ func (o Options) replicate(batch runner.Replications, cfg sim.Config, merge func
 		if err != nil {
 			return err
 		}
-		job.Affinity = o.ClusterAffinity
-		// No dial, no handshake — the job's descriptor and ranges pipeline
-		// onto the session's already-open worker streams.
+		// No dial, no handshake — the job's ranges pipeline onto the
+		// session's already-open worker streams.
 		return o.Session.Run(job, merge)
 	}
 	// No cluster, or a config that cannot cross the wire (custom

@@ -284,7 +284,6 @@ func TestReplicateSessionMatchesInProcess(t *testing.T) {
 	sess := cluster.NewSession([]string{ln.Addr().String()}, cluster.Options{})
 	defer sess.Close()
 	o.Session = sess
-	o.ClusterAffinity = 1
 	for i, want := range wants {
 		if got := fp(o, int64(i+1)); got != want {
 			t.Fatalf("session batch %d differs from the in-process stream", i+1)
