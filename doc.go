@@ -165,12 +165,14 @@
 // payloads on the frame layer's shared field encodings (canonical
 // varints, IEEE-754 bits, length-prefixed lists, presence bytes), decoded
 // without reflection.
-// Snapshots use the same encodings: a v4 snapshot is a header and one
+// Snapshots use the same encodings: a v5 snapshot is a header and one
 // fixed-layout record per device, which is also the form a captured
 // snapshot holds in memory, so checkpoints, restores and fleet migrations
 // move records as they are (a fleet migration frame carries one as the
-// rest of its payload). No wire carries gob, and a connection holds no
-// codec state beyond its buffers.
+// rest of its payload). A record carries its device's generator in one of
+// two forms: a device fewer than 334 draws past its seed carries the seed
+// and the draw count, and any other its 607-word ring. No wire carries
+// gob, and a connection holds no codec state beyond its buffers.
 //
 // Every layer is observable through internal/obsv, a stdlib-only metrics
 // layer built for the hot paths above: atomic counters and gauges, fixed

@@ -147,7 +147,7 @@ func readTable(r *frame.PayloadReader) *Table {
 	return t
 }
 
-// readRest copies out the unread bytes (a snapshot's v4 encoding), nil
+// readRest copies out the unread bytes (a snapshot's encoding), nil
 // when none are left.
 func readRest(r *frame.PayloadReader) []byte {
 	if r.Len() == 0 {

@@ -27,7 +27,7 @@
 // Migration contract: a coordinator moves a stripe by draining it on the
 // old owner — install a rejecting view (barring writes to the range),
 // cut a per-range snapshot (consistent because the view is re-read under
-// each shard lock), ship its v4 encoding over the control wire (as the
+// each shard lock), ship its encoding over the control wire (as the
 // tail of a fixed-layout message in internal/frame's checksummed frames),
 // stage it on the new owner — and then committing the bumped table to
 // every peer:

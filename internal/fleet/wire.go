@@ -12,7 +12,7 @@ import "smartexp3/internal/frame"
 // length and their bytes. A *Table is a presence byte, then its epoch,
 // its stripe bits (at most 255) and its roster as a list of (ID, Addr,
 // Control) strings. A migrated stripe's snapshot (stateMsg.Snap,
-// offerMsg.Snap) is the rest of the payload: its own v4 encoding, carried
+// offerMsg.Snap) is the rest of the payload: its own encoding, carried
 // as it is. One synchronous caller drives one connection: a coordinator
 // holds one control connection per peer for the lifetime of a rebalance,
 // and everything staged over a connection dies with it — which is what
@@ -25,7 +25,7 @@ import "smartexp3/internal/frame"
 // changes incompatibly; the handshake refuses mismatches. Version 2 moved
 // the handshake to the frame layer's shared hello, added the frame
 // header's own checksum, and dropped the unused control ping. Version 3
-// carries migrated snapshots as their v4 encoding (serve.Snapshot.Encode)
+// carries migrated snapshots as their fixed-layout encoding (serve.Snapshot.Encode)
 // instead of gob-encoded structs, and counts a cut's devices in stateMsg.
 // Version 4 replaces the gob envelopes with the fixed-layout payloads
 // above.

@@ -31,6 +31,10 @@ const (
 	rngTap   = 273
 	rngMask  = 1<<63 - 1
 	int32max = 1<<31 - 1
+
+	// seedingDraws is how many draws after a Seed the ring stays seeded on
+	// demand: the draws until feed reaches slot 0.
+	seedingDraws = rngLen - rngTap
 )
 
 // seedrand is the Lehmer step x ← 48271·x mod 2³¹−1, the seed-expansion
@@ -130,6 +134,8 @@ func recoverAdditiveTable() [rngLen]uint64 {
 // The tap cursor is then unseeded, a value no seeded ring has; feed counts
 // those draws down as it always does; and vec[0], the last slot they
 // reach, holds the conditioned seed the missing words are computed from.
+// So until then the seed and the draw count are the whole state, and that
+// pair is what ExportState exports.
 type Source struct {
 	tap, feed int32
 	vec       [rngLen]int64
@@ -157,20 +163,6 @@ func (s *Source) Seed(seed int64) {
 	s.tap = unseeded
 	s.feed = rngLen - rngTap
 	s.vec[0] = int64(seedInit(seed))
-}
-
-// seedWords sets ring words [lo, hi) as the stdlib's seeding from the
-// conditioned seed x sets them. The stdlib walks the Lehmer chain
-// x_k = x·48271^k mod 2³¹−1 step by step and fills word i from x_{21+3i},
-// x_{22+3i} and x_{23+3i}; here each of those is x times a precomputed
-// power (seedPow), so any one word costs three independent products and
-// no walk.
-func (s *Source) seedWords(x uint64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		p := &seedPow[i]
-		s.vec[i] = int64(mulmod(x, uint64(p[0]))<<40 ^ mulmod(x, uint64(p[1]))<<20 ^
-			mulmod(x, uint64(p[2])) ^ additiveTab[i])
-	}
 }
 
 // seedPow[i][j] is 48271^(21+3i+j) mod 2³¹−1: the multiplier that takes a
@@ -263,10 +255,12 @@ func (s *Source) drawSlow() uint64 {
 	if tap >= rngLen-rngTap {
 		top = tap
 	}
-	// The feed word, then the tap word if untouched, computed as
-	// seedWords does. The loop is written out here because the compiler
-	// does not inline seedWords, and a call per draw made the first 128
-	// draws ~25% slower.
+	// The feed word, then the tap word if untouched: word i is the
+	// stdlib's seeding of it, which XORs three states of the Lehmer chain
+	// from the seed, x_{21+3i} to x_{23+3i}, with additiveTab[i]. Each state
+	// is the seed times its power in seedPow, so a word costs three
+	// independent products and no walk. The loop is written out here
+	// because a call per draw made the first 128 draws ~25% slower.
 	for i := feed; i <= top; i += rngTap {
 		p := &seedPow[i]
 		s.vec[i] = int64(mulmod(seed, uint64(p[0]))<<40 ^ mulmod(seed, uint64(p[1]))<<20 ^
@@ -279,22 +273,6 @@ func (s *Source) drawSlow() uint64 {
 		s.tap = int32(tap)
 	}
 	return uint64(x)
-}
-
-// complete computes every word an unseeded ring still lacks and sets the
-// tap cursor where the draws so far leave it, so the source holds exactly
-// the state the stdlib's eager seeding reaches after as many draws. The
-// lacking words are the feed slots below feed, slot 0 with the seed among
-// them, and the slots from 334 up to the lowest one tap has read.
-func (s *Source) complete() {
-	if s.tap != unseeded {
-		return
-	}
-	seed := uint64(s.vec[0])
-	feed := int(s.feed)
-	s.seedWords(seed, rngLen-rngTap, feed+rngTap)
-	s.seedWords(seed, 0, feed)
-	s.tap = int32((feed + rngTap) % rngLen)
 }
 
 // SeedAll reseeds srcs[i] with seeds[i]: the per-source state is identical

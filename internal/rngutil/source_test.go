@@ -205,6 +205,35 @@ func seedChain(s *Source, seed int64) {
 	}
 }
 
+// complete computes every word an unseeded ring still lacks and sets the
+// tap cursor where the draws so far leave it, so the source holds exactly
+// the state the stdlib's eager seeding reaches after as many draws. The
+// lacking words are the feed slots below feed, slot 0 with the seed among
+// them, and the slots from 334 up to the lowest one tap has read. It lets
+// the tests compare an on-demand ring with an eagerly seeded one word for
+// word.
+func (s *Source) complete() {
+	if s.tap != unseeded {
+		return
+	}
+	seed := uint64(s.vec[0])
+	feed := int(s.feed)
+	s.seedWords(seed, rngLen-rngTap, feed+rngTap)
+	s.seedWords(seed, 0, feed)
+	s.tap = int32((feed + rngTap) % rngLen)
+}
+
+// seedWords sets ring words [lo, hi) as the stdlib's seeding from the
+// conditioned seed x sets them, each from three precomputed powers
+// (seedPow), as drawSlow computes the words it reads.
+func (s *Source) seedWords(x uint64, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		p := &seedPow[i]
+		s.vec[i] = int64(mulmod(x, uint64(p[0]))<<40 ^ mulmod(x, uint64(p[1]))<<20 ^
+			mulmod(x, uint64(p[2])) ^ additiveTab[i])
+	}
+}
+
 // TestJumpAheadSeedMatchesChain pins Seed's jump-ahead against the serial
 // chain, comparing the full generator state once complete has computed
 // the words Seed leaves to the draws: on the edges of seedInit's
@@ -279,10 +308,10 @@ func matchesWalk(src *Source, walk []int32) error {
 
 // TestOnDemandSeedMatchesChainAtEveryDrawCount pins seeding on demand
 // against eager seeding after every draw count through two ring lengths:
-// a source n draws past Seed exports the state the serial chain's source
-// has n draws past its seeding, and the 607 draws after the export match
-// that source's. The draw counts are split across GOMAXPROCS goroutines,
-// each with its own sources.
+// a completed copy of a source n draws past Seed exports the state the
+// serial chain's source has n draws past its seeding, and the 607 draws
+// after the export match that source's. The draw counts are split across
+// GOMAXPROCS goroutines, each with its own sources.
 func TestOnDemandSeedMatchesChainAtEveryDrawCount(t *testing.T) {
 	const counts = 2 * rngLen // n in [0, 1,214]
 	for _, seed := range []int64{0, 1, -1, 42, int32max, 1 << 40} {
@@ -292,7 +321,7 @@ func TestOnDemandSeedMatchesChainAtEveryDrawCount(t *testing.T) {
 			wg.Add(1)
 			go func(lo, hi int) {
 				defer wg.Done()
-				var lazy, ref Source
+				var lazy, done, ref Source
 				var got, want SourceState
 				for n := lo; n < hi; n++ {
 					lazy.Seed(seed)
@@ -301,7 +330,9 @@ func TestOnDemandSeedMatchesChainAtEveryDrawCount(t *testing.T) {
 						lazy.Uint64()
 						ref.Uint64()
 					}
-					lazy.ExportState(&got)
+					done = lazy
+					done.complete()
+					done.ExportState(&got)
 					ref.ExportState(&want)
 					if got != want {
 						t.Errorf("seed %d: state after %d draws differs from the chain's", seed, n)

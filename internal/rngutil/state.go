@@ -14,30 +14,56 @@ import (
 // exactly the outputs the original would have produced next. The serve
 // layer's snapshot/restore determinism contract rests on this — per-device
 // policy randomness must survive a daemon restart unchanged.
+//
+// A state has one of two forms. A source fewer than 334 draws past its
+// Seed is determined by its conditioned seed and the draws it has made,
+// and exports as those two numbers, Seed and Draws: the compact form,
+// marked by a nonzero Seed, in which Vec, Tap and Feed are not part of
+// the state. Any other source exports its ring and cursors, Vec, Tap and
+// Feed, with Seed and Draws zero. Which form a source exports depends
+// only on how many draws it has made since its Seed, so equal histories
+// export equal states.
 type SourceState struct {
 	Vec       [rngLen]int64
 	Tap, Feed int
+	Seed      int64
+	Draws     int
 }
 
-// ExportState copies the source's current generator state into dst. A
-// source fewer than 334 draws past a Seed first computes the ring words it
-// has not yet read, in place, so ExportState may write the source, and the
-// state it exports is the one eager seeding reaches. The ring is copied
-// once, straight into dst, so a destination that already exists, such as a
-// record in a snapshot's device array, costs no temporary.
+// ExportState copies the source's current generator state into dst and
+// never writes the source. The compact form leaves dst.Vec as it was; the
+// ring is copied once, straight into dst, so a destination that already
+// exists, such as a record in a snapshot's device array, costs no
+// temporary.
 func (s *Source) ExportState(dst *SourceState) {
-	s.complete()
+	if s.tap == unseeded {
+		dst.Seed, dst.Draws = s.vec[0], seedingDraws-int(s.feed)
+		dst.Tap, dst.Feed = 0, 0
+		return
+	}
 	dst.Vec = s.vec
 	dst.Tap, dst.Feed = int(s.tap), int(s.feed)
+	dst.Seed, dst.Draws = 0, 0
 }
 
-// Validate reports whether st is a state the generator can reach: both
-// cursors inside the ring, and Feed exactly rngLen−rngTap slots ahead of
-// Tap (mod rngLen), as seeding sets them and every draw keeps them. A
-// state that fails it came from a corrupt snapshot, not from a Source;
-// SetState would fold its cursors into range and resume a stream math/rand
-// never produces, so restore paths call Validate first.
+// Validate reports whether st is a state the generator can reach. A
+// compact state needs a conditioned seed, in [1, 2³¹−2], and fewer than
+// 334 draws. A ring state needs no draw count, both cursors inside the
+// ring, and Feed exactly rngLen−rngTap slots ahead of Tap (mod rngLen), as
+// seeding sets them and every draw keeps them. A state that fails it came
+// from a corrupt snapshot, not from a Source; SetState would fold it into
+// range and resume a stream math/rand never produces, so restore paths
+// call Validate first.
 func (st *SourceState) Validate() error {
+	if st.Seed != 0 {
+		if st.Seed < 0 || st.Seed >= int32max || st.Draws < 0 || st.Draws >= seedingDraws {
+			return fmt.Errorf("rngutil: compact generator state seed=%d draws=%d outside [1, %d) and [0, %d)", st.Seed, st.Draws, int32max, seedingDraws)
+		}
+		return nil
+	}
+	if st.Draws != 0 {
+		return fmt.Errorf("rngutil: generator state counts %d draws without a seed", st.Draws)
+	}
 	if st.Tap < 0 || st.Tap >= rngLen || st.Feed < 0 || st.Feed >= rngLen {
 		return fmt.Errorf("rngutil: generator cursors tap=%d feed=%d outside [0, %d)", st.Tap, st.Feed, rngLen)
 	}
@@ -49,23 +75,31 @@ func (st *SourceState) Validate() error {
 
 // SetState overwrites the source's generator state with a previously
 // captured one. The next outputs are bit-identical to what the captured
-// source would have produced. States whose cursors fall outside the
-// generator's ring are rejected by normalizing them modulo the ring length,
-// so a corrupt snapshot cannot index out of bounds.
+// source would have produced. A compact state is restored by seeding and
+// replaying its draws, at most 333 of them. A state outside the
+// generator's range is normalized, its cursors and draw count folded
+// modulo their ranges, so a corrupt snapshot can neither index out of
+// bounds nor ask for an unbounded replay.
 func (s *Source) SetState(st SourceState) {
+	if st.Seed != 0 {
+		s.Seed(st.Seed)
+		for range wrap(st.Draws, seedingDraws) {
+			s.Uint64()
+		}
+		return
+	}
 	s.vec = st.Vec
-	s.tap = clampCursor(st.Tap)
-	s.feed = clampCursor(st.Feed)
+	s.tap = int32(wrap(st.Tap, rngLen))
+	s.feed = int32(wrap(st.Feed, rngLen))
 }
 
-// clampCursor maps an arbitrary int into [0, rngLen), the generator ring's
-// valid cursor range.
-func clampCursor(c int) int32 {
-	c %= rngLen
+// wrap maps an arbitrary int into [0, n).
+func wrap(c, n int) int {
+	c %= n
 	if c < 0 {
-		c += rngLen
+		c += n
 	}
-	return int32(c)
+	return c
 }
 
 // stateWords is the word count AppendState writes ahead of the ring. A
@@ -77,10 +111,17 @@ const stateWords = rngLen
 // AppendState writes.
 var errStateLayout = errors.New("rngutil: malformed generator state")
 
-// AppendState appends st to b in its portable layout: the ring's word
-// count, the Tap cursor and the Feed cursor as uvarints, then each of the
-// ring's words as the 8 little-endian bytes of its two's-complement bits.
+// AppendState appends st to b in its portable layout, three uvarints and
+// then, for the ring form, the ring's words. The ring form is the ring's
+// word count, the Tap cursor and the Feed cursor, then each word as the 8
+// little-endian bytes of its two's-complement bits. The compact form is a
+// word count of 0, then Seed and Draws.
 func AppendState(b []byte, st *SourceState) []byte {
+	if st.Seed != 0 {
+		b = binary.AppendUvarint(b, 0)
+		b = binary.AppendUvarint(b, uint64(st.Seed))
+		return binary.AppendUvarint(b, uint64(st.Draws))
+	}
 	b = binary.AppendUvarint(b, stateWords)
 	b = binary.AppendUvarint(b, uint64(st.Tap))
 	b = binary.AppendUvarint(b, uint64(st.Feed))
@@ -94,13 +135,16 @@ func AppendState(b []byte, st *SourceState) []byte {
 }
 
 // ReadState decodes the state AppendState wrote at the front of b into st
-// and returns how many bytes it took. The uvarints must be canonical, the
-// word count this generator's and both cursors inside the ring, so a state
-// that reads back re-encodes to the same bytes. Whether the cursors are a
+// and returns how many bytes it took. The uvarints must be canonical and
+// the word count 0 or this generator's. A compact state's seed must be a
+// conditioned one and its draw count below 334, so it passes Validate; a
+// ring state's cursors must lie inside the ring, and whether they are a
 // pair the generator reaches is Validate's question, left to the caller.
-// On error st is left partly written.
+// Either way a state that reads back re-encodes to the same bytes. A
+// compact state leaves st.Vec as it was; on error st is left partly
+// written.
 func ReadState(b []byte, st *SourceState) (int, error) {
-	var head [3]uint64 // word count, Tap, Feed
+	var head [3]uint64 // word count, then Tap and Feed or Seed and Draws
 	n := 0
 	for i := range head {
 		v, k := binary.Uvarint(b[n:])
@@ -109,10 +153,19 @@ func ReadState(b []byte, st *SourceState) (int, error) {
 		}
 		head[i], n = v, n+k
 	}
+	if head[0] == 0 {
+		if head[1] == 0 || head[1] >= int32max || head[2] >= seedingDraws {
+			return 0, errStateLayout
+		}
+		st.Seed, st.Draws = int64(head[1]), int(head[2])
+		st.Tap, st.Feed = 0, 0
+		return n, nil
+	}
 	if head[0] != stateWords || head[1] >= rngLen || head[2] >= rngLen || len(b)-n < 8*stateWords {
 		return 0, errStateLayout
 	}
 	st.Tap, st.Feed = int(head[1]), int(head[2])
+	st.Seed, st.Draws = 0, 0
 	for i := range st.Vec {
 		st.Vec[i] = int64(binary.LittleEndian.Uint64(b[n:]))
 		n += 8

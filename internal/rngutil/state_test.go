@@ -163,3 +163,107 @@ func TestStateLayoutRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestStateRoundTripsAtEveryDrawCount carries a source's state through
+// ExportState, AppendState, ReadState and SetState after every draw count
+// from 0 to 700, through the compact form and past it: the restored
+// source's next two ring lengths of draws are the stdlib's, its state
+// re-exports to the same bytes, and the form switches at draw 334.
+func TestStateRoundTripsAtEveryDrawCount(t *testing.T) {
+	for _, seed := range []int64{0, 1, -7, 424242, int32max - 1, 1 << 40} {
+		src := NewSource(seed)
+		var st, back SourceState
+		var restored Source
+		for n := 0; n <= 700; n++ {
+			src.ExportState(&st)
+			enc := AppendState(nil, &st)
+			if compact := len(enc) < 8*rngLen; compact != (n < seedingDraws) {
+				t.Fatalf("seed %d, %d draws: a %d-byte state", seed, n, len(enc))
+			}
+			k, err := ReadState(enc, &back)
+			if err != nil || k != len(enc) {
+				t.Fatalf("seed %d, %d draws: ReadState took %d of %d bytes: %v", seed, n, k, len(enc), err)
+			}
+			if err := back.Validate(); err != nil {
+				t.Fatalf("seed %d, %d draws: %v", seed, n, err)
+			}
+			restored.Seed(99) // over a ring partly seeded from another seed
+			restored.Uint64()
+			restored.SetState(back)
+			restored.ExportState(&back)
+			if !bytes.Equal(AppendState(nil, &back), enc) {
+				t.Fatalf("seed %d, %d draws: the restored source re-exports other bytes", seed, n)
+			}
+			std := rand.NewSource(seed).(rand.Source64)
+			for i := 0; i < n; i++ {
+				std.Uint64()
+			}
+			for i := 0; i < 2*rngLen; i++ {
+				if g, w := restored.Uint64(), std.Uint64(); g != w {
+					t.Fatalf("seed %d, restored at %d draws: draw %d is %d, stdlib %d", seed, n, i, g, w)
+				}
+			}
+			src.Uint64()
+		}
+	}
+}
+
+// TestExportStateLeavesTheSourceAsItWas exports a source after every draw
+// count through its on-demand seeding and past it: the source is bit for
+// bit what it was before the export.
+func TestExportStateLeavesTheSourceAsItWas(t *testing.T) {
+	src := NewSource(12)
+	var st SourceState
+	for n := 0; n <= 2*rngLen; n++ {
+		before := *src
+		src.ExportState(&st)
+		if *src != before {
+			t.Fatalf("exporting after %d draws wrote the source", n)
+		}
+		src.Uint64()
+	}
+}
+
+// TestCompactStateRefusals feeds ReadState and Validate compact states no
+// source exports: a zero seed, a seed outside the conditioned range, a
+// draw count the ring's seeding does not last, and overlong uvarints.
+func TestCompactStateRefusals(t *testing.T) {
+	compact := func(fields ...uint64) []byte {
+		b := binary.AppendUvarint(nil, 0)
+		for _, f := range fields {
+			b = binary.AppendUvarint(b, f)
+		}
+		return b
+	}
+	var st SourceState
+	largest := compact(int32max-1, seedingDraws-1)
+	if n, err := ReadState(largest, &st); err != nil || n != len(largest) || st.Validate() != nil {
+		t.Fatalf("the largest compact state: %d of %d bytes, %v, %v", n, len(largest), err, st.Validate())
+	}
+	for name, b := range map[string][]byte{
+		"a zero seed":              compact(0, 5),
+		"a seed of 2³¹−1":          compact(int32max, 5),
+		"a seed past 2⁶³":          compact(1<<63, 5),
+		"334 draws":                compact(7, seedingDraws),
+		"an overlong word count":   append([]byte{0x80, 0x00}, compact(7, 5)[1:]...),
+		"an overlong seed":         append(compact(), 0x87, 0x00, 5),
+		"an overlong draw count":   append(compact(7), 0x85, 0x00),
+		"a missing draw count":     compact(7),
+		"a truncated draw count":   append(compact(7), 0x85),
+		"a truncated seed":         compact(1 << 20)[:3],
+		"no bytes after the count": compact(),
+		"a 1-word ring":            {1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0},
+	} {
+		if _, err := ReadState(b, &st); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	for _, bad := range []SourceState{
+		{Seed: -1}, {Seed: int32max}, {Seed: 7, Draws: seedingDraws}, {Seed: 7, Draws: -1},
+		{Draws: 3, Tap: 0, Feed: rngLen - rngTap}, // draws and no seed
+	} {
+		if bad.Validate() == nil {
+			t.Errorf("seed=%d draws=%d accepted", bad.Seed, bad.Draws)
+		}
+	}
+}

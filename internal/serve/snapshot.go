@@ -26,13 +26,16 @@ import (
 // added UniformProbs, the one cached fact the weights cannot reproduce.
 // Versions 1 to 3 were one gob-encoded Snapshot value. Version 4 is the
 // fixed layout below, which a snapshot holds as its in-memory form too.
-const snapshotVersion = 4
+// Version 5 gave the generator a compact form: a device fewer than 334
+// draws past its seed carries its seed and draw count, 3 to 8 bytes,
+// where version 4 carried every generator as its 4,866-byte ring.
+const snapshotVersion = 5
 
 // SnapshotVersion is the current snapshot layout version — what Snapshot
 // stamps and every restore path demands.
 const SnapshotVersion = snapshotVersion
 
-// The v4 snapshot stream is a magic string, then the header and each
+// The v5 snapshot stream is a magic string, then the header and each
 // device record as a frame of a 4-byte little-endian length and that many
 // bytes:
 //
@@ -49,8 +52,17 @@ const SnapshotVersion = snapshotVersion
 // ascending device order, and nothing follows the last one.
 //
 // generator is the device's rngutil.SourceState in the layout rngutil
-// owns (AppendState): its word count, its two cursors, then its words.
-// policy is every core.PolicyState field in declaration order:
+// owns (AppendState), in one of two forms:
+//
+//	generator = 607 · tap · feed · word × 607   (the ring form)
+//	          | 0 · seed · draws                (the compact form)
+//
+// each number a canonical uvarint and each word its 8 little-endian
+// bytes. A generator fewer than 334 draws past its seed takes the compact
+// form, its conditioned seed (in [1, 2³¹−2]) and the draws it has made
+// (below 334); any other takes the ring form. The form depends only on
+// the device's draws since it was seeded, so equal histories still encode
+// equal bytes. policy is every core.PolicyState field in declaration order:
 //
 //	Available []int · LogW, WExp, Tree []float64 · SumW, Shift float ·
 //	UniformProbs bool · Explore []int · BlockIdx int · Gamma float ·
@@ -101,12 +113,12 @@ func (ds *DeviceSnapshot) Validate() error {
 	return ds.Rng.Validate()
 }
 
-// Record encodes ds as a v4 record.
+// Record encodes ds as a v5 record.
 func (ds *DeviceSnapshot) Record() DeviceRecord {
 	return DeviceRecord{Device: ds.Device, Record: string(appendRecord(nil, ds))}
 }
 
-// DeviceRecord is one device's entry in a snapshot: its id and its v4
+// DeviceRecord is one device's entry in a snapshot: its id and its v5
 // record. The record is a string, so no holder can change a snapshot's
 // records in place; a captured record is a substring of one allocation
 // that holds its whole shard's records, so a snapshot keeps its record
@@ -123,7 +135,7 @@ func (rec DeviceRecord) Decode(ds *DeviceSnapshot) error {
 	return decodeRecord(&r, []byte(rec.Record), ds)
 }
 
-// appendRecord appends ds's v4 record to b.
+// appendRecord appends ds's v5 record to b.
 func appendRecord(b []byte, ds *DeviceSnapshot) []byte {
 	b = binary.AppendUvarint(b, ds.Device)
 	b = frame.AppendInt(b, ds.Pending)
@@ -168,13 +180,14 @@ func appendRecord(b []byte, ds *DeviceSnapshot) []byte {
 	return frame.AppendInt(b, s.TotalSlots)
 }
 
-// decodeRecord decodes the v4 record p into ds through r, reusing ds's
+// decodeRecord decodes the v5 record p into ds through r, reusing ds's
 // slices. Every varint must be canonical, every list count is bounded by
-// the bytes left before storage is sized, the generator's cursors must lie
-// inside its ring, and nothing may follow the last field; an empty list
-// decodes as nil into a fresh ds. Whether the state is one a store
-// produces is Validate's question. The caller holds r because the list
-// reads make it escape, so a loop of decodes reuses one.
+// the bytes left before storage is sized, the generator must be one
+// ReadState accepts (a ring form's cursors inside the ring, a compact
+// form's seed and draw count in range), and nothing may follow the last
+// field; an empty list decodes as nil into a fresh ds. Whether the state
+// is one a store produces is Validate's question. The caller holds r
+// because the list reads make it escape, so a loop of decodes reuses one.
 func decodeRecord(r *frame.PayloadReader, p []byte, ds *DeviceSnapshot) error {
 	*r = frame.NewPayloadReader(p)
 	ds.Device = r.Uvarint()
@@ -315,7 +328,7 @@ func (s *Store) capture(lo, hi uint64) []DeviceRecord {
 		sh.mu.Unlock()
 	}
 	idx := make([]DeviceRecord, 0, n)
-	c := new(captureScratch)
+	c := &captureScratch{room: recordRoom}
 	for si := range s.shards {
 		sh := &s.shards[si]
 		sh.mu.Lock()
@@ -327,17 +340,29 @@ func (s *Store) capture(lo, hi uint64) []DeviceRecord {
 }
 
 // captureScratch is one capture's encoding state: the buffer a shard's
-// records are encoded into, where each ends, and the decoded form each
-// device is exported through. It lives only as long as the capture.
+// records are encoded into, where each ends, the room per record the
+// buffer is sized for, and the decoded form each device is exported
+// through. It lives only as long as the capture.
 type captureScratch struct {
 	buf  []byte
 	ends []int
+	room int
 	ds   DeviceSnapshot
 }
 
+// recordRoom is the room per record a capture's scratch starts with. A
+// record whose generator is in the compact form takes 219 to 407 B at
+// serve-churn's 3 to 8 arms.
+const recordRoom = 512
+
 // captureShard appends sh's sessions that in admits to idx, their records
 // encoded into the scratch buffer and then copied, together, into one
-// string sized exactly. Caller holds sh.mu.
+// string sized exactly. The buffer holds the shard's records at c.room
+// bytes each; a longer record raises c.room by a quarter over its length
+// and grows the buffer for the rest of the shard at that, so records that
+// vary in length (with their arm count, or a ring-form generator beside
+// compact ones) grow it a few times per capture, not per record. Caller
+// holds sh.mu.
 func (c *captureScratch) captureShard(sh *shard, idx []DeviceRecord, in func(uint64) bool) []DeviceRecord {
 	cnt := 0
 	for id := range sh.devices {
@@ -349,7 +374,7 @@ func (c *captureScratch) captureShard(sh *shard, idx []DeviceRecord, in func(uin
 		idx = append(make([]DeviceRecord, 0, len(idx)+cnt), idx...)
 	}
 	first := len(idx)
-	c.buf, c.ends = c.buf[:0], slices.Grow(c.ends[:0], cnt)
+	c.buf, c.ends = slices.Grow(c.buf[:0], cnt*c.room), slices.Grow(c.ends[:0], cnt)
 	ds := &c.ds
 	for id, dev := range sh.devices {
 		if !in(id) {
@@ -358,9 +383,11 @@ func (c *captureScratch) captureShard(sh *shard, idx []DeviceRecord, in func(uin
 		ds.Device, ds.Pending, ds.Slot = id, dev.pending, dev.slot
 		dev.src.ExportState(&ds.Rng)
 		dev.policy.ExportState(&ds.State)
+		start := len(c.buf)
 		c.buf = appendRecord(c.buf, ds)
-		if len(c.ends) == 0 { // size the buffer for the shard by its first record
-			c.buf = slices.Grow(c.buf, (cnt-1)*len(c.buf)*9/8)
+		if n := len(c.buf) - start; n > c.room {
+			c.room = n * 5 / 4
+			c.buf = slices.Grow(c.buf, (cnt-len(c.ends)-1)*c.room)
 		}
 		c.ends = append(c.ends, len(c.buf))
 		idx = append(idx, DeviceRecord{Device: id})
@@ -397,7 +424,7 @@ func (s *Store) RemoveRange(lo, hi uint64) int {
 	return removed
 }
 
-// Encode writes the snapshot in the v4 layout: the header, then the
+// Encode writes the snapshot in the v5 layout: the header, then the
 // records in index order. It makes no allocation per device.
 func (sn *Snapshot) Encode(w io.Writer) error {
 	bw := bufio.NewWriterSize(w, 64<<10)
@@ -423,7 +450,7 @@ func (sn *Snapshot) Encode(w io.Writer) error {
 	return nil
 }
 
-// ReadSnapshot reads a v4 snapshot one record at a time and validates
+// ReadSnapshot reads a v5 snapshot one record at a time and validates
 // each as it goes: varints canonical, every count bounded by the bytes
 // left, each record's policy and generator state valid (Validate), device
 // ids strictly ascending, and no bytes after the last record. A corrupt
@@ -432,7 +459,7 @@ func (sn *Snapshot) Encode(w io.Writer) error {
 func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	br := bufio.NewReaderSize(r, 64<<10)
 	if magic, err := br.Peek(len(snapshotMagic)); err != nil || string(magic) != snapshotMagic {
-		return nil, notV4(br)
+		return nil, notFixedLayout(br)
 	}
 	br.Discard(len(snapshotMagic))
 	buf, err := readFrame(br, nil)
@@ -523,11 +550,11 @@ func readFrame(br *bufio.Reader, buf []byte) ([]byte, error) {
 	return buf, nil
 }
 
-// notV4 explains a stream that does not open with the v4 magic: a
-// snapshot of versions 1 to 3, which were one gob-encoded Snapshot value,
-// is refused with a *VersionError naming its version; anything else is
-// not a snapshot.
-func notV4(br *bufio.Reader) error {
+// notFixedLayout explains a stream that does not open with the magic of
+// the fixed layout, which versions 4 and 5 share: a snapshot of versions
+// 1 to 3, which were one gob-encoded Snapshot value, is refused with a
+// *VersionError naming its version; anything else is not a snapshot.
+func notFixedLayout(br *bufio.Reader) error {
 	b, _ := br.Peek(16 << 10) // the type definitions ahead of the value fit easily
 	if v, ok := gobSnapshotVersion(b); ok {
 		return &VersionError{Got: v, Want: snapshotVersion}

@@ -19,7 +19,7 @@ import (
 	"smartexp3/internal/rngutil"
 )
 
-// encodeStream returns sn's v4 stream.
+// encodeStream returns sn's v5 stream.
 func encodeStream(tb testing.TB, sn *Snapshot) []byte {
 	tb.Helper()
 	var buf bytes.Buffer
@@ -75,7 +75,7 @@ func sameValue(a, b reflect.Value) bool {
 	return a.Equal(b)
 }
 
-// TestSnapshotCodecMatchesGob pins the v4 record to the encoding it
+// TestSnapshotCodecMatchesGob pins the v5 record to the encoding it
 // replaced: every device decodes to the value a gob round trip of the same
 // device yields — empty lists decode as nil, as gob's did — and re-encodes
 // to the same bytes. Every float keeps its exact bits, −0 and NaN payloads
@@ -195,25 +195,44 @@ func leafSetters(t *testing.T, typ reflect.Type, path string) []leafSetter {
 
 // TestSnapshotCodecCarriesEveryField walks DeviceSnapshot — with it
 // rngutil.SourceState and core.PolicyState — by reflection and round-trips,
-// for each leaf field, a device with only that field set. A field the
-// record does not carry decodes as zero and fails the test by name, so a
-// field added to any of these types can never silently drop out of a
-// snapshot.
+// for each leaf field, a device with only that field set. The generator
+// has two forms that carry different fields, the ring form its words and
+// cursors and the compact form its seed and draw count, so each leaf is
+// set on a device of each form and must survive the record in at least
+// one. A field the record does not carry decodes as zero and fails the
+// test by name, so a field added to any of these types can never silently
+// drop out of a snapshot.
 func TestSnapshotCodecCarriesEveryField(t *testing.T) {
 	leaves := leafSetters(t, reflect.TypeOf(DeviceSnapshot{}), "DeviceSnapshot")
+	forms := []rngutil.SourceState{{}, {Seed: 1}} // the ring form, then the compact form
+	carried := make([]int, len(forms))
 	var r frame.PayloadReader
 	for _, ls := range leaves {
-		var ds DeviceSnapshot
-		ls.set(reflect.ValueOf(&ds).Elem())
-		var got DeviceSnapshot
-		err := decodeRecord(&r, appendRecord(nil, &ds), &got)
-		if err != nil || !reflect.DeepEqual(got, ds) {
-			t.Errorf("%s does not survive the record (%v)", ls.path, err)
+		survived := false
+		for i, form := range forms {
+			ds := DeviceSnapshot{Rng: form}
+			ls.set(reflect.ValueOf(&ds).Elem())
+			var got DeviceSnapshot
+			err := decodeRecord(&r, appendRecord(nil, &ds), &got)
+			if err == nil && reflect.DeepEqual(got, ds) {
+				survived = true
+				carried[i]++
+			}
+		}
+		if !survived {
+			t.Errorf("%s does not survive the record in either generator form", ls.path)
 		}
 	}
 	// A floor on the walk itself, so a broken walker cannot pass vacuously.
-	if len(leaves) < 43 {
+	if len(leaves) < 45 {
 		t.Fatalf("walked only %d DeviceSnapshot leaves", len(leaves))
+	}
+	// On the ring-form device every leaf survives but the draw count (a
+	// seed set there makes the device a compact one, which carries it); on
+	// the compact one the ring's two walked words and its two cursors do
+	// not.
+	if want := []int{len(leaves) - 1, len(leaves) - 4}; carried[0] != want[0] || carried[1] != want[1] {
+		t.Fatalf("the forms carried %v of %d leaves, want %v", carried, len(leaves), want)
 	}
 }
 
@@ -229,10 +248,10 @@ func TestReadSnapshotRefusesVersion3(t *testing.T) {
 	}
 	_, err = ReadSnapshot(bytes.NewReader(v3))
 	var verr *VersionError
-	if !errors.As(err, &verr) || verr.Got != 3 || verr.Want != 4 {
-		t.Fatalf("ReadSnapshot of a v3 file: got %v, want a *VersionError for 3 against 4", err)
+	if !errors.As(err, &verr) || verr.Got != 3 || verr.Want != snapshotVersion {
+		t.Fatalf("ReadSnapshot of a v3 file: got %v, want a *VersionError for 3 against %d", err, snapshotVersion)
 	}
-	if msg := err.Error(); !strings.Contains(msg, "version 3") || !strings.Contains(msg, "want 4") {
+	if msg := err.Error(); !strings.Contains(msg, "version 3") || !strings.Contains(msg, fmt.Sprintf("want %d", snapshotVersion)) {
 		t.Fatalf("the refusal %q does not name both versions", msg)
 	}
 	s := newTestStore(t, Config{Seed: 42})
@@ -243,6 +262,29 @@ func TestReadSnapshotRefusesVersion3(t *testing.T) {
 		if _, err := ReadSnapshot(bytes.NewReader(b)); err == nil || errors.As(err, &verr) {
 			t.Fatalf("ReadSnapshot(%q): got %v, want a refusal that names no version", b, err)
 		}
+	}
+}
+
+// TestReadSnapshotRefusesVersion4 reads a stream of the fixed layout's
+// first version, whose records carried every generator as its full ring:
+// ReadSnapshot and LoadFile refuse it by its header with a *VersionError
+// naming both versions.
+func TestReadSnapshotRefusesVersion4(t *testing.T) {
+	s := churnedStore(t, Config{Seed: 42}, 3, 4)
+	sn := s.Snapshot()
+	sn.Version = 4
+	v4 := encodeStream(t, sn)
+	_, err := ReadSnapshot(bytes.NewReader(v4))
+	var verr *VersionError
+	if !errors.As(err, &verr) || verr.Got != 4 || verr.Want != snapshotVersion {
+		t.Fatalf("ReadSnapshot of a v4 stream: got %v, want a *VersionError for 4 against %d", err, snapshotVersion)
+	}
+	path := filepath.Join(t.TempDir(), "v4.snap")
+	if err := os.WriteFile(path, v4, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.LoadFile(path); !errors.As(err, &verr) || verr.Got != 4 {
+		t.Fatalf("LoadFile of a v4 stream: got %v, want a *VersionError for 4", err)
 	}
 }
 
@@ -322,39 +364,53 @@ func TestSnapshotEncodeAllocatesPerSnapshot(t *testing.T) {
 }
 
 // fuzzSnapshotSeeds is the checked-in seed corpus for FuzzSnapshotCodec:
-// a stream and a record of a small store, an empty stream, and the shapes
-// the decoders must refuse.
+// a stream of a small store, a record with each generator form, an empty
+// stream, and the shapes the decoders must refuse.
 func fuzzSnapshotSeeds(tb testing.TB) [][]byte {
 	tb.Helper()
 	s, err := NewStore(Config{Seed: 9})
 	if err != nil {
 		tb.Fatal(err)
 	}
+	decide := func(dev uint64, arms []int, slot int, answer bool) {
+		arm, sl, err := s.Select(dev, arms)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if answer {
+			s.Feedback(dev, arm, sl, reward(dev, arm, slot))
+		}
+	}
 	for slot := 0; slot < 12; slot++ {
 		for _, dev := range []uint64{2, 1 << 40} {
-			arm, sl, err := s.Select(dev, []int{1, 4, 6})
-			if err != nil {
-				tb.Fatal(err)
-			}
-			if slot != 11 {
-				s.Feedback(dev, arm, sl, reward(dev, arm, slot))
-			}
+			decide(dev, []int{1, 4, 6}, slot, slot != 11)
 		}
+	}
+	// Device 3 changes arm sets on every slot, so it draws once per slot
+	// and its generator is past the compact form by the 400th.
+	for slot := 0; slot < 400; slot++ {
+		decide(3, [][]int{{0, 2}, {0, 1, 2}}[slot%2], slot, true)
 	}
 	sn := s.Snapshot()
 	stream := encodeStream(tb, sn)
-	rec := []byte(sn.Devices[0].Record)
+	compactRec, ringRec := []byte(sn.Devices[0].Record), []byte(sn.Devices[1].Record)
+	if len(ringRec) < 8*607 {
+		tb.Fatalf("device 3's %d-byte record does not hold a ring", len(ringRec))
+	}
 	empty := encodeStream(tb, &Snapshot{Version: snapshotVersion, Seed: 9})
-	state := rngutil.AppendState(nil, &rngutil.SourceState{})
+	ring := rngutil.AppendState(nil, &rngutil.SourceState{})
+	pastSeeding := rngutil.AppendState(nil, &rngutil.SourceState{Seed: 7, Draws: 334})
 	return [][]byte{
 		stream,
-		rec,
+		compactRec,
+		ringRec,
 		empty,
-		stream[:len(stream)-3],                 // a truncated record
-		append(append([]byte(nil), rec...), 0), // a record with a trailing byte
-		append([]byte{0x80, 0x00}, rec[1:]...), // an overlong device id
-		append([]byte{1, 1, 0}, state[:len(state)-8]...),  // a generator one word short
-		append([]byte{1, 1, 0, 0x87, 0x04}, state[2:]...), // a 519-word generator
+		stream[:len(stream)-3], // a truncated record
+		append(append([]byte(nil), compactRec...), 0),    // a record with a trailing byte
+		append([]byte{0x80, 0x00}, compactRec[1:]...),    // an overlong device id
+		append([]byte{1, 1, 0}, ring[:len(ring)-8]...),   // a ring one word short
+		append([]byte{1, 1, 0, 0x87, 0x04}, ring[2:]...), // a 519-word ring
+		append([]byte{1, 1, 0}, pastSeeding...),          // a compact generator 334 draws in
 		[]byte(snapshotMagic),
 	}
 }

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"smartexp3/internal/rngutil"
 )
 
 // script is a deterministic request sequence with availability churn and a
@@ -178,39 +180,58 @@ func TestRestoreRejectsMismatchedIdentity(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsCorruptGeneratorCursor shifts one device's Tap by one:
-// SetState would fold it into range and resume a stream no Source
-// produces, so ReadSnapshot and both restore paths must refuse the record
-// and name its device, while the untouched snapshot still restores to
-// identical bytes.
+// TestRestoreRejectsCorruptGeneratorCursor corrupts one device's generator
+// state in each of its two forms: a ring state's Tap shifted by one, and a
+// compact state's draw count moved past the 334 draws its on-demand
+// seeding lasts. SetState would fold either into range and resume a stream
+// no Source produces, so ReadSnapshot and both restore paths must refuse
+// the record and name its device, while the untouched snapshot still
+// restores to identical bytes.
 func TestRestoreRejectsCorruptGeneratorCursor(t *testing.T) {
+	const ringDev = 77
 	s := newTestStore(t, Config{})
 	runScript(t, s, 0, 60)
+	churnedDevice(t, s, ringDev, 0, 400)
 	sn := s.Snapshot()
 	want := encodeSnapshot(t, s)
 
-	bad := sn.Devices[1].Device
-	corrupt := editedSnapshot(t, sn, func(ds *DeviceSnapshot) {
-		if ds.Device == bad {
-			ds.Rng.Tap = (ds.Rng.Tap + 1) % 607
-		}
-	})
-	name := fmt.Sprintf("device %d", bad)
-	var buf bytes.Buffer
-	if err := corrupt.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadSnapshot(&buf); err == nil || !strings.Contains(err.Error(), name) {
-		t.Fatalf("ReadSnapshot: got %v, want an error naming %s", err, name)
-	}
-	for _, restore := range []func(*Store, *Snapshot) error{(*Store).Restore, (*Store).RestoreRange} {
-		fresh := newTestStore(t, Config{})
-		if err := restore(fresh, corrupt); err == nil || !strings.Contains(err.Error(), name) {
-			t.Fatalf("restore: got %v, want an error naming %s", err, name)
-		}
-		if fresh.Devices() != 0 {
-			t.Fatalf("a refused restore left %d devices behind", fresh.Devices())
-		}
+	for _, tc := range []struct {
+		name    string
+		dev     uint64
+		compact bool // the form the device's generator is in
+		edit    func(*rngutil.SourceState)
+	}{
+		{"a tap cursor one slot off", ringDev, false, func(st *rngutil.SourceState) { st.Tap = (st.Tap + 1) % 607 }},
+		{"334 draws since the seed", sn.Devices[1].Device, true, func(st *rngutil.SourceState) { st.Draws = 334 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			corrupt := editedSnapshot(t, sn, func(ds *DeviceSnapshot) {
+				if ds.Device != tc.dev {
+					return
+				}
+				if compact := ds.Rng.Seed != 0; compact != tc.compact {
+					t.Fatalf("device %d: generator in the compact form is %v, want %v", tc.dev, compact, tc.compact)
+				}
+				tc.edit(&ds.Rng)
+			})
+			name := fmt.Sprintf("device %d", tc.dev)
+			var buf bytes.Buffer
+			if err := corrupt.Encode(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ReadSnapshot(&buf); err == nil || !strings.Contains(err.Error(), name) {
+				t.Fatalf("ReadSnapshot: got %v, want an error naming %s", err, name)
+			}
+			for _, restore := range []func(*Store, *Snapshot) error{(*Store).Restore, (*Store).RestoreRange} {
+				fresh := newTestStore(t, Config{})
+				if err := restore(fresh, corrupt); err == nil || !strings.Contains(err.Error(), name) {
+					t.Fatalf("restore: got %v, want an error naming %s", err, name)
+				}
+				if fresh.Devices() != 0 {
+					t.Fatalf("a refused restore left %d devices behind", fresh.Devices())
+				}
+			}
+		})
 	}
 
 	good, err := ReadSnapshot(bytes.NewReader(want))
@@ -223,6 +244,92 @@ func TestRestoreRejectsCorruptGeneratorCursor(t *testing.T) {
 	}
 	if !bytes.Equal(encodeSnapshot(t, restored), want) {
 		t.Fatal("a valid snapshot no longer restores to identical bytes")
+	}
+}
+
+// churnedDevice moves dev to another arm set on every slot in [from, to)
+// and answers each selection. A policy that changes arm sets draws once
+// per slot, so a device driven this way crosses its generator's 334th
+// draw, where its state turns from the compact form to the ring form,
+// at about slot 334.
+func churnedDevice(t *testing.T, s *Store, dev uint64, from, to int) []int {
+	t.Helper()
+	sets := [][]int{{0, 1, 2}, {0, 2, 4, 6, 8}, {1, 3, 5, 7, 9, 11}, {0, 1, 2, 3, 4, 5, 6, 7}}
+	var out []int
+	for slot := from; slot < to; slot++ {
+		arm, sl, err := s.Select(dev, sets[slot%len(sets)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Feedback(dev, arm, sl, reward(dev, arm, slot))
+		out = append(out, arm)
+	}
+	return out
+}
+
+// TestSnapshotRestoreIsByteIdenticalForYoungDevices is
+// TestSnapshotRestoreIsByteIdentical for the generator's two forms: the
+// cut catches device 5 in its compact form, before the 334th draw, and the
+// rest of the history takes it past that draw into the ring form; device 6
+// stays young throughout; device 7 is released and re-acquired before the
+// cut and again after it, so it restarts from its root seed on both
+// sides. Every selection after the cut and the final snapshot bytes must
+// match the uninterrupted store's.
+func TestSnapshotRestoreIsByteIdenticalForYoungDevices(t *testing.T) {
+	const cut, end = 250, 450
+	history := func(s *Store, from, to int) []int {
+		var out []int
+		for slot := from; slot < to; slot++ {
+			out = append(out, churnedDevice(t, s, 5, slot, slot+1)...)
+			out = append(out, drive(t, s, []uint64{6}, []int{1, 2, 3}, 1)...)
+			if slot%150 == 139 {
+				s.Release(7)
+			}
+			if slot%20 == 0 {
+				out = append(out, churnedDevice(t, s, 7, slot/20, slot/20+1)...)
+			}
+		}
+		return out
+	}
+	form := func(s *Store, dev uint64) (compact bool, draws int) {
+		st := deviceState(t, s, dev).Rng
+		return st.Seed != 0, st.Draws
+	}
+
+	uninterrupted := newTestStore(t, Config{})
+	history(uninterrupted, 0, cut)
+	interrupted := newTestStore(t, Config{Shards: 2})
+	history(interrupted, 0, cut)
+	for _, dev := range []uint64{5, 6, 7} {
+		if compact, draws := form(interrupted, dev); !compact {
+			t.Fatalf("at the cut device %d has left the compact form (%d draws)", dev, draws)
+		}
+	}
+	sn, err := ReadSnapshot(bytes.NewReader(encodeSnapshot(t, interrupted)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := newTestStore(t, Config{Shards: 16})
+	if err := restored.Restore(sn); err != nil {
+		t.Fatal(err)
+	}
+
+	want, got := history(uninterrupted, cut, end), history(restored, cut, end)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("post-restore selection %d: restored store chose %d, uninterrupted chose %d", i, got[i], want[i])
+		}
+	}
+	if compact, _ := form(restored, 5); compact {
+		t.Fatal("device 5 ended the history still in the compact form")
+	}
+	for _, dev := range []uint64{6, 7} {
+		if compact, draws := form(restored, dev); !compact {
+			t.Fatalf("device %d ended the history in the ring form (%d draws)", dev, draws)
+		}
+	}
+	if !bytes.Equal(encodeSnapshot(t, restored), encodeSnapshot(t, uninterrupted)) {
+		t.Fatal("restored and uninterrupted stores end in different snapshot bytes")
 	}
 }
 
