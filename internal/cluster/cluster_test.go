@@ -308,8 +308,8 @@ func TestRunSurvivesStalledWorker(t *testing.T) {
 }
 
 // TestRunFallsBackWhenAllWorkersDie points the coordinator at one flaky
-// worker and one closed port: after both shards retire, the in-process
-// rescuer must finish the batch with an unchanged aggregate.
+// worker and one closed port: after both shards retire, the Run must
+// finish the batch in-process with an unchanged aggregate.
 func TestRunFallsBackWhenAllWorkersDie(t *testing.T) {
 	job := testJob(t, 16)
 	merge, want := fingerprint()

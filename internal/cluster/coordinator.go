@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"smartexp3/internal/frame"
-	"smartexp3/internal/sim"
 )
 
 // Options configures a coordinator Session.
@@ -73,10 +72,4 @@ func chunkSize(requested, runs, shards int) int {
 		chunk = 1
 	}
 	return chunk
-}
-
-// chunkResult carries one fully received chunk to its job's merger.
-type chunkResult struct {
-	idx     int
-	results []*sim.Result
 }

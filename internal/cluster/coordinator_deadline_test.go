@@ -24,12 +24,13 @@ func TestCoordinatorWriteDeadlineUnsticksStalledWorker(t *testing.T) {
 	defer coord.Close()
 	defer worker.Close()
 
-	// A session shell around one hand-fed connection: runConn is driven
-	// directly so the pipe can stand in for the TCP dial.
-	s := &Session{opts: Options{FrameTimeout: 250 * time.Millisecond, ChunkSize: 2}, live: 1}
-	s.cond = sync.NewCond(&s.mu)
+	// A session around one hand-fed connection: runConn is driven directly
+	// so the pipe can stand in for the TCP dial. A session built with no
+	// shards has them all gone from the start; reopening gone keeps its
+	// Runs waiting on the pipe instead of running in-process.
+	s := NewSession(nil, Options{FrameTimeout: 250 * time.Millisecond, ChunkSize: 2})
+	s.gone = make(chan struct{})
 	sh := &shard{addr: "pipe"}
-	s.shards = []*shard{sh}
 
 	connErr := make(chan error, 1)
 	go func() {

@@ -14,13 +14,16 @@
 // bytes, compiling only on a miss, and streams per-run results back. The
 // coordinator side is the Session: it dials each worker once, keeps the
 // connection alive across batches (keepalive pings under the
-// frame-timeout discipline), multiplexes pipelined jobs over it,
-// partitions each job's global run index space into contiguous ranges,
-// reassigns ranges whose connection failed before delivering them
-// (reconnecting to the worker where possible), and folds every result
-// through a per-job single-goroutine ordered merge in ascending global run
-// order. A caller with a single batch opens a session, runs it and closes
-// it; a session with no workers runs its jobs in-process.
+// frame-timeout discipline) and multiplexes pipelined jobs over it. Each
+// job's Run drives the job itself: it partitions the global run index
+// space into contiguous ranges and offers them on the session's one work
+// channel, which every worker connection reads. A connection that fails
+// hands back the ranges it had not delivered, and the Run offers them
+// again (the worker is redialed where possible). The Run folds every
+// result through its own single-goroutine ordered merge in ascending
+// global run order, and once every worker is gone it runs the ranges left
+// in-process. A caller with a single batch opens a session, runs it and
+// closes it; a session with no workers runs its jobs in-process.
 //
 // # Determinism contract
 //

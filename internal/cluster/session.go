@@ -32,7 +32,8 @@ const (
 	configSizeHint = 512
 )
 
-// errSessionClosed fails jobs still active when Close is called.
+// errSessionClosed fails the Runs still waiting on shards when Close is
+// called.
 var errSessionClosed = errors.New("cluster: session closed")
 
 // Session is the coordinator: it dials each shard once, keeps the framed
@@ -40,34 +41,39 @@ var errSessionClosed = errors.New("cluster: session closed")
 // discipline), and multiplexes any number of jobs over them, each range
 // carrying its session-unique job id, the job's seeding and its config.
 // Run may be called concurrently — pipelined jobs interleave on the same
-// connections without redials — and each Run folds its own job's results
-// through merge in ascending global run order from the calling goroutine.
-// A session with no shards runs every job in-process, byte-identical to
-// the sharded paths, which is the property the cluster tests pin; a
-// caller with one batch simply opens a session, runs it and closes it.
+// connections without redials — and each Run drives its own job: it offers
+// the job's chunks on the session's one work channel, which every shard
+// connection reads, and folds the chunks that come back through merge in
+// ascending global run order from the calling goroutine. The connections
+// only move chunks between that channel and the wire; no state is shared
+// across jobs. A session with no shards runs every job in-process,
+// byte-identical to the sharded paths, which is the property the cluster
+// tests pin; a caller with one batch simply opens a session, runs it and
+// closes it.
 //
 // Worker failure (dial error, handshake refusal, connection loss) is not
-// fatal: in-flight chunks of a lost connection are requeued, the shard is
-// redialed (bounded by consecutive no-progress strikes), surviving shards
-// take over its ranges, and if every shard retires the remaining chunks of
-// every active job run in-process. Only a merge error or a deterministic
-// job error reported by a worker (a config that cannot compile, a
-// simulation failure — both would fail identically everywhere) aborts a
-// job.
+// fatal: a lost connection hands its in-flight chunks back to their Runs,
+// which offer them again before any fresh chunk; the shard is redialed
+// (bounded by consecutive no-progress strikes), surviving shards take over
+// its ranges, and once every shard has retired each Run finishes its
+// remaining chunks in-process. Only a merge error or a deterministic job
+// error reported by a worker (a config that cannot compile, a simulation
+// failure — both would fail identically everywhere) aborts a job.
 // Aggregates are byte-identical through all of it.
 type Session struct {
 	opts Options
 
-	// mu guards the job list and all per-job claim/merge bookkeeping; cond
-	// wakes shard writers (new work, reopened windows, requeues, drained
-	// pipelines) and local rescuers. Lock order: Session.mu may be taken
-	// before an epoch's mu, never after.
-	mu     sync.Mutex
-	cond   *sync.Cond
-	jobs   []*jobRun // active jobs, the one served longest ago first
-	nextID uint64
-	live   int // shards not yet retired
-	closed bool
+	// work is the one channel chunks travel on from the Runs offering them
+	// to the shard writers sending them. It is unbuffered, and Go serves
+	// the senders blocked on a channel in arrival order, so jobs pipelined
+	// side by side take turns and a long job cannot starve the ones beside
+	// it.
+	work      chan *chunk
+	closed    chan struct{} // closed by Close
+	gone      chan struct{} // closed when the last shard retires
+	live      atomic.Int32  // shards not yet retired
+	nextID    atomic.Uint64
+	closeOnce sync.Once
 
 	shards []*shard
 	wg     sync.WaitGroup
@@ -101,8 +107,16 @@ func (sh *shard) closeConn() {
 // budget exactly like mid-session failures. With no addresses (or after
 // every shard retires) jobs run in-process, byte-identical.
 func NewSession(shards []string, opts Options) *Session {
-	s := &Session{opts: opts, live: len(shards)}
-	s.cond = sync.NewCond(&s.mu)
+	s := &Session{
+		opts:   opts,
+		work:   make(chan *chunk),
+		closed: make(chan struct{}),
+		gone:   make(chan struct{}),
+	}
+	s.live.Store(int32(len(shards)))
+	if len(shards) == 0 {
+		close(s.gone)
+	}
 	for _, addr := range shards {
 		sh := &shard{addr: addr}
 		s.shards = append(s.shards, sh)
@@ -110,104 +124,72 @@ func NewSession(shards []string, opts Options) *Session {
 		go func() {
 			defer s.wg.Done()
 			s.shardLoop(sh)
-			s.shardRetired(sh)
+			s.shardRetired()
 		}()
 	}
 	return s
 }
 
-// Close retires the session: it fails any still-active jobs, tears down the
-// worker connections and waits for every shard goroutine to exit. Close is
-// idempotent. Jobs submitted after Close run in-process.
+// Close retires the session: Runs still waiting on shards return
+// errSessionClosed, the worker connections are torn down, and Close waits
+// for every shard goroutine to exit. Close is idempotent. Jobs submitted
+// after Close run in-process.
 func (s *Session) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	jobs := append([]*jobRun(nil), s.jobs...)
-	s.cond.Broadcast()
-	s.mu.Unlock()
-	for _, j := range jobs {
-		s.failJob(j, errSessionClosed)
-	}
-	for _, sh := range s.shards {
-		sh.closeConn()
-	}
-	s.wg.Wait()
+	s.closeOnce.Do(func() {
+		close(s.closed)
+		for _, sh := range s.shards {
+			sh.closeConn()
+		}
+		s.wg.Wait()
+	})
 	return nil
 }
 
 func (s *Session) isClosed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed
+	select {
+	case <-s.closed:
+		return true
+	default:
+		return false
+	}
 }
 
-func (s *Session) wake() {
-	s.mu.Lock()
-	s.cond.Broadcast()
-	s.mu.Unlock()
+// shardRetired accounts for a shard goroutine ending. When the last one
+// goes, every Run finishes its job in-process, so the session always
+// completes its work: losing every worker degrades throughput, not
+// correctness.
+func (s *Session) shardRetired() {
+	if s.live.Add(-1) > 0 {
+		return
+	}
+	if !s.isClosed() {
+		s.opts.logf("cluster: all shards gone, finishing the remaining runs in-process")
+	}
+	close(s.gone)
 }
 
-// jobRun is the coordinator-side state of one pipelined job: the chunk
-// queue, the claim window and the delivery channel its merger drains. All
-// claim/merge fields are guarded by Session.mu.
-type jobRun struct {
-	id     uint64
-	spec   JobSpec
-	config []byte // spec.Config in appendConfig's layout, which every range carries
-
-	chunk   int
-	nChunks int
-	window  int
-
-	// resCh carries completed chunks to the job's merger. Its capacity is
-	// the claim window — the bound on claimed-but-unmerged chunks — so
-	// deliveries never block a shard reader, even after the merger stopped
-	// consuming (job failure).
-	resCh chan chunkResult
-	// failCh closes when the job fails, releasing the merger.
-	failCh chan struct{}
-
-	retry       []int // failed chunk indices, dispatched before fresh ones
-	next        int   // next fresh chunk index
-	frontier    int   // chunks fully merged
-	failed      bool
-	ended       bool // merger returned; claims, deliveries and requeues stop
-	firstErr    error
-	localActive bool
+// job is what every range of one Run carries, and where its chunks come
+// back.
+type job struct {
+	rng  rangeMsg    // the job's id, seeding and config; First and Count unset
+	done chan *chunk // capacity: the claim window, so a hand-back never blocks
 }
 
-func (j *jobRun) bounds(idx int) (first, count int) {
-	first = idx * j.chunk
-	count = j.chunk
-	if first+count > j.spec.Runs {
-		count = j.spec.Runs - first
-	}
-	return first, count
-}
+// chunk is one contiguous range of a job's runs. It has one owner at a
+// time: the Run that allocated it, or the connection that took it from
+// Session.work, until that connection hands it back on its job's done
+// channel.
+type chunk struct {
+	job          *job
+	first, count int
 
-// tryClaimLocked hands out the next chunk index: reassigned chunks first,
-// then fresh ones while the merge frontier is within the window (capping the
-// reorder buffer, the same memory argument as runner.MergeOrdered's window).
-// Callers hold Session.mu.
-func (j *jobRun) tryClaimLocked() (int, bool) {
-	if j.failed || j.ended {
-		return 0, false
-	}
-	if n := len(j.retry); n > 0 {
-		idx := j.retry[n-1]
-		j.retry = j.retry[:n-1]
-		return idx, true
-	}
-	if j.next < j.nChunks && j.next-j.frontier < j.window {
-		idx := j.next
-		j.next++
-		return idx, true
-	}
-	return 0, false
+	// Set by the connection before it hands the chunk back.
+	results []*sim.Result // every result of the range, at RangeDone
+	err     error         // a deterministic job failure the worker reported
+	lost    bool          // the connection ended before the range was done
+	sentAt  time.Time     // dispatch instant, set only when the session is instrumented
+
+	ready bool // Run's own mark: results are in and wait for the merge
 }
 
 // Run executes one job over the session and folds every result through
@@ -215,252 +197,156 @@ func (j *jobRun) tryClaimLocked() (int, bool) {
 // call concurrently with other Runs — that is the pipelining path: many
 // small batches stream over the same worker connections without a dial or
 // handshake between them.
-func (s *Session) Run(job JobSpec, merge func(run int, res *sim.Result) error) error {
-	if job.Runs <= 0 {
+//
+// Run offers its lost chunks first, then fresh ones while they are within
+// the claim window of the merge frontier (capping the chunks out and the
+// results held for reordering, the same memory argument as
+// runner.MergeOrdered's window). Once every shard is gone it finishes the
+// job in-process; if the session closes first, it returns errSessionClosed.
+// A Run that starts after Close runs in-process.
+func (s *Session) Run(spec JobSpec, merge func(run int, res *sim.Result) error) (err error) {
+	if spec.Runs <= 0 {
 		return nil
 	}
-	j := s.register(job)
-	defer s.unregister(j)
-
-	// Single-goroutine ordered merger: chunks are folded in ascending chunk
-	// index, runs in ascending order within each chunk — the exact order a
-	// serial loop would produce.
-	pending := make(map[int][]*sim.Result)
-	mergeNext := 0
-	for mergeNext < j.nChunks {
-		var cr chunkResult
-		select {
-		case cr = <-j.resCh:
-		case <-j.failCh:
-			return s.jobErr(j)
-		}
-		pending[cr.idx] = cr.results
-		for {
-			results, ok := pending[mergeNext]
-			if !ok {
-				break
+	if m := s.opts.Metrics; m != nil {
+		m.Jobs.Inc()
+		defer func() {
+			if err != nil {
+				m.JobsFailed.Inc()
 			}
-			delete(pending, mergeNext)
-			first := mergeNext * j.chunk
-			for i, res := range results {
-				if err := merge(first+i, res); err != nil {
-					s.failJob(j, fmt.Errorf("cluster: merge run %d: %w", first+i, err))
-					return s.jobErr(j)
+		}()
+	}
+	shards := max(len(s.shards), 1)
+	size := chunkSize(s.opts.ChunkSize, spec.Runs, shards)
+	chunks := make([]chunk, (spec.Runs+size-1)/size)
+	window := min(4*shards, len(chunks))
+	j := &job{
+		rng: rangeMsg{
+			Job: s.nextID.Add(1), Runs: spec.Runs, Seed: spec.Seed, Stream: spec.Stream,
+			Config: appendConfig(make([]byte, 0, configSizeHint), &spec.Config),
+		},
+		done: make(chan *chunk, window),
+	}
+	for i := range chunks {
+		first := i * size
+		chunks[i] = chunk{job: j, first: first, count: min(size, spec.Runs-first)}
+	}
+	if s.isClosed() {
+		return s.runLocal(spec, chunks, merge)
+	}
+
+	var lost []*chunk
+	fresh, next := 0, 0 // the next chunk to offer fresh, and to merge
+	for next < len(chunks) {
+		var offer chan *chunk
+		var c *chunk
+		if n := len(lost); n > 0 {
+			offer, c = s.work, lost[n-1]
+		} else if fresh < len(chunks) && fresh-next < window {
+			offer, c = s.work, &chunks[fresh]
+		}
+		select {
+		case offer <- c:
+			if len(lost) > 0 {
+				lost = lost[:len(lost)-1]
+			} else {
+				fresh++
+			}
+			continue
+		case c = <-j.done:
+			if err := s.receive(c, &lost); err != nil {
+				return err
+			}
+		case <-s.closed:
+			return errSessionClosed
+		case <-s.gone:
+			if s.isClosed() {
+				return errSessionClosed
+			}
+			// Every connection has ended, so every chunk they held is
+			// already back on done.
+			for len(j.done) > 0 {
+				if err := s.receive(<-j.done, &lost); err != nil {
+					return err
 				}
 			}
-			mergeNext++
-			s.advance(j)
+			return s.runLocal(spec, chunks[next:], merge)
+		}
+		for ; next < len(chunks) && chunks[next].ready; next++ {
+			if err := mergeChunk(&chunks[next], merge); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
 }
 
-func (s *Session) register(job JobSpec) *jobRun {
-	config := appendConfig(make([]byte, 0, configSizeHint), &job.Config)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.nextID++
-	nShards := len(s.shards)
-	if nShards == 0 {
-		nShards = 1
-	}
-	chunk := chunkSize(s.opts.ChunkSize, job.Runs, nShards)
-	j := &jobRun{
-		id:      s.nextID,
-		spec:    job,
-		config:  config,
-		chunk:   chunk,
-		nChunks: (job.Runs + chunk - 1) / chunk,
-		window:  4 * nShards,
-		failCh:  make(chan struct{}),
-	}
-	j.resCh = make(chan chunkResult, j.window)
-	if m := s.opts.Metrics; m != nil {
-		m.Jobs.Inc()
-	}
-	s.jobs = append(s.jobs, j)
-	if s.live == 0 || s.closed {
-		s.startLocalLocked(j)
-	}
-	s.cond.Broadcast()
-	return j
-}
-
-func (s *Session) unregister(j *jobRun) {
-	s.mu.Lock()
-	j.ended = true
-	for i, other := range s.jobs {
-		if other == j {
-			s.jobs = append(s.jobs[:i], s.jobs[i+1:]...)
-			break
-		}
-	}
-	s.cond.Broadcast() // the job's rescuer, if any, may exit
-	s.mu.Unlock()
-}
-
-func (s *Session) failJob(j *jobRun, err error) {
-	s.mu.Lock()
-	s.failJobLocked(j, err)
-	s.mu.Unlock()
-}
-
-// failJobLocked is failJob for callers already holding Session.mu.
-func (s *Session) failJobLocked(j *jobRun, err error) {
-	if !j.failed {
-		j.failed = true
-		j.firstErr = err
-		close(j.failCh)
-		if m := s.opts.Metrics; m != nil {
-			m.JobsFailed.Inc()
-		}
-	}
-	s.cond.Broadcast()
-}
-
-func (s *Session) jobErr(j *jobRun) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return j.firstErr
-}
-
-// advance moves the job's merge frontier (called by its merger only).
-func (s *Session) advance(j *jobRun) {
-	s.mu.Lock()
-	j.frontier++
-	s.cond.Broadcast()
-	s.mu.Unlock()
-}
-
-// requeue returns a chunk whose connection died before delivering it.
-func (s *Session) requeue(j *jobRun, idx int) {
-	s.mu.Lock()
-	if !j.ended && !j.failed {
-		j.retry = append(j.retry, idx)
-		if m := s.opts.Metrics; m != nil {
+// receive takes back a chunk a connection handed back: a lost one goes on
+// the stack that is offered before fresh chunks, a failed one fails the
+// job, and a done one is marked for the merge.
+func (s *Session) receive(c *chunk, lost *[]*chunk) error {
+	m := s.opts.Metrics
+	switch {
+	case c.lost:
+		c.lost = false
+		*lost = append(*lost, c)
+		if m != nil {
 			m.ChunksReassigned.Inc()
 		}
-		s.cond.Broadcast()
-	}
-	s.mu.Unlock()
-}
-
-// deliver hands one completed chunk to the job's merger. The channel's
-// capacity equals the claim window, which bounds undelivered claimed chunks,
-// so the send never blocks a shard reader.
-func (s *Session) deliver(j *jobRun, cr chunkResult) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	// Wake writers regardless of the drop below: the range just left its
-	// connection's pipeline.
-	s.cond.Broadcast()
-	if j.ended || j.failed {
-		return
-	}
-	select {
-	case j.resCh <- cr:
-		if m := s.opts.Metrics; m != nil {
+	case c.err != nil:
+		return c.err
+	default:
+		c.ready = true
+		if m != nil {
 			m.Chunks.Inc()
 		}
-	default:
-		// Unreachable while the claim-window invariant holds; failing loudly
-		// beats silently hanging the merger on a lost chunk.
-		s.failJobLocked(j, fmt.Errorf("cluster: internal: chunk %d overflowed the delivery window", cr.idx))
 	}
+	return nil
 }
 
-// tryClaimShardLocked finds a chunk for a shard writer in one pass over
-// the active jobs: the first job with a claimable chunk serves it and moves
-// to the back of the list, so jobs pipelined side by side take turns and a
-// long job cannot starve the ones submitted beside it.
-func (s *Session) tryClaimShardLocked() (*jobRun, int, bool) {
-	for i, j := range s.jobs {
-		if idx, ok := j.tryClaimLocked(); ok {
-			copy(s.jobs[i:], s.jobs[i+1:])
-			s.jobs[len(s.jobs)-1] = j
-			return j, idx, true
+// mergeChunk folds a chunk's results through merge and lets them go.
+func mergeChunk(c *chunk, merge func(run int, res *sim.Result) error) error {
+	for i, res := range c.results {
+		if err := merge(c.first+i, res); err != nil {
+			return fmt.Errorf("cluster: merge run %d: %w", c.first+i, err)
 		}
 	}
-	return nil, 0, false
+	c.results = nil
+	return nil
 }
 
-// startLocalLocked spawns the in-process rescuer for one job. Callers hold
-// Session.mu. The rescuer is deliberately not tracked by s.wg: it can be
-// spawned from Run after Close has begun waiting, and Add-from-zero
-// concurrent with Wait is a WaitGroup contract violation. It needs no
-// waiting either — it touches only its job's state and exits as soon as
-// the job ends or fails (claimLocal), both of which Close forces.
-func (s *Session) startLocalLocked(j *jobRun) {
-	if j.localActive || j.failed || j.ended {
-		return
-	}
-	j.localActive = true
-	go s.runLocal(j)
-}
-
-// shardRetired accounts for a shard goroutine ending. When the last one
-// goes, in-process rescuers take over every active job so the session always
-// completes its work: losing every worker degrades throughput, not
-// correctness.
-func (s *Session) shardRetired(sh *shard) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.live--
-	if s.live > 0 || s.closed {
-		return
-	}
-	if len(s.jobs) > 0 {
-		s.opts.logf("cluster: all shards gone, finishing the remaining runs in-process")
-	}
-	for _, j := range s.jobs {
-		s.startLocalLocked(j)
-	}
-}
-
-// runLocal drains one job's chunk queue in-process.
-func (s *Session) runLocal(j *jobRun) {
-	ep, err := compile(j.spec.Config)
-	if err != nil {
-		s.failJob(j, err)
-		return
-	}
-	exec, batch := newRangeExec(s.opts.LocalWorkers), j.spec.batch()
-	for {
-		idx, ok := s.claimLocal(j)
-		if !ok {
-			return
+// runLocal finishes a job in-process from its first unmerged chunk: the
+// chunks not yet back from a worker run on one rangeExec, keeping their
+// results as a connection would, and each is merged in turn.
+func (s *Session) runLocal(spec JobSpec, chunks []chunk, merge func(run int, res *sim.Result) error) error {
+	var ep *enginePool
+	exec, batch := newRangeExec(s.opts.LocalWorkers), spec.batch()
+	for i := range chunks {
+		c := &chunks[i]
+		if !c.ready {
+			if ep == nil {
+				var err error
+				if ep, err = compile(spec.Config); err != nil {
+					return err
+				}
+			}
+			c.results = make([]*sim.Result, 0, c.count)
+			err := exec.run(ep, batch, c.first, c.count, func(_ int, res *sim.Result) error {
+				c.results = append(c.results, res)
+				return nil
+			})
+			if err != nil {
+				return err
+			}
+			if m := s.opts.Metrics; m != nil {
+				m.Chunks.Inc()
+			}
 		}
-		first, count := j.bounds(idx)
-		results := make([]*sim.Result, 0, count)
-		err := exec.run(ep, batch, first, count, func(run int, res *sim.Result) error {
-			results = append(results, res)
-			return nil
-		})
-		if err != nil {
-			s.failJob(j, err)
-			return
+		if err := mergeChunk(c, merge); err != nil {
+			return err
 		}
-		s.deliver(j, chunkResult{idx: idx, results: results})
 	}
-}
-
-// claimLocal blocks until the job has a claimable chunk, is fully merged, or
-// fails.
-func (s *Session) claimLocal(j *jobRun) (int, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		if j.failed || j.ended {
-			return 0, false
-		}
-		if idx, ok := j.tryClaimLocked(); ok {
-			return idx, true
-		}
-		if j.frontier >= j.nChunks {
-			return 0, false
-		}
-		s.cond.Wait()
-	}
+	return nil
 }
 
 // shardLoop owns one worker address for the session's lifetime: dial, run a
@@ -516,20 +402,13 @@ func (s *Session) shardLoop(sh *shard) {
 	}
 }
 
-// inflightChunk is one range on the wire, awaiting its result stream.
-type inflightChunk struct {
-	j      *jobRun
-	idx    int
-	first  int
-	count  int
-	sentAt time.Time // dispatch instant, set only when the session is instrumented
-}
-
 // epoch is one connection's lifetime within a session: a writer (the shard
-// goroutine) claiming and dispatching chunks, a reader attributing the
-// result stream to the in-flight FIFO, and a keepalive ticker pinging
-// through idle gaps. Workers execute ranges strictly in arrival order, so
-// the FIFO head is always the range currently streaming back.
+// goroutine) taking chunks from the session's work channel and dispatching
+// them, a reader attributing the result stream to the in-flight FIFO and
+// handing each chunk back to its job at RangeDone, and a keepalive ticker
+// pinging through idle gaps. Workers execute ranges strictly in arrival
+// order, so the FIFO head is always the range currently streaming back.
+// Of the session, an epoch reads only the work and closed channels.
 type epoch struct {
 	s  *Session
 	sh *shard
@@ -538,11 +417,14 @@ type epoch struct {
 	wmu sync.Mutex  // serializes writer-loop and keepalive writes
 	out outbox      // encode scratch, guarded by wmu
 
-	dead atomic.Bool
+	// slots holds one token per range on the wire: the writer puts one in
+	// before taking a chunk, the reader takes one out at RangeDone.
+	slots chan struct{}
+	dead  chan struct{} // closed by the first kill
 
-	mu         sync.Mutex // guards the fields below; see Session.mu for order
+	mu         sync.Mutex // guards the fields below
 	err        error
-	inflight   []inflightChunk
+	inflight   []*chunk
 	pings      int // pings awaiting a pong
 	lastWrite  time.Time
 	progressed bool // at least one chunk delivered this epoch
@@ -576,17 +458,16 @@ func (e *epoch) refreshReadDeadlineLocked() {
 	e.fc.ArmRead(len(e.inflight) > 0 || e.pings > 0)
 }
 
-// kill marks the epoch dead, closes the connection (unblocking both loops)
-// and wakes the writer if it is parked on the session's work queue.
+// kill marks the epoch dead, which stops the writer, and closes the
+// connection, which unblocks both loops.
 func (e *epoch) kill(err error) {
 	e.mu.Lock()
 	if e.err == nil {
 		e.err = err
+		close(e.dead)
 	}
 	e.mu.Unlock()
-	e.dead.Store(true)
 	e.fc.Close()
-	e.s.wake()
 }
 
 // runConn speaks one connection epoch: handshake, then writer/reader/
@@ -595,9 +476,11 @@ func (e *epoch) kill(err error) {
 // whether the failure is permanent for this shard.
 func (s *Session) runConn(sh *shard, conn net.Conn) (progressed, permanent bool, err error) {
 	e := &epoch{
-		s:  s,
-		sh: sh,
-		fc: frame.NewConn(conn, 0, frame.Timeout(s.opts.FrameTimeout), false),
+		s:     s,
+		sh:    sh,
+		fc:    frame.NewConn(conn, 0, frame.Timeout(s.opts.FrameTimeout), false),
+		slots: make(chan struct{}, pipelineDepth),
+		dead:  make(chan struct{}),
 	}
 	if m := s.opts.Metrics; m != nil {
 		e.fc.Instrument(m.FramesRead, m.BytesRead, m.FramesWritten, m.BytesWritten)
@@ -621,8 +504,9 @@ func (s *Session) runConn(sh *shard, conn net.Conn) (progressed, permanent bool,
 	conn.Close() // writer exited: release the reader whatever it is blocked on
 	wg.Wait()
 
-	// Reassign everything this connection still owed. Requeue happens after
-	// both loops exit, so no late delivery can race a re-execution.
+	// Hand back everything this connection still owed. That happens after
+	// both loops exit, so no late delivery can race a re-execution, and it
+	// never blocks: a job's done channel holds its whole claim window.
 	e.mu.Lock()
 	inflight := e.inflight
 	e.inflight = nil
@@ -630,7 +514,8 @@ func (s *Session) runConn(sh *shard, conn net.Conn) (progressed, permanent bool,
 	prog := e.progressed
 	e.mu.Unlock()
 	for _, c := range inflight {
-		s.requeue(c.j, c.idx)
+		c.lost = true
+		c.job.done <- c
 	}
 	if s.isClosed() {
 		return prog, false, nil
@@ -641,55 +526,39 @@ func (s *Session) runConn(sh *shard, conn net.Conn) (progressed, permanent bool,
 	return prog, false, connErr
 }
 
-// writerWait parks the shard until it has something to do: a claimable
-// chunk while fewer than pipelineDepth ranges are in flight, epoch death
-// or session close; it returns false for the last two. Every pop from the
-// in-flight FIFO is followed by a broadcast of the session cond (deliver,
-// failJob, kill), so a full pipeline never parks the writer for good.
-func (e *epoch) writerWait() (*jobRun, int, bool) {
-	s := e.s
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		if s.closed || e.dead.Load() {
-			return nil, 0, false
-		}
-		e.mu.Lock()
-		full := len(e.inflight) >= pipelineDepth
-		e.mu.Unlock()
-		if !full {
-			if j, idx, ok := s.tryClaimShardLocked(); ok {
-				return j, idx, true
-			}
-		}
-		s.cond.Wait()
-	}
-}
-
-// writerLoop claims chunks and dispatches each as one self-describing
-// range. Ranges are pipelined up to pipelineDepth: the worker always has
-// the next range queued while streaming the current one.
+// writerLoop dispatches chunks as self-describing ranges, pipelined up to
+// pipelineDepth: the worker always has the next range queued while
+// streaming the current one. It takes a pipeline slot before it takes a
+// chunk, so a chunk is never held by a connection that cannot send it.
 func (e *epoch) writerLoop() {
 	for {
-		j, idx, ok := e.writerWait()
-		if !ok {
+		var c *chunk
+		select {
+		case e.slots <- struct{}{}:
+		case <-e.dead:
+			return
+		case <-e.s.closed:
 			return
 		}
-		first, count := j.bounds(idx)
-		// Enter the FIFO before writing: if the write fails the chunk is
-		// requeued by the epoch cleanup like any other in-flight range.
-		c := inflightChunk{j: j, idx: idx, first: first, count: count}
+		select {
+		case c = <-e.s.work:
+		case <-e.dead:
+			return
+		case <-e.s.closed:
+			return
+		}
 		if e.s.opts.Metrics != nil {
 			c.sentAt = time.Now()
 		}
+		// Enter the FIFO before writing: if the write fails the chunk is
+		// handed back by the epoch cleanup like any other in-flight range.
 		e.mu.Lock()
 		e.inflight = append(e.inflight, c)
 		e.refreshReadDeadlineLocked()
 		e.mu.Unlock()
-		if err := e.write(&message{tag: tagRange, rng: rangeMsg{
-			Job: j.id, First: first, Count: count,
-			Runs: j.spec.Runs, Seed: j.spec.Seed, Stream: j.spec.Stream, Config: j.config,
-		}}); err != nil {
+		rng := c.job.rng
+		rng.First, rng.Count = c.first, c.count
+		if err := e.write(&message{tag: tagRange, rng: rng}); err != nil {
 			e.kill(err)
 			return
 		}
@@ -738,7 +607,7 @@ func (e *epoch) keepaliveLoop(done chan struct{}) {
 // readerLoop attributes the connection's inbound stream: results and range
 // acknowledgements belong to the FIFO head (workers execute ranges in
 // arrival order), pongs settle keepalives. Any protocol breach kills the
-// epoch — reassignment handles the rest.
+// epoch, leaving the head in the FIFO to be handed back with the rest.
 func (e *epoch) readerLoop() {
 	var cur []*sim.Result // results of the FIFO-head range
 	var in message        // every frame decodes here
@@ -767,10 +636,10 @@ func (e *epoch) readerLoop() {
 			e.refreshReadDeadlineLocked()
 			e.mu.Unlock()
 			want := head.first + len(cur)
-			if in.result.Job != head.j.id || in.result.Run != want ||
+			if in.result.Job != head.job.rng.Job || in.result.Run != want ||
 				in.result.Res == nil || len(cur) >= head.count {
 				e.kill(fmt.Errorf("protocol: unexpected result for job %d run %d (want job %d run %d of %d)",
-					in.result.Job, in.result.Run, head.j.id, want, head.count))
+					in.result.Job, in.result.Run, head.job.rng.Job, want, head.count))
 				return
 			}
 			if cur == nil { // the range's first result: size for all of them
@@ -786,42 +655,42 @@ func (e *epoch) readerLoop() {
 				return
 			}
 			head := e.inflight[0]
-			if in.rangeDone.Job != head.j.id || in.rangeDone.First != head.first {
+			if in.rangeDone.Job != head.job.rng.Job || in.rangeDone.First != head.first {
 				e.mu.Unlock()
 				e.kill(fmt.Errorf("protocol: range done for job %d first %d (want job %d first %d)",
-					in.rangeDone.Job, in.rangeDone.First, head.j.id, head.first))
+					in.rangeDone.Job, in.rangeDone.First, head.job.rng.Job, head.first))
+				return
+			}
+			failed := in.rangeDone.Err != ""
+			if !failed && len(cur) != head.count {
+				e.mu.Unlock()
+				e.kill(fmt.Errorf("protocol: range done for %d with %d/%d results",
+					head.first, len(cur), head.count))
 				return
 			}
 			// Shift the queue down in place: re-slicing from the front
 			// would leave append to reallocate once the tail reached cap.
 			n := copy(e.inflight, e.inflight[1:])
-			e.inflight[n] = inflightChunk{}
+			e.inflight[n] = nil
 			e.inflight = e.inflight[:n]
+			e.progressed = e.progressed || !failed
 			e.refreshReadDeadlineLocked()
 			e.mu.Unlock()
-			if in.rangeDone.Err != "" {
+			<-e.slots
+			if failed {
 				// Deterministic job failure (the config does not compile or
 				// the simulation failed): retrying elsewhere cannot help,
 				// but the connection is healthy.
-				e.s.failJob(head.j, fmt.Errorf("cluster: shard %s: run range [%d,%d): %s",
-					e.sh.addr, head.first, head.first+head.count, in.rangeDone.Err))
-				e.s.wake()
-				cur = nil
-				continue
+				head.err = fmt.Errorf("cluster: shard %s: run range [%d,%d): %s",
+					e.sh.addr, head.first, head.first+head.count, in.rangeDone.Err)
+			} else {
+				head.results = cur
+				if m := e.s.opts.Metrics; m != nil && !head.sentAt.IsZero() {
+					m.DispatchLatency.Observe(time.Since(head.sentAt).Nanoseconds())
+				}
 			}
-			if len(cur) != head.count {
-				e.kill(fmt.Errorf("protocol: range done for %d with %d/%d results",
-					head.first, len(cur), head.count))
-				return
-			}
-			e.mu.Lock()
-			e.progressed = true
-			e.mu.Unlock()
-			if m := e.s.opts.Metrics; m != nil && !head.sentAt.IsZero() {
-				m.DispatchLatency.Observe(time.Since(head.sentAt).Nanoseconds())
-			}
-			e.s.deliver(head.j, chunkResult{idx: head.idx, results: cur})
 			cur = nil
+			head.job.done <- head
 
 		default:
 			e.kill(errors.New("protocol: unexpected frame in session stream"))

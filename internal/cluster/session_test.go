@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -794,5 +795,176 @@ func TestSessionPipelineDepthAndRelease(t *testing.T) {
 	}
 	if proxy.maxOut < pipelineDepth {
 		t.Fatalf("at most %d ranges outstanding; the pipeline never filled, so the bound went untested", proxy.maxOut)
+	}
+}
+
+// shortRangeWorker answers the first range of its first coordinator
+// connection with a RangeDone that carries no results, then reads on until
+// the coordinator hangs up. With serveRedials it serves every later
+// connection as a real worker; without, its listener is closed after the
+// first accept, so every redial is refused.
+func shortRangeWorker(t *testing.T, serveRedials bool) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		conn, err := ln.Accept()
+		if !serveRedials {
+			ln.Close()
+		}
+		if err != nil {
+			return
+		}
+		go func() {
+			for {
+				conn, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				go func() {
+					defer conn.Close()
+					serveConn(conn, WorkerOptions{Workers: 1})
+				}()
+			}
+		}()
+		defer conn.Close()
+		fc := frame.NewConn(conn, 0, 0, false)
+		if _, err := fc.Accept(hello); err != nil {
+			return
+		}
+		answered := false
+		var in message
+		for readMessage(fc, &in) == nil {
+			if in.tag != tagRange || answered {
+				continue
+			}
+			answered = true
+			done := message{tag: tagRangeDone, rangeDone: rangeDoneMsg{Job: in.rng.Job, First: in.rng.First}}
+			if sendMsgs(fc, &done) != nil {
+				return
+			}
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// TestSessionRequeuesShortRange pins the reader's count check: a range
+// acknowledged with fewer results than it holds is a protocol breach that
+// kills the connection, and the range must be handed back with the rest of
+// the in-flight ones rather than dropped, so the batch still completes
+// with the in-process bits: over the redialed worker when it answers, and
+// in-process once the shard has retired when it does not.
+func TestSessionRequeuesShortRange(t *testing.T) {
+	for _, serveRedials := range []bool{true, false} {
+		job := sessionJob(t, 6, 5)
+		want := inProcessWant(t, job)
+		s := NewSession([]string{shortRangeWorker(t, serveRedials)}, Options{ChunkSize: 2, LocalWorkers: 1, Logf: t.Logf})
+		merge, got := fingerprint()
+		done := make(chan error, 1)
+		go func() { done <- s.Run(job, merge) }()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("serveRedials=%v: Run did not return after a short range; the range was dropped", serveRedials)
+		}
+		s.Close()
+		if got.String() != want {
+			t.Fatalf("serveRedials=%v: batch after a short range differs from the in-process aggregate", serveRedials)
+		}
+	}
+}
+
+// TestSessionJobsTakeTurns pins the turn-taking of jobs pipelined over one
+// slow connection: a one-chunk job submitted after a long job is already
+// streaming gets its range in beside it, so its Run returns while the long
+// job still has chunks undelivered.
+func TestSessionJobsTakeTurns(t *testing.T) {
+	proxy := newPipelineProxy(t, startWorkers(t, 1, WorkerOptions{Workers: 1})[0], 10*time.Millisecond)
+	s := NewSession([]string{proxy.addr}, Options{ChunkSize: 1, Logf: t.Logf})
+	defer s.Close()
+
+	const longRuns = 24
+	long := sessionJob(t, longRuns, 400)
+	var longMerged atomic.Int32
+	started := make(chan struct{})
+	longDone := make(chan error, 1)
+	go func() {
+		longDone <- s.Run(long, func(int, *sim.Result) error {
+			if longMerged.Add(1) == 1 {
+				close(started)
+			}
+			return nil
+		})
+	}()
+	<-started
+
+	short := sessionJob(t, 1, 401)
+	want := inProcessWant(t, short)
+	merge, got := fingerprint()
+	if err := s.Run(short, merge); err != nil {
+		t.Fatal(err)
+	}
+	if n := longMerged.Load(); n >= longRuns {
+		t.Fatalf("the short job returned after all %d chunks of the long job were delivered", n)
+	}
+	if got.String() != want {
+		t.Fatal("short job differs from its in-process aggregate")
+	}
+	if err := <-longDone; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// sessionGoroutines returns the stacks of the goroutines a session starts:
+// its shard loops and their connection epochs.
+func sessionGoroutines() []string {
+	buf := make([]byte, 1<<20)
+	var out []string
+	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+		if strings.Contains(g, "cluster.(*Session).shardLoop") || strings.Contains(g, "cluster.(*epoch)") {
+			out = append(out, g)
+		}
+	}
+	return out
+}
+
+// TestSessionCloseDuringRun closes a session while a job streams over a
+// healthy but slow shard: Run must return errSessionClosed promptly, and
+// once Close has returned no goroutine of the session is left.
+func TestSessionCloseDuringRun(t *testing.T) {
+	proxy := newPipelineProxy(t, startWorkers(t, 1, WorkerOptions{Workers: 1})[0], 50*time.Millisecond)
+	before := len(sessionGoroutines())
+	s := NewSession([]string{proxy.addr}, Options{ChunkSize: 1, Logf: t.Logf})
+
+	started := make(chan struct{})
+	var once sync.Once
+	runErr := make(chan error, 1)
+	go func() {
+		runErr <- s.Run(sessionJob(t, 40, 500), func(int, *sim.Result) error {
+			once.Do(func() { close(started) })
+			return nil
+		})
+	}()
+	<-started
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if left := sessionGoroutines(); len(left) > before {
+		t.Fatalf("%d session goroutines outlived Close, %d ran before NewSession:\n%s",
+			len(left), before, strings.Join(left, "\n\n"))
+	}
+	select {
+	case err := <-runErr:
+		if !errors.Is(err, errSessionClosed) {
+			t.Fatalf("Run returned %v, want errSessionClosed", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Run did not return after Close")
 	}
 }
