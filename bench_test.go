@@ -277,8 +277,8 @@ func BenchmarkSimReplication(b *testing.B) {
 // BenchmarkSourceSeed reseeds one warm per-device generator: the fixed
 // cost every device pays at the start of every replication and on every
 // serve join. Seed computes no ring word, only the conditioned seed, so
-// this is that O(1) step; the words are computed by the first 334 draws
-// that read them (BenchmarkSourceSeedDraws). Each iteration seeds with a
+// this is that O(1) step; the first 333 draws compute the words they sum
+// from the seed (BenchmarkSourceSeedDraws). Each iteration seeds with a
 // fresh ChildSeed, as the simulator does; the gate holds it at 0
 // allocs/op.
 func BenchmarkSourceSeed(b *testing.B) {
@@ -291,7 +291,7 @@ func BenchmarkSourceSeed(b *testing.B) {
 
 // BenchmarkSourceSeedDraws reseeds one generator and draws 128 Int63 from
 // it, about a Setting 1 device's mean per replication: the whole cost of a fresh
-// stream's use, the ring words those draws read computed on demand among
+// stream's use, each draw's seeded words computed from the seed among
 // them. The gate holds it at 0 allocs/op.
 func BenchmarkSourceSeedDraws(b *testing.B) {
 	src := rngutil.NewSource(1)

@@ -285,20 +285,27 @@ func TestRunDebugEndpointServesMetrics(t *testing.T) {
 		return string(body)
 	}
 
+	// The body is logged once, ahead of the errors, so each missing line is
+	// reported on its own last line, where a cut log keeps it.
 	text := scrape()
+	var missing []string
 	for _, want := range []string{
 		"serve_select_total 140",
 		"serve_select_latency_ns_count",
 		// 2: bootDaemon's readiness probe plus driveDaemon's client.
 		"serve_connections_total 2",
 		"serve_devices_evicted_total",
+		"serve_select_latency_ns_bucket", // the latency histogram has samples
 	} {
 		if !strings.Contains(text, want) {
-			t.Errorf("/metrics missing %q:\n%s", want, text)
+			missing = append(missing, want)
 		}
 	}
-	if !strings.Contains(text, "serve_select_latency_ns_bucket") {
-		t.Errorf("select latency histogram has no samples on /metrics:\n%s", text)
+	if len(missing) > 0 {
+		t.Log("/metrics:\n" + text)
+		for _, want := range missing {
+			t.Errorf("/metrics missing %q", want)
+		}
 	}
 
 	// Let the sweeper retire the idle devices, then confirm the eviction

@@ -72,8 +72,9 @@
 //   - Workspace (internal/sim): every piece of state one replication
 //     mutates, reset and reused run after run. Warm replications allocate
 //     exactly the Result they return: policies reinitialize in place, RNG
-//     streams reseed in place in O(1), their rings seeded on demand by
-//     the draws that read them (internal/rngutil), the Nash-equilibrium
+//     streams reseed in place in O(1), each computing its first 333 draws
+//     from its seed and filling its ring, reserved with the workspace, at
+//     its 334th (internal/rngutil), the Nash-equilibrium
 //     cache re-solves into pooled buffers (game.PrepareInto).
 //   - Runner (internal/runner): fans seeded replications across a bounded
 //     goroutine pool — one workspace per worker — and merges results in

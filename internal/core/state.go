@@ -122,6 +122,21 @@ func (p *SmartEXP3) ExportState(dst *PolicyState) {
 	dst.LastGlobal, dst.TotalSlots = p.lastGlobal, p.totalSlots
 }
 
+// Reserve gives the state's slices room for a policy of up to k arms
+// under a switch-back window of w gains, carved from one float and one
+// int allocation, and discards what they held. Exporting any such policy
+// into the state then grows none of them. A host that exports many
+// policies through one state, as serve's snapshot capture does, reserves
+// it once rather than growing each slice whenever a policy with more arms
+// than the last comes by.
+func (s *PolicyState) Reserve(k, w int) {
+	floats, ints := make([]float64, 4*k+1+2*w), make([]int, 5*k)
+	s.LogW, s.WExp, s.Tree = cut(&floats, k), cut(&floats, k), cut(&floats, k+1)
+	s.SumGain, s.Window, s.PrevWindow = cut(&floats, k), cut(&floats, w), cut(&floats, w)
+	s.Available, s.Explore = cut(&ints, k), cut(&ints, k)
+	s.X, s.CntGain, s.SlotsOn = cut(&ints, k), cut(&ints, k), cut(&ints, k)
+}
+
 // Validate reports whether the state is internally consistent: every
 // per-network slice matches the availability set's length, local indices
 // point inside it, a running block has a network, block counts are not

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -130,6 +131,32 @@ func TestExportStateReusesBuffers(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Fatalf("warm ExportState allocates %.0f objects per call", allocs)
+	}
+}
+
+// TestReservedStateHoldsAnExport exports policies of 1 to 8 arms, each
+// with more arms than the last, through one state reserved for 8: no
+// export allocates, and each reads the same as an export into a fresh
+// state.
+func TestReservedStateHoldsAnExport(t *testing.T) {
+	cfg := DefaultConfig()
+	var st PolicyState
+	st.Reserve(8, cfg.SwitchBackWindow)
+	for k := 1; k <= 8; k++ {
+		arms := make([]int, k)
+		for i := range arms {
+			arms[i] = 2 * i
+		}
+		p := NewSmartEXP3("Smart EXP3", FeaturesFor(AlgSmartEXP3), arms, cfg, rand.New(rngutil.NewSource(int64(k))))
+		driveSlots(p, 0, 60)
+		if allocs := testing.AllocsPerRun(1, func() { p.ExportState(&st) }); allocs > 0 {
+			t.Fatalf("%d arms: exporting into the reserved state allocates %.0f objects", k, allocs)
+		}
+		var fresh PolicyState
+		p.ExportState(&fresh)
+		if fmt.Sprint(st) != fmt.Sprint(fresh) { // %v prints every float exactly, and a nil slice as an empty one
+			t.Fatalf("%d arms: the reserved state's export differs from a fresh one's", k)
+		}
 	}
 }
 

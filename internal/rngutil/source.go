@@ -9,13 +9,14 @@ import "math/rand"
 // device per replication, and of every serve join. The stdlib walks a
 // 1,841-step sequential Lehmer chain per seed and fills all 607 ring
 // words. Here each ring word is computed from the seed directly, with
-// three multiplications by precomputed powers of the multiplier, and only
-// when it is first read: Seed records the conditioned seed and nothing
-// else, and each of the first 334 draws computes the one or two words it
-// reads. A device that draws 128 times per replication computes 256 of
-// the 607 words and never pays for the rest (BenchmarkSourceSeed: ~2 ns;
-// the eager jump-ahead took ~3.3 µs and the stdlib chain ~6.8 µs on a
-// 2-vCPU Xeon).
+// three multiplications by precomputed powers of the multiplier, and no
+// word is stored until the ring is needed: Seed records the conditioned
+// seed and nothing else, each of the first 333 draws is a closed-form sum
+// of two or three seeded words, and the 334th fills the ring. A device
+// that draws 128 times per replication computes 256 words and writes none
+// (BenchmarkSourceSeed: ~2 ns; the eager jump-ahead took ~3.3 µs and the
+// stdlib chain ~6.8 µs on a 2-vCPU Xeon), and a source that never draws
+// 334 times need not hold a ring at all (see Source).
 //
 // The streams are bit-identical to math/rand's: Source reproduces the
 // generator state exactly, which the test suite verifies draw-for-draw
@@ -32,8 +33,9 @@ const (
 	rngMask  = 1<<63 - 1
 	int32max = 1<<31 - 1
 
-	// seedingDraws is how many draws after a Seed the ring stays seeded on
-	// demand: the draws until feed reaches slot 0.
+	// seedingDraws counts the draws from a Seed to the one that fills the
+	// ring, the draw that steps feed to slot 0. The draws before it need
+	// no ring.
 	seedingDraws = rngLen - rngTap
 )
 
@@ -121,48 +123,63 @@ func recoverAdditiveTable() [rngLen]uint64 {
 // with cheaper reseeding (Seed). It implements rand.Source64. Like the
 // stdlib source, it is not safe for concurrent use.
 //
-// The cursors are int32, which holds every ring index, so that the struct
-// is 4,864 B, exactly one of the allocator's size classes. Int cursors
-// would make it 4,872 B, which the allocator rounds up to the 5,376 B
-// class: 512 B more for every stream a sim.Workspace pools. SourceState
-// keeps int cursors, so streams and encoded snapshots do not depend on
-// this choice. The cursors come first, so a host that embeds a Source
-// after other hot state (a serve.Store device record does) reads them on
-// the cache line next to that state, not 4,856 B away.
-//
-// From a Seed until its 334th draw the ring is seeded on demand (drawSlow).
-// The tap cursor is then unseeded, a value no seeded ring has; feed counts
-// those draws down as it always does; and vec[0], the last slot they
-// reach, holds the conditioned seed the missing words are computed from.
-// So until then the seed and the draw count are the whole state, and that
-// pair is what ExportState exports.
+// A Source is 24 B: two int32 cursors (ints would make it 32 B), the
+// conditioned seed, and its 607-word ring out of line behind vec, a
+// separate 4,856 B object in the allocator's 4,864 B size class. A young
+// source, fewer than 334 draws past its Seed, reads and writes no ring:
+// its tap cursor is unseeded, a value no ring state has, and feed counts
+// its draws down from 334 as it always does. So until then the seed and
+// the draw count are the whole state, and that pair is what ExportState
+// exports. The 334th draw fills the ring, allocating it if vec is nil, and
+// the source runs as a seeded one from there. NewSource and NewSources
+// reserve each ring up front; a Source embedded by value, as a
+// serve.Store device record embeds one, starts without one, and most such
+// sources never draw 334 times. Seed keeps the ring, so a reused source
+// allocates at most once in its life. The zero Source holds no state a
+// stream reaches: Seed it, or SetState it, before its first draw. A copy
+// of a Source shares its ring, so a stream is copied through ExportState
+// and SetState, not by value.
 type Source struct {
 	tap, feed int32
-	vec       [rngLen]int64
+	seed      int64 // the conditioned seed of a young source
+	vec       *[rngLen]int64
 }
 
-// unseeded is the tap cursor of a ring that Seed left to be computed on
-// demand.
+// unseeded is the tap cursor of a young source, whose ring holds nothing
+// of its stream.
 const unseeded = -1
 
 var _ rand.Source64 = (*Source)(nil)
 
 // NewSource returns a source whose stream is bit-identical to
-// rand.NewSource(seed).
+// rand.NewSource(seed). Its ring is reserved up front, so no draw of it
+// allocates.
 func NewSource(seed int64) *Source {
-	s := &Source{}
+	s := &Source{vec: new([rngLen]int64)}
 	s.Seed(seed)
 	return s
 }
 
+// NewSources returns n sources with their rings reserved, in two
+// allocations whatever n is, for a pool of streams that are reseeded in
+// place and drawn through many times, as sim.Workspace's are. Seed each
+// before drawing from it.
+func NewSources(n int) []Source {
+	srcs := make([]Source, n)
+	rings := make([][rngLen]int64, n)
+	for i := range srcs {
+		srcs[i].vec = &rings[i]
+	}
+	return srcs
+}
+
 // Seed implements rand.Source. It computes no ring word: it records the
-// conditioned seed in vec[0] and marks the ring unseeded, and the first
-// 334 draws compute each word as they first read it. After them every
-// slot has been read or written and the source runs as a seeded one.
+// conditioned seed and marks the source young, keeping any ring it holds
+// for the 334th draw to refill.
 func (s *Source) Seed(seed int64) {
 	s.tap = unseeded
-	s.feed = rngLen - rngTap
-	s.vec[0] = int64(seedInit(seed))
+	s.feed = seedingDraws
+	s.seed = int64(seedInit(seed))
 }
 
 // seedPow[i][j] is 48271^(21+3i+j) mod 2³¹−1: the multiplier that takes a
@@ -198,6 +215,19 @@ func mulmod(a, b uint64) uint64 {
 	return r&int32max + r>>31
 }
 
+// seedRing sets every word of v as the stdlib's seeding from the
+// conditioned seed x sets it: word i XORs three states of the Lehmer chain
+// from the seed, x_{21+3i} to x_{23+3i}, with additiveTab[i]. Each state
+// is the seed times its power in seedPow, so a word costs three
+// independent products and no walk.
+func seedRing(v *[rngLen]int64, x uint64) {
+	for i := range v {
+		p := &seedPow[i]
+		v[i] = int64(mulmod(x, uint64(p[0]))<<40 ^ mulmod(x, uint64(p[1]))<<20 ^
+			mulmod(x, uint64(p[2])) ^ additiveTab[i])
+	}
+}
+
 // Uint64 implements rand.Source64. The warm draw is inlined; the first 334
 // draws after a Seed and the tap cursor's wrap take drawSlow.
 func (s *Source) Uint64() uint64 {
@@ -218,7 +248,7 @@ func (s *Source) Int63() int64 {
 // draw is the warm draw: both cursors step down one slot, and the word
 // under feed becomes its sum with the word under tap. It declines, leaving
 // the source as it was, when the tap cursor would step below 0, which it
-// does once every 607 draws and on every draw of an unseeded ring.
+// does once every 607 draws and on every draw of a young source.
 func (s *Source) draw() (uint64, bool) {
 	tap := s.tap - 1
 	if tap < 0 {
@@ -229,50 +259,60 @@ func (s *Source) draw() (uint64, bool) {
 		feed += rngLen
 	}
 	s.tap, s.feed = tap, feed
-	x := s.vec[feed] + s.vec[tap]
-	s.vec[feed] = x
+	v := s.vec
+	x := v[feed] + v[tap]
+	v[feed] = x
 	return uint64(x), true
 }
 
 // drawSlow takes the draws draw declines. On a seeded ring it wraps the tap
-// cursor and draws. On an unseeded one it makes draw k of the first 334:
-// feed steps to slot 334−k, which no draw has touched yet, and tap stands
-// at slot 607−k, which the draws have not touched for k ≤ 273 and which
-// draw k−273 wrote as its feed slot otherwise. An untouched word is
-// computed before it is read. Draw 334 computes slot 0, reading the seed
-// out of it first, and sets tap where a seeded ring has it after 334
-// draws, which ends the unseeded state.
+// cursor and draws. On a young source it makes draw k of the first 333
+// from the seed alone, in closed form. Draw k of a freshly seeded ring
+// adds the word in tap slot 607−k into feed slot 334−k, which no draw has
+// touched. For k ≤ 273 the tap slot is untouched too. Otherwise it is the
+// feed slot of draw k−273, whose two slots, 607−k and 880−k, were both
+// untouched. So draw k is the sum of the seeded words 334−k, 607−k and,
+// for k > 273, 880−k: the ring's slots from feed upward in steps of 273.
 func (s *Source) drawSlow() uint64 {
 	if s.tap != unseeded {
 		s.tap = rngLen
 		x, _ := s.draw()
 		return x
 	}
-	seed := uint64(s.vec[0])
 	feed := int(s.feed) - 1
-	tap := feed + rngTap
-	top := feed
-	if tap >= rngLen-rngTap {
-		top = tap
+	if feed == 0 {
+		return s.mature()
 	}
-	// The feed word, then the tap word if untouched: word i is the
-	// stdlib's seeding of it, which XORs three states of the Lehmer chain
-	// from the seed, x_{21+3i} to x_{23+3i}, with additiveTab[i]. Each state
-	// is the seed times its power in seedPow, so a word costs three
-	// independent products and no walk. The loop is written out here
-	// because a call per draw made the first 128 draws ~25% slower.
-	for i := feed; i <= top; i += rngTap {
+	s.feed = int32(feed)
+	x, seed := int64(0), uint64(s.seed)
+	// Each word is computed as seedRing computes it, written out here
+	// because a call per word made the first 128 draws ~10% slower.
+	for i := feed; i < rngLen; i += rngTap {
 		p := &seedPow[i]
-		s.vec[i] = int64(mulmod(seed, uint64(p[0]))<<40 ^ mulmod(seed, uint64(p[1]))<<20 ^
+		x += int64(mulmod(seed, uint64(p[0]))<<40 ^ mulmod(seed, uint64(p[1]))<<20 ^
 			mulmod(seed, uint64(p[2])) ^ additiveTab[i])
 	}
-	x := s.vec[feed] + s.vec[tap]
-	s.vec[feed] = x
-	s.feed = int32(feed)
-	if feed == 0 {
-		s.tap = int32(tap)
-	}
 	return uint64(x)
+}
+
+// mature makes draw 334, which ends a young source. It fills the ring with
+// the seeded words, allocating it if the source has none, and replays the
+// 334 draws' feed updates, slot 333 down to slot 0, each adding the word
+// 273 slots above it, the later feed slots among them already updated.
+// The ring then stands where a seeded one does after 334 draws, tap at
+// slot 273 and feed at slot 0, and slot 0 holds draw 334's output.
+func (s *Source) mature() uint64 {
+	v := s.vec
+	if v == nil {
+		v = new([rngLen]int64)
+		s.vec = v
+	}
+	seedRing(v, uint64(s.seed))
+	for i := seedingDraws - 1; i >= 0; i-- {
+		v[i] += v[i+rngTap]
+	}
+	s.tap, s.feed = rngTap, 0
+	return uint64(v[0])
 }
 
 // SeedAll reseeds srcs[i] with seeds[i]: the per-source state is identical

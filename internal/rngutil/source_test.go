@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 	"unsafe"
 )
 
@@ -132,16 +133,16 @@ func seedrandSchrage(x int32) int32 {
 	return x
 }
 
-// TestSourceFitsItsSizeClass pins Source at 4,864 B, one of the Go
-// allocator's size classes, so a heap-allocated Source, such as each of a
-// sim.Workspace's pooled streams, wastes nothing to rounding. Widening a
-// cursor to int makes it 4,872 B, which the allocator rounds up to the
-// 5,376 B class. A serve.Store device embeds its Source in a larger record
-// instead, whose own size class serve's TestDeviceFitsItsSizeClass pins;
-// there the extra 8 B would come out of that record's slack.
+// TestSourceFitsItsSizeClass pins Source at 24 B: two int32 cursors, the
+// conditioned seed and a pointer to its 4,856 B ring, a separate object
+// of the Go allocator's 4,864 B size class. A young source has no ring at
+// all, so a serve.Store device record, which embeds its Source by value,
+// pays 24 B for it until its 334th draw; serve's TestDeviceFitsItsSizeClass
+// pins that record's own class. Widening a cursor to int makes Source 32
+// B.
 func TestSourceFitsItsSizeClass(t *testing.T) {
-	if got := unsafe.Sizeof(Source{}); got != 4864 {
-		t.Fatalf("Source is %d B, want 4864 B (the allocator's 4,864 B size class; the next class is 5,376 B)", got)
+	if got := unsafe.Sizeof(Source{}); got != 24 {
+		t.Fatalf("Source is %d B, want 24 B (two int32 cursors, the seed and the ring pointer)", got)
 	}
 }
 
@@ -189,9 +190,13 @@ func TestMulmodMatchesRemainder(t *testing.T) {
 
 // seedChain is the stdlib's seeding as a serial Lehmer chain — the form
 // Source.Seed had before jump-ahead — kept here as the reference for it.
+// It gives s a ring if s has none.
 func seedChain(s *Source, seed int64) {
 	s.tap = 0
 	s.feed = rngLen - rngTap
+	if s.vec == nil {
+		s.vec = new([rngLen]int64)
+	}
 	x := seedInit(seed)
 	for i := -20; i < 0; i++ {
 		x = seedrand(x)
@@ -205,33 +210,32 @@ func seedChain(s *Source, seed int64) {
 	}
 }
 
-// complete computes every word an unseeded ring still lacks and sets the
+// complete computes every word a young source's ring lacks and sets the
 // tap cursor where the draws so far leave it, so the source holds exactly
-// the state the stdlib's eager seeding reaches after as many draws. The
-// lacking words are the feed slots below feed, slot 0 with the seed among
-// them, and the slots from 334 up to the lowest one tap has read. It lets
-// the tests compare an on-demand ring with an eagerly seeded one word for
-// word.
+// the state the stdlib's eager seeding reaches after as many draws: every
+// seeded word, with the feed updates of the draws made so far, slot 333
+// down to feed, replayed over them. It gives s a ring if s has none. It
+// lets the tests compare a young source with an eagerly seeded one word
+// for word.
 func (s *Source) complete() {
 	if s.tap != unseeded {
 		return
 	}
-	seed := uint64(s.vec[0])
+	if s.vec == nil {
+		s.vec = new([rngLen]int64)
+	}
 	feed := int(s.feed)
-	s.seedWords(seed, rngLen-rngTap, feed+rngTap)
-	s.seedWords(seed, 0, feed)
+	seedRing(s.vec, uint64(s.seed))
+	for i := seedingDraws - 1; i >= feed; i-- {
+		s.vec[i] += s.vec[i+rngTap]
+	}
 	s.tap = int32((feed + rngTap) % rngLen)
 }
 
-// seedWords sets ring words [lo, hi) as the stdlib's seeding from the
-// conditioned seed x sets them, each from three precomputed powers
-// (seedPow), as drawSlow computes the words it reads.
-func (s *Source) seedWords(x uint64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		p := &seedPow[i]
-		s.vec[i] = int64(mulmod(x, uint64(p[0]))<<40 ^ mulmod(x, uint64(p[1]))<<20 ^
-			mulmod(x, uint64(p[2])) ^ additiveTab[i])
-	}
+// sameState reports whether two sources past seeding hold the same
+// cursors and ring.
+func sameState(a, b *Source) bool {
+	return a.tap == b.tap && a.feed == b.feed && *a.vec == *b.vec
 }
 
 // TestJumpAheadSeedMatchesChain pins Seed's jump-ahead against the serial
@@ -253,7 +257,7 @@ func TestJumpAheadSeedMatchesChain(t *testing.T) {
 		jump.Seed(seed)
 		jump.complete()
 		seedChain(&chain, seed)
-		if jump != chain {
+		if !sameState(&jump, &chain) {
 			t.Fatalf("seed %d: jump-ahead state differs from the chain's", seed)
 		}
 	}
@@ -306,12 +310,12 @@ func matchesWalk(src *Source, walk []int32) error {
 	return nil
 }
 
-// TestOnDemandSeedMatchesChainAtEveryDrawCount pins seeding on demand
-// against eager seeding after every draw count through two ring lengths:
-// a completed copy of a source n draws past Seed exports the state the
-// serial chain's source has n draws past its seeding, and the 607 draws
-// after the export match that source's. The draw counts are split across
-// GOMAXPROCS goroutines, each with its own sources.
+// TestOnDemandSeedMatchesChainAtEveryDrawCount pins the young draws and
+// the maturing one against eager seeding after every draw count through
+// two ring lengths: a completed copy of a source n draws past Seed exports
+// the state the serial chain's source has n draws past its seeding, and
+// the 607 draws after the export match that source's. The draw counts
+// are split across GOMAXPROCS goroutines, each with its own sources.
 func TestOnDemandSeedMatchesChainAtEveryDrawCount(t *testing.T) {
 	const counts = 2 * rngLen // n in [0, 1,214]
 	for _, seed := range []int64{0, 1, -1, 42, int32max, 1 << 40} {
@@ -330,7 +334,8 @@ func TestOnDemandSeedMatchesChainAtEveryDrawCount(t *testing.T) {
 						lazy.Uint64()
 						ref.Uint64()
 					}
-					done = lazy
+					lazy.ExportState(&got) // copied through its state, so done has a ring of its own
+					done.SetState(got)
 					done.complete()
 					done.ExportState(&got)
 					ref.ExportState(&want)
@@ -353,7 +358,7 @@ func TestOnDemandSeedMatchesChainAtEveryDrawCount(t *testing.T) {
 
 // TestExportMidSeedingKeepsTheStream exports a source's state before
 // every one of its first two ring lengths of draws, through and past its
-// on-demand seeding, and checks that its stream stays the stdlib's.
+// 334th, and checks that its stream stays the stdlib's.
 func TestExportMidSeedingKeepsTheStream(t *testing.T) {
 	var st SourceState
 	src, std := NewSource(8), rand.NewSource(8).(rand.Source64)
@@ -365,9 +370,9 @@ func TestExportMidSeedingKeepsTheStream(t *testing.T) {
 	}
 }
 
-// TestSeedAndSetStateOverPartlySeededRings reseeds a source partway
-// through its on-demand seeding, and restores a state over a source whose
-// ring is still unseeded: each then follows the stream it was given.
+// TestSeedAndSetStateOverPartlySeededRings reseeds a source while it is
+// young and after it has matured, and restores a ring state over one at
+// the same points: each then follows the stream it was given.
 func TestSeedAndSetStateOverPartlySeededRings(t *testing.T) {
 	for _, drawn := range []int{0, 1, 100, 273, 333, 334, 700} {
 		src := NewSource(3)
@@ -402,6 +407,97 @@ func TestSeedAndSetStateOverPartlySeededRings(t *testing.T) {
 			if g, w := src.Uint64(), want.Uint64(); g != w {
 				t.Fatalf("restored after %d draws: draw %d is %d, want %d", drawn, i, g, w)
 			}
+		}
+	}
+}
+
+// TestRingIsAllocatedAtTheSourcesMaturing pins when a Source allocates its
+// ring. A Source embedded by value, which starts with none, makes its
+// first 333 draws without allocating and allocates the ring at its 334th;
+// reseeded, it keeps that ring and matures again without allocating. So
+// a NewSource, whose ring is reserved, allocates on no draw.
+func TestRingIsAllocatedAtTheSourcesMaturing(t *testing.T) {
+	const runs = 20
+	fresh := make([]Source, 2*(runs+1)) // ringless; each measured call takes the next
+	seedAndDraw := func(s *Source, n int) {
+		s.Seed(int64(n))
+		for i := 0; i < n; i++ {
+			s.Uint64()
+		}
+	}
+	for _, c := range []struct {
+		draws int
+		want  float64
+	}{{seedingDraws - 1, 0}, {seedingDraws, 1}} {
+		allocs := testing.AllocsPerRun(runs, func() {
+			seedAndDraw(&fresh[0], c.draws)
+			fresh = fresh[1:]
+		})
+		if allocs != c.want {
+			t.Fatalf("a ringless source's first %d draws allocate %.2f objects, want %.0f", c.draws, allocs, c.want)
+		}
+	}
+
+	matured := new(Source)
+	seedAndDraw(matured, 2*rngLen)
+	if allocs := testing.AllocsPerRun(runs, func() { seedAndDraw(matured, 2*rngLen) }); allocs != 0 {
+		t.Fatalf("a matured source, reseeded, allocates %.2f objects maturing again, want 0", allocs)
+	}
+	if NewSource(1).vec == nil || NewSources(3)[2].vec == nil {
+		t.Fatal("NewSource or NewSources left a ring to the 334th draw")
+	}
+}
+
+// TestCompactSetStateIsConstantTime restores compact states into a Source
+// with no ring: no restore allocates, and restoring 333 draws costs less
+// than a tenth of making them, so none is replayed. Each cost is the
+// fastest of five timed loops, which keeps the host's noise out of it.
+func TestCompactSetStateIsConstantTime(t *testing.T) {
+	var src Source
+	var st SourceState
+	ahead := NewSource(31)
+	for i := 0; i < seedingDraws-1; i++ {
+		ahead.Uint64()
+	}
+	ahead.ExportState(&st)
+	if st.Seed == 0 || st.Draws != seedingDraws-1 {
+		t.Fatalf("a source 333 draws in exports seed %d and %d draws", st.Seed, st.Draws)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { src.SetState(st) }); allocs != 0 {
+		t.Fatalf("a compact SetState allocates %.0f objects, want 0", allocs)
+	}
+	if src.vec != nil {
+		t.Fatal("a compact SetState gave the source a ring")
+	}
+	fastest := func(f func()) time.Duration {
+		best := time.Duration(math.MaxInt64)
+		for range 5 {
+			start := time.Now()
+			for range 200 {
+				f()
+			}
+			best = min(best, time.Since(start))
+		}
+		return best
+	}
+	restore := fastest(func() { src.SetState(st) })
+	replay := fastest(func() {
+		src.Seed(31)
+		for i := 0; i < seedingDraws-1; i++ {
+			src.Uint64()
+		}
+	})
+	if restore*10 > replay {
+		t.Fatalf("restoring 333 draws takes %v, making them %v: the restore replays them", restore, replay)
+	}
+	std := rand.NewSource(31).(rand.Source64)
+	for i := 0; i < seedingDraws-1; i++ {
+		std.Uint64()
+	}
+	src.SetState(st)
+	for i := 0; i < rngLen; i++ {
+		if g, w := src.Uint64(), std.Uint64(); g != w {
+			t.Fatalf("draw %d after the restore is %d, stdlib %d", i, g, w)
 		}
 	}
 }

@@ -17,12 +17,12 @@ import (
 //
 // A state has one of two forms. A source fewer than 334 draws past its
 // Seed is determined by its conditioned seed and the draws it has made,
-// and exports as those two numbers, Seed and Draws: the compact form,
-// marked by a nonzero Seed, in which Vec, Tap and Feed are not part of
-// the state. Any other source exports its ring and cursors, Vec, Tap and
-// Feed, with Seed and Draws zero. Which form a source exports depends
-// only on how many draws it has made since its Seed, so equal histories
-// export equal states.
+// which is all it holds, and exports as those two numbers, Seed and
+// Draws: the compact form, marked by a nonzero Seed, in which Vec, Tap
+// and Feed are not part of the state. Any other source exports its ring
+// and cursors, Vec, Tap and Feed, with Seed and Draws zero. Which form a
+// source exports depends only on how many draws it has made since its
+// Seed, so equal histories export equal states.
 type SourceState struct {
 	Vec       [rngLen]int64
 	Tap, Feed int
@@ -37,11 +37,11 @@ type SourceState struct {
 // temporary.
 func (s *Source) ExportState(dst *SourceState) {
 	if s.tap == unseeded {
-		dst.Seed, dst.Draws = s.vec[0], seedingDraws-int(s.feed)
+		dst.Seed, dst.Draws = s.seed, seedingDraws-int(s.feed)
 		dst.Tap, dst.Feed = 0, 0
 		return
 	}
-	dst.Vec = s.vec
+	dst.Vec = *s.vec
 	dst.Tap, dst.Feed = int(s.tap), int(s.feed)
 	dst.Seed, dst.Draws = 0, 0
 }
@@ -75,20 +75,23 @@ func (st *SourceState) Validate() error {
 
 // SetState overwrites the source's generator state with a previously
 // captured one. The next outputs are bit-identical to what the captured
-// source would have produced. A compact state is restored by seeding and
-// replaying its draws, at most 333 of them. A state outside the
-// generator's range is normalized, its cursors and draw count folded
-// modulo their ranges, so a corrupt snapshot can neither index out of
-// bounds nor ask for an unbounded replay.
+// source would have produced. A compact state is restored in O(1), as a
+// Seed with its draws counted off feed; nothing is replayed, since a young
+// source's draws read only its seed. A ring state is copied into the
+// source's ring, which is allocated if the source has none. A state
+// outside the generator's range is normalized, its cursors and draw count
+// folded modulo their ranges, so a corrupt snapshot cannot index out of
+// bounds.
 func (s *Source) SetState(st SourceState) {
 	if st.Seed != 0 {
 		s.Seed(st.Seed)
-		for range wrap(st.Draws, seedingDraws) {
-			s.Uint64()
-		}
+		s.feed -= int32(wrap(st.Draws, seedingDraws))
 		return
 	}
-	s.vec = st.Vec
+	if s.vec == nil {
+		s.vec = new([rngLen]int64)
+	}
+	*s.vec = st.Vec
 	s.tap = int32(wrap(st.Tap, rngLen))
 	s.feed = int32(wrap(st.Feed, rngLen))
 }

@@ -187,7 +187,7 @@ func TestStateRoundTripsAtEveryDrawCount(t *testing.T) {
 			if err := back.Validate(); err != nil {
 				t.Fatalf("seed %d, %d draws: %v", seed, n, err)
 			}
-			restored.Seed(99) // over a ring partly seeded from another seed
+			restored.Seed(99) // over a young source of another seed
 			restored.Uint64()
 			restored.SetState(back)
 			restored.ExportState(&back)
@@ -209,15 +209,15 @@ func TestStateRoundTripsAtEveryDrawCount(t *testing.T) {
 }
 
 // TestExportStateLeavesTheSourceAsItWas exports a source after every draw
-// count through its on-demand seeding and past it: the source is bit for
-// bit what it was before the export.
+// count through its young draws and past them: the source, ring and all,
+// is bit for bit what it was before the export.
 func TestExportStateLeavesTheSourceAsItWas(t *testing.T) {
 	src := NewSource(12)
 	var st SourceState
 	for n := 0; n <= 2*rngLen; n++ {
-		before := *src
+		before, ring := *src, *src.vec
 		src.ExportState(&st)
-		if *src != before {
+		if *src != before || *src.vec != ring {
 			t.Fatalf("exporting after %d draws wrote the source", n)
 		}
 		src.Uint64()

@@ -66,14 +66,18 @@ import (
 )
 
 // device is one device session's policy state, held in one heap object
-// laid out hot-first: the request bookkeeping, then the policy, the
-// rand.Rand it draws through, the inline per-arm storage the policy is
-// carved over, and last the generator, whose cursors lead its 4,856 B
-// ring. A decision for a cold device then misses on one record, not on a
-// chain of a dozen pointers to separately allocated slices. The policy and
+// laid out hot-first: the request bookkeeping, the generator, then the
+// policy, the rand.Rand it draws through, and the inline per-arm storage
+// the policy is carved over. A decision for a cold device then misses on
+// one record, not on a chain of a dozen pointers to separately allocated
+// slices. The generator is 24 B by value and holds no ring while young:
+// a device fewer than 334 draws past its join, which nearly every device
+// of a churning population is, draws from its seed alone, and only its
+// 334th draw allocates the 4,856 B ring (rngutil.Source). The policy and
 // the rand.Rand point into the record, so a device is never copied once
 // built (see init). Released devices wait on the shard free list; acquire
-// rebuilds them in place, so churn costs no allocation warm.
+// rebuilds them in place, keeping any ring, so churn costs no allocation
+// warm.
 type device struct {
 	pending int    // global arm id awaiting Feedback, -1 when none
 	slot    uint64 // id of the pending (or next) selection; advances as slots settle
@@ -83,6 +87,7 @@ type device struct {
 	// pure function of the request history, and it is only maintained when
 	// eviction is enabled so the disabled warm path pays nothing.
 	lastTouch int64
+	src       rngutil.Source
 	policy    core.SmartEXP3
 	rng       rand.Rand
 	// floats and ints hold the policy's per-arm state for up to deviceArms
@@ -92,14 +97,13 @@ type device struct {
 	// on the heap.
 	floats [5*deviceArms + 1 + 2*deviceWindow]float64
 	ints   [6 * deviceArms]int
-	src    rngutil.Source
 }
 
 // deviceArms is how many arms a device record holds inline: the largest
-// arm set bench/'s serve-churn workload draws. It puts the record in the
-// allocator's 6,528 B size class (TestDeviceFitsItsSizeClass), about what
-// the policy, its generator and a dozen per-arm slices cost as separate
-// objects. deviceWindow is core.DefaultConfig's SwitchBackWindow.
+// arm set bench/'s serve-churn workload draws. It puts the record, 1,624 B
+// with its ringless generator, in the allocator's 1,792 B size class
+// (TestDeviceFitsItsSizeClass). deviceWindow is core.DefaultConfig's
+// SwitchBackWindow.
 const deviceArms, deviceWindow = 8, 8
 
 // init builds the session in place over arms, ready for its first Select.

@@ -329,6 +329,7 @@ func (s *Store) capture(lo, hi uint64) []DeviceRecord {
 	}
 	idx := make([]DeviceRecord, 0, n)
 	c := &captureScratch{room: recordRoom}
+	c.ds.State.Reserve(deviceArms, s.cfg.Policy.SwitchBackWindow)
 	for si := range s.shards {
 		sh := &s.shards[si]
 		sh.mu.Lock()
@@ -342,7 +343,8 @@ func (s *Store) capture(lo, hi uint64) []DeviceRecord {
 // captureScratch is one capture's encoding state: the buffer a shard's
 // records are encoded into, where each ends, the room per record the
 // buffer is sized for, and the decoded form each device is exported
-// through. It lives only as long as the capture.
+// through, its policy slices reserved once for a record's deviceArms
+// arms. It lives only as long as the capture.
 type captureScratch struct {
 	buf  []byte
 	ends []int

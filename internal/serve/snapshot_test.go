@@ -182,8 +182,8 @@ func TestRestoreRejectsMismatchedIdentity(t *testing.T) {
 
 // TestRestoreRejectsCorruptGeneratorCursor corrupts one device's generator
 // state in each of its two forms: a ring state's Tap shifted by one, and a
-// compact state's draw count moved past the 334 draws its on-demand
-// seeding lasts. SetState would fold either into range and resume a stream
+// compact state's draw count moved past the 334 draws a source stays
+// young for. SetState would fold either into range and resume a stream
 // no Source produces, so ReadSnapshot and both restore paths must refuse
 // the record and name its device, while the untouched snapshot still
 // restores to identical bytes.
@@ -326,6 +326,75 @@ func TestSnapshotRestoreIsByteIdenticalForYoungDevices(t *testing.T) {
 	for _, dev := range []uint64{6, 7} {
 		if compact, draws := form(restored, dev); !compact {
 			t.Fatalf("device %d ended the history in the ring form (%d draws)", dev, draws)
+		}
+	}
+	if !bytes.Equal(encodeSnapshot(t, restored), encodeSnapshot(t, uninterrupted)) {
+		t.Fatal("restored and uninterrupted stores end in different snapshot bytes")
+	}
+}
+
+// TestSnapshotRestoreMixesGeneratorForms cuts a store whose devices stand
+// on both sides of their generators' 334th draw: devices 0 to 3 are past
+// it and snapshot their rings, devices 4 to 7 are not and snapshot their
+// seeds. Restore builds every record without a ring, so each ring-form
+// state is copied into a ring allocated for it. The restored store must
+// re-snapshot to the cut's bytes; and after the cut, with device 0
+// released and re-joined into its pooled record, ring and all, every
+// selection and the final bytes must match the uninterrupted store's.
+func TestSnapshotRestoreMixesGeneratorForms(t *testing.T) {
+	const old, young, more = 400, 100, 300 // slots before the cut, and after it
+	history := func(s *Store, from int) []int {
+		var out []int
+		for slot := from; slot < from+more; slot++ {
+			if slot == from+50 {
+				s.Release(0)
+			}
+			for dev := uint64(0); dev < 8; dev++ {
+				out = append(out, churnedDevice(t, s, dev, slot, slot+1)...)
+			}
+		}
+		return out
+	}
+	build := func(shards int) *Store {
+		s := newTestStore(t, Config{Shards: shards})
+		for dev := uint64(0); dev < 8; dev++ {
+			slots := young
+			if dev < 4 {
+				slots = old
+			}
+			churnedDevice(t, s, dev, 0, slots)
+		}
+		return s
+	}
+
+	uninterrupted, interrupted := build(1), build(2)
+	for dev := uint64(0); dev < 8; dev++ {
+		if compact := deviceState(t, interrupted, dev).Rng.Seed != 0; compact != (dev >= 4) {
+			t.Fatalf("at the cut device %d is compact=%v", dev, compact)
+		}
+	}
+	mid := encodeSnapshot(t, interrupted)
+	sn, err := ReadSnapshot(bytes.NewReader(mid))
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := newTestStore(t, Config{Shards: 16})
+	if err := restored.Restore(sn); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(encodeSnapshot(t, restored), mid) {
+		t.Fatal("the restored store re-snapshots to other bytes than the cut's")
+	}
+
+	want, got := history(uninterrupted, young), history(restored, young)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("post-restore selection %d: restored store chose %d, uninterrupted chose %d", i, got[i], want[i])
+		}
+	}
+	for dev := uint64(4); dev < 8; dev++ {
+		if deviceState(t, restored, dev).Rng.Seed != 0 {
+			t.Fatalf("device %d ended the history still in the compact form", dev)
 		}
 	}
 	if !bytes.Equal(encodeSnapshot(t, restored), encodeSnapshot(t, uninterrupted)) {

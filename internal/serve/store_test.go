@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -412,21 +413,60 @@ func TestStoreJoinAllocatesOneRecord(t *testing.T) {
 }
 
 // TestDeviceFitsItsSizeClass pins the device record inside the Go
-// allocator's 6,528 B size class (the one below is 6,144 B), so a join's
-// one allocation rounds up by less than one arm of inline storage. One
-// more inline arm (88 B) would push the record into the 6,784 B class. It
-// also pins the inline arrays to exactly what the policy carves for
+// allocator's 1,792 B size class (the one below is 1,536 B). The record
+// holds its generator by value, 24 B with no ring until the 334th draw
+// (rngutil's TestSourceFitsItsSizeClass), so a young device's join costs
+// this one class. The class's 168 B of slack would hold one more inline
+// arm (88 B), not two; deviceArms stays at serve-churn's largest arm set,
+// 8. It also pins the inline arrays to exactly what the policy carves for
 // deviceArms arms under the default config, SetAvailable's sort buffer
 // included.
 func TestDeviceFitsItsSizeClass(t *testing.T) {
-	if got := unsafe.Sizeof(device{}); got <= 6144 || got > 6528 {
-		t.Fatalf("device is %d B, want (6144, 6528] B: the allocator's 6,528 B size class", got)
+	if got := unsafe.Sizeof(device{}); got <= 1536 || got > 1792 {
+		t.Fatalf("device is %d B, want (1536, 1792] B: the allocator's 1,792 B size class", got)
 	}
 	var dev device
 	floats, ints := core.SmartEXP3Storage(deviceArms, core.DefaultConfig())
 	if ints += deviceArms; floats != len(dev.floats) || ints != len(dev.ints) {
 		t.Fatalf("inline storage holds %d floats and %d ints, %d arms need %d and %d",
 			len(dev.floats), len(dev.ints), deviceArms, floats, ints)
+	}
+}
+
+// TestYoungDeviceHoldsNoRing joins 4,096 devices and drives each through
+// 40 decisions, far short of its generator's 334th draw. The heap they
+// keep, measured after a collection, is at most the record's 1,792 B size
+// class and a tenth more per device, the tenth for the shards' maps: a
+// young device holds no generator ring, which would cost each 4,864 B
+// more. Every device's generator still exports the compact form.
+func TestYoungDeviceHoldsNoRing(t *testing.T) {
+	const devices, slots = 4096, 40
+	s := newTestStore(t, Config{Shards: 4})
+	arms := []int{1, 2, 3, 4, 5}
+	ids := make([]uint64, devices)
+	for i := range ids {
+		ids[i] = uint64(i)
+	}
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	before := ms.HeapAlloc
+	drive(t, s, ids, arms, slots)
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	perDevice := (float64(ms.HeapAlloc) - float64(before)) / devices
+	runtime.KeepAlive(s)
+	t.Logf("a young device keeps %.0f B of heap", perDevice)
+	if limit := 1792 * 1.1; perDevice > limit {
+		t.Fatalf("a young device keeps %.0f B of heap, want at most %.0f B", perDevice, limit)
+	}
+	var st rngutil.SourceState
+	for si := range s.shards {
+		for id, dev := range s.shards[si].devices {
+			if dev.src.ExportState(&st); st.Seed == 0 {
+				t.Fatalf("device %d left the compact form within %d decisions", id, slots)
+			}
+		}
 	}
 }
 

@@ -140,14 +140,16 @@ func (ws *Workspace) reset(seed int64) {
 	cfg := &e.cfg
 	n := e.nDevices
 	if ws.srcs[0] == nil {
-		for d := 0; d < n; d++ {
-			ws.srcs[d] = &rngutil.Source{}
+		// Every source gets its ring here, in one allocation, so a draw in a
+		// later run never allocates one.
+		pool := rngutil.NewSources(n)
+		for d := range pool {
+			ws.srcs[d] = &pool[d]
 			ws.rngs[d] = rand.New(ws.srcs[d])
 		}
 	}
-	// Reseed every device stream. A Seed is O(1); each device's first 334
-	// draws compute the ring words they read (rngutil seeds on demand), so
-	// a replication pays only for the words its devices draw on.
+	// Reseed every device stream. A Seed is O(1): a device's first 333
+	// draws are computed from its seed, and its 334th refills the ring.
 	for d := 0; d < n; d++ {
 		ws.seeds[d] = rngutil.ChildSeed(seed, int64(d))
 	}
