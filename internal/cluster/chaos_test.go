@@ -2,15 +2,13 @@ package cluster
 
 import (
 	"bytes"
-	"fmt"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
 
 	"smartexp3/internal/chaos"
 	"smartexp3/internal/frame"
+	"smartexp3/internal/frame/frametest"
 	"smartexp3/internal/sim"
 )
 
@@ -94,27 +92,14 @@ func chaosFrameStream(tb testing.TB) (stream []byte, frameEnds []int) {
 	return buf.Bytes(), frameEnds
 }
 
-// chaosFrameSeeds is the checked-in corpus for FuzzChaosFrame: chaos
-// parameters from "no fault lands" through "a fault on every byte".
-func chaosFrameSeeds() [][5]uint64 {
-	return [][5]uint64{
-		// seed, minGap, maxGap, corrupt, cut
-		{7, 64, 512, 3, 1},
-		{1, 0, 0, 1, 0},       // default gaps, corruption only
-		{2, 16, 64, 0, 1},     // early cuts
-		{3, 1, 1, 1, 1},       // a fault on every byte past the first
-		{4, 4096, 8192, 7, 7}, // gaps wider than the stream: clean decode
-	}
-}
-
 // FuzzChaosFrame feeds chaos-mangled frame streams to the frame reader.
 // The invariant is the CRC firewall's contract: every frame wholly before
 // the first fault decodes exactly as it did clean, the frame containing
 // the fault surfaces an error (corruption must never decode into
 // different values), and the stream stays dead after it.
 func FuzzChaosFrame(f *testing.F) {
-	for _, s := range chaosFrameSeeds() {
-		f.Add(int64(s[0]), s[1], s[2], s[3], s[4])
+	for _, s := range frametest.ChaosFrameSeeds() {
+		f.Add(s.Seed, s.MinGap, s.MaxGap, s.Corrupt, s.Cut)
 	}
 	clean, frameEnds := chaosFrameStream(f)
 	want := make([]*message, 0, len(frameEnds))
@@ -165,19 +150,5 @@ func FuzzChaosFrame(f *testing.F) {
 // TestWriteFuzzChaosFrameCorpus regenerates the checked-in seed corpus
 // under testdata/fuzz/FuzzChaosFrame when UPDATE_FUZZ_CORPUS=1.
 func TestWriteFuzzChaosFrameCorpus(t *testing.T) {
-	if os.Getenv("UPDATE_FUZZ_CORPUS") == "" {
-		t.Skip("set UPDATE_FUZZ_CORPUS=1 to regenerate the seed corpus")
-	}
-	dir := filepath.Join("testdata", "fuzz", "FuzzChaosFrame")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range chaosFrameSeeds() {
-		body := fmt.Sprintf("go test fuzz v1\nint64(%d)\nuint64(%d)\nuint64(%d)\nuint64(%d)\nuint64(%d)\n",
-			int64(s[0]), s[1], s[2], s[3], s[4])
-		name := filepath.Join(dir, fmt.Sprintf("seed-%02d", i))
-		if err := os.WriteFile(name, []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	frametest.WriteCorpus(t, "FuzzChaosFrame", frametest.ChaosFrameSeeds())
 }

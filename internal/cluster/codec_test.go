@@ -3,14 +3,15 @@ package cluster
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
 	"math"
-	"net"
 	"reflect"
 	"testing"
 
 	"smartexp3/internal/core"
 	"smartexp3/internal/criteria"
 	"smartexp3/internal/frame"
+	"smartexp3/internal/frame/frametest"
 	"smartexp3/internal/game"
 	"smartexp3/internal/netmodel"
 	"smartexp3/internal/sim"
@@ -171,15 +172,14 @@ func TestClusterCodecRoundTrip(t *testing.T) {
 				t.Fatalf("range config: %v", err)
 			}
 		}
-		for n := 0; n < len(p); n++ {
+		frametest.RefusesPrefixes(t, fmt.Sprintf("tag %d", want.tag), p, func(q []byte) error {
 			var short message
-			if err := short.decode(p[:n]); err == nil {
-				var cfg sim.Config
-				if short.tag != tagRange || decodeConfig(short.rng.Config, &cfg) == nil {
-					t.Fatalf("tag %d: %d-byte prefix of a %d-byte payload decoded", want.tag, n, len(p))
-				}
+			if err := short.decode(q); err != nil || short.tag != tagRange {
+				return err
 			}
-		}
+			var cfg sim.Config
+			return decodeConfig(short.rng.Config, &cfg)
+		})
 	}
 }
 
@@ -195,49 +195,6 @@ func gobRoundTrip[T any](t *testing.T, v T) T {
 		t.Fatal(err)
 	}
 	return out
-}
-
-// sameValue is reflect.DeepEqual except that two NaNs with the same bits
-// are equal, so a table entry can carry NaN. Like DeepEqual it tells a nil
-// slice or pointer from a non-nil one, holds −0 equal to +0 (gob drops a
-// −0 struct field as a zero value; the codec keeps its bits) and holds two
-// funcs equal only when both are nil (sim.Config has func fields).
-func sameValue(a, b reflect.Value) bool {
-	switch a.Kind() {
-	case reflect.Func:
-		return a.IsNil() && b.IsNil()
-	case reflect.Interface:
-		if a.IsNil() || b.IsNil() {
-			return a.IsNil() == b.IsNil()
-		}
-		return a.Elem().Type() == b.Elem().Type() && sameValue(a.Elem(), b.Elem())
-	case reflect.Float64:
-		x, y := a.Float(), b.Float()
-		return x == y || math.Float64bits(x) == math.Float64bits(y)
-	case reflect.Pointer:
-		if a.IsNil() || b.IsNil() {
-			return a.IsNil() == b.IsNil()
-		}
-		return sameValue(a.Elem(), b.Elem())
-	case reflect.Slice:
-		if a.IsNil() != b.IsNil() || a.Len() != b.Len() {
-			return false
-		}
-		for i := 0; i < a.Len(); i++ {
-			if !sameValue(a.Index(i), b.Index(i)) {
-				return false
-			}
-		}
-		return true
-	case reflect.Struct:
-		for i := 0; i < a.NumField(); i++ {
-			if !sameValue(a.Field(i), b.Field(i)) {
-				return false
-			}
-		}
-		return true
-	}
-	return a.Equal(b)
 }
 
 // TestClusterCodecMatchesGob pins the codec to the wire it replaced: every
@@ -271,7 +228,7 @@ func TestClusterCodecMatchesGob(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		want := gobRoundTrip(t, spec)
-		if decoded := specOf(t, &got); !reflect.DeepEqual(decoded, want) && !(tc.hasNaN && sameValue(reflect.ValueOf(decoded), reflect.ValueOf(want))) {
+		if decoded := specOf(t, &got); !reflect.DeepEqual(decoded, want) && !(tc.hasNaN && frametest.Same(decoded, want)) {
 			t.Errorf("job spec %s: codec decoded %+v, gob %+v", name, decoded, want)
 		}
 	}
@@ -295,23 +252,16 @@ func TestClusterCodecMatchesGob(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		want := gobRoundTrip(t, *tc.res)
-		if !reflect.DeepEqual(*got.result.Res, want) && !(tc.hasNaN && sameValue(reflect.ValueOf(*got.result.Res), reflect.ValueOf(want))) {
+		if !reflect.DeepEqual(*got.result.Res, want) && !(tc.hasNaN && frametest.Same(*got.result.Res, want)) {
 			t.Errorf("result %s: codec decoded %+v, gob %+v", name, *got.result.Res, want)
 		}
 	}
 }
 
-// leafSetter sets one leaf field, named by path, inside a zero value of
-// the walked type.
-type leafSetter struct {
-	path string
-	set  func(v reflect.Value)
-}
-
-// notOnWire names, by their leafSetters path, exactly the JobSpec fields
-// the codec does not carry: the five sim.Config fields Shardable
-// documents. The walk skips them and must meet each one; every other field
-// must survive.
+// notOnWire names, by their walk paths, exactly the JobSpec fields the
+// codec does not carry: the five sim.Config fields Shardable documents.
+// The walk skips them and must meet each one; every other field must
+// survive.
 var notOnWire = []string{
 	"JobSpec.Config.WiFiDelay",
 	"JobSpec.Config.CellularDelay",
@@ -320,51 +270,8 @@ var notOnWire = []string{
 	"JobSpec.Config.PolicyFactory",
 }
 
-// leafSetters walks t by reflection and returns one setter per leaf
-// field, reaching through pointers (allocated) and slices (one element).
-// A field whose path is a key of skip is left out, and its value set to
-// true. A field of a kind the codec has no encoding for fails the test.
-func leafSetters(t *testing.T, typ reflect.Type, path string, skip map[string]bool) []leafSetter {
-	var out []leafSetter
-	switch typ.Kind() {
-	case reflect.Struct:
-		for i := 0; i < typ.NumField(); i++ {
-			p := path + "." + typ.Field(i).Name
-			if _, ok := skip[p]; ok {
-				skip[p] = true
-				continue
-			}
-			for _, ls := range leafSetters(t, typ.Field(i).Type, p, skip) {
-				out = append(out, leafSetter{ls.path, func(v reflect.Value) { ls.set(v.Field(i)) }})
-			}
-		}
-	case reflect.Pointer:
-		for _, ls := range leafSetters(t, typ.Elem(), path, skip) {
-			out = append(out, leafSetter{ls.path, func(v reflect.Value) {
-				v.Set(reflect.New(typ.Elem()))
-				ls.set(v.Elem())
-			}})
-		}
-	case reflect.Slice:
-		for _, ls := range leafSetters(t, typ.Elem(), path+"[0]", skip) {
-			out = append(out, leafSetter{ls.path, func(v reflect.Value) {
-				v.Set(reflect.MakeSlice(typ, 1, 1))
-				ls.set(v.Index(0))
-			}})
-		}
-	case reflect.Int, reflect.Int64:
-		out = append(out, leafSetter{path, func(v reflect.Value) { v.SetInt(-7) }})
-	case reflect.Float64:
-		out = append(out, leafSetter{path, func(v reflect.Value) { v.SetFloat(0.375) }})
-	case reflect.Bool:
-		out = append(out, leafSetter{path, func(v reflect.Value) { v.SetBool(true) }})
-	case reflect.String:
-		out = append(out, leafSetter{path, func(v reflect.Value) { v.SetString("x") }})
-	default:
-		t.Errorf("%s: field of kind %s has no wire encoding", path, typ.Kind())
-	}
-	return out
-}
+// wireScalars are the values the field walk sets scalar leaves to.
+var wireScalars = frametest.Scalars{reflect.Int: -7, reflect.Int64: -7, reflect.Float64: 0.375, reflect.Bool: true, reflect.String: "x"}
 
 // TestClusterCodecCarriesEveryField walks JobSpec (and with it
 // sim.Config) and sim.Result by reflection and round-trips, for each leaf
@@ -374,46 +281,25 @@ func leafSetters(t *testing.T, typ reflect.Type, path string, skip map[string]bo
 // any of these types can never silently drop off the wire: the codec
 // carries it, or notOnWire names it.
 func TestClusterCodecCarriesEveryField(t *testing.T) {
-	met := make(map[string]bool)
-	for _, path := range notOnWire {
-		met[path] = false
-	}
-	specFields := leafSetters(t, reflect.TypeOf(JobSpec{}), "JobSpec", met)
-	for path, ok := range met {
-		if !ok {
-			t.Errorf("notOnWire names %s, which the walk never met", path)
-		}
-	}
-	for _, ls := range specFields {
-		var spec JobSpec
-		ls.set(reflect.ValueOf(&spec).Elem())
+	specFields := frametest.CarriesEveryField(t, "JobSpec", wireScalars, notOnWire, func(spec *JobSpec) (*JobSpec, error) {
 		var got message
-		sent := rangeOf(1, 0, 1, &spec)
-		if err := got.decode(sent.appendTo(nil)); err != nil || !reflect.DeepEqual(specOf(t, &got), spec) {
-			t.Errorf("%s does not survive the codec (%v)", ls.path, err)
+		sent := rangeOf(1, 0, 1, spec)
+		if err := got.decode(sent.appendTo(nil)); err != nil {
+			return nil, err
 		}
-	}
-	resultFields := leafSetters(t, reflect.TypeOf(sim.Result{}), "sim.Result", nil)
-	for _, ls := range resultFields {
-		var res sim.Result
-		ls.set(reflect.ValueOf(&res).Elem())
+		back := specOf(t, &got)
+		return &back, nil
+	})
+	resultFields := frametest.CarriesEveryField(t, "sim.Result", wireScalars, nil, func(res *sim.Result) (*sim.Result, error) {
 		var got message
-		err := got.decode((&message{tag: tagRunResult, result: runResultMsg{Res: &res}}).appendTo(nil))
-		if err != nil || !reflect.DeepEqual(*got.result.Res, res) {
-			t.Errorf("%s does not survive the codec (%v)", ls.path, err)
-		}
-	}
+		err := got.decode((&message{tag: tagRunResult, result: runResultMsg{Res: res}}).appendTo(nil))
+		return got.result.Res, err
+	})
 	// A floor on the walk itself, so a broken walker cannot pass vacuously.
-	if len(specFields) < 20 || len(resultFields) < 20 {
-		t.Fatalf("walked only %d JobSpec and %d sim.Result leaves", len(specFields), len(resultFields))
+	if specFields < 20 || resultFields < 20 {
+		t.Fatalf("walked only %d JobSpec and %d sim.Result leaves", specFields, resultFields)
 	}
 }
-
-// discardConn is a net.Conn whose writes vanish; a frame.Conn without
-// deadlines touches nothing else on the write path.
-type discardConn struct{ net.Conn }
-
-func (discardConn) Write(p []byte) (int, error) { return len(p), nil }
 
 // TestClusterCodecWarmAllocs is the allocation gate behind the encoders'
 // //repolint:allocfree markers: once an outbox has grown, encoding and
@@ -431,7 +317,7 @@ func TestClusterCodecWarmAllocs(t *testing.T) {
 		{tag: tagPong, pong: pongMsg{Seq: 4}},
 		{tag: tagRangeDone, rangeDone: rangeDoneMsg{Job: 3, First: 24}},
 	}
-	fc := frame.NewConn(discardConn{}, 0, 0, false)
+	fc := frame.NewConn(&frametest.Conn{}, 0, 0, false) // writes vanish
 	var out outbox
 	send := func() {
 		for i := range msgs {
@@ -459,27 +345,6 @@ func TestClusterCodecWarmAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(200, decode); allocs != 0 {
 		t.Fatalf("warm Range decode costs %.1f allocs/op, want 0", allocs)
 	}
-}
-
-// longestList returns the length of the longest slice reachable from v.
-func longestList(v reflect.Value) int {
-	n := 0
-	switch v.Kind() {
-	case reflect.Pointer:
-		if !v.IsNil() {
-			n = longestList(v.Elem())
-		}
-	case reflect.Slice:
-		n = v.Len()
-		for i := 0; i < v.Len(); i++ {
-			n = max(n, longestList(v.Index(i)))
-		}
-	case reflect.Struct:
-		for i := 0; i < v.NumField(); i++ {
-			n = max(n, longestList(v.Field(i)))
-		}
-	}
-	return n
 }
 
 // fuzzCodecSeeds is the checked-in seed corpus for FuzzClusterCodec: every
@@ -529,9 +394,7 @@ func FuzzClusterCodec(f *testing.F) {
 	f.Fuzz(func(t *testing.T, p []byte) {
 		var m message
 		err := m.decode(p)
-		if n := longestList(reflect.ValueOf(&m).Elem()); n > len(p) {
-			t.Fatalf("decoded a %d-element list from a %d-byte payload", n, len(p))
-		}
+		frametest.ListsFit(t, &m, p)
 		if err != nil {
 			return
 		}
@@ -545,9 +408,7 @@ func FuzzClusterCodec(f *testing.F) {
 		if decodeConfig(m.rng.Config, &cfg) != nil {
 			return
 		}
-		if n := longestList(reflect.ValueOf(&cfg).Elem()); n > len(p) {
-			t.Fatalf("decoded a %d-element config list from a %d-byte payload", n, len(p))
-		}
+		frametest.ListsFit(t, &cfg, p)
 		if got := appendConfig(nil, &cfg); !bytes.Equal(got, m.rng.Config) {
 			t.Fatalf("config %x decodes but re-encodes as %x", m.rng.Config, got)
 		}

@@ -2,15 +2,13 @@ package cluster
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 
 	"smartexp3/internal/frame"
+	"smartexp3/internal/frame/frametest"
 	"smartexp3/internal/sim"
 )
 
@@ -64,15 +62,6 @@ func (s *msgStream) next() (*message, error) {
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// frameHeader renders the frame layer's 12-byte header for a payload of
-// length n and checksum sum, with its own header checksum valid, so a seed
-// can carry exactly the framing fault it names.
-func frameHeader(n, sum uint32) []byte {
-	h := binary.BigEndian.AppendUint32(nil, n)
-	h = binary.BigEndian.AppendUint32(h, sum)
-	return binary.BigEndian.AppendUint32(h, crc32.Checksum(h, castagnoli))
-}
-
 // fuzzSeedFrames returns the checked-in seed corpus for FuzzFrameDecode: one
 // well-formed stream per message class, a multi-frame session prefix, and
 // the classic framing corruptions (zero length, oversized length, truncated
@@ -98,10 +87,10 @@ func fuzzSeedFrames(tb testing.TB) [][]byte {
 		// A realistic session prefix, both directions interleaved.
 		encodeFrames(tb, &rng, &next, res, res, done),
 		// Framing corruptions.
-		make([]byte, 12),                                  // zero-length frame, header checksum wrong too
-		frameHeader(0xffffffff, 0),                        // length far beyond the frame cap
-		append(frameHeader(5, 0), 1, 2),                   // body shorter than its prefix
-		append(frameHeader(4, 0), 0xde, 0xad, 0xbe, 0xef), // checksum mismatch
+		make([]byte, 12),                                       // zero-length frame, header checksum wrong too
+		frametest.Header(0xffffffff, 0),                        // length far beyond the frame cap
+		append(frametest.Header(5, 0), 1, 2),                   // body shorter than its prefix
+		append(frametest.Header(4, 0), 0xde, 0xad, 0xbe, 0xef), // checksum mismatch
 	}
 	truncated := encodeFrames(tb, &rng)
 	seeds = append(seeds, truncated[:len(truncated)-3])
@@ -110,7 +99,7 @@ func fuzzSeedFrames(tb testing.TB) [][]byte {
 	seeds = append(seeds, flipped)
 	padded := encodeFrames(tb, done)
 	body := append(padded[12:], 0xde, 0xad) // trailing bytes inside the declared frame
-	seeds = append(seeds, append(frameHeader(uint32(len(body)), crc32.Checksum(body, castagnoli)), body...))
+	seeds = append(seeds, append(frametest.Header(uint32(len(body)), crc32.Checksum(body, castagnoli)), body...))
 	return seeds
 }
 
@@ -174,26 +163,8 @@ func FuzzFrameRoundTrip(f *testing.F) {
 
 // TestWriteFuzzFrameDecodeCorpus regenerates the checked-in seed corpora
 // under testdata/fuzz/FuzzFrameDecode and testdata/fuzz/FuzzClusterCodec
-// when UPDATE_FUZZ_CORPUS=1. The files are the native go-fuzz corpus
-// encoding, so `go test -fuzz` and plain `go test` both replay them.
+// when UPDATE_FUZZ_CORPUS=1.
 func TestWriteFuzzFrameDecodeCorpus(t *testing.T) {
-	if os.Getenv("UPDATE_FUZZ_CORPUS") == "" {
-		t.Skip("set UPDATE_FUZZ_CORPUS=1 to regenerate the seed corpus")
-	}
-	for target, seeds := range map[string][][]byte{
-		"FuzzFrameDecode":  fuzzSeedFrames(t),
-		"FuzzClusterCodec": fuzzCodecSeeds(),
-	} {
-		dir := filepath.Join("testdata", "fuzz", target)
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		for i, seed := range seeds {
-			body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", seed)
-			name := filepath.Join(dir, fmt.Sprintf("seed-%02d", i))
-			if err := os.WriteFile(name, []byte(body), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
+	frametest.WriteCorpus(t, "FuzzFrameDecode", fuzzSeedFrames(t))
+	frametest.WriteCorpus(t, "FuzzClusterCodec", fuzzCodecSeeds())
 }

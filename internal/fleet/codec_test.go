@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"smartexp3/internal/frame"
+	"smartexp3/internal/frame/frametest"
 	"smartexp3/internal/serve"
 )
 
@@ -90,57 +91,11 @@ func TestFleetCodecRoundTrip(t *testing.T) {
 		if q := got.appendTo(nil); !bytes.Equal(q, saved) {
 			t.Fatalf("sample %d: the decoded message changed with the payload buffer, or re-encodes differently", i)
 		}
-		for n := 0; n < len(saved)-snapLen(want); n++ {
-			if short, err := decodeEnvelope(saved[:n]); err == nil {
-				t.Fatalf("sample %d: %d-byte prefix of a %d-byte payload decoded as %+v", i, n, len(saved), short)
-			}
-		}
+		frametest.RefusesPrefixes(t, fmt.Sprintf("sample %d", i), saved[:len(saved)-snapLen(want)], func(q []byte) error {
+			_, err := decodeEnvelope(q)
+			return err
+		})
 	}
-}
-
-// leafSetter sets one leaf field, named by path, inside a zero value of
-// the walked type.
-type leafSetter struct {
-	path string
-	set  func(v reflect.Value)
-}
-
-// leafSetters walks typ by reflection and returns one setter per leaf
-// field, reaching through pointers (allocated) and slices (one element).
-// A field of a kind the codec has no encoding for fails the test.
-func leafSetters(t *testing.T, typ reflect.Type, path string) []leafSetter {
-	var out []leafSetter
-	switch typ.Kind() {
-	case reflect.Struct:
-		for i := 0; i < typ.NumField(); i++ {
-			for _, ls := range leafSetters(t, typ.Field(i).Type, path+"."+typ.Field(i).Name) {
-				out = append(out, leafSetter{ls.path, func(v reflect.Value) { ls.set(v.Field(i)) }})
-			}
-		}
-	case reflect.Pointer:
-		for _, ls := range leafSetters(t, typ.Elem(), path) {
-			out = append(out, leafSetter{ls.path, func(v reflect.Value) {
-				v.Set(reflect.New(typ.Elem()))
-				ls.set(v.Elem())
-			}})
-		}
-	case reflect.Slice:
-		for _, ls := range leafSetters(t, typ.Elem(), path+"[0]") {
-			out = append(out, leafSetter{ls.path, func(v reflect.Value) {
-				v.Set(reflect.MakeSlice(typ, 1, 1))
-				ls.set(v.Index(0))
-			}})
-		}
-	case reflect.Int:
-		out = append(out, leafSetter{path, func(v reflect.Value) { v.SetInt(-7) }})
-	case reflect.Uint8, reflect.Uint64:
-		out = append(out, leafSetter{path, func(v reflect.Value) { v.SetUint(7) }})
-	case reflect.String:
-		out = append(out, leafSetter{path, func(v reflect.Value) { v.SetString("x") }})
-	default:
-		t.Errorf("%s: field of kind %s has no wire encoding", path, typ.Kind())
-	}
-	return out
 }
 
 // TestFleetCodecCarriesEveryField walks every message of the envelope —
@@ -149,31 +104,18 @@ func leafSetters(t *testing.T, typ reflect.Type, path string) []leafSetter {
 // codec; a field added to any of these types can never silently drop off
 // the wire.
 func TestFleetCodecCarriesEveryField(t *testing.T) {
-	envType := reflect.TypeOf(fleetEnvelope{})
-	leaves := 0
+	envType := reflect.TypeFor[fleetEnvelope]()
 	for i := 0; i < envType.NumField(); i++ {
-		field := envType.Field(i)
-		roundTrip := func(msg reflect.Value) (*fleetEnvelope, *fleetEnvelope) {
-			var env fleetEnvelope
-			reflect.ValueOf(&env).Elem().Field(i).Set(msg)
-			got, err := decodeEnvelope(env.appendTo(nil))
-			if err != nil {
-				t.Fatalf("%s: %v", field.Name, err)
-			}
-			return &env, got
-		}
-		if want, got := roundTrip(reflect.New(field.Type.Elem())); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s decoded as %+v", field.Name, got)
-		}
-		for _, ls := range leafSetters(t, field.Type, field.Name) {
-			msg := reflect.New(field.Type).Elem()
-			ls.set(msg)
-			if want, got := roundTrip(msg); !reflect.DeepEqual(got, want) {
-				t.Errorf("%s does not survive the codec: decoded %+v", ls.path, got)
-			}
-			leaves++
+		var env fleetEnvelope
+		reflect.ValueOf(&env).Elem().Field(i).Set(reflect.New(envType.Field(i).Type.Elem()))
+		if got, err := decodeEnvelope(env.appendTo(nil)); err != nil || !reflect.DeepEqual(got, &env) {
+			t.Errorf("%s decoded as %+v (%v)", envType.Field(i).Name, got, err)
 		}
 	}
+	scalars := frametest.Scalars{reflect.Int: -7, reflect.Uint8: 7, reflect.Uint64: 7, reflect.String: "x"}
+	leaves := frametest.CarriesEveryField(t, "", scalars, nil, func(env *fleetEnvelope) (*fleetEnvelope, error) {
+		return decodeEnvelope(env.appendTo(nil))
+	})
 	// A floor on the walk itself, so a broken walker cannot pass vacuously.
 	if leaves < 28 {
 		t.Fatalf("walked only %d leaves", leaves)
@@ -202,27 +144,6 @@ func TestPeerRejectsVersionMismatch(t *testing.T) {
 			}
 		}
 	}
-}
-
-// longestList returns the length of the longest slice reachable from v.
-func longestList(v reflect.Value) int {
-	n := 0
-	switch v.Kind() {
-	case reflect.Pointer:
-		if !v.IsNil() {
-			n = longestList(v.Elem())
-		}
-	case reflect.Slice:
-		n = v.Len()
-		for i := 0; i < v.Len(); i++ {
-			n = max(n, longestList(v.Index(i)))
-		}
-	case reflect.Struct:
-		for i := 0; i < v.NumField(); i++ {
-			n = max(n, longestList(v.Field(i)))
-		}
-	}
-	return n
 }
 
 // fuzzCodecSeeds is the checked-in seed corpus for FuzzFleetCodec: every
@@ -258,9 +179,7 @@ func FuzzFleetCodec(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, p []byte) {
 		env, err := decodeEnvelope(p)
-		if n := longestList(reflect.ValueOf(env)); n > len(p) {
-			t.Fatalf("decoded a %d-element list from a %d-byte payload", n, len(p))
-		}
+		frametest.ListsFit(t, env, p)
 		if err != nil {
 			return
 		}

@@ -2,39 +2,14 @@ package fleet
 
 import (
 	"bytes"
-	"fmt"
 	"io"
-	"net"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
 	"smartexp3/internal/frame"
+	"smartexp3/internal/frame/frametest"
 	"smartexp3/internal/serve"
 )
-
-// fuzzConn replays a fixed byte stream as a net.Conn: reads come from
-// the fuzz input, writes vanish, deadlines are accepted and ignored —
-// the same trick the serve layer's fuzz target uses to drive a full
-// connection loop without sockets.
-type fuzzConn struct {
-	r io.Reader
-}
-
-func (c *fuzzConn) Read(p []byte) (int, error)       { return c.r.Read(p) }
-func (c *fuzzConn) Write(p []byte) (int, error)      { return len(p), nil }
-func (c *fuzzConn) Close() error                     { return nil }
-func (c *fuzzConn) LocalAddr() net.Addr              { return fuzzAddr{} }
-func (c *fuzzConn) RemoteAddr() net.Addr             { return fuzzAddr{} }
-func (c *fuzzConn) SetDeadline(time.Time) error      { return nil }
-func (c *fuzzConn) SetReadDeadline(time.Time) error  { return nil }
-func (c *fuzzConn) SetWriteDeadline(time.Time) error { return nil }
-
-type fuzzAddr struct{}
-
-func (fuzzAddr) Network() string { return "fuzz" }
-func (fuzzAddr) String() string  { return "fuzz" }
 
 // encodeFleetFrames renders a control request sequence exactly as a real
 // coordinator would: the hello h unless nil, then one frame per envelope.
@@ -62,13 +37,7 @@ func fuzzFleetSeeds(tb testing.TB) [][]byte {
 	tb.Helper()
 	h := hello
 	h.Info = "fuzz"
-	tab, err := NewTable(2, []PeerInfo{
-		{ID: "fz", Addr: "fz:1", Control: "fz:2"},
-		{ID: "other", Addr: "other:1", Control: "other:2"},
-	})
-	if err != nil {
-		tb.Fatal(err)
-	}
+	tab := fuzzPeerTable(tb)
 	tab2 := tab.Clone()
 	tab2.Epoch = 2
 	// A stripe the fuzz peer owns, so the cut is accepted and the
@@ -145,6 +114,32 @@ func fuzzPeerTable(tb testing.TB) *Table {
 	return tab
 }
 
+// fuzzPeer is the peer a FuzzFleetWire iteration drives: a fresh store
+// under fuzzPeerTable, as peer "fz".
+func fuzzPeer(tb testing.TB) (*serve.Store, *Peer) {
+	tb.Helper()
+	store, err := serve.NewStore(serve.Config{Seed: 42})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	p, err := NewPeer(store, PeerOptions{
+		ID:           "fz",
+		FrameTimeout: -1,
+		// A fuzzed cut leaves a drain pointing at a garbage address;
+		// the resolver must fail fast, not retry for real-world
+		// intervals.
+		ResolveAttempts: 1,
+		ResolveDelay:    time.Millisecond,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := p.InstallTable(fuzzPeerTable(tb)); err != nil {
+		tb.Fatal(err)
+	}
+	return store, p
+}
+
 // FuzzFleetWire throws arbitrary byte streams at a live control
 // connection loop. The invariants: no panic, the loop terminates, any
 // drains the stream left behind resolve when the connection dies (the
@@ -159,26 +154,8 @@ func FuzzFleetWire(f *testing.F) {
 		// A fresh peer per iteration: fuzzed commits install arbitrary
 		// valid tables, and epochs only move forward, so reuse would let
 		// one iteration shadow the next's fixture.
-		store, err := serve.NewStore(serve.Config{Seed: 42})
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := NewPeer(store, PeerOptions{
-			ID:           "fz",
-			FrameTimeout: -1,
-			// A fuzzed cut leaves a drain pointing at a garbage address;
-			// the resolver must fail fast, not retry for real-world
-			// intervals.
-			ResolveAttempts: 1,
-			ResolveDelay:    time.Millisecond,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := p.InstallTable(fuzzPeerTable(t)); err != nil {
-			t.Fatal(err)
-		}
-		_ = p.serveControl(&fuzzConn{r: bytes.NewReader(data)})
+		store, p := fuzzPeer(t)
+		_ = p.serveControl(&frametest.Conn{R: bytes.NewReader(data)})
 		if tab := p.Table(); tab != nil {
 			if err := tab.Validate(); err != nil {
 				t.Fatalf("fuzzed connection installed an invalid table: %v", err)
@@ -190,27 +167,59 @@ func FuzzFleetWire(f *testing.F) {
 	})
 }
 
+// TestFuzzFleetWireSessionSeedMigrates replays the corpus's full
+// migration session (seed 2) against a peer and reads its replies: the
+// cut drains the stripe, the offer is staged, the commit installs the
+// bumped table, and the closing table fetch reads epoch 2. A snapshot or
+// table change that makes the peer refuse the seed fails here rather
+// than quietly leaving the fuzz target without a session that stages a
+// stripe.
+func TestFuzzFleetWireSessionSeedMigrates(t *testing.T) {
+	_, p := fuzzPeer(t)
+	var out bytes.Buffer
+	if err := p.serveControl(&frametest.Conn{R: bytes.NewReader(fuzzFleetSeeds(t)[2]), W: &out}); err != nil {
+		t.Fatal(err)
+	}
+	fr := frame.NewReader(&out)
+	if _, err := fr.ReadFrame(); err != nil { // the hello ack
+		t.Fatal(err)
+	}
+	var replies []*fleetEnvelope
+	for {
+		b, err := fr.ReadFrame()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		env, err := decodeEnvelope(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		replies = append(replies, env)
+	}
+	if len(replies) != 5 {
+		t.Fatalf("the session drew %d replies, want 5 (cut, offer, commit, checkpoint, table)", len(replies))
+	}
+	if st := replies[0].State; st == nil || st.Err != "" {
+		t.Fatalf("cut answered %+v, want a state", st)
+	}
+	if ack := replies[1].OfferAck; ack == nil || ack.Err != "" {
+		t.Fatalf("offer answered %+v, want an ack", ack)
+	}
+	if done := replies[2].Done; done == nil || done.Err != "" {
+		t.Fatalf("commit answered %+v, want done", done)
+	}
+	if res := replies[4].TableRes; res == nil || res.Table == nil || res.Table.Epoch != 2 {
+		t.Fatalf("the closing table fetch answered %+v, want epoch 2", res)
+	}
+}
+
 // TestWriteFuzzFleetWireCorpus regenerates the checked-in seed corpora
 // under testdata/fuzz/FuzzFleetWire and testdata/fuzz/FuzzFleetCodec when
 // UPDATE_FUZZ_CORPUS=1.
 func TestWriteFuzzFleetWireCorpus(t *testing.T) {
-	if os.Getenv("UPDATE_FUZZ_CORPUS") == "" {
-		t.Skip("set UPDATE_FUZZ_CORPUS=1 to regenerate the seed corpora")
-	}
-	for target, seeds := range map[string][][]byte{
-		"FuzzFleetWire":  fuzzFleetSeeds(t),
-		"FuzzFleetCodec": fuzzCodecSeeds(),
-	} {
-		dir := filepath.Join("testdata", "fuzz", target)
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		for i, seed := range seeds {
-			body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", seed)
-			name := filepath.Join(dir, fmt.Sprintf("seed-%02d", i))
-			if err := os.WriteFile(name, []byte(body), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
+	frametest.WriteCorpus(t, "FuzzFleetWire", fuzzFleetSeeds(t))
+	frametest.WriteCorpus(t, "FuzzFleetCodec", fuzzCodecSeeds())
 }

@@ -2,7 +2,6 @@ package frame
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"hash/crc32"
 	"io"
@@ -11,16 +10,9 @@ import (
 	"strings"
 	"testing"
 	"time"
-)
 
-// header renders a 12-byte frame header for a payload of length n and
-// checksum sum, with a valid header checksum, so a test can carry exactly
-// the fault it names.
-func header(n, sum uint32) []byte {
-	h := binary.BigEndian.AppendUint32(nil, n)
-	h = binary.BigEndian.AppendUint32(h, sum)
-	return binary.BigEndian.AppendUint32(h, crc32.Checksum(h, castagnoli))
-}
+	"smartexp3/internal/frame/frametest"
+)
 
 // TestCorruptHeaderFailsFast pins the header checksum: a header with any
 // one bit flipped — a length that still fits under the cap included —
@@ -28,7 +20,7 @@ func header(n, sum uint32) []byte {
 // reader wait for a body that never comes until some frame timeout fires.
 func TestCorruptHeaderFailsFast(t *testing.T) {
 	payload := bytes.Repeat([]byte{0x5a}, 100)
-	valid := header(uint32(len(payload)), crc32.Checksum(payload, castagnoli))
+	valid := frametest.Header(uint32(len(payload)), crc32.Checksum(payload, castagnoli))
 	for bit := 0; bit < 8*headerSize; bit++ {
 		hdr := append([]byte(nil), valid...)
 		hdr[bit/8] ^= 0x80 >> (bit % 8)
@@ -58,9 +50,9 @@ func TestCorruptHeaderFailsFast(t *testing.T) {
 // header whose own checksum holds.
 func TestFrameLengthGuards(t *testing.T) {
 	for _, raw := range [][]byte{
-		header(0xffffffff, 0),      // ~4 GiB claim
-		header(maxFrameBytes+1, 0), // just past the cap
-		header(0, 0),               // zero-length frame
+		frametest.Header(0xffffffff, 0),      // ~4 GiB claim
+		frametest.Header(maxFrameBytes+1, 0), // just past the cap
+		frametest.Header(0, 0),               // zero-length frame
 	} {
 		fr := NewReader(bytes.NewReader(raw))
 		if _, err := fr.ReadFrame(); err == nil || !strings.Contains(err.Error(), "length") {

@@ -3,14 +3,12 @@ package frame
 import (
 	"bytes"
 	"encoding/binary"
-	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 
 	"smartexp3/internal/chaos"
+	"smartexp3/internal/frame/frametest"
 )
 
 // encodeRaw frames each payload exactly as a connection would.
@@ -37,13 +35,13 @@ func fuzzSeedFrames(tb testing.TB) [][]byte {
 		helloFrame,
 		encodeRaw(tb, []byte{1}),
 		encodeRaw(tb, []byte("select"), []byte("feedback"), bytes.Repeat([]byte{7}, 300)),
-		make([]byte, headerSize),                         // zero header: its own checksum fails
-		header(0xffffffff, 0),                            // length far beyond the cap
-		append(header(5, 0), 1, 2),                       // body shorter than its length
-		append(header(4, 0), 0xde, 0xad, 0xbe, 0xef),     // payload checksum mismatch
-		append(header(4, 0)[:headerSize-1], 0, 1, 2, 3),  // header checksum mismatch
-		helloFrame[:len(helloFrame)-3],                   // truncated body
-		append(append([]byte(nil), helloFrame...), 0xff), // a stray byte after a frame
+		make([]byte, headerSize),                                  // zero header: its own checksum fails
+		frametest.Header(0xffffffff, 0),                           // length far beyond the cap
+		append(frametest.Header(5, 0), 1, 2),                      // body shorter than its length
+		append(frametest.Header(4, 0), 0xde, 0xad, 0xbe, 0xef),    // payload checksum mismatch
+		append(frametest.Header(4, 0)[:headerSize-1], 0, 1, 2, 3), // header checksum mismatch
+		helloFrame[:len(helloFrame)-3],                            // truncated body
+		append(append([]byte(nil), helloFrame...), 0xff),          // a stray byte after a frame
 	}
 	lengthFlip := append([]byte(nil), helloFrame...)
 	lengthFlip[3] ^= 0x10 // a length that still fits the cap: the header check must catch it
@@ -146,27 +144,14 @@ func chaosFrameStream(tb testing.TB) (stream []byte, payloads [][]byte, frameEnd
 	return buf.Bytes(), payloads, frameEnds
 }
 
-// chaosFrameSeeds is the checked-in corpus for FuzzChaosFrame: chaos
-// parameters from "no fault lands" through "a fault on every byte".
-func chaosFrameSeeds() [][5]uint64 {
-	return [][5]uint64{
-		// seed, minGap, maxGap, corrupt, cut
-		{7, 64, 512, 3, 1},
-		{1, 0, 0, 1, 0},       // default gaps, corruption only
-		{2, 16, 64, 0, 1},     // early cuts
-		{3, 1, 1, 1, 1},       // a fault on every byte past the first
-		{4, 4096, 8192, 7, 7}, // gaps wider than most frames
-	}
-}
-
 // FuzzChaosFrame feeds chaos-mangled frame streams to the frame reader.
 // The invariant is the checksums' contract: every frame wholly before the
 // first fault reads back exactly as it was written, the frame containing
 // the fault surfaces an error (a damaged header or body must never be
 // delivered), and the stream stays dead after it.
 func FuzzChaosFrame(f *testing.F) {
-	for _, s := range chaosFrameSeeds() {
-		f.Add(int64(s[0]), s[1], s[2], s[3], s[4])
+	for _, s := range frametest.ChaosFrameSeeds() {
+		f.Add(s.Seed, s.MinGap, s.MaxGap, s.Corrupt, s.Cut)
 	}
 	clean, want, frameEnds := chaosFrameStream(f)
 	f.Fuzz(func(t *testing.T, seed int64, minGap, maxGap, corrupt, cut uint64) {
@@ -202,42 +187,13 @@ func FuzzChaosFrame(f *testing.F) {
 }
 
 // TestWriteFuzzFrameDecodeCorpus regenerates the checked-in seed corpus
-// under testdata/fuzz/FuzzFrameDecode when UPDATE_FUZZ_CORPUS=1. The files
-// are the native go-fuzz corpus encoding, so `go test -fuzz` and plain
-// `go test` both replay them.
+// under testdata/fuzz/FuzzFrameDecode when UPDATE_FUZZ_CORPUS=1.
 func TestWriteFuzzFrameDecodeCorpus(t *testing.T) {
-	if os.Getenv("UPDATE_FUZZ_CORPUS") == "" {
-		t.Skip("set UPDATE_FUZZ_CORPUS=1 to regenerate the seed corpus")
-	}
-	var bodies []string
-	for _, seed := range fuzzSeedFrames(t) {
-		bodies = append(bodies, fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", seed))
-	}
-	writeCorpus(t, "FuzzFrameDecode", bodies)
+	frametest.WriteCorpus(t, "FuzzFrameDecode", fuzzSeedFrames(t))
 }
 
 // TestWriteFuzzChaosFrameCorpus regenerates the checked-in seed corpus
 // under testdata/fuzz/FuzzChaosFrame when UPDATE_FUZZ_CORPUS=1.
 func TestWriteFuzzChaosFrameCorpus(t *testing.T) {
-	if os.Getenv("UPDATE_FUZZ_CORPUS") == "" {
-		t.Skip("set UPDATE_FUZZ_CORPUS=1 to regenerate the seed corpus")
-	}
-	var bodies []string
-	for _, s := range chaosFrameSeeds() {
-		bodies = append(bodies, fmt.Sprintf("go test fuzz v1\nint64(%d)\nuint64(%d)\nuint64(%d)\nuint64(%d)\nuint64(%d)\n",
-			int64(s[0]), s[1], s[2], s[3], s[4]))
-	}
-	writeCorpus(t, "FuzzChaosFrame", bodies)
-}
-
-func writeCorpus(t *testing.T, target string, bodies []string) {
-	dir := filepath.Join("testdata", "fuzz", target)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	for i, body := range bodies {
-		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("seed-%02d", i)), []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	frametest.WriteCorpus(t, "FuzzChaosFrame", frametest.ChaosFrameSeeds())
 }

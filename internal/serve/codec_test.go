@@ -3,12 +3,14 @@ package serve
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"net"
 	"testing"
 	"time"
 
 	"smartexp3/internal/frame"
+	"smartexp3/internal/frame/frametest"
 )
 
 // codecSamples is one representative of every message, optional parts
@@ -53,12 +55,10 @@ func TestWireCodecRoundTrip(t *testing.T) {
 		if q := got.appendTo(nil); !bytes.Equal(q, p) {
 			t.Fatalf("tag %d: re-encoding differs:\n%x\n%x", want.tag, p, q)
 		}
-		for n := 0; n < len(p); n++ {
+		frametest.RefusesPrefixes(t, fmt.Sprintf("tag %d", want.tag), p, func(q []byte) error {
 			var short message
-			if err := short.decode(p[:n]); err == nil {
-				t.Fatalf("tag %d: %d-byte prefix of a %d-byte payload decoded", want.tag, n, len(p))
-			}
-		}
+			return short.decode(q)
+		})
 	}
 }
 

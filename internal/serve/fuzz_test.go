@@ -2,37 +2,11 @@ package serve
 
 import (
 	"bytes"
-	"fmt"
-	"io"
-	"net"
-	"os"
-	"path/filepath"
 	"testing"
-	"time"
 
 	"smartexp3/internal/frame"
+	"smartexp3/internal/frame/frametest"
 )
-
-// fuzzConn replays a fixed byte stream as a net.Conn: reads come from the
-// fuzz input, writes vanish, deadlines are accepted and ignored. It is what
-// lets the fuzzer drive serveConn's full request loop without sockets.
-type fuzzConn struct {
-	r io.Reader
-}
-
-func (c *fuzzConn) Read(p []byte) (int, error)       { return c.r.Read(p) }
-func (c *fuzzConn) Write(p []byte) (int, error)      { return len(p), nil }
-func (c *fuzzConn) Close() error                     { return nil }
-func (c *fuzzConn) LocalAddr() net.Addr              { return fuzzAddr{} }
-func (c *fuzzConn) RemoteAddr() net.Addr             { return fuzzAddr{} }
-func (c *fuzzConn) SetDeadline(time.Time) error      { return nil }
-func (c *fuzzConn) SetReadDeadline(time.Time) error  { return nil }
-func (c *fuzzConn) SetWriteDeadline(time.Time) error { return nil }
-
-type fuzzAddr struct{}
-
-func (fuzzAddr) Network() string { return "fuzz" }
-func (fuzzAddr) String() string  { return "fuzz" }
 
 // encodeServeFrames renders a client request sequence exactly as a real
 // client would: the hello h unless nil, then each message encoded by the
@@ -105,7 +79,7 @@ func FuzzServeRequest(f *testing.F) {
 	}
 	srv := NewServer(store, ServerOptions{FrameTimeout: -1})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_ = srv.serveConn(&fuzzConn{r: bytes.NewReader(data)})
+		_ = srv.serveConn(&frametest.Conn{R: bytes.NewReader(data)})
 		// The store survives whatever the connection did: a fresh device
 		// must still select within its arm set.
 		arms := []int{100000, 100001}
@@ -179,23 +153,6 @@ func FuzzServeCodec(f *testing.F) {
 // testdata/fuzz/FuzzServeRequest and testdata/fuzz/FuzzServeCodec when
 // UPDATE_FUZZ_CORPUS=1.
 func TestWriteFuzzServeRequestCorpus(t *testing.T) {
-	if os.Getenv("UPDATE_FUZZ_CORPUS") == "" {
-		t.Skip("set UPDATE_FUZZ_CORPUS=1 to regenerate the seed corpora")
-	}
-	for target, seeds := range map[string][][]byte{
-		"FuzzServeRequest": fuzzServeSeeds(t),
-		"FuzzServeCodec":   fuzzCodecSeeds(),
-	} {
-		dir := filepath.Join("testdata", "fuzz", target)
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		for i, seed := range seeds {
-			body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", seed)
-			name := filepath.Join(dir, fmt.Sprintf("seed-%02d", i))
-			if err := os.WriteFile(name, []byte(body), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
+	frametest.WriteCorpus(t, "FuzzServeRequest", fuzzServeSeeds(t))
+	frametest.WriteCorpus(t, "FuzzServeCodec", fuzzCodecSeeds())
 }

@@ -16,6 +16,7 @@ import (
 
 	"smartexp3/internal/core"
 	"smartexp3/internal/frame"
+	"smartexp3/internal/frame/frametest"
 	"smartexp3/internal/rngutil"
 )
 
@@ -41,38 +42,6 @@ func gobDevice(t *testing.T, ds *DeviceSnapshot) DeviceSnapshot {
 		t.Fatal(err)
 	}
 	return out
-}
-
-// sameValue is reflect.DeepEqual except that two NaNs with the same bits
-// are equal and −0 equals +0 (gob drops a −0 struct field as a zero value;
-// the codec keeps its bits, which TestSnapshotCodecMatchesGob checks
-// separately).
-func sameValue(a, b reflect.Value) bool {
-	switch a.Kind() {
-	case reflect.Float64:
-		x, y := a.Float(), b.Float()
-		return x == y || math.Float64bits(x) == math.Float64bits(y)
-	case reflect.Slice:
-		if a.IsNil() != b.IsNil() || a.Len() != b.Len() {
-			return false
-		}
-		fallthrough
-	case reflect.Array:
-		for i := 0; i < a.Len(); i++ {
-			if !sameValue(a.Index(i), b.Index(i)) {
-				return false
-			}
-		}
-		return true
-	case reflect.Struct:
-		for i := 0; i < a.NumField(); i++ {
-			if !sameValue(a.Field(i), b.Field(i)) {
-				return false
-			}
-		}
-		return true
-	}
-	return a.Equal(b)
 }
 
 // TestSnapshotCodecMatchesGob pins the v5 record to the encoding it
@@ -113,18 +82,16 @@ func TestSnapshotCodecMatchesGob(t *testing.T) {
 		if err := decodeRecord(&r, p, &got); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if want := gobDevice(t, ds); !sameValue(reflect.ValueOf(got), reflect.ValueOf(want)) {
+		if want := gobDevice(t, ds); !frametest.Same(got, want) {
 			t.Errorf("%s: codec decoded %+v, gob %+v", name, got.State, want.State)
 		}
 		if q := appendRecord(nil, &got); !bytes.Equal(q, p) {
 			t.Errorf("%s: re-encoding differs", name)
 		}
-		for n := 0; n < len(p); n++ {
+		frametest.RefusesPrefixes(t, name, p, func(q []byte) error {
 			var short DeviceSnapshot
-			if decodeRecord(&r, p[:n], &short) == nil {
-				t.Fatalf("%s: %d-byte prefix of a %d-byte record decoded", name, n, len(p))
-			}
-		}
+			return decodeRecord(&r, q, &short)
+		})
 	}
 	// The bits gob normalizes away, kept exactly.
 	var back DeviceSnapshot
@@ -145,54 +112,6 @@ func emptyListState() (s core.PolicyState) {
 	return s
 }
 
-// leafSetter sets one leaf field, named by path, inside a zero value of
-// the walked type.
-type leafSetter struct {
-	path string
-	set  func(v reflect.Value)
-}
-
-// leafSetters walks typ by reflection and returns one setter per leaf
-// field, reaching into slices (one element) and arrays (the first and
-// last elements). Every value it sets is one the record decodes as it is:
-// 5 for integers, which every cursor bound admits. A field of a kind the
-// record has no encoding for fails the test.
-func leafSetters(t *testing.T, typ reflect.Type, path string) []leafSetter {
-	var out []leafSetter
-	switch typ.Kind() {
-	case reflect.Struct:
-		for i := 0; i < typ.NumField(); i++ {
-			for _, ls := range leafSetters(t, typ.Field(i).Type, path+"."+typ.Field(i).Name) {
-				out = append(out, leafSetter{ls.path, func(v reflect.Value) { ls.set(v.Field(i)) }})
-			}
-		}
-	case reflect.Slice:
-		for _, ls := range leafSetters(t, typ.Elem(), path+"[0]") {
-			out = append(out, leafSetter{ls.path, func(v reflect.Value) {
-				v.Set(reflect.MakeSlice(typ, 1, 1))
-				ls.set(v.Index(0))
-			}})
-		}
-	case reflect.Array:
-		for _, i := range []int{0, typ.Len() - 1} {
-			for _, ls := range leafSetters(t, typ.Elem(), fmt.Sprintf("%s[%d]", path, i)) {
-				out = append(out, leafSetter{ls.path, func(v reflect.Value) { ls.set(v.Index(i)) }})
-			}
-		}
-	case reflect.Int, reflect.Int64:
-		out = append(out, leafSetter{path, func(v reflect.Value) { v.SetInt(5) }})
-	case reflect.Uint64:
-		out = append(out, leafSetter{path, func(v reflect.Value) { v.SetUint(5) }})
-	case reflect.Float64:
-		out = append(out, leafSetter{path, func(v reflect.Value) { v.SetFloat(0.375) }})
-	case reflect.Bool:
-		out = append(out, leafSetter{path, func(v reflect.Value) { v.SetBool(true) }})
-	default:
-		t.Errorf("%s: field of kind %s has no record encoding", path, typ.Kind())
-	}
-	return out
-}
-
 // TestSnapshotCodecCarriesEveryField walks DeviceSnapshot — with it
 // rngutil.SourceState and core.PolicyState — by reflection and round-trips,
 // for each leaf field, a device with only that field set. The generator
@@ -203,7 +122,10 @@ func leafSetters(t *testing.T, typ reflect.Type, path string) []leafSetter {
 // test by name, so a field added to any of these types can never silently
 // drop out of a snapshot.
 func TestSnapshotCodecCarriesEveryField(t *testing.T) {
-	leaves := leafSetters(t, reflect.TypeOf(DeviceSnapshot{}), "DeviceSnapshot")
+	// Every value the walk sets is one the record decodes as it is: 5 for
+	// integers, which every cursor bound admits.
+	scalars := frametest.Scalars{reflect.Int: 5, reflect.Int64: 5, reflect.Uint64: 5, reflect.Float64: 0.375, reflect.Bool: true}
+	leaves := frametest.Walk(t, reflect.TypeFor[DeviceSnapshot](), "DeviceSnapshot", scalars)
 	forms := []rngutil.SourceState{{}, {Seed: 1}} // the ring form, then the compact form
 	carried := make([]int, len(forms))
 	var r frame.PayloadReader
@@ -211,7 +133,7 @@ func TestSnapshotCodecCarriesEveryField(t *testing.T) {
 		survived := false
 		for i, form := range forms {
 			ds := DeviceSnapshot{Rng: form}
-			ls.set(reflect.ValueOf(&ds).Elem())
+			ls.Set(reflect.ValueOf(&ds).Elem())
 			var got DeviceSnapshot
 			err := decodeRecord(&r, appendRecord(nil, &ds), &got)
 			if err == nil && reflect.DeepEqual(got, ds) {
@@ -220,7 +142,7 @@ func TestSnapshotCodecCarriesEveryField(t *testing.T) {
 			}
 		}
 		if !survived {
-			t.Errorf("%s does not survive the record in either generator form", ls.path)
+			t.Errorf("%s does not survive the record in either generator form", ls.Path)
 		}
 	}
 	// A floor on the walk itself, so a broken walker cannot pass vacuously.
@@ -415,17 +337,6 @@ func fuzzSnapshotSeeds(tb testing.TB) [][]byte {
 	}
 }
 
-// longestList returns the length of the longest list in st.
-func longestList(v reflect.Value) int {
-	n := 0
-	for i := 0; i < v.NumField(); i++ {
-		if f := v.Field(i); f.Kind() == reflect.Slice {
-			n = max(n, f.Len())
-		}
-	}
-	return n
-}
-
 // FuzzSnapshotCodec throws arbitrary bytes at the record decoder and at
 // ReadSnapshot. The invariants: no panic; a record or a stream that
 // decodes re-encodes to exactly the same bytes (the layout is canonical,
@@ -440,9 +351,7 @@ func FuzzSnapshotCodec(f *testing.F) {
 		var ds DeviceSnapshot
 		var r frame.PayloadReader
 		err := decodeRecord(&r, p, &ds)
-		if n := longestList(reflect.ValueOf(ds.State)); n > len(p) {
-			t.Fatalf("decoded a %d-element list from a %d-byte record", n, len(p))
-		}
+		frametest.ListsFit(t, ds.State, p)
 		if err == nil {
 			if got := appendRecord(nil, &ds); !bytes.Equal(got, p) {
 				t.Fatalf("record %x decodes but re-encodes as %x", p, got)
@@ -461,17 +370,5 @@ func FuzzSnapshotCodec(f *testing.F) {
 // TestWriteFuzzSnapshotCodecCorpus regenerates the checked-in seed corpus
 // under testdata/fuzz/FuzzSnapshotCodec when UPDATE_FUZZ_CORPUS=1.
 func TestWriteFuzzSnapshotCodecCorpus(t *testing.T) {
-	if os.Getenv("UPDATE_FUZZ_CORPUS") == "" {
-		t.Skip("set UPDATE_FUZZ_CORPUS=1 to regenerate the seed corpus")
-	}
-	dir := filepath.Join("testdata", "fuzz", "FuzzSnapshotCodec")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	for i, seed := range fuzzSnapshotSeeds(t) {
-		body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", seed)
-		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("seed-%02d", i)), []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	frametest.WriteCorpus(t, "FuzzSnapshotCodec", fuzzSnapshotSeeds(t))
 }
