@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"math/rand"
 
 	"smartexp3/internal/core"
 	"smartexp3/internal/dist"
@@ -15,13 +16,6 @@ type RunConfig struct {
 	Pair      Pair
 	Algorithm core.Algorithm
 	Seed      int64
-	// Core configures EXP3-family policies; zero value = core.DefaultConfig.
-	Core core.Config
-	// GainScale maps bit rates to [0,1]; defaults to the pair's maximum.
-	GainScale float64
-	// WiFiDelay and CellularDelay model the switching cost; nil = defaults.
-	WiFiDelay     dist.Sampler
-	CellularDelay dist.Sampler
 }
 
 // RunResult is the outcome of one trace-driven run.
@@ -41,7 +35,67 @@ type RunResult struct {
 	RateMbps []float64
 }
 
-// Run executes one trace-driven selection run.
+// Device is one device choosing between a WiFi and a cellular network
+// (WiFiIndex and CellularIndex), the slot step of the trace-driven run and
+// of the in-the-wild download. It owns the policy, the policy's random
+// stream and the Section II-B switching-delay models.
+type Device struct {
+	policy      core.Policy
+	rng         *rand.Rand
+	wifiDelay   dist.Sampler
+	cellDelay   dist.Sampler
+	slotSeconds float64
+	scale       float64
+	last        int
+	// Switches counts network changes so far.
+	Switches int
+}
+
+// NewDevice returns a device running alg (with core.DefaultConfig) on the
+// stream rngutil.New(seed). A slot lasts slotSeconds, and a bit rate is
+// observed as the gain rate/scale.
+func NewDevice(alg core.Algorithm, seed int64, slotSeconds, scale float64) (*Device, error) {
+	rng := rngutil.New(seed)
+	policy, err := core.New(alg, []int{WiFiIndex, CellularIndex}, core.DefaultConfig(), rng)
+	if err != nil {
+		return nil, err
+	}
+	return &Device{
+		policy:      policy,
+		rng:         rng,
+		wifiDelay:   dist.DefaultWiFiDelay(),
+		cellDelay:   dist.DefaultCellularDelay(),
+		slotSeconds: slotSeconds,
+		scale:       scale,
+		last:        -1,
+	}, nil
+}
+
+// Select returns the network the device uses this slot.
+func (d *Device) Select() int { return d.policy.Select() }
+
+// Observe closes the slot in which the device used network choice at the
+// given bit rate. A change of network costs a switching delay, drawn from
+// the policy's stream and clamped to [0, slot]; Observe returns it (zero
+// without a switch) for the caller to charge. The policy then learns the
+// gain rate/scale.
+func (d *Device) Observe(choice int, rate float64) (delay float64) {
+	if d.last >= 0 && choice != d.last {
+		d.Switches++
+		if choice == CellularIndex {
+			delay = d.cellDelay.Sample(d.rng)
+		} else {
+			delay = d.wifiDelay.Sample(d.rng)
+		}
+		delay = min(max(delay, 0), d.slotSeconds)
+	}
+	d.last = choice
+	d.policy.Observe(rate / d.scale)
+	return delay
+}
+
+// Run executes one trace-driven selection run. The gain scale is the
+// pair's largest bit rate.
 func Run(cfg RunConfig) (*RunResult, error) {
 	if err := cfg.Pair.Validate(); err != nil {
 		return nil, err
@@ -51,28 +105,11 @@ func Run(cfg RunConfig) (*RunResult, error) {
 	if slotSeconds <= 0 {
 		slotSeconds = paperSlotSeconds
 	}
-	scale := cfg.GainScale
-	if scale <= 0 {
-		scale = cfg.Pair.MaxRate()
-	}
+	scale := cfg.Pair.MaxRate()
 	if scale <= 0 {
 		return nil, fmt.Errorf("trace: pair %q has zero rates throughout", cfg.Pair.Name)
 	}
-	coreCfg := cfg.Core
-	if coreCfg.Gamma == nil {
-		coreCfg = core.DefaultConfig()
-	}
-	wifiDelay := cfg.WiFiDelay
-	if wifiDelay == nil {
-		wifiDelay = dist.DefaultWiFiDelay()
-	}
-	cellDelay := cfg.CellularDelay
-	if cellDelay == nil {
-		cellDelay = dist.DefaultCellularDelay()
-	}
-
-	rng := rngutil.New(cfg.Seed)
-	policy, err := core.New(cfg.Algorithm, []int{WiFiIndex, CellularIndex}, coreCfg, rng)
+	dev, err := NewDevice(cfg.Algorithm, cfg.Seed, slotSeconds, scale)
 	if err != nil {
 		return nil, err
 	}
@@ -81,31 +118,15 @@ func Run(cfg RunConfig) (*RunResult, error) {
 		Selections: make([]int, slots),
 		RateMbps:   make([]float64, slots),
 	}
-	last := -1
 	for t := 0; t < slots; t++ {
-		choice := policy.Select()
+		choice := dev.Select()
 		rate := cfg.Pair.Rate(choice, t)
-		var delay float64
-		if last >= 0 && choice != last {
-			res.Switches++
-			if choice == CellularIndex {
-				delay = cellDelay.Sample(rng)
-			} else {
-				delay = wifiDelay.Sample(rng)
-			}
-			if delay < 0 {
-				delay = 0
-			}
-			if delay > slotSeconds {
-				delay = slotSeconds
-			}
-		}
+		delay := dev.Observe(choice, rate)
 		res.DownloadMB += rate * (slotSeconds - delay) / 8
 		res.SwitchCostMB += rate * delay / 8
 		res.Selections[t] = choice
 		res.RateMbps[t] = rate
-		policy.Observe(rate / scale)
-		last = choice
 	}
+	res.Switches = dev.Switches
 	return res, nil
 }

@@ -205,6 +205,46 @@ func TestRunGreedyBarelySwitches(t *testing.T) {
 	}
 }
 
+// TestDeviceChargesOnlySwitches drives a Device directly: a slot charges a
+// delay exactly when the network changes, the delay stays within a slot
+// even when the slot is shorter than the delay models' support, and
+// Switches counts the changes.
+func TestDeviceChargesOnlySwitches(t *testing.T) {
+	const slotSeconds = 0.5
+	dev, err := NewDevice(core.AlgEXP3, 3, slotSeconds, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last, switches, charged := -1, 0, 0
+	for s := 0; s < 300; s++ {
+		choice := dev.Select()
+		delay := dev.Observe(choice, float64(1+choice))
+		switched := last >= 0 && choice != last
+		if switched {
+			switches++
+		}
+		if delay < 0 || delay > slotSeconds {
+			t.Fatalf("slot %d: delay %v outside [0, %v]", s, delay, slotSeconds)
+		}
+		if !switched && delay != 0 {
+			t.Fatalf("slot %d: delay %v charged without a switch", s, delay)
+		}
+		if delay > 0 {
+			charged++
+		}
+		last = choice
+	}
+	if dev.Switches != switches || switches == 0 {
+		t.Fatalf("Switches = %d, counted %d changes", dev.Switches, switches)
+	}
+	if charged == 0 {
+		t.Fatal("no switch was charged a delay")
+	}
+	if _, err := NewDevice(core.AlgCentralized, 1, slotSeconds, 6); err == nil {
+		t.Fatal("want an error for a policy core.New refuses")
+	}
+}
+
 func TestRunRejectsInvalidPair(t *testing.T) {
 	if _, err := Run(RunConfig{Pair: Pair{}, Algorithm: core.AlgGreedy}); err == nil {
 		t.Fatal("want error for empty pair")

@@ -19,14 +19,8 @@ import (
 	"math/rand"
 
 	"smartexp3/internal/core"
-	"smartexp3/internal/dist"
 	"smartexp3/internal/rngutil"
-)
-
-// Network indices.
-const (
-	WiFiIndex     = 0
-	CellularIndex = 1
+	"smartexp3/internal/trace"
 )
 
 // backgroundLoad is a hidden Markov-modulated population of background users
@@ -79,13 +73,6 @@ type Config struct {
 	Seed      int64
 	// SlotSeconds defaults to 15.
 	SlotSeconds float64
-	// MaxSlots caps the run (default: enough for 16× the fair-share time).
-	MaxSlots int
-	// Core configures EXP3-family policies; zero value = core.DefaultConfig.
-	Core core.Config
-	// WiFiDelay and CellularDelay model switching cost; nil = defaults.
-	WiFiDelay     dist.Sampler
-	CellularDelay dist.Sampler
 	// Environment overrides the default coffee-shop model when non-nil.
 	Environment *Environment
 }
@@ -132,7 +119,8 @@ type Result struct {
 	Slots int
 	// Switches counts network changes.
 	Switches int
-	// Completed is false when MaxSlots elapsed before the file finished.
+	// Completed is false when the slot cap (16× the time the file takes at
+	// a quarter of the two capacities) elapsed before the file finished.
 	Completed bool
 }
 
@@ -149,36 +137,20 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Environment != nil {
 		env = *cfg.Environment
 	}
-	coreCfg := cfg.Core
-	if coreCfg.Gamma == nil {
-		coreCfg = core.DefaultConfig()
+	fairMbps := (env.WiFiCapacityMbps + env.CellularCapacityMbps) / 4
+	if fairMbps <= 0 {
+		return nil, errors.New("wild: environment has no capacity")
 	}
-	wifiDelay := cfg.WiFiDelay
-	if wifiDelay == nil {
-		wifiDelay = dist.DefaultWiFiDelay()
-	}
-	cellDelay := cfg.CellularDelay
-	if cellDelay == nil {
-		cellDelay = dist.DefaultCellularDelay()
-	}
-	maxSlots := cfg.MaxSlots
-	if maxSlots <= 0 {
-		fairMbps := (env.WiFiCapacityMbps + env.CellularCapacityMbps) / 4
-		if fairMbps <= 0 {
-			return nil, errors.New("wild: environment has no capacity")
-		}
-		maxSlots = int(cfg.FileMB*8/fairMbps/slotSec*16) + 16
-	}
-
-	rng := rngutil.New(cfg.Seed)
-	envRng := rngutil.NewChild(cfg.Seed, 1)
-	policy, err := core.New(cfg.Algorithm, []int{WiFiIndex, CellularIndex}, coreCfg, rng)
+	maxSlots := int(cfg.FileMB*8/fairMbps/slotSec*16) + 16
+	scale := math.Max(env.WiFiCapacityMbps, env.CellularCapacityMbps)
+	dev, err := trace.NewDevice(cfg.Algorithm, cfg.Seed, slotSec, scale)
 	if err != nil {
 		return nil, err
 	}
+	envRng := rngutil.NewChild(cfg.Seed, 1)
 
 	channels := [2]channel{
-		WiFiIndex: {
+		trace.WiFiIndex: {
 			capacityMbps: env.WiFiCapacityMbps,
 			noise:        env.Noise,
 			load: backgroundLoad{
@@ -188,7 +160,7 @@ func Run(cfg Config) (*Result, error) {
 				moveProb: env.ChurnProbability,
 			},
 		},
-		CellularIndex: {
+		trace.CellularIndex: {
 			capacityMbps: env.CellularCapacityMbps,
 			noise:        env.Noise,
 			load: backgroundLoad{
@@ -199,33 +171,20 @@ func Run(cfg Config) (*Result, error) {
 			},
 		},
 	}
-	scale := math.Max(env.WiFiCapacityMbps, env.CellularCapacityMbps)
 
 	res := &Result{}
 	remainingMb := cfg.FileMB * 8
-	last := -1
 	for t := 0; t < maxSlots; t++ {
 		res.Slots = t + 1
-		channels[WiFiIndex].load.step(envRng)
-		channels[CellularIndex].load.step(envRng)
+		channels[trace.WiFiIndex].load.step(envRng)
+		channels[trace.CellularIndex].load.step(envRng)
 
-		choice := policy.Select()
+		choice := dev.Select()
 		rate := channels[choice].rate(envRng)
+		delay := dev.Observe(choice, rate)
+		res.Switches = dev.Switches
 
-		var delay float64
-		if last >= 0 && choice != last {
-			res.Switches++
-			if choice == CellularIndex {
-				delay = cellDelay.Sample(rng)
-			} else {
-				delay = wifiDelay.Sample(rng)
-			}
-			delay = math.Min(math.Max(delay, 0), slotSec)
-		}
-		last = choice
-
-		effective := slotSec - delay
-		downloaded := rate * effective
+		downloaded := rate * (slotSec - delay)
 		elapsed := slotSec
 		if downloaded >= remainingMb {
 			// The file finishes mid-slot; charge only the time used.
@@ -235,8 +194,6 @@ func Run(cfg Config) (*Result, error) {
 			remainingMb -= downloaded
 		}
 		res.Minutes += elapsed / 60
-
-		policy.Observe(math.Min(rate/scale, 1))
 		if remainingMb <= 0 {
 			res.Completed = true
 			return res, nil
