@@ -163,7 +163,7 @@ func runTable7(o Options) (*report.Report, error) {
 		Title:  "Table VII: controlled-experiment downloads",
 		Tables: []report.Table{tbl},
 		Notes: []string{
-			"Real TCP over localhost through token-bucket-limited APs (DESIGN.md §4); the fair share for 14 devices is 100/14 ≈ 7.14%.",
+			"Real TCP over localhost through token-bucket-limited APs (see package internal/testbed); the fair share for 14 devices is 100/14 ≈ 7.14%.",
 		},
 	}, nil
 }

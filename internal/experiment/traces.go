@@ -55,7 +55,7 @@ func runTable6(o Options) (*report.Report, error) {
 		Title:  "Table VI: trace-driven simulation",
 		Tables: []report.Table{tbl},
 		Notes: []string{
-			"Traces are synthetic equivalents of the paper's measured pairs (DESIGN.md §4): pair 2 keeps cellular strictly better throughout; the others have no always-best network.",
+			"Traces are synthetic equivalents of the paper's measured pairs (see package internal/trace): pair 2 keeps cellular strictly better throughout; the others have no always-best network.",
 		},
 	}, nil
 }

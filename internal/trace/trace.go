@@ -1,8 +1,8 @@
 // Package trace implements the trace-driven simulation substrate of Section
 // VI-B: bit-rate traces of a public WiFi network and a cellular network
 // observed simultaneously, CSV serialization, a synthetic generator that
-// reproduces the qualitative structure of the paper's four trace pairs (the
-// authors' raw traces are not distributed; see DESIGN.md §4), and the
+// reproduces the qualitative structure of the paper's four trace pairs (it
+// stands in for the authors' raw traces, which are not distributed), and the
 // single-device trace-driven run that produces Table VI and Figure 12.
 package trace
 

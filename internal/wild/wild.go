@@ -5,11 +5,10 @@
 // The metric is download completion time; the paper reports Smart EXP3
 // finishing ≈1.2× faster than Greedy over 12 runs of each.
 //
-// The substitution (real coffee shop → hidden Markov background load) is
-// documented in DESIGN.md §4: what matters for the experiment is that the
-// environment is nonstationary and unobservable, so a learner that keeps
-// exploring can track the momentarily better network while a one-shot
-// learner cannot.
+// The real coffee shop is replaced by a hidden Markov background load. What
+// matters for the experiment is that the environment is nonstationary and
+// unobservable, so a learner that keeps exploring can track the momentarily
+// better network while a one-shot learner cannot.
 package wild
 
 import (
