@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"io"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -115,7 +116,8 @@ func fuzzPeerTable(tb testing.TB) *Table {
 }
 
 // fuzzPeer is the peer a FuzzFleetWire iteration drives: a fresh store
-// under fuzzPeerTable, as peer "fz".
+// under fuzzPeerTable, as peer "fz", checkpointing into a temporary
+// directory so a Checkpoint reaches Store.SaveFile.
 func fuzzPeer(tb testing.TB) (*serve.Store, *Peer) {
 	tb.Helper()
 	store, err := serve.NewStore(serve.Config{Seed: 42})
@@ -125,6 +127,7 @@ func fuzzPeer(tb testing.TB) (*serve.Store, *Peer) {
 	p, err := NewPeer(store, PeerOptions{
 		ID:           "fz",
 		FrameTimeout: -1,
+		SnapshotPath: filepath.Join(tb.TempDir(), "fz.snap"),
 		// A fuzzed cut leaves a drain pointing at a garbage address;
 		// the resolver must fail fast, not retry for real-world
 		// intervals.
@@ -170,7 +173,8 @@ func FuzzFleetWire(f *testing.F) {
 // TestFuzzFleetWireSessionSeedMigrates replays the corpus's full
 // migration session (seed 2) against a peer and reads its replies: the
 // cut drains the stripe, the offer is staged, the commit installs the
-// bumped table, and the closing table fetch reads epoch 2. A snapshot or
+// bumped table, the checkpoint saves a file a fresh store loads, and the
+// closing table fetch reads epoch 2. A snapshot or
 // table change that makes the peer refuse the seed fails here rather
 // than quietly leaving the fuzz target without a session that stages a
 // stripe.
@@ -210,6 +214,16 @@ func TestFuzzFleetWireSessionSeedMigrates(t *testing.T) {
 	}
 	if done := replies[2].Done; done == nil || done.Err != "" {
 		t.Fatalf("commit answered %+v, want done", done)
+	}
+	if done := replies[3].Done; done == nil || done.Err != "" {
+		t.Fatalf("checkpoint answered %+v, want done", done)
+	}
+	fresh, err := serve.NewStore(serve.Config{Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.LoadFile(p.opts.SnapshotPath); err != nil {
+		t.Fatalf("the checkpoint does not load into a fresh store: %v", err)
 	}
 	if res := replies[4].TableRes; res == nil || res.Table == nil || res.Table.Epoch != 2 {
 		t.Fatalf("the closing table fetch answered %+v, want epoch 2", res)
