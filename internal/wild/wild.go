@@ -118,8 +118,9 @@ type Result struct {
 	Slots int
 	// Switches counts network changes.
 	Switches int
-	// Completed is false when the slot cap (16× the time the file takes at
-	// a quarter of the two capacities) elapsed before the file finished.
+	// Completed is false when the slot cap elapsed before the file
+	// finished: 16× the slots the file takes at a quarter of the summed
+	// capacities, plus 16.
 	Completed bool
 }
 
