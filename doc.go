@@ -166,7 +166,7 @@
 // payloads on the frame layer's shared field encodings (canonical
 // varints, IEEE-754 bits, length-prefixed lists, presence bytes), decoded
 // without reflection.
-// Snapshots use the same encodings: a v5 snapshot is a header and one
+// Snapshots use the same encodings: a v6 snapshot is a header and one
 // fixed-layout record per device, which is also the form a captured
 // snapshot holds in memory, so checkpoints, restores and fleet migrations
 // move records as they are (a fleet migration frame carries one as the

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"smartexp3/internal/rngutil"
@@ -16,7 +17,9 @@ import (
 // moves a selection, a weight bit or an exploration order shows up here.
 // The five EXP3-family digests hash the exported PolicyState and were
 // re-recorded once, when the cached distribution left it; that code
-// reproduced the earlier trajectories with the cache fields blanked.
+// reproduced the earlier trajectories with the cache fields blanked. When
+// the linear-space weights and γ left the state too, hashPolicy kept the
+// layout the digests were recorded with, folding the live values in.
 var churnDigests = map[Algorithm]string{
 	AlgEXP3:             "cf32ab3681e6f1658a13e55277b2a1df8ece6f604177ad4ba9afe6eb62d2afae",
 	AlgBlockEXP3:        "b1cde5a6eeb5b6b23588744df18e58a22d99f7cb66d475d8f1f9e7d3d93b245b",
@@ -129,12 +132,26 @@ func churnSet(env *rand.Rand, cur []int, last int, heaviest int) []int {
 	return next
 }
 
-// hashPolicy folds the policy's re-indexed state into h.
+// hashPolicy folds the policy's re-indexed state into h. A Smart EXP3
+// state is printed as %v prints a struct, with the policy's linear-space
+// weights after LogW and its γ after BlockIdx, where PolicyState carried
+// them when the digests were recorded.
 func hashPolicy(h hash.Hash, pol Policy, st *PolicyState) {
 	switch p := pol.(type) {
 	case *SmartEXP3:
 		p.ExportState(st)
-		fmt.Fprintf(h, "%v\n", *st)
+		v, sep := reflect.ValueOf(st).Elem(), "{"
+		for i := range v.NumField() {
+			fmt.Fprintf(h, "%s%v", sep, v.Field(i))
+			sep = " "
+			switch v.Type().Field(i).Name {
+			case "LogW":
+				fmt.Fprintf(h, " %v", p.w.wExp)
+			case "BlockIdx":
+				fmt.Fprintf(h, " %v", p.gamma)
+			}
+		}
+		fmt.Fprint(h, "}\n")
 	case *Greedy:
 		fmt.Fprintf(h, "%v %v %v %v %d %d %d\n", p.available, p.sumGain, p.cntGain, p.explore, p.cur, p.switches, p.last)
 	case *FullInformation:

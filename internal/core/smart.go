@@ -25,18 +25,8 @@ type SmartEXP3 struct {
 	availSpare []int // retired availability slice, recycled as the next SetAvailable sort buffer
 	k          int
 
-	w weightSet // arm weights with O(log k) update and draw
-	// probs caches the selection distribution. It is derived state and
-	// not exported: ensureProbs fills it only when something reads the
-	// whole distribution (the greedy-eligibility check, a periodic reset
-	// check that can fire, Probabilities), so a draw never pays the O(k)
-	// fill. probsValid records whether probs reflects the current
-	// (weights, γ). The fill also records the distribution's argmax
-	// (first index), max and min.
-	probs      []float64
-	probsValid bool
-	iPlus      int     // argmax of probs (lowest index on ties)
-	maxP, minP float64 // max and min of probs
+	w     weightSet // arm weights with O(log k) update and draw
+	probs []float64 // Probabilities' buffer, sized on its first call; nothing else reads it
 	// uniform is rebuild's placeholder: from an availability change until
 	// the next block start or weight update the distribution reads as
 	// uniform 1/k. It is decision-relevant, since a further SetAvailable
@@ -127,14 +117,14 @@ func NewSmartEXP3(name string, feat Features, available []int, cfg Config, rng *
 
 // SmartEXP3Storage returns how many float64s and ints hold the per-arm
 // state of a policy with room for k arms: three weight views (the
-// Fenwick tree has k+1 entries), the cached distribution, the gain sums
-// and the two switch-back windows; then the availability set, the
-// exploration list and the three per-arm counters. k more ints also hold
-// the buffer SetAvailable sorts into, which is otherwise allocated at the
-// first availability change: a host whose arm sets churn provides them, a
-// simulation whose devices never move need not.
+// Fenwick tree has k+1 entries), the gain sums and the two switch-back
+// windows; then the availability set, the exploration list and the three
+// per-arm counters. k more ints also hold the buffer SetAvailable sorts
+// into, which is otherwise allocated at the first availability change: a
+// host whose arm sets churn provides them, a simulation whose devices
+// never move need not.
 func SmartEXP3Storage(k int, cfg Config) (floats, ints int) {
-	return 5*k + 1 + 2*cfg.SwitchBackWindow, 5 * k
+	return 4*k + 1 + 2*cfg.SwitchBackWindow, 5 * k
 }
 
 // InitSmartEXP3 is NewSmartEXP3 over memory the caller owns. It builds the
@@ -161,12 +151,12 @@ func InitSmartEXP3(p *SmartEXP3, name string, feat Features, available []int, cf
 // and the slices start on the heap.
 func (p *SmartEXP3) carve(floats []float64, ints []int) {
 	w := p.cfg.SwitchBackWindow
-	n := min(len(ints)/5, (len(floats)-1-2*w)/5)
+	n := min(len(ints)/5, (len(floats)-1-2*w)/4)
 	if n < 1 {
 		return
 	}
 	p.w.logW, p.w.wExp, p.w.tree = cut(&floats, n), cut(&floats, n), cut(&floats, n+1)
-	p.probs, p.sumGain = cut(&floats, n), cut(&floats, n)
+	p.sumGain = cut(&floats, n)
 	p.window, p.prevWindow = cut(&floats, w), cut(&floats, w)
 	p.available, p.explore = cut(&ints, n), cut(&ints, n)
 	p.x, p.cntGain, p.slotsOn = cut(&ints, n), cut(&ints, n), cut(&ints, n)
@@ -217,44 +207,40 @@ func (p *SmartEXP3) Name() string { return p.name }
 func (p *SmartEXP3) Available() []int { return p.available }
 
 // Probabilities implements ProbabilityReporter. It returns the selection
-// distribution under the current weights (uniform before the first block).
+// distribution under the current weights (uniform before the first block),
+// computed afresh into a buffer the next call overwrites.
+//
+//repolint:allocfree via TestSmartEXP3WarmPathAllocs
 func (p *SmartEXP3) Probabilities() []float64 {
-	p.ensureProbs()
+	if cap(p.probs) < p.k {
+		//repolint:ignore allocfree the buffer is sized on the first call and again only when the arm count reaches a new maximum
+		p.probs = make([]float64, p.k)
+	}
+	p.probs = p.probs[:p.k]
+	for li := range p.probs {
+		p.probs[li] = p.armProb(li)
+	}
 	return p.probs
 }
 
-// ensureProbs refreshes the cached distribution — and its argmax/extrema —
-// if weights or γ moved since it was last computed, or materializes
-// rebuild's uniform placeholder. The greedy-eligibility check reads the
-// extrema at every main block start, so this runs about once per main
-// block; fill computes the distribution and its extrema in one pass.
+// extrema returns the selection distribution's argmax (the lowest index on
+// ties), max and min: (0, 1/k, 1/k) under rebuild's uniform placeholder,
+// otherwise those of the bits armProb returns. The greedy-eligibility
+// check reads them at every main block start, the periodic reset check
+// once a block can reach ResetBlockLength.
 //
 //repolint:allocfree via TestSmartEXP3WarmPathAllocs
-func (p *SmartEXP3) ensureProbs() {
-	if p.probsValid {
-		return
-	}
+func (p *SmartEXP3) extrema() (argmax int, maxP, minP float64) {
 	if p.uniform {
 		u := 1 / float64(p.k)
-		for li := range p.probs {
-			p.probs[li] = u
-		}
-		p.iPlus, p.maxP, p.minP = 0, u, u
-	} else {
-		p.iPlus, p.maxP, p.minP = p.w.fill(p.probs, p.gamma)
+		return 0, u, u
 	}
-	p.probsValid = true
-}
-
-// staleProbs marks the cached distribution stale after γ or the weights
-// moved, which also ends rebuild's uniform placeholder.
-func (p *SmartEXP3) staleProbs() {
-	p.probsValid, p.uniform = false, false
+	return p.w.extrema(p.gamma)
 }
 
 // armProb returns the selection probability of one arm in O(1), without
 // materializing the whole distribution: 1/k under rebuild's placeholder,
-// otherwise the bits fill would write for the arm.
+// otherwise p_i = (1−γ)·w_i/Σw + γ/k.
 //
 //repolint:allocfree via TestSmartEXP3WarmPathAllocs
 func (p *SmartEXP3) armProb(li int) float64 {
@@ -457,7 +443,6 @@ func (p *SmartEXP3) rebuild(next []int, retain bool) {
 	p.available = next
 	p.k = k
 	logW := p.w.reset(k)
-	p.probs = resizeFloats(p.probs, k)
 	p.x = resizeInts(p.x, k)
 	p.sumGain = resizeFloats(p.sumGain, k)
 	p.cntGain = resizeInts(p.cntGain, k)
@@ -490,7 +475,7 @@ func (p *SmartEXP3) rebuild(next []int, retain bool) {
 	p.iMaxLi = p.scanIMax()
 	p.maxX = p.scanMaxX()
 	// The distribution reads as uniform until the next block start.
-	p.probsValid, p.uniform = false, true
+	p.uniform = true
 
 	p.cur = p.local(curID)
 	p.prevNet = p.local(prevID)
@@ -539,7 +524,7 @@ func (p *SmartEXP3) local(id int) int {
 func (p *SmartEXP3) startBlock() {
 	p.blockIdx++
 	p.gamma = clampGamma(p.cfg.Gamma(p.blockIdx))
-	p.staleProbs() // γ moved; refill only if something reads probs
+	p.uniform = false // γ moved, which ends rebuild's placeholder
 
 	if p.feat.Reset && p.periodicResetDue() {
 		p.performReset()
@@ -609,9 +594,9 @@ func (p *SmartEXP3) greedyEligible() bool {
 	if p.k < 2 {
 		return false
 	}
-	p.ensureProbs()
-	lenPlus := p.blockLength(p.x[p.iPlus])
-	condA := p.maxP-p.minP <= 1/float64(p.k-1)
+	iPlus, maxP, minP := p.extrema()
+	lenPlus := p.blockLength(p.x[iPlus])
+	condA := maxP-minP <= 1/float64(p.k-1)
 	if !condA && !p.condAFailed {
 		p.condAFailed = true
 		p.yThreshold = lenPlus
@@ -737,15 +722,15 @@ func (p *SmartEXP3) scanMaxX() int {
 // periodicResetDue reports whether the periodic reset condition holds:
 // p_{i+} ≥ ResetProbability and l_{i+} ≥ ResetBlockLength. While every
 // x[i] is below resetX no arm's block reaches ResetBlockLength, whatever
-// the distribution, so the answer is false without the O(k) fill. At the
-// paper's β = 0.1 a 200-slot run never gets that far.
+// the distribution, so the answer is false without the O(k) extrema scan.
+// At the paper's β = 0.1 a 200-slot run never gets that far.
 func (p *SmartEXP3) periodicResetDue() bool {
 	if p.maxX < p.resetX {
 		return false
 	}
-	p.ensureProbs()
-	return p.maxP >= p.cfg.ResetProbability &&
-		p.blockLength(p.x[p.iPlus]) >= p.cfg.ResetBlockLength
+	iPlus, maxP, _ := p.extrema()
+	return maxP >= p.cfg.ResetProbability &&
+		p.blockLength(p.x[iPlus]) >= p.cfg.ResetBlockLength
 }
 
 // performReset applies the minimal reset: block lengths and the statistics
@@ -780,7 +765,7 @@ func (p *SmartEXP3) endBlock() {
 	if p.selProb > 0 {
 		ghat := p.blockGain / p.selProb
 		p.w.bump(p.cur, p.gamma*ghat/float64(p.k))
-		p.staleProbs()
+		p.uniform = false
 	}
 	p.prevNet = p.cur
 	p.prevWindow = append(p.prevWindow[:0], p.window...)

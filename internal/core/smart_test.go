@@ -347,9 +347,10 @@ func TestGreedyEligibilityExpiresAndCapturesY(t *testing.T) {
 	// With a concentrated distribution and regrown block lengths, greedy
 	// must no longer be eligible.
 	p.Select()
+	probs := p.Probabilities()
 	iPlus := 0
 	for li := 1; li < p.k; li++ {
-		if p.probs[li] > p.probs[iPlus] {
+		if probs[li] > probs[iPlus] {
 			iPlus = li
 		}
 	}
@@ -380,7 +381,7 @@ func TestGreedySelectionUsesHalfProbability(t *testing.T) {
 		p.Select()
 		if p.slotIn == 0 && len(p.explore) == 0 && !p.curIsSB && p.greedyWasEligible {
 			half := p.selProb == 0.5
-			halfRandom := math.Abs(p.selProb-p.probs[p.cur]/2) < 1e-12
+			halfRandom := math.Abs(p.selProb-p.armProb(p.cur)/2) < 1e-12
 			if !half && !halfRandom {
 				t.Fatalf("greedy-phase selection probability %v, want 1/2 or p_i/2", p.selProb)
 			}
@@ -482,8 +483,8 @@ func TestSelectionProbabilityBookkeeping(t *testing.T) {
 
 // TestSmartEXP3WarmPathAllocs is the AllocsPerRun gate behind the
 // //repolint:allocfree markers on the engine's slot loop: Select, Observe,
-// ensureProbs, armProb and every weightSet primitive they drive (bump, fill,
-// prob, sample, treeAdd, search) must not allocate once the policy is past
+// Probabilities, extrema, armProb and every weightSet primitive they drive
+// (bump, extrema, prob, sample, treeAdd, search) must not allocate once the policy is past
 // its initial exploration and the window buffers have reached capacity.
 func TestSmartEXP3WarmPathAllocs(t *testing.T) {
 	p := newSmart(t, AlgSmartEXP3, []int{0, 1, 2, 3}, 17)
@@ -498,11 +499,11 @@ func TestSmartEXP3WarmPathAllocs(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(500, func() {
 		step()
-		p.Probabilities() // forces ensureProbs on the filled cache
+		p.Probabilities() // refills the buffer its first call sized
 		_ = p.armProb(1)
 	})
 	if allocs > 0 {
-		t.Fatalf("warm Select/Observe/ensureProbs path allocates %.2f objects per slot, want 0", allocs)
+		t.Fatalf("warm Select/Observe/Probabilities path allocates %.2f objects per slot, want 0", allocs)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 )
 
@@ -19,26 +20,24 @@ import (
 // ImportState into a policy constructed with the same (features, config)
 // and a random source resuming the same stream yields a policy whose
 // subsequent Select/Observe trajectory is bit-for-bit the trajectory the
-// exported policy would have produced. To honor that, the weight set's
-// derived views (linear-space weights, Fenwick tree, running sum, shift)
-// are captured as-is rather than recomputed on import: recomputing them
-// would produce values that differ in the last ulp from the incrementally
-// maintained ones, and the sampling descent compares against those bits.
-//
-// The selection distribution is not part of the state. The policy caches
-// it, but every cached bit is recomputable from the weights and γ, so
-// ImportState leaves the cache stale and it is refilled when read. The one
-// exception is rebuild's uniform placeholder (UniformProbs), which no
-// weight determines; it decides whether an arm removed before the next
-// block start triggers a reset.
+// exported policy would have produced. The state carries only what import
+// cannot recompute to the same bits. The Fenwick tree and the running sum
+// are incremental sums whose last ulp depends on the order of the updates
+// behind them, and the sampling descent compares against those bits, so
+// they are captured as-is with the shift they were built under. The
+// linear-space weights are exactly exp(LogW[i] − Shift) and γ is exactly
+// the schedule at BlockIdx, so ImportState recomputes both. The selection
+// distribution is recomputed whenever it is read, except rebuild's
+// uniform placeholder (UniformProbs), which no weight determines; it
+// decides whether an arm removed before the next block start triggers a
+// reset.
 type PolicyState struct {
 	// Available is the availability set (global network ids, ascending).
 	Available []int
 
-	// Weight set (see weightSet): LogW is the source of truth, the rest are
-	// its incrementally maintained views.
+	// Weight set (see weightSet): LogW is the source of truth, Tree and
+	// SumW its incrementally maintained views under Shift.
 	LogW  []float64
-	WExp  []float64
 	Tree  []float64
 	SumW  float64
 	Shift float64
@@ -53,7 +52,6 @@ type PolicyState struct {
 
 	// Current block.
 	BlockIdx  int
-	Gamma     float64
 	Cur       int
 	SelProb   float64
 	BlockLen  int
@@ -98,12 +96,11 @@ type PolicyState struct {
 func (p *SmartEXP3) ExportState(dst *PolicyState) {
 	dst.Available = append(dst.Available[:0], p.available...)
 	dst.LogW = append(dst.LogW[:0], p.w.logW...)
-	dst.WExp = append(dst.WExp[:0], p.w.wExp...)
 	dst.Tree = append(dst.Tree[:0], p.w.tree...)
 	dst.SumW, dst.Shift = p.w.sumW, p.w.shift
 	dst.UniformProbs = p.uniform
 	dst.Explore = append(dst.Explore[:0], p.explore...)
-	dst.BlockIdx, dst.Gamma = p.blockIdx, p.gamma
+	dst.BlockIdx = p.blockIdx
 	dst.Cur, dst.SelProb = p.cur, p.selProb
 	dst.BlockLen, dst.SlotIn, dst.BlockGain = p.blockLen, p.slotIn, p.blockGain
 	dst.Window = append(dst.Window[:0], p.window...)
@@ -130,8 +127,8 @@ func (p *SmartEXP3) ExportState(dst *PolicyState) {
 // it once rather than growing each slice whenever a policy with more arms
 // than the last comes by.
 func (s *PolicyState) Reserve(k, w int) {
-	floats, ints := make([]float64, 4*k+1+2*w), make([]int, 5*k)
-	s.LogW, s.WExp, s.Tree = cut(&floats, k), cut(&floats, k), cut(&floats, k+1)
+	floats, ints := make([]float64, 3*k+1+2*w), make([]int, 5*k)
+	s.LogW, s.Tree = cut(&floats, k), cut(&floats, k+1)
 	s.SumGain, s.Window, s.PrevWindow = cut(&floats, k), cut(&floats, w), cut(&floats, w)
 	s.Available, s.Explore = cut(&ints, k), cut(&ints, k)
 	s.X, s.CntGain, s.SlotsOn = cut(&ints, k), cut(&ints, k), cut(&ints, k)
@@ -139,10 +136,10 @@ func (s *PolicyState) Reserve(k, w int) {
 
 // Validate reports whether the state is internally consistent: every
 // per-network slice matches the availability set's length, local indices
-// point inside it, a running block has a network, block counts are not
-// negative, and the availability set is strictly ascending. A state from a
-// corrupt or hand-edited snapshot fails here instead of panicking inside
-// the policy later.
+// point inside it, a running block has a network, block counts and the
+// block index are not negative, and the availability set is strictly
+// ascending. A state from a corrupt or hand-edited snapshot fails here
+// instead of panicking inside the policy later.
 func (s *PolicyState) Validate() error {
 	k := len(s.Available)
 	if k == 0 {
@@ -157,8 +154,7 @@ func (s *PolicyState) Validate() error {
 		name string
 		got  int
 	}{
-		{"LogW", len(s.LogW)}, {"WExp", len(s.WExp)},
-		{"X", len(s.X)}, {"SumGain", len(s.SumGain)},
+		{"LogW", len(s.LogW)}, {"X", len(s.X)}, {"SumGain", len(s.SumGain)},
 		{"CntGain", len(s.CntGain)}, {"SlotsOn", len(s.SlotsOn)},
 	} {
 		if n.got != k {
@@ -179,6 +175,9 @@ func (s *PolicyState) Validate() error {
 		if idx.got < idx.min || idx.got >= k {
 			return fmt.Errorf("core: policy state %s = %d outside [%d, %d)", idx.name, idx.got, idx.min, k)
 		}
+	}
+	if s.BlockIdx < 0 {
+		return fmt.Errorf("core: policy state BlockIdx = %d is negative", s.BlockIdx)
 	}
 	if !s.NeedBlock && s.Cur < 0 {
 		return fmt.Errorf("core: policy state has a running block but no current network")
@@ -214,9 +213,9 @@ func (s *PolicyState) ValidateFor(cfg Config) error {
 // ImportState restores a previously exported state, reusing the policy's
 // buffers. The policy keeps its identity (name, features, config) and draws
 // all future randomness from rng; everything else — weights, block
-// position, learning statistics, counters — is overwritten. The cached
-// distribution is left stale, or set to the uniform placeholder when the
-// state records one. It fails without modifying the policy if the state
+// position, learning statistics, counters — is overwritten, and the
+// linear-space weights and γ are recomputed from LogW, Shift and BlockIdx.
+// It fails without modifying the policy if the state
 // does not pass ValidateFor under the policy's config.
 func (p *SmartEXP3) ImportState(s *PolicyState, rng *rand.Rand) error {
 	if err := s.ValidateFor(p.cfg); err != nil {
@@ -232,15 +231,19 @@ func (p *SmartEXP3) ImportState(s *PolicyState, rng *rand.Rand) error {
 
 	logW := p.w.reset(k)
 	copy(logW, s.LogW)
-	copy(p.w.wExp, s.WExp)
+	for i, lw := range logW {
+		p.w.wExp[i] = math.Exp(lw - s.Shift)
+	}
 	copy(p.w.tree, s.Tree)
 	p.w.sumW, p.w.shift = s.SumW, s.Shift
 
-	p.probs = resizeFloats(p.probs, k)
-	p.probsValid, p.uniform = false, s.UniformProbs
+	p.uniform = s.UniformProbs
 	p.explore = append(p.explore[:0], s.Explore...)
 
-	p.blockIdx, p.gamma = s.BlockIdx, s.Gamma
+	p.blockIdx, p.gamma = s.BlockIdx, 0
+	if s.BlockIdx > 0 {
+		p.gamma = clampGamma(p.cfg.Gamma(s.BlockIdx))
+	}
 	p.cur, p.selProb = s.Cur, s.SelProb
 	p.blockLen, p.slotIn, p.blockGain = s.BlockLen, s.SlotIn, s.BlockGain
 	if cap(p.window) < p.cfg.SwitchBackWindow {

@@ -121,6 +121,60 @@ func TestExportImportExportIsLossless(t *testing.T) {
 	}
 }
 
+// TestImportRecomputesWeightViewsExactly pins what PolicyState leaves out:
+// at every slot of a churned run, importing the exported state into a
+// fresh policy must reproduce the live policy's linear-space weights and
+// γ, which import recomputes, and its tree and running sum, which it
+// copies, to the bit. The run must move the shift, since a recomputation
+// that only agrees under a zero shift would otherwise pass.
+func TestImportRecomputesWeightViewsExactly(t *testing.T) {
+	same := func(a, b []float64) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	sets := [][]int{{1, 2, 3}, {2, 3, 7}, {1, 2, 3, 7}, {3, 7}}
+	for _, alg := range []Algorithm{AlgEXP3, AlgSmartEXP3} {
+		t.Run(alg.String(), func(t *testing.T) {
+			p := NewSmartEXP3(alg.String(), FeaturesFor(alg), sets[0], DefaultConfig(), rand.New(rngutil.NewSource(41)))
+			env := rngutil.New(43)
+			var st PolicyState
+			shifts := 0
+			for slot := 0; slot < 3000; slot++ {
+				before := p.w.shift
+				if env.Intn(8) == 0 {
+					p.SetAvailable(sets[env.Intn(len(sets))])
+				}
+				p.Observe(envGain(p.Select(), slot))
+				if p.w.shift != before {
+					shifts++
+				}
+				p.ExportState(&st)
+				q := NewSmartEXP3(alg.String(), FeaturesFor(alg), []int{0}, DefaultConfig(), rand.New(rngutil.NewSource(1)))
+				if err := q.ImportState(&st, rand.New(rngutil.NewSource(2))); err != nil {
+					t.Fatal(err)
+				}
+				if !same(q.w.wExp, p.w.wExp) || !same(q.w.tree, p.w.tree) ||
+					math.Float64bits(q.w.sumW) != math.Float64bits(p.w.sumW) ||
+					math.Float64bits(q.gamma) != math.Float64bits(p.gamma) {
+					t.Fatalf("slot %d: imported views wExp %v tree %v sumW %v γ %v, live %v %v %v %v",
+						slot, q.w.wExp, q.w.tree, q.w.sumW, q.gamma, p.w.wExp, p.w.tree, p.w.sumW, p.gamma)
+				}
+			}
+			if shifts == 0 {
+				t.Fatal("the shift never moved; the recomputation is not exercised off zero")
+			}
+			t.Logf("%d slots moved the shift", shifts)
+		})
+	}
+}
+
 func TestExportStateReusesBuffers(t *testing.T) {
 	p := NewSmartEXP3("Smart EXP3", FeaturesFor(AlgSmartEXP3), []int{0, 1, 2}, DefaultConfig(), rand.New(rngutil.NewSource(8)))
 	driveSlots(p, 0, 100)
@@ -180,6 +234,7 @@ func TestPolicyStateValidateRejectsCorruptStates(t *testing.T) {
 		{"Cur out of range", func(s *PolicyState) { s.Cur = 99 }},
 		{"PendingSB below -1", func(s *PolicyState) { s.PendingSB = -2 }},
 		{"X negative", func(s *PolicyState) { s.X[1] = -5 }},
+		{"BlockIdx negative", func(s *PolicyState) { s.BlockIdx = -1 }},
 		{"X negative on the current network", func(s *PolicyState) { s.X[s.Cur] = -1 }},
 		{"running block without a network", func(s *PolicyState) { s.Cur, s.NeedBlock = -1, false }},
 		{"Explore out of range", func(s *PolicyState) { s.Explore = append(s.Explore, 42) }},
@@ -376,7 +431,7 @@ func FuzzImportState(f *testing.F) {
 	f.Add(rec(field("X"), false, 1<<56|0xfb))                                                    // X[1] = -5
 	f.Add(append(rec(field("Cur"), true, 0xff), rec(field("NeedBlock"), false, 0)...))           // running block, no network
 	f.Add(append(rec(field("X"), false, 0x7f), rec(field("BlockIdx"), false, math.MaxInt64)...)) // counters near overflow
-	f.Add(rec(field("Gamma"), false, math.Float64bits(math.NaN())))
+	f.Add(rec(field("SumW"), false, math.Float64bits(math.NaN())))
 	f.Add(rec(field("Window")|0x40, false, 11))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var st PolicyState

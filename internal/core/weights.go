@@ -109,22 +109,21 @@ func (w *weightSet) bump(i int, delta float64) {
 	w.treeAdd(i, diff)
 }
 
-// fill writes the selection distribution p_i = (1−γ)·w_i/Σw + γ/k into dst
-// (line 2 of Algorithm 1) and returns its argmax (the lowest index on
-// ties), max and min. 1−γ, γ/k and Σw are loop-invariant, so each arm costs
-// one division; every p_i is computed by the same operations in the same
-// order as prob's. The extrema use strict comparisons, not the min and max
+// extrema returns the argmax (the lowest index on ties), max and min of
+// the selection distribution p_i = (1−γ)·w_i/Σw + γ/k (line 2 of
+// Algorithm 1). 1−γ, γ/k and Σw are loop-invariant, so each arm costs one
+// division; every p_i is computed by the same operations in the same order
+// as prob's. The extrema use strict comparisons, not the min and max
 // builtins, whose NaN and −0 rules differ.
 //
 //repolint:allocfree via TestSmartEXP3WarmPathAllocs
-func (w *weightSet) fill(dst []float64, gamma float64) (argmax int, maxP, minP float64) {
+func (w *weightSet) extrema(gamma float64) (argmax int, maxP, minP float64) {
 	keep, explore, sum := 1-gamma, gamma/float64(len(w.logW)), w.sumW
-	wExp, dst := w.wExp, dst[:len(w.wExp)]
+	wExp := w.wExp
 	maxP = keep*wExp[0]/sum + explore
-	dst[0], minP = maxP, maxP
+	minP = maxP
 	for i := 1; i < len(wExp); i++ {
 		p := keep*wExp[i]/sum + explore
-		dst[i] = p
 		if p > maxP {
 			maxP, argmax = p, i
 		}

@@ -10,9 +10,10 @@ import (
 	"smartexp3/internal/sim"
 )
 
-// blockWork counts block starts, the full-distribution fills they make and
-// main blocks across every policy of a run.
-type blockWork struct{ starts, fills, mains int }
+// blockWork counts block starts, the periodic reset checks among them
+// that had to scan the distribution, and main blocks across every policy
+// of a run.
+type blockWork struct{ starts, scans, mains int }
 
 // countingPolicy is a Smart EXP3 policy that classifies each block start
 // into a shared blockWork.
@@ -24,12 +25,12 @@ type countingPolicy struct {
 func (c countingPolicy) Select() int {
 	before := core.PendingExplore(c.SmartEXP3)
 	id := c.SmartEXP3.Select()
-	started, filled, main := core.BlockStartWork(c.SmartEXP3, before)
+	started, scanned, main := core.BlockStartWork(c.SmartEXP3, before)
 	if started {
 		c.work.starts++
 	}
-	if filled {
-		c.work.fills++
+	if scanned {
+		c.work.scans++
 	}
 	if main {
 		c.work.mains++
@@ -39,9 +40,9 @@ func (c countingPolicy) Select() int {
 
 // TestBlockStartsFillOnlyForTheGreedyCheck runs four replications of the
 // large-topology configuration (500 Smart EXP3 devices, 200 slots) and
-// counts where the O(k) distribution fill happens. At β = 0.1 no block can
+// counts where the O(k) distribution scan happens. At β = 0.1 no block can
 // reach ResetBlockLength within 200 slots, so the periodic reset check
-// must not fill; only the greedy-eligibility check of a main block does.
+// must never scan; only the greedy-eligibility check of a main block does.
 func TestBlockStartsFillOnlyForTheGreedyCheck(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs four 500-device replications")
@@ -65,11 +66,11 @@ func TestBlockStartsFillOnlyForTheGreedyCheck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("block starts %d, distribution fills %d, main blocks %d, resets %d", work.starts, work.fills, work.mains, resets)
+	t.Logf("block starts %d, periodic reset scans %d, main blocks %d, resets %d", work.starts, work.scans, work.mains, resets)
 	if work.mains == 0 || work.mains >= work.starts {
 		t.Fatalf("%d main blocks among %d block starts; the run does not exercise the skip", work.mains, work.starts)
 	}
-	if work.fills != work.mains {
-		t.Fatalf("%d distribution fills for %d main blocks; want one per main block", work.fills, work.mains)
+	if work.scans != 0 {
+		t.Fatalf("%d periodic reset checks scanned the distribution; want none", work.scans)
 	}
 }

@@ -56,20 +56,6 @@ func ForEach(workers, n int, fn func(i int) error) error {
 		func(int, struct{}) error { return nil })
 }
 
-// Collect runs do(0..n-1) on up to workers goroutines and returns the
-// results indexed by i — the same slice a serial loop would build.
-func Collect[T any](workers, n int, do func(i int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	err := MergeOrdered(workers, n, do, func(i int, v T) error {
-		out[i] = v
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // indexed carries one replication's result to the merger.
 type indexed[T any] struct {
 	i   int

@@ -49,7 +49,11 @@ func TestForEachStopsAfterError(t *testing.T) {
 }
 
 func TestCollectOrdersResults(t *testing.T) {
-	out, err := Collect(8, 50, func(i int) (int, error) { return i * i, nil })
+	out := make([]int, 50)
+	err := MergeOrdered(8, len(out), func(i int) (int, error) { return i * i, nil }, func(i, v int) error {
+		out[i] = v
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

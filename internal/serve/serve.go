@@ -95,13 +95,13 @@ type device struct {
 	// SetAvailable's sort buffer included, since every arm-set change
 	// sorts into it; a larger arm set or window grows the policy's slices
 	// on the heap.
-	floats [5*deviceArms + 1 + 2*deviceWindow]float64
+	floats [4*deviceArms + 1 + 2*deviceWindow]float64
 	ints   [6 * deviceArms]int
 }
 
 // deviceArms is how many arms a device record holds inline: the largest
-// arm set bench/'s serve-churn workload draws. It puts the record, 1,624 B
-// with its ringless generator, in the allocator's 1,792 B size class
+// arm set bench/'s serve-churn workload draws. It puts the record, 1,528 B
+// with its ringless generator, in the allocator's 1,536 B size class
 // (TestDeviceFitsItsSizeClass). deviceWindow is core.DefaultConfig's
 // SwitchBackWindow.
 const deviceArms, deviceWindow = 8, 8

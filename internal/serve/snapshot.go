@@ -29,13 +29,15 @@ import (
 // Version 5 gave the generator a compact form: a device fewer than 334
 // draws past its seed carries its seed and draw count, 3 to 8 bytes,
 // where version 4 carried every generator as its 4,866-byte ring.
-const snapshotVersion = 5
+// Version 6 dropped the policy state's linear-space weights and γ, which
+// import recomputes exactly from the log-weights, shift and block index.
+const snapshotVersion = 6
 
 // SnapshotVersion is the current snapshot layout version — what Snapshot
 // stamps and every restore path demands.
 const SnapshotVersion = snapshotVersion
 
-// The v5 snapshot stream is a magic string, then the header and each
+// The v6 snapshot stream is a magic string, then the header and each
 // device record as a frame of a 4-byte little-endian length and that many
 // bytes:
 //
@@ -64,9 +66,8 @@ const SnapshotVersion = snapshotVersion
 // the device's draws since it was seeded, so equal histories still encode
 // equal bytes. policy is every core.PolicyState field in declaration order:
 //
-//	Available []int · LogW, WExp, Tree []float64 · SumW, Shift float ·
-//	UniformProbs bool · Explore []int · BlockIdx int · Gamma float ·
-//	Cur int · SelProb float · BlockLen, SlotIn int · BlockGain float ·
+//	Available []int · LogW, Tree []float64 · SumW, Shift float ·
+//	UniformProbs bool · Explore []int · BlockIdx, Cur int · SelProb float · BlockLen, SlotIn int · BlockGain float ·
 //	Window []float64 · CurIsSB, NeedBlock bool · PrevNet int ·
 //	PrevWindow []float64 · PrevWasSB bool · PendingSB int ·
 //	X []int · SumGain []float64 · CntGain, SlotsOn []int ·
@@ -89,9 +90,9 @@ func (e *VersionError) Error() string {
 }
 
 // DeviceSnapshot is one device session at rest, decoded: its policy
-// state (core.PolicyState preserves every weight view bit for bit and
-// leaves out the selection distribution, which the policy recomputes; see
-// that type's doc) plus its generator cursor, the unanswered selection,
+// state (core.PolicyState keeps bit for bit what the policy cannot
+// recompute and leaves out the linear-space weights, γ and the selection
+// distribution, which it recomputes exactly; see that type's doc) plus its generator cursor, the unanswered selection,
 // and the selection slot. It is what a DeviceRecord decodes to, and what
 // a caller that inspects or edits one device works on.
 type DeviceSnapshot struct {
@@ -113,12 +114,12 @@ func (ds *DeviceSnapshot) Validate() error {
 	return ds.Rng.Validate()
 }
 
-// Record encodes ds as a v5 record.
+// Record encodes ds as a v6 record.
 func (ds *DeviceSnapshot) Record() DeviceRecord {
 	return DeviceRecord{Device: ds.Device, Record: string(appendRecord(nil, ds))}
 }
 
-// DeviceRecord is one device's entry in a snapshot: its id and its v5
+// DeviceRecord is one device's entry in a snapshot: its id and its v6
 // record. The record is a string, so no holder can change a snapshot's
 // records in place; a captured record is a substring of one allocation
 // that holds its whole shard's records, so a snapshot keeps its record
@@ -135,7 +136,7 @@ func (rec DeviceRecord) Decode(ds *DeviceSnapshot) error {
 	return decodeRecord(&r, []byte(rec.Record), ds)
 }
 
-// appendRecord appends ds's v5 record to b.
+// appendRecord appends ds's v6 record to b.
 func appendRecord(b []byte, ds *DeviceSnapshot) []byte {
 	b = binary.AppendUvarint(b, ds.Device)
 	b = frame.AppendInt(b, ds.Pending)
@@ -144,14 +145,12 @@ func appendRecord(b []byte, ds *DeviceSnapshot) []byte {
 	s := &ds.State
 	b = frame.AppendList(b, s.Available, frame.AppendInt)
 	b = frame.AppendList(b, s.LogW, frame.AppendFloat)
-	b = frame.AppendList(b, s.WExp, frame.AppendFloat)
 	b = frame.AppendList(b, s.Tree, frame.AppendFloat)
 	b = frame.AppendFloat(b, s.SumW)
 	b = frame.AppendFloat(b, s.Shift)
 	b = frame.AppendBool(b, s.UniformProbs)
 	b = frame.AppendList(b, s.Explore, frame.AppendInt)
 	b = frame.AppendInt(b, s.BlockIdx)
-	b = frame.AppendFloat(b, s.Gamma)
 	b = frame.AppendInt(b, s.Cur)
 	b = frame.AppendFloat(b, s.SelProb)
 	b = frame.AppendInt(b, s.BlockLen)
@@ -180,7 +179,7 @@ func appendRecord(b []byte, ds *DeviceSnapshot) []byte {
 	return frame.AppendInt(b, s.TotalSlots)
 }
 
-// decodeRecord decodes the v5 record p into ds through r, reusing ds's
+// decodeRecord decodes the v6 record p into ds through r, reusing ds's
 // slices. Every varint must be canonical, every list count is bounded by
 // the bytes left before storage is sized, the generator must be one
 // ReadState accepts (a ring form's cursors inside the ring, a compact
@@ -205,14 +204,12 @@ func decodeRecord(r *frame.PayloadReader, p []byte, ds *DeviceSnapshot) error {
 	s := &ds.State
 	s.Available = frame.ReadList(r, s.Available, intBytes, readInt)
 	s.LogW = frame.ReadList(r, s.LogW, floatBytes, readFloat)
-	s.WExp = frame.ReadList(r, s.WExp, floatBytes, readFloat)
 	s.Tree = frame.ReadList(r, s.Tree, floatBytes, readFloat)
 	s.SumW = r.Float()
 	s.Shift = r.Float()
 	s.UniformProbs = r.Bool()
 	s.Explore = frame.ReadList(r, s.Explore, intBytes, readInt)
 	s.BlockIdx = r.Int()
-	s.Gamma = r.Float()
 	s.Cur = r.Int()
 	s.SelProb = r.Float()
 	s.BlockLen = r.Int()
@@ -426,7 +423,7 @@ func (s *Store) RemoveRange(lo, hi uint64) int {
 	return removed
 }
 
-// Encode writes the snapshot in the v5 layout: the header, then the
+// Encode writes the snapshot in the v6 layout: the header, then the
 // records in index order. It makes no allocation per device.
 func (sn *Snapshot) Encode(w io.Writer) error {
 	bw := bufio.NewWriterSize(w, 64<<10)
@@ -452,7 +449,7 @@ func (sn *Snapshot) Encode(w io.Writer) error {
 	return nil
 }
 
-// ReadSnapshot reads a v5 snapshot one record at a time and validates
+// ReadSnapshot reads a v6 snapshot one record at a time and validates
 // each as it goes: varints canonical, every count bounded by the bytes
 // left, each record's policy and generator state valid (Validate), device
 // ids strictly ascending, and no bytes after the last record. A corrupt
@@ -553,7 +550,7 @@ func readFrame(br *bufio.Reader, buf []byte) ([]byte, error) {
 }
 
 // notFixedLayout explains a stream that does not open with the magic of
-// the fixed layout, which versions 4 and 5 share: a snapshot of versions
+// the fixed layout, which versions 4 to 6 share: a snapshot of versions
 // 1 to 3, which were one gob-encoded Snapshot value, is refused with a
 // *VersionError naming its version; anything else is not a snapshot.
 func notFixedLayout(br *bufio.Reader) error {

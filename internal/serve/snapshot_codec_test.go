@@ -20,7 +20,7 @@ import (
 	"smartexp3/internal/rngutil"
 )
 
-// encodeStream returns sn's v5 stream.
+// encodeStream returns sn's v6 stream.
 func encodeStream(tb testing.TB, sn *Snapshot) []byte {
 	tb.Helper()
 	var buf bytes.Buffer
@@ -44,7 +44,7 @@ func gobDevice(t *testing.T, ds *DeviceSnapshot) DeviceSnapshot {
 	return out
 }
 
-// TestSnapshotCodecMatchesGob pins the v5 record to the encoding it
+// TestSnapshotCodecMatchesGob pins the v6 record to the encoding it
 // replaced: every device decodes to the value a gob round trip of the same
 // device yields — empty lists decode as nil, as gob's did — and re-encodes
 // to the same bytes. Every float keeps its exact bits, −0 and NaN payloads
@@ -58,7 +58,7 @@ func TestSnapshotCodecMatchesGob(t *testing.T) {
 	if err := captured[0].Decode(&odd); err != nil {
 		t.Fatal(err)
 	}
-	odd.State.SumW, odd.State.Gamma, odd.State.DropRef = negZero, nan, math.Inf(-1)
+	odd.State.SumW, odd.State.SelProb, odd.State.DropRef = negZero, nan, math.Inf(-1)
 	odd.State.LogW[0], odd.State.Window = nan, []float64{negZero, nan}
 	odd.Pending, odd.Slot = -1, math.MaxUint64
 	empty := DeviceSnapshot{State: emptyListState()}
@@ -98,7 +98,7 @@ func TestSnapshotCodecMatchesGob(t *testing.T) {
 	if err := odd.Record().Decode(&back); err != nil {
 		t.Fatal(err)
 	}
-	if !math.Signbit(back.State.SumW) || math.Float64bits(back.State.Gamma) != math.Float64bits(nan) ||
+	if !math.Signbit(back.State.SumW) || math.Float64bits(back.State.SelProb) != math.Float64bits(nan) ||
 		math.Float64bits(back.State.LogW[0]) != math.Float64bits(nan) || !math.Signbit(back.State.Window[0]) {
 		t.Fatal("a record lost a −0 or a NaN payload")
 	}
@@ -107,7 +107,7 @@ func TestSnapshotCodecMatchesGob(t *testing.T) {
 // emptyListState is a policy state whose every list is empty but not nil.
 func emptyListState() (s core.PolicyState) {
 	s.Available, s.Explore, s.X, s.CntGain, s.SlotsOn = []int{}, []int{}, []int{}, []int{}, []int{}
-	s.LogW, s.WExp, s.Tree, s.SumGain = []float64{}, []float64{}, []float64{}, []float64{}
+	s.LogW, s.Tree, s.SumGain = []float64{}, []float64{}, []float64{}
 	s.Window, s.PrevWindow = []float64{}, []float64{}
 	return s
 }
@@ -146,7 +146,7 @@ func TestSnapshotCodecCarriesEveryField(t *testing.T) {
 		}
 	}
 	// A floor on the walk itself, so a broken walker cannot pass vacuously.
-	if len(leaves) < 45 {
+	if len(leaves) < 43 {
 		t.Fatalf("walked only %d DeviceSnapshot leaves", len(leaves))
 	}
 	// On the ring-form device every leaf survives but the draw count (a
@@ -187,26 +187,30 @@ func TestReadSnapshotRefusesVersion3(t *testing.T) {
 	}
 }
 
-// TestReadSnapshotRefusesVersion4 reads a stream of the fixed layout's
-// first version, whose records carried every generator as its full ring:
-// ReadSnapshot and LoadFile refuse it by its header with a *VersionError
-// naming both versions.
+// TestReadSnapshotRefusesVersion4 reads streams of the fixed layout's
+// earlier versions: 4, whose records carried every generator as its full
+// ring, and 5, whose records carried the linear-space weights and γ.
+// ReadSnapshot and LoadFile refuse each by its header with a
+// *VersionError naming both versions.
 func TestReadSnapshotRefusesVersion4(t *testing.T) {
 	s := churnedStore(t, Config{Seed: 42}, 3, 4)
-	sn := s.Snapshot()
-	sn.Version = 4
-	v4 := encodeStream(t, sn)
-	_, err := ReadSnapshot(bytes.NewReader(v4))
-	var verr *VersionError
-	if !errors.As(err, &verr) || verr.Got != 4 || verr.Want != snapshotVersion {
-		t.Fatalf("ReadSnapshot of a v4 stream: got %v, want a *VersionError for 4 against %d", err, snapshotVersion)
-	}
-	path := filepath.Join(t.TempDir(), "v4.snap")
-	if err := os.WriteFile(path, v4, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.LoadFile(path); !errors.As(err, &verr) || verr.Got != 4 {
-		t.Fatalf("LoadFile of a v4 stream: got %v, want a *VersionError for 4", err)
+	for _, v := range []int{4, 5} {
+		sn := s.Snapshot()
+		sn.Version = v
+		old := encodeStream(t, sn)
+		_, err := ReadSnapshot(bytes.NewReader(old))
+		var verr *VersionError
+		want := VersionError{Got: v, Want: 6}
+		if !errors.As(err, &verr) || *verr != want {
+			t.Fatalf("ReadSnapshot of a v%d stream: got %v, want %v", v, err, &want)
+		}
+		path := filepath.Join(t.TempDir(), fmt.Sprintf("v%d.snap", v))
+		if err := os.WriteFile(path, old, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.LoadFile(path); !errors.As(err, &verr) || *verr != want {
+			t.Fatalf("LoadFile of a v%d stream: got %v, want %v", v, err, &want)
+		}
 	}
 }
 

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"smartexp3/internal/core"
 	"smartexp3/internal/rngutil"
 )
 
@@ -519,8 +521,8 @@ func TestRestoreKeepsUniformPlaceholder(t *testing.T) {
 		ps := &st.State
 		for li, id := range ps.Available {
 			if id == arm {
-				k := float64(len(ps.Available))
-				return (1-ps.Gamma)*ps.WExp[li]/ps.SumW + ps.Gamma/k
+				g, k := core.DefaultConfig().Gamma(ps.BlockIdx), float64(len(ps.Available))
+				return (1-g)*math.Exp(ps.LogW[li]-ps.Shift)/ps.SumW + g/k
 			}
 		}
 		return 0
